@@ -45,8 +45,8 @@ from repro.mapping import (
     DieBookkeeping,
     FlashSpaceEngine,
     ManagementStats,
-    choose_victim_greedy,
 )
+from repro.policies import select_victim_greedy
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -75,7 +75,7 @@ class SeedScanBookkeeping(DieBookkeeping):
         return bool(self._scan_candidates())
 
     def greedy_victim(self):
-        return choose_victim_greedy(self._scan_candidates())
+        return select_victim_greedy(self._scan_candidates())
 
     def iter_candidates(self):
         return iter(self._scan_candidates())

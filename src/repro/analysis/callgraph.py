@@ -2,10 +2,9 @@
 
 The per-module rules of :mod:`repro.analysis.rules` see one file at a
 time.  The invariants that PRs 8-9 introduced are *inter-procedural*:
-shard partition closure, packed-path legality and RNG discipline live in
-call chains that cross ``bench/``, ``flash/`` and ``faults/``.  This
-module builds, once per engine run, the three artifacts those rules
-share:
+shard partition closure and RNG discipline live in call chains that
+cross ``bench/``, ``flash/`` and ``faults/``.  This module builds, once
+per engine run, the three artifacts those rules share:
 
 * a **symbol table** — every module, class, method, function and
   module-level binding under a dotted qualname

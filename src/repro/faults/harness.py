@@ -161,6 +161,19 @@ def run_tpcc_crash_harness(
     # a wear-out whose carrying erase was aborted by a simultaneous
     # crash/die failure would dangle injected-but-unretired — land it
     injector.settle_pending_wearout(t)
+    # likewise a grown-bad retirement whose salvage was interrupted: after
+    # a power cut the recovered engine finishes it (salvage, mark bad,
+    # count once); after a die failure the rebuild already moved the live
+    # pages off the die, so the block only needs recording
+    for die, block in injector.unretired_program_faults():
+        owner = next(
+            (r for r in source.store.regions() if die in r.engine.dies), None
+        )
+        if owner is not None:
+            t = owner.engine.retire_grown_bad_block(die, block, t)
+        else:
+            source.device.dies[die].blocks[block].mark_bad()
+            injector.stats.retired_grown_bad_blocks += 1
 
     # ------------------------------------------------------------------
     # Target: restore the backup and replay the surviving log tail

@@ -121,6 +121,8 @@ class FaultInjector:
         self._pending_reads: dict[tuple[int, int, int], int] = {}
         # (die, block) scheduled to wear out at its in-flight erase
         self._pending_wearout: tuple[int, int] | None = None
+        # (die, block) of every injected program failure, in firing order
+        self._program_faulted: list[tuple[int, int]] = []
 
     @property
     def op_number(self) -> int:
@@ -206,6 +208,22 @@ class FaultInjector:
         self.stats.retired_wearout_blocks += 1
         self._emit(at, "wearout_retired", die=die, block=block)
 
+    def unretired_program_faults(self) -> list[tuple[int, int]]:
+        """``(die, block)`` of program failures whose retirement never landed.
+
+        The engine answers a program failure by salvaging the block's live
+        pages and only then marking it bad and counting it retired.  A
+        power cut or die failure *inside* that salvage aborts it, leaving
+        the fault injected-but-unretired.  Recovery harnesses finish these
+        retirements after the run; normally the list is empty.
+        """
+        assert self.device is not None
+        dies = self.device.dies
+        return [
+            (die, block) for die, block in self._program_faulted
+            if not dies[die].blocks[block].is_bad
+        ]
+
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
@@ -222,6 +240,8 @@ class FaultInjector:
             raise TransientReadError(die, block, page)
         if kind == "program_fail":
             self.stats.injected_program_fail += 1
+            assert block is not None
+            self._program_faulted.append((die, block))
             self._emit(at, "inject_program_fail", die=die, block=block, page=page,
                        op=self._op)
             raise ProgramFaultError(die, block, page)

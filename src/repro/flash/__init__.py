@@ -18,7 +18,6 @@ from repro.flash.errors import (
     DataError,
     EraseError,
     FlashError,
-    PackedPathError,
     ProgramError,
     ReadError,
     WearOutError,
@@ -46,7 +45,6 @@ __all__ = [
     "KIB",
     "LatencyAccumulator",
     "MIB",
-    "PackedPathError",
     "PageMetadata",
     "PhysicalBlockAddress",
     "PhysicalPageAddress",

@@ -16,12 +16,14 @@ under NoFTL (:mod:`repro.core`).
 **Storage layout.**  Page state is kept in flat parallel columns rather
 than one Python object per page: payloads in a list, OOB metadata fields
 (``lpn``, ``seq``, ``obj_id``) in integer arrays with ``-1`` as the "not
-set" sentinel, and free-form ``extra`` annotations in a sparse dict (only
-atomic-write batches use them).  Because NAND programs pages strictly in
+set" sentinel (``seq = -1``: the page carries no OOB record at all), and
+free-form ``extra`` annotations in a sparse dict (only atomic-write
+batches use them).  Because NAND programs pages strictly in
 order and an erase wipes the whole block, "page ``p`` is programmed" is
 exactly ``p < write_pointer`` — no per-page flag is stored.  A
 :class:`PageMetadata` record is materialised only when a page is *read*;
-the write path (see :meth:`Block.program_packed`) never allocates one.
+:meth:`Block.program_packed`, the one implementation of page programming,
+takes the OOB fields as integers and never allocates one.
 At paper scale (64 dies × thousands of blocks × 32+ pages) this replaces
 millions of per-page objects with a handful of arrays per block.
 """
@@ -63,6 +65,22 @@ class PageMetadata:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
+def oob_columns(
+    metadata: PageMetadata | None,
+) -> tuple[int, int, int, dict[str, Any] | None]:
+    """``(lpn, seq, obj_id, extra)`` as the int-coordinate commands take them."""
+    if metadata is None:
+        return -1, -1, -1, None
+    if metadata.seq < 0:
+        raise ProgramError(f"OOB write sequence must be >= 0, got {metadata.seq}")
+    return (
+        -1 if metadata.lpn is None else metadata.lpn,
+        metadata.seq,
+        -1 if metadata.obj_id is None else metadata.obj_id,
+        metadata.extra or None,
+    )
+
+
 class Block:
     """One erase block of ``pages_per_block`` pages.
 
@@ -78,7 +96,6 @@ class Block:
         "_seq",
         "_obj",
         "_extra",
-        "_has_meta",
         "_write_pointer",
         "_erase_count",
         "_reads_since_erase",
@@ -91,13 +108,12 @@ class Block:
             raise ConfigError("pages_per_block must be positive")
         #: page payloads; ``None`` for never/erased pages
         self._data: list[bytes | None] = [None] * pages_per_block
-        #: OOB columns, ``-1`` = field not set (``None`` in PageMetadata)
+        #: OOB columns, ``-1`` = field not set (``None`` in PageMetadata);
+        #: ``seq = -1`` = no OOB record (programmed with ``metadata=None``,
+        #: which must read back as ``None``, not an empty record)
         self._lpn = array("q", bytes(8 * pages_per_block))
         self._seq = array("q", bytes(8 * pages_per_block))
         self._obj = array("q", bytes(8 * pages_per_block))
-        #: whether the page carries any OOB record at all (programmed with
-        #: ``metadata=None`` must read back as ``None``, not an empty record)
-        self._has_meta = bytearray(pages_per_block)
         #: sparse free-form annotations: page -> dict (atomic batches only)
         self._extra: dict[int, dict[str, Any]] = {}
         self._write_pointer = 0
@@ -155,42 +171,15 @@ class Block:
     # ------------------------------------------------------------------
     # Commands (state transitions only; timing handled by the device)
     # ------------------------------------------------------------------
-    def program(self, page: int, data: bytes, metadata: PageMetadata | None) -> None:
-        """Program ``page`` with ``data`` and OOB ``metadata``.
-
-        Enforces once-per-erase programming and in-order page programming.
-        """
-        if self._bad:
-            raise BadBlockError("cannot program a bad block")
-        if page < self._write_pointer:
-            raise ProgramError(f"page {page} already programmed since last erase")
-        if page != self._write_pointer:
-            raise ProgramError(
-                f"out-of-order program: page {page}, expected page {self._write_pointer} "
-                "(NAND requires sequential programming within a block)"
-            )
-        self._data[page] = data
-        if metadata is None:
-            self._has_meta[page] = 0
-        else:
-            self._has_meta[page] = 1
-            self._lpn[page] = -1 if metadata.lpn is None else metadata.lpn
-            self._seq[page] = metadata.seq
-            self._obj[page] = -1 if metadata.obj_id is None else metadata.obj_id
-            if metadata.extra:
-                self._extra[page] = metadata.extra
-            else:
-                self._extra.pop(page, None)
-        self._write_pointer += 1
-
     def program_packed(
-        self, page: int, data: bytes, lpn: int, seq: int, obj_id: int
+        self, page: int, data: bytes, lpn: int, seq: int, obj_id: int,
+        extra: dict[str, Any] | None = None,
     ) -> None:
-        """Hot-path program: OOB fields as raw ints, no PageMetadata object.
+        """Program ``page``: the one implementation, OOB fields as raw ints.
 
-        ``-1`` encodes "not set" for ``lpn``/``obj_id`` (the columns'
-        sentinel).  Behaviour is identical to :meth:`program` with an
-        equivalent :class:`PageMetadata` carrying no ``extra``.
+        ``-1`` encodes "not set" for ``lpn``/``obj_id``; ``seq = -1``
+        programs the page with no OOB record at all.  Enforces
+        once-per-erase programming and in-order page programming.
         """
         if self._bad:
             raise BadBlockError("cannot program a bad block")
@@ -202,23 +191,30 @@ class Block:
                 "(NAND requires sequential programming within a block)"
             )
         self._data[page] = data
-        self._has_meta[page] = 1
         self._lpn[page] = lpn
         self._seq[page] = seq
         self._obj[page] = obj_id
-        self._extra.pop(page, None)
+        if extra:
+            self._extra[page] = extra
+        else:
+            self._extra.pop(page, None)
         self._write_pointer += 1
+
+    def program(self, page: int, data: bytes, metadata: PageMetadata | None) -> None:
+        """:meth:`program_packed` taking the OOB record as an object."""
+        self.program_packed(page, data, *oob_columns(metadata))
 
     def _metadata_at(self, page: int) -> PageMetadata | None:
         """Materialise the OOB record of a programmed page (or ``None``)."""
-        if not self._has_meta[page]:
+        seq = self._seq[page]
+        if seq < 0:
             return None
         lpn = self._lpn[page]
         obj = self._obj[page]
         extra = self._extra.get(page)
         return PageMetadata(
             lpn=None if lpn < 0 else lpn,
-            seq=self._seq[page],
+            seq=seq,
             obj_id=None if obj < 0 else obj,
             extra={} if extra is None else extra,
         )
@@ -234,44 +230,31 @@ class Block:
         assert data is not None
         return data, self._metadata_at(page)
 
-    def copy_page_to(self, page: int, dst: "Block", dst_page: int) -> None:
-        """On-die copyback transfer: move ``page``'s columns to ``dst``.
+    def copy_page_to(
+        self, page: int, dst: "Block", dst_page: int,
+        metadata: PageMetadata | None = None,
+    ) -> None:
+        """On-die copyback transfer: program ``dst_page`` of ``dst`` from ``page``.
 
-        The destination must obey the same programming rules as
-        :meth:`program`; the OOB record travels unchanged (column copy, no
-        :class:`PageMetadata` materialisation).  Counts as one read on this
-        block, mirroring :meth:`read`'s read-disturb accounting.
+        The OOB record travels unchanged (column copy, no
+        :class:`PageMetadata` materialisation) unless ``metadata`` replaces
+        it.  Counts as one read on this block, mirroring :meth:`read`'s
+        read-disturb accounting — also when the destination program fails.
         """
         if self._bad:
             raise BadBlockError("cannot read a bad block")
         if page >= self._write_pointer or page < 0:
             raise ReadError(f"page {page} has not been programmed")
-        # the source read "happens" before the destination program, exactly
-        # as in the read+program decomposition: a failed program still
-        # leaves the read-disturb counter incremented
         self._reads_since_erase += 1
-        if dst._bad:
-            raise BadBlockError("cannot program a bad block")
-        if dst_page != dst._write_pointer:
-            if dst_page < dst._write_pointer:
-                raise ProgramError(f"page {dst_page} already programmed since last erase")
-            raise ProgramError(
-                f"out-of-order program: page {dst_page}, expected page {dst._write_pointer} "
-                "(NAND requires sequential programming within a block)"
+        data = self._data[page]
+        assert data is not None
+        if metadata is None:
+            dst.program_packed(
+                dst_page, data, self._lpn[page], self._seq[page], self._obj[page],
+                self._extra.get(page),
             )
-        dst._data[dst_page] = self._data[page]
-        has = self._has_meta[page]
-        dst._has_meta[dst_page] = has
-        if has:
-            dst._lpn[dst_page] = self._lpn[page]
-            dst._seq[dst_page] = self._seq[page]
-            dst._obj[dst_page] = self._obj[page]
-            extra = self._extra.get(page)
-            if extra is not None:
-                dst._extra[dst_page] = extra
-            else:
-                dst._extra.pop(dst_page, None)
-        dst._write_pointer += 1
+        else:
+            dst.program_packed(dst_page, data, *oob_columns(metadata))
 
     def erase(self) -> None:
         """Erase the whole block, incrementing the P/E cycle count.

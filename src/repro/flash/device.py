@@ -6,8 +6,11 @@ Figure 1 — *Read/Program Page, Erase Block, Copyback, handle Page Metadata*
 data placement matter.
 
 Every command takes the caller's current virtual time ``at`` and returns a
-:class:`CommandResult` carrying the completion time.  Commands contend for
-two resources:
+:class:`CommandResult` carrying the completion time.  PROGRAM, COPYBACK and
+ERASE are each implemented once, on integer coordinates
+(``program_page_packed`` / ``copyback_packed`` / ``erase_block_packed``,
+fault and event hooks inline); the object-address commands validate,
+unpack and call that body.  Commands contend for two resources:
 
 * the **die** (one array operation at a time), and
 * the **channel** (shared by all chips on it, used only for host transfers —
@@ -21,15 +24,10 @@ import random
 from dataclasses import dataclass
 
 from repro.flash.address import PhysicalBlockAddress, PhysicalPageAddress
-from repro.flash.block import Block, PageMetadata
+from repro.flash.block import Block, PageMetadata, oob_columns
 from repro.flash.die import Die
-from repro.flash.errors import (
-    ConfigError,
-    CopybackError,
-    DataError,
-    PackedPathError,
-)
-from typing import TYPE_CHECKING
+from repro.flash.errors import ConfigError, CopybackError, DataError
+from typing import TYPE_CHECKING, Any
 
 from repro.flash.geometry import FlashGeometry
 from repro.flash.simclock import ResourceTimeline, SimClock
@@ -109,8 +107,8 @@ class FlashDevice:
             ResourceTimeline(name=f"ch{i}") for i in range(geometry.channels)
         ]
         self.stats = FlashStats(dies=geometry.dies)
-        # hot-path constants: the packed command variants run per simulated
-        # page write, so the per-call property/bus-math cost is pinned here
+        # hot-path constants: the mutating commands run per simulated page
+        # write, so the per-call property/bus-math cost is pinned here
         self._die_channels: list[ResourceTimeline] = [
             self.channels[geometry.channel_of_die(d)] for d in range(geometry.dies)
         ]
@@ -194,124 +192,25 @@ class FlashDevice:
         self.clock.advance_to(end)
         return CommandResult(start_us=start, end_us=end, data=None, metadata=metadata)
 
-    def program_page(
-        self,
-        ppa: PhysicalPageAddress,
-        data: bytes,
-        metadata: PageMetadata | None = None,
-        at: float | None = None,
-    ) -> CommandResult:
-        """PROGRAM PAGE: transfer over the channel, then program the array."""
-        ppa.validate(self.geometry)
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise DataError(f"page payload must be bytes-like, got {type(data).__name__}")
-        data = bytes(data)
-        if len(data) > self.geometry.page_size:
-            raise DataError(
-                f"payload of {len(data)} bytes exceeds page size {self.geometry.page_size}"
-            )
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            # before any state mutates: a program fault leaves the page
-            # unprogrammed and the timelines unreserved
-            self.faults.on_command("program_page", ppa.die, ppa.block, ppa.page, at=issue)
-        die = self.dies[ppa.die]
-        channel = self.channel_of_die(ppa.die)
-        bus = self.timing.bus_us(self.geometry.page_size, self.geometry.page_size)
-        start, xfer_done = channel.reserve(issue, bus)
-        __, end = die.timeline.reserve(xfer_done, self.timing.program_us)
-        die.blocks[ppa.block].program(ppa.page, data, metadata)
-        self.stats.record_program(ppa.die, len(data), end - issue)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "program_page", die=ppa.die,
-                             block=ppa.block, page=ppa.page, start_us=start, end_us=end)
-        self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end)
-
-    def erase_block(self, pba: PhysicalBlockAddress, at: float | None = None) -> CommandResult:
-        """ERASE BLOCK: array-only operation, no channel occupancy."""
-        pba.validate(self.geometry)
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            self.faults.on_command("erase_block", pba.die, pba.block, at=issue)
-        die = self.dies[pba.die]
-        die.blocks[pba.block].erase()
-        if self.faults is not None:
-            self.faults.after_erase(pba.die, pba.block, at=issue)
-        start, end = die.timeline.reserve(issue, self.timing.erase_us)
-        self.stats.record_erase(pba.die)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "erase_block", die=pba.die,
-                             block=pba.block, start_us=start, end_us=end)
-        self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end)
-
-    def copyback(
-        self,
-        src: PhysicalPageAddress,
-        dst: PhysicalPageAddress,
-        metadata: PageMetadata | None = None,
-        at: float | None = None,
-    ) -> CommandResult:
-        """COPYBACK: move a page within one die without a host transfer.
-
-        The payload travels cell array -> page register -> cell array
-        entirely on-die, so only the die timeline is occupied.  If
-        ``metadata`` is given it replaces the OOB of the destination page
-        (hosts use this to refresh the write sequence number); otherwise
-        the source metadata is carried over.
-        """
-        src.validate(self.geometry)
-        dst.validate(self.geometry)
-        if src.die != dst.die:
-            raise CopybackError(f"copyback must stay on one die: {src} -> {dst}")
-        if self.strict_plane_copyback:
-            src_plane = self.geometry.plane_of_block(src.block)
-            dst_plane = self.geometry.plane_of_block(dst.block)
-            if src_plane != dst_plane:
-                raise CopybackError(
-                    f"strict plane copyback: {src} (plane {src_plane}) -> {dst} (plane {dst_plane})"
-                )
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            self.faults.on_command("copyback", src.die, src.block, src.page, at=issue)
-        die = self.dies[src.die]
-        data, src_meta = die.blocks[src.block].read(src.page)
-        die.blocks[dst.block].program(dst.page, data, metadata if metadata is not None else src_meta)
-        start, end = die.timeline.reserve(issue, self.timing.copyback_us)
-        self.stats.record_copyback(src.die)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "copyback", die=src.die,
-                             block=src.block, page=src.page,
-                             dst_block=dst.block, dst_page=dst.page,
-                             start_us=start, end_us=end)
-        self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end)
-
-    # ------------------------------------------------------------------
-    # Packed hot-path variants
-    # ------------------------------------------------------------------
-    # The mapping engine issues millions of page operations per experiment
-    # using addresses it constructed itself (valid by construction).  These
-    # variants take raw integer coordinates, skip address re-validation and
-    # the CommandResult allocation, and return only the completion time.
-    # Callers MUST use the full commands above whenever a fault injector or
-    # an event bus is attached — the packed variants run neither hook.  The
-    # device enforces this: every packed command raises PackedPathError when
-    # either hook is live, so a scheduled fault can never be skipped.
+    # The mutating commands each have ONE implementation, on raw integer
+    # coordinates: it runs the fault hooks before any state changes, the
+    # event hook after, and returns the granted ``(start_us, end_us)`` slot.
+    # The mapping engine, which builds its addresses itself, calls these
+    # directly; the object-address commands below them validate and unpack
+    # for everyone else.
 
     def program_page_packed(
         self, die: int, block: int, page: int, data: bytes,
         lpn: int, seq: int, obj_id: int, at: float,
-    ) -> float:
-        """PROGRAM PAGE on pre-validated coordinates; returns completion time.
+        extra: dict[str, Any] | None = None,
+    ) -> tuple[float, float]:
+        """PROGRAM PAGE: transfer over the channel, then program the array.
 
-        Equivalent to :meth:`program_page` with
-        ``PageMetadata(lpn=lpn, seq=seq, obj_id=obj_id)`` (``-1`` encodes an
-        unset ``lpn``/``obj_id``) when no faults/events are attached.
+        The OOB record is ``PageMetadata(lpn, seq, obj_id, extra)`` with
+        ``-1`` for an unset ``lpn``/``obj_id``; ``seq = -1`` programs the
+        page with no OOB record.  Coordinates are trusted, the payload is
+        checked.
         """
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("program_page_packed")
         if type(data) is not bytes:
             if not isinstance(data, (bytearray, memoryview)):
                 raise DataError(
@@ -323,28 +222,35 @@ class FlashDevice:
             raise DataError(
                 f"payload of {nbytes} bytes exceeds page size {self._page_size}"
             )
-        __, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
+        if self.faults is not None:
+            # before any state mutates: a program fault leaves the page
+            # unprogrammed and the timelines unreserved
+            self.faults.on_command("program_page", die, block, page, at=at)
+        start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
-        self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id)
+        self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id, extra)
         self.stats.record_program(die, nbytes, end - at)
+        if self.events is not None:
+            self.events.emit(at, "flash", "program_page", die=die,
+                             block=block, page=page, start_us=start, end_us=end)
         clock = self.clock
         if end > clock._now:
             clock._now = end
-        return end
+        return start, end
 
     def copyback_packed(
         self, die: int, src_block: int, src_page: int,
         dst_block: int, dst_page: int, at: float,
-    ) -> float:
-        """COPYBACK on pre-validated coordinates; returns completion time.
+        metadata: PageMetadata | None = None,
+    ) -> tuple[float, float]:
+        """COPYBACK: move a page within one die without a host transfer.
 
-        Carries the source OOB record unchanged (the only way the engine
-        ever uses copyback).  Raises
-        :class:`~repro.flash.errors.CopybackError` under strict plane
-        rules, exactly like :meth:`copyback`.
+        The payload travels cell array -> page register -> cell array
+        entirely on-die, so only the die timeline is occupied.  If
+        ``metadata`` is given it replaces the OOB of the destination page
+        (hosts use this to refresh the write sequence number); otherwise
+        the source OOB record is carried over.
         """
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("copyback_packed")
         if self.strict_plane_copyback:
             src_plane = self.geometry.plane_of_block(src_block)
             dst_plane = self.geometry.plane_of_block(dst_block)
@@ -353,22 +259,76 @@ class FlashDevice:
                     f"strict plane copyback: die {die} block {src_block} (plane {src_plane})"
                     f" -> block {dst_block} (plane {dst_plane})"
                 )
+        if self.faults is not None:
+            self.faults.on_command("copyback", die, src_block, src_page, at=at)
         blocks = self._die_blocks[die]
-        blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page)
-        __, end = self._die_timelines[die].reserve(at, self._copyback_us)
+        blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page, metadata)
+        start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.record_copyback(die)
+        if self.events is not None:
+            self.events.emit(at, "flash", "copyback", die=die,
+                             block=src_block, page=src_page,
+                             dst_block=dst_block, dst_page=dst_page,
+                             start_us=start, end_us=end)
         self.clock.advance_to(end)
-        return end
+        return start, end
 
-    def erase_block_packed(self, die: int, block: int, at: float) -> float:
-        """ERASE BLOCK on pre-validated coordinates; returns completion time."""
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("erase_block_packed")
+    def erase_block_packed(self, die: int, block: int, at: float) -> tuple[float, float]:
+        """ERASE BLOCK: array-only operation, no channel occupancy."""
+        if self.faults is not None:
+            self.faults.on_command("erase_block", die, block, at=at)
         self._die_blocks[die][block].erase()
-        __, end = self._die_timelines[die].reserve(at, self._erase_us)
+        if self.faults is not None:
+            self.faults.after_erase(die, block, at=at)
+        start, end = self._die_timelines[die].reserve(at, self._erase_us)
         self.stats.record_erase(die)
+        if self.events is not None:
+            self.events.emit(at, "flash", "erase_block", die=die,
+                             block=block, start_us=start, end_us=end)
         self.clock.advance_to(end)
-        return end
+        return start, end
+
+    def program_page(
+        self,
+        ppa: PhysicalPageAddress,
+        data: bytes,
+        metadata: PageMetadata | None = None,
+        at: float | None = None,
+    ) -> CommandResult:
+        """:meth:`program_page_packed` on a validated address object."""
+        ppa.validate(self.geometry)
+        lpn, seq, obj_id, extra = oob_columns(metadata)
+        start, end = self.program_page_packed(
+            ppa.die, ppa.block, ppa.page, data, lpn, seq, obj_id,
+            self.clock.now if at is None else at, extra,
+        )
+        return CommandResult(start_us=start, end_us=end)
+
+    def erase_block(self, pba: PhysicalBlockAddress, at: float | None = None) -> CommandResult:
+        """:meth:`erase_block_packed` on a validated address object."""
+        pba.validate(self.geometry)
+        start, end = self.erase_block_packed(
+            pba.die, pba.block, self.clock.now if at is None else at
+        )
+        return CommandResult(start_us=start, end_us=end)
+
+    def copyback(
+        self,
+        src: PhysicalPageAddress,
+        dst: PhysicalPageAddress,
+        metadata: PageMetadata | None = None,
+        at: float | None = None,
+    ) -> CommandResult:
+        """:meth:`copyback_packed` on validated address objects."""
+        src.validate(self.geometry)
+        dst.validate(self.geometry)
+        if src.die != dst.die:
+            raise CopybackError(f"copyback must stay on one die: {src} -> {dst}")
+        start, end = self.copyback_packed(
+            src.die, src.block, src.page, dst.block, dst.page,
+            self.clock.now if at is None else at, metadata,
+        )
+        return CommandResult(start_us=start, end_us=end)
 
     # ------------------------------------------------------------------
     # Multi-plane operations

@@ -124,26 +124,6 @@ class DieFailedError(FlashError):
         self.op = op
 
 
-class PackedPathError(FlashError):
-    """A packed fast-path command ran with a fault injector or event bus attached.
-
-    The ``*_packed`` device commands exist purely for speed: they skip
-    address re-validation, the :class:`CommandResult` allocation, **and
-    the fault-injection / observability hooks**.  Reaching one while an
-    injector or event bus is attached would silently swallow scheduled
-    faults and drop events — the worst kind of wrong answer.  The device
-    refuses instead; callers must route through the full command set
-    (which the mapping engine's per-call hot-path check already does).
-    """
-
-    def __init__(self, command: str) -> None:
-        super().__init__(
-            f"{command} bypasses the fault-injection and event hooks; "
-            "use the full command set while an injector or event bus is attached"
-        )
-        self.command = command
-
-
 class PowerCutError(FlashError):
     """The simulated power was cut at a scheduled device operation.
 

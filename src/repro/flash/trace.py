@@ -1,11 +1,13 @@
 """Flash command tracing: see exactly what hits the device, and when.
 
-Wraps a :class:`~repro.flash.device.FlashDevice` so every native command
-is appended to a bounded ring buffer of :class:`TraceEvent` records.  The
-trace answers the questions that matter when debugging placement or GC
-behaviour — *which dies served whom*, *what occupied this die during that
-latency spike*, *how bursty were the arrivals* — without touching the
-device's own accounting.
+Subscribes to a :class:`~repro.flash.device.FlashDevice`'s event bus and
+appends every native command (``layer="flash"`` events — the device's one
+command path emits them for whoever issued the command, host or GC) to a
+bounded ring buffer of :class:`TraceEvent` records.  The trace answers the
+questions that matter when debugging placement or GC behaviour — *which
+dies served whom*, *what occupied this die during that latency spike*,
+*how bursty were the arrivals* — without touching the device's own
+accounting.
 
 Usage::
 
@@ -22,10 +24,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
-from repro.flash.device import CommandResult, FlashDevice
+from repro.flash.device import FlashDevice
 from repro.flash.errors import ConfigError, TracerStateError
+
+if TYPE_CHECKING:
+    from repro.obs.events import ObsEvent
 
 
 @dataclass(frozen=True)
@@ -57,16 +62,12 @@ class TraceEvent:
         )
 
 
-#: device methods wrapped by the tracer, with how to pull the page address
-_TRACED_OPS = ("read_page", "read_metadata", "program_page", "erase_block", "copyback")
-
-
 class FlashTracer:
     """Bounded ring-buffer trace of native flash commands.
 
-    Create via :meth:`attach`; call :meth:`detach` to restore the device's
-    original methods.  Tracing is reentrant-safe but not thread-safe (the
-    simulator is single-threaded by design).
+    Create via :meth:`attach`; call :meth:`detach` to stop recording (the
+    device keeps its event bus).  Not thread-safe (the simulator is
+    single-threaded by design).
     """
 
     def __init__(self, device: FlashDevice, capacity: int = 100_000) -> None:
@@ -75,57 +76,47 @@ class FlashTracer:
         self.device = device
         self.events: deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
-        self._originals: dict[str, object] = {}
-        self._attached = False
+        self._unsubscribe: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, device: FlashDevice, capacity: int = 100_000) -> "FlashTracer":
-        """Create a tracer and hook it into ``device``."""
+        """Create a tracer and subscribe it to ``device``'s event bus."""
         tracer = cls(device, capacity=capacity)
-        tracer._hook()
+        tracer._subscribe()
         return tracer
 
-    def _hook(self) -> None:
-        if self._attached:
+    def _subscribe(self) -> None:
+        if self._unsubscribe is not None:
             raise TracerStateError("tracer already attached")
-        for name in _TRACED_OPS:
-            original = getattr(self.device, name)
-            self._originals[name] = original
-            setattr(self.device, name, self._wrap(name, original))
-        self._attached = True
+        self._unsubscribe = self.device.attach_event_bus().subscribe(self._record)
 
     def detach(self) -> None:
-        """Restore the device's un-traced methods."""
-        for name, original in self._originals.items():
-            setattr(self.device, name, original)
-        self._originals.clear()
-        self._attached = False
+        """Stop recording; the events captured so far stay queryable."""
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+            self._unsubscribe = None
 
-    def _wrap(self, name: str, original: Callable[..., CommandResult]) -> Callable[..., CommandResult]:
-        def traced(address: Any, *args: Any, **kwargs: Any) -> CommandResult:
-            issue = kwargs.get("at")
-            if issue is None:
-                issue = self.device.clock.now
-            result = original(address, *args, **kwargs)
-            if len(self.events) == self.events.maxlen:
-                self.dropped += 1
-            self.events.append(
-                TraceEvent(
-                    op=name,
-                    die=address.die,
-                    block=address.block,
-                    page=getattr(address, "page", -1),
-                    issue_us=issue,
-                    start_us=result.start_us,
-                    end_us=result.end_us,
-                )
+    def _record(self, event: ObsEvent) -> None:
+        if event.layer != "flash":
+            return
+        attrs = cast(dict[str, Any], event.attrs)
+        if len(self.events) == self.events.maxlen:
+            self.dropped += 1
+        self.events.append(
+            TraceEvent(
+                op=event.kind,
+                die=attrs["die"],
+                # erases carry no page, multi-plane commands no single block
+                block=attrs.get("block", -1),
+                page=attrs.get("page", -1),
+                issue_us=event.ts_us,
+                start_us=attrs["start_us"],
+                end_us=attrs["end_us"],
             )
-            return result
-
-        return traced
+        )
 
     # ------------------------------------------------------------------
     # Queries

@@ -242,7 +242,7 @@ class FlashSpaceEngine:
         moved = 0
         t = at
         for page in info.valid_pages():
-            t = self._relocate(PhysicalPageAddress(ppa.die, ppa.block, page), t)
+            t = self._relocate(ppa.die, ppa.block, page, t)
             moved += 1
         self.device.erase_block(PhysicalBlockAddress(ppa.die, ppa.block), at=t)
         self.stats.gc_erases += 1
@@ -271,7 +271,7 @@ class FlashSpaceEngine:
         moved = 0
         t = at
         for page in info.valid_pages():
-            t = self._relocate(PhysicalPageAddress(ppa.die, ppa.block, page), t)
+            t = self._relocate(ppa.die, ppa.block, page, t)
             moved += 1
         self.stats.wl_moves += moved
         self.stats.gc_copybacks -= moved  # relocations above counted as GC
@@ -290,18 +290,17 @@ class FlashSpaceEngine:
         per-die frontiers — the knowledge-free placement an FTL performs
         and the paper's *traditional* baseline.
         """
+        # The write runs on integer coordinates end-to-end (no
+        # PhysicalPageAddress / PageMetadata / CommandResult objects).  Die
+        # pick and frontier refill are inlined from _pick_die / _frontier;
+        # `has_reclaimable` stays a property access so alternative
+        # bookkeeping cost models keep being exercised.
         device = self.device
-        if device.faults is None and device.events is None:
-            # hot path: no fault injector, no event bus — program faults
-            # cannot occur, so the redrive loop collapses and the write
-            # runs on packed integer coordinates end-to-end (no
-            # PhysicalPageAddress / PageMetadata / CommandResult objects).
-            # Die pick and frontier refill are inlined from _pick_die /
-            # _frontier; `has_reclaimable` stays a property access so
-            # alternative bookkeeping cost models keep being exercised.
-            ppd = self._pages_per_die
-            ppb = self._pages_per_block
-            books_map = self.books
+        ppd = self._pages_per_die
+        ppb = self._pages_per_block
+        books_map = self.books
+        redrives = 0
+        while True:
             if group is None:
                 dies = self.dies
                 n = len(dies)
@@ -331,10 +330,17 @@ class FlashSpaceEngine:
             obj = self.obj_id
             seq = device._seq + 1  # next_sequence(), sans the call
             device._seq = seq
-            end = device.program_page_packed(
-                die_index, block, page, data, key,
-                seq, -1 if obj is None else obj, at,
-            )
+            try:
+                __, end = device.program_page_packed(
+                    die_index, block, page, data, key,
+                    seq, -1 if obj is None else obj, at,
+                )
+            except ProgramFaultError:
+                at = self._on_program_fault(frontier, at)
+                redrives += 1
+                if redrives == MAX_WRITE_REDRIVES:
+                    raise
+                continue
             # inline invalidate(key): the overwritten version (if any) dies
             old = self._map.pop(key, None)
             if old is not None:
@@ -349,31 +355,6 @@ class FlashSpaceEngine:
             if group is None and books._written[block] >= ppb:
                 self._user_frontier[die_index] = None
             return end
-        last: ProgramFaultError | None = None
-        for __ in range(MAX_WRITE_REDRIVES):
-            if group is None:
-                die_index = self._pick_die()
-                at = self._collect_if_needed(die_index, at)
-                frontier = self._frontier(self._user_frontier, die_index)
-            else:
-                frontier, at = self._group_frontier(group, at)
-                die_index = frontier.die
-            page = frontier.written
-            ppa = PhysicalPageAddress(die_index, frontier.block, page)
-            meta = PageMetadata(lpn=key, seq=self.device.next_sequence(), obj_id=self.obj_id)
-            try:
-                result = self.device.program_page(ppa, data, meta, at=at)
-            except ProgramFaultError as exc:
-                last = exc
-                at = self._on_program_fault(frontier, at)
-                continue
-            self.invalidate(key)
-            self._map_page(key, ppa, frontier, page, result.end_us)
-            if frontier.is_full and group is None:
-                self._user_frontier[die_index] = None
-            return result.end_us
-        assert last is not None
-        raise last
 
     def write_atomic(
         self, entries: list[tuple[int, bytes]], at: float, group: int | None = None
@@ -592,15 +573,8 @@ class FlashSpaceEngine:
             "obj": self.obj_id,
         })
         for page in victim.valid_pages():
-            src = PhysicalPageAddress(die_index, victim.block, page)
-            at = self._relocate(src, at)
-        device = self.device
-        if device.faults is None and device.events is None:
-            end = device.erase_block_packed(die_index, victim.block, at)
-        else:
-            end = device.erase_block(
-                PhysicalBlockAddress(die_index, victim.block), at=at
-            ).end_us
+            at = self._relocate(die_index, victim.block, page, at)
+        __, end = self.device.erase_block_packed(die_index, victim.block, at)
         self.stats.gc_erases += 1
         self._erases_since_wl_check += 1
         self._retire_or_recycle(die_index, victim.block)
@@ -618,69 +592,55 @@ class FlashSpaceEngine:
         else:
             self.books[die_index].return_erased_block(block)
 
-    def _relocate(self, src: PhysicalPageAddress, at: float) -> float:
+    def _relocate(self, die_index: int, src_block: int, src_page: int, at: float) -> float:
         """Move one live page to its die's GC frontier (copyback preferred).
 
         The OOB metadata travels unchanged — crucially including the write
         sequence number: relocation moves a *version*, it does not create
         one.  (A refreshed sequence number could outrank a later committed
         write at recovery time.)"""
-        die_index = src.die
-        src_packed = src.die * self._pages_per_die + src.block * self._pages_per_block + src.page
+        ppd = self._pages_per_die
+        ppb = self._pages_per_block
+        src_packed = die_index * ppd + src_block * ppb + src_page
         key = self._rmap[src_packed]
         device = self.device
-        if device.faults is None and device.events is None:
-            # hot path mirror of the loop below: without a fault injector a
-            # program fault cannot occur, so one attempt always lands
+        books = self.books[die_index]
+        redrives = 0
+        while True:
             frontier = self._frontier(self._gc_frontier, die_index)
-            books = self.books[die_index]
             block = frontier.block
             page = books._written[block]
             try:
-                end = device.copyback_packed(
-                    die_index, src.block, src.page, block, page, at
+                __, end = device.copyback_packed(
+                    die_index, src_block, src_page, block, page, at
                 )
                 self.stats.gc_copybacks += 1
             except CopybackError:
-                read = self._read_for_relocation(src, at)
-                dst = PhysicalPageAddress(die_index, block, page)
-                end = device.program_page(dst, read.data, read.metadata, at=read.end_us).end_us
-                self.stats.gc_reads += 1
-                self.stats.gc_programs += 1
-            books.invalidate_packed(src.block, src.page)
-            del self._rmap[src_packed]
-            books.note_write_packed(block, page, end)
-            packed = die_index * self._pages_per_die + block * self._pages_per_block + page
-            self._map[key] = packed
-            self._rmap[packed] = key
-            if books._written[block] >= self._pages_per_block:
-                self._gc_frontier[die_index] = None
-            return end
-        last: ProgramFaultError | None = None
-        for __ in range(MAX_WRITE_REDRIVES):
-            frontier = self._frontier(self._gc_frontier, die_index)
-            page = frontier.written
-            dst = PhysicalPageAddress(die_index, frontier.block, page)
-            try:
-                result = self.device.copyback(src, dst, at=at)  # carries source OOB
-                self.stats.gc_copybacks += 1
-            except CopybackError:
-                read = self._read_for_relocation(src, at)
+                read = self._read_for_relocation(
+                    PhysicalPageAddress(die_index, src_block, src_page), at
+                )
                 try:
-                    result = self.device.program_page(dst, read.data, read.metadata, at=read.end_us)
-                except ProgramFaultError as exc:
-                    last = exc
+                    end = device.program_page(
+                        PhysicalPageAddress(die_index, block, page),
+                        read.data, read.metadata, at=read.end_us,
+                    ).end_us
+                except ProgramFaultError:
                     at = self._on_program_fault(frontier, at)
+                    redrives += 1
+                    if redrives == MAX_WRITE_REDRIVES:
+                        raise
                     continue
                 self.stats.gc_reads += 1
                 self.stats.gc_programs += 1
-            self._unmap_physical(src, src_packed)
-            self._map_page(key, dst, frontier, page, result.end_us)
-            if frontier.is_full:
+            books.invalidate_packed(src_block, src_page)
+            del self._rmap[src_packed]
+            books.note_write_packed(block, page, end)
+            packed = die_index * ppd + block * ppb + page
+            self._map[key] = packed
+            self._rmap[packed] = key
+            if books._written[block] >= ppb:
                 self._gc_frontier[die_index] = None
-            return result.end_us
-        assert last is not None
-        raise last
+            return end
 
     def _read_for_relocation(
         self, src: PhysicalPageAddress, at: float
@@ -720,7 +680,7 @@ class FlashSpaceEngine:
         frontier.seal()
         moved = 0
         for page in frontier.valid_pages():
-            at = self._relocate(PhysicalPageAddress(die_index, block, page), at)
+            at = self._relocate(die_index, block, page, at)
             moved += 1
         self.device.dies[die_index].blocks[block].mark_bad()
         self.books[die_index].mark_bad(block)
@@ -735,14 +695,18 @@ class FlashSpaceEngine:
                      salvaged=moved, obj=self.obj_id)
         return at
 
-    def _unmap_physical(self, ppa: PhysicalPageAddress, packed: int | None = None) -> None:
-        """Invalidate ``ppa`` in bookkeeping and drop its reverse mapping.
+    def retire_grown_bad_block(self, die_index: int, block: int, at: float) -> float:
+        """Finish a grown-bad retirement that was interrupted mid-salvage.
 
-        ``packed`` lets callers that already linearized the address (to look
-        up the owning key) skip a second round of packing.
+        A power cut inside :meth:`_on_program_fault` loses the host's
+        knowledge that ``block`` took a program failure; recovery harnesses
+        call this on the rebuilt engine to land the retirement.
         """
-        if packed is None:
-            packed = ppa.die * self._pages_per_die + ppa.block * self._pages_per_block + ppa.page
+        return self._on_program_fault(self.books[die_index].blocks[block], at)
+
+    def _unmap_physical(self, ppa: PhysicalPageAddress, packed: int) -> None:
+        """Invalidate ``ppa`` (linearized: ``packed``) in bookkeeping and
+        drop its reverse mapping."""
         self.books[ppa.die].invalidate_packed(ppa.block, ppa.page)
         del self._rmap[packed]
 

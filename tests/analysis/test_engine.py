@@ -34,7 +34,6 @@ class TestRegistry:
             "errors.typed-discipline",
             "guards.optional-hook",
             "hygiene.unused-import",
-            "packed.typestate",
             "sharding.partition-closure",
         ]
 

@@ -45,12 +45,6 @@ RULE_CASES = [
         3,
     ),
     (
-        "packed.typestate",
-        "repro/flash/packed_bad.py",
-        "repro/flash/packed_good.py",
-        2,
-    ),
-    (
         "sharding.partition-closure",
         "repro/bench/partition_bad.py",
         "repro/bench/partition_good.py",

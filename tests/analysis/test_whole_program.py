@@ -1,11 +1,8 @@
 """Whole-program rule regressions that need a multi-module view.
 
-The headline case: deleting the runtime ``PackedPathError`` guard from a
-packed command is caught statically — run over a mutated copy of the
-good fixture tree, the typestate rule fires exactly where the guard was
-removed.  Plus the cross-module flows single-fixture pairs cannot pin:
-an unseeded RNG handed into sim scope, and the init-only registry
-carve-out being voided when registration becomes worker-reachable.
+The cross-module flows single-fixture pairs cannot pin: an unseeded RNG
+handed into sim scope, and the init-only registry carve-out being voided
+when registration becomes worker-reachable.
 """
 
 from pathlib import Path
@@ -13,77 +10,6 @@ from pathlib import Path
 from repro.analysis import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-class TestGuardDeletionIsCaught:
-    def _mutated_tree(self, tmp_path, mutate):
-        """Copy the good packed fixture into a fake repro tree and mutate it."""
-        target = tmp_path / "repro" / "flash"
-        target.mkdir(parents=True)
-        source = (FIXTURES / "repro/flash/packed_good.py").read_text()
-        (target / "packed_good.py").write_text(mutate(source))
-        return target
-
-    def test_pristine_copy_is_clean(self, tmp_path):
-        tree = self._mutated_tree(tmp_path, lambda s: s)
-        result = lint_paths([tree], rule_ids=["packed.typestate"])
-        assert result.exit_code == 0, [v.format() for v in result.violations]
-
-    def test_deleting_the_runtime_guard_fails_the_lint(self, tmp_path):
-        def strip_first_guard(source: str) -> str:
-            # remove read_packed's guard: the `if ...: raise` pair
-            return source.replace(
-                "        if self.faults is not None or self.events is not None:\n"
-                '            raise PackedPathError("observers attached")\n',
-                "",
-                1,
-            )
-
-        tree = self._mutated_tree(tmp_path, strip_first_guard)
-        result = lint_paths([tree], rule_ids=["packed.typestate"])
-        assert result.exit_code == 1
-        assert any(
-            "read_packed" in v.message and "guard" in v.message
-            for v in result.violations
-        ), [v.format() for v in result.violations]
-
-    def test_weakening_the_guard_to_one_attr_fails_the_lint(self, tmp_path):
-        def weaken(source: str) -> str:
-            return source.replace(
-                "if self.faults is not None or self.events is not None:",
-                "if self.faults is not None:",
-                1,
-            )
-
-        tree = self._mutated_tree(tmp_path, weaken)
-        result = lint_paths([tree], rule_ids=["packed.typestate"])
-        assert result.exit_code == 1
-
-    def test_unguarding_a_call_site_fails_the_lint(self, tmp_path):
-        def unguard_call(source: str) -> str:
-            return source.replace(
-                "        device = self.device\n"
-                "        if device.faults is None and device.events is None:\n"
-                "            return device.read_packed(addr)\n"
-                "        return addr\n",
-                "        return self.device.read_packed(addr)\n",
-                1,
-            )
-
-        tree = self._mutated_tree(tmp_path, unguard_call)
-        assert "self.device.read_packed" in (tree / "packed_good.py").read_text()
-        result = lint_paths([tree], rule_ids=["packed.typestate"])
-        assert result.exit_code == 1
-        assert any("read_packed" in v.message for v in result.violations)
-
-    def test_real_device_tree_keeps_its_guards(self):
-        """The actual flash/mapping modules satisfy the typestate rule —
-        the runtime guard in FlashDevice is statically redundant."""
-        result = lint_paths(
-            [Path("src/repro/flash"), Path("src/repro/mapping")],
-            rule_ids=["packed.typestate"],
-        )
-        assert result.exit_code == 0, [v.format() for v in result.violations]
 
 
 class TestRngFlowAcrossModules:

@@ -125,6 +125,16 @@ class TestChaosSession:
         assert doc["configs"]["control"]["summary"]["bit_identical"] == 1.0
         assert plan_label(0) in doc["configs"]
 
+    def test_power_cut_inside_a_program_fault_salvage_closes_accounting(self):
+        """Pinned regression, seed 204 plan 0: the power cut lands two device
+        ops after a program failure — between the salvage relocations and
+        the block's retirement — so settlement has to land the retirement."""
+        verdict = run_chaos_plan(ChaosConfig(plans=1, seed=204), 0)
+        assert verdict.crashed
+        assert verdict.fault_snapshot["injected.program_fail"] == 2.0
+        assert verdict.fault_snapshot["retired.grown_bad_block"] == 2.0
+        assert verdict.ok, verdict.checks
+
     def test_control_alone(self):
         assert run_control(ChaosConfig(num_transactions=40)) is True
 

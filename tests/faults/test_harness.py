@@ -92,3 +92,25 @@ class TestNoCrashPath:
         assert snap["injected.total"] == 0.0
         assert snap["recovered.total"] == 0.0
         assert snap["retired.total"] == 0.0
+
+
+class TestInterruptedGrownBadRetirement:
+    def test_die_failure_inside_a_program_fault_salvage_closes_accounting(self):
+        """The die dies two device ops into the salvage of its own
+        program-failed block: the region rebuilds around the die, and
+        settlement still records the block's retirement exactly once."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(kind="program_fail", at_op=100),
+                FaultSpec(kind="die_fail", at_op=102),
+            ),
+            seed=FAULT_SEED,
+        )
+        result = run_tpcc_crash_harness(plan, num_transactions=60, seed=21)
+        snap = result.fault_snapshot
+        assert len(result.failed_dies) == 1
+        assert snap["injected.program_fail"] == 1.0
+        assert snap["retired.grown_bad_block"] == 1.0
+        assert snap["retired.die"] == 1.0
+        assert snap["injected.total"] == snap["recovered.total"] + snap["retired.total"]
+        result.source.store.check_consistency()

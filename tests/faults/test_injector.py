@@ -118,6 +118,38 @@ class TestProgramFault:
         assert stats.accounting_closes()
         engine.check_consistency()
 
+    def test_fault_fires_on_the_nth_engine_command_and_every_command_is_on_the_bus(self):
+        """The engine issues its writes, GC copybacks and erases through
+        the int-coordinate commands; the injector counts each of them and
+        the bus sees each of them."""
+        engine = make_engine()
+        device = engine.device
+        bus = device.attach_event_bus()
+        payloads, t = fill(engine, 4)
+        injector = attach(engine, FaultSpec(kind="program_fail", at_op=3))
+        t = engine.write(10, b"a", at=t)
+        t = engine.write(11, b"b", at=t)
+        assert (injector.op_number, injector.stats.injected_program_fail) == (2, 0)
+        t = engine.write(12, b"c", at=t)  # command 3 faults; salvage + redrive follow
+        assert [e.attrs["op"] for e in bus.matching("faults", "inject_program_fail")] == [3]
+        assert injector.stats.retired_grown_bad_blocks == 1
+        assert injector.stats.redrive_writes == 1
+        assert engine.read(12, at=t)[0] == b"c"
+        for key in range(200):  # churn until GC has erased (the salvage copied)
+            t = engine.write(key % 40, b"churn", at=t)
+        stats = device.stats
+        assert stats.copybacks > 0 and stats.erases > 0
+        for kind, count in (
+            ("program_page", stats.programs),
+            ("copyback", stats.copybacks),
+            ("erase_block", stats.erases),
+        ):
+            events = bus.matching("flash", kind)
+            assert len(events) == count
+            assert all(e.attrs["start_us"] <= e.attrs["end_us"] for e in events)
+        assert injector.stats.accounting_closes()
+        engine.check_consistency()
+
     def test_atomic_batch_survives_program_fault(self):
         engine = make_engine(dies=2)
         payloads, t = fill(engine, 6)

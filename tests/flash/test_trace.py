@@ -37,7 +37,7 @@ class TestAttachment:
     def test_double_attach_rejected(self, device):
         tracer = FlashTracer.attach(device)
         with pytest.raises(RuntimeError):
-            tracer._hook()
+            tracer._subscribe()
         tracer.detach()
 
     def test_device_results_unchanged(self, device):
@@ -112,3 +112,39 @@ class TestQueries:
         snap = tracer.snapshot()
         assert snap["events"] == 0.0
         assert snap["busiest_die"] == -1.0
+
+
+class TestEngineTraffic:
+    def test_engine_commands_are_traced_one_for_one(self):
+        """The tracer observes the device's one command path, so GC traffic
+        issued by the mapping engine shows up next to host traffic."""
+        import random
+
+        from repro.bench.timeline import gc_interference_report
+        from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
+
+        from dataclasses import replace
+
+        geometry = replace(small_geometry(), blocks_per_plane=12, pages_per_block=8)
+        device = FlashDevice(geometry)
+        books = {0: DieBookkeeping(0, geometry.blocks_per_die, geometry.pages_per_block)}
+        engine = FlashSpaceEngine(device, [0], books, ManagementStats())
+        tracer = FlashTracer.attach(device)
+        rng = random.Random(5)
+        keys = engine.safe_capacity_pages()
+        t = 0.0
+        for i in range(200):  # fill, then skewed overwrites: GC copies and erases
+            key = i if i < keys else int(keys * rng.random() ** 2)
+            t = engine.write(key, b"v", at=t)
+        engine.read(0, at=0.0)
+        tracer.detach()
+
+        stats = device.stats
+        assert stats.copybacks > 0 and stats.erases > 0
+        snap = tracer.snapshot()
+        assert snap["ops.program_page"] == stats.programs
+        assert snap["ops.copyback"] == stats.copybacks
+        assert snap["ops.erase_block"] == stats.erases
+        assert snap["ops.read_page"] == stats.reads
+        report = gc_interference_report(tracer)
+        assert "copyback" in report or "erase_block" in report

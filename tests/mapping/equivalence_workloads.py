@@ -63,18 +63,16 @@ def build_engine(gc_policy: str, seed: int) -> FlashSpaceEngine:
 
 
 def run_engine_workload(
-    gc_policy: str, seed: int, ops: int = 6000, slow_path: bool = False
+    gc_policy: str, seed: int, ops: int = 6000, observed: bool = False
 ) -> dict:
     """Skewed write/trim/atomic workload straight against one engine.
 
-    ``slow_path=True`` attaches an event bus to the device, which disables
-    the engine's packed array-core fast paths (they are only legal when no
-    observer needs per-command events) — the same workload then runs
-    through the full command implementations, letting golden tests prove
-    both paths simulate identically.
+    ``observed=True`` attaches an event bus to the device, so every
+    command also emits its event — letting golden tests prove that an
+    attached observer never changes what is simulated.
     """
     engine = build_engine(gc_policy, seed)
-    if slow_path:
+    if observed:
         engine.device.attach_event_bus()
     rng = random.Random(seed)
     # keep the live set well inside safe capacity so GC has slack

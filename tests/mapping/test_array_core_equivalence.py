@@ -1,13 +1,12 @@
-"""Array-core equivalence: packed fast paths and full command paths agree.
+"""Array-core equivalence: an attached observer never changes a counter.
 
-The engine's write/GC/WL hot paths run against flat column storage
+The engine's write/GC/WL paths run against flat column storage
 (``array``/``bytearray`` valid masks and counters, integer-packed
-physical addresses) and skip straight to the device's packed command
-variants whenever no fault injector or event bus is attached.  Attaching
-an event bus forces every operation back through the full command
-implementations.  Both executions of the same seeded workload must land
-on the *same* golden snapshots pinned in ``test_engine_equivalence.py`` —
-the fast path is an encoding change, never a behaviour change.
+physical addresses) and issue the device's int-coordinate commands, which
+call the fault and event hooks inline.  The same seeded workload, with and
+without an event bus attached, must land on the *same* golden snapshots
+pinned in ``test_engine_equivalence.py`` — observing is never a behaviour
+change.
 """
 
 import pytest
@@ -18,23 +17,23 @@ from tests.mapping.test_engine_equivalence import GOLDEN
 
 @pytest.mark.parametrize("policy,seed", sorted(GOLDEN))
 def test_slow_path_matches_goldens(policy, seed):
-    """With an event bus attached (fast paths disabled) the goldens hold."""
-    snapshot = run_engine_workload(policy, seed, slow_path=True)
+    """With an event bus attached the goldens hold."""
+    snapshot = run_engine_workload(policy, seed, observed=True)
     expected = GOLDEN[(policy, seed)]
     diverged = {
         key: (snapshot[key], want)
         for key, want in expected.items()
         if snapshot[key] != want
     }
-    assert not diverged, f"slow path diverged from pinned behaviour: {diverged}"
+    assert not diverged, f"observed run diverged from pinned behaviour: {diverged}"
 
 
 @pytest.mark.parametrize("policy,seed", [("greedy", 3), ("cost_benefit", 11)])
 def test_fast_and_slow_paths_bit_identical(policy, seed):
-    """Field-by-field identity of the two execution paths, end to end."""
-    fast = run_engine_workload(policy, seed, slow_path=False)
-    slow = run_engine_workload(policy, seed, slow_path=True)
-    assert fast == slow
+    """Field-by-field identity of observer-free and observed runs, end to end."""
+    free = run_engine_workload(policy, seed, observed=False)
+    observed = run_engine_workload(policy, seed, observed=True)
+    assert free == observed
 
 
 def test_blockinfo_views_share_die_columns():

@@ -203,3 +203,33 @@ class TestWearLevelFallbackAccounting:
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
         engine.check_consistency()
+
+
+class TestRelocationFallbackRedrive:
+    def test_program_fault_on_the_read_program_fallback_is_redriven(self):
+        # strict-plane copyback refuses the move into the cross-plane GC
+        # frontier, so the relocation falls back to read + program — and
+        # that program is the one the plan fails
+        engine = make_engine(
+            planes_per_die=2, blocks_per_plane=8, pages_per_block=4,
+            strict_plane_copyback=True,
+        )
+        t = engine.write(7, b"live", at=0.0)  # lands on block 0 (plane 0)
+        injector = FaultInjector(
+            FaultPlan(specs=(FaultSpec(kind="program_fail", at_op=1),), seed=0)
+        )
+        engine.device.attach_fault_injector(injector)
+        first_target = engine._frontier(engine._gc_frontier, 0).block
+        assert engine.geometry.plane_of_block(first_target) == 1
+
+        t = engine._relocate(0, 0, 0, t)
+
+        assert injector.stats.injected_program_fail == 1
+        assert injector.stats.retired_grown_bad_blocks == 1
+        assert injector.stats.redrive_writes == 1
+        assert bad_blocks(engine) == [(0, first_target)]
+        assert list(engine._rmap.values()) == [7]  # mapped exactly once
+        assert engine._map[7] not in (0, first_target * 4)
+        assert engine.read(7, at=t)[0] == b"live"
+        assert injector.stats.accounting_closes()
+        engine.check_consistency()

@@ -14,8 +14,8 @@ from tests.policies.util import block
 
 
 class TestSharedSelectors:
-    """The free functions back both the policy objects and the old
-    repro.mapping.policies API — same loop bodies, same answers."""
+    """The free functions back the policy objects — same loop bodies,
+    same answers."""
 
     def test_greedy_picks_most_invalid(self):
         a = block(0, 0, valid=3)
