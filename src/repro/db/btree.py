@@ -22,7 +22,7 @@ import struct
 
 from repro.db.buffer import BufferPool
 from repro.db.heap import RID
-from repro.db.records import ColumnType, Key, Schema, SchemaError
+from repro.db.records import ColumnType, Key, RowCodec, Schema, SchemaError, varchar_col
 
 
 class IndexError_(Exception):
@@ -38,52 +38,47 @@ _INNER_TYPE = 2
 
 
 class KeyCodec:
-    """Serialises composite keys of INT/CHAR/VARCHAR columns."""
+    """Serialises composite keys of INT/CHAR/VARCHAR columns.
+
+    A key is stored like a row whose text parts are all VARCHARs
+    (length-prefixed, unpadded), so the work is a :class:`RowCodec`'s:
+    an all-INT key is one precompiled ``struct.Struct``.
+    """
 
     def __init__(self, schema: Schema) -> None:
         for column in schema:
             if column.type is ColumnType.FLOAT:
                 raise SchemaError(f"FLOAT column {column.name!r} cannot be a key")
         self.schema = schema
+        self._stored = RowCodec(
+            Schema(
+                [
+                    c if c.type is ColumnType.INT else varchar_col(c.name, c.length)
+                    for c in schema
+                ]
+            )
+        )
 
     @property
     def max_size(self) -> int:
         """Largest serialized key size in bytes."""
-        total = 0
-        for column in self.schema:
-            if column.type is ColumnType.INT:
-                total += 8
-            else:
-                total += 2 + column.length
-        return total
+        return self._stored.schema.max_row_size
 
     def encode(self, key: Key) -> bytes:
-        """Serialise a key tuple."""
-        if len(key) != len(self.schema):
-            raise SchemaError(f"key has {len(key)} parts, index has {len(self.schema)}")
-        parts: list[bytes] = []
-        for column, value in zip(self.schema, key):
-            if column.type is ColumnType.INT:
-                parts.append(struct.pack("<q", value))
-            else:
-                raw = value.encode("utf-8")
-                parts.append(struct.pack("<H", len(raw)) + raw)
-        return b"".join(parts)
+        """Serialise a key tuple; validates arity, types and text lengths."""
+        return self._stored.encode(key)
 
     def decode(self, data: bytes, offset: int) -> tuple[Key, int]:
         """Deserialise one key starting at ``offset``; returns (key, end)."""
-        values = []
-        for column in self.schema:
-            if column.type is ColumnType.INT:
-                (v,) = struct.unpack_from("<q", data, offset)
-                offset += 8
-            else:
-                (length,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                v = data[offset : offset + length].decode("utf-8")
-                offset += length
-            values.append(v)
-        return tuple(values), offset
+        return self._stored.decode_from(data, offset)
+
+    def entry_struct(self, tail: struct.Struct) -> struct.Struct | None:
+        """One struct for a whole node entry — the key, then ``tail``'s
+        fields — when every key part is an INT; ``None`` for keys with a
+        text part, whose entries have no fixed width."""
+        if any(column.type is not ColumnType.INT for column in self.schema):
+            return None
+        return struct.Struct("<" + "q" * len(self.schema) + tail.format.lstrip("<"))
 
 
 class _Node:
@@ -121,6 +116,8 @@ class BTree:
         self.codec = KeyCodec(key_schema)
         self.unique = unique
         self.page_size = buffer_pool.backend.page_size
+        self._leaf_entry = self.codec.entry_struct(_RID_STRUCT)
+        self._inner_entry = self.codec.entry_struct(_CHILD_STRUCT)
         leaf_entry = self.codec.max_size + _RID_STRUCT.size
         inner_entry = self.codec.max_size + _CHILD_STRUCT.size
         self.leaf_capacity = (self.page_size - _LEAF_HEADER.size) // leaf_entry
@@ -154,21 +151,59 @@ class BTree:
     # Node I/O
     # ------------------------------------------------------------------
     def _encode_node(self, node: _Node) -> bytes:
-        buf = bytearray()
+        tails: list[tuple[int, ...]]
         if node.is_leaf:
-            buf += _LEAF_HEADER.pack(_LEAF_TYPE, len(node.keys), node.next_leaf)
-            for key, rid in zip(node.keys, node.values):
-                buf += self.codec.encode(key)
-                buf += _RID_STRUCT.pack(rid.page_no, rid.slot)
+            header = _LEAF_HEADER.pack(_LEAF_TYPE, len(node.keys), node.next_leaf)
+            tails = [(rid.page_no, rid.slot) for rid in node.values]
+            entries = self._pack_entries(node.keys, tails, self._leaf_entry, _RID_STRUCT)
         else:
-            buf += _INNER_HEADER.pack(_INNER_TYPE, len(node.keys))
-            buf += _CHILD_STRUCT.pack(node.children[0])
-            for key, child in zip(node.keys, node.children[1:]):
-                buf += self.codec.encode(key)
-                buf += _CHILD_STRUCT.pack(child)
-        if len(buf) > self.page_size:
-            raise IndexError_(f"node overflow: {len(buf)} > {self.page_size}")
-        return bytes(buf.ljust(self.page_size, b"\x00"))
+            header = _INNER_HEADER.pack(_INNER_TYPE, len(node.keys))
+            header += _CHILD_STRUCT.pack(node.children[0])
+            tails = [(child,) for child in node.children[1:]]
+            entries = self._pack_entries(node.keys, tails, self._inner_entry, _CHILD_STRUCT)
+        image = header + b"".join(entries)
+        if len(image) > self.page_size:
+            raise IndexError_(f"node overflow: {len(image)} > {self.page_size}")
+        return image.ljust(self.page_size, b"\x00")
+
+    def _pack_entries(
+        self,
+        keys: list[Key],
+        tails: list[tuple[int, ...]],
+        entry: struct.Struct | None,
+        tail: struct.Struct,
+    ) -> list[bytes]:
+        """Images of a node's entries: each key followed by its tail fields."""
+        if entry is None:
+            encode = self.codec.encode
+            return [encode(key) + tail.pack(*fields) for key, fields in zip(keys, tails)]
+        try:
+            return [entry.pack(*key, *fields) for key, fields in zip(keys, tails)]
+        except struct.error as error:
+            raise SchemaError(f"key does not match the index's INT columns: {error}") from None
+
+    def _unpack_entries(
+        self,
+        data: bytes,
+        offset: int,
+        count: int,
+        entry: struct.Struct | None,
+        tail: struct.Struct,
+    ) -> tuple[list[Key], list[tuple[int, ...]]]:
+        """Inverse of :meth:`_pack_entries` for ``count`` entries at ``offset``."""
+        if entry is not None:
+            rows = list(entry.iter_unpack(data[offset : offset + count * entry.size]))
+            arity = len(self.codec.schema)
+            return [row[:arity] for row in rows], [row[arity:] for row in rows]
+        keys: list[Key] = []
+        tails: list[tuple[int, ...]] = []
+        decode = self.codec.decode
+        for __ in range(count):
+            key, offset = decode(data, offset)
+            keys.append(key)
+            tails.append(tail.unpack_from(data, offset))
+            offset += tail.size
+        return keys, tails
 
     def _decode_node(self, data: bytes) -> _Node:
         node_type = data[0]
@@ -176,27 +211,20 @@ class BTree:
             __, count, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
             node = _Node(is_leaf=True)
             node.next_leaf = next_leaf
-            offset = _LEAF_HEADER.size
-            for __ in range(count):
-                key, offset = self.codec.decode(data, offset)
-                page_no, slot = _RID_STRUCT.unpack_from(data, offset)
-                offset += _RID_STRUCT.size
-                node.keys.append(key)
-                node.values.append(RID(page_no, slot))
+            node.keys, tails = self._unpack_entries(
+                data, _LEAF_HEADER.size, count, self._leaf_entry, _RID_STRUCT
+            )
+            node.values = [RID(page_no, slot) for page_no, slot in tails]
             return node
         if node_type == _INNER_TYPE:
             __, count = _INNER_HEADER.unpack_from(data, 0)
             node = _Node(is_leaf=False)
             offset = _INNER_HEADER.size
-            (first,) = _CHILD_STRUCT.unpack_from(data, offset)
-            offset += _CHILD_STRUCT.size
-            node.children.append(first)
-            for __ in range(count):
-                key, offset = self.codec.decode(data, offset)
-                (child,) = _CHILD_STRUCT.unpack_from(data, offset)
-                offset += _CHILD_STRUCT.size
-                node.keys.append(key)
-                node.children.append(child)
+            node.children = list(_CHILD_STRUCT.unpack_from(data, offset))
+            node.keys, tails = self._unpack_entries(
+                data, offset + _CHILD_STRUCT.size, count, self._inner_entry, _CHILD_STRUCT
+            )
+            node.children += [child for (child,) in tails]
             return node
         raise IndexError_(f"corrupt index page (type byte {node_type})")
 

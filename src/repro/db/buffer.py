@@ -122,7 +122,10 @@ class BufferPool:
         Returns ``(page_object, completion_us)``.  With ``pin=True`` the
         frame cannot be evicted until :meth:`unpin`.
         """
-        at = self._tick_flusher(at) + self.cpu_us_per_op
+        self._ops_since_flush += 1
+        if self._ops_since_flush >= self.flusher_interval > 0:
+            self._flush_round(at)
+        at += self.cpu_us_per_op
         key = (space_id, page_no)
         frame = self._frames.get(key)
         if frame is not None:
@@ -148,7 +151,10 @@ class BufferPool:
         pin: bool = False,
     ) -> float:
         """Install a freshly allocated page (dirty, no read needed)."""
-        at = self._tick_flusher(at) + self.cpu_us_per_op
+        self._ops_since_flush += 1
+        if self._ops_since_flush >= self.flusher_interval > 0:
+            self._flush_round(at)
+        at += self.cpu_us_per_op
         key = (space_id, page_no)
         if key in self._frames:
             raise BufferError(f"page {key} already buffered")
@@ -244,12 +250,9 @@ class BufferPool:
             return frame
         raise BufferError("every buffer frame is pinned; cannot evict")
 
-    def _tick_flusher(self, at: float) -> float:
-        if self.flusher_interval <= 0:
-            return at
-        self._ops_since_flush += 1
-        if self._ops_since_flush < self.flusher_interval:
-            return at
+    def _flush_round(self, at: float) -> None:
+        """One background flush round: ``get``/``put_new`` call it every
+        ``flusher_interval`` page operations."""
         self._ops_since_flush = 0
         written = 0
         # sweep in clock order so the flusher cleans what eviction would
@@ -264,4 +267,3 @@ class BufferPool:
                 frame.dirty = False
                 self.stats.flusher_writes += 1
                 written += 1
-        return at

@@ -90,7 +90,7 @@ class HeapFile:
             page_no,
             at,
             decoder=SlottedPage.from_bytes,
-            encoder=lambda p: p.to_bytes(),
+            encoder=SlottedPage.to_bytes,
             pin=pin,
         )
 
@@ -98,7 +98,7 @@ class HeapFile:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
         page = SlottedPage(self.page_size)
         at = self.buffer_pool.put_new(
-            self.space_id, page_no, page, encoder=lambda p: p.to_bytes(), at=at
+            self.space_id, page_no, page, encoder=SlottedPage.to_bytes, at=at
         )
         self._pages.append(page_no)
         self._page_set.add(page_no)

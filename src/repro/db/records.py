@@ -151,68 +151,111 @@ class Schema:
         return total
 
 
+#: ``struct`` format of each fixed-width column type (CHAR takes its length).
+_FIXED_FORMATS = {ColumnType.INT: "q", ColumnType.FLOAT: "d", ColumnType.CHAR: "{}s"}
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+_VARCHAR_LENGTH = struct.Struct("<H")
+
+
+def _encode_text(column: Column, value: object) -> bytes:
+    """UTF-8 bytes of a text value, checked against the column's length."""
+    if not isinstance(value, str):
+        raise _type_error(column, "str", value)
+    raw = value.encode()
+    if len(raw) > column.length:
+        raise SchemaError(
+            f"column {column.name!r}: value of {len(raw)} bytes exceeds "
+            f"{column.type.value.upper()}({column.length})"
+        )
+    return raw
+
+
+def _type_error(column: Column, expected: str, value: object) -> SchemaError:
+    return SchemaError(f"column {column.name!r} expects {expected}, got {type(value).__name__}")
+
+
 class RowCodec:
-    """Serialises rows (tuples, schema order) to bytes and back."""
+    """Serialises rows (tuples, schema order) to bytes and back.
+
+    The codec is compiled once from the schema.  A row image is a sequence
+    of fixed-width runs (INT/FLOAT/CHAR columns), each packed through one
+    precompiled :class:`struct.Struct`, separated by length-prefixed
+    VARCHAR values; validation walks precomputed column positions per
+    type.  No value is dispatched on its column type at run time.
+    """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        columns = schema.columns
+        positions = {
+            kind: [i for i, c in enumerate(columns) if c.type is kind] for kind in ColumnType
+        }
+        self._int_positions = positions[ColumnType.INT]
+        self._float_positions = positions[ColumnType.FLOAT]
+        self._char_positions = positions[ColumnType.CHAR]
+        self._varchar_positions = positions[ColumnType.VARCHAR]
+        #: ``(struct of columns [start, stop), start, stop)``; the column at
+        #: ``stop``, if there is one, is the VARCHAR that follows the run
+        self._runs: list[tuple[struct.Struct, int, int]] = []
+        start = 0
+        for stop in self._varchar_positions + [len(columns)]:
+            formats = (_FIXED_FORMATS[c.type].format(c.length) for c in columns[start:stop])
+            self._runs.append((struct.Struct("<" + "".join(formats)), start, stop))
+            start = stop + 1
 
     def encode(self, row: Row) -> bytes:
         """Serialise ``row``; validates arity, types and text lengths."""
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"row has {len(row)} values, schema has {len(self.schema)} columns"
-            )
+        columns = self.schema.columns
+        if len(row) != len(columns):
+            raise SchemaError(f"row has {len(row)} values, schema has {len(columns)} columns")
+        values = list(row)
+        for i in self._int_positions:
+            if not isinstance(values[i], int):
+                raise _type_error(columns[i], "int", values[i])
+        for i in self._float_positions:
+            if not isinstance(values[i], (int, float)):
+                raise _type_error(columns[i], "number", values[i])
+        for i in self._char_positions:
+            # struct's "s" pads with NULs; CHAR pads with spaces
+            values[i] = _encode_text(columns[i], values[i]).ljust(columns[i].length)
+        for i in self._varchar_positions:
+            raw = _encode_text(columns[i], values[i])
+            values[i] = _VARCHAR_LENGTH.pack(len(raw)) + raw
         parts: list[bytes] = []
-        for column, value in zip(self.schema, row):
-            parts.append(self._encode_value(column, value))
+        try:
+            for run, start, stop in self._runs:
+                parts.append(run.pack(*values[start:stop]))
+                parts += values[stop : stop + 1]
+        except (struct.error, OverflowError):
+            for i in self._int_positions:
+                if not _INT_MIN <= values[i] <= _INT_MAX:
+                    raise SchemaError(
+                        f"column {columns[i].name!r}: {values[i]} is out of range for INT"
+                    ) from None
+            raise SchemaError("number too large for a FLOAT column") from None
         return b"".join(parts)
 
     def decode(self, data: bytes) -> Row:
         """Inverse of :meth:`encode`."""
-        values = []
-        offset = 0
-        for column in self.schema:
-            value, offset = self._decode_value(column, data, offset)
-            values.append(value)
-        if offset != len(data):
-            raise SchemaError(f"trailing {len(data) - offset} bytes after decoding row")
-        return tuple(values)
+        row, end = self.decode_from(data, 0)
+        if end != len(data):
+            raise SchemaError(f"trailing {len(data) - end} bytes after decoding row")
+        return row
 
-    def _encode_value(self, column: Column, value: object) -> bytes:
-        if column.type is ColumnType.INT:
-            if not isinstance(value, int):
-                raise SchemaError(f"column {column.name!r} expects int, got {type(value).__name__}")
-            return struct.pack("<q", value)
-        if column.type is ColumnType.FLOAT:
-            if not isinstance(value, (int, float)):
-                raise SchemaError(f"column {column.name!r} expects number, got {type(value).__name__}")
-            return struct.pack("<d", float(value))
-        if not isinstance(value, str):
-            raise SchemaError(f"column {column.name!r} expects str, got {type(value).__name__}")
-        raw = value.encode("utf-8")
-        if len(raw) > column.length:
-            raise SchemaError(
-                f"column {column.name!r}: value of {len(raw)} bytes exceeds "
-                f"{column.type.value.upper()}({column.length})"
-            )
-        if column.type is ColumnType.CHAR:
-            return raw.ljust(column.length, b" ")
-        return struct.pack("<H", len(raw)) + raw
-
-    def _decode_value(
-        self, column: Column, data: bytes, offset: int
-    ) -> tuple[int | float | str, int]:
-        if column.type is ColumnType.INT:
-            (value,) = struct.unpack_from("<q", data, offset)
-            return value, offset + 8
-        if column.type is ColumnType.FLOAT:
-            (value,) = struct.unpack_from("<d", data, offset)
-            return value, offset + 8
-        if column.type is ColumnType.CHAR:
-            raw = data[offset : offset + column.length]
-            return raw.decode("utf-8").rstrip(" "), offset + column.length
-        (length,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        raw = data[offset : offset + length]
-        return raw.decode("utf-8"), offset + length
+    def decode_from(self, data: bytes, offset: int) -> tuple[Row, int]:
+        """Decode one row image starting at ``offset``; returns (row, end)."""
+        values: list[Any] = []
+        arity = len(self.schema.columns)
+        try:
+            for run, __, stop in self._runs:
+                values += run.unpack_from(data, offset)
+                offset += run.size
+                if stop < arity:
+                    (length,) = _VARCHAR_LENGTH.unpack_from(data, offset)
+                    offset += 2 + length
+                    values.append(data[offset - length : offset].decode())
+        except struct.error:
+            raise SchemaError(f"record of {len(data)} bytes is truncated") from None
+        for i in self._char_positions:
+            values[i] = values[i].decode().rstrip(" ")
+        return tuple(values), offset

@@ -24,6 +24,7 @@ import struct
 _HEADER = struct.Struct("<HHH")
 _SLOT = struct.Struct("<HH")
 _MAGIC = 0x5350  # "SP"
+_EMPTY_SLOT = _SLOT.pack(0, 0)
 
 
 class PageFullError(Exception):
@@ -47,22 +48,22 @@ class SlottedPage:
             raise ValueError(f"page_size {page_size} too small (min {min_size + 1})")
         self.page_size = page_size
         self._records: list[bytes | None] = []
+        # maintained by every mutation, so space checks never rescan the page
+        self._payload = 0  # bytes of all live records
+        self._empty = 0  # emptied slots still in the directory
 
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
-    def _used_bytes(self) -> int:
-        payload = sum(len(r) for r in self._records if r is not None)
-        return _HEADER.size + _SLOT.size * len(self._records) + payload
-
     def free_space(self) -> int:
         """Bytes available for a new record (slot overhead included)."""
-        return self.page_size - self._used_bytes() - _SLOT.size
+        used = _HEADER.size + _SLOT.size * len(self._records) + self._payload
+        return self.page_size - used - _SLOT.size
 
     def fits(self, record: bytes) -> bool:
         """Whether ``record`` can be inserted into this page."""
         # a reusable empty slot saves the directory entry
-        if any(r is None for r in self._records):
+        if self._empty:
             return len(record) <= self.free_space() + _SLOT.size
         return len(record) <= self.free_space()
 
@@ -73,7 +74,7 @@ class SlottedPage:
 
     def live_records(self) -> int:
         """Number of non-deleted records."""
-        return sum(1 for r in self._records if r is not None)
+        return len(self._records) - self._empty
 
     def is_empty(self) -> bool:
         """Whether the page holds no live records."""
@@ -94,10 +95,12 @@ class SlottedPage:
             raise PageFullError(
                 f"record of {len(record)} bytes does not fit ({self.free_space()} free)"
             )
-        for slot, existing in enumerate(self._records):
-            if existing is None:
-                self._records[slot] = record
-                return slot
+        self._payload += len(record)
+        if self._empty:
+            slot = self._records.index(None)
+            self._records[slot] = record
+            self._empty -= 1
+            return slot
         self._records.append(record)
         return len(self._records) - 1
 
@@ -119,15 +122,20 @@ class SlottedPage:
                 f"update grows record by {growth} bytes, only {self.free_space()} free"
             )
         self._records[slot] = bytes(record)
+        self._payload += growth
 
     def delete(self, slot: int) -> None:
         """Delete the record in ``slot`` (slot becomes reusable)."""
-        if self._slot(slot) is None:
+        record = self._slot(slot)
+        if record is None:
             raise SlotError(f"slot {slot} already empty")
         self._records[slot] = None
+        self._payload -= len(record)
+        self._empty += 1
         # shrink the directory if a tail of slots is empty
         while self._records and self._records[-1] is None:
             self._records.pop()
+            self._empty -= 1
 
     def slots(self) -> list[tuple[int, bytes]]:
         """All live ``(slot, record)`` pairs in slot order."""
@@ -143,22 +151,19 @@ class SlottedPage:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialise to the fixed ``page_size`` on-flash image."""
-        buf = bytearray(self.page_size)
         free_end = self.page_size
-        offsets: list[tuple[int, int]] = []
+        directory: list[bytes] = []
+        heap: list[bytes] = []  # records in slot order; stored back to front
         for record in self._records:
             if record is None:
-                offsets.append((0, 0))
-                continue
-            free_end -= len(record)
-            buf[free_end : free_end + len(record)] = record
-            offsets.append((free_end, len(record)))
-        _HEADER.pack_into(buf, 0, _MAGIC, len(self._records), free_end)
-        pos = _HEADER.size
-        for offset, length in offsets:
-            _SLOT.pack_into(buf, pos, offset, length)
-            pos += _SLOT.size
-        return bytes(buf)
+                directory.append(_EMPTY_SLOT)
+            else:
+                free_end -= len(record)
+                directory.append(_SLOT.pack(free_end, len(record)))
+                heap.append(record)
+        heap.reverse()
+        front = _HEADER.pack(_MAGIC, len(self._records), free_end) + b"".join(directory)
+        return front.ljust(free_end, b"\x00") + b"".join(heap)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":
@@ -167,14 +172,16 @@ class SlottedPage:
         magic, slot_count, __ = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise ValueError(f"not a slotted page (magic {magic:#x})")
-        pos = _HEADER.size
-        for __ in range(slot_count):
-            offset, length = _SLOT.unpack_from(data, pos)
-            pos += _SLOT.size
+        directory = data[_HEADER.size : _HEADER.size + _SLOT.size * slot_count]
+        records = page._records
+        for offset, length in _SLOT.iter_unpack(directory):
             if offset == 0:
-                page._records.append(None)
+                records.append(None)
+                page._empty += 1
             else:
-                page._records.append(bytes(data[offset : offset + length]))
+                record = bytes(data[offset : offset + length])
+                records.append(record)
+                page._payload += len(record)
         return page
 
     @classmethod

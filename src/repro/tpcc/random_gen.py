@@ -24,6 +24,30 @@ LAST_NAME_SYLLABLES = (
 )
 
 
+ALPHANUMERIC = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+DIGITS = "0123456789"
+
+
+def random_text(rng: random.Random, alphabet: str, length: int) -> str:
+    """``length`` characters drawn like ``rng.choice(alphabet)``, same stream.
+
+    ``Random.choice`` picks ``seq[_randbelow(len(seq))]``, and ``_randbelow``
+    draws ``getrandbits(len(seq).bit_length())`` until the value is below
+    ``len(seq)``.  Doing that draw-and-reject here costs one C call per
+    character instead of three Python frames, and consumes the generator
+    exactly as ``choice`` does (pinned by ``tests/tpcc/test_random_gen.py``).
+    """
+    size = len(alphabet)
+    bits = size.bit_length()
+    getrandbits = rng.getrandbits
+    chars: list[str] = []
+    while len(chars) < length:
+        index = getrandbits(bits)
+        if index < size:
+            chars.append(alphabet[index])
+    return "".join(chars)
+
+
 class TPCCRandom:
     """Seeded random source with the TPC-C helper distributions."""
 
@@ -47,14 +71,11 @@ class TPCCRandom:
 
     def astring(self, lo: int, hi: int) -> str:
         """Random alphanumeric string of length uniform in ``[lo, hi]``."""
-        length = self.uniform(lo, hi)
-        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
-        return "".join(self.rng.choice(alphabet) for __ in range(length))
+        return random_text(self.rng, ALPHANUMERIC, self.uniform(lo, hi))
 
     def nstring(self, lo: int, hi: int) -> str:
         """Random numeric string of length uniform in ``[lo, hi]``."""
-        length = self.uniform(lo, hi)
-        return "".join(self.rng.choice("0123456789") for __ in range(length))
+        return random_text(self.rng, DIGITS, self.uniform(lo, hi))
 
     def nurand(self, a: int, x: int, y: int, c: int) -> int:
         """Spec 2.1.6: ``(((rand(0,A) | rand(x,y)) + C) % (y - x + 1)) + x``."""

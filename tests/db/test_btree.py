@@ -4,7 +4,19 @@ import random
 
 import pytest
 
-from repro.db import BTree, BufferPool, IndexError_, RID, Schema, SchemaError, char_col, float_col, int_col
+from repro.db import (
+    RID,
+    BTree,
+    BufferPool,
+    IndexError_,
+    KeyCodec,
+    Schema,
+    SchemaError,
+    char_col,
+    float_col,
+    int_col,
+    varchar_col,
+)
 
 
 def make_tree(backend, columns=None, unique=False, buffer_pages=64):
@@ -82,6 +94,51 @@ class TestCompositeAndStringKeys:
         tree.insert(("a", 9), RID(1, 0), 0.0)
         entries, __ = tree.range_scan(("a", 0), ("a", 99), 0.0)
         assert [k for k, __ in entries] == [("a", 9)]
+
+
+class TestKeyCodec:
+    def test_image_layout(self):
+        # INT parts are <q; text parts (CHAR and VARCHAR alike) are
+        # <H-prefixed and unpadded
+        codec = KeyCodec(Schema([int_col("a"), char_col("c", 4), varchar_col("v", 8)]))
+        image = codec.encode((-2, "ab", "héllo"))
+        assert image == (-2).to_bytes(8, "little", signed=True) + b"\x02\x00ab" + (
+            b"\x06\x00" + "héllo".encode()
+        )
+        assert codec.decode(b"??" + image, 2) == ((-2, "ab", "héllo"), 2 + len(image))
+        assert codec.max_size == 8 + (2 + 4) + (2 + 8)
+
+    def test_overlong_text_part_rejected(self):
+        # 14 bytes where max_size, which the fan-out is computed from, says 8 + 6
+        codec = KeyCodec(Schema([int_col("a"), char_col("c", 4)]))
+        with pytest.raises(SchemaError):
+            codec.encode((1, "toolongvalue"))
+
+    @pytest.mark.parametrize("key", [("1",), (1.5,), (None,), (2**63,)])
+    def test_bad_int_part_is_a_schema_error(self, key):
+        with pytest.raises(SchemaError):
+            KeyCodec(Schema([int_col("a")])).encode(key)
+
+    def test_non_str_text_part_is_a_schema_error(self):
+        with pytest.raises(SchemaError):
+            KeyCodec(Schema([varchar_col("v", 8)])).encode((5,))
+
+    def test_arity_mismatch_rejected(self):
+        with pytest.raises(SchemaError):
+            KeyCodec(Schema([int_col("a"), int_col("b")])).encode((1,))
+
+    @pytest.mark.parametrize(
+        "columns, key",
+        [
+            ([int_col("a"), int_col("b")], (1, "x")),  # whole-entry struct path
+            ([int_col("a"), char_col("c", 4)], (1, "toolongvalue")),  # per-part path
+        ],
+    )
+    def test_bad_key_fails_node_encoding_with_schema_error(self, memory_backend, columns, key):
+        tree = make_tree(memory_backend, columns=columns)
+        tree.insert(key, RID(0, 0), 0.0)
+        with pytest.raises(SchemaError):
+            tree.buffer_pool.flush_all(0.0)
 
 
 class TestDuplicatesAndUnique:

@@ -126,6 +126,30 @@ class TestFlusher:
         __, t = pool.get(sid, 0, 100.0, **identity_codec())
         assert t == 100.0  # hit + async flush: no caller time
 
+    @pytest.mark.parametrize("interval, rounds_after", [(3, {3, 6, 9}), (0, set()), (-1, set())])
+    def test_flush_round_every_interval_page_operations(
+        self, memory_backend, interval, rounds_after
+    ):
+        # both get and put_new count as page operations; the round runs at
+        # the start of the interval-th one, so it sees what earlier ones dirtied
+        sid = memory_backend.create_space("t")
+        seed_pages(memory_backend, sid, 2)
+        pool = make_pool(memory_backend, capacity=16, flusher_interval=interval, flusher_batch=1)
+        pool.get(sid, 0, 0.0, **identity_codec())  # operation 1
+        fired = set()
+        for op in range(2, 11):
+            pool.mark_dirty(sid, 0)
+            before = pool.stats.flusher_writes
+            if op % 2:
+                pool.get(sid, 1, 0.0, **identity_codec())
+            else:
+                page_no, __ = memory_backend.allocate_page(sid, 0.0)
+                pool.put_new(sid, page_no, bytearray(8), at=0.0, encoder=bytes)
+                pool.flush_page(sid, page_no, 0.0)  # keep page 0 the only dirty one
+            if pool.stats.flusher_writes > before:
+                fired.add(op)
+        assert fired == rounds_after
+
 
 class TestFlush:
     def test_flush_all_clears_dirty(self, memory_backend):

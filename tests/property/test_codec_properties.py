@@ -1,11 +1,31 @@
-"""Property-based tests: codecs roundtrip arbitrary valid values."""
+"""Property-based tests: codecs roundtrip arbitrary valid values, and the
+codecs compiled per schema produce exactly the bytes and rows of the
+per-column reference implementation kept in this file."""
+
+import struct
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.db import RowCodec, Schema, SlottedPage, char_col, float_col, int_col, varchar_col
-from repro.db.btree import KeyCodec
+from repro.db import (
+    RID,
+    BTree,
+    BufferPool,
+    Column,
+    ColumnType,
+    PageFullError,
+    RowCodec,
+    Schema,
+    SlottedPage,
+    char_col,
+    float_col,
+    int_col,
+    varchar_col,
+)
+from repro.db.btree import KeyCodec, _Node
 from repro.flash import PhysicalBlockAddress, PhysicalPageAddress, small_geometry
+
+from tests.db.conftest import MemoryBackend
 
 int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 # printable text without exotic encodings blowing the length budget
@@ -63,3 +83,263 @@ def test_physical_address_packing_bijective(data):
     assert PhysicalPageAddress.from_int(ppa.to_int(g), g) == ppa
     pba = PhysicalBlockAddress(die, block)
     assert PhysicalBlockAddress.from_int(pba.to_int(g), g) == pba
+
+
+# ----------------------------------------------------------------------
+# Reference implementation: the per-column encoder/decoder the compiled
+# codecs replaced.  One value at a time, dispatched on the column type.
+# ----------------------------------------------------------------------
+def ref_encode_value(column, value):
+    if column.type is ColumnType.INT:
+        return struct.pack("<q", value)
+    if column.type is ColumnType.FLOAT:
+        return struct.pack("<d", float(value))
+    raw = value.encode("utf-8")
+    assert len(raw) <= column.length
+    if column.type is ColumnType.CHAR:
+        return raw.ljust(column.length, b" ")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def ref_decode_value(column, data, offset):
+    if column.type is ColumnType.INT:
+        return struct.unpack_from("<q", data, offset)[0], offset + 8
+    if column.type is ColumnType.FLOAT:
+        return struct.unpack_from("<d", data, offset)[0], offset + 8
+    if column.type is ColumnType.CHAR:
+        raw = data[offset : offset + column.length]
+        return raw.decode("utf-8").rstrip(" "), offset + column.length
+    (length,) = struct.unpack_from("<H", data, offset)
+    offset += 2
+    return data[offset : offset + length].decode("utf-8"), offset + length
+
+
+def ref_encode_row(schema, row):
+    return b"".join(ref_encode_value(c, v) for c, v in zip(schema, row))
+
+
+def ref_decode_row(schema, data):
+    values, offset = [], 0
+    for column in schema:
+        value, offset = ref_decode_value(column, data, offset)
+        values.append(value)
+    assert offset == len(data)
+    return tuple(values)
+
+
+def ref_encode_key(schema, key):
+    """Keys: INT as <q, any text part length-prefixed and unpadded."""
+    parts = []
+    for column, value in zip(schema, key):
+        if column.type is ColumnType.INT:
+            parts.append(struct.pack("<q", value))
+        else:
+            raw = value.encode("utf-8")
+            parts.append(struct.pack("<H", len(raw)) + raw)
+    return b"".join(parts)
+
+
+def ref_encode_node(schema, node, page_size):
+    buf = bytearray()
+    if node.is_leaf:
+        buf += struct.pack("<BHi", 1, len(node.keys), node.next_leaf)
+        for key, rid in zip(node.keys, node.values):
+            buf += ref_encode_key(schema, key) + struct.pack("<iH", rid.page_no, rid.slot)
+    else:
+        buf += struct.pack("<BH", 2, len(node.keys)) + struct.pack("<i", node.children[0])
+        for key, child in zip(node.keys, node.children[1:]):
+            buf += ref_encode_key(schema, key) + struct.pack("<i", child)
+    assert len(buf) <= page_size
+    return bytes(buf.ljust(page_size, b"\x00"))
+
+
+def ref_page_image(records, page_size):
+    buf = bytearray(page_size)
+    free_end = page_size
+    offsets = []
+    for record in records:
+        if record is None:
+            offsets.append((0, 0))
+            continue
+        free_end -= len(record)
+        buf[free_end : free_end + len(record)] = record
+        offsets.append((free_end, len(record)))
+    struct.pack_into("<HHH", buf, 0, 0x5350, len(records), free_end)
+    for i, (offset, length) in enumerate(offsets):
+        struct.pack_into("<HH", buf, 6 + 4 * i, offset, length)
+    return bytes(buf)
+
+
+# ----------------------------------------------------------------------
+# Strategies: random schemas and rows that fit them
+# ----------------------------------------------------------------------
+TEXT = (ColumnType.CHAR, ColumnType.VARCHAR)
+
+
+def text_for(length):
+    """Text of at most ``length`` UTF-8 bytes, often exactly at the limit and
+    often non-ASCII (1- to 4-byte characters)."""
+    chars = st.sampled_from(["a", "Z", " ", "0", "é", "ß", "€", "日", "𝄞"])
+
+    def fit(parts):
+        out = ""
+        for ch in parts:
+            if len((out + ch).encode("utf-8")) > length:
+                break
+            out += ch
+        return out
+
+    # up to `length` characters: with 1-byte picks this reaches the limit exactly
+    return st.lists(chars, max_size=length).map(fit)
+
+
+def value_for(column):
+    if column.type is ColumnType.INT:
+        return int64
+    if column.type is ColumnType.FLOAT:
+        return st.one_of(st.floats(allow_nan=False), st.integers(-(2**53), 2**53))
+    return text_for(column.length)
+
+
+@st.composite
+def schema_and_rows(draw, rows=3):
+    """Fixed-width prefix (INT/FLOAT/CHAR), 0-2 VARCHARs, and — beyond what
+    TPC-C uses — sometimes fixed-width columns after or between them."""
+    fixed = st.sampled_from([ColumnType.INT, ColumnType.FLOAT, ColumnType.CHAR])
+    kinds = draw(st.lists(fixed, max_size=6))
+    for __ in range(draw(st.integers(0, 2))):
+        kinds.append(ColumnType.VARCHAR)
+        kinds += draw(st.lists(fixed, max_size=1))
+    if not kinds:
+        kinds = [ColumnType.INT]
+    columns = [
+        Column(f"c{i}", kind, draw(st.integers(1, 12)) if kind in TEXT else 0)
+        for i, kind in enumerate(kinds)
+    ]
+    schema = Schema(columns)
+    row = st.tuples(*(value_for(c) for c in columns))
+    return schema, draw(st.lists(row, min_size=1, max_size=rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_and_rows())
+def test_compiled_row_codec_equals_reference(case):
+    schema, rows = case
+    codec = RowCodec(schema)
+    for row in rows:
+        image = codec.encode(row)
+        assert image == ref_encode_row(schema, row)
+        assert codec.decode(image) == ref_decode_row(schema, image)
+        assert len(image) <= schema.max_row_size
+        if schema.fixed_row_size is not None:
+            assert len(image) == schema.fixed_row_size
+
+
+@st.composite
+def key_schema_and_keys(draw, all_int):
+    kinds = st.just(ColumnType.INT) if all_int else st.sampled_from([ColumnType.INT, *TEXT])
+    columns = [
+        Column(f"k{i}", kind, draw(st.integers(1, 8)) if kind in TEXT else 0)
+        for i, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=4)))
+    ]
+    schema = Schema(columns)
+    key = st.tuples(*(value_for(c) for c in columns))
+    return schema, draw(st.lists(key, max_size=6))
+
+
+def make_tree(schema):
+    backend = MemoryBackend(page_size=512, io_cost=0.0)
+    pool = BufferPool(backend, capacity=8, flusher_interval=0)
+    return BTree(pool, backend.create_space("idx"), schema)
+
+
+rids = st.builds(RID, st.integers(-(2**31), 2**31 - 1), st.integers(0, 2**16 - 1))
+page_nos = st.integers(-(2**31), 2**31 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda all_int: key_schema_and_keys(all_int)), st.data())
+def test_node_images_equal_reference(case, data):
+    schema, keys = case
+    tree = make_tree(schema)
+    codec = KeyCodec(schema)
+    for key in keys:
+        image = codec.encode(key)
+        assert image == ref_encode_key(schema, key)
+        assert codec.decode(b"\xff" + image, 1) == (key, 1 + len(image))
+
+    leaf = _Node(is_leaf=True)
+    leaf.keys = sorted(keys)
+    leaf.values = [data.draw(rids) for __ in keys]
+    leaf.next_leaf = data.draw(page_nos)
+    inner = _Node(is_leaf=False)
+    inner.keys = sorted(keys)
+    inner.children = [data.draw(page_nos) for __ in range(len(keys) + 1)]
+    for node in (leaf, inner):
+        image = tree._encode_node(node)
+        assert image == ref_encode_node(schema, node, tree.page_size)
+        decoded = tree._decode_node(image)
+        assert decoded.is_leaf == node.is_leaf
+        assert decoded.keys == node.keys
+        assert decoded.values == node.values
+        assert decoded.children == node.children
+        assert decoded.next_leaf == node.next_leaf
+
+
+# ----------------------------------------------------------------------
+# SlottedPage: maintained counters == recount, image == reference image
+# ----------------------------------------------------------------------
+page_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.binary(max_size=40)),
+        st.tuples(st.just("update"), st.integers(0, 20), st.binary(max_size=60)),
+        st.tuples(st.just("delete"), st.integers(0, 20)),
+        st.tuples(st.just("roundtrip")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(page_ops)
+def test_slotted_page_counters_and_image_match_recount(ops):
+    page = SlottedPage(256)
+    model: list[bytes | None] = []
+    for op in ops:
+        live = [i for i, r in enumerate(model) if r is not None]
+        if op[0] == "insert":
+            try:
+                slot = page.insert(op[1])
+            except PageFullError:
+                continue
+            if slot == len(model):
+                model.append(op[1])
+            else:
+                assert model[slot] is None
+                model[slot] = op[1]
+        elif op[0] == "update" and live:
+            slot = live[op[1] % len(live)]
+            try:
+                page.update(slot, op[2])
+            except PageFullError:
+                continue
+            model[slot] = op[2]
+        elif op[0] == "delete" and live:
+            slot = live[op[1] % len(live)]
+            page.delete(slot)
+            model[slot] = None
+            while model and model[-1] is None:
+                model.pop()
+        elif op[0] == "roundtrip":
+            page = SlottedPage.from_bytes(page.to_bytes())
+
+        payload = sum(len(r) for r in model if r is not None)
+        assert page._records == model
+        assert page._payload == payload
+        assert page._empty == model.count(None)
+        assert page.live_records() == len(model) - model.count(None)
+        assert page.free_space() == 256 - (6 + 4 * len(model) + payload) - 4
+        assert page.fits(b"x" * max(0, page.free_space() + 4)) == (None in model)
+        image = page.to_bytes()
+        assert len(image) == 256
+        assert image == ref_page_image(model, 256)

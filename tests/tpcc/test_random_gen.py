@@ -1,6 +1,11 @@
 """Unit tests for TPC-C randomness."""
 
+import random
+
+import pytest
+
 from repro.tpcc import LAST_NAME_SYLLABLES, TPCCRandom
+from repro.tpcc.random_gen import ALPHANUMERIC, DIGITS, random_text
 
 
 class TestNURand:
@@ -91,3 +96,31 @@ class TestStringsAndPermutations:
         for __ in range(100):
             v = rng.decimal(1.0, 5000.0)
             assert 1.0 <= v <= 5000.0
+
+
+class TestRandomTextStream:
+    """``random_text`` re-implements CPython's ``Random.choice`` draw (one
+    ``getrandbits`` per attempt, reject values >= len): the TPC-C
+    determinism snapshot depends on it consuming the generator identically."""
+
+    @pytest.mark.parametrize("alphabet", [ALPHANUMERIC, DIGITS])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
+    def test_equals_choice_and_leaves_same_state(self, alphabet, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for length in (0, 1, 4, 9, 24, 50, 300):
+            expected = "".join(reference.choice(alphabet) for __ in range(length))
+            assert random_text(ours, alphabet, length) == expected
+        assert ours.getstate() == reference.getstate()
+
+    def test_astring_and_nstring_draw_length_then_characters(self):
+        ours, reference = TPCCRandom(seed=11), random.Random(11)
+        for lo, hi in ((8, 16), (26, 50), (4, 4)):
+            length = reference.randint(lo, hi)
+            assert ours.astring(lo, hi) == "".join(
+                reference.choice(ALPHANUMERIC) for __ in range(length)
+            )
+            length = reference.randint(lo, hi)
+            assert ours.nstring(lo, hi) == "".join(
+                reference.choice(DIGITS) for __ in range(length)
+            )
+        assert ours.rng.getstate() == reference.getstate()
