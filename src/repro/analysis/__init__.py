@@ -13,20 +13,17 @@ Pieces:
 
 * :mod:`repro.analysis.core` — the engine: parsed-module model, rule
   registry, two-phase (collect → check) execution, pragma suppression.
-* :mod:`repro.analysis.callgraph` — project-wide symbol table, call
-  graph and reachability for whole-program rules (``needs_project``).
-* :mod:`repro.analysis.dataflow` — forward taint propagation over the
-  call graph (the RNG-flow rule's engine).
 * :mod:`repro.analysis.pragmas` — ``# lint: ok(<rule-id>) -- why`` parsing.
 * :mod:`repro.analysis.rules` — the repo-specific rule catalogue
-  (determinism incl. RNG flow, guard-pattern, counter-hygiene,
-  partition closure, typed errors, hygiene).
-* :mod:`repro.analysis.reporting` — human, JSON (``repro.lint/v1``) and
-  SARIF 2.1.0 reporters.
-* :mod:`repro.analysis.baseline` — checked-in suppression files
-  (``repro.lint-baseline/v1``) for landing strict rules incrementally.
-* :mod:`repro.analysis.changed` — git-diff discovery behind
-  ``repro lint --changed`` (full analysis, filtered report).
+  (determinism, guard-pattern, counter-hygiene, typed errors, hygiene).
+* :mod:`repro.analysis.reporting` — human and JSON (``repro.lint/v1``)
+  reporters.
+
+Every rule is a per-module AST check over one tree that must be clean.
+What needs the whole program to see — state shared between shard cells,
+hash-order dependence arriving through a helper — is guarded at run time
+instead (the sharded == sequential document test and the hash-seed
+independence test; see the invariant table in ``docs/ARCHITECTURE.md``).
 
 Run it as ``repro lint [paths ...]`` (see :mod:`repro.cli`) or
 programmatically::
@@ -39,14 +36,6 @@ programmatically::
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
-from repro.analysis.callgraph import ProjectIndex
-from repro.analysis.changed import ChangedFilesError, changed_python_files
 from repro.analysis.core import (
     LintEngine,
     LintResult,
@@ -57,30 +46,20 @@ from repro.analysis.core import (
     default_registry,
     lint_paths,
 )
-from repro.analysis.dataflow import TaintAnalysis
 from repro.analysis.pragmas import Pragma, parse_pragmas
-from repro.analysis.reporting import render_human, render_json, render_sarif
+from repro.analysis.reporting import render_human, render_json
 
 __all__ = [
-    "BaselineError",
-    "ChangedFilesError",
     "LintEngine",
     "LintResult",
     "Pragma",
-    "ProjectIndex",
     "Rule",
     "RuleRegistry",
     "SourceModule",
-    "TaintAnalysis",
     "Violation",
-    "apply_baseline",
-    "changed_python_files",
     "default_registry",
     "lint_paths",
-    "load_baseline",
     "parse_pragmas",
-    "render_baseline",
     "render_human",
     "render_json",
-    "render_sarif",
 ]

@@ -51,16 +51,6 @@ def enclosing_function(
     return None
 
 
-def enclosing_class(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> ast.ClassDef | None:
-    """Nearest enclosing class definition, if any."""
-    for ancestor in ancestors(node, parents):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor
-    return None
-
-
 def _none_check_targets(test: ast.expr, *, when_true: bool) -> set[str]:
     """Dotted names proven non-None when ``test`` evaluates ``when_true``.
 

@@ -20,13 +20,9 @@ import ast
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.analysis.astutil import build_parent_map
 from repro.analysis.pragmas import Pragma, PragmaLedger, parse_pragmas
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.callgraph import ProjectIndex
 
 
 @dataclass(frozen=True)
@@ -89,17 +85,6 @@ class Rule:
     id: str = ""
     #: one-line description for ``repro lint --list-rules`` and the docs
     summary: str = ""
-    #: whole-program rules set this; the engine builds one shared
-    #: :class:`~repro.analysis.callgraph.ProjectIndex` over every parsed
-    #: module and hands it to ``set_project`` before ``collect`` runs
-    needs_project: bool = False
-
-    def __init__(self) -> None:
-        self.project: "ProjectIndex | None" = None
-
-    def set_project(self, index: "ProjectIndex") -> None:
-        """Receive the shared project index (whole-program rules only)."""
-        self.project = index
 
     def applies(self, module: SourceModule) -> bool:
         """Scope predicate; default: every module."""
@@ -111,10 +96,6 @@ class Rule:
     def check(self, module: SourceModule) -> Iterator[Violation]:
         """Phase 2: yield violations for ``module``."""
         raise NotImplementedError
-
-    def finish(self) -> Iterator[Violation]:
-        """Phase 3: project-level violations with no single module (optional)."""
-        return iter(())
 
     def violation(
         self, module: SourceModule, node: ast.AST, message: str
@@ -197,16 +178,8 @@ class LintEngine:
         self,
         paths: Iterable[str | Path],
         rule_ids: Iterable[str] | None = None,
-        *,
-        report_only: set[str] | None = None,
     ) -> LintResult:
-        """Lint every ``.py`` file under ``paths`` (files or directories).
-
-        ``report_only`` restricts the *reported* violations and unused
-        pragmas to the given display paths while still parsing, indexing
-        and checking the full input — the contract behind ``--changed``:
-        whole-program rules always see the whole program.
-        """
+        """Lint every ``.py`` file under ``paths`` (files or directories)."""
         rules = self.registry.select(rule_ids)
         modules: list[SourceModule] = []
         parse_errors: list[str] = []
@@ -216,14 +189,6 @@ class LintEngine:
                 modules.append(SourceModule(file_path, display, source))
             except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                 parse_errors.append(f"{display}: {exc}")
-
-        if any(rule.needs_project for rule in rules):
-            from repro.analysis.callgraph import ProjectIndex
-
-            index = ProjectIndex.build(modules)
-            for rule in rules:
-                if rule.needs_project:
-                    rule.set_project(index)
 
         for rule in rules:
             for module in modules:
@@ -241,15 +206,9 @@ class LintEngine:
                 for violation in rule.check(module):
                     if not ledger.suppresses(violation.rule_id, violation.line):
                         violations.append(violation)
-        for rule in rules:
-            violations.extend(rule.finish())
         for module in modules:
             for pragma in ledgers[id(module)].unused():
                 unused.append((module.display_path, pragma))
-
-        if report_only is not None:
-            violations = [v for v in violations if v.path in report_only]
-            unused = [(path, pragma) for path, pragma in unused if path in report_only]
 
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
         return LintResult(

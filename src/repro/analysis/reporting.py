@@ -1,33 +1,18 @@
-"""Reporters for lint results: human text, ``repro.lint/v1`` JSON, SARIF.
+"""Reporters for lint results: human text and ``repro.lint/v1`` JSON.
 
 The JSON document is versioned like the metrics schema so CI consumers
 can pin it; it is emitted with sorted keys and a trailing-newline-free
-body (callers print it), mirroring :mod:`repro.obs.export`.  The SARIF
-reporter emits the minimal valid subset of SARIF 2.1.0 that GitHub code
-scanning ingests (tool driver with rule metadata, one result per
-violation with a physical location); the shape is pinned by
-``tests/analysis/test_sarif.py``.
+body (callers print it), mirroring :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from repro.analysis.core import LintResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.core import RuleRegistry
-
 #: schema tag for the machine-readable report
 LINT_SCHEMA_VERSION = "repro.lint/v1"
-
-#: the SARIF version this reporter targets (pinned by tests)
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_human(result: LintResult, *, verbose: bool = False) -> str:
@@ -54,85 +39,6 @@ def render_human(result: LintResult, *, verbose: bool = False) -> str:
             + (f" [{by_rule}]" if by_rule else "")
         )
     return "\n".join(lines)
-
-
-def render_sarif(result: LintResult, registry: "RuleRegistry | None" = None) -> str:
-    """The run as a SARIF 2.1.0 document (GitHub code-scanning subset).
-
-    Every rule that ran gets a ``tool.driver.rules`` entry (so the
-    code-scanning UI shows summaries even for clean rules); every
-    violation becomes a ``result`` with a physical location.  Parse
-    errors map to tool-level notifications.  Output is deterministic:
-    rules and results are already sorted by the engine.
-    """
-    rule_ids = list(result.rules_run)
-    rules_meta = []
-    for rule_id in rule_ids:
-        summary = ""
-        if registry is not None:
-            try:
-                summary = registry.get(rule_id).summary
-            except KeyError:
-                summary = ""
-        rules_meta.append(
-            {
-                "id": rule_id,
-                "shortDescription": {"text": summary or rule_id},
-            }
-        )
-    index_of = {rule_id: index for index, rule_id in enumerate(rule_ids)}
-    results = []
-    for violation in result.violations:
-        results.append(
-            {
-                "ruleId": violation.rule_id,
-                "ruleIndex": index_of.get(violation.rule_id, -1),
-                "level": "error",
-                "message": {"text": violation.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": violation.path,
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {
-                                "startLine": violation.line,
-                                "startColumn": violation.col,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    notifications = [
-        {"level": "error", "message": {"text": error}}
-        for error in result.parse_errors
-    ]
-    document = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "version": "1.0.0",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-                "invocations": [
-                    {
-                        "executionSuccessful": not result.parse_errors,
-                        "toolExecutionNotifications": notifications,
-                    }
-                ],
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def render_json(result: LintResult) -> str:

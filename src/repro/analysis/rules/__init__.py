@@ -1,9 +1,8 @@
 """The repo-specific rule catalogue.
 
 ``build_rules()`` returns fresh instances of every shipped rule —
-fresh because project-wide rules (counter hygiene, the call-graph
-rules) accumulate state in ``collect``/``check`` and must not leak
-between engine runs.
+fresh because the counter-hygiene rules accumulate project-wide state
+in ``collect``/``check`` and must not leak between engine runs.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from repro.analysis.rules.determinism import (
 from repro.analysis.rules.guards import OptionalHookGuardRule
 from repro.analysis.rules.hygiene import UnusedImportRule
 from repro.analysis.rules.raises import TypedRaiseRule
-from repro.analysis.rules.rngflow import RngFlowRule
-from repro.analysis.rules.sharding import PartitionClosureRule
 
 
 def build_rules() -> list[Rule]:
@@ -28,12 +25,10 @@ def build_rules() -> list[Rule]:
         WallClockRule(),
         UnseededRandomRule(),
         SetIterationRule(),
-        RngFlowRule(),
         OptionalHookGuardRule(),
         CounterIntDriftRule(),
         CounterDocCoverageRule(),
         UnusedImportRule(),
-        PartitionClosureRule(),
         TypedRaiseRule(),
     ]
 
@@ -42,8 +37,6 @@ __all__ = [
     "CounterDocCoverageRule",
     "CounterIntDriftRule",
     "OptionalHookGuardRule",
-    "PartitionClosureRule",
-    "RngFlowRule",
     "SetIterationRule",
     "TypedRaiseRule",
     "UnseededRandomRule",

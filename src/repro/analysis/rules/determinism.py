@@ -1,9 +1,12 @@
 """Determinism rules: the simulation must be a pure function of its seeds.
 
 Scope: the simulation packages (``flash``, ``mapping``, ``ftl``, ``core``,
-``db``, ``faults``, ``policies``) plus ``bench/sharding.py`` — the shard
-runner promises bit-identical parallel runs, so it is held to the same
-bar.  Wall-clock reads and ambient entropy are allowed in the rest of
+``db``, ``faults``, ``policies``), the workload generator ``tpcc`` whose
+RNG feeds every simulated counter, and four ``bench/`` modules: the cell
+functions ``experiment.py`` / ``synthetic.py`` (they construct the
+workload RNGs from ``config.seed``) and the shard runner ``sharding.py``
+/ ``supervisor.py``, which promises bit-identical parallel runs.
+Wall-clock reads and ambient entropy are allowed in the rest of
 ``bench/`` (host-side throughput measurement) and the CLI — those never
 feed simulated counters.
 
@@ -12,9 +15,12 @@ Three rules:
 * ``determinism.wallclock`` — no ``time.time()``, ``datetime.now()``,
   ``os.urandom()``, ``uuid4()`` etc. reachable from sim paths.  Virtual
   time is the only clock (see the architecture docs' time model).
-* ``determinism.unseeded-random`` — no module-level ``random.*`` calls and
-  no ``random.Random()`` without a seed; every RNG must be a seeded
-  ``random.Random(seed)`` instance so runs replay bit-identically.
+* ``determinism.unseeded-random`` — no global ``random.*`` calls (through
+  any ``import random as X`` / ``from random import ...`` binding), no
+  ``random.Random`` / ``<rng>.seed`` call without a seed, with ``None``, or
+  with a seed built from the builtin ``hash()`` (``PYTHONHASHSEED``-
+  dependent), and no RNG instance bound at module top level; every RNG
+  must be a per-run ``random.Random(seed)`` so runs replay bit-identically.
 * ``determinism.set-iteration`` — no direct iteration over set
   displays/comprehensions/``set(...)`` calls: set order is hash-order,
   which varies across processes once ``PYTHONHASHSEED`` varies.  Wrap in
@@ -29,14 +35,14 @@ from collections.abc import Iterator
 from repro.analysis.astutil import dotted_name
 from repro.analysis.core import Rule, SourceModule, Violation
 
-#: packages whose code feeds simulated counters — the determinism scope
-#: (bench/ is host-side and exempt, except the shard runner and its
-#: supervisor, which promise bit-identical parallel simulation: retries
-#: must re-execute cells deterministically, so no ambient entropy or
-#: wall-clock reads may leak into their control flow; the chaos harness
-#: lives under faults/ and is scoped with its package)
+#: modules whose code feeds simulated counters — the determinism scope
+#: (the rest of bench/ is host-side and exempt; the supervisor is in
+#: because retries must re-execute cells deterministically, so no ambient
+#: entropy or wall-clock reads may leak into its control flow; the chaos
+#: harness lives under faults/ and is scoped with its package)
 SIM_PACKAGES = (
     "flash/", "mapping/", "ftl/", "core/", "db/", "faults/", "policies/",
+    "tpcc/", "bench/experiment.py", "bench/synthetic.py",
     "bench/sharding.py", "bench/supervisor.py",
 )
 
@@ -130,56 +136,102 @@ class WallClockRule(_SimScopedRule):
 class UnseededRandomRule(_SimScopedRule):
     id = "determinism.unseeded-random"
     summary = (
-        "no module-level random.* calls or seedless random.Random(); "
-        "every RNG must be an explicitly seeded random.Random(seed)"
+        "no global random.* calls, no module-level RNG instances, no RNG "
+        "seeded from nothing/None/hash(); every RNG is a per-run "
+        "random.Random(seed)"
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
-        from_imports = self._random_from_imports(module)
+        modules, names = self._random_bindings(module)
+
+        def callee(func: ast.expr) -> str | None:
+            """The ``random``-module attribute ``func`` names, if it names one."""
+            if isinstance(func, ast.Name):
+                return names.get(func.id)
+            if (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+            ):
+                return func.attr
+            return None
+
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
-            if dotted == "random.Random" or dotted == "Random" and "Random" in from_imports:
-                if not node.args and not node.keywords:
-                    yield self.violation(
-                        module, node,
-                        "random.Random() without a seed falls back to OS "
-                        "entropy; pass an explicit seed",
-                    )
-            elif dotted == "random.SystemRandom" or (
-                isinstance(node.func, ast.Name) and node.func.id in from_imports
-                and from_imports[node.func.id] == "SystemRandom"
-            ):
+            target = callee(node.func)
+            if target == "Random":
+                yield from self._check_seed(module, node, "random.Random(...)")
+            elif target == "SystemRandom":
                 yield self.violation(
                     module, node,
                     "random.SystemRandom is OS entropy by construction; use a "
                     "seeded random.Random",
                 )
-            elif dotted is not None and dotted.startswith("random."):
+            elif target is not None:
                 yield self.violation(
                     module, node,
-                    f"module-level `{dotted}()` uses the shared global RNG; "
-                    "call methods on a seeded random.Random instance",
+                    f"`{dotted_name(node.func)}()` (random.{target}) uses the "
+                    "shared global RNG; call methods on a seeded "
+                    "random.Random instance",
                 )
-            elif isinstance(node.func, ast.Name) and node.func.id in from_imports:
-                original = from_imports[node.func.id]
-                if original not in ("Random",):
-                    yield self.violation(
-                        module, node,
-                        f"`{node.func.id}()` (from random import {original}) "
-                        "uses the shared global RNG; use a seeded "
-                        "random.Random instance",
-                    )
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "seed":
+                yield from self._check_seed(module, node, "<rng>.seed(...)")
+        for stmt in module.tree.body:
+            if (
+                isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                and isinstance(stmt.value, ast.Call)
+                and callee(stmt.value.func) in ("Random", "SystemRandom")
+            ):
+                yield self.violation(
+                    module, stmt,
+                    "module-level RNG instance is shared by every importer "
+                    "and pickled into every shard cell; construct per-run "
+                    "instances inside the function that uses them",
+                )
+
+    def _check_seed(
+        self, module: SourceModule, call: ast.Call, what: str
+    ) -> Iterator[Violation]:
+        seeds = [*call.args, *(kw.value for kw in call.keywords)]
+        if not seeds or any(
+            isinstance(seed, ast.Constant) and seed.value is None for seed in seeds
+        ):
+            yield self.violation(
+                module, call,
+                f"`{what}` with no seed (or None) falls back to OS entropy; "
+                "pass an explicit seed",
+            )
+        elif any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hash"
+            for seed in seeds
+            for node in ast.walk(seed)
+        ):
+            yield self.violation(
+                module, call,
+                f"`{what}` seed built with hash(): hash() of str/bytes varies "
+                "with PYTHONHASHSEED across processes; seed from the value "
+                "itself (str seeds use SHA-512 internally)",
+            )
 
     @staticmethod
-    def _random_from_imports(module: SourceModule) -> dict[str, str]:
-        bindings: dict[str, str] = {}
+    def _random_bindings(module: SourceModule) -> tuple[set[str], dict[str, str]]:
+        """Names bound to the ``random`` module, and to names imported from it."""
+        modules: set[str] = set()
+        names: dict[str, str] = {}
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
+            if isinstance(node, ast.Import):
+                modules.update(
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name == "random"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
-                    bindings[alias.asname or alias.name] = alias.name
-        return bindings
+                    names[alias.asname or alias.name] = alias.name
+        return modules, names
 
 
 class SetIterationRule(_SimScopedRule):

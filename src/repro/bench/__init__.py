@@ -23,11 +23,8 @@ from repro.bench.sharding import (
     ShardCell,
     merge_metrics_docs,
     run_cells,
-    run_fig3_shards,
     run_fig3_supervised,
-    run_ftl_shards,
     run_ftl_supervised,
-    run_hotcold_shards,
     run_hotcold_supervised,
 )
 from repro.bench.supervisor import (
@@ -76,12 +73,9 @@ __all__ = [
     "render_table",
     "run_cells",
     "run_cells_supervised",
-    "run_fig3_shards",
     "run_fig3_supervised",
-    "run_ftl_shards",
     "run_ftl_supervised",
     "run_ftl_synthetic",
-    "run_hotcold_shards",
     "run_hotcold_supervised",
     "run_noftl_synthetic",
     "run_tpcc_experiment",

@@ -114,20 +114,6 @@ def run_fig3_supervised(
     return report.results(), report
 
 
-def run_fig3_shards(
-    traditional: TPCCExperimentConfig, regions: TPCCExperimentConfig
-) -> tuple[TPCCExperimentResult, TPCCExperimentResult]:
-    """Run both Figure 3 cells, ``traditional.shards`` at a time."""
-    report = run_cells_supervised(
-        fig3_cells(traditional, regions),
-        traditional.shards,
-        strict(shard_policy_from(traditional)),
-    )
-    report.raise_if_blocked()
-    first, second = report.results()
-    return first, second
-
-
 def hotcold_cells(config: SyntheticConfig) -> list[ShardCell]:
     """The hot/cold ablation as two independent cells."""
     return [
@@ -145,16 +131,6 @@ def run_hotcold_supervised(
     )
     report.raise_if_blocked()
     return report.results(), report
-
-
-def run_hotcold_shards(config: SyntheticConfig) -> tuple[SyntheticResult, SyntheticResult]:
-    """Run the mixed and separated cells, ``config.shards`` at a time."""
-    report = run_cells_supervised(
-        hotcold_cells(config), config.shards, strict(shard_policy_from(config))
-    )
-    report.raise_if_blocked()
-    mixed, separated = report.results()
-    return mixed, separated
 
 
 def ftl_cells(config: SyntheticConfig) -> list[ShardCell]:
@@ -186,18 +162,6 @@ def run_ftl_supervised(
     results: list[SyntheticResult | None] = report.results()
     _rename_ftl_results(cells, results)
     return results, report
-
-
-def run_ftl_shards(config: SyntheticConfig) -> list[SyntheticResult]:
-    """Run all five stacks, ``config.shards`` at a time, canonically named."""
-    cells = ftl_cells(config)
-    report = run_cells_supervised(
-        cells, config.shards, strict(shard_policy_from(config))
-    )
-    report.raise_if_blocked()
-    results: list[SyntheticResult] = report.results()
-    _rename_ftl_results(cells, results)
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ Commands:
 * ``chaos`` — run seeded generated fault plans and check the recovery
   invariants after each (:mod:`repro.faults.chaos`).
 * ``report`` — render / validate a saved ``repro.obs/v1`` metrics file.
-* ``lint`` — run the static invariant linter (:mod:`repro.analysis`).
+* ``lint`` — run the per-module static invariant linter over a tree that
+  must be clean (:mod:`repro.analysis`).
 
 Every command prints a paper-style table and exits 0 on success.  Every
 command also accepts ``--json``, which swaps the table for a validated
@@ -381,19 +382,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        BaselineError,
-        ChangedFilesError,
-        LintEngine,
-        apply_baseline,
-        changed_python_files,
-        default_registry,
-        load_baseline,
-        render_baseline,
-        render_human,
-        render_json,
-        render_sarif,
-    )
+    from repro.analysis import LintEngine, default_registry, render_human, render_json
 
     registry = default_registry()
     if args.list_rules:
@@ -401,37 +390,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id:32} {registry.get(rule_id).summary}")
         return 0
     rule_ids = args.rules.split(",") if args.rules else None
-    report_only: set[str] | None = None
-    if args.changed:
-        try:
-            report_only = changed_python_files(args.base)
-        except ChangedFilesError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        result = LintEngine(registry).run(
-            args.paths, rule_ids, report_only=report_only
-        )
+        result = LintEngine(registry).run(args.paths, rule_ids)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as f:
-            f.write(render_baseline(result) + "\n")
-        print(
-            f"wrote {len(result.violations)} violation(s) to {args.write_baseline}"
-        )
-        return 0
-    if args.baseline:
-        try:
-            result = apply_baseline(result, load_baseline(args.baseline))
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result, registry))
     else:
         print(render_human(result, verbose=args.verbose))
     return result.exit_code
@@ -631,9 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="report format: clickable text, the repro.lint/v1 document, "
-             "or SARIF 2.1.0 for code scanning",
+        "--format", choices=("human", "json"), default="human",
+        help="report format: clickable text or the repro.lint/v1 document",
     )
     lint.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
@@ -646,25 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--verbose", action="store_true",
         help="also report pragmas that suppressed nothing",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="report only violations in git-changed files (the whole tree "
-             "is still parsed and indexed for the whole-program rules)",
-    )
-    lint.add_argument(
-        "--base", default=None, metavar="REF",
-        help="with --changed: diff against REF (e.g. origin/main) instead "
-             "of the working tree",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress violations recorded in this repro.lint-baseline/v1 "
-             "file (matching ignores line numbers)",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write the run's violations to FILE as a baseline and exit 0",
     )
     lint.set_defaults(fn=_cmd_lint)
 

@@ -27,14 +27,12 @@ class TestRegistry:
         assert default_registry().ids() == [
             "counters.doc-coverage",
             "counters.int-drift",
-            "determinism.rng-flow",
             "determinism.set-iteration",
             "determinism.unseeded-random",
             "determinism.wallclock",
             "errors.typed-discipline",
             "guards.optional-hook",
             "hygiene.unused-import",
-            "sharding.partition-closure",
         ]
 
     def test_duplicate_rule_id_rejected(self):

@@ -6,27 +6,32 @@ change introduces a violation, this fails locally before CI does.
 
 from pathlib import Path
 
-from repro.analysis import lint_paths, parse_pragmas
+import pytest
+
+from repro.analysis import LintResult, lint_paths, parse_pragmas
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+@pytest.fixture(scope="module")
+def result() -> LintResult:
+    """One lint of the shipped tree, shared by the assertions below."""
+    return lint_paths([SRC])
+
+
 class TestSelfCheck:
-    def test_src_repro_lints_clean(self):
-        result = lint_paths([SRC])
+    def test_src_repro_lints_clean(self, result):
         assert result.parse_errors == []
         assert result.violations == [], "\n" + "\n".join(
             v.format() for v in result.violations
         )
         assert result.exit_code == 0
 
-    def test_src_covers_the_whole_package(self):
-        result = lint_paths([SRC])
+    def test_src_covers_the_whole_package(self, result):
         assert result.files_checked == len(list(SRC.rglob("*.py")))
         assert result.files_checked > 70  # the package, not a subset
 
-    def test_no_unused_pragmas_in_src(self):
-        result = lint_paths([SRC])
+    def test_no_unused_pragmas_in_src(self, result):
         assert result.unused_pragmas == [], (
             "stale pragmas (delete them): "
             + ", ".join(f"{p}:{pr.line}" for p, pr in result.unused_pragmas)

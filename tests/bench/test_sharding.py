@@ -18,7 +18,7 @@ from repro.bench import (
     SyntheticConfig,
     merge_metrics_docs,
     run_cells,
-    run_hotcold_shards,
+    run_hotcold_supervised,
 )
 from repro.obs.export import metrics_doc, validate_metrics_doc
 
@@ -136,7 +136,7 @@ class TestMergeMetricsDocs:
 
 
 def _hotcold_doc(config) -> dict:
-    mixed, separated = run_hotcold_shards(config)
+    (mixed, separated), _report = run_hotcold_supervised(config)
     return merge_metrics_docs([
         metrics_doc("hotcold", {result.name: result.metrics()})
         for result in (mixed, separated)

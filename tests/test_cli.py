@@ -181,52 +181,10 @@ class TestMetricsOutAndReport:
 
 class TestLintCommand:
     GOOD = "tests/analysis/fixtures/repro/flash/typed_raise_good.py"
-    BAD = "tests/analysis/fixtures/repro/flash/typed_raise_bad.py"
 
     def test_lint_clean_file_exits_zero(self, capsys):
         assert main(["lint", self.GOOD]) == 0
         assert "OK" in capsys.readouterr().out
-
-    def test_lint_sarif_output_is_valid_json(self, capsys):
-        assert main(["lint", self.GOOD, "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
-
-    def test_lint_bad_file_exits_one_with_sarif_results(self, capsys):
-        assert main([
-            "lint", self.BAD, "--rules", "errors.typed-discipline",
-            "--format", "sarif",
-        ]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["runs"][0]["results"]) >= 3
-
-    def test_write_then_apply_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", self.BAD, "--rules", "errors.typed-discipline",
-            "--write-baseline", str(baseline),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "lint", self.BAD, "--rules", "errors.typed-discipline",
-            "--baseline", str(baseline),
-        ]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "broken.json"
-        baseline.write_text("{")
-        assert main(["lint", self.GOOD, "--baseline", str(baseline)]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_changed_outside_git_exits_two(self, tmp_path, capsys, monkeypatch):
-        fixture = (tmp_path / "mod.py")
-        fixture.write_text("x = 1\n")
-        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(fixture), "--changed"]) == 2
-        assert "error" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, capsys):
         assert main(["lint", self.GOOD, "--rules", "nope.rule"]) == 2
