@@ -265,6 +265,12 @@ def derive_method_placement(
     from repro.core.advisor import ObjectStats, allocate_dies_for_groups
     from repro.core.placement import FIGURE2_GROUPS, traditional_placement
 
+    if profile_transactions < 1:
+        raise BenchConfigError(
+            "profile_transactions must be >= 1: growth is projected per profiled transaction"
+        )
+    if budget_transactions < 0:
+        raise BenchConfigError("budget_transactions must be >= 0")
     profile_config = replace(
         config,
         name="profile",

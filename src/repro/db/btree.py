@@ -6,7 +6,11 @@ do.  Design points:
 
 * composite keys — tuples of INT/CHAR/VARCHAR column values, compared
   lexicographically; a :class:`KeyCodec` serialises them;
-* values are heap :class:`~repro.db.heap.RID`\\ s;
+* values are heap :class:`~repro.db.heap.RID`\\ s; inside a leaf they are
+  whatever ``(page_no, slot)`` tuple arrived — an ``RID`` from
+  :meth:`BTree.insert`, the plain pair a page image unpacks to — and only
+  what :meth:`BTree.search` / :meth:`BTree.range_scan` hand out is made an
+  ``RID``, so decoding a leaf builds no object per entry it will not return;
 * duplicates allowed unless ``unique=True`` (non-unique lookups return
   every match);
 * deletes are *lazy* (no merge/rebalance on underflow) — the strategy of
@@ -89,7 +93,7 @@ class _Node:
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.keys: list[Key] = []
-        self.values: list[RID] = []  # leaves only
+        self.values: list[tuple[int, ...]] = []  # leaves only: (page_no, slot)
         self.children: list[int] = []  # inner only: len(keys) + 1 page_nos
         self.next_leaf: int = -1  # leaves only
 
@@ -151,11 +155,9 @@ class BTree:
     # Node I/O
     # ------------------------------------------------------------------
     def _encode_node(self, node: _Node) -> bytes:
-        tails: list[tuple[int, ...]]
         if node.is_leaf:
             header = _LEAF_HEADER.pack(_LEAF_TYPE, len(node.keys), node.next_leaf)
-            tails = [(rid.page_no, rid.slot) for rid in node.values]
-            entries = self._pack_entries(node.keys, tails, self._leaf_entry, _RID_STRUCT)
+            entries = self._pack_entries(node.keys, node.values, self._leaf_entry, _RID_STRUCT)
         else:
             header = _INNER_HEADER.pack(_INNER_TYPE, len(node.keys))
             header += _CHILD_STRUCT.pack(node.children[0])
@@ -192,9 +194,11 @@ class BTree:
     ) -> tuple[list[Key], list[tuple[int, ...]]]:
         """Inverse of :meth:`_pack_entries` for ``count`` entries at ``offset``."""
         if entry is not None:
-            rows = list(entry.iter_unpack(data[offset : offset + count * entry.size]))
+            # transpose to columns and back: both halves of every entry are
+            # cut off in C, not by one slice per entry
+            columns = list(zip(*entry.iter_unpack(data[offset : offset + count * entry.size])))
             arity = len(self.codec.schema)
-            return [row[:arity] for row in rows], [row[arity:] for row in rows]
+            return list(zip(*columns[:arity])), list(zip(*columns[arity:]))
         keys: list[Key] = []
         tails: list[tuple[int, ...]] = []
         decode = self.codec.decode
@@ -211,10 +215,9 @@ class BTree:
             __, count, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
             node = _Node(is_leaf=True)
             node.next_leaf = next_leaf
-            node.keys, tails = self._unpack_entries(
+            node.keys, node.values = self._unpack_entries(
                 data, _LEAF_HEADER.size, count, self._leaf_entry, _RID_STRUCT
             )
-            node.values = [RID(page_no, slot) for page_no, slot in tails]
             return node
         if node_type == _INNER_TYPE:
             __, count = _INNER_HEADER.unpack_from(data, 0)
@@ -291,7 +294,7 @@ class BTree:
                 index = bisect.bisect_left(leaf.keys, key)
                 if index < len(leaf.keys):
                     if leaf.keys[index] == key:
-                        return leaf.values[index], at
+                        return RID(*leaf.values[index]), at
                     return None, at
                 if leaf.next_leaf < 0:
                     return None, at
@@ -326,7 +329,7 @@ class BTree:
                     key = leaf.keys[index]
                     if hi is not None and key > hi:
                         return results, at
-                    results.append((key, leaf.values[index]))
+                    results.append((key, RID(*leaf.values[index])))
                     if limit is not None and len(results) >= limit:
                         return results, at
                     index += 1

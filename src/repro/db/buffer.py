@@ -4,6 +4,15 @@ The buffer pool caches *decoded page objects* (slotted pages, B+-tree
 nodes) keyed by ``(space_id, page_no)``.  Serialisation happens only at
 real I/O boundaries — a miss decodes the flash image, an eviction or flush
 encodes it back — so buffer hits are as cheap as they are on a real engine.
+Whatever a page object carries beyond its image (a slotted page keeps the
+rows decoded from it) lives and dies with its frame, so the pool's
+capacity bounds that too.
+
+Replacement is CLOCK over a ring of keys in installation order.  The
+sweep hands :meth:`BufferPool._make_room` the ring position of its victim
+and the entry is deleted there; the hand, already one past it, is not
+moved back when the ring closes up, so the next sweep starts one frame
+further on.  Every simulated result depends on that eviction order.
 
 Flushers (Figure 1 shows them as a first-class component) are modelled as
 a budgeted background write-back: every ``flusher_interval`` page
@@ -220,7 +229,7 @@ class BufferPool:
     def _make_room(self, at: float) -> float:
         if len(self._frames) < self.capacity:
             return at
-        victim = self._pick_victim()
+        index, victim = self._pick_victim()
         if victim.dirty:
             at = self.backend.write_page(
                 victim.key[0], victim.key[1], victim.encoder(victim.page), at
@@ -228,26 +237,31 @@ class BufferPool:
             self.stats.dirty_evictions += 1
         self.stats.evictions += 1
         del self._frames[victim.key]
-        self._clock_keys.remove(victim.key)
+        # the hand, one past ``index``, is NOT moved back: the eviction order
+        # every simulated counter depends on (see the module docstring)
+        del self._clock_keys[index]
         if self._clock_hand >= len(self._clock_keys):
             self._clock_hand = 0
         return at
 
-    def _pick_victim(self) -> _Frame:
-        """CLOCK sweep: skip pinned frames, clear reference bits."""
+    def _pick_victim(self) -> tuple[int, _Frame]:
+        """CLOCK sweep: skip pinned frames, clear reference bits.
+
+        Returns the victim's position in the ring and its frame.
+        """
         sweeps = 0
         limit = 2 * len(self._clock_keys) + 1
         while sweeps < limit:
-            key = self._clock_keys[self._clock_hand]
-            self._clock_hand = (self._clock_hand + 1) % len(self._clock_keys)
-            frame = self._frames[key]
+            index = self._clock_hand
+            self._clock_hand = (index + 1) % len(self._clock_keys)
+            frame = self._frames[self._clock_keys[index]]
             sweeps += 1
             if frame.pin_count > 0:
                 continue
             if frame.referenced:
                 frame.referenced = False
                 continue
-            return frame
+            return index, frame
         raise BufferError("every buffer frame is pinned; cannot evict")
 
     def _flush_round(self, at: float) -> None:

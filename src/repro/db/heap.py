@@ -9,8 +9,8 @@ indexes must then be fixed by the table layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro.db.buffer import BufferPool
 from repro.db.records import Row, RowCodec, Schema
@@ -21,9 +21,13 @@ class HeapError(Exception):
     """Invalid heap operation (bad RID, oversized record, ...)."""
 
 
-@dataclass(frozen=True, order=True)
-class RID:
-    """Record identifier: page number within the heap + slot on the page."""
+class RID(NamedTuple):
+    """Record identifier: page number within the heap + slot on the page.
+
+    A tuple, so that a B+-tree leaf can keep its entries as the plain
+    ``(page_no, slot)`` pairs its page image unpacks to; an ``RID`` equals,
+    hashes and orders like that pair.
+    """
 
     page_no: int
     slot: int
@@ -140,10 +144,14 @@ class HeapFile:
         return RID(page_no, slot), at
 
     def read(self, rid: RID, at: float) -> tuple[Row, float]:
-        """Read the row at ``rid``; returns ``(row, completion_us)``."""
+        """Read the row at ``rid``; returns ``(row, completion_us)``.
+
+        The page keeps the decoded row while it stays buffered and the
+        record is not rewritten, so repeated reads decode once.
+        """
         self._check_rid(rid)
         page, at = self._fetch(rid.page_no, at)
-        return self.codec.decode(page.read(rid.slot)), at
+        return page.read_row(rid.slot, self.codec.decode), at
 
     def update(self, rid: RID, row: Row, at: float) -> tuple[RID, float]:
         """Update the row at ``rid``.

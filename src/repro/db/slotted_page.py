@@ -7,6 +7,20 @@ object (records as byte strings per slot); :meth:`SlottedPage.to_bytes` and
 buffer manager caches the object form, so (de)serialisation cost is paid
 only at real I/O boundaries — exactly when a real engine pays it.
 
+The same holds one level down.  :meth:`SlottedPage.read_row` keeps the
+row it decoded from a slot's record beside that record, so a record is
+decoded once per buffer residency and record version, not once per read:
+
+* retained is only what the decoder returned for the bytes now in the
+  slot — never a row a caller wrote, which need not read back equal (a
+  CHAR value loses trailing spaces, an int in a FLOAT column returns as
+  a float);
+* every write to a slot (``insert`` into a reused slot, ``update``,
+  ``delete``) drops that slot's row;
+* the rows live on the page object, not in the heap file: they are
+  released with the buffer frame, so the buffer pool's capacity bounds
+  them, and a page decoded again after an eviction starts with none.
+
 On-flash layout::
 
     +--------+-----------------+----------------+-------------+
@@ -20,6 +34,9 @@ On-flash layout::
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
+
+from repro.db.records import Row
 
 _HEADER = struct.Struct("<HHH")
 _SLOT = struct.Struct("<HH")
@@ -48,6 +65,8 @@ class SlottedPage:
             raise ValueError(f"page_size {page_size} too small (min {min_size + 1})")
         self.page_size = page_size
         self._records: list[bytes | None] = []
+        # slot -> row decoded from the record now in the slot (see read_row)
+        self._rows: dict[int, Row] = {}
         # maintained by every mutation, so space checks never rescan the page
         self._payload = 0  # bytes of all live records
         self._empty = 0  # emptied slots still in the directory
@@ -99,6 +118,7 @@ class SlottedPage:
         if self._empty:
             slot = self._records.index(None)
             self._records[slot] = record
+            self._rows.pop(slot, None)
             self._empty -= 1
             return slot
         self._records.append(record)
@@ -111,6 +131,18 @@ class SlottedPage:
             raise SlotError(f"slot {slot} is empty")
         return record
 
+    def read_row(self, slot: int, decode: Callable[[bytes], Row]) -> Row:
+        """The record in ``slot`` as a row: :meth:`read`, then ``decode``.
+
+        The decoded row is kept until the slot is written again, so later
+        reads return it without decoding.  A page's callers must always
+        pass the same ``decode`` (a heap page has one schema).
+        """
+        row = self._rows.get(slot)
+        if row is None:  # a kept row implies a live slot: read() checks the rest
+            row = self._rows[slot] = decode(self.read(slot))
+        return row
+
     def update(self, slot: int, record: bytes) -> None:
         """Replace the record in ``slot`` (must fit the page)."""
         old = self._slot(slot)
@@ -122,6 +154,7 @@ class SlottedPage:
                 f"update grows record by {growth} bytes, only {self.free_space()} free"
             )
         self._records[slot] = bytes(record)
+        self._rows.pop(slot, None)
         self._payload += growth
 
     def delete(self, slot: int) -> None:
@@ -130,6 +163,7 @@ class SlottedPage:
         if record is None:
             raise SlotError(f"slot {slot} already empty")
         self._records[slot] = None
+        self._rows.pop(slot, None)
         self._payload -= len(record)
         self._empty += 1
         # shrink the directory if a tail of slots is empty

@@ -7,6 +7,7 @@ of :class:`~repro.tpcc.schema.ScaleConfig`.
 
 from __future__ import annotations
 
+import functools
 import random
 
 #: Spec clause 4.3.2.3: the syllables composing C_LAST.
@@ -28,24 +29,50 @@ ALPHANUMERIC = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 DIGITS = "0123456789"
 
 
+@functools.lru_cache(maxsize=16)
+def _byte_plan(alphabet: str) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments that turn the top byte of each
+    generator word into what ``rng.choice(alphabet)`` makes of that word.
+
+    ``choice`` indexes with ``getrandbits(len(alphabet).bit_length())``,
+    which is the word's top ``bit_length`` bits, and draws again while
+    that is not below ``len(alphabet)``.  With at most 8 such bits they
+    are the top bits of the top byte: the first value maps every byte to
+    its character, the second lists the bytes ``choice`` would reject.
+    """
+    size = len(alphabet)
+    if not 0 < size < 256 or not alphabet.isascii():
+        kind = "" if alphabet.isascii() else " non-ASCII"
+        raise ValueError(f"alphabet must be 1..255 ASCII characters, got {size}{kind}")
+    shift = 8 - size.bit_length()
+    letters = alphabet.encode("ascii")
+    indexes = [byte >> shift for byte in range(256)]
+    table = bytes(letters[index] if index < size else 0 for index in indexes)
+    rejects = bytes(byte for byte, index in enumerate(indexes) if index >= size)
+    return table, rejects
+
+
 def random_text(rng: random.Random, alphabet: str, length: int) -> str:
     """``length`` characters drawn like ``rng.choice(alphabet)``, same stream.
 
-    ``Random.choice`` picks ``seq[_randbelow(len(seq))]``, and ``_randbelow``
-    draws ``getrandbits(len(seq).bit_length())`` until the value is below
-    ``len(seq)``.  Doing that draw-and-reject here costs one C call per
-    character instead of three Python frames, and consumes the generator
-    exactly as ``choice`` does (pinned by ``tests/tpcc/test_random_gen.py``).
+    One ``getrandbits`` call draws a generator word for every character
+    still missing and :func:`_byte_plan` maps the words to characters in
+    C, dropping the ones ``choice`` would have rejected; the loop runs
+    again for exactly that many.  A batch never holds more words than
+    characters are missing, so the generator is consumed word for word as
+    ``choice`` consumes it and ends in the same state (pinned, state
+    included, by ``tests/tpcc/test_random_gen.py``).  Raises
+    ``ValueError``, before drawing anything, for an alphabet the byte
+    table cannot serve: empty, non-ASCII, or longer than 255 characters.
     """
-    size = len(alphabet)
-    bits = size.bit_length()
-    getrandbits = rng.getrandbits
-    chars: list[str] = []
-    while len(chars) < length:
-        index = getrandbits(bits)
-        if index < size:
-            chars.append(alphabet[index])
-    return "".join(chars)
+    table, rejects = _byte_plan(alphabet)
+    text = b""
+    need = length
+    while need > 0:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        text += words[3::4].translate(table, rejects)
+        need = length - len(text)
+    return text.decode("ascii")
 
 
 class TPCCRandom:

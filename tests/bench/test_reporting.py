@@ -4,11 +4,14 @@ import os
 
 import pytest
 
+from repro.bench import experiment
+from repro.bench.errors import BenchConfigError
 from repro.bench.experiment import (
     TPCCExperimentConfig,
     TPCCExperimentResult,
     _delta,
     _derive_latencies,
+    derive_method_placement,
 )
 from repro.bench.reporting import (
     FIGURE3_ROWS,
@@ -95,6 +98,21 @@ class TestExperimentHelpers:
         assert copy.num_transactions is None
         assert copy.duration_us == 5.0
         assert config.num_transactions == 10  # original untouched
+
+    @pytest.mark.parametrize(
+        "budget, profile", [(100, 0), (100, -5), (-1, 10)], ids=["zero", "negative", "budget"]
+    )
+    def test_placement_derivation_rejects_bad_budgets_before_building(
+        self, monkeypatch, budget, profile
+    ):
+        def no_build(config):
+            raise AssertionError("built a database for a budget that cannot be projected")
+
+        monkeypatch.setattr(experiment, "build_database", no_build)
+        with pytest.raises(BenchConfigError):
+            derive_method_placement(
+                TPCCExperimentConfig(name="x"), budget, profile_transactions=profile
+            )
 
     def test_result_row_lookup(self):
         result = TPCCExperimentResult(

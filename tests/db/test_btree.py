@@ -238,3 +238,61 @@ class TestPersistence:
             rid, __ = tree.search((k,), 0.0)
             assert rid == RID(k % 997, k % 13)
         tree.check_invariants()
+
+
+class TestRidRepresentation:
+    """Leaves keep the ``(page_no, slot)`` pairs their page image unpacks
+    to; whatever leaves the tree is an :class:`RID` again."""
+
+    #: an all-INT key (one struct per entry) and ``C_NAME_IDX``'s text key
+    KEYS = {
+        "int": ([int_col("w"), int_col("d"), int_col("o")], lambda i: (1, i % 7, i)),
+        "name": (
+            [int_col("w"), int_col("d"), char_col("last", 16), char_col("first", 16)],
+            lambda i: (1, i % 7, f"BAROUGHT{i % 31:02d}", f"first{i:04d}"),
+        ),
+    }
+
+    def decoded_again(self, backend, kind, entries=300):
+        """A tree whose every node has been written out and read back."""
+        columns, key_of = self.KEYS[kind]
+        tree = make_tree(backend, columns=columns, buffer_pages=8)
+        keys = [key_of(i) for i in range(entries)]
+        for i, key in enumerate(keys):
+            tree.insert(key, RID(i, i % 5), 0.0)
+        pool = tree.buffer_pool
+        pool.flush_all(0.0)
+        for key in list(pool._frames):
+            pool.drop(*key)
+        return tree, keys
+
+    @pytest.mark.parametrize("kind", ["int", "name"])
+    def test_lookups_return_rids(self, memory_backend, kind):
+        tree, keys = self.decoded_again(memory_backend, kind)
+        rid, __ = tree.search(keys[17], 0.0)
+        assert type(rid) is RID and rid == RID(17, 2)
+        found, __ = tree.search_all(keys[40], 0.0)
+        assert found == [RID(40, 0)] and type(found[0]) is RID
+        entries, __ = tree.range_scan(min(keys), max(keys), 0.0)
+        assert len(entries) == len(keys)
+        assert all(type(rid) is RID for __, rid in entries)
+        assert sorted(rid for __, rid in entries) == [RID(i, i % 5) for i in range(len(keys))]
+
+    @pytest.mark.parametrize("kind", ["int", "name"])
+    def test_delete_by_rid_matches_a_decoded_entry(self, memory_backend, kind):
+        tree, keys = self.decoded_again(memory_backend, kind)
+        tree.insert(keys[9], RID(9000, 1), 0.0)  # a duplicate: the rid picks the entry
+        assert tree.delete(keys[9], RID(9, 3), 0.0)[0] is False  # no such pair
+        assert tree.delete(keys[9], RID(9, 4), 0.0)[0] is True  # the entry read from flash
+        assert tree.search_all(keys[9], 0.0)[0] == [RID(9000, 1)]
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("kind", ["int", "name"])
+    def test_reencoding_a_decoded_leaf_is_byte_identical(self, memory_backend, kind):
+        tree, __ = self.decoded_again(memory_backend, kind)
+        images = [
+            image for (sid, __), image in memory_backend.pages.items() if sid == tree.space_id
+        ]
+        assert len(images) > 3
+        for image in images:
+            assert tree._encode_node(tree._decode_node(image)) == image

@@ -1,8 +1,12 @@
 """Unit tests for the buffer pool."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.db import BufferError, BufferPool
+
+from tests.db.conftest import MemoryBackend
 
 
 def identity_codec():
@@ -187,3 +191,107 @@ class TestFlush:
         pool.mark_dirty(sid, 0)
         pool.drop(sid, 0)
         assert memory_backend.pages[(sid, 0)][0] != 0xEE
+
+
+class RemoveBasedPool(BufferPool):
+    """Reference: eviction as it was before the victim was deleted by ring
+    position — ``_pick_victim`` hands back the frame and ``_make_room``
+    finds it again by value.  The hand is left where the sweep stopped."""
+
+    def _make_room(self, at):
+        if len(self._frames) < self.capacity:
+            return at
+        victim = self._pick_victim()
+        if victim.dirty:
+            at = self.backend.write_page(
+                victim.key[0], victim.key[1], victim.encoder(victim.page), at
+            )
+            self.stats.dirty_evictions += 1
+        self.stats.evictions += 1
+        del self._frames[victim.key]
+        self._clock_keys.remove(victim.key)
+        if self._clock_hand >= len(self._clock_keys):
+            self._clock_hand = 0
+        return at
+
+    def _pick_victim(self):
+        sweeps = 0
+        limit = 2 * len(self._clock_keys) + 1
+        while sweeps < limit:
+            key = self._clock_keys[self._clock_hand]
+            self._clock_hand = (self._clock_hand + 1) % len(self._clock_keys)
+            frame = self._frames[key]
+            sweeps += 1
+            if frame.pin_count > 0:
+                continue
+            if frame.referenced:
+                frame.referenced = False
+                continue
+            return frame
+        raise BufferError("every buffer frame is pinned; cannot evict")
+
+
+class WriteLogBackend(MemoryBackend):
+    def __init__(self):
+        super().__init__()
+        self.write_log = []
+
+    def _write(self, space, page_no, data, at):
+        self.write_log.append((space.space_id, page_no, bytes(data)))
+        return super()._write(space, page_no, data, at)
+
+
+PAGES = 10
+page_nos = st.integers(0, PAGES - 1)
+pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), page_nos, st.booleans()),
+        st.tuples(st.just("put_new"), page_nos, st.booleans()),
+        st.tuples(st.just("unpin"), page_nos, st.none()),
+        st.tuples(st.just("mark_dirty"), page_nos, st.none()),
+        st.tuples(st.just("drop"), page_nos, st.none()),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_ops, st.sampled_from([0, 3]))
+def test_evict_by_ring_position_equals_evict_by_value(operations, flusher_interval):
+    def build(cls):
+        backend = WriteLogBackend()
+        sid = backend.create_space("t")
+        seed_pages(backend, sid, PAGES)
+        backend.write_log.clear()
+        pool = cls(backend, capacity=4, flusher_interval=flusher_interval, flusher_batch=2)
+        return pool, backend, sid
+
+    def apply(pool, sid, kind, page_no, flag, at):
+        """``(outcome, completion time)``; a refused operation is an outcome too."""
+        try:
+            if kind == "get":
+                page, at = pool.get(sid, page_no, at, **identity_codec(), pin=flag)
+                if flag:
+                    page[0] ^= 0xFF  # the pinned page is edited: write-backs carry it
+                return bytes(page), at
+            if kind == "put_new":
+                return None, pool.put_new(
+                    sid, page_no, bytearray([page_no, 0xAA]), bytes, at, pin=flag
+                )
+            getattr(pool, kind)(sid, page_no)
+            return None, at
+        except BufferError as error:
+            return str(error), at
+
+    (new, new_backend, sid), (old, old_backend, __) = build(BufferPool), build(RemoveBasedPool)
+    new_at = old_at = 0.0
+    for kind, page_no, flag in operations:
+        new_out, new_at = apply(new, sid, kind, page_no, flag, new_at)
+        old_out, old_at = apply(old, sid, kind, page_no, flag, old_at)
+        assert (new_out, new_at) == (old_out, old_at)
+        assert new._clock_keys == old._clock_keys  # same victims, same ring order
+        assert new._clock_hand == old._clock_hand
+        assert new.stats == old.stats
+        assert new_backend.write_log == old_backend.write_log  # write-back order and images
+    assert new.flush_all(new_at) == old.flush_all(old_at)
+    assert new_backend.pages == old_backend.pages

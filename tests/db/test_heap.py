@@ -126,3 +126,29 @@ class TestPersistence:
         for i in range(100):
             __, t = heap.insert((i, "x"), t)
         assert t > 0.0
+
+
+class TestRid:
+    """``RID`` is a named tuple: what it promised as a frozen dataclass."""
+
+    def test_orders_by_page_then_slot(self):
+        rids = [RID(2, 0), RID(1, 9), RID(1, 2), RID(-1, 5)]
+        assert sorted(rids) == [RID(-1, 5), RID(1, 2), RID(1, 9), RID(2, 0)]
+        assert RID(1, 2) < RID(1, 3) <= RID(1, 3) < RID(2, 0)
+
+    def test_hashes_and_equals_like_its_pair(self):
+        assert hash(RID(7, 3)) == hash((7, 3))
+        assert RID(7, 3) == RID(7, 3) == (7, 3) and RID(7, 3) != RID(3, 7)
+        assert {RID(7, 3): "row"}[(7, 3)] == "row"
+
+    def test_str_and_fields(self):
+        rid = RID(page_no=12, slot=4)
+        assert str(rid) == "rid(12:4)"
+        assert (rid.page_no, rid.slot) == (12, 4) == tuple(rid)
+
+    def test_immutable(self):
+        rid = RID(1, 2)
+        with pytest.raises(AttributeError):
+            rid.slot = 3
+        with pytest.raises(AttributeError):
+            rid.other = 3

@@ -1,9 +1,19 @@
 """Property-based tests: heap files behave like a dict of rows."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.db import BufferPool, HeapFile, Schema, int_col, varchar_col
+from repro.db import (
+    BufferPool,
+    HeapFile,
+    Schema,
+    SlotError,
+    char_col,
+    float_col,
+    int_col,
+    varchar_col,
+)
 
 from tests.db.conftest import MemoryBackend
 
@@ -60,3 +70,83 @@ def test_heap_matches_dict(operations):
         assert heap.read(rid, at)[0] == row
     scanned = {rid: row for rid, row, __ in heap.scan(at)}
     assert scanned == live
+
+
+# ----------------------------------------------------------------------
+# Row residency: a buffered page keeps the rows decoded from it
+# ----------------------------------------------------------------------
+residency_schema = Schema(
+    [int_col("k"), char_col("c", 6), float_col("f"), varchar_col("v", 60)]
+)
+
+# values whose written form is not what reads back: CHAR drops trailing
+# spaces, an int in a FLOAT column returns as a float
+padded = st.sampled_from(["", "ab", "ab  ", "abcdef", " x "])
+number = st.one_of(st.integers(-5, 5), st.floats(-5, 5, allow_nan=False, width=32))
+short, long_ = text.filter(lambda s: len(s) <= 8), st.text(alphabet="xyz", min_size=45, max_size=60)
+
+residency_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), padded, number, st.one_of(short, long_)),
+        st.tuples(st.just("update"), st.integers(0, 30), number, short),  # fits: in place
+        st.tuples(st.just("update"), st.integers(0, 30), number, long_),  # grows: may move
+        st.tuples(st.just("delete"), st.integers(0, 30), st.none(), st.none()),
+        st.tuples(st.just("reload"), st.none(), st.none(), st.none()),
+    ),
+    max_size=60,
+)
+
+
+def typed(row):
+    """``3 == 3.0``: compare the types too."""
+    return [(type(value), value) for value in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(residency_ops)
+def test_read_always_equals_a_fresh_decode_of_the_record(operations):
+    backend = MemoryBackend(page_size=256, io_cost=0.0)
+    sid = backend.create_space("h")
+    pool = BufferPool(backend, capacity=4, flusher_interval=0)  # evicts all the time
+    heap = HeapFile(pool, sid, residency_schema)
+    live: list = []  # rids, insertion order
+    dead: set = set()  # deleted and not handed out again
+    at = 0.0
+
+    def check(at):
+        for rid in live:
+            row, at = heap.read(rid, at)
+            again, at = heap.read(rid, at)
+            assert again is row  # the page stayed buffered: decoded once
+            page, at = heap._fetch(rid.page_no, at)
+            assert typed(row) == typed(heap.codec.decode(page.read(rid.slot)))
+        for rid in dead:
+            with pytest.raises(SlotError):
+                heap.read(rid, at)
+        return at
+
+    for kind, a, b, c in operations:
+        if kind == "insert":
+            rid, at = heap.insert((len(live), a, b, c), at)
+            dead.discard(rid)  # a deleted slot handed out again
+            live.append(rid)
+        elif kind == "update" and live:
+            rid = live[a % len(live)]
+            old, at = heap.read(rid, at)
+            new_rid, at = heap.update(rid, (old[0], old[1][:5] + " ", b, c), at)
+            if new_rid != rid:  # outgrew its page: the old slot is empty now
+                dead.add(rid)
+                dead.discard(new_rid)
+                live[live.index(rid)] = new_rid
+        elif kind == "delete" and live:
+            rid = live.pop(a % len(live))
+            at = heap.delete(rid, at)
+            dead.add(rid)
+        elif kind == "reload":
+            at = pool.flush_all(at)
+            for page_no in range(heap.page_count):
+                pool.drop(sid, page_no)
+        at = check(at)
+    assert {rid: typed(row) for rid, row, __ in heap.scan(at)} == {
+        rid: typed(heap.read(rid, at)[0]) for rid in live
+    }

@@ -1,6 +1,14 @@
 """Tests for schema creation and the initial population."""
 
-from repro.tpcc import INDEX_DEFS, TABLE_SCHEMAS, ScaleConfig, tiny_scale
+import hashlib
+
+from repro.tpcc import INDEX_DEFS, TABLE_SCHEMAS, ScaleConfig, load_database, tiny_scale
+from repro.tpcc.loader import initial_population
+
+from repro.core import traditional_placement
+from repro.db import Database
+
+from tests.tpcc.conftest import tpcc_geometry
 
 
 class TestSchemaCreation:
@@ -96,3 +104,79 @@ class TestPopulation:
         scale = tiny_scale()
         assert scale.customers == 1 * 2 * 8
         assert scale.stock_rows == 40
+
+
+class _RecordingDb:
+    """Stands in for a ``Database``: keeps the ``(table, row)`` stream."""
+
+    def __init__(self):
+        self.stream = []
+
+    def table(self, name):
+        return _RecordingTable(name, self.stream)
+
+    def checkpoint(self, at):
+        return at
+
+
+class _RecordingTable:
+    def __init__(self, name, stream):
+        self.name, self.stream = name, stream
+
+    def insert(self, row, at):
+        self.stream.append((self.name, row))
+        return None, at + 1.0
+
+
+def _digest(stream):
+    sha = hashlib.sha256()
+    for entry in stream:
+        sha.update(repr(entry).encode())
+    return sha.hexdigest()
+
+
+class TestInitialPopulation:
+    #: sha256 over ``repr`` of every ``(table, row)`` the loader handed a
+    #: ``_RecordingDb`` for ``(tiny_scale(), seed 0)`` *before* the
+    #: population became a memoised stream (commit 9d5771a): 286 rows
+    STREAM_SHA256 = "1e074a52adceeb92e6be4f30ab9cf7ffdd7721cfe928243eda4687b40bc98610"
+
+    def test_stream_fed_to_the_database_is_pinned(self):
+        db = _RecordingDb()
+        end = load_database(db, tiny_scale(), seed=0, at=10.0, create=False)
+        assert len(db.stream) == 286 and end == 296.0  # time threaded through every insert
+        assert _digest(db.stream) == self.STREAM_SHA256
+        assert tuple(db.stream) == initial_population(tiny_scale(), 0)
+
+    def test_generated_once_per_scale_and_seed(self):
+        first = initial_population(tiny_scale(), 0)
+        assert initial_population(tiny_scale(), 0) is first
+        other = initial_population(tiny_scale(), 1)
+        assert _digest(other) != self.STREAM_SHA256
+        # one entry: the other seed pushed the first population out
+        again = initial_population(tiny_scale(), 0)
+        assert again is not first and again == first
+
+    def test_shared_value_is_immutable(self):
+        population = initial_population(tiny_scale(), 0)
+        assert type(population) is tuple
+        for entry in population:
+            assert type(entry) is tuple
+            table, row = entry
+            assert table in TABLE_SCHEMAS and type(row) is tuple
+            assert all(type(value) in (int, float, str) for value in row)
+
+    def test_two_loads_of_one_population_are_identical(self):
+        def load():
+            geometry = tpcc_geometry()  # default flash timing: the end time is real
+            db = Database.on_native_flash(
+                geometry=geometry, placement=traditional_placement(geometry.dies), buffer_pages=64
+            )
+            return db, load_database(db, tiny_scale(), seed=0)
+
+        (first, first_end), (second, second_end) = load(), load()
+        assert first_end == second_end > 0.0
+        for name in TABLE_SCHEMAS:
+            rows = list(first.table(name).scan(first_end))
+            assert rows == list(second.table(name).scan(second_end))
+            assert len(rows) == first.table(name).row_count > 0

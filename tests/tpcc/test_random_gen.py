@@ -99,9 +99,11 @@ class TestStringsAndPermutations:
 
 
 class TestRandomTextStream:
-    """``random_text`` re-implements CPython's ``Random.choice`` draw (one
-    ``getrandbits`` per attempt, reject values >= len): the TPC-C
-    determinism snapshot depends on it consuming the generator identically."""
+    """``random_text`` draws whole strings in bulk yet must consume the
+    generator exactly as one ``Random.choice`` per character does (one
+    word per attempt, values >= len rejected): the TPC-C determinism
+    snapshot and every e2e fingerprint depend on it.  ``choice`` itself,
+    character by character, is the reference."""
 
     @pytest.mark.parametrize("alphabet", [ALPHANUMERIC, DIGITS])
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
@@ -111,6 +113,33 @@ class TestRandomTextStream:
             expected = "".join(reference.choice(alphabet) for __ in range(length))
             assert random_text(ours, alphabet, length) == expected
         assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [ALPHANUMERIC, DIGITS, "xyz", ALPHANUMERIC + "+/", (ALPHANUMERIC * 5)[:255]],
+        ids=["alphanumeric", "digits", "3-of-4-accepted", "64-no-rejects", "255-the-largest"],
+    )
+    def test_every_batch_shape_equals_choice(self, alphabet):
+        # a reject in the last batch, none at all, many batches, no batch
+        for seed in range(50):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for length in (0, 1, 2, 24, 250, 1000):
+                expected = "".join(reference.choice(alphabet) for __ in range(length))
+                assert random_text(ours, alphabet, length) == expected
+                assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        ["", "\u00e9t\u00e9", "a" * 256, ALPHANUMERIC * 5],
+        ids=["empty", "non-ascii", "256-needs-9-bits", "310"],
+    )
+    def test_rejects_alphabets_the_byte_table_cannot_serve(self, alphabet):
+        rng = random.Random(3)
+        before = rng.getstate()
+        for length in (0, 5):
+            with pytest.raises(ValueError, match="alphabet"):
+                random_text(rng, alphabet, length)
+        assert rng.getstate() == before  # refused before drawing anything
 
     def test_astring_and_nstring_draw_length_then_characters(self):
         ours, reference = TPCCRandom(seed=11), random.Random(11)
