@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import bisect
 import struct
+from itertools import starmap
+from operator import add
 
 from repro.db.buffer import BufferPool
 from repro.db.heap import RID
@@ -39,6 +41,9 @@ _LEAF_HEADER = struct.Struct("<BHi")  # type, count, next_leaf
 _INNER_HEADER = struct.Struct("<BH")  # type, count
 _LEAF_TYPE = 1
 _INNER_TYPE = 2
+
+#: structs of a fixed-width node entry (see :meth:`KeyCodec.entry_structs`)
+_EntryStructs = tuple[struct.Struct, struct.Struct, struct.Struct]
 
 
 class KeyCodec:
@@ -76,13 +81,25 @@ class KeyCodec:
         """Deserialise one key starting at ``offset``; returns (key, end)."""
         return self._stored.decode_from(data, offset)
 
-    def entry_struct(self, tail: struct.Struct) -> struct.Struct | None:
-        """One struct for a whole node entry — the key, then ``tail``'s
-        fields — when every key part is an INT; ``None`` for keys with a
-        text part, whose entries have no fixed width."""
+    def entry_structs(self, tail: struct.Struct) -> _EntryStructs | None:
+        """Structs for a node entry — the key, then ``tail``'s fields — when
+        every key part is an INT; ``None`` for keys with a text part, whose
+        entries have no fixed width.
+
+        All three span one whole entry, so each walks a node's entry area
+        in a single C pass: the first packs (or unpacks) every field, the
+        second skips the tail as pad bytes and yields the key tuples, the
+        third skips the key and yields the tail tuples.
+        """
         if any(column.type is not ColumnType.INT for column in self.schema):
             return None
-        return struct.Struct("<" + "q" * len(self.schema) + tail.format.lstrip("<"))
+        key = "q" * len(self.schema)
+        fields = tail.format.lstrip("<")
+        return (
+            struct.Struct(f"<{key}{fields}"),
+            struct.Struct(f"<{key}{tail.size}x"),
+            struct.Struct(f"<{8 * len(self.schema)}x{fields}"),
+        )
 
 
 class _Node:
@@ -120,8 +137,8 @@ class BTree:
         self.codec = KeyCodec(key_schema)
         self.unique = unique
         self.page_size = buffer_pool.backend.page_size
-        self._leaf_entry = self.codec.entry_struct(_RID_STRUCT)
-        self._inner_entry = self.codec.entry_struct(_CHILD_STRUCT)
+        self._leaf_entry = self.codec.entry_structs(_RID_STRUCT)
+        self._inner_entry = self.codec.entry_structs(_CHILD_STRUCT)
         leaf_entry = self.codec.max_size + _RID_STRUCT.size
         inner_entry = self.codec.max_size + _CHILD_STRUCT.size
         self.leaf_capacity = (self.page_size - _LEAF_HEADER.size) // leaf_entry
@@ -172,7 +189,7 @@ class BTree:
         self,
         keys: list[Key],
         tails: list[tuple[int, ...]],
-        entry: struct.Struct | None,
+        entry: _EntryStructs | None,
         tail: struct.Struct,
     ) -> list[bytes]:
         """Images of a node's entries: each key followed by its tail fields."""
@@ -180,7 +197,9 @@ class BTree:
             encode = self.codec.encode
             return [encode(key) + tail.pack(*fields) for key, fields in zip(keys, tails)]
         try:
-            return [entry.pack(*key, *fields) for key, fields in zip(keys, tails)]
+            # key + fields is one tuple concatenation per entry, in C, and
+            # so is the pack: no Python frame between the node and its image
+            return list(starmap(entry[0].pack, map(add, keys, tails)))
         except struct.error as error:
             raise SchemaError(f"key does not match the index's INT columns: {error}") from None
 
@@ -189,16 +208,16 @@ class BTree:
         data: bytes,
         offset: int,
         count: int,
-        entry: struct.Struct | None,
+        entry: _EntryStructs | None,
         tail: struct.Struct,
     ) -> tuple[list[Key], list[tuple[int, ...]]]:
         """Inverse of :meth:`_pack_entries` for ``count`` entries at ``offset``."""
         if entry is not None:
-            # transpose to columns and back: both halves of every entry are
-            # cut off in C, not by one slice per entry
-            columns = list(zip(*entry.iter_unpack(data[offset : offset + count * entry.size])))
-            arity = len(self.codec.schema)
-            return list(zip(*columns[:arity])), list(zip(*columns[arity:]))
+            # two passes over the entry area, each yielding finished tuples:
+            # one reads the keys and steps over the tails, one the reverse
+            whole, keys_only, tails_only = entry
+            area = data[offset : offset + count * whole.size]
+            return list(keys_only.iter_unpack(area)), list(tails_only.iter_unpack(area))
         keys: list[Key] = []
         tails: list[tuple[int, ...]] = []
         decode = self.codec.decode
@@ -213,6 +232,7 @@ class BTree:
         node_type = data[0]
         if node_type == _LEAF_TYPE:
             __, count, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
+            self._check_count(count, self.leaf_capacity)
             node = _Node(is_leaf=True)
             node.next_leaf = next_leaf
             node.keys, node.values = self._unpack_entries(
@@ -221,6 +241,7 @@ class BTree:
             return node
         if node_type == _INNER_TYPE:
             __, count = _INNER_HEADER.unpack_from(data, 0)
+            self._check_count(count, self.inner_capacity)
             node = _Node(is_leaf=False)
             offset = _INNER_HEADER.size
             node.children = list(_CHILD_STRUCT.unpack_from(data, offset))
@@ -230,6 +251,16 @@ class BTree:
             node.children += [child for (child,) in tails]
             return node
         raise IndexError_(f"corrupt index page (type byte {node_type})")
+
+    @staticmethod
+    def _check_count(count: int, capacity: int) -> None:
+        """Refuse a node header no encoder writes: a node splits before it
+        is written with more than ``capacity`` entries, so a larger count
+        would read phantom keys out of the padding or run off the page."""
+        if count > capacity:
+            raise IndexError_(
+                f"corrupt index page (entry count {count} exceeds capacity {capacity})"
+            )
 
     def _fetch(self, page_no: int, at: float, pin: bool = True) -> tuple[_Node, float]:
         node, at = self.buffer_pool.get(

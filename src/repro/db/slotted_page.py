@@ -201,21 +201,49 @@ class SlottedPage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":
-        """Reconstruct a page from its on-flash image."""
-        page = cls(len(data))
+        """Reconstruct a page from its on-flash image.
+
+        Raises ``ValueError`` for an image :meth:`to_bytes` cannot have
+        written: a directory that does not fit the page, a slot that points
+        into the header or the directory, a record that runs past the page
+        end.  The live-slot path pays no test for this beyond the one that
+        tells a record from an emptied slot; overruns show up once per
+        page, as a slice that came back shorter than its slot says.
+        """
+        size = len(data)
+        page = cls(size)
         magic, slot_count, __ = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise ValueError(f"not a slotted page (magic {magic:#x})")
-        directory = data[_HEADER.size : _HEADER.size + _SLOT.size * slot_count]
+        heap_floor = _HEADER.size + _SLOT.size * slot_count
+        if heap_floor > size:
+            raise ValueError(
+                f"corrupt slotted page: a directory of {slot_count} slots "
+                f"does not fit {size} bytes"
+            )
         records = page._records
-        for offset, length in _SLOT.iter_unpack(directory):
-            if offset == 0:
-                records.append(None)
-                page._empty += 1
-            else:
+        empty = stored = declared = 0
+        for offset, length in _SLOT.iter_unpack(data[_HEADER.size : heap_floor]):
+            if offset >= heap_floor:
                 record = bytes(data[offset : offset + length])
                 records.append(record)
-                page._payload += len(record)
+                stored += len(record)
+                declared += length
+            elif offset == 0:
+                records.append(None)
+                empty += 1
+            else:
+                raise ValueError(
+                    f"corrupt slotted page: slot {len(records)} points at byte {offset}, "
+                    f"inside the {heap_floor}-byte header and directory"
+                )
+        if stored != declared:
+            raise ValueError(
+                f"corrupt slotted page: slots claim {declared} record bytes, "
+                f"only {stored} lie inside the page"
+            )
+        page._empty = empty
+        page._payload = stored
         return page
 
     @classmethod

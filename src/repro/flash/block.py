@@ -21,9 +21,11 @@ free-form ``extra`` annotations in a sparse dict (only atomic-write
 batches use them).  Because NAND programs pages strictly in
 order and an erase wipes the whole block, "page ``p`` is programmed" is
 exactly ``p < write_pointer`` — no per-page flag is stored.  A
-:class:`PageMetadata` record is materialised only when a page is *read*;
-:meth:`Block.program_packed`, the one implementation of page programming,
-takes the OOB fields as integers and never allocates one.
+:class:`PageMetadata` record is materialised only when a caller asks for
+one: :meth:`Block.read` builds it, :meth:`Block.read_data` (the one
+implementation of a page read, which a host read goes through) returns the
+payload alone, and :meth:`Block.program_packed`, the one implementation of
+page programming, takes the OOB fields as integers and never allocates one.
 At paper scale (64 dies × thousands of blocks × 32+ pages) this replaces
 millions of per-page objects with a handful of arrays per block.
 """
@@ -219,8 +221,14 @@ class Block:
             extra={} if extra is None else extra,
         )
 
-    def read(self, page: int) -> tuple[bytes, PageMetadata | None]:
-        """Return ``(data, metadata)`` of a programmed page."""
+    def read_data(self, page: int) -> bytes:
+        """Payload of a programmed page: the one implementation of a read.
+
+        Refuses a bad block and an unprogrammed page, and counts the read
+        towards read disturb.  The OOB columns are not touched, so no
+        :class:`PageMetadata` is allocated for a caller that only wants the
+        page image.
+        """
         if self._bad:
             raise BadBlockError("cannot read a bad block")
         if page >= self._write_pointer or page < 0:
@@ -228,7 +236,12 @@ class Block:
         self._reads_since_erase += 1
         data = self._data[page]
         assert data is not None
-        return data, self._metadata_at(page)
+        return data
+
+    def read(self, page: int) -> tuple[bytes, PageMetadata | None]:
+        """``(data, metadata)`` of a programmed page: :meth:`read_data`
+        plus the materialised OOB record.  One read, counted once."""
+        return self.read_data(page), self._metadata_at(page)
 
     def copy_page_to(
         self, page: int, dst: "Block", dst_page: int,
@@ -241,13 +254,7 @@ class Block:
         it.  Counts as one read on this block, mirroring :meth:`read`'s
         read-disturb accounting — also when the destination program fails.
         """
-        if self._bad:
-            raise BadBlockError("cannot read a bad block")
-        if page >= self._write_pointer or page < 0:
-            raise ReadError(f"page {page} has not been programmed")
-        self._reads_since_erase += 1
-        data = self._data[page]
-        assert data is not None
+        data = self.read_data(page)
         if metadata is None:
             dst.program_packed(
                 dst_page, data, self._lpn[page], self._seq[page], self._obj[page],

@@ -6,11 +6,12 @@ Figure 1 — *Read/Program Page, Erase Block, Copyback, handle Page Metadata*
 data placement matter.
 
 Every command takes the caller's current virtual time ``at`` and returns a
-:class:`CommandResult` carrying the completion time.  PROGRAM, COPYBACK and
-ERASE are each implemented once, on integer coordinates
-(``program_page_packed`` / ``copyback_packed`` / ``erase_block_packed``,
-fault and event hooks inline); the object-address commands validate,
-unpack and call that body.  Commands contend for two resources:
+:class:`CommandResult` carrying the completion time.  READ, PROGRAM,
+COPYBACK and ERASE are each implemented once, on integer coordinates
+(``read_page_packed`` / ``program_page_packed`` / ``copyback_packed`` /
+``erase_block_packed``, fault and event hooks inline); the object-address
+commands validate, unpack and call that body.  Commands contend for two
+resources:
 
 * the **die** (one array operation at a time), and
 * the **channel** (shared by all chips on it, used only for host transfers —
@@ -116,6 +117,7 @@ class FlashDevice:
         self._die_blocks: list[list[Block]] = [d.blocks for d in self.dies]
         self._page_size = geometry.page_size
         self._page_bus_us = self.timing.bus_us(geometry.page_size, geometry.page_size)
+        self._read_us = self.timing.read_us
         self._program_us = self.timing.program_us
         self._erase_us = self.timing.erase_us
         self._copyback_us = self.timing.copyback_us
@@ -152,25 +154,6 @@ class FlashDevice:
     # ------------------------------------------------------------------
     # Native command set
     # ------------------------------------------------------------------
-    def read_page(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:
-        """READ PAGE: array read on the die, then transfer over the channel."""
-        ppa.validate(self.geometry)
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            self.faults.on_command("read_page", ppa.die, ppa.block, ppa.page, at=issue)
-        die = self.dies[ppa.die]
-        data, metadata = die.blocks[ppa.block].read(ppa.page)
-        start, array_done = die.timeline.reserve(issue, self.timing.read_us)
-        channel = self.channel_of_die(ppa.die)
-        bus = self.timing.bus_us(self.geometry.page_size, self.geometry.page_size)
-        __, end = channel.reserve(array_done, bus)
-        self.stats.record_read(ppa.die, len(data), end - issue)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "read_page", die=ppa.die,
-                             block=ppa.block, page=ppa.page, start_us=start, end_us=end)
-        self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end, data=data, metadata=metadata)
-
     def read_metadata(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:
         """Handle Page Metadata: read only the OOB area of a page.
 
@@ -192,12 +175,41 @@ class FlashDevice:
         self.clock.advance_to(end)
         return CommandResult(start_us=start, end_us=end, data=None, metadata=metadata)
 
-    # The mutating commands each have ONE implementation, on raw integer
-    # coordinates: it runs the fault hooks before any state changes, the
-    # event hook after, and returns the granted ``(start_us, end_us)`` slot.
-    # The mapping engine, which builds its addresses itself, calls these
-    # directly; the object-address commands below them validate and unpack
-    # for everyone else.
+    # READ, PROGRAM, COPYBACK and ERASE each have ONE implementation, on raw
+    # integer coordinates: it runs the fault hooks before any state changes
+    # or any time is reserved, the event hook after, and returns the granted
+    # ``(start_us, end_us)`` slot (READ: after the payload).  The mapping
+    # engine, which builds its addresses itself, calls these directly; the
+    # object-address commands below them validate and unpack for everyone
+    # else (``read_page`` also adds the OOB record, which a host read never
+    # looks at).  ``read_metadata`` above has no integer form: its one caller
+    # is the recovery scan — a few thousand calls per crash — which keeps
+    # both the address object it passes in and the record it gets back.
+
+    def read_page_packed(
+        self, die: int, block: int, page: int, at: float
+    ) -> tuple[bytes, float, float]:
+        """READ PAGE: array read on the die, then transfer over the channel.
+
+        Returns ``(data, start_us, end_us)``.  Coordinates are trusted; the
+        block refuses an unprogrammed page and a bad block.  The page's OOB
+        record is not materialised.
+        """
+        if self.faults is not None:
+            # before the block counts the read or a timeline is reserved:
+            # a failed read leaves no trace but the injector's own
+            self.faults.on_command("read_page", die, block, page, at=at)
+        data = self._die_blocks[die][block].read_data(page)
+        start, array_done = self._die_timelines[die].reserve(at, self._read_us)
+        __, end = self._die_channels[die].reserve(array_done, self._page_bus_us)
+        self.stats.record_read(die, len(data), end - at)
+        if self.events is not None:
+            self.events.emit(at, "flash", "read_page", die=die,
+                             block=block, page=page, start_us=start, end_us=end)
+        clock = self.clock
+        if end > clock._now:
+            clock._now = end
+        return data, start, end
 
     def program_page_packed(
         self, die: int, block: int, page: int, data: bytes,
@@ -287,6 +299,16 @@ class FlashDevice:
                              block=block, start_us=start, end_us=end)
         self.clock.advance_to(end)
         return start, end
+
+    def read_page(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:
+        """:meth:`read_page_packed` on a validated address object, with the
+        page's OOB record added to the result."""
+        ppa.validate(self.geometry)
+        data, start, end = self.read_page_packed(
+            ppa.die, ppa.block, ppa.page, self.clock.now if at is None else at
+        )
+        metadata = self._die_blocks[ppa.die][ppa.block]._metadata_at(ppa.page)
+        return CommandResult(start_us=start, end_us=end, data=data, metadata=metadata)
 
     def program_page(
         self,

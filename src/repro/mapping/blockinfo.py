@@ -560,6 +560,12 @@ class DieBookkeeping:
             if state[b] == _FULL and written[b] - count[b] > 0
         ]
 
+    def good_block_count(self) -> int:
+        """Blocks in any state but BAD: one C-level count over the state
+        column (capacity accounting asks on every region allocation)."""
+        state = self._state
+        return len(state) - state.count(_BAD)
+
     def total_valid_pages(self) -> int:
         """Live pages across the die (for utilization accounting)."""
         return sum(self._valid_count)

@@ -151,11 +151,8 @@ class FlashSpaceEngine:
 
     def physical_pages(self) -> int:
         """Raw good pages over the engine's dies."""
-        per_block = self.geometry.pages_per_block
-        return sum(
-            sum(1 for b in self.books[d].blocks if b.state is not BlockState.BAD) * per_block
-            for d in self.dies
-        )
+        books = self.books
+        return sum(books[d].good_block_count() for d in self.dies) * self._pages_per_block
 
     def safe_capacity_pages(self) -> int:
         """Pages that may safely hold valid data (reserve subtracted)."""
@@ -184,18 +181,27 @@ class FlashSpaceEngine:
     # I/O
     # ------------------------------------------------------------------
     def read(self, key: int, at: float) -> tuple[bytes, float]:
-        """Read logical page ``key``; returns ``(data, completion_us)``."""
+        """Read logical page ``key``; returns ``(data, completion_us)``.
+
+        Like :meth:`write`, the read runs on integer coordinates: the packed
+        address the engine stored itself is split straight into the device's
+        READ PAGE body.  Only a transient read failure builds an address
+        object, for the retry loop it shares with the relocation reads.
+        """
         packed = self._map.get(key)
         if packed is None:
             raise KeyError(f"logical page {key} is not mapped")
-        ppa = PhysicalPageAddress.from_int(packed, self.geometry)
+        die, rest = divmod(packed, self._pages_per_die)
+        block, page = divmod(rest, self._pages_per_block)
         try:
-            result = self.device.read_page(ppa, at=at)
+            data, __, end = self.device.read_page_packed(die, block, page, at)
         except TransientReadError:
-            result = self._retry_read(ppa, at, scrub=True)
+            result = self._retry_read(PhysicalPageAddress(die, block, page), at, scrub=True)
+            assert result.data is not None  # READ PAGE always carries a payload
+            data, end = result.data, result.end_us
         if self.read_disturb_threshold is not None:
-            self._maybe_refresh(ppa, result.end_us)
-        return result.data, result.end_us
+            self._maybe_refresh(die, block, end)
+        return data, end
 
     def _retry_read(
         self, ppa: PhysicalPageAddress, at: float, scrub: bool
@@ -255,29 +261,29 @@ class FlashSpaceEngine:
         if bus is not None:
             bus.emit(t, "faults", "scrub", die=ppa.die, block=ppa.block, moved=moved)
 
-    def _maybe_refresh(self, ppa: PhysicalPageAddress, at: float) -> None:
+    def _maybe_refresh(self, die_index: int, block: int, at: float) -> None:
         """Refresh a block whose read count crossed the disturb threshold.
 
         Live pages are relocated (the refresh) and the block erased —
         charged to the device timelines asynchronously, like GC.  Counts
         as wear-levelling work in the statistics.
         """
-        block = self.device.dies[ppa.die].blocks[ppa.block]
-        if block.reads_since_erase < self.read_disturb_threshold:
+        reads = self.device.dies[die_index].blocks[block].reads_since_erase
+        if reads < self.read_disturb_threshold:
             return
-        info = self.books[ppa.die].blocks[ppa.block]
+        info = self.books[die_index].blocks[block]
         if info.state is not BlockState.FULL:
             return  # open frontiers refresh naturally when sealed/collected
         moved = 0
         t = at
         for page in info.valid_pages():
-            t = self._relocate(ppa.die, ppa.block, page, t)
+            t = self._relocate(die_index, block, page, t)
             moved += 1
         self.stats.wl_moves += moved
         self.stats.gc_copybacks -= moved  # relocations above counted as GC
-        self.device.erase_block(PhysicalBlockAddress(ppa.die, ppa.block), at=t)
+        self.device.erase_block(PhysicalBlockAddress(die_index, block), at=t)
         self.stats.wl_erases += 1
-        self._retire_or_recycle(ppa.die, ppa.block)
+        self._retire_or_recycle(die_index, block)
 
     def write(self, key: int, data: bytes, at: float, group: int | None = None) -> float:
         """Write logical page ``key`` out-of-place; returns completion time.

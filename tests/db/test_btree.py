@@ -240,6 +240,59 @@ class TestPersistence:
         tree.check_invariants()
 
 
+class TestCorruptNodeImages:
+    """``_decode_node`` refuses an entry count no encoder writes."""
+
+    #: an all-INT key (whole-node passes) and a text key (per-entry path)
+    COLUMNS = {"int": [int_col("a"), int_col("b")], "text": [int_col("a"), varchar_col("s", 6)]}
+
+    @staticmethod
+    def with_count(image, count):
+        return image[:1] + count.to_bytes(2, "little") + image[3:]
+
+    def images(self, backend, kind):
+        """A written-out leaf and inner image of a two-level tree."""
+        tree = make_tree(backend, columns=self.COLUMNS[kind], buffer_pages=8)
+        for i in range(3 * tree.leaf_capacity):
+            tree.insert((i, i) if kind == "int" else (i, f"s{i % 9}"), RID(i, 0), 0.0)
+        tree.buffer_pool.flush_all(0.0)
+        images = [img for (sid, __), img in backend.pages.items() if sid == tree.space_id]
+        leaf = next(img for img in images if img[0] == 1)
+        inner = next(img for img in images if img[0] == 2)
+        return tree, leaf, inner
+
+    @pytest.mark.parametrize("kind", ["int", "text"])
+    def test_count_at_capacity_is_still_a_node(self, memory_backend, kind):
+        tree, leaf, inner = self.images(memory_backend, kind)
+        assert len(tree._decode_node(self.with_count(leaf, 0)).keys) == 0
+        if kind == "int":  # fixed width: capacity entries always lie inside the page
+            assert len(tree._decode_node(self.with_count(leaf, tree.leaf_capacity)).keys) == (
+                tree.leaf_capacity
+            )
+            node = tree._decode_node(self.with_count(inner, tree.inner_capacity))
+            assert len(node.children) == tree.inner_capacity + 1
+
+    @pytest.mark.parametrize("kind", ["int", "text"])
+    def test_count_above_capacity_rejected(self, memory_backend, kind):
+        # was: zero-filled phantom entries read out of the padding (text key:
+        # real entries are shorter than the capacity assumes, so there is
+        # room) or a raw struct.error (INT key: one entry more than fits)
+        tree, leaf, inner = self.images(memory_backend, kind)
+        with pytest.raises(IndexError_, match="corrupt index page"):
+            tree._decode_node(self.with_count(leaf, tree.leaf_capacity + 1))
+        with pytest.raises(IndexError_, match="corrupt index page"):
+            tree._decode_node(self.with_count(inner, tree.inner_capacity + 1))
+
+    @pytest.mark.parametrize("kind", ["int", "text"])
+    def test_count_running_past_the_page_rejected(self, memory_backend, kind):
+        # was: a raw struct.error (INT key), a SchemaError about a truncated
+        # *record* (text key)
+        tree, leaf, inner = self.images(memory_backend, kind)
+        for image in (leaf, inner):
+            with pytest.raises(IndexError_, match="corrupt index page"):
+                tree._decode_node(self.with_count(image, 0xFFFF))
+
+
 class TestRidRepresentation:
     """Leaves keep the ``(page_no, slot)`` pairs their page image unpacks
     to; whatever leaves the tree is an :class:`RID` again."""

@@ -1,5 +1,7 @@
 """Unit tests for slotted pages."""
 
+import struct
+
 import pytest
 
 from repro.db import PageFullError, SlotError, SlottedPage
@@ -96,6 +98,51 @@ class TestSerialisation:
         slot = page.insert(b"")
         restored = SlottedPage.from_bytes(page.to_bytes())
         assert restored.read(slot) == b""
+
+
+class TestCorruptImages:
+    """``from_bytes`` refuses what ``to_bytes`` cannot have written.  Before,
+    each of these came back as a page (or as a raw ``struct.error``)."""
+
+    @staticmethod
+    def image(slots, page_size=64, slot_count=None):
+        """A page image with a hand-written directory; heap bytes count up."""
+        count = len(slots) if slot_count is None else slot_count
+        buf = bytearray(range(page_size))
+        struct.pack_into("<HHH", buf, 0, 0x5350, count, page_size)
+        for i, (offset, length) in enumerate(slots):
+            struct.pack_into("<HH", buf, 6 + 4 * i, offset, length)
+        return bytes(buf)
+
+    def test_well_formed_hand_written_image_is_accepted(self):
+        page = SlottedPage.from_bytes(self.image([(58, 6), (0, 0), (18, 2)]))
+        assert page.read(0) == bytes(range(58, 64))  # ends exactly at the page end
+        assert page.read(2) == bytes([18, 19])  # starts exactly after the directory
+        assert (page.live_records(), page.slot_count) == (2, 3)
+        assert page.free_space() == 64 - (6 + 4 * 3 + 8) - 4
+
+    def test_record_running_past_the_page_end_rejected(self):
+        # was: read(0) == b"\x3e\x3f", two bytes of a six-byte record
+        with pytest.raises(ValueError, match="corrupt slotted page"):
+            SlottedPage.from_bytes(self.image([(62, 6)]))
+
+    def test_overrun_is_found_behind_well_formed_slots(self):
+        with pytest.raises(ValueError, match="corrupt slotted page"):
+            SlottedPage.from_bytes(self.image([(50, 4), (0, 0), (63, 2), (40, 4)]))
+
+    @pytest.mark.parametrize("offset", [1, 5, 6, 9])
+    def test_slot_pointing_into_header_or_directory_rejected(self, offset):
+        # was: the header/directory bytes handed out as a record
+        with pytest.raises(ValueError, match="corrupt slotted page"):
+            SlottedPage.from_bytes(self.image([(offset, 2)]))
+
+    @pytest.mark.parametrize("page_size,slot_count", [(64, 15), (64, 0xFFFF), (66, 16)])
+    def test_directory_larger_than_the_page_rejected(self, page_size, slot_count):
+        # was: a raw struct.error where the cut-off directory is no whole
+        # number of slots (64: 58 bytes), a silently shorter one where it is
+        # (66: 60 bytes read as 15 slots)
+        with pytest.raises(ValueError, match="corrupt slotted page"):
+            SlottedPage.from_bytes(self.image([], page_size, slot_count))
 
 
 class TestEdgeCases:

@@ -1,10 +1,11 @@
 """One command path: the object-address commands are adapters, not forks.
 
-PROGRAM, COPYBACK and ERASE are each implemented once, on integer
-coordinates; ``program_page`` / ``copyback`` / ``erase_block`` validate an
-address object and call that body.  Driving two fresh devices — one
-through the adapter, one through the int-coordinate command — must leave
-every observable piece of device state identical.
+READ, PROGRAM, COPYBACK and ERASE are each implemented once, on integer
+coordinates; ``read_page`` / ``program_page`` / ``copyback`` /
+``erase_block`` validate an address object and call that body
+(``read_page`` then adds the page's OOB record).  Driving two fresh
+devices — one through the adapter, one through the int-coordinate command
+— must leave every observable piece of device state identical.
 """
 
 from dataclasses import replace
@@ -12,11 +13,13 @@ from dataclasses import replace
 import pytest
 
 from repro.flash import (
+    BadBlockError,
     CopybackError,
     FlashDevice,
     PageMetadata,
     PhysicalBlockAddress,
     PhysicalPageAddress,
+    ReadError,
     small_geometry,
 )
 
@@ -107,3 +110,97 @@ def test_strict_plane_refusal_is_the_same_on_both_entry_points():
         seeded_device(strict=True)
     )
 
+
+
+# ----------------------------------------------------------------------
+# READ: same contract, plus a payload (and, on the adapter, the OOB record)
+# ----------------------------------------------------------------------
+class RecordingInjector:
+    """Stands in for a FaultInjector: notes each hook call together with the
+    device state it saw, then (optionally) fails the command."""
+
+    def __init__(self, fail=None):
+        self.device = None
+        self.fail = fail
+        self.calls = []
+
+    def on_command(self, op, die, block=None, page=None, at=0.0):
+        self.calls.append(((op, die, block, page, at), device_state(self.device)))
+        if self.fail is not None:
+            raise self.fail
+
+
+def read_pair(fail=None):
+    """Two seeded devices with a busy die and channel (so a reservation
+    queues), an event bus and a recording injector each."""
+    devices = seeded_device(), seeded_device()
+    for device in devices:
+        device.program_page_packed(0, 1, 0, b"busy", -1, -1, -1, 4.0)
+        device.attach_event_bus()
+        device.attach_fault_injector(RecordingInjector(fail))
+    return devices
+
+
+def test_read_adapter_and_int_coordinate_command_agree():
+    # Killed by: a read_page that reads the block itself as well as calling
+    # the body (reads_since_erase 2 != 1, stats.reads 2 != 1), or one with
+    # its own reservation / record_read / event / clock code that drifts.
+    via_adapter, via_body = read_pair()
+    result = via_adapter.read_page(ppa(0), at=5.0)
+    data, start, end = via_body.read_page_packed(0, 0, 0, 5.0)
+    assert (result.data, result.start_us, result.end_us) == (data, start, end)
+    assert data == b"src" and start > 5.0  # queued behind the program
+    assert result.metadata == PageMetadata(lpn=11, seq=3, obj_id=2, extra=EXTRA)
+    assert device_state(via_adapter) == device_state(via_body)
+    assert via_body.dies[0].blocks[0].reads_since_erase == 1
+    assert via_body.stats.reads == 1 and via_body.clock.now == end
+    events = [list(device.events.events) for device in (via_adapter, via_body)]
+    assert events[0] == events[1]
+    assert [(e.kind, e.ts_us, e.attrs) for e in events[1]][-1] == (
+        "read_page", 5.0, {"die": 0, "block": 0, "page": 0, "start_us": start, "end_us": end}
+    )
+
+
+def test_read_shows_the_fault_hook_the_same_call_before_anything_is_reserved():
+    # Killed by: a body that reserves (or counts the read) before the hook —
+    # the state the hook saw would differ from the state before the call —
+    # and by an adapter that calls the hook itself (two calls, not one).
+    via_adapter, via_body = read_pair()
+    before = device_state(via_body)
+    via_adapter.read_page(ppa(0), at=5.0)
+    via_body.read_page_packed(0, 0, 0, 5.0)
+    assert via_adapter.faults.calls == via_body.faults.calls == [
+        (("read_page", 0, 0, 0, 5.0), before)
+    ]
+
+
+def test_failed_read_leaves_no_trace_on_either_entry_point():
+    boom = RuntimeError("injected")
+    via_adapter, via_body = read_pair(fail=boom)
+    before = device_state(via_body)
+    with pytest.raises(RuntimeError):
+        via_adapter.read_page(ppa(0), at=5.0)
+    with pytest.raises(RuntimeError):
+        via_body.read_page_packed(0, 0, 0, 5.0)
+    assert device_state(via_adapter) == device_state(via_body) == before
+    assert not via_adapter.events.events and not via_body.events.events
+
+
+@pytest.mark.parametrize(
+    "spoil,error",
+    [
+        pytest.param(lambda d: None, ReadError, id="unprogrammed-page"),
+        pytest.param(lambda d: d.dies[0].blocks[0].mark_bad(), BadBlockError, id="bad-block"),
+    ],
+)
+def test_read_refusal_is_the_same_on_both_entry_points(spoil, error):
+    via_adapter, via_body = read_pair()
+    spoil(via_adapter), spoil(via_body)
+    before = device_state(via_body)
+    page = 1 if error is ReadError else 0  # page 1 of block 0 was never programmed
+    with pytest.raises(error) as from_adapter:
+        via_adapter.read_page(ppa(0, page), at=5.0)
+    with pytest.raises(error) as from_body:
+        via_body.read_page_packed(0, 0, page, 5.0)
+    assert str(from_adapter.value) == str(from_body.value)
+    assert device_state(via_adapter) == device_state(via_body) == before

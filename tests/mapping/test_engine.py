@@ -1,5 +1,7 @@
 """Unit tests for the shared flash space engine (die scoping, migration)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.flash import FlashDevice, FlashGeometry, instant_timing
@@ -9,6 +11,7 @@ from repro.mapping import (
     ManagementStats,
     SpaceFullError,
 )
+from repro.mapping.blockinfo import BlockState
 
 
 def make_device():
@@ -67,6 +70,55 @@ class TestScoping:
         device = make_device()
         with pytest.raises(ValueError):
             FlashSpaceEngine(device, [0, 1], {0: DieBookkeeping(0, 16, 8)}, ManagementStats())
+
+
+def scanned_physical_pages(engine):
+    """``physical_pages`` as it was computed before: every BlockInfo of
+    every die through its ``state`` property."""
+    per_block = engine.geometry.pages_per_block
+    return sum(
+        sum(1 for b in engine.books[d].blocks if b.state is not BlockState.BAD) * per_block
+        for d in engine.dies
+    )
+
+
+class TestPhysicalPages:
+    """The BAD-block count is one ``bytearray.count`` per die; it must see
+    every way a block goes bad.  (Killed by: counting a state other than
+    BAD, counting over the device instead of the engine's dies, or a count
+    cached at construction — every step below changes the answer.)"""
+
+    def test_count_follows_mark_bad_factory_marks_and_a_retirement(self):
+        device = FlashDevice(
+            replace(make_device().geometry, max_pe_cycles=3),
+            timing=instant_timing(), initial_bad_block_rate=0.2, seed=5,
+        )
+        engine = make_engine(device, dies=[1, 2])
+        per_block = device.geometry.pages_per_block
+        all_good = 2 * device.geometry.blocks_per_die * per_block
+        assert engine.physical_pages() == scanned_physical_pages(engine) == all_good
+
+        for die in engine.dies:  # factory marks, as every management layer adopts them
+            engine.books[die].adopt_factory_bad_blocks(device.dies[die])
+        factory = sum(blk.is_bad for d in engine.dies for blk in device.dies[d].blocks)
+        assert factory > 0, "seed 5 produced no factory bad blocks on dies 1-2; adjust"
+        assert engine.physical_pages() == scanned_physical_pages(engine)
+        assert engine.physical_pages() == all_good - factory * per_block
+
+        good = next(b for b, blk in enumerate(device.dies[1].blocks) if not blk.is_bad)
+        engine.books[1].mark_bad(good)
+        engine.books[1].mark_bad(good)  # twice is still one block
+        assert engine.physical_pages() == scanned_physical_pages(engine)
+        assert engine.physical_pages() == all_good - (factory + 1) * per_block
+
+        # overwrite until GC erases push blocks past their 3 rated cycles
+        before = engine.physical_pages()
+        i = 0
+        while engine.physical_pages() == before:
+            engine.write(i % 16, b"x", at=0.0)
+            i += 1
+            assert i < 20_000, "no block ever wore out"
+        assert engine.physical_pages() == scanned_physical_pages(engine) < before
 
 
 class TestGCScoping:

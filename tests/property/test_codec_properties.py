@@ -5,6 +5,7 @@ per-column reference implementation kept in this file."""
 import struct
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.db import (
@@ -16,6 +17,7 @@ from repro.db import (
     PageFullError,
     RowCodec,
     Schema,
+    SchemaError,
     SlottedPage,
     char_col,
     float_col,
@@ -285,6 +287,112 @@ def test_node_images_equal_reference(case, data):
         assert decoded.values == node.values
         assert decoded.children == node.children
         assert decoded.next_leaf == node.next_leaf
+
+
+# ----------------------------------------------------------------------
+# All-INT node images: whole-node passes == the per-entry pack and the
+# transposing unpack they replaced, kept here as the reference
+# ----------------------------------------------------------------------
+def ref_pack_entries(entry, keys, tails):
+    return [entry.pack(*key, *fields) for key, fields in zip(keys, tails)]
+
+
+def ref_unpack_entries(entry, arity, data, offset, count):
+    columns = list(zip(*entry.iter_unpack(data[offset : offset + count * entry.size])))
+    return list(zip(*columns[:arity])), list(zip(*columns[arity:]))
+
+
+def is_list_of_int_tuples(values):
+    return type(values) is list and all(
+        type(value) is tuple and all(type(part) is int for part in value) for value in values
+    )
+
+
+@st.composite
+def int_key_node_case(draw):
+    arity = draw(st.integers(1, 4))
+    tree = make_tree(Schema([int_col(f"k{i}") for i in range(arity)]))
+    is_leaf = draw(st.booleans())
+    capacity = tree.leaf_capacity if is_leaf else tree.inner_capacity
+    count = draw(st.one_of(st.sampled_from([0, 1, capacity]), st.integers(0, capacity)))
+    # hypothesis shrinks towards 0: name the negative and the 63-bit ends
+    part = st.one_of(int64, st.sampled_from([-(2**63), -1, 2**62, 2**63 - 1]))
+    keys = draw(st.lists(st.tuples(*[part] * arity), min_size=count, max_size=count))
+    return tree, arity, is_leaf, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_key_node_case(), st.data())
+def test_int_key_node_passes_equal_per_entry_reference(case, data):
+    # Killed by: keys/values yielded as lists or as one flat tuple per entry,
+    # pad bytes in the wrong half (keys read the tail's bytes), an encoder
+    # that drops or reorders the tail fields, an area slice off by one entry.
+    tree, arity, is_leaf, keys = case
+    node = _Node(is_leaf=is_leaf)
+    node.keys = keys
+    if is_leaf:
+        pairs = data.draw(st.lists(rids, min_size=len(keys), max_size=len(keys)))
+        # what a leaf really holds: RIDs from insert() beside plain pairs
+        # from a page image
+        node.values = [
+            rid if data.draw(st.booleans()) else (rid.page_no, rid.slot) for rid in pairs
+        ]
+        node.next_leaf = data.draw(page_nos)
+        tails = node.values
+        entry, tail = struct.Struct("<" + "q" * arity + "iH"), struct.Struct("<iH")
+        header = struct.pack("<BHi", 1, len(keys), node.next_leaf)
+        structs = tree._leaf_entry
+    else:
+        node.children = [data.draw(page_nos) for __ in range(len(keys) + 1)]
+        tails = [(child,) for child in node.children[1:]]
+        entry, tail = struct.Struct("<" + "q" * arity + "i"), struct.Struct("<i")
+        header = struct.pack("<BHi", 2, len(keys), node.children[0])
+        structs = tree._inner_entry
+
+    expected = ref_pack_entries(entry, keys, tails)
+    assert tree._pack_entries(keys, tails, structs, tail) == expected
+    image = tree._encode_node(node)
+    assert image == (header + b"".join(expected)).ljust(tree.page_size, b"\x00")
+
+    got_keys, got_tails = tree._unpack_entries(image, len(header), len(keys), structs, tail)
+    assert (got_keys, got_tails) == ref_unpack_entries(entry, arity, image, len(header), len(keys))
+    assert is_list_of_int_tuples(got_keys) and is_list_of_int_tuples(got_tails)
+
+    decoded = tree._decode_node(image)
+    assert decoded.is_leaf == is_leaf
+    assert decoded.keys == keys and is_list_of_int_tuples(decoded.keys)
+    if is_leaf:
+        assert decoded.values == [tuple(value) for value in node.values]
+        assert is_list_of_int_tuples(decoded.values)
+        assert decoded.next_leaf == node.next_leaf and decoded.children == []
+    else:
+        assert decoded.children == node.children
+        assert all(type(child) is int for child in decoded.children)
+        assert decoded.values == []
+    assert tree._encode_node(decoded) == image
+
+
+@pytest.mark.parametrize("is_leaf", [True, False], ids=["leaf", "inner"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_int_key_node_encoder_still_refuses_foreign_keys(arity, is_leaf):
+    # Killed by: an encoder that lets the C pass's own error out (struct.error
+    # for arity and type, as the per-entry pack raised it) or that pads or
+    # truncates a key to the schema's arity.
+    tree = make_tree(Schema([int_col(f"k{i}") for i in range(arity)]))
+    good = tuple(range(arity))
+    foreign = [good[:-1], good + (1,)]
+    for spot in range(arity):
+        for part in ("7", 7.0, None, 2**63):
+            foreign.append(good[:spot] + (part,) + good[spot + 1 :])
+    for bad in foreign:
+        node = _Node(is_leaf=is_leaf)
+        node.keys = [good, bad, good]
+        if is_leaf:
+            node.values = [RID(1, 2), (3, 4), RID(5, 6)]
+        else:
+            node.children = [1, 2, 3, 4]
+        with pytest.raises(SchemaError):
+            tree._encode_node(node)
 
 
 # ----------------------------------------------------------------------
