@@ -154,6 +154,11 @@ class BTree:
         self._height = 0
         self._entry_count = 0
         self._pins: list[int] = []
+        # bound once: a node touch is one positional call through the pool's
+        # only door, with no method object built on the way
+        self._get = buffer_pool.get
+        self._decode = self._decode_node
+        self._encode = self._encode_node
 
     # ------------------------------------------------------------------
     # Introspection
@@ -263,23 +268,14 @@ class BTree:
             )
 
     def _fetch(self, page_no: int, at: float, pin: bool = True) -> tuple[_Node, float]:
-        node, at = self.buffer_pool.get(
-            self.space_id,
-            page_no,
-            at,
-            decoder=self._decode_node,
-            encoder=self._encode_node,
-            pin=pin,
-        )
+        fetched = self._get(self.space_id, page_no, at, self._decode, self._encode, pin)
         if pin:
             self._pins.append(page_no)
-        return node, at
+        return fetched
 
     def _new_node(self, node: _Node, at: float, pin: bool = True) -> tuple[int, float]:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
-        at = self.buffer_pool.put_new(
-            self.space_id, page_no, node, encoder=self._encode_node, at=at, pin=pin
-        )
+        at = self.buffer_pool.put_new(self.space_id, page_no, node, self._encode, at, pin)
         if pin:
             self._pins.append(page_no)
         return page_no, at
@@ -305,33 +301,32 @@ class BTree:
         keep the default pinning so their in-place changes cannot be lost
         to eviction mid-operation.
         """
+        get, space_id, decode, encode = self._get, self.space_id, self._decode, self._encode
         page_no = self._root_page
-        node, at = self._fetch(page_no, at, pin=pin)
-        while not node.is_leaf:
+        while True:
+            node, at = get(space_id, page_no, at, decode, encode, pin)
+            if pin:
+                self._pins.append(page_no)
+            if node.is_leaf:
+                return page_no, node, at
             # rightmost child whose separator <= key (duplicates: go left
             # of equal separators so scans start at the first duplicate)
-            index = bisect.bisect_left(node.keys, key)
-            page_no = node.children[index]
-            node, at = self._fetch(page_no, at, pin=pin)
-        return page_no, node, at
+            page_no = node.children[bisect.bisect_left(node.keys, key)]
 
     def search(self, key: Key, at: float) -> tuple[RID | None, float]:
         """First RID stored under ``key``, or ``None``."""
         if self._root_page < 0:
             return None, at
-        try:
-            __, leaf, at = self._descend_to_leaf(key, at, pin=False)
-            while True:
-                index = bisect.bisect_left(leaf.keys, key)
-                if index < len(leaf.keys):
-                    if leaf.keys[index] == key:
-                        return RID(*leaf.values[index]), at
-                    return None, at
-                if leaf.next_leaf < 0:
-                    return None, at
-                leaf, at = self._fetch(leaf.next_leaf, at, pin=False)
-        finally:
-            self._release_pins()
+        __, leaf, at = self._descend_to_leaf(key, at, pin=False)
+        while True:
+            index = bisect.bisect_left(leaf.keys, key)
+            if index < len(leaf.keys):
+                if leaf.keys[index] == key:
+                    return RID(*leaf.values[index]), at
+                return None, at
+            if leaf.next_leaf < 0:
+                return None, at
+            leaf, at = self._fetch(leaf.next_leaf, at, pin=False)
 
     def search_all(self, key: Key, at: float) -> tuple[list[RID], float]:
         """Every RID stored under ``key`` (non-unique indexes)."""
@@ -347,29 +342,26 @@ class BTree:
         """
         if self._root_page < 0:
             return [], at
-        try:
-            if lo is None:
-                leaf, at = self._leftmost_leaf(at)
-                index = 0
-            else:
-                __, leaf, at = self._descend_to_leaf(lo, at, pin=False)
-                index = bisect.bisect_left(leaf.keys, lo)
-            results: list[tuple[Key, RID]] = []
-            while True:
-                while index < len(leaf.keys):
-                    key = leaf.keys[index]
-                    if hi is not None and key > hi:
-                        return results, at
-                    results.append((key, RID(*leaf.values[index])))
-                    if limit is not None and len(results) >= limit:
-                        return results, at
-                    index += 1
-                if leaf.next_leaf < 0:
+        if lo is None:
+            leaf, at = self._leftmost_leaf(at)
+            index = 0
+        else:
+            __, leaf, at = self._descend_to_leaf(lo, at, pin=False)
+            index = bisect.bisect_left(leaf.keys, lo)
+        results: list[tuple[Key, RID]] = []
+        while True:
+            while index < len(leaf.keys):
+                key = leaf.keys[index]
+                if hi is not None and key > hi:
                     return results, at
-                leaf, at = self._fetch(leaf.next_leaf, at, pin=False)
-                index = 0
-        finally:
-            self._release_pins()
+                results.append((key, RID(*leaf.values[index])))
+                if limit is not None and len(results) >= limit:
+                    return results, at
+                index += 1
+            if leaf.next_leaf < 0:
+                return results, at
+            leaf, at = self._fetch(leaf.next_leaf, at, pin=False)
+            index = 0
 
     def _leftmost_leaf(self, at: float) -> tuple[_Node, float]:
         node, at = self._fetch(self._root_page, at, pin=False)

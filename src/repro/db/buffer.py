@@ -8,6 +8,16 @@ Whatever a page object carries beyond its image (a slotted page keeps the
 rows decoded from it) lives and dies with its frame, so the pool's
 capacity bounds that too.
 
+:meth:`BufferPool.get` is the only door to a buffered page, and what one
+touch of it costs is fixed: it counts towards the next flush round,
+charges ``cpu_us_per_op`` of virtual time, counts as a hit or a miss, sets
+the frame's reference bit and, on request, pins it.  A hit does nothing
+else — one dict probe between those — so heap files and B-trees bind
+``pool.get`` once, when they are built, and call it positionally with the
+page codec they also bound once.  (At construction, not at import:
+whatever wraps the method on the class before a storage stack is built —
+the end-to-end benchmark's tracer does — is what gets bound.)
+
 Replacement is CLOCK over a ring of keys in installation order.  The
 sweep hands :meth:`BufferPool._make_room` the ring position of its victim
 and the entry is deleted there; the hand, already one past it, is not
@@ -16,7 +26,10 @@ further on.  Every simulated result depends on that eviction order.
 
 Flushers (Figure 1 shows them as a first-class component) are modelled as
 a budgeted background write-back: every ``flusher_interval`` page
-operations, up to ``flusher_batch`` dirty unpinned pages are written out.
+operations (``get`` and ``put_new``, refused ones included), up to
+``flusher_batch`` dirty unpinned pages are written out.  The round runs
+inside the ``flusher_interval``-th operation since the last one, before
+that operation is served; the pool counts down to it in one attribute.
 Those writes reserve device time (they contend with foreground I/O on the
 die/channel timelines) but do not advance the caller's clock — they are
 asynchronous, exactly like a checkpointer racing user transactions.
@@ -34,7 +47,7 @@ class BufferError(Exception):
     """Invalid buffer operation (bad unpin, pool of pinned pages, ...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """One buffer frame."""
 
@@ -112,7 +125,9 @@ class BufferPool:
         self._frames: dict[tuple[int, int], _Frame] = {}
         self._clock_keys: list[tuple[int, int]] = []
         self._clock_hand = 0
-        self._ops_since_flush = 0
+        # touches left until the next flush round; an interval <= 0 starts
+        # at or below zero and only moves away from it, so no round fires
+        self._until_flush = flusher_interval
 
     # ------------------------------------------------------------------
     # Core interface
@@ -131,21 +146,21 @@ class BufferPool:
         Returns ``(page_object, completion_us)``.  With ``pin=True`` the
         frame cannot be evicted until :meth:`unpin`.
         """
-        self._ops_since_flush += 1
-        if self._ops_since_flush >= self.flusher_interval > 0:
+        self._until_flush = until_flush = self._until_flush - 1
+        if not until_flush:
             self._flush_round(at)
-        at += self.cpu_us_per_op
-        key = (space_id, page_no)
-        frame = self._frames.get(key)
+        frame = self._frames.get((space_id, page_no))
         if frame is not None:
             self.stats.hits += 1
             frame.referenced = True
-        else:
-            self.stats.misses += 1
-            at = self._make_room(at)
-            data, at = self.backend.read_page(space_id, page_no, at)
-            frame = _Frame(key=key, page=decoder(data), encoder=encoder)
-            self._install(frame)
+            if pin:
+                frame.pin_count += 1
+            return frame.page, at + self.cpu_us_per_op
+        self.stats.misses += 1
+        at = self._make_room(at + self.cpu_us_per_op)
+        data, at = self.backend.read_page(space_id, page_no, at)
+        frame = _Frame(key=(space_id, page_no), page=decoder(data), encoder=encoder)
+        self._install(frame)
         if pin:
             frame.pin_count += 1
         return frame.page, at
@@ -160,8 +175,8 @@ class BufferPool:
         pin: bool = False,
     ) -> float:
         """Install a freshly allocated page (dirty, no read needed)."""
-        self._ops_since_flush += 1
-        if self._ops_since_flush >= self.flusher_interval > 0:
+        self._until_flush = until_flush = self._until_flush - 1
+        if not until_flush:
             self._flush_round(at)
         at += self.cpu_us_per_op
         key = (space_id, page_no)
@@ -267,7 +282,7 @@ class BufferPool:
     def _flush_round(self, at: float) -> None:
         """One background flush round: ``get``/``put_new`` call it every
         ``flusher_interval`` page operations."""
-        self._ops_since_flush = 0
+        self._until_flush = self.flusher_interval
         written = 0
         # sweep in clock order so the flusher cleans what eviction would
         # otherwise stall on

@@ -17,6 +17,12 @@ from repro.db.records import Row, RowCodec, Schema
 from repro.db.slotted_page import PageFullError, SlottedPage
 
 
+#: the heap's page codec, looked up once (``from_bytes`` is a classmethod:
+#: every attribute access would build a bound method)
+_DECODE_PAGE = SlottedPage.from_bytes
+_ENCODE_PAGE = SlottedPage.to_bytes
+
+
 class HeapError(Exception):
     """Invalid heap operation (bad RID, oversized record, ...)."""
 
@@ -60,6 +66,10 @@ class HeapFile:
         self.space_id = space_id
         self.schema = schema
         self.codec = RowCodec(schema)
+        # bound once: a page touch is one positional call through the pool's
+        # only door, with no method object built on the way
+        self._get = buffer_pool.get
+        self._decode_row = self.codec.decode
         self.fill_hint = fill_hint
         self.page_size = buffer_pool.backend.page_size
         if schema.max_row_size > self.page_size // 2:
@@ -88,22 +98,16 @@ class HeapFile:
     # ------------------------------------------------------------------
     # Page plumbing
     # ------------------------------------------------------------------
-    def _fetch(self, page_no: int, at: float, pin: bool = False) -> tuple[SlottedPage, float]:
-        return self.buffer_pool.get(
-            self.space_id,
-            page_no,
-            at,
-            decoder=SlottedPage.from_bytes,
-            encoder=SlottedPage.to_bytes,
-            pin=pin,
-        )
+    def _page_of(self, rid: RID, at: float) -> tuple[SlottedPage, float]:
+        """Touch the page ``rid`` names, once it is known to be this heap's."""
+        if rid.page_no not in self._page_set:
+            raise HeapError(f"{rid} does not belong to this heap")
+        return self._get(self.space_id, rid.page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
 
     def _new_page(self, at: float) -> tuple[int, SlottedPage, float]:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
         page = SlottedPage(self.page_size)
-        at = self.buffer_pool.put_new(
-            self.space_id, page_no, page, encoder=SlottedPage.to_bytes, at=at
-        )
+        at = self.buffer_pool.put_new(self.space_id, page_no, page, _ENCODE_PAGE, at)
         self._pages.append(page_no)
         self._page_set.add(page_no)
         self._push_open(page_no)
@@ -117,20 +121,20 @@ class HeapFile:
     def _pop_open(self) -> None:
         self._open_set.discard(self._open_pages.pop())
 
-    def _check_rid(self, rid: RID) -> None:
-        if rid.page_no not in self._page_set:
-            raise HeapError(f"{rid} does not belong to this heap")
-
     # ------------------------------------------------------------------
     # Record operations
     # ------------------------------------------------------------------
     def insert(self, row: Row, at: float) -> tuple[RID, float]:
         """Insert a row; returns ``(rid, completion_us)``."""
-        record = self.codec.encode(row)
+        return self.insert_record(self.codec.encode(row), at)
+
+    def insert_record(self, record: bytes, at: float) -> tuple[RID, float]:
+        """:meth:`insert` for a row the caller has encoded with :attr:`codec`
+        (the table layer does, to hand the log the image stored here)."""
         target = self.page_size * (1.0 - self.fill_hint)
         while self._open_pages:
             page_no = self._open_pages[-1]
-            page, at = self._fetch(page_no, at)
+            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
             if page.fits(record) and page.free_space() - len(record) >= target:
                 slot = page.insert(record)
                 self.buffer_pool.mark_dirty(self.space_id, page_no)
@@ -149,9 +153,32 @@ class HeapFile:
         The page keeps the decoded row while it stays buffered and the
         record is not rewritten, so repeated reads decode once.
         """
-        self._check_rid(rid)
-        page, at = self._fetch(rid.page_no, at)
-        return page.read_row(rid.slot, self.codec.decode), at
+        page_no, slot = rid
+        if page_no not in self._page_set:  # _page_of, in this frame
+            raise HeapError(f"{rid} does not belong to this heap")
+        page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
+        row = page.rows.get(slot)
+        if row is None:
+            row = page.read_row(slot, self._decode_row)
+        return row, at
+
+    def read_record(self, rid: RID, at: float) -> tuple[bytes, float]:
+        """Read the stored image of the row at ``rid``, undecoded."""
+        page, at = self._page_of(rid, at)
+        return page.read(rid.slot), at
+
+    def replace(self, rid: RID, record: bytes, row: Row, at: float) -> float:
+        """Overwrite the row at ``rid`` with an image of the same length.
+
+        ``row`` must be what ``record`` decodes to (it is retained as if a
+        read had decoded it); a same-length image always fits, so the RID
+        stands.  The in-place half of a column patch, see
+        :meth:`repro.db.records.RowCodec.patcher`.
+        """
+        page, at = self._page_of(rid, at)
+        page.replace(rid.slot, record, row)
+        self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
+        return at
 
     def update(self, rid: RID, row: Row, at: float) -> tuple[RID, float]:
         """Update the row at ``rid``.
@@ -159,9 +186,11 @@ class HeapFile:
         Returns ``(rid, completion_us)`` — a *new* RID if the record had to
         move because it outgrew its page.
         """
-        self._check_rid(rid)
-        record = self.codec.encode(row)
-        page, at = self._fetch(rid.page_no, at)
+        return self.update_record(rid, self.codec.encode(row), at)
+
+    def update_record(self, rid: RID, record: bytes, at: float) -> tuple[RID, float]:
+        """:meth:`update` for a row the caller has encoded with :attr:`codec`."""
+        page, at = self._page_of(rid, at)
         try:
             page.update(rid.slot, record)
             self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
@@ -171,12 +200,11 @@ class HeapFile:
             self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
             self._push_open(rid.page_no)
             self._row_count -= 1
-            return self.insert(row, at)
+            return self.insert_record(record, at)
 
     def delete(self, rid: RID, at: float) -> float:
         """Delete the row at ``rid``."""
-        self._check_rid(rid)
-        page, at = self._fetch(rid.page_no, at)
+        page, at = self._page_of(rid, at)
         page.delete(rid.slot)
         self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
         self._push_open(rid.page_no)
@@ -190,6 +218,6 @@ class HeapFile:
         reflects the I/O performed so far.
         """
         for page_no in list(self._pages):
-            page, at = self._fetch(page_no, at)
+            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
             for slot, record in page.slots():
                 yield RID(page_no, slot), self.codec.decode(record), at

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any, TypeAlias
 
@@ -174,6 +174,20 @@ def _type_error(column: Column, expected: str, value: object) -> SchemaError:
     return SchemaError(f"column {column.name!r} expects {expected}, got {type(value).__name__}")
 
 
+def _pack_error(int_values: Iterable[tuple[Column, int]]) -> SchemaError:
+    """Why ``struct`` refused numbers that passed the type checks: the first
+    INT value (of ``int_values``, in schema order) outside 64 bits, else an
+    integer too large for a double."""
+    for column, value in int_values:
+        if not _INT_MIN <= value <= _INT_MAX:
+            return SchemaError(f"column {column.name!r}: {value} is out of range for INT")
+    return SchemaError("number too large for a FLOAT column")
+
+
+#: ``patch(record, values) -> (patched record, values as they decode)``
+Patcher: TypeAlias = Callable[[bytes, Sequence[Any]], tuple[bytes, list[Any]]]
+
+
 class RowCodec:
     """Serialises rows (tuples, schema order) to bytes and back.
 
@@ -227,13 +241,53 @@ class RowCodec:
                 parts.append(run.pack(*values[start:stop]))
                 parts += values[stop : stop + 1]
         except (struct.error, OverflowError):
-            for i in self._int_positions:
-                if not _INT_MIN <= values[i] <= _INT_MAX:
-                    raise SchemaError(
-                        f"column {columns[i].name!r}: {values[i]} is out of range for INT"
-                    ) from None
-            raise SchemaError("number too large for a FLOAT column") from None
+            raise _pack_error((columns[i], values[i]) for i in self._int_positions) from None
         return b"".join(parts)
+
+    def patcher(self, positions: Sequence[int]) -> Patcher | None:
+        """Compile an update of the columns at ``positions`` done in the
+        row image, or ``None`` where the image cannot be patched.
+
+        Patchable are INT and FLOAT columns in front of the first VARCHAR:
+        their bytes sit at an offset the schema fixes, so writing them
+        changes neither the record's length nor any other column.
+        ``patch(record, values)`` takes one value per position and returns
+        the image :meth:`encode` would produce for the row so updated,
+        with the values as :meth:`decode` would return them (an ``int``
+        for INT, a ``float`` for FLOAT).  It makes the checks ``encode``
+        makes on those columns, in its order and with its messages, before
+        anything is written; ``record`` itself is never modified.
+        """
+        columns = self.schema.columns
+        fixed = self._varchar_positions[0] if self._varchar_positions else len(columns)
+        if not positions or not all(0 <= p < fixed for p in positions):
+            return None
+        kinds = [columns[p].type for p in positions]
+        if not all(kind in (ColumnType.INT, ColumnType.FLOAT) for kind in kinds):
+            return None
+        # (column position, index into values), in the order encode checks them
+        ints = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.INT)
+        floats = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.FLOAT)
+        packers = [struct.Struct("<" + _FIXED_FORMATS[kind]).pack_into for kind in kinds]
+        offsets = [sum(c.max_size for c in columns[:p]) for p in positions]
+        decoded_as = [int if kind is ColumnType.INT else float for kind in kinds]
+
+        def patch(record: bytes, values: Sequence[Any]) -> tuple[bytes, list[Any]]:
+            for p, i in ints:
+                if not isinstance(values[i], int):
+                    raise _type_error(columns[p], "int", values[i])
+            for p, i in floats:
+                if not isinstance(values[i], (int, float)):
+                    raise _type_error(columns[p], "number", values[i])
+            image = bytearray(record)
+            try:
+                for pack_into, offset, value in zip(packers, offsets, values, strict=True):
+                    pack_into(image, offset, value)
+            except (struct.error, OverflowError):
+                raise _pack_error((columns[p], values[i]) for p, i in ints) from None
+            return bytes(image), [convert(v) for convert, v in zip(decoded_as, values)]
+
+        return patch
 
     def decode(self, data: bytes) -> Row:
         """Inverse of :meth:`encode`."""

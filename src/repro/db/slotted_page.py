@@ -12,11 +12,15 @@ row it decoded from a slot's record beside that record, so a record is
 decoded once per buffer residency and record version, not once per read:
 
 * retained is only what the decoder returned for the bytes now in the
-  slot — never a row a caller wrote, which need not read back equal (a
-  CHAR value loses trailing spaces, an int in a FLOAT column returns as
-  a float);
+  slot, or provably would return — never a row a caller wrote, which
+  need not read back equal (a CHAR value loses trailing spaces, an int
+  in a FLOAT column returns as a float);
 * every write to a slot (``insert`` into a reused slot, ``update``,
-  ``delete``) drops that slot's row;
+  ``delete``) drops that slot's row, except :meth:`SlottedPage.replace`,
+  the same-length overwrite behind a column patch
+  (:meth:`repro.db.records.RowCodec.patcher`): its caller hands over the
+  new record together with the row it decodes to — the retained row with
+  the patched values as the decoder yields them — and that row is kept;
 * the rows live on the page object, not in the heap file: they are
   released with the buffer frame, so the buffer pool's capacity bounds
   them, and a page decoded again after an eviction starts with none.
@@ -65,8 +69,10 @@ class SlottedPage:
             raise ValueError(f"page_size {page_size} too small (min {min_size + 1})")
         self.page_size = page_size
         self._records: list[bytes | None] = []
-        # slot -> row decoded from the record now in the slot (see read_row)
-        self._rows: dict[int, Row] = {}
+        #: slot -> row decoded from the record now in the slot.  Anyone may
+        #: look a row up here; only :meth:`read_row` and :meth:`replace` add
+        #: one, and every other write to the slot removes it.
+        self.rows: dict[int, Row] = {}
         # maintained by every mutation, so space checks never rescan the page
         self._payload = 0  # bytes of all live records
         self._empty = 0  # emptied slots still in the directory
@@ -118,7 +124,7 @@ class SlottedPage:
         if self._empty:
             slot = self._records.index(None)
             self._records[slot] = record
-            self._rows.pop(slot, None)
+            self.rows.pop(slot, None)
             self._empty -= 1
             return slot
         self._records.append(record)
@@ -138,9 +144,9 @@ class SlottedPage:
         reads return it without decoding.  A page's callers must always
         pass the same ``decode`` (a heap page has one schema).
         """
-        row = self._rows.get(slot)
+        row = self.rows.get(slot)
         if row is None:  # a kept row implies a live slot: read() checks the rest
-            row = self._rows[slot] = decode(self.read(slot))
+            row = self.rows[slot] = decode(self.read(slot))
         return row
 
     def update(self, slot: int, record: bytes) -> None:
@@ -154,8 +160,23 @@ class SlottedPage:
                 f"update grows record by {growth} bytes, only {self.free_space()} free"
             )
         self._records[slot] = bytes(record)
-        self._rows.pop(slot, None)
+        self.rows.pop(slot, None)
         self._payload += growth
+
+    def replace(self, slot: int, record: bytes, row: Row) -> None:
+        """Overwrite the record in ``slot`` with one of the same length.
+
+        ``row`` must be what the page's decoder returns for ``record``; it
+        is kept as :meth:`read_row` would keep it.  Nothing moves and no
+        space is needed, so this cannot raise :class:`PageFullError`.
+        """
+        old = self._slot(slot)
+        if old is None or len(old) != len(record):
+            raise SlotError(
+                f"slot {slot} does not hold a record of {len(record)} bytes to replace"
+            )
+        self._records[slot] = record
+        self.rows[slot] = row
 
     def delete(self, slot: int) -> None:
         """Delete the record in ``slot`` (slot becomes reusable)."""
@@ -163,7 +184,7 @@ class SlottedPage:
         if record is None:
             raise SlotError(f"slot {slot} already empty")
         self._records[slot] = None
-        self._rows.pop(slot, None)
+        self.rows.pop(slot, None)
         self._payload -= len(record)
         self._empty += 1
         # shrink the directory if a tail of slots is empty

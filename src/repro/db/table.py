@@ -8,19 +8,35 @@ them when the record had to move to a new RID).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterator
+from operator import itemgetter
+from typing import TypeAlias
 
 from repro.db.catalog import IndexInfo, TableInfo
 from repro.db.heap import RID
-from repro.db.records import Key, Row, Schema
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.db.wal import WriteAheadLog
+from repro.db.records import Key, Patcher, Row, Schema
+from repro.db.wal import LogRecordType, WriteAheadLog
 
 
 class TableError(Exception):
     """Invalid table operation."""
+
+
+#: An index with its ``row -> key`` function.
+_KeyedIndex: TypeAlias = tuple[IndexInfo, Callable[[Row], Key]]
+
+#: How :meth:`Table.update_columns` applies one set of column names: the
+#: columns' positions, the codec's patcher for them (``None``: rebuild the
+#: row), and the indexes with a key column among them.
+_ColumnPlan: TypeAlias = tuple[list[int], Patcher | None, list[_KeyedIndex]]
+
+
+def _key_getter(positions: list[int]) -> Callable[[Row], Key]:
+    """``row -> key`` for an index over the columns at ``positions``."""
+    if len(positions) == 1:  # itemgetter of one item returns it bare
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 class Table:
@@ -30,23 +46,42 @@ class Table:
     returning (see :mod:`repro.db.wal`).
     """
 
-    def __init__(self, info: TableInfo, wal: "WriteAheadLog | None" = None) -> None:
+    def __init__(self, info: TableInfo, wal: WriteAheadLog | None = None) -> None:
         self.info = info
         self.wal = wal
-        self._key_positions: dict[str, list[int]] = {
-            index.name: [info.schema.position(c) for c in index.columns]
-            for index in info.indexes
-        }
+        # everything below is derived from ``info.indexes``, which grows
+        # when an index is created after the wrapper: see _compile
+        self._by_name: dict[str, IndexInfo] = {}
+        self._keyed: list[_KeyedIndex] = []
+        self._column_plans: dict[tuple[str, ...], _ColumnPlan] = {}
+        self._compile()
 
-    def _positions(self, index: IndexInfo) -> list[int]:
-        positions = self._key_positions.get(index.name)
-        if positions is None:  # index created after the wrapper
-            positions = [self.info.schema.position(c) for c in index.columns]
-            self._key_positions[index.name] = positions
-        return positions
+    def _compile(self) -> None:
+        """(Re)build what is compiled per index, and forget the column
+        plans, which name the indexes a change set touches."""
+        position = self.info.schema.position
+        self._by_name = {index.name: index for index in self.info.indexes}
+        self._keyed = [
+            (index, _key_getter([position(c) for c in index.columns]))
+            for index in self.info.indexes
+        ]
+        self._column_plans = {}
 
-    def _key_of(self, index: IndexInfo, row: Row) -> Key:
-        return tuple(row[i] for i in self._positions(index))
+    def _indexes(self) -> list[_KeyedIndex]:
+        """Every index of the table, as it is now."""
+        if len(self._keyed) != len(self.info.indexes):  # index created after the wrapper
+            self._compile()
+        return self._keyed
+
+    def _column_plan(self, names: tuple[str, ...]) -> _ColumnPlan:
+        """Compile, and keep, how a change set of these columns is applied."""
+        positions = [self.info.schema.position(name) for name in names]
+        plan = self._column_plans[names] = (
+            positions,
+            self.info.heap.codec.patcher(positions),
+            [keyed for keyed in self._indexes() if not set(names).isdisjoint(keyed[0].columns)],
+        )
+        return plan
 
     # ------------------------------------------------------------------
     # Introspection
@@ -71,15 +106,13 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: Row, at: float) -> tuple[RID, float]:
         """Insert a row, updating every index (and the WAL, if attached)."""
-        rid, at = self.info.heap.insert(row, at)
-        for index in self.info.indexes:
-            at = index.btree.insert(self._key_of(index, row), rid, at)
+        heap = self.info.heap
+        record = heap.codec.encode(row)
+        rid, at = heap.insert_record(record, at)
+        for index, key_of in self._indexes():
+            at = index.btree.insert(key_of(row), rid, at)
         if self.wal is not None:
-            from repro.db.wal import LogRecordType
-
-            __, at = self.wal.append(
-                LogRecordType.INSERT, self.name, rid, self.info.heap.codec.encode(row), at
-            )
+            __, at = self.wal.append(LogRecordType.INSERT, self.name, rid, record, at)
         return rid, at
 
     def read(self, rid: RID, at: float) -> tuple[Row, float]:
@@ -92,17 +125,15 @@ class Table:
         Index entries are rewritten only when their key changed or the
         record moved.
         """
-        old_row, at = self.info.heap.read(rid, at)
+        heap = self.info.heap
+        old_row, at = heap.read(rid, at)
+        record = heap.codec.encode(row)
         if self.wal is not None:
-            from repro.db.wal import LogRecordType
-
-            __, at = self.wal.append(
-                LogRecordType.UPDATE, self.name, rid, self.info.heap.codec.encode(row), at
-            )
-        new_rid, at = self.info.heap.update(rid, row, at)
-        for index in self.info.indexes:
-            old_key = self._key_of(index, old_row)
-            new_key = self._key_of(index, row)
+            __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
+        new_rid, at = heap.update_record(rid, record, at)
+        for index, key_of in self._indexes():
+            old_key = key_of(old_row)
+            new_key = key_of(row)
             if old_key == new_key and new_rid == rid:
                 continue
             __, at = index.btree.delete(old_key, rid, at)
@@ -110,23 +141,53 @@ class Table:
         return new_rid, at
 
     def update_columns(self, rid: RID, changes: dict[str, object], at: float) -> tuple[RID, float]:
-        """Read-modify-write of named columns."""
-        row, at = self.info.heap.read(rid, at)
+        """Read-modify-write of named columns.
+
+        A change set of INT/FLOAT columns at fixed offsets is patched into
+        the stored image (:meth:`repro.db.records.RowCodec.patcher`): same
+        page touches and log record as :meth:`update` with the whole row,
+        but only the changed bytes, the changed values of the retained row
+        and the indexes over a changed column are processed.  The RID of a
+        patched row never changes.
+        """
+        heap = self.info.heap
+        row, at = heap.read(rid, at)
+        if len(self._keyed) != len(self.info.indexes):  # _indexes(), in this frame
+            self._compile()
+        names = tuple(changes)
+        positions, patch, affected = self._column_plans.get(names) or self._column_plan(names)
         values = list(row)
-        for name, value in changes.items():
-            values[self.info.schema.position(name)] = value
-        return self.update(rid, tuple(values), at)
+        if patch is None:
+            for position, value in zip(positions, changes.values()):
+                values[position] = value
+            return self.update(rid, tuple(values), at)
+        # from here on, update() step by step: its read of the old row, ...
+        record, at = heap.read_record(rid, at)
+        record, decoded = patch(record, list(changes.values()))
+        for position, value in zip(positions, decoded):
+            values[position] = value
+        new_row = tuple(values)
+        # ... its log record, its write, its index maintenance
+        if self.wal is not None:
+            __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
+        at = heap.replace(rid, record, new_row, at)
+        for index, key_of in affected:
+            old_key = key_of(row)
+            new_key = key_of(new_row)
+            if old_key != new_key:
+                __, at = index.btree.delete(old_key, rid, at)
+                at = index.btree.insert(new_key, rid, at)
+        return rid, at
 
     def delete(self, rid: RID, at: float) -> float:
         """Delete the row at ``rid``, removing its index entries."""
         if self.wal is not None:
-            from repro.db.wal import LogRecordType
-
             __, at = self.wal.append(LogRecordType.DELETE, self.name, rid, b"", at)
-        row, at = self.info.heap.read(rid, at)
-        at = self.info.heap.delete(rid, at)
-        for index in self.info.indexes:
-            __, at = index.btree.delete(self._key_of(index, row), rid, at)
+        heap = self.info.heap
+        row, at = heap.read(rid, at)
+        at = heap.delete(rid, at)
+        for index, key_of in self._indexes():
+            __, at = index.btree.delete(key_of(row), rid, at)
         return at
 
     # ------------------------------------------------------------------
@@ -134,10 +195,13 @@ class Table:
     # ------------------------------------------------------------------
     def index(self, name: str) -> IndexInfo:
         """One of this table's indexes, by name."""
-        for index in self.info.indexes:
-            if index.name == name:
-                return index
-        raise TableError(f"table {self.name!r} has no index {name!r}")
+        index = self._by_name.get(name)
+        if index is None:
+            self._indexes()  # it may have been created after the wrapper
+            index = self._by_name.get(name)
+            if index is None:
+                raise TableError(f"table {self.name!r} has no index {name!r}")
+        return index
 
     def lookup(self, index_name: str, key: Key, at: float) -> tuple[Row | None, float]:
         """Fetch the first row matching ``key`` via an index, or ``None``."""

@@ -105,7 +105,7 @@ class WriteAheadLog:
         self.space_id = space_id
         self.page_size = backend.page_size
         self._next_lsn = 1
-        self._current: list[LogRecord] = []
+        self._current: list[bytes] = []  # encoded records of the open page
         self._current_bytes = _PAGE_HEADER.size
         self._flushed_pages = 0
         self.records_written = 0
@@ -136,33 +136,28 @@ class WriteAheadLog:
         Writing happens only when the page buffer fills, so most appends
         are free in device time.
         """
-        record = LogRecord(self._next_lsn, rtype, table, rid, row_bytes)
-        encoded_len = len(record.encode())
-        if _PAGE_HEADER.size + encoded_len > self.page_size:
-            raise WALError(
-                f"record of {encoded_len} bytes exceeds log page size {self.page_size}"
-            )
-        if self._current_bytes + encoded_len > self.page_size:
+        lsn = self._next_lsn
+        encoded = LogRecord(lsn, rtype, table, rid, row_bytes).encode()
+        size = len(encoded)
+        if _PAGE_HEADER.size + size > self.page_size:
+            raise WALError(f"record of {size} bytes exceeds log page size {self.page_size}")
+        if self._current_bytes + size > self.page_size:
             at = self.flush(at)
-        self._current.append(record)
-        self._current_bytes += encoded_len
+        self._current.append(encoded)
+        self._current_bytes += size
         self._next_lsn += 1
         self.records_written += 1
-        return record.lsn, at
+        return lsn, at
 
     def flush(self, at: float = 0.0) -> float:
         """Force the buffered records to flash; returns completion time."""
         if not self._current:
             return at
-        buf = bytearray(self.page_size)
-        _PAGE_HEADER.pack_into(buf, 0, len(self._current))
-        offset = _PAGE_HEADER.size
-        for record in self._current:
-            encoded = record.encode()
-            buf[offset : offset + len(encoded)] = encoded
-            offset += len(encoded)
+        image = _PAGE_HEADER.pack(len(self._current)) + b"".join(self._current)
         page_no, at = self.backend.allocate_page(self.space_id, at)
-        at = self.backend.write_page(self.space_id, page_no, bytes(buf), at)
+        at = self.backend.write_page(
+            self.space_id, page_no, image.ljust(self.page_size, b"\x00"), at
+        )
         self._flushed_pages += 1
         self._current = []
         self._current_bytes = _PAGE_HEADER.size

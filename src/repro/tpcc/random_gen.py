@@ -89,8 +89,23 @@ class TPCCRandom:
     # Primitive draws
     # ------------------------------------------------------------------
     def uniform(self, lo: int, hi: int) -> int:
-        """Uniform integer in ``[lo, hi]``."""
-        return self.rng.randint(lo, hi)
+        """Uniform integer in ``[lo, hi]``: ``rng.randint(lo, hi)``, same
+        stream, without its three frames of argument checking.
+
+        ``randint`` ends in ``lo + _randbelow(width)``, which draws
+        ``getrandbits(width.bit_length())`` until the value is below
+        ``width``; that loop is all there is to repeat here (pinned, state
+        included, by ``tests/tpcc/test_random_gen.py``).
+        """
+        width = hi - lo + 1
+        if width <= 0:
+            raise ValueError(f"empty range for uniform({lo}, {hi})")
+        getrandbits = self.rng.getrandbits
+        bits = width.bit_length()
+        draw = getrandbits(bits)
+        while draw >= width:
+            draw = getrandbits(bits)
+        return lo + draw
 
     def decimal(self, lo: float, hi: float, digits: int = 2) -> float:
         """Uniform decimal in ``[lo, hi]`` rounded to ``digits``."""

@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,44 @@ class TestFlusher:
             if pool.stats.flusher_writes > before:
                 fired.add(op)
         assert fired == rounds_after
+
+
+    @pytest.mark.parametrize("interval", [0, 1, 3, 256])
+    def test_rounds_fire_on_the_touches_an_operation_counter_picks(self, memory_backend, interval):
+        """The pool counts *down* to its next round; the reference counts
+        operations *up* since the last one and fires inside the operation
+        that reaches ``flusher_interval`` (never, for an interval <= 0)."""
+        fired = []
+
+        class Recording(BufferPool):
+            def _flush_round(self, at):
+                fired.append(at)  # every touch below carries its number as its time
+                super()._flush_round(at)
+
+        sid = memory_backend.create_space("t")
+        seed_pages(memory_backend, sid, 6)
+        pool = Recording(
+            memory_backend, capacity=8, flusher_interval=interval, flusher_batch=2,
+            cpu_us_per_op=0.0,
+        )
+        rng = random.Random(interval)
+        expected, ops_since_flush = [], 0
+        for touch in range(1, 701):
+            ops_since_flush += 1
+            if ops_since_flush >= interval > 0:
+                expected.append(float(touch))
+                ops_since_flush = 0
+            if touch == 1 or rng.random() < 0.7:
+                pool.get(sid, rng.randrange(6), float(touch), **identity_codec())
+            elif rng.random() < 0.5:
+                page_no, __ = memory_backend.allocate_page(sid, 0.0)
+                pool.put_new(sid, page_no, bytearray(8), bytes, float(touch))
+            else:  # refused, but counted: the operation was made
+                buffered = next(iter(pool._frames))[1]
+                with pytest.raises(BufferError):
+                    pool.put_new(sid, buffered, bytearray(8), bytes, float(touch))
+        assert fired == expected
+        assert len(fired) == (700 // interval if interval > 0 else 0)
 
 
 class TestFlush:

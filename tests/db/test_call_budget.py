@@ -1,0 +1,102 @@
+"""Call budgets of the buffered page-touch and row-update paths.
+
+Host time in ``repro.db`` is mostly Python frames, and those paths run a
+million times per experiment, so a wrapper that creeps back in costs
+seconds without failing anything.  Timing floors are machine-dependent;
+the number of Python-level calls an operation makes is not.  Each test
+counts the ``call`` events ``sys.setprofile`` reports (C functions report
+``c_call`` and are not counted) for one operation on a warm buffer and
+compares it with the frames the operation is designed to need.  Budgets
+are upper bounds: an interpreter that inlines comprehensions needs fewer.
+"""
+
+import sys
+
+import pytest
+
+from repro.db import (
+    BTree,
+    BufferPool,
+    HeapFile,
+    IndexInfo,
+    Schema,
+    TableInfo,
+    char_col,
+    float_col,
+    int_col,
+    varchar_col,
+)
+from repro.db.table import Table
+
+from tests.db.conftest import MemoryBackend
+
+
+def python_calls(operation, *args):
+    """Qualified names of the Python functions ``operation(*args)`` enters,
+    itself included, in call order."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        operation(*args)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """A 2,000-row table behind a two-level index, every page buffered and
+    every row decoded once; ``(table, rid of row 1000)``."""
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    pool = BufferPool(backend, capacity=512, flusher_interval=256)
+    schema = Schema(
+        [int_col("w"), int_col("i"), int_col("qty"), char_col("dist", 24),
+         float_col("ytd"), int_col("cnt"), varchar_col("data", 50)]
+    )
+    info = TableInfo("T", schema, "t", HeapFile(pool, backend.create_space("t"), schema))
+    tree = BTree(pool, backend.create_space("i"), schema.project(["w", "i"]), unique=True)
+    info.indexes.append(IndexInfo("T_IDX", "T", ("w", "i"), True, "i", tree))
+    table = Table(info)
+    at = 0.0
+    for i in range(2000):
+        __, at = table.insert((1, i, 50, "d" * 24, 0.0, 0, "x" * 30), at)
+    assert tree.height == 2
+    for rid, __, at in list(table.scan(at)):
+        table.read(rid, at)
+    rid, at = table.lookup_rid("T_IDX", (1, 1000), at)
+    assert pool.stats.misses == 0  # nothing was ever evicted: all of the below are hits
+    return table, rid
+
+
+def test_buffered_read(warm):
+    table, rid = warm
+    # Table.read -> HeapFile.read (RID check, touch, kept row) -> BufferPool.get
+    assert python_calls(table.read, rid, 0.0) == ["Table.read", "HeapFile.read", "BufferPool.get"]
+
+
+def test_buffered_lookup(warm):
+    table, __ = warm
+    entered = python_calls(table.lookup, "T_IDX", (1, 1000), 0.0)
+    # lookup, index by name, search, one descent with a get per level, the
+    # RID handed out, and a buffered read
+    assert len(entered) <= 4 + 2 + 1 + 3, entered
+    assert entered.count("BufferPool.get") == 3
+
+
+def test_fixed_width_update_columns(warm):
+    table, rid = warm
+    changes = {"qty": 49, "ytd": 12.5, "cnt": 3}
+    table.update_columns(rid, changes, 0.0)  # compiles the plan for these columns
+    entered = python_calls(table.update_columns, rid, changes, 0.0)
+    # three touches (read; record re-read; write fetch = heap method, RID
+    # check + get, page method, slot check), the patch and its value list,
+    # the dirty mark: no row codec, no key extraction, no Table.update
+    assert len(entered) <= 16, entered
+    assert entered.count("BufferPool.get") == 3
+    assert not {"Table.update", "RowCodec.encode", "RowCodec.decode"} & set(entered)

@@ -71,6 +71,57 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(memory_backend, sid)
         with pytest.raises(WALError):
             wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 4096)
+        # the largest record a page takes: header 2 + record 22 + row = 512
+        wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 488)
+        with pytest.raises(WALError, match="record of 511 bytes exceeds log page size 512"):
+            wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 489)
+        assert wal.next_lsn == 2 and wal.records_written == 1  # a refused record is not counted
+
+    def test_pages_are_the_images_a_record_by_record_copy_builds(
+        self, memory_backend, monkeypatch
+    ):
+        """The page writer joins the images ``append`` kept; the reference
+        encodes every record again into a zeroed page, as the log did when
+        it kept the records themselves."""
+        encodes = []
+        encode = LogRecord.encode
+        monkeypatch.setattr(
+            LogRecord, "encode", lambda record: encodes.append(record.lsn) or encode(record)
+        )
+        sid = memory_backend.create_space("wal")
+        wal = WriteAheadLog(memory_backend, sid)
+        rng = random.Random(11)
+        pages, current, used = [], [], 2
+        for lsn in range(1, 301):
+            record = LogRecord(
+                lsn,
+                rng.choice(list(LogRecordType)),
+                rng.choice(["", "t", "ORDERLINE", "t\u00e9"]),
+                RID(rng.randrange(2**31), rng.randrange(2**16)),
+                rng.randbytes(rng.choice([0, 1, 40, 200, 480])),
+            )
+            size = len(encode(record))
+            if used + size > 512:
+                pages.append(current)
+                current, used = [], 2
+            current.append(record)
+            used += size
+            assert wal.append(record.type, record.table, record.rid, record.row_bytes)[0] == lsn
+        wal.flush()
+        wal.flush()  # nothing buffered: no empty page
+        pages.append(current)
+        assert encodes == list(range(1, 301))  # each record encoded once, at append
+        assert wal.flushed_pages == len(pages) > 50
+        for page_no, records in enumerate(pages):
+            image = bytearray(512)
+            image[0:2] = len(records).to_bytes(2, "little")
+            offset = 2
+            for record in records:
+                raw = encode(record)
+                image[offset : offset + len(raw)] = raw
+                offset += len(raw)
+            assert memory_backend.pages[(sid, page_no)] == bytes(image)
+        assert [r for r, __ in wal.records()] == [r for page in pages for r in page]
 
     def test_records_returns_only_persisted(self, memory_backend):
         sid = memory_backend.create_space("wal")
@@ -109,6 +160,26 @@ class TestDatabaseIntegration:
         rid, t = table.update_columns(rid, {"b": "uno"}, t)
         t = table.delete(rid, t)
         assert db.wal.records_written == 3
+
+    def test_logged_image_is_the_stored_image_encoded_once(self, monkeypatch):
+        db = make_db(wal=True)
+        self.schema_ddl(db)
+        table = db.table("t")
+        codec = table.info.heap.codec
+        encoded = []
+        encode = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda row: encoded.append(row) or encode(row))
+        rid, t = table.insert((1, "one"), 0.0)
+        rid, t = table.update(rid, (1, "uno"), t)  # whole row
+        rid, t = table.update_columns(rid, {"b": "eins"}, t)  # rebuilt: CHAR column
+        assert encoded == [(1, "one"), (1, "uno"), (1, "eins")]
+        rid, t = table.update_columns(rid, {"a": 2}, t)  # patched: no row is encoded
+        assert len(encoded) == 3
+        stored, t = table.info.heap.read_record(rid, t)
+        t = db.wal.flush(t)
+        logged = [r.row_bytes for r, __ in db.wal.records()]
+        assert logged == [encode(row) for row in [*encoded, (2, "eins")]]
+        assert logged[-1] == stored
 
     def test_replay_reproduces_crashed_database(self):
         rng = random.Random(5)

@@ -18,6 +18,7 @@ from repro.db import (
     RowCodec,
     Schema,
     SchemaError,
+    SlotError,
     SlottedPage,
     char_col,
     float_col,
@@ -237,6 +238,116 @@ def test_compiled_row_codec_equals_reference(case):
             assert len(image) == schema.fixed_row_size
 
 
+# ----------------------------------------------------------------------
+# Column patch: patch(record, values) == encode(updated row), and the values
+# it reports == what decode returns for them
+# ----------------------------------------------------------------------
+NUMERIC = (ColumnType.INT, ColumnType.FLOAT)
+#: what a patched column accepts: the 64-bit ends, bools (ints to isinstance),
+#: ints into FLOAT up to the largest double, both zeros, nan, the infinities
+GOOD = {
+    ColumnType.INT: st.one_of(
+        int64, st.booleans(), st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+    ),
+    ColumnType.FLOAT: st.one_of(
+        st.floats(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), 2**1023, -(2**1023), 2**53 + 1]),
+    ),
+}
+#: what encode refuses there: wrong types, and numbers struct cannot pack
+BAD = {
+    ColumnType.INT: st.sampled_from([2**63, -(2**63) - 1, 10**400, 1.5, "7", None, b"7"]),
+    ColumnType.FLOAT: st.sampled_from([10**400, -(10**400), 2**1024, "7.0", None, b"7"]),
+}
+
+
+def patchable_positions(schema):
+    """INT/FLOAT columns in front of the first VARCHAR."""
+    patchable = []
+    for position, column in enumerate(schema.columns):
+        if column.type is ColumnType.VARCHAR:
+            break
+        if column.type in NUMERIC:
+            patchable.append(position)
+    return patchable
+
+
+def exact(values):
+    """Types and bits: ``True == 1 == 1.0``, ``-0.0 == 0.0``, ``nan != nan``."""
+    return [
+        (type(v), struct.pack("<d", v) if type(v) is float else v) for v in values
+    ]
+
+
+@st.composite
+def patch_case(draw, some_bad):
+    """A schema, a stored row, and new values for a random non-empty choice
+    (in random order) of its patchable columns: INT/FLOAT before any VARCHAR."""
+    schema, (row,) = draw(schema_and_rows(rows=1))
+    columns = schema.columns
+    patchable = patchable_positions(schema)
+    positions = draw(
+        st.lists(st.sampled_from(patchable), min_size=1, unique=True) if patchable else st.nothing()
+    )
+    bad = set(draw(st.lists(st.sampled_from(positions), min_size=1))) if some_bad else set()
+    values = [draw((BAD if p in bad else GOOD)[columns[p].type]) for p in positions]
+    return schema, row, positions, values
+
+
+def updated(row, positions, values):
+    out = list(row)
+    for position, value in zip(positions, values):
+        out[position] = value
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patch_case(some_bad=False))
+def test_patch_equals_encode_of_the_updated_row(case):
+    # Killed by: an offset that forgets a CHAR's length or counts the patched
+    # column itself, values written in schema order instead of the order
+    # given, a reported value left as passed in (bool, int into FLOAT).
+    schema, row, positions, values = case
+    codec = RowCodec(schema)
+    record = codec.encode(row)
+    patch = codec.patcher(positions)
+    image, decoded = patch(record, values)
+    assert image == codec.encode(updated(row, positions, values))
+    assert image == ref_encode_row(schema, updated(row, positions, values))
+    assert record == codec.encode(row)  # the input is not written to
+    fresh = codec.decode(image)
+    assert exact(decoded) == exact(fresh[p] for p in positions)
+    # the row a page keeps: the old decode with the reported values put in
+    assert exact(updated(codec.decode(record), positions, decoded)) == exact(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patch_case(some_bad=True))
+def test_patch_refuses_what_encode_refuses_in_the_same_words(case):
+    # Killed by: checks made in the order the values were given (encode
+    # reports INT types, then FLOAT types, then INT ranges, then the FLOAT
+    # overflow, each in schema order), a struct.error or OverflowError let out.
+    schema, row, positions, values = case
+    codec = RowCodec(schema)
+    record = codec.encode(row)
+    with pytest.raises(SchemaError) as expected:
+        codec.encode(updated(row, positions, values))
+    with pytest.raises(SchemaError) as got:
+        codec.patcher(positions)(record, values)
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_and_rows(rows=1), st.data())
+def test_only_numeric_columns_before_the_first_varchar_are_patchable(case, data):
+    schema, __ = case
+    positions = data.draw(st.lists(st.integers(0, len(schema) - 1), unique=True))
+    eligible = bool(positions) and set(positions) <= set(patchable_positions(schema))
+    assert (RowCodec(schema).patcher(positions) is not None) == eligible
+
+
 @st.composite
 def key_schema_and_keys(draw, all_int):
     kinds = st.just(ColumnType.INT) if all_int else st.sampled_from([ColumnType.INT, *TEXT])
@@ -403,6 +514,7 @@ page_ops = st.lists(
         st.tuples(st.just("insert"), st.binary(max_size=40)),
         st.tuples(st.just("update"), st.integers(0, 20), st.binary(max_size=60)),
         st.tuples(st.just("delete"), st.integers(0, 20)),
+        st.tuples(st.just("replace"), st.integers(0, 20), st.integers(0, 255)),
         st.tuples(st.just("roundtrip")),
     ),
     max_size=60,
@@ -439,6 +551,13 @@ def test_slotted_page_counters_and_image_match_recount(ops):
             model[slot] = None
             while model and model[-1] is None:
                 model.pop()
+        elif op[0] == "replace" and live:  # same length: nothing to account for
+            slot = live[op[1] % len(live)]
+            model[slot] = bytes([op[2]]) * len(model[slot])
+            page.replace(slot, model[slot], ("row",))
+            assert page.read_row(slot, lambda record: pytest.fail("decoded")) == ("row",)
+            with pytest.raises(SlotError):
+                page.replace(slot, model[slot] + b"!", ("row",))
         elif op[0] == "roundtrip":
             page = SlottedPage.from_bytes(page.to_bytes())
 

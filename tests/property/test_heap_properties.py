@@ -9,11 +9,13 @@ from repro.db import (
     HeapFile,
     Schema,
     SlotError,
+    TableInfo,
     char_col,
     float_col,
     int_col,
     varchar_col,
 )
+from repro.db.table import Table
 
 from tests.db.conftest import MemoryBackend
 
@@ -80,9 +82,12 @@ residency_schema = Schema(
 )
 
 # values whose written form is not what reads back: CHAR drops trailing
-# spaces, an int in a FLOAT column returns as a float
+# spaces, an int in a FLOAT column returns as a float (and a bool in an INT
+# column as an int: the column patch keeps the row it did not decode)
 padded = st.sampled_from(["", "ab", "ab  ", "abcdef", " x "])
-number = st.one_of(st.integers(-5, 5), st.floats(-5, 5, allow_nan=False, width=32))
+number = st.one_of(
+    st.integers(-5, 5), st.booleans(), st.floats(-5, 5, allow_nan=False, width=32)
+)
 short, long_ = text.filter(lambda s: len(s) <= 8), st.text(alphabet="xyz", min_size=45, max_size=60)
 
 residency_ops = st.lists(
@@ -91,6 +96,8 @@ residency_ops = st.lists(
         st.tuples(st.just("update"), st.integers(0, 30), number, short),  # fits: in place
         st.tuples(st.just("update"), st.integers(0, 30), number, long_),  # grows: may move
         st.tuples(st.just("delete"), st.integers(0, 30), st.none(), st.none()),
+        # Table.update_columns: f alone, k and f (patched in place), f and v (rebuilt)
+        st.tuples(st.just("columns"), st.integers(0, 30), number, st.sampled_from("fkv")),
         st.tuples(st.just("reload"), st.none(), st.none(), st.none()),
     ),
     max_size=60,
@@ -109,6 +116,7 @@ def test_read_always_equals_a_fresh_decode_of_the_record(operations):
     sid = backend.create_space("h")
     pool = BufferPool(backend, capacity=4, flusher_interval=0)  # evicts all the time
     heap = HeapFile(pool, sid, residency_schema)
+    table = Table(TableInfo("t", residency_schema, "h", heap))
     live: list = []  # rids, insertion order
     dead: set = set()  # deleted and not handed out again
     at = 0.0
@@ -118,12 +126,18 @@ def test_read_always_equals_a_fresh_decode_of_the_record(operations):
             row, at = heap.read(rid, at)
             again, at = heap.read(rid, at)
             assert again is row  # the page stayed buffered: decoded once
-            page, at = heap._fetch(rid.page_no, at)
-            assert typed(row) == typed(heap.codec.decode(page.read(rid.slot)))
+            record, at = heap.read_record(rid, at)
+            assert typed(row) == typed(heap.codec.decode(record))
         for rid in dead:
             with pytest.raises(SlotError):
                 heap.read(rid, at)
         return at
+
+    def moved(rid, new_rid):
+        if new_rid != rid:  # outgrew its page: the old slot is empty now
+            dead.add(rid)
+            dead.discard(new_rid)
+            live[live.index(rid)] = new_rid
 
     for kind, a, b, c in operations:
         if kind == "insert":
@@ -134,14 +148,17 @@ def test_read_always_equals_a_fresh_decode_of_the_record(operations):
             rid = live[a % len(live)]
             old, at = heap.read(rid, at)
             new_rid, at = heap.update(rid, (old[0], old[1][:5] + " ", b, c), at)
-            if new_rid != rid:  # outgrew its page: the old slot is empty now
-                dead.add(rid)
-                dead.discard(new_rid)
-                live[live.index(rid)] = new_rid
+            moved(rid, new_rid)
         elif kind == "delete" and live:
             rid = live.pop(a % len(live))
             at = heap.delete(rid, at)
             dead.add(rid)
+        elif kind == "columns" and live:
+            rid = live[a % len(live)]
+            changes = {"f": {"f": b}, "k": {"f": b, "k": bool(b)}, "v": {"f": b, "v": "v" * 9}}[c]
+            new_rid, at = table.update_columns(rid, changes, at)
+            assert new_rid == rid or c == "v"  # a patched row cannot move
+            moved(rid, new_rid)
         elif kind == "reload":
             at = pool.flush_all(at)
             for page_no in range(heap.page_count):

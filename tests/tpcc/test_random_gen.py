@@ -141,6 +141,27 @@ class TestRandomTextStream:
                 random_text(rng, alphabet, length)
         assert rng.getstate() == before  # refused before drawing anything
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
+    def test_uniform_equals_randint_and_leaves_same_state(self, seed):
+        # widths one below a power of two (no draw rejected), exactly one
+        # (half of them are), 1 (one bit per draw), beyond 32 and 64 bits
+        ours, reference = TPCCRandom(seed=seed), random.Random(seed)
+        for lo, hi in ((1, 10), (0, 0), (7, 7), (1, 100), (-5, 5), (0, 8191), (1, 3000),
+                       (0, 2**31), (0, 2**32), (-(2**70), 2**70), (1, 2), (0, 255), (0, 256)):
+            for __ in range(40):
+                assert ours.uniform(lo, hi) == reference.randint(lo, hi)
+            assert ours.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("lo, hi", [(1, 0), (5, -5), (0, -(2**70))])
+    def test_uniform_refuses_an_empty_range_before_drawing(self, lo, hi):
+        ours, reference = TPCCRandom(seed=3), random.Random(3)
+        with pytest.raises(ValueError, match="empty range"):
+            reference.randint(lo, hi)
+        before = ours.rng.getstate()
+        with pytest.raises(ValueError, match="empty range"):
+            ours.uniform(lo, hi)
+        assert ours.rng.getstate() == before
+
     def test_astring_and_nstring_draw_length_then_characters(self):
         ours, reference = TPCCRandom(seed=11), random.Random(11)
         for lo, hi in ((8, 16), (26, 50), (4, 4)):
