@@ -11,41 +11,19 @@ the advised placement against the paper's qualitative groupings.
 
 from conftest import bench_mode, run_once
 
-from repro.bench import TPCCExperimentConfig, build_database, render_series, save_report
-from repro.core import suggest_placement, traditional_placement
-from repro.flash import paper_geometry
-from repro.tpcc import Driver, ScaleConfig, load_database
+from repro.bench import profile_objects, render_series, save_report, tpcc_experiment
+from repro.core import suggest_placement
+from repro.mapping import die_reserve_blocks
 
 
 def profile_and_advise():
-    geometry = paper_geometry(blocks_per_plane=4, pages_per_block=32)
-    scale = ScaleConfig(
-        warehouses=2,
-        districts=10,
-        customers_per_district=150 if bench_mode() == "quick" else 300,
-        items=3000 if bench_mode() == "quick" else 6000,
-        initial_orders_per_district=30,
-    )
-    config = TPCCExperimentConfig(
-        name="profile",
-        placement=traditional_placement(64),
-        geometry=geometry,
-        scale=scale,
-        num_transactions=1000,
-        terminals=8,
-        buffer_pages=1024,
-        flusher_interval=256,
-    )
-    db = build_database(config)
-    t = load_database(db, scale, seed=42)
-    Driver(db, scale, terminals=8, seed=42).run(
-        num_transactions=1000 if bench_mode() == "quick" else 2000, start_us=t
-    )
-    stats = db.object_stats()
-    safe_per_die = (geometry.blocks_per_die - 5) * geometry.pages_per_block
+    config = tpcc_experiment(f"advisor.{bench_mode()}")
+    stats, __ = profile_objects(config)
+    geometry = config.geometry
+    safe_per_die = (geometry.blocks_per_die - die_reserve_blocks()) * geometry.pages_per_block
     placement = suggest_placement(
         stats,
-        total_dies=64,
+        total_dies=geometry.dies,
         max_regions=6,
         name="advised",
         safe_pages_per_die=safe_per_die,

@@ -29,63 +29,29 @@ from dataclasses import replace
 from conftest import bench_mode, run_once
 
 from repro.bench import (
-    TPCCExperimentConfig,
     derive_method_placement,
+    fig3_cells,
     figure3_table,
-    run_tpcc_experiment,
+    run_cells,
     save_report,
+    tpcc_experiment,
 )
 from repro.core import traditional_placement
-from repro.flash import paper_geometry
-from repro.tpcc import ScaleConfig
 
 
-def experiment_config() -> tuple[TPCCExperimentConfig, int]:
-    if bench_mode() == "full":
-        scale = ScaleConfig(
-            warehouses=2,
-            districts=10,
-            customers_per_district=300,
-            items=6000,
-            initial_orders_per_district=60,
-        )
-        budget = 8000
-        buffer_pages = 1024
-    else:
-        scale = ScaleConfig(
-            warehouses=2,
-            districts=10,
-            customers_per_district=150,
-            items=3000,
-            initial_orders_per_district=40,
-        )
-        budget = 3000
-        buffer_pages = 768
-    config = TPCCExperimentConfig(
-        name="base",
-        geometry=paper_geometry(blocks_per_plane=5, pages_per_block=32),
-        scale=scale,
-        num_transactions=budget,
-        terminals=8,
-        buffer_pages=buffer_pages,
-        flusher_interval=256,
-        flusher_batch=8,
+def run_fig3():
+    config = tpcc_experiment(f"fig3.{bench_mode()}")
+    placement = derive_method_placement(config, config.num_transactions)
+    cells = fig3_cells(
+        replace(config, name="traditional", placement=traditional_placement(64)),
+        replace(config, name="regions", placement=placement),
     )
-    return config, budget
-
-
-def run_pair():
-    config, budget = experiment_config()
-    placement = derive_method_placement(config, budget)
-    traditional = run_tpcc_experiment(
-        replace(config, name="traditional", placement=traditional_placement(64))
-    )
-    regions = run_tpcc_experiment(replace(config, name="regions", placement=placement))
+    traditional, regions = run_cells(cells, shards=1)
     return traditional, regions, placement
 
 
 def test_fig3_tpcc(benchmark):
-    traditional, regions, placement = run_once(benchmark, run_pair)
+    traditional, regions, placement = run_once(benchmark, run_fig3)
 
     # --- the shapes that reproduce (paper: -19% copybacks, -4.3% erases) ---
     assert regions.row("gc_copybacks") < traditional.row("gc_copybacks") * 0.85, (

@@ -17,29 +17,15 @@ the paper's hierarchy of knowledge, measured.
 
 from conftest import bench_mode, run_once
 
-from repro.bench import (
-    SyntheticConfig,
-    render_series,
-    run_ftl_synthetic,
-    run_noftl_synthetic,
-    save_report,
-)
+from repro.bench import ftl_cells, render_series, run_cells, save_report, synthetic_experiment
 
 
-def run_all():
-    writes = 30_000 if bench_mode() == "full" else 10_000
-    config = SyntheticConfig(writes=writes, utilization=0.65)
-    return [
-        run_ftl_synthetic(config, ftl="page"),
-        run_ftl_synthetic(config, ftl="dftl", cmt_entries=256),
-        run_ftl_synthetic(config, ftl="hotcold"),
-        run_noftl_synthetic(config, separated=False),
-        run_noftl_synthetic(config, separated=True),
-    ]
+def run_ftl():
+    return run_cells(ftl_cells(synthetic_experiment(f"ftl.{bench_mode()}")), shards=1)
 
 
 def test_ftl_vs_noftl(benchmark):
-    page_ftl, dftl, hotcold, noftl_mixed, noftl_regions = run_once(benchmark, run_all)
+    page_ftl, dftl, hotcold, noftl_mixed, noftl_regions = run_once(benchmark, run_ftl)
 
     # DFTL pays translation I/O on top of GC: lowest throughput
     assert dftl.writes_per_second < page_ftl.writes_per_second
@@ -52,13 +38,9 @@ def test_ftl_vs_noftl(benchmark):
     # mixed NoFTL == page FTL (same machinery, same knowledge)
     assert noftl_mixed.copybacks == page_ftl.copybacks
 
-    rows = [r.row() for r in (page_ftl, dftl, hotcold, noftl_mixed, noftl_regions)]
-    rows[2][0] = "ftl-hotcold"
-    rows[3][0] = "noftl-mixed"
-    rows[4][0] = "noftl-regions"
     report = render_series(
         "FTL vs NoFTL (synthetic skewed writes, 8 dies, 65% utilization)",
         ["stack", "GC copybacks", "GC erases", "WA", "writes/s"],
-        rows,
+        [r.row() for r in (page_ftl, dftl, hotcold, noftl_mixed, noftl_regions)],
     )
     save_report("ftl_vs_noftl", report)

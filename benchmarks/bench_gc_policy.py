@@ -7,18 +7,19 @@ for uniform traffic.  We run the mixed-placement synthetic workload under
 both policies and report GC work.
 """
 
+from dataclasses import replace
+
 from conftest import bench_mode, run_once
 
-from repro.bench import SyntheticConfig, render_series, run_noftl_synthetic, save_report
+from repro.bench import render_series, run_noftl_synthetic, save_report, synthetic_experiment
 
 
 def sweep():
-    writes = 30_000 if bench_mode() == "full" else 10_000
+    base = synthetic_experiment(f"gc_policy.{bench_mode()}")
     rows = []
     results = {}
     for policy in ("greedy", "cost_benefit"):
-        config = SyntheticConfig(writes=writes, gc_policy=policy)
-        result = run_noftl_synthetic(config, separated=False)
+        result = run_noftl_synthetic(replace(base, gc_policy=policy), separated=False)
         results[policy] = result
         row = result.row()
         row[0] = policy

@@ -11,28 +11,15 @@ write throughput.
 
 from conftest import bench_mode, run_once
 
-from repro.bench import (
-    SyntheticConfig,
-    render_series,
-    run_noftl_synthetic,
-    save_report,
-)
+from repro.bench import hotcold_cells, render_series, run_cells, save_report, synthetic_experiment
 
 
-def _config():
-    writes = 40_000 if bench_mode() == "full" else 12_000
-    return SyntheticConfig(writes=writes)
-
-
-def run_pair():
-    config = _config()
-    mixed = run_noftl_synthetic(config, separated=False)
-    separated = run_noftl_synthetic(config, separated=True)
-    return mixed, separated
+def run_hotcold():
+    return run_cells(hotcold_cells(synthetic_experiment(f"hotcold.{bench_mode()}")), shards=1)
 
 
 def test_hot_cold_separation(benchmark):
-    mixed, separated = run_once(benchmark, run_pair)
+    mixed, separated = run_once(benchmark, run_hotcold)
 
     # the paper's direction: separation reduces GC work and lifts throughput
     assert separated.copybacks < mixed.copybacks * 0.6, (

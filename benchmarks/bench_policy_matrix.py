@@ -11,6 +11,9 @@ GC erases, GC copybacks — plus simulated throughput.  Workloads:
 * ``tpcc``     — the full TPC-C stack on the page-mapping FTL
   (``full`` mode only; throughput is committed transactions/s).
 
+Sizes come from the catalogue (``repro.bench.catalogue``):
+``policy_matrix.synthetic.<mode>`` and ``policy_matrix.tpcc.<mode>``.
+
 Results go to ``BENCH_policy_matrix.json`` at the repo root.
 ``REPRO_BENCH_MODE=full`` scales the runs up; the CI smoke job narrows
 the matrix via ``REPRO_POLICY_MATRIX_POLICIES`` /
@@ -22,18 +25,23 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # for conftest helpers
 
 from conftest import bench_mode
 
-from repro.bench import SyntheticConfig, render_series, run_noftl_synthetic
-from repro.bench.experiment import TPCCExperimentConfig, run_tpcc_experiment
-from repro.bench.synthetic import HOT_COLD_CLASSES, ObjectClass
-from repro.flash.geometry import paper_geometry
+from repro.bench import (
+    HOT_COLD_CLASSES,
+    ObjectClass,
+    render_series,
+    run_noftl_synthetic,
+    run_tpcc_experiment,
+    synthetic_experiment,
+    tpcc_experiment,
+)
 from repro.policies import available_gc_policies
-from repro.tpcc.schema import bench_scale
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_policy_matrix.json"
 
@@ -59,8 +67,8 @@ def matrix_workloads() -> list[str]:
     return _env_list("REPRO_POLICY_MATRIX_WORKLOADS", default)
 
 
-def run_synthetic_cell(policy: str, classes, writes: int) -> dict[str, float]:
-    config = SyntheticConfig(classes=classes, writes=writes, gc_policy=policy)
+def run_synthetic_cell(policy: str, classes, base) -> dict[str, float]:
+    config = replace(base, classes=classes, gc_policy=policy)
     result = run_noftl_synthetic(config, separated=False)
     return {
         "write_amplification": round(result.write_amplification, 4),
@@ -70,15 +78,8 @@ def run_synthetic_cell(policy: str, classes, writes: int) -> dict[str, float]:
     }
 
 
-def run_tpcc_cell(policy: str, transactions: int) -> dict[str, float]:
-    config = TPCCExperimentConfig(
-        name=f"tpcc-{policy}",
-        geometry=paper_geometry(blocks_per_plane=5, pages_per_block=32),
-        scale=bench_scale(1),
-        num_transactions=transactions,
-        gc_policy=policy,
-    )
-    result = run_tpcc_experiment(config)
+def run_tpcc_cell(policy: str, base) -> dict[str, float]:
+    result = run_tpcc_experiment(replace(base, name=f"tpcc-{policy}", gc_policy=policy))
     host_writes = result.row("host_writes")
     copybacks = result.row("gc_copybacks")
     wa = 1.0 + copybacks / host_writes if host_writes else 0.0
@@ -92,8 +93,8 @@ def run_tpcc_cell(policy: str, transactions: int) -> dict[str, float]:
 
 def run_matrix() -> dict:
     mode = bench_mode()
-    writes = 40_000 if mode == "full" else 8_000
-    transactions = 2_000 if mode == "full" else 300
+    synthetic = synthetic_experiment(f"policy_matrix.synthetic.{mode}")
+    tpcc = tpcc_experiment(f"policy_matrix.tpcc.{mode}")
     policies = matrix_policies()
     workloads = matrix_workloads()
     cells: dict[str, dict[str, dict[str, float]]] = {}
@@ -101,11 +102,11 @@ def run_matrix() -> dict:
         cells[workload] = {}
         for policy in policies:
             if workload == "uniform":
-                cell = run_synthetic_cell(policy, UNIFORM_CLASSES, writes)
+                cell = run_synthetic_cell(policy, UNIFORM_CLASSES, synthetic)
             elif workload == "hotcold":
-                cell = run_synthetic_cell(policy, HOT_COLD_CLASSES, writes)
+                cell = run_synthetic_cell(policy, HOT_COLD_CLASSES, synthetic)
             elif workload == "tpcc":
-                cell = run_tpcc_cell(policy, transactions)
+                cell = run_tpcc_cell(policy, tpcc)
             else:
                 raise ValueError(f"unknown workload {workload!r}")
             cells[workload][policy] = cell
@@ -114,8 +115,8 @@ def run_matrix() -> dict:
         "mode": mode,
         "policies": policies,
         "workloads": workloads,
-        "synthetic_writes": writes,
-        "tpcc_transactions": transactions if "tpcc" in workloads else 0,
+        "synthetic_writes": synthetic.writes,
+        "tpcc_transactions": tpcc.num_transactions if "tpcc" in workloads else 0,
         "cells": cells,
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")

@@ -12,32 +12,11 @@ from dataclasses import replace
 
 from conftest import bench_mode, run_once
 
-from repro.bench import TPCCExperimentConfig, render_series, run_tpcc_experiment, save_report
-from repro.core import traditional_placement
-from repro.flash import paper_geometry
-from repro.tpcc import ScaleConfig
+from repro.bench import render_series, run_tpcc_experiment, save_report, tpcc_experiment
 
 
 def sweep():
-    # one warehouse: every terminal shares the same data, so the sweep
-    # isolates concurrency (more warehouses would grow the working set)
-    scale = ScaleConfig(
-        warehouses=1,
-        districts=10,
-        customers_per_district=150,
-        items=3000,
-        initial_orders_per_district=40,
-    )
-    budget = 4000 if bench_mode() == "full" else 1600
-    base = TPCCExperimentConfig(
-        name="terminals",
-        placement=traditional_placement(64),
-        geometry=paper_geometry(blocks_per_plane=5, pages_per_block=32),
-        scale=scale,
-        num_transactions=budget,
-        buffer_pages=768,
-        flusher_interval=256,
-    )
+    base = tpcc_experiment(f"terminals.{bench_mode()}")
     rows = []
     for terminals in (1, 2, 4, 8, 16):
         result = run_tpcc_experiment(replace(base, terminals=terminals))

@@ -1,10 +1,15 @@
 """Shared benchmark configuration.
 
-``REPRO_BENCH_MODE`` selects the scale:
+``REPRO_BENCH_MODE`` selects the scale, and this file is the only place
+that reads it:
 
-* ``quick`` (default) — minutes-scale run that still shows every effect's
+* ``quick`` (default) — seconds-scale run that still shows every effect's
   direction; used in CI.
 * ``full``  — the paper-scale calibration used for EXPERIMENTS.md numbers.
+
+A catalogue-driven script picks its experiment with
+``f"<experiment>.{bench_mode()}"`` (see ``repro.bench.catalogue``); the
+mode selects an id, it does not branch on sizes.
 """
 
 import os

@@ -8,11 +8,11 @@ throughput of each.
 Run:  python examples/ftl_vs_noftl.py
 """
 
-from repro.bench import SyntheticConfig, run_ftl_synthetic, run_noftl_synthetic
+from repro.bench import run_ftl_synthetic, run_noftl_synthetic, synthetic_experiment
 
 
 def main() -> None:
-    config = SyntheticConfig(writes=15_000, utilization=0.65)
+    config = synthetic_experiment("ftl.quick")  # what `repro ftl` runs at its defaults
     results = [
         ("FTL (page mapping)", run_ftl_synthetic(config, ftl="page")),
         ("FTL (DFTL, small CMT)", run_ftl_synthetic(config, ftl="dftl", cmt_entries=256)),

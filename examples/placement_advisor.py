@@ -8,42 +8,28 @@ and prints the placement it derives, next to the paper's hand-built one.
 Run:  python examples/placement_advisor.py   (~1 minute)
 """
 
-from repro.bench import TPCCExperimentConfig, build_database
+from dataclasses import replace
+
+from repro.bench import profile_objects, tpcc_experiment
 from repro.core import FIGURE2_GROUPS, suggest_placement, traditional_placement
-from repro.flash import paper_geometry
-from repro.tpcc import Driver, ScaleConfig, load_database
+from repro.mapping import die_reserve_blocks
 
 
 def main() -> None:
-    geometry = paper_geometry(blocks_per_plane=5, pages_per_block=32)
-    scale = ScaleConfig(
-        warehouses=2,
-        districts=10,
-        customers_per_district=150,
-        items=3000,
-        initial_orders_per_district=40,
-    )
-    config = TPCCExperimentConfig(
+    config = replace(
+        tpcc_experiment("fig3.quick"),
         name="profile",
         placement=traditional_placement(64),
-        geometry=geometry,
-        scale=scale,
         num_transactions=1500,
-        terminals=8,
-        buffer_pages=768,
-        flusher_interval=256,
     )
     print("profiling 1500 TPC-C transactions under traditional placement ...")
-    db = build_database(config)
-    t = load_database(db, scale, seed=42)
-    Driver(db, scale, terminals=8, seed=42).run(num_transactions=1500, start_us=t)
-
-    stats = sorted(db.object_stats(), key=lambda s: s.update_density)
+    stats = sorted(profile_objects(config)[0], key=lambda s: s.update_density)
     print(f"\n{'object':<14} {'pages':>6} {'reads':>8} {'writes':>8} {'writes/page':>12}")
     for s in stats:
         print(f"{s.name:<14} {s.size_pages:>6} {s.reads:>8} {s.writes:>8} {s.update_density:>12.1f}")
 
-    safe_per_die = (geometry.blocks_per_die - 5) * geometry.pages_per_block
+    geometry = config.geometry
+    safe_per_die = (geometry.blocks_per_die - die_reserve_blocks()) * geometry.pages_per_block
     placement = suggest_placement(
         stats, total_dies=64, max_regions=6, safe_pages_per_die=safe_per_die, headroom=1.6
     )

@@ -10,36 +10,21 @@ benchmarks/bench_fig3_tpcc.py (see EXPERIMENTS.md for recorded results).
 Run:  python examples/tpcc_demo.py            (~1-2 minutes)
 """
 
-from repro.bench import TPCCExperimentConfig, figure3_table, run_tpcc_experiment
+from dataclasses import replace
+
+from repro.bench import figure3_table, run_tpcc_experiment, tpcc_experiment
 from repro.core import figure2_placement, traditional_placement
-from repro.flash import paper_geometry
-from repro.tpcc import ScaleConfig
 
 
 def main() -> None:
-    geometry = paper_geometry(blocks_per_plane=5, pages_per_block=32)
-    scale = ScaleConfig(
-        warehouses=2,
-        districts=10,
-        customers_per_district=150,
-        items=3000,
-        initial_orders_per_district=40,
-    )
-    common = dict(
-        geometry=geometry,
-        scale=scale,
-        num_transactions=3000,
-        terminals=8,
-        buffer_pages=768,
-        flusher_interval=256,
-    )
+    base = tpcc_experiment("fig3.quick")  # what `repro fig3` runs at its defaults
     print("running traditional placement ...")
     traditional = run_tpcc_experiment(
-        TPCCExperimentConfig(name="traditional", placement=traditional_placement(64), **common)
+        replace(base, name="traditional", placement=traditional_placement(64))
     )
     print("running figure-2 multi-region placement ...")
     regions = run_tpcc_experiment(
-        TPCCExperimentConfig(name="figure2", placement=figure2_placement(64), **common)
+        replace(base, name="figure2", placement=figure2_placement(64))
     )
     print()
     print(figure3_table(traditional, regions))

@@ -1,10 +1,14 @@
-"""Experiment harness: end-to-end TPC-C runs and paper-style reporting."""
+"""Experiment harness: the experiment catalogue (:mod:`.catalogue`), one
+TPC-C or synthetic cell (:mod:`.experiment`, :mod:`.synthetic`), cell lists
+and their runner (:mod:`.sharding`), and paper-style reporting."""
 
+from repro.bench.catalogue import CATALOGUE, synthetic_experiment, tpcc_experiment
 from repro.bench.experiment import (
     TPCCExperimentConfig,
     TPCCExperimentResult,
     build_database,
     derive_method_placement,
+    profile_objects,
     run_tpcc_experiment,
 )
 from repro.bench.reporting import (
@@ -21,11 +25,13 @@ from repro.bench.reporting import (
 from repro.bench.sharding import (
     MergeError,
     ShardCell,
+    fig3_cells,
+    ftl_cells,
+    hotcold_cells,
     merge_metrics_docs,
     run_cells,
     run_fig3_supervised,
-    run_ftl_supervised,
-    run_hotcold_supervised,
+    run_supervised,
 )
 from repro.bench.supervisor import (
     CellOutcome,
@@ -33,7 +39,6 @@ from repro.bench.supervisor import (
     ShardPolicy,
     ShardRunReport,
     run_cells_supervised,
-    shard_policy_from,
 )
 from repro.bench.synthetic import (
     HOT_COLD_CLASSES,
@@ -46,6 +51,7 @@ from repro.bench.synthetic import (
 from repro.bench.timeline import gc_interference_report, render_timeline
 
 __all__ = [
+    "CATALOGUE",
     "CellOutcome",
     "FIGURE3_ROWS",
     "HOT_COLD_CLASSES",
@@ -61,11 +67,15 @@ __all__ = [
     "TPCCExperimentResult",
     "build_database",
     "derive_method_placement",
+    "fig3_cells",
+    "ftl_cells",
+    "hotcold_cells",
     "merge_metrics_docs",
     "figure3_metrics_doc",
     "figure3_table",
     "format_value",
     "gc_interference_report",
+    "profile_objects",
     "render_metrics_doc",
     "render_series",
     "render_timeline",
@@ -74,11 +84,11 @@ __all__ = [
     "run_cells",
     "run_cells_supervised",
     "run_fig3_supervised",
-    "run_ftl_supervised",
     "run_ftl_synthetic",
-    "run_hotcold_supervised",
     "run_noftl_synthetic",
+    "run_supervised",
     "run_tpcc_experiment",
     "save_report",
-    "shard_policy_from",
+    "synthetic_experiment",
+    "tpcc_experiment",
 ]

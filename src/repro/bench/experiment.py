@@ -1,8 +1,10 @@
 """End-to-end TPC-C experiment harness (the paper's Section 3 setup).
 
-One :class:`TPCCExperimentConfig` describes a complete run: storage
-architecture (NoFTL placement or FTL block device), device geometry,
-population scale, driver parameters and measurement budget.
+One :class:`TPCCExperimentConfig` describes what one cell simulates:
+storage architecture (NoFTL placement or FTL block device), device
+geometry, population scale, driver parameters and measurement budget.
+Device, population and buffer have no defaults: every experiment is a
+named entry of :mod:`repro.bench.catalogue`.
 :func:`run_tpcc_experiment` builds the stack, loads the database,
 checkpoints, snapshots every counter, runs the driver and returns the
 Figure 3 measurement set as deltas over the measured window only.
@@ -16,14 +18,16 @@ from typing import TYPE_CHECKING
 from repro.core.placement import PlacementConfig
 from repro.bench.errors import BenchConfigError
 from repro.db.database import Database
-from repro.flash.geometry import FlashGeometry, paper_geometry
+from repro.flash.geometry import FlashGeometry
+from repro.mapping.engine import die_reserve_blocks
 from repro.obs.export import JsonDict
 from repro.flash.timing import TimingModel
 from repro.tpcc.driver import Driver
 from repro.tpcc.loader import load_database
-from repro.tpcc.schema import ScaleConfig, bench_scale
+from repro.tpcc.schema import ScaleConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.advisor import ObjectStats
     from repro.mapping.stats import ManagementStats
     from repro.faults.plan import FaultPlan
     from repro.policies import GCPolicy, WLPolicy
@@ -37,11 +41,12 @@ class TPCCExperimentConfig:
         name: label for reports.
         placement: region layout (``None`` selects the FTL block device).
         ftl: when ``placement is None``: ``"page"`` or ``"dftl"``.
-        geometry: flash device shape; defaults to the paper's 64 dies with
-            a capacity scaled to the population (see ``blocks_per_plane``).
-        scale: TPC-C population.
+        geometry: flash device shape (required; the experiments use the
+            paper's 64 dies with a capacity scaled to the population).
+        scale: TPC-C population (required).
         terminals: closed-loop concurrency.
-        buffer_pages / flusher_interval / flusher_batch: buffer manager.
+        buffer_pages / flusher_interval: buffer manager (required).
+        flusher_batch: pages written per flusher round.
         num_transactions / duration_us: measurement budget (at least one).
         timing: flash latency model.
         seed: workload RNG seed.
@@ -55,18 +60,16 @@ class TPCCExperimentConfig:
             so its operation numbers count from the start of the measured
             run (``None`` keeps the device fault-free and bit-identical to
             runs predating fault injection).
-        shards: worker-process budget when this config is run as part of
-            a multi-cell command (see :mod:`repro.bench.sharding`).
     """
 
     name: str
     placement: PlacementConfig | None = None
     ftl: str = "page"
-    geometry: FlashGeometry = field(default_factory=lambda: paper_geometry(blocks_per_plane=9, pages_per_block=32))
-    scale: ScaleConfig = field(default_factory=lambda: bench_scale(2))
+    geometry: FlashGeometry = field(kw_only=True)
+    scale: ScaleConfig = field(kw_only=True)
     terminals: int = 8
-    buffer_pages: int = 256
-    flusher_interval: int = 64
+    buffer_pages: int = field(kw_only=True)
+    flusher_interval: int = field(kw_only=True)
     flusher_batch: int = 8
     num_transactions: int | None = None
     duration_us: float | None = None
@@ -79,22 +82,6 @@ class TPCCExperimentConfig:
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
     fault_plan: "FaultPlan | None" = None
-    #: worker processes for multi-cell experiment commands (1 = sequential;
-    #: each cell owns its device, so results are identical either way —
-    #: see :mod:`repro.bench.sharding`)
-    shards: int = 1
-    #: shard-supervision knobs (see :mod:`repro.bench.supervisor`):
-    #: per-attempt wall-clock timeout, bounded deterministic retries, and
-    #: whether exhausted cells degrade the merged doc instead of failing
-    shard_timeout_s: float | None = None
-    shard_retries: int = 1
-    allow_degraded: bool = False
-
-    def with_budget(
-        self, num_transactions: int | None = None, duration_us: float | None = None
-    ) -> "TPCCExperimentConfig":
-        """Copy with a different measurement budget."""
-        return replace(self, num_transactions=num_transactions, duration_us=duration_us)
 
 
 @dataclass
@@ -244,6 +231,20 @@ def build_database(config: TPCCExperimentConfig) -> Database:
     )
 
 
+def profile_objects(
+    config: TPCCExperimentConfig,
+) -> tuple[list[ObjectStats], dict[str, int]]:
+    """Profile the configured workload: build, load, run the transaction
+    budget, and return ``(per-object statistics after the run, object sizes
+    in pages at load)`` — what a placement is derived from."""
+    db = build_database(config)
+    t = load_database(db, config.scale, seed=config.seed)
+    sizes_at_load = {s.name: s.size_pages for s in db.object_stats()}
+    driver = Driver(db, config.scale, terminals=config.terminals, seed=config.seed)
+    driver.run(num_transactions=config.num_transactions, start_us=t)
+    return db.object_stats(), sizes_at_load
+
+
 def derive_method_placement(
     config: TPCCExperimentConfig,
     budget_transactions: int,
@@ -271,22 +272,17 @@ def derive_method_placement(
         )
     if budget_transactions < 0:
         raise BenchConfigError("budget_transactions must be >= 0")
-    profile_config = replace(
-        config,
-        name="profile",
-        placement=traditional_placement(config.geometry.dies, gc_policy=config.gc_policy),
-        num_transactions=profile_transactions,
-        duration_us=None,
+    stats, sizes_at_load = profile_objects(
+        replace(
+            config,
+            name="profile",
+            placement=traditional_placement(config.geometry.dies, gc_policy=config.gc_policy),
+            num_transactions=profile_transactions,
+            duration_us=None,
+        )
     )
-    db = build_database(profile_config)
-    t = load_database(db, profile_config.scale, seed=profile_config.seed)
-    sizes_at_load = {s.name: s.size_pages for s in db.object_stats()}
-    driver = Driver(
-        db, profile_config.scale, terminals=profile_config.terminals, seed=profile_config.seed
-    )
-    driver.run(num_transactions=profile_transactions, start_us=t)
     projected: list[ObjectStats] = []
-    for s in db.object_stats():
+    for s in stats:
         growth = max(0, s.size_pages - sizes_at_load.get(s.name, 0))
         projected_size = s.size_pages + int(
             growth / profile_transactions * budget_transactions * growth_safety
@@ -295,7 +291,7 @@ def derive_method_placement(
             ObjectStats(name=s.name, size_pages=projected_size, reads=s.reads, writes=s.writes)
         )
     geometry = config.geometry
-    safe_per_die = (geometry.blocks_per_die - 5) * geometry.pages_per_block
+    safe_per_die = (geometry.blocks_per_die - die_reserve_blocks()) * geometry.pages_per_block
     groups = [(group_name, objects) for group_name, __, objects in FIGURE2_GROUPS]
     return allocate_dies_for_groups(
         groups,

@@ -10,17 +10,19 @@ partitioning by cell *is* partitioning by die set: no flash command ever
 crosses a shard boundary, the workload is partition-closed by
 construction, and the sharded run computes bit-identical per-cell results.
 
-Cell execution is delegated to :mod:`repro.bench.supervisor`: each cell
-runs in its own *spawn* process with a heartbeat, a wall-clock timeout,
-and bounded deterministic retries — a SIGKILLed or hung worker is
-retried, and because cells are pure functions of their pickled specs the
-retried run's merged document is byte-identical to the sequential one.
-When retries are exhausted the run salvages the survivors into a
-``degraded`` document instead of discarding everything (see
-:class:`~repro.bench.supervisor.ShardRunReport`).  ``shards == 1`` (the
-default everywhere) runs the cells sequentially in process; that path is
-the reference the sharded-equality tests and the CI smoke job compare
-against.
+The worker count and the supervision policy are arguments of the one
+runner, :func:`run_supervised`, not fields of the configs inside the
+cells.  With ``shards > 1`` it hands each cell to
+:mod:`repro.bench.supervisor`: its own *spawn* process with a heartbeat, a
+wall-clock timeout, and bounded deterministic retries — a SIGKILLed or
+hung worker is retried, and because cells are pure functions of their
+pickled specs the retried run's merged document is byte-identical to the
+sequential one.  When retries are exhausted the run salvages the
+survivors into a ``degraded`` document instead of discarding everything
+(see :class:`~repro.bench.supervisor.ShardRunReport`).  ``shards == 1``
+(the default) runs the cells sequentially in process; that path is what
+the benchmark scripts use and the reference the sharded-equality tests
+and the CI smoke job compare against.
 
 :func:`merge_metrics_docs` is the deterministic merge step: it reassembles
 per-cell ``repro.obs/v1`` documents into the single document the
@@ -34,17 +36,11 @@ typed :class:`MergeError` rather than producing a silently wrong union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.bench.experiment import TPCCExperimentConfig, TPCCExperimentResult, run_tpcc_experiment
-from repro.bench.supervisor import (
-    ShardPolicy,
-    ShardRunReport,
-    run_cells_supervised,
-    shard_policy_from,
-    strict,
-)
+from repro.bench.supervisor import ShardPolicy, ShardRunReport, run_cells_supervised
 from repro.bench.synthetic import SyntheticConfig, SyntheticResult, run_ftl_synthetic, run_noftl_synthetic
 from repro.obs.export import JsonDict
 
@@ -62,23 +58,31 @@ class ShardCell:
     args: tuple[Any, ...] = ()
 
 
+def run_supervised(
+    cells: Iterable[ShardCell], shards: int = 1, policy: ShardPolicy | None = None
+) -> tuple[list[Any], ShardRunReport]:
+    """Run every cell; return ``(results in cell order, supervision report)``.
+
+    ``shards == 1`` (or a single cell) runs sequentially in this process —
+    the bit-identical baseline; ``shards > 1`` fans the cells out over
+    ``min(shards, len(cells))`` supervised spawn workers under ``policy``.
+    A cell that exhausts its retries raises
+    :class:`~repro.bench.supervisor.ShardDegradedError` unless
+    ``policy.allow_degraded`` is set; then it comes back as ``None`` and
+    the report carries the ``degraded`` stanza for the merged document.
+    """
+    report = run_cells_supervised(cells, shards, policy)
+    report.raise_if_blocked()
+    return report.results(), report
+
+
 def run_cells(
     cells: Iterable[ShardCell], shards: int, policy: ShardPolicy | None = None
 ) -> list[Any]:
-    """Run every cell; return results in cell order regardless of finish order.
-
-    ``shards == 1`` (or a single cell) runs sequentially in this process —
-    the bit-identical baseline.  ``shards > 1`` fans the cells out over
-    ``min(shards, len(cells))`` supervised spawn workers; collecting
-    results by submission order keeps the output deterministic even
-    though cells finish in any order.  A cell that exhausts its retries
-    raises :class:`~repro.bench.supervisor.ShardDegradedError` — callers
-    that want to salvage partial results use
-    :func:`~repro.bench.supervisor.run_cells_supervised` directly.
-    """
-    report = run_cells_supervised(cells, shards, strict(policy or ShardPolicy()))
-    report.raise_if_blocked()
-    return report.results()
+    """:func:`run_supervised` for callers that need every result: a lost
+    cell raises even under a policy that would allow degraded output."""
+    strict = replace(policy or ShardPolicy(), allow_degraded=False)
+    return run_supervised(cells, shards, strict)[0]
 
 
 # ----------------------------------------------------------------------
@@ -96,22 +100,13 @@ def fig3_cells(
 
 
 def run_fig3_supervised(
-    traditional: TPCCExperimentConfig, regions: TPCCExperimentConfig
+    traditional: TPCCExperimentConfig,
+    regions: TPCCExperimentConfig,
+    shards: int = 1,
+    policy: ShardPolicy | None = None,
 ) -> tuple[list[TPCCExperimentResult | None], ShardRunReport]:
-    """Run both Figure 3 cells under supervision, salvaging survivors.
-
-    Raises :class:`~repro.bench.supervisor.ShardDegradedError` when a
-    cell is lost and ``traditional.allow_degraded`` is unset; otherwise
-    lost cells come back as ``None`` and the report carries the
-    ``degraded`` stanza for the merged document.
-    """
-    report = run_cells_supervised(
-        fig3_cells(traditional, regions),
-        traditional.shards,
-        shard_policy_from(traditional),
-    )
-    report.raise_if_blocked()
-    return report.results(), report
+    """:func:`run_supervised` over the two Figure 3 cells."""
+    return run_supervised(fig3_cells(traditional, regions), shards, policy)
 
 
 def hotcold_cells(config: SyntheticConfig) -> list[ShardCell]:
@@ -122,15 +117,11 @@ def hotcold_cells(config: SyntheticConfig) -> list[ShardCell]:
     ]
 
 
-def run_hotcold_supervised(
-    config: SyntheticConfig,
-) -> tuple[list[SyntheticResult | None], ShardRunReport]:
-    """Run the hot/cold cells under supervision, salvaging survivors."""
-    report = run_cells_supervised(
-        hotcold_cells(config), config.shards, shard_policy_from(config)
-    )
-    report.raise_if_blocked()
-    return report.results(), report
+def _noftl_stack(config: SyntheticConfig, separated: bool) -> SyntheticResult:
+    """A NoFTL cell of the FTL comparison, labelled like its FTL neighbours."""
+    result = run_noftl_synthetic(config, separated)
+    result.name = "noftl-regions" if separated else "noftl-mixed"
+    return result
 
 
 def ftl_cells(config: SyntheticConfig) -> list[ShardCell]:
@@ -139,29 +130,9 @@ def ftl_cells(config: SyntheticConfig) -> list[ShardCell]:
         ShardCell("ftl-page", run_ftl_synthetic, (config, "page")),
         ShardCell("ftl-dftl", run_ftl_synthetic, (config, "dftl", 256)),
         ShardCell("ftl-hotcold", run_ftl_synthetic, (config, "hotcold")),
-        ShardCell("noftl-mixed", run_noftl_synthetic, (config, False)),
-        ShardCell("noftl-regions", run_noftl_synthetic, (config, True)),
+        ShardCell("noftl-mixed", _noftl_stack, (config, False)),
+        ShardCell("noftl-regions", _noftl_stack, (config, True)),
     ]
-
-
-def _rename_ftl_results(
-    cells: Sequence[ShardCell], results: Sequence[SyntheticResult | None]
-) -> None:
-    for cell, result in zip(cells, results):
-        if result is not None:
-            result.name = cell.name
-
-
-def run_ftl_supervised(
-    config: SyntheticConfig,
-) -> tuple[list[SyntheticResult | None], ShardRunReport]:
-    """Run all five stacks under supervision, salvaging survivors."""
-    cells = ftl_cells(config)
-    report = run_cells_supervised(cells, config.shards, shard_policy_from(config))
-    report.raise_if_blocked()
-    results: list[SyntheticResult | None] = report.results()
-    _rename_ftl_results(cells, results)
-    return results, report
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ import math
 import multiprocessing
 import queue as queue_mod
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.bench.errors import BenchConfigError
@@ -387,24 +387,3 @@ def run_cells_supervised(
     final = tuple(outcome for outcome in collected if outcome is not None)
     assert len(final) == len(todo), "supervisor lost track of a cell outcome"
     return ShardRunReport(outcomes=final, policy=policy)
-
-
-def shard_policy_from(config: Any) -> ShardPolicy:
-    """Build a :class:`ShardPolicy` from a config carrying the CLI knobs.
-
-    Both :class:`~repro.bench.synthetic.SyntheticConfig` and
-    :class:`~repro.bench.experiment.TPCCExperimentConfig` expose
-    ``shard_timeout_s`` / ``shard_retries`` / ``allow_degraded``.
-    """
-    return ShardPolicy(
-        timeout_s=config.shard_timeout_s,
-        retries=config.shard_retries,
-        allow_degraded=config.allow_degraded,
-    )
-
-
-def strict(policy: ShardPolicy) -> ShardPolicy:
-    """The same policy with degraded output forbidden (legacy callers)."""
-    if not policy.allow_degraded:
-        return policy
-    return replace(policy, allow_degraded=False)

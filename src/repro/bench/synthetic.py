@@ -27,6 +27,7 @@ from repro.flash.timing import TimingModel
 from repro.ftl.dftl import DFTL
 from repro.ftl.hotcold import HotColdFTL
 from repro.ftl.page_mapping import PageMappingFTL
+from repro.mapping.engine import die_reserve_blocks
 from repro.policies import GCPolicy, WLPolicy
 
 
@@ -88,16 +89,12 @@ class SyntheticConfig:
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
     fault_plan: object | None = None  # repro.faults.plan.FaultPlan
-    #: worker processes for multi-cell experiment commands (1 = sequential;
-    #: each cell owns its device, so results are identical either way —
-    #: see :mod:`repro.bench.sharding`)
-    shards: int = 1
-    #: shard-supervision knobs (see :mod:`repro.bench.supervisor`):
-    #: per-attempt wall-clock timeout, bounded deterministic retries, and
-    #: whether exhausted cells degrade the merged doc instead of failing
-    shard_timeout_s: float | None = None
-    shard_retries: int = 1
-    allow_degraded: bool = False
+
+    def __post_init__(self) -> None:
+        if self.writes < 0:
+            raise BenchConfigError("writes must be >= 0")
+        if not 0.0 < self.utilization < 1.0:
+            raise BenchConfigError("utilization must be in (0, 1)")
 
     def geometry(self) -> FlashGeometry:
         """A small device with ``dies`` dies (2 planes, 32-page blocks)."""
@@ -304,7 +301,7 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
     )
     # match the NoFTL runs' effective utilization: live pages are the same
     # fraction of reclaimable (reserve-adjusted) capacity on both stacks
-    reserve_pages = geometry.dies * 5 * geometry.pages_per_block
+    reserve_pages = geometry.dies * die_reserve_blocks() * geometry.pages_per_block
     safe_total = geometry.total_pages - reserve_pages
     live_target = int(safe_total * config.utilization)
     overprovision = max(0.05, 1.0 - (live_target / geometry.total_pages) - 0.02)

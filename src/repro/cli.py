@@ -14,10 +14,15 @@ Commands:
 * ``lint`` — run the per-module static invariant linter over a tree that
   must be clean (:mod:`repro.analysis`).
 
-Every command prints a paper-style table and exits 0 on success.  Every
-command also accepts ``--json``, which swaps the table for a validated
-``repro.obs/v1`` metrics document on stdout (one shared serializer, see
-:mod:`repro.obs.export`).  The experiment commands (``fig3``,
+``fig3``, ``hotcold`` and ``ftl`` run the ``<command>.quick`` entry of
+:mod:`repro.bench.catalogue`: their argparse defaults are read from it
+and each flag overrides one field of it.
+
+Every command prints a paper-style table and exits 0 on success; invalid
+input is one ``error: ...`` line on stderr and exit 2; exit 3 means
+experiment cells were lost.  Every command also accepts ``--json``, which
+swaps the table for a validated ``repro.obs/v1`` metrics document on
+stdout (one shared serializer, see :mod:`repro.obs.export`).  The experiment commands (``fig3``,
 ``hotcold``, ``ftl``) additionally take ``--metrics-out FILE.json`` to
 save that same document next to the printed table, plus the device
 robustness knobs ``--bad-block-rate`` / ``--device-seed`` (factory bad
@@ -29,7 +34,8 @@ Sharded runs are supervised (:mod:`repro.bench.supervisor`):
 ``--shard-timeout`` bounds each worker attempt, ``--shard-retries``
 re-executes failed cells deterministically, and ``--allow-degraded``
 salvages the surviving cells into a document carrying an explicit
-``degraded`` section instead of failing the whole run.
+``degraded`` section instead of failing the whole run.  These four flags
+become the runner's ``shards`` and ``policy`` arguments, not config fields.
 """
 
 from __future__ import annotations
@@ -40,8 +46,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.bench.supervisor import ShardRunReport
-    from repro.bench.synthetic import SyntheticConfig, SyntheticResult
+    from repro.bench.supervisor import ShardPolicy, ShardRunReport
     from repro.faults.plan import FaultPlan
 
 
@@ -68,6 +73,17 @@ def _progress(args: argparse.Namespace, message: str) -> None:
     print(message, file=sys.stderr if args.json else sys.stdout, flush=True)
 
 
+def _read_file(path: str) -> str:
+    """Text of a file named on the command line; unreadable is a usage error."""
+    from repro.bench.errors import BenchConfigError
+
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise BenchConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_fault_plan(args: argparse.Namespace) -> "FaultPlan | None":
     """``--fault-plan FILE.json`` → :class:`~repro.faults.plan.FaultPlan`."""
     path = getattr(args, "fault_plan", None)
@@ -75,7 +91,18 @@ def _load_fault_plan(args: argparse.Namespace) -> "FaultPlan | None":
         return None
     from repro.faults.plan import FaultPlan
 
-    return FaultPlan.load(path)
+    return FaultPlan.from_json(_read_file(path))
+
+
+def _shard_policy(args: argparse.Namespace) -> "ShardPolicy":
+    """The three supervision flags as the runner's policy argument."""
+    from repro.bench.supervisor import ShardPolicy
+
+    return ShardPolicy(
+        timeout_s=args.shard_timeout,
+        retries=args.shard_retries,
+        allow_degraded=args.allow_degraded,
+    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -141,50 +168,49 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return _emit(args, doc, text)
 
 
-def _degraded_note(report: "ShardRunReport") -> str:
-    lost = ", ".join(outcome.name for outcome in report.lost)
-    return (
-        f"DEGRADED: cells lost after retries: {lost} "
-        "(named in the document's 'degraded' section)"
-    )
+def _emit_cells(
+    args: argparse.Namespace, doc: dict[str, object], text: str, report: "ShardRunReport"
+) -> int:
+    """:func:`_emit` for a run of supervised cells: lost cells degrade loudly."""
+    if report.degraded:
+        lost = ", ".join(outcome.name for outcome in report.lost)
+        doc["degraded"] = report.degraded_section()
+        text = (
+            f"{text}\nDEGRADED: cells lost after retries: {lost} "
+            "(named in the document's 'degraded' section)"
+        )
+    return _emit(args, doc, text)
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.bench import (
-        TPCCExperimentConfig,
         derive_method_placement,
-        figure3_metrics_doc,
         figure3_table,
         run_fig3_supervised,
+        tpcc_experiment,
     )
+    from repro.bench.errors import BenchConfigError
     from repro.core import traditional_placement
-    from repro.flash import paper_geometry
     from repro.obs.export import metrics_doc
-    from repro.tpcc import ScaleConfig
 
-    scale = ScaleConfig(
-        warehouses=args.warehouses,
-        districts=10,
-        customers_per_district=args.customers,
-        items=args.items,
-        initial_orders_per_district=40,
-    )
-    config = TPCCExperimentConfig(
-        name="base",
-        geometry=paper_geometry(blocks_per_plane=5, pages_per_block=32),
+    base = tpcc_experiment("fig3.quick")
+    try:
+        scale = replace(
+            base.scale,
+            warehouses=args.warehouses,
+            customers_per_district=args.customers,
+            items=args.items,
+        )
+    except ValueError as exc:  # ScaleConfig's own range check
+        raise BenchConfigError(str(exc)) from exc
+    config = replace(
+        base,
         scale=scale,
         num_transactions=args.transactions,
-        terminals=8,
-        buffer_pages=768,
-        flusher_interval=256,
         gc_policy=args.gc_policy,
         initial_bad_block_rate=args.bad_block_rate,
         device_seed=args.device_seed,
         fault_plan=_load_fault_plan(args),
-        shards=args.shards,
-        shard_timeout_s=args.shard_timeout,
-        shard_retries=args.shard_retries,
-        allow_degraded=args.allow_degraded,
     )
     _progress(args, "deriving region placement (paper's method) ...")
     placement = derive_method_placement(config, args.transactions)
@@ -194,108 +220,77 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         replace(
             config,
             name="traditional",
-            placement=traditional_placement(64, gc_policy=args.gc_policy),
+            placement=traditional_placement(config.geometry.dies, gc_policy=args.gc_policy),
         ),
         replace(config, name="regions", placement=placement),
+        args.shards,
+        _shard_policy(args),
     )
     _progress(args, "")
-    traditional, regions = results
-    if traditional is not None and regions is not None:
-        doc = figure3_metrics_doc(traditional, regions)
-        text = figure3_table(traditional, regions)
-    else:
-        survivors = [r for r in results if r is not None]
-        if not survivors:
-            print("error: every experiment cell was lost; nothing to report",
-                  file=sys.stderr)
-            return 3
-        doc = metrics_doc("fig3", {r.config.name: r.metrics() for r in survivors})
-        text = "partial Figure 3 results (surviving cells: " + ", ".join(
-            r.config.name for r in survivors
-        ) + ")"
-    doc["policies"] = {"gc": args.gc_policy}
-    if report.degraded:
-        doc["degraded"] = report.degraded_section()
-        text = f"{text}\n{_degraded_note(report)}"
-    return _emit(args, doc, text)
-
-
-def _emit_synthetic(
-    args: argparse.Namespace, command: str, title: str, header: list[str],
-    results: "list[SyntheticResult | None]", report: "ShardRunReport",
-) -> int:
-    """Shared hotcold/ftl emission: merge survivor docs, degrade loudly."""
-    from repro.bench import merge_metrics_docs, render_series
-    from repro.obs.export import metrics_doc
-
     survivors = [result for result in results if result is not None]
     if not survivors:
         print("error: every experiment cell was lost; nothing to report",
               file=sys.stderr)
         return 3
-    text = render_series(title, header, [r.row() for r in survivors])
-    doc = merge_metrics_docs([
-        metrics_doc(
-            command,
-            {result.name: result.metrics()},
-            policies={"gc": args.gc_policy, "wl": args.wl_policy},
-        )
-        for result in survivors
-    ])
-    if report.degraded:
-        doc["degraded"] = report.degraded_section()
-        text = f"{text}\n{_degraded_note(report)}"
-    return _emit(args, doc, text)
+    if len(survivors) == len(results):
+        text = figure3_table(*survivors)
+    else:
+        names = ", ".join(result.config.name for result in survivors)
+        text = f"partial Figure 3 results (surviving cells: {names})"
+    doc = metrics_doc(
+        "fig3",
+        {result.config.name: result.metrics() for result in survivors},
+        policies={"gc": args.gc_policy},
+    )
+    return _emit_cells(args, doc, text, report)
 
 
-def _synthetic_config(
-    args: argparse.Namespace, utilization: float = 0.7
-) -> "SyntheticConfig":
-    from repro.bench import SyntheticConfig
+def _cmd_synthetic(args: argparse.Namespace) -> int:
+    """``hotcold`` and ``ftl``: one catalogue entry, one cell list, one table."""
+    from repro.bench import (
+        ftl_cells,
+        hotcold_cells,
+        merge_metrics_docs,
+        render_series,
+        run_supervised,
+        synthetic_experiment,
+    )
+    from repro.obs.export import metrics_doc
 
-    return SyntheticConfig(
+    title, first_column, cells_of = {
+        "hotcold": ("Hot/cold separation ablation (synthetic, 8 dies, 70% utilization)",
+                    "placement", hotcold_cells),
+        "ftl": ("FTL vs NoFTL (synthetic skewed writes)", "stack", ftl_cells),
+    }[args.command]
+    config = replace(
+        synthetic_experiment(f"{args.command}.quick"),
         writes=args.writes,
-        utilization=utilization,
         gc_policy=args.gc_policy,
         wl_policy=args.wl_policy,
         initial_bad_block_rate=args.bad_block_rate,
         device_seed=args.device_seed,
         fault_plan=_load_fault_plan(args),
-        shards=args.shards,
-        shard_timeout_s=args.shard_timeout,
-        shard_retries=args.shard_retries,
-        allow_degraded=args.allow_degraded,
     )
-
-
-def _cmd_hotcold(args: argparse.Namespace) -> int:
-    from repro.bench import run_hotcold_supervised
-
-    config = _synthetic_config(args)
-    results, report = run_hotcold_supervised(config)
-    return _emit_synthetic(
-        args,
-        "hotcold",
-        "Hot/cold separation (synthetic, 8 dies, 70% utilization)",
-        ["placement", "GC copybacks", "GC erases", "WA", "writes/s"],
-        results,
-        report,
+    results, report = run_supervised(cells_of(config), args.shards, _shard_policy(args))
+    survivors = [result for result in results if result is not None]
+    if not survivors:
+        print("error: every experiment cell was lost; nothing to report",
+              file=sys.stderr)
+        return 3
+    text = render_series(
+        title,
+        [first_column, "GC copybacks", "GC erases", "WA", "writes/s"],
+        [r.row() for r in survivors],
     )
-
-
-def _cmd_ftl(args: argparse.Namespace) -> int:
-    from repro.bench import run_ftl_supervised
-
-    config = _synthetic_config(args, utilization=0.65)
-    results, report = run_ftl_supervised(config)
-    return _emit_synthetic(
-        args,
-        "ftl",
-        "FTL vs NoFTL (synthetic skewed writes)",
-        ["stack", "GC copybacks", "GC erases", "WA", "writes/s"],
-        results,
-        report,
-    )
+    doc = merge_metrics_docs([
+        metrics_doc(
+            args.command,
+            {result.name: result.metrics()},
+            policies={"gc": args.gc_policy, "wl": args.wl_policy},
+        )
+        for result in survivors
+    ])
+    return _emit_cells(args, doc, text, report)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -347,18 +342,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         intensity=args.intensity,
         num_transactions=args.transactions,
         terminals=args.terminals,
-        shards=args.shards,
-        shard_timeout_s=args.shard_timeout,
-        shard_retries=args.shard_retries,
-        allow_degraded=args.allow_degraded,
     )
-    how = f"across {config.shards} shards" if config.shards > 1 else "sequentially"
+    how = f"across {args.shards} shards" if args.shards > 1 else "sequentially"
     _progress(
         args,
         f"running {config.plans} generated plan(s), intensity "
         f"{config.intensity!r}, seed {config.seed}, {how} ...",
     )
-    report = run_chaos(config)
+    report = run_chaos(config, args.shards, _shard_policy(args))
     lines = [
         render_series(
             f"Chaos session - seed {config.seed}, intensity {config.intensity}",
@@ -408,11 +399,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.bench import render_metrics_doc
     from repro.obs.export import SchemaError, dump_json, validate_metrics_doc
 
-    if args.path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.path) as f:
-            raw = f.read()
+    raw = sys.stdin.read() if args.path == "-" else _read_file(args.path)
     try:
         doc = validate_metrics_doc(json.loads(raw))
     except (json.JSONDecodeError, SchemaError) as exc:
@@ -431,7 +418,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.bench import synthetic_experiment, tpcc_experiment
     from repro.policies import available_gc_policies, available_wl_policies
+
+    fig3_quick = tpcc_experiment("fig3.quick")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -533,27 +523,25 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, metrics_out, device_opts, gc_opts, shard_opts],
         help="run the Figure 3 comparison",
     )
-    fig3.add_argument("--transactions", type=int, default=3000)
-    fig3.add_argument("--warehouses", type=int, default=2)
-    fig3.add_argument("--customers", type=int, default=150)
-    fig3.add_argument("--items", type=int, default=3000)
+    fig3.add_argument("--transactions", type=int, default=fig3_quick.num_transactions)
+    fig3.add_argument("--warehouses", type=int, default=fig3_quick.scale.warehouses)
+    fig3.add_argument("--customers", type=int, default=fig3_quick.scale.customers_per_district)
+    fig3.add_argument("--items", type=int, default=fig3_quick.scale.items)
     fig3.set_defaults(fn=_cmd_fig3)
 
-    hotcold = sub.add_parser(
-        "hotcold",
-        parents=[common, metrics_out, device_opts, gc_opts, wl_opts, shard_opts],
-        help="hot/cold separation ablation",
-    )
-    hotcold.add_argument("--writes", type=int, default=15_000)
-    hotcold.set_defaults(fn=_cmd_hotcold)
-
-    ftl = sub.add_parser(
-        "ftl",
-        parents=[common, metrics_out, device_opts, gc_opts, wl_opts, shard_opts],
-        help="FTL vs NoFTL motivation experiment",
-    )
-    ftl.add_argument("--writes", type=int, default=10_000)
-    ftl.set_defaults(fn=_cmd_ftl)
+    for command, summary in (
+        ("hotcold", "hot/cold separation ablation"),
+        ("ftl", "FTL vs NoFTL motivation experiment"),
+    ):
+        synthetic = sub.add_parser(
+            command,
+            parents=[common, metrics_out, device_opts, gc_opts, wl_opts, shard_opts],
+            help=summary,
+        )
+        synthetic.add_argument(
+            "--writes", type=int, default=synthetic_experiment(f"{command}.quick").writes
+        )
+        synthetic.set_defaults(fn=_cmd_synthetic)
 
     chaos = sub.add_parser(
         "chaos",
@@ -629,7 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from repro.bench.errors import BenchConfigError
     from repro.bench.supervisor import ShardDegradedError
+    from repro.core.region import RegionError
+    from repro.faults.chaos import ChaosConfigError
+    from repro.faults.plan import FaultPlanError
+    from repro.flash.errors import ConfigError
 
     args = build_parser().parse_args(argv)
     try:
@@ -637,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     except ShardDegradedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (BenchConfigError, ChaosConfigError, FaultPlanError, ConfigError, RegionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,10 +60,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.faults.harness import CrashHarnessResult, run_tpcc_crash_harness
 from repro.faults.plan import MAX_READ_RETRIES, FaultPlan, FaultSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.bench.supervisor import ShardPolicy
 
 #: invariant names in report order
 CHAOS_CHECKS = ("accounting", "wal_replay", "capacity", "mapping")
@@ -261,11 +264,6 @@ class ChaosConfig:
     #: trigger-placement anchor; ``None`` derives it from the
     #: transaction budget (~8 injectable device ops per TPC-C txn)
     op_budget: int | None = None
-    #: soak mode: >1 runs each plan as a supervised shard cell
-    shards: int = 1
-    shard_timeout_s: float | None = None
-    shard_retries: int = 1
-    allow_degraded: bool = False
 
     def __post_init__(self) -> None:
         if self.plans < 1:
@@ -488,38 +486,30 @@ class ChaosReport:
         return [verdict.row() for verdict in self.verdicts]
 
 
-def run_chaos(config: ChaosConfig) -> ChaosReport:
+def run_chaos(
+    config: ChaosConfig, shards: int = 1, policy: ShardPolicy | None = None
+) -> ChaosReport:
     """Run the whole session: control first, then every generated plan.
 
-    ``config.shards > 1`` is soak mode: each plan runs as a supervised
-    shard cell (heartbeats, timeouts, bounded retries), composing the
+    Each plan is one cell of :func:`repro.bench.sharding.run_supervised`.
+    ``shards > 1`` is soak mode: the cells run in supervised workers under
+    ``policy`` (heartbeats, timeouts, bounded retries), composing the
     device-level chaos with worker-level fault tolerance.  Lost cells
     surface in ``lost_plans`` and the ``degraded`` stanza — with
-    ``allow_degraded`` unset they raise instead.
+    ``policy.allow_degraded`` unset they raise instead.
     """
-    control_ok = run_control(config)
-    lost: list[str] = []
-    degraded: dict[str, Any] | None = None
-    if config.shards <= 1:
-        verdicts = [run_chaos_plan(config, index) for index in range(config.plans)]
-    else:
-        from repro.bench.sharding import ShardCell
-        from repro.bench.supervisor import run_cells_supervised, shard_policy_from
+    from repro.bench.sharding import ShardCell, run_supervised
 
-        cells = [
-            ShardCell(plan_label(index), run_chaos_plan, (config, index))
-            for index in range(config.plans)
-        ]
-        report = run_cells_supervised(cells, config.shards, shard_policy_from(config))
-        report.raise_if_blocked()
-        verdicts = [v for v in report.results() if v is not None]
-        if report.degraded:
-            lost = [outcome.name for outcome in report.lost]
-            degraded = report.degraded_section()
+    control_ok = run_control(config)
+    cells = [
+        ShardCell(plan_label(index), run_chaos_plan, (config, index))
+        for index in range(config.plans)
+    ]
+    results, report = run_supervised(cells, shards, policy)
     return ChaosReport(
         config=config,
-        verdicts=verdicts,
+        verdicts=[verdict for verdict in results if verdict is not None],
         control_ok=control_ok,
-        lost_plans=lost,
-        degraded=degraded,
+        lost_plans=[outcome.name for outcome in report.lost],
+        degraded=report.degraded_section() if report.degraded else None,
     )

@@ -7,7 +7,7 @@ differences.
 """
 
 from repro.mapping.blockinfo import BlockInfo, BlockState, BookkeepingError, DieBookkeeping
-from repro.mapping.engine import FlashSpaceEngine, SpaceFullError
+from repro.mapping.engine import FlashSpaceEngine, SpaceFullError, die_reserve_blocks
 from repro.mapping.stats import ManagementStats
 
 __all__ = [
@@ -18,4 +18,5 @@ __all__ = [
     "FlashSpaceEngine",
     "ManagementStats",
     "SpaceFullError",
+    "die_reserve_blocks",
 ]

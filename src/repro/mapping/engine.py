@@ -48,6 +48,13 @@ class SpaceFullError(Exception):
 MAX_WRITE_REDRIVES = 8
 
 
+def die_reserve_blocks(gc_target_free_blocks: int = 3) -> int:
+    """Blocks a die keeps out of its safe capacity: the GC target plus the
+    user and GC frontiers.  The default is every management layer's
+    watermark, for sizing code that has no engine yet."""
+    return gc_target_free_blocks + 2
+
+
 class FlashSpaceEngine:
     """Out-of-place page store over an explicit set of flash dies.
 
@@ -147,7 +154,7 @@ class FlashSpaceEngine:
     @property
     def reserve_blocks_per_die(self) -> int:
         """Blocks a die must keep for frontiers + GC headroom."""
-        return self.gc_target_free_blocks + 2
+        return die_reserve_blocks(self.gc_target_free_blocks)
 
     def physical_pages(self) -> int:
         """Raw good pages over the engine's dies."""

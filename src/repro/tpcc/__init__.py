@@ -15,7 +15,6 @@ from repro.tpcc.schema import (
     INDEX_DEFS,
     TABLE_SCHEMAS,
     ScaleConfig,
-    bench_scale,
     create_schema,
     tiny_scale,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "TxnResult",
     "US_PER_SECOND",
     "WorkloadMetrics",
-    "bench_scale",
     "create_schema",
     "load_database",
     "tiny_scale",

@@ -72,17 +72,6 @@ def tiny_scale() -> ScaleConfig:
     )
 
 
-def bench_scale(warehouses: int = 2) -> ScaleConfig:
-    """Population used by the paper-reproduction benchmarks."""
-    return ScaleConfig(
-        warehouses=warehouses,
-        districts=10,
-        customers_per_district=60,
-        items=400,
-        initial_orders_per_district=60,
-    )
-
-
 #: (table name, schema) — column shapes follow the spec with trimmed text
 #: fields (c_data, i_data, s_data) to keep scaled-down rows proportionate.
 TABLE_SCHEMAS: dict[str, Schema] = {

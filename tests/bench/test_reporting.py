@@ -5,9 +5,9 @@ import os
 import pytest
 
 from repro.bench import experiment
+from repro.bench.catalogue import tpcc_experiment
 from repro.bench.errors import BenchConfigError
 from repro.bench.experiment import (
-    TPCCExperimentConfig,
     TPCCExperimentResult,
     _delta,
     _derive_latencies,
@@ -92,13 +92,6 @@ class TestExperimentHelpers:
         assert storage["write_latency_us"] == 0.0
         assert storage["read_latency_p99_us"] > 0
 
-    def test_config_with_budget(self):
-        config = TPCCExperimentConfig(name="x", num_transactions=10)
-        copy = config.with_budget(duration_us=5.0)
-        assert copy.num_transactions is None
-        assert copy.duration_us == 5.0
-        assert config.num_transactions == 10  # original untouched
-
     @pytest.mark.parametrize(
         "budget, profile", [(100, 0), (100, -5), (-1, 10)], ids=["zero", "negative", "budget"]
     )
@@ -111,12 +104,12 @@ class TestExperimentHelpers:
         monkeypatch.setattr(experiment, "build_database", no_build)
         with pytest.raises(BenchConfigError):
             derive_method_placement(
-                TPCCExperimentConfig(name="x"), budget, profile_transactions=profile
+                tpcc_experiment("fig3.quick"), budget, profile_transactions=profile
             )
 
     def test_result_row_lookup(self):
         result = TPCCExperimentResult(
-            config=TPCCExperimentConfig(name="x"),
+            config=tpcc_experiment("fig3.quick"),
             workload={"tps": 5.0},
             storage={"gc_erases": 2.0},
             device={"flash_reads": 7.0},

@@ -16,9 +16,10 @@ from repro.bench import (
     MergeError,
     ShardCell,
     SyntheticConfig,
+    hotcold_cells,
     merge_metrics_docs,
     run_cells,
-    run_hotcold_supervised,
+    run_supervised,
 )
 from repro.obs.export import metrics_doc, validate_metrics_doc
 
@@ -135,8 +136,8 @@ class TestMergeMetricsDocs:
             merge_metrics_docs(docs)
 
 
-def _hotcold_doc(config) -> dict:
-    (mixed, separated), _report = run_hotcold_supervised(config)
+def _hotcold_doc(config, shards) -> dict:
+    (mixed, separated), _report = run_supervised(hotcold_cells(config), shards)
     return merge_metrics_docs([
         metrics_doc("hotcold", {result.name: result.metrics()})
         for result in (mixed, separated)
@@ -146,6 +147,7 @@ def _hotcold_doc(config) -> dict:
 def test_two_shards_match_single_process_doc():
     """End-to-end gate: the merged 2-shard document equals the sequential
     one, field for field — real spawn workers, real simulation."""
-    sequential = _hotcold_doc(SyntheticConfig(writes=1200, shards=1))
-    sharded = _hotcold_doc(SyntheticConfig(writes=1200, shards=2))
+    config = SyntheticConfig(writes=1200)
+    sequential = _hotcold_doc(config, shards=1)
+    sharded = _hotcold_doc(config, shards=2)
     assert sharded == sequential

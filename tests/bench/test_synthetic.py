@@ -9,6 +9,7 @@ from repro.bench import (
     run_ftl_synthetic,
     run_noftl_synthetic,
 )
+from repro.bench.errors import BenchConfigError
 from repro.bench.synthetic import _die_shares
 from repro.flash import instant_timing
 
@@ -27,6 +28,15 @@ class TestObjectClass:
             ObjectClass("x", space_share=0.5, traffic_share=1.5)
         with pytest.raises(ValueError):
             ObjectClass("x", space_share=0.5, traffic_share=0.5, kind="other")
+
+
+class TestSyntheticConfig:
+    @pytest.mark.parametrize(
+        "bad", [dict(writes=-1), dict(utilization=0.0), dict(utilization=1.0)], ids=str
+    )
+    def test_out_of_range_parameters_rejected(self, bad):
+        with pytest.raises(BenchConfigError):
+            SyntheticConfig(**bad)
 
 
 class TestDieShares:

@@ -148,10 +148,9 @@ class TestSoakMode:
     def test_sharded_session_equals_sequential(self):
         """Soak smoke: chaos plans inside supervised shard cells produce
         the exact document the sequential session emits."""
-        sequential = run_chaos(ChaosConfig(plans=4, seed=7, num_transactions=60))
-        sharded = run_chaos(
-            ChaosConfig(plans=4, seed=7, num_transactions=60, shards=2)
-        )
+        config = ChaosConfig(plans=4, seed=7, num_transactions=60)
+        sequential = run_chaos(config)
+        sharded = run_chaos(config, shards=2)
         assert sharded.ok
         assert not sharded.lost_plans
         assert dump_json(sharded.metrics_doc()) == dump_json(sequential.metrics_doc())

@@ -47,6 +47,7 @@ def results():
         num_transactions=120,
         terminals=4,
         buffer_pages=64,
+        flusher_interval=64,
     )
     from dataclasses import replace
 

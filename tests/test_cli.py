@@ -115,6 +115,30 @@ class TestCommands:
         assert doc["configs"]["control"]["summary"]["bit_identical"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hotcold", "--shards", "0"],
+        ["hotcold", "--shard-timeout", "0"],
+        ["hotcold", "--writes", "-5"],
+        ["hotcold", "--fault-plan", "/nonexistent.json"],
+        ["fig3", "--warehouses", "0"],
+        ["ftl", "--bad-block-rate", "1.5"],
+        ["report", "/nonexistent.json"],
+        ["chaos", "--plans", "0"],
+        ["fig2", "--dies", "3"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_one_error_line_and_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestJsonOutput:
     def _doc(self, capsys, argv):
         assert main(argv) == 0
