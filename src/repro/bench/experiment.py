@@ -7,7 +7,9 @@ Device, population and buffer have no defaults: every experiment is a
 named entry of :mod:`repro.bench.catalogue`.
 :func:`run_tpcc_experiment` builds the stack, loads the database,
 checkpoints, snapshots every counter, runs the driver and returns the
-Figure 3 measurement set as deltas over the measured window only.
+Figure 3 measurement set as deltas over the measured window only.  A cell
+is resumable (:class:`_Cell`): the placement-profiling run is the first
+transactions of the traditional cell, which continues it.
 """
 
 from __future__ import annotations
@@ -231,18 +233,108 @@ def build_database(config: TPCCExperimentConfig) -> Database:
     )
 
 
+class _Cell:
+    """One TPC-C cell as a resumable run.
+
+    Construction builds the stack, loads it, attaches the fault plan and
+    snapshots the counters the measured window is a delta over; the cell
+    owns the :class:`Driver`.  :meth:`advance` runs the stream to a budget
+    (totals since the window opened) and :meth:`result` reads the window.
+    A fresh cell is a cell paused at zero transactions.
+    """
+
+    def __init__(self, config: TPCCExperimentConfig) -> None:
+        if config.num_transactions is None and config.duration_us is None:
+            raise BenchConfigError("experiment needs num_transactions and/or duration_us")
+        self.config = config
+        db = self.db = build_database(config)
+        self.load_end = load_database(db, config.scale, seed=config.seed)
+        if config.fault_plan is not None:
+            from repro.faults.injector import FaultInjector
+
+            # attached after load: plan op numbers count from the measured run
+            db.device.attach_fault_injector(FaultInjector(config.fault_plan))
+        self._storage_before = _storage_counters(db)
+        self._device_before = _device_counters(db)
+        self._region_before = (
+            {r.name: _management_counters(r.stats) for r in db.store.regions()}
+            if db.store is not None
+            else {}
+        )
+        self.driver = Driver(db, config.scale, terminals=config.terminals, seed=config.seed)
+
+    def advance(self) -> None:
+        """Run the stream on to the config's budget.  The transactions
+        execute inside :meth:`Driver.run`, the span host-time measurements
+        take as the measured window."""
+        self.driver.run(
+            num_transactions=self.config.num_transactions,
+            duration_us=self.config.duration_us,
+            start_us=self.load_end,
+        )
+
+    def result(self) -> TPCCExperimentResult:
+        """The Figure 3 stat set of the window so far."""
+        db = self.db
+        storage = _delta(_storage_counters(db), self._storage_before)
+        _derive_latencies(storage)
+        per_region = {}
+        if db.store is not None:
+            for region in db.store.regions():
+                delta = _delta(_management_counters(region.stats), self._region_before[region.name])
+                _derive_latencies(delta)
+                per_region[region.name] = delta
+            db.store.check_consistency()
+        return TPCCExperimentResult(
+            config=self.config,
+            workload=self.driver.metrics.summary(),
+            storage=storage,
+            device=_delta(_device_counters(db), self._device_before),
+            per_region=per_region,
+            load_time_us=self.load_end,
+            registry=db.metrics_registry().snapshot(),
+        )
+
+
+#: The hand-off slot: the paused profiling cell of the latest
+#: :func:`derive_method_placement`, until a cell that is the same run takes
+#: it or the next derivation replaces it.  Per process: cells that run in
+#: spawned shard workers find it empty and build fresh.
+_parked: _Cell | None = None
+
+
+def _claim(config: TPCCExperimentConfig) -> _Cell | None:
+    """Take the parked cell if ``config`` is the run it has begun: equal in
+    every field but the label and the budget (so, like the profile, no
+    fault plan and no duration budget) and not already past the budget."""
+    global _parked
+    cell = _parked
+    if (
+        cell is None
+        or config.num_transactions is None
+        or config.num_transactions < cell.driver.metrics.transactions
+        or replace(config, name=cell.config.name, num_transactions=cell.config.num_transactions)
+        != cell.config
+    ):
+        return None
+    _parked = None
+    cell.config = config
+    return cell
+
+
 def profile_objects(
     config: TPCCExperimentConfig,
 ) -> tuple[list[ObjectStats], dict[str, int]]:
     """Profile the configured workload: build, load, run the transaction
     budget, and return ``(per-object statistics after the run, object sizes
     in pages at load)`` — what a placement is derived from."""
-    db = build_database(config)
-    t = load_database(db, config.scale, seed=config.seed)
-    sizes_at_load = {s.name: s.size_pages for s in db.object_stats()}
-    driver = Driver(db, config.scale, terminals=config.terminals, seed=config.seed)
-    driver.run(num_transactions=config.num_transactions, start_us=t)
-    return db.object_stats(), sizes_at_load
+    return _profile(_Cell(config))
+
+
+def _profile(cell: _Cell) -> tuple[list[ObjectStats], dict[str, int]]:
+    sizes_at_load = {s.name: s.size_pages for s in cell.db.object_stats()}
+    cell.advance()
+    return cell.db.object_stats(), sizes_at_load
 
 
 def derive_method_placement(
@@ -262,25 +354,35 @@ def derive_method_placement(
     measured run (append-only objects grow), and allocate the die budget
     over the paper's six object groups from the measured I/O rates with a
     capacity repair against the projected sizes.
+
+    The profiling run is the start of the traditional cell of the same
+    experiment; its paused cell is left for :func:`run_tpcc_experiment`
+    to continue (see :func:`_claim`).
     """
     from repro.core.advisor import ObjectStats, allocate_dies_for_groups
     from repro.core.placement import FIGURE2_GROUPS, traditional_placement
 
+    global _parked
     if profile_transactions < 1:
         raise BenchConfigError(
             "profile_transactions must be >= 1: growth is projected per profiled transaction"
         )
     if budget_transactions < 0:
         raise BenchConfigError("budget_transactions must be >= 0")
-    stats, sizes_at_load = profile_objects(
+    cell = _Cell(
         replace(
             config,
             name="profile",
             placement=traditional_placement(config.geometry.dies, gc_policy=config.gc_policy),
             num_transactions=profile_transactions,
             duration_us=None,
+            fault_plan=None,
         )
     )
+    stats, sizes_at_load = _profile(cell)
+    # a policy object may carry state (d-choices' RNG) that a fresh cell
+    # would meet as the profile left it: only a named policy is the same run
+    _parked = cell if isinstance(config.gc_policy, str) else None
     projected: list[ObjectStats] = []
     for s in stats:
         growth = max(0, s.size_pages - sizes_at_load.get(s.name, 0))
@@ -305,49 +407,12 @@ def derive_method_placement(
 
 
 def run_tpcc_experiment(config: TPCCExperimentConfig) -> TPCCExperimentResult:
-    """Load, measure, and return the Figure 3 stat set for one config."""
-    if config.num_transactions is None and config.duration_us is None:
-        raise BenchConfigError("experiment needs num_transactions and/or duration_us")
-    db = build_database(config)
-    load_end = load_database(db, config.scale, seed=config.seed)
+    """Load, measure, and return the Figure 3 stat set for one config.
 
-    if config.fault_plan is not None:
-        from repro.faults.injector import FaultInjector
-
-        # attached after load: plan op numbers count from the measured run
-        db.device.attach_fault_injector(FaultInjector(config.fault_plan))
-
-    storage_before = _storage_counters(db)
-    device_before = _device_counters(db)
-    region_before = (
-        {r.name: _management_counters(r.stats) for r in db.store.regions()}
-        if db.store is not None
-        else {}
-    )
-
-    driver = Driver(db, config.scale, terminals=config.terminals, seed=config.seed)
-    metrics = driver.run(
-        num_transactions=config.num_transactions,
-        duration_us=config.duration_us,
-        start_us=load_end,
-    )
-
-    storage = _delta(_storage_counters(db), storage_before)
-    _derive_latencies(storage)
-    device = _delta(_device_counters(db), device_before)
-    per_region = {}
-    if db.store is not None:
-        for region in db.store.regions():
-            delta = _delta(_management_counters(region.stats), region_before[region.name])
-            _derive_latencies(delta)
-            per_region[region.name] = delta
-        db.store.check_consistency()
-    return TPCCExperimentResult(
-        config=config,
-        workload=metrics.summary(),
-        storage=storage,
-        device=device,
-        per_region=per_region,
-        load_time_us=load_end,
-        registry=db.metrics_registry().snapshot(),
-    )
+    When the latest :func:`derive_method_placement` profiled this very run
+    (see :func:`_claim`), its paused cell is continued instead of being
+    built, loaded and replayed again; the result is the same bit for bit.
+    """
+    cell = _claim(config) or _Cell(config)
+    cell.advance()
+    return cell.result()

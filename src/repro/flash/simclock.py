@@ -117,10 +117,13 @@ class ResourceTimeline:
     def _find_gap(self, earliest: float, duration: float) -> float:
         t = earliest
         # first interval that could overlap [t, ...): binary search on end
-        index = bisect.bisect_right(self._intervals, (t, float("inf")))
-        if index > 0 and self._intervals[index - 1][1] > t:
+        intervals = self._intervals
+        index = bisect.bisect_right(intervals, (t, float("inf")))
+        if index > 0 and intervals[index - 1][1] > t:
             index -= 1
-        for s, e in self._intervals[index:]:
+        # walk by index: slicing the tail would copy O(n) per request
+        for i in range(index, len(intervals)):
+            s, e = intervals[i]
             if e <= t:
                 continue
             # a gap fits when it holds the duration; zero-length requests

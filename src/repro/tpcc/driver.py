@@ -89,6 +89,10 @@ class Driver:
             )
             for i in range(terminals)
         ]
+        #: metrics of the window the first :meth:`run` opens
+        self.metrics = WorkloadMetrics()
+        #: terminals by clock; empty until the window is open
+        self._heap: list[Terminal] = []
         #: set when an injected power cut ended the run early
         self.crashed = False
         #: device operation number of the power cut, if any
@@ -123,24 +127,38 @@ class Driver:
 
         At least one stop condition must be given; with both, whichever
         hits first ends the run.  Returns the collected metrics.
+
+        A later call continues the same stream — terminal clocks, RNG and
+        metrics carry on — so both budgets are totals since the window
+        opened, not increments: ``run(k)`` then ``run(n)`` leaves exactly
+        the state and metrics of one ``run(n)``.  ``start_us`` opens the
+        window; a continuation may only repeat it.
         """
         if num_transactions is None and duration_us is None:
             raise ValueError("give num_transactions and/or duration_us")
-        start = self.db.now if start_us is None else start_us
-        deadline = start + duration_us if duration_us is not None else None
-        metrics = WorkloadMetrics(start_us=start)
-        metrics.end_us = start
-        heap = list(self.terminals)
-        for terminal in heap:
-            terminal.clock_us = start
-        heapq.heapify(heap)
-        executed = 0
-        while heap:
-            if num_transactions is not None and executed >= num_transactions:
-                break
-            terminal = heapq.heappop(heap)
+        metrics, heap = self.metrics, self._heap
+        if not heap:  # the first call opens the window
+            start = self.db.now if start_us is None else start_us
+            metrics.start_us = metrics.end_us = start
+            for terminal in self.terminals:
+                terminal.clock_us = start
+            heap.extend(self.terminals)
+            heapq.heapify(heap)
+        elif self.crashed:
+            raise RuntimeError(
+                f"driver lost power at device operation {self.crash_op}: "
+                "recover the database and build a new Driver"
+            )
+        elif start_us is not None and start_us != metrics.start_us:
+            raise ValueError(
+                f"window is open since {metrics.start_us} us; cannot continue it from {start_us} us"
+            )
+        deadline = metrics.start_us + duration_us if duration_us is not None else None
+        executed = metrics.transactions
+        while num_transactions is None or executed < num_transactions:
+            terminal = heap[0]
             if deadline is not None and terminal.clock_us >= deadline:
-                continue  # terminal retired; do not push back
+                break  # the furthest-behind terminal is past the deadline: all are
             try:
                 result = self._execute(terminal, self._pick_kind())
                 end = result.end_us
@@ -157,5 +175,5 @@ class Driver:
             metrics.record(result)
             executed += 1
             terminal.clock_us = end + self.think_time_us
-            heapq.heappush(heap, terminal)
+            heapq.heapreplace(heap, terminal)
         return metrics

@@ -1,6 +1,8 @@
 """Unit tests for the virtual clock and resource timelines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flash import ResourceTimeline, SimClock
 
@@ -80,3 +82,41 @@ class TestResourceTimeline:
         assert r.utilization(100.0) == pytest.approx(0.25)
         assert r.utilization(0.0) == 0.0
         assert r.utilization(10.0) == 1.0
+
+
+def _first_fit(granted, earliest, duration):
+    """Brute-force reference for :meth:`ResourceTimeline.reserve`: a first
+    fit starts at ``earliest`` or where a granted slot ends — try each in
+    time order against every slot."""
+    for t in sorted({earliest, *(e for __, e in granted if e > earliest)}):
+        if duration > 0:
+            idle = all(e <= t or s >= t + duration for s, e in granted)
+        else:  # an instant: neither inside nor at the start of a busy slot
+            idle = not any(s <= t < e for s, e in granted)
+        if idle:
+            return t
+    raise AssertionError("the end of the last slot is always idle")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=400).map(float),
+            st.sampled_from([0.0, 0.0, 1.0, 3.0, 10.0, 25.0, 120.0]),
+        ),
+        max_size=60,
+    )
+)
+def test_reserve_grants_the_first_fit_of_a_brute_force_scan(requests):
+    """Random (earliest, duration) streams — out of order, exact fits and
+    zero-length requests included — get exactly the reference's slots."""
+    timeline = ResourceTimeline()
+    granted = []
+    for earliest, duration in requests:
+        expected = _first_fit(granted, earliest, duration)
+        assert timeline.peek_start(earliest) == _first_fit(granted, earliest, 0.0)
+        assert timeline.reserve(earliest, duration) == (expected, expected + duration)
+        if duration > 0:
+            granted.append((expected, expected + duration))
+    assert timeline.busy_us == sum(e - s for s, e in granted)

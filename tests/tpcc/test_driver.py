@@ -78,23 +78,109 @@ class TestDriver:
             driver.run()
 
 
+def _real_timing_db():
+    """Tiny population behind a 48-page pool with real latencies: terminal
+    clocks are driven by flash I/O, so the heap order is worth checking."""
+    from repro.core import traditional_placement
+    from repro.db import Database
+    from repro.tpcc import load_database, tiny_scale
+
+    geometry = tpcc_geometry()
+    db = Database.on_native_flash(
+        geometry=geometry,
+        placement=traditional_placement(geometry.dies),
+        timing=TimingModel(),
+        buffer_pages=48,
+    )
+    scale = tiny_scale()
+    load_database(db, scale, seed=0)
+    return db, scale
+
+
 class TestDriverWithRealTiming:
     def test_virtual_time_advances_with_io(self):
-        from repro.core import traditional_placement
-        from repro.db import Database
-        from repro.tpcc import load_database, tiny_scale
-
-        geometry = tpcc_geometry()
-        db = Database.on_native_flash(
-            geometry=geometry,
-            placement=traditional_placement(geometry.dies),
-            timing=TimingModel(),  # real latencies
-            buffer_pages=16,  # small pool -> real flash I/O
-        )
-        scale = tiny_scale()
-        load_database(db, scale, seed=0)
+        db, scale = _real_timing_db()
         driver = Driver(db, scale, terminals=4, seed=7)
         metrics = driver.run(num_transactions=50)
         assert metrics.makespan_us > 0
         assert metrics.tps > 0
         assert metrics.response_ms(NEW_ORDER) >= 0
+
+
+def _observe(driver):
+    """Everything a continued run must share with an uninterrupted one."""
+    metrics, db = driver.metrics, driver.db
+    return (
+        metrics.summary(),
+        metrics.per_kind,
+        db.metrics_registry().snapshot(),
+        db.object_stats(),
+        db.now,
+        [(t.terminal_id, t.clock_us) for t in driver.terminals],
+    )
+
+
+class TestContinuation:
+    """``run(k)`` then ``run(n)`` is one ``run(n)``: budgets are totals."""
+
+    PAUSES = (1, 7, 500)
+    TOTAL = 520
+
+    @pytest.mark.parametrize("terminals", (1, 4, 8))
+    def test_paused_run_equals_uninterrupted_run(self, terminals):
+        db, scale = _real_timing_db()
+        uninterrupted = Driver(db, scale, terminals=terminals, seed=9)
+        uninterrupted.run(num_transactions=self.TOTAL)
+
+        db, scale = _real_timing_db()
+        driver = Driver(db, scale, terminals=terminals, seed=9)
+        for pause in self.PAUSES:
+            assert driver.run(num_transactions=pause).transactions == pause
+            # what a profiling hand-off reads at the pause point perturbs nothing
+            db.object_stats()
+            db.metrics_registry().snapshot()
+            db.store.check_consistency()
+        assert driver.run(num_transactions=self.TOTAL) is driver.metrics
+        assert _observe(driver) == _observe(uninterrupted)
+
+    def test_budget_already_met_executes_nothing(self, tpcc_db):
+        db, scale = tpcc_db
+        driver = Driver(db, scale, terminals=4, seed=1)
+        driver.run(num_transactions=30)
+        before = _observe(driver)
+        assert driver.run(num_transactions=20).transactions == 30
+        assert _observe(driver) == before
+
+    def test_duration_budget_is_a_total_too(self):
+        def run(*budgets):
+            db, scale = _real_timing_db()
+            driver = Driver(db, scale, terminals=3, seed=4, think_time_us=500.0)
+            for budget in budgets:
+                driver.run(duration_us=budget)
+            return _observe(driver)
+
+        assert run(15_000.0, 60_000.0) == run(60_000.0)
+
+    def test_continuation_may_repeat_but_not_move_the_window_start(self, tpcc_db):
+        db, scale = tpcc_db
+        driver = Driver(db, scale, terminals=2, seed=3)
+        start = db.now
+        driver.run(num_transactions=5, start_us=start)
+        driver.run(num_transactions=10, start_us=start)
+        with pytest.raises(ValueError, match="is open since"):
+            driver.run(num_transactions=15, start_us=start + 1.0)
+        assert driver.metrics.transactions == 10
+
+    def test_crashed_driver_does_not_continue(self, tpcc_db):
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+        db, scale = tpcc_db
+        db.device.attach_fault_injector(
+            FaultInjector(FaultPlan(specs=(FaultSpec(kind="power_cut", at_op=40),)))
+        )
+        driver = Driver(db, scale, terminals=4, seed=8)
+        executed = driver.run(num_transactions=2000).transactions
+        assert driver.crashed and executed < 2000
+        with pytest.raises(RuntimeError, match="lost power"):
+            driver.run(num_transactions=2000)
+        assert driver.metrics.transactions == executed
