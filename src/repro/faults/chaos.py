@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.faults.harness import CrashHarnessResult, run_tpcc_crash_harness
 from repro.faults.plan import MAX_READ_RETRIES, FaultPlan, FaultSpec
+from repro.mapping import BookkeepingError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.bench.supervisor import ShardPolicy
@@ -377,7 +378,7 @@ def _mapping_consistent(result: CrashHarnessResult) -> bool:
     assert store is not None  # the crash harness runs on native flash
     try:
         store.check_consistency()
-    except AssertionError:
+    except (AssertionError, BookkeepingError):
         return False
     return True
 

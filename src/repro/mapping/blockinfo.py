@@ -497,14 +497,14 @@ class DieBookkeeping:
                 self.mark_bad(b)
 
     def take_free_block(self) -> BlockInfo:
-        """Pop a free block and mark it OPEN (for a write frontier)."""
-        while self._free:
-            block = next(reversed(self._free))
-            del self._free[block]
-            if self._state[block] == _FREE:
-                self._state[block] = _OPEN
-                return self.blocks[block]
-        raise BookkeepingError(f"die {self.die}: out of free blocks")
+        """Pop a free block and mark it OPEN (for a write frontier).
+
+        A pool entry that is not FREE (a block programmed while it sat in
+        the pool) raises like any other :meth:`take_block` of a busy block;
+        it is never skipped over."""
+        if not self._free:
+            raise BookkeepingError(f"die {self.die}: out of free blocks")
+        return self.take_block(next(reversed(self._free)))
 
     def reset_all(self) -> None:
         """Forget all state: every good block returns to the free pool.
@@ -524,7 +524,8 @@ class DieBookkeeping:
         )
 
     def take_block(self, block: int) -> BlockInfo:
-        """Pop a *specific* free block (used by the wear leveler)."""
+        """Pop a *specific* free block and mark it OPEN (the wear leveller's
+        pick; also the body of :meth:`take_free_block`)."""
         if self._state[block] != _FREE or block not in self._free:
             raise BookkeepingError(f"die {self.die}: block {block} is not free")
         del self._free[block]

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.flash.address import PhysicalBlockAddress, PhysicalPageAddress
-from repro.flash.block import PageMetadata
+from repro.flash.address import PhysicalPageAddress
 from repro.flash.device import CommandResult, FlashDevice
 from repro.flash.errors import (
     CopybackError,
@@ -46,6 +45,11 @@ class SpaceFullError(Exception):
 #: grown-bad blocks in a row on one logical write means the device (or the
 #: fault plan) is beyond salvage; give up rather than loop.
 MAX_WRITE_REDRIVES = 8
+
+
+#: where frontier slots live: ``slots[die]`` in the per-die user and GC
+#: dicts, ``slots[position]`` in a placement group's stripe
+_Slots = dict[int, BlockInfo | None] | list[BlockInfo | None]
 
 
 def die_reserve_blocks(gc_target_free_blocks: int = 3) -> int:
@@ -83,6 +87,8 @@ class FlashSpaceEngine:
             ``"coldest_first"``, the historical behaviour) or a
             :class:`~repro.policies.base.WLPolicy` instance.
         obj_id: stamped into page metadata (regions use their region id).
+        group_stripe_width: open blocks (on distinct dies) a placement
+            group rotates its writes over; capped at the number of dies.
         read_disturb_threshold: reads a block may absorb between erases
             before its live pages are refreshed (relocated) — real NAND
             loses data to read disturb; ``None`` disables the patrol.
@@ -142,9 +148,11 @@ class FlashSpaceEngine:
         self._rmap: dict[int, int] = {}  # packed ppa -> logical key
         self._user_frontier: dict[int, BlockInfo | None] = {d: None for d in dies}
         self._gc_frontier: dict[int, BlockInfo | None] = {d: None for d in dies}
-        self._group_frontiers: dict[int, list[BlockInfo | None]] = {}
-        self._group_rr: dict[int, int] = {}
-        self._group_cursor: dict[int, int] = {}
+        # The frontier rule: a slot — user, GC or group — holds a block only
+        # while that block is OPEN.  The write that fills a block empties its
+        # slot; one retired or drained before that goes through _detach_slots.
+        #: group -> (stripe slots, [next die offset, next slot])
+        self._groups: dict[int, tuple[list[BlockInfo | None], list[int]]] = {}
         self._rr_index = 0
         self._erases_since_wl_check = 0
 
@@ -236,12 +244,12 @@ class FlashSpaceEngine:
                 bus.emit(result.end_us, "faults", "read_recovered",
                          die=ppa.die, block=ppa.block, page=ppa.page)
             if scrub:
-                self._scrub_block(ppa, result.end_us)
+                self._scrub_block(ppa.die, ppa.block, result.end_us)
             return result
         assert last is not None
         raise last
 
-    def _scrub_block(self, ppa: PhysicalPageAddress, at: float) -> None:
+    def _scrub_block(self, die_index: int, block: int, at: float) -> None:
         """Relocate and erase a block that produced a transient read failure.
 
         Only FULL blocks are scrubbed — open frontiers refresh naturally
@@ -249,24 +257,18 @@ class FlashSpaceEngine:
         :meth:`_retire_or_recycle`, so a scrub that pushes the block past
         rated endurance retires it.
         """
-        info = self.books[ppa.die].blocks[ppa.block]
+        info = self.books[die_index].blocks[block]
         if info.state is not BlockState.FULL:
             return
-        moved = 0
-        t = at
-        for page in info.valid_pages():
-            t = self._relocate(ppa.die, ppa.block, page, t)
-            moved += 1
-        self.device.erase_block(PhysicalBlockAddress(ppa.die, ppa.block), at=t)
-        self.stats.gc_erases += 1
-        self._retire_or_recycle(ppa.die, ppa.block)
+        moved = info.valid_count
+        t, __ = self._empty_block(info, at)
         faults = self.device.faults
         if faults is not None:
             faults.stats.scrubs += 1
             faults.stats.scrub_relocations += moved
         bus = self.device.events
         if bus is not None:
-            bus.emit(t, "faults", "scrub", die=ppa.die, block=ppa.block, moved=moved)
+            bus.emit(t, "faults", "scrub", die=die_index, block=block, moved=moved)
 
     def _maybe_refresh(self, die_index: int, block: int, at: float) -> None:
         """Refresh a block whose read count crossed the disturb threshold.
@@ -279,18 +281,8 @@ class FlashSpaceEngine:
         if reads < self.read_disturb_threshold:
             return
         info = self.books[die_index].blocks[block]
-        if info.state is not BlockState.FULL:
-            return  # open frontiers refresh naturally when sealed/collected
-        moved = 0
-        t = at
-        for page in info.valid_pages():
-            t = self._relocate(die_index, block, page, t)
-            moved += 1
-        self.stats.wl_moves += moved
-        self.stats.gc_copybacks -= moved  # relocations above counted as GC
-        self.device.erase_block(PhysicalBlockAddress(die_index, block), at=t)
-        self.stats.wl_erases += 1
-        self._retire_or_recycle(die_index, block)
+        if info.state is BlockState.FULL:  # open frontiers refresh when collected
+            self._empty_block(info, at, wear_level=True)
 
     def write(self, key: int, data: bytes, at: float, group: int | None = None) -> float:
         """Write logical page ``key`` out-of-place; returns completion time.
@@ -330,12 +322,13 @@ class FlashSpaceEngine:
                     )
                 if len(books._free) <= self.gc_trigger_free_blocks:
                     at = self._collect_if_needed(die_index, at)
-                frontier = self._user_frontier[die_index]
-                if frontier is None or books._written[frontier.block] >= ppb:
-                    frontier = books.take_free_block()
-                    self._user_frontier[die_index] = frontier
+                slots: _Slots = self._user_frontier
+                slot = die_index
+                frontier = slots[slot]
+                if frontier is None:
+                    frontier = slots[slot] = books.take_free_block()
             else:
-                frontier, at = self._group_frontier(group, at)
+                frontier, slots, slot, at = self._group_frontier(group, at)
                 die_index = frontier.die
                 books = books_map[die_index]
             block = frontier.block
@@ -365,8 +358,8 @@ class FlashSpaceEngine:
             packed = die_index * ppd + block * ppb + page
             self._map[key] = packed
             self._rmap[packed] = key
-            if group is None and books._written[block] >= ppb:
-                self._user_frontier[die_index] = None
+            if books._written[block] >= ppb:
+                slots[slot] = None  # the frontier rule
             return end
 
     def write_atomic(
@@ -387,35 +380,37 @@ class FlashSpaceEngine:
             raise ValueError("atomic write needs at least one page")
         if len({key for key, __ in entries}) != len(entries):
             raise ValueError("atomic write cannot contain one key twice")
+        device = self.device
+        ppb = self._pages_per_block
+        obj = self.obj_id
         last: ProgramFaultError | None = None
         for __ in range(MAX_WRITE_REDRIVES):
             # a fresh atomic id per attempt: an aborted attempt's pages stay
             # on flash as an incomplete batch, which recovery drops wholesale
-            atomic_id = self.device.next_sequence()
-            staged: list[tuple[int, PhysicalPageAddress, BlockInfo, int, float]] = []
+            atomic_id = device.next_sequence()
+            extra = {"atomic_id": atomic_id, "atomic_size": len(entries)}
+            staged: list[tuple[int, int, int, int]] = []  # (key, die, block, page)
             try:
                 for key, data in entries:
                     if group is None:
-                        die_index = self._pick_die()
+                        slots: _Slots = self._user_frontier
+                        slot = die_index = self._pick_die()
                         at = self._collect_if_needed(die_index, at)
                         frontier = self._frontier(self._user_frontier, die_index)
                     else:
-                        frontier, at = self._group_frontier(group, at)
+                        frontier, slots, slot, at = self._group_frontier(group, at)
                         die_index = frontier.die
-                    page = frontier.written
-                    ppa = PhysicalPageAddress(die_index, frontier.block, page)
-                    meta = PageMetadata(
-                        lpn=key,
-                        seq=self.device.next_sequence(),
-                        obj_id=self.obj_id,
-                        extra={"atomic_id": atomic_id, "atomic_size": len(entries)},
-                    )
-                    result = self.device.program_page(ppa, data, meta, at=at)
-                    at = result.end_us
-                    frontier.note_write(page, at)
-                    if frontier.is_full and group is None:
-                        self._user_frontier[die_index] = None  # stripes refill lazily
-                    staged.append((key, ppa, frontier, page, at))
+                    block = frontier.block
+                    books = self.books[die_index]
+                    page = books._written[block]
+                    at = device.program_page_packed(
+                        die_index, block, page, data, key,
+                        device.next_sequence(), -1 if obj is None else obj, at, extra,
+                    )[1]
+                    books.note_write_packed(block, page, at)
+                    if books._written[block] >= ppb:
+                        slots[slot] = None  # the frontier rule
+                    staged.append((key, die_index, block, page))
             except ProgramFaultError as exc:
                 # abandon the attempt BEFORE retiring the block, so the
                 # salvage pass only relocates pages that are really mapped
@@ -429,26 +424,24 @@ class FlashSpaceEngine:
                 self._abandon_staged(staged)
                 raise
             # "commit": flip all mappings only after the last page is on flash
-            for key, ppa, __, ___, ____ in staged:
+            for key, die_index, block, page in staged:
                 self.invalidate(key)
-                packed = ppa.to_int(self.geometry)
+                packed = die_index * self._pages_per_die + block * ppb + page
                 self._map[key] = packed
                 self._rmap[packed] = key
             return at
         assert last is not None
         raise last
 
-    def _abandon_staged(
-        self, staged: list[tuple[int, PhysicalPageAddress, BlockInfo, int, float]]
-    ) -> None:
+    def _abandon_staged(self, staged: list[tuple[int, int, int, int]]) -> None:
         """Disown the pages of an aborted atomic attempt.
 
         They were never mapped, so invalidating them in the bookkeeping is
         all that is needed for the live engine; on flash they remain as an
         incomplete atomic batch, which :meth:`rebuild_from_flash` discards.
         """
-        for __, ppa, ___, page, ____ in staged:
-            self.books[ppa.die].blocks[ppa.block].invalidate(page)
+        for __, die_index, block, page in staged:
+            self.books[die_index].invalidate_packed(block, page)
 
     def invalidate(self, key: int) -> None:
         """Drop the mapping for ``key`` (its physical page becomes garbage)."""
@@ -480,64 +473,55 @@ class FlashSpaceEngine:
 
     def _frontier(self, frontiers: dict[int, BlockInfo | None], die_index: int) -> BlockInfo:
         frontier = frontiers.get(die_index)
-        if frontier is None or frontier.is_full:
+        if frontier is None:
             frontier = self.books[die_index].take_free_block()
             frontiers[die_index] = frontier
         return frontier
 
-    def _group_frontier(self, group: int, at: float) -> tuple[BlockInfo, float]:
-        """Active erase block of a placement group.
+    def _group_frontier(
+        self, group: int, at: float
+    ) -> tuple[BlockInfo, list[BlockInfo | None], int, float]:
+        """Active erase block of a placement group, and the slot holding it
+        (``slots[slot]``, for the write that fills the block to empty).
 
         Each group keeps up to ``group_stripe_width`` open blocks on
         distinct dies and rotates through them page by page, so even a
         burst of writes to one object spreads over several dies ("the
         distribution over available Flash data channels, dies or planes
-        allows for better I/O parallelism").  Blocks stay object-pure; when
-        one fills, its replacement comes from the next die in round-robin
-        order."""
-        stripe = self._group_frontiers.get(group)
-        if stripe is None:
-            width = min(self.group_stripe_width, len(self.dies))
-            stripe = [None] * width
-            self._group_frontiers[group] = stripe
-            self._group_rr[group] = group % len(self.dies)
-            self._group_cursor[group] = 0
-        width = len(stripe)
-        for attempt in range(width):
-            cursor = self._group_cursor[group]
-            self._group_cursor[group] = (cursor + 1) % width
-            frontier = stripe[cursor]
-            if frontier is not None and not frontier.is_full:
-                return frontier, at
-            frontier, at = self._take_group_block(group, at)
-            if frontier is not None:
-                stripe[cursor] = frontier
-                return frontier, at
+        allows for better I/O parallelism").  Blocks stay object-pure; an
+        empty slot is refilled from the next die in round-robin order."""
+        state = self._groups.get(group)
+        if state is None:
+            slots: list[BlockInfo | None] = [None] * min(self.group_stripe_width, len(self.dies))
+            state = self._groups[group] = (slots, [group % len(self.dies), 0])
+        slots, nexts = state
+        width = len(slots)
+        for __ in range(width):
+            slot = nexts[1]
+            nexts[1] = (slot + 1) % width
+            frontier = slots[slot]
+            if frontier is None:
+                frontier, at = self._take_group_block(nexts, at)
+                if frontier is None:
+                    continue
+                slots[slot] = frontier
+            return frontier, slots, slot, at
         raise SpaceFullError(
             f"engine over dies {self.dies}: every die is full of valid data"
         )
 
-    def _take_group_block(self, group: int, at: float) -> tuple[BlockInfo | None, float]:
+    def _take_group_block(self, nexts: list[int], at: float) -> tuple[BlockInfo | None, float]:
         """Allocate a fresh block for a group from the next viable die."""
         n = len(self.dies)
-        start = self._group_rr[group]
+        start = nexts[0]
         for offset in range(n):
             die_index = self.dies[(start + offset) % n]
             books = self.books[die_index]
             if books.free_count > 1 or books.has_reclaimable:
                 at = self._collect_if_needed(die_index, at)
-                self._group_rr[group] = (start + offset + 1) % n
+                nexts[0] = (start + offset + 1) % n
                 return books.take_free_block(), at
         return None, at
-
-    def _map_page(
-        self, key: int, ppa: PhysicalPageAddress, frontier: BlockInfo, page: int, now_us: float
-    ) -> None:
-        frontier.note_write(page, now_us)
-        # pack inline (addresses built by the engine are valid by construction)
-        packed = ppa.die * self._pages_per_die + ppa.block * self._pages_per_block + ppa.page
-        self._map[key] = packed
-        self._rmap[packed] = key
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -585,13 +569,31 @@ class FlashSpaceEngine:
             "pages_per_block": self._pages_per_block,
             "obj": self.obj_id,
         })
-        for page in victim.valid_pages():
-            at = self._relocate(die_index, victim.block, page, at)
-        __, end = self.device.erase_block_packed(die_index, victim.block, at)
-        self.stats.gc_erases += 1
+        __, end = self._empty_block(victim, at)
         self._erases_since_wl_check += 1
-        self._retire_or_recycle(die_index, victim.block)
         return end
+
+    def _empty_block(
+        self, info: BlockInfo, at: float,
+        target: BlockInfo | None = None, wear_level: bool = False,
+    ) -> tuple[float, float]:
+        """Relocate ``info``'s live pages, ERASE it, recycle or retire it —
+        the one way a block is emptied (GC victim, scrub, refresh, WL move,
+        evacuated die).  ``target`` and ``wear_level`` are :meth:`_relocate`'s
+        and decide the erase counter too.  Returns ``(erase issued, erase
+        done)``: the relocations end at the first, the block is free at the
+        second."""
+        die_index = info.die
+        block = info.block
+        for page in info.valid_pages():
+            at = self._relocate(die_index, block, page, at, target, wear_level)
+        __, end = self.device.erase_block_packed(die_index, block, at)
+        if wear_level:
+            self.stats.wl_erases += 1
+        else:
+            self.stats.gc_erases += 1
+        self._retire_or_recycle(die_index, block)
+        return at, end
 
     def _retire_or_recycle(self, die_index: int, block: int) -> None:
         """After an erase: recycle the block, or retire it if it wore out.
@@ -599,14 +601,22 @@ class FlashSpaceEngine:
         A block whose erase pushed it past rated endurance is bad on the
         *device*; the management layer must mirror that or the next program
         into it would fail."""
+        books = self.books[die_index]
         if self.device.dies[die_index].blocks[block].is_bad:
-            self.books[die_index].blocks[block].reset_after_erase()
-            self.books[die_index].mark_bad(block)
+            books.blocks[block].reset_after_erase()
+            books.mark_bad(block)
         else:
-            self.books[die_index].return_erased_block(block)
+            books.return_erased_block(block)
 
-    def _relocate(self, die_index: int, src_block: int, src_page: int, at: float) -> float:
-        """Move one live page to its die's GC frontier (copyback preferred).
+    def _relocate(
+        self, die_index: int, src_block: int, src_page: int, at: float,
+        target: BlockInfo | None = None, wear_level: bool = False,
+    ) -> float:
+        """Move one live page within its die (copyback preferred): to
+        ``target`` (the wear leveller's worn block, held by no slot) while
+        that is OPEN, else to the die's GC frontier.  ``wear_level`` says who
+        pays, and a move counts once: ``wl_moves``, or for GC, scrub and
+        salvage ``gc_copybacks`` (fallback: ``gc_reads`` + ``gc_programs``).
 
         The OOB metadata travels unchanged — crucially including the write
         sequence number: relocation moves a *version*, it does not create
@@ -619,15 +629,19 @@ class FlashSpaceEngine:
         device = self.device
         books = self.books[die_index]
         redrives = 0
+        stats = self.stats
         while True:
-            frontier = self._frontier(self._gc_frontier, die_index)
+            frontier = target
+            if frontier is None or frontier.state is not BlockState.OPEN:
+                frontier = self._frontier(self._gc_frontier, die_index)
             block = frontier.block
             page = books._written[block]
             try:
                 __, end = device.copyback_packed(
                     die_index, src_block, src_page, block, page, at
                 )
-                self.stats.gc_copybacks += 1
+                if not wear_level:
+                    stats.gc_copybacks += 1
             except CopybackError:
                 read = self._read_for_relocation(
                     PhysicalPageAddress(die_index, src_block, src_page), at
@@ -643,16 +657,19 @@ class FlashSpaceEngine:
                     if redrives == MAX_WRITE_REDRIVES:
                         raise
                     continue
-                self.stats.gc_reads += 1
-                self.stats.gc_programs += 1
+                if not wear_level:
+                    stats.gc_reads += 1
+                    stats.gc_programs += 1
+            if wear_level:
+                stats.wl_moves += 1
             books.invalidate_packed(src_block, src_page)
             del self._rmap[src_packed]
             books.note_write_packed(block, page, end)
             packed = die_index * ppd + block * ppb + page
             self._map[key] = packed
             self._rmap[packed] = key
-            if books._written[block] >= ppb:
-                self._gc_frontier[die_index] = None
+            if frontier is not target and books._written[block] >= ppb:
+                self._gc_frontier[die_index] = None  # the frontier rule
             return end
 
     def _read_for_relocation(
@@ -682,19 +699,11 @@ class FlashSpaceEngine:
         """
         die_index = frontier.die
         block = frontier.block
-        if self._user_frontier.get(die_index) is frontier:
-            self._user_frontier[die_index] = None
-        if self._gc_frontier.get(die_index) is frontier:
-            self._gc_frontier[die_index] = None
-        for stripe in self._group_frontiers.values():
-            for i, slot in enumerate(stripe):
-                if slot is frontier:
-                    stripe[i] = None
+        self._detach_slots(die_index, block)
         frontier.seal()
-        moved = 0
+        moved = frontier.valid_count
         for page in frontier.valid_pages():
             at = self._relocate(die_index, block, page, at)
-            moved += 1
         self.device.dies[die_index].blocks[block].mark_bad()
         self.books[die_index].mark_bad(block)
         faults = self.device.faults
@@ -717,11 +726,18 @@ class FlashSpaceEngine:
         """
         return self._on_program_fault(self.books[die_index].blocks[block], at)
 
-    def _unmap_physical(self, ppa: PhysicalPageAddress, packed: int) -> None:
-        """Invalidate ``ppa`` (linearized: ``packed``) in bookkeeping and
-        drop its reverse mapping."""
-        self.books[ppa.die].invalidate_packed(ppa.block, ppa.page)
-        del self._rmap[packed]
+    def _detach_slots(self, die_index: int, block: int | None = None) -> None:
+        """Empty every slot — user, GC, group — that holds a block of
+        ``die_index`` (only ``block``, if given): it is about to stop being
+        OPEN some other way than by filling up."""
+        for frontiers in (self._user_frontier, self._gc_frontier):
+            held = frontiers.get(die_index)
+            if held is not None and block in (None, held.block):
+                frontiers[die_index] = None
+        for slots, __ in self._groups.values():
+            for slot, held in enumerate(slots):
+                if held is not None and held.die == die_index and block in (None, held.block):
+                    slots[slot] = None
 
     # ------------------------------------------------------------------
     # Static wear levelling (within the engine's die set)
@@ -759,42 +775,9 @@ class FlashSpaceEngine:
             bus.emit(at, "mapping", "wear_level", die=die_index, cold_block=cold.block,
                      target_block=worn_free.block, spread=spread, obj=self.obj_id)
         target = books.take_block(worn_free.block)
-        page_out = 0
-        for page in cold.valid_pages():
-            src = PhysicalPageAddress(die_index, cold.block, page)
-            dst = PhysicalPageAddress(die_index, target.block, page_out)
-            src_packed = src.to_int(self.geometry)
-            key = self._rmap[src_packed]
-            try:
-                result = self.device.copyback(src, dst, at=at)  # carries source OOB
-            except CopybackError:
-                read = self._read_for_relocation(src, at)
-                try:
-                    result = self.device.program_page(
-                        dst, read.data, read.metadata, at=read.end_us
-                    )
-                except ProgramFaultError:
-                    # WL target went grown-bad mid-move: salvage what moved,
-                    # retire it, abandon this pass (cold block stays intact)
-                    return self._on_program_fault(target, read.end_us)
-                # the fallback is host-visible traffic either way: count it
-                # like the GC fallback so WA accounting stays closed
-                self.stats.gc_reads += 1
-                self.stats.gc_programs += 1
-            at = result.end_us
-            self._unmap_physical(src, src_packed)
-            self._map_page(key, dst, target, page_out, at)
-            page_out += 1
-            self.stats.wl_moves += 1
-        result = self.device.erase_block(PhysicalBlockAddress(die_index, cold.block), at=at)
-        self.stats.wl_erases += 1
-        self._retire_or_recycle(die_index, cold.block)
-        self._seal_partial_block(target)
-        return result.end_us
-
-    def _seal_partial_block(self, info: BlockInfo) -> None:
-        """Close a partially-filled relocation target (tail counts invalid)."""
-        info.seal()  # routes through bookkeeping so the candidate set learns
+        __, end = self._empty_block(cold, at, target, wear_level=True)
+        target.seal()  # a partly filled target's tail counts invalid
+        return end
 
     # ------------------------------------------------------------------
     # Dynamic die membership
@@ -807,6 +790,30 @@ class FlashSpaceEngine:
         self.books[die_index] = books
         self._user_frontier[die_index] = None
         self._gc_frontier[die_index] = None
+
+    def _drain_die(self, die_index: int, at: float) -> tuple[int, float]:
+        """Take ``die_index`` out of ``dies`` and every frontier slot, then
+        rewrite its live pages onto the other dies (cross-die, so a host
+        read plus a normal :meth:`write` each); returns ``(moved, end_us)``.
+        The die's bookkeeping stays in ``books`` for the caller to dispose of."""
+        self.dies.remove(die_index)
+        self._user_frontier.pop(die_index)
+        self._gc_frontier.pop(die_index)
+        self._detach_slots(die_index)
+        moved = 0
+        for info in self.books[die_index].blocks:
+            for page in info.valid_pages():
+                src = PhysicalPageAddress(die_index, info.block, page)
+                key = self._rmap.pop(src.to_int(self.geometry))
+                read = self._read_for_relocation(src, at)
+                self.stats.gc_reads += 1
+                info.invalidate(page)
+                del self._map[key]
+                assert read.data is not None  # READ PAGE always carries a payload
+                at = self.write(key, read.data, read.end_us)
+                self.stats.gc_programs += 1
+                moved += 1
+        return moved, at
 
     def evacuate_die(self, die_index: int, at: float) -> tuple[DieBookkeeping, float]:
         """Move all live data off ``die_index`` and release the die.
@@ -823,43 +830,17 @@ class FlashSpaceEngine:
         bus = self.device.events
         if bus is not None:
             bus.emit(at, "mapping", "evacuate_die", die=die_index, obj=self.obj_id)
-        self.dies.remove(die_index)
-        self._user_frontier.pop(die_index)
-        self._gc_frontier.pop(die_index)
-        for stripe in self._group_frontiers.values():
-            for i, frontier in enumerate(stripe):
-                if frontier is not None and frontier.die == die_index:
-                    stripe[i] = None
-        books = self.books.pop(die_index)
-        # relocate every live page to the remaining dies via normal writes
-        for info in books.blocks:
-            for page in list(info.valid_pages()):
-                src = PhysicalPageAddress(die_index, info.block, page)
-                packed = src.to_int(self.geometry)
-                key = self._rmap.pop(packed)
-                read = self._read_for_relocation(src, at)
-                self.stats.gc_reads += 1
-                info.invalidate(page)
-                del self._map[key]
-                at = self.write(key, read.data, read.end_us)
-                self.stats.gc_programs += 1
+        at = self._drain_die(die_index, at)[1]
+        books = self.books[die_index]
         # erase everything the engine had written on the die
         for info in books.blocks:
             if info.state is BlockState.BAD:
                 continue
             if info.written > 0:
-                result = self.device.erase_block(
-                    PhysicalBlockAddress(die_index, info.block), at=at
-                )
-                at = result.end_us
-                self.stats.gc_erases += 1
-                if self.device.dies[die_index].blocks[info.block].is_bad:
-                    info.reset_after_erase()
-                    books.mark_bad(info.block)
-                else:
-                    books.return_erased_block(info.block)
+                at = self._empty_block(info, at)[1]
             elif info.state is BlockState.OPEN:
                 books.return_erased_block(info.block)
+        del self.books[die_index]
         return books, at
 
     def fail_die(self, die_index: int, at: float) -> tuple[int, float]:
@@ -881,29 +862,8 @@ class FlashSpaceEngine:
         bus = self.device.events
         if bus is not None:
             bus.emit(at, "faults", "die_rebuild_start", die=die_index, obj=self.obj_id)
-        self.dies.remove(die_index)
-        self._user_frontier.pop(die_index)
-        self._gc_frontier.pop(die_index)
-        for stripe in self._group_frontiers.values():
-            for i, frontier in enumerate(stripe):
-                if frontier is not None and frontier.die == die_index:
-                    stripe[i] = None
-        books = self.books.pop(die_index)
-        moved = 0
-        # pull every live page off the dead die via normal reads + writes
-        # to the survivors (cross-die, so copyback cannot help here)
-        for info in books.blocks:
-            for page in list(info.valid_pages()):
-                src = PhysicalPageAddress(die_index, info.block, page)
-                packed = src.to_int(self.geometry)
-                key = self._rmap.pop(packed)
-                read = self._read_for_relocation(src, at)
-                self.stats.gc_reads += 1
-                info.invalidate(page)
-                del self._map[key]
-                at = self.write(key, read.data, read.end_us)
-                self.stats.gc_programs += 1
-                moved += 1
+        moved, at = self._drain_die(die_index, at)
+        del self.books[die_index]
         faults = self.device.faults
         if faults is not None:
             faults.stats.retired_dies += 1
@@ -936,9 +896,7 @@ class FlashSpaceEngine:
         self._rmap.clear()
         self._user_frontier = {d: None for d in self.dies}
         self._gc_frontier = {d: None for d in self.dies}
-        self._group_frontiers.clear()
-        self._group_rr.clear()
-        self._group_cursor.clear()
+        self._groups.clear()
         # pass 1 — scan every programmed page's OOB, collecting candidates
         candidates: list[tuple[PhysicalPageAddress, int, int, int | None, int]] = []
         atomic_seen: dict[int, int] = {}
@@ -971,7 +929,7 @@ class FlashSpaceEngine:
                     if atomic_id is not None:
                         atomic_seen[atomic_id] = atomic_seen.get(atomic_id, 0) + 1
                     candidates.append((ppa, key, meta.seq, atomic_id, atomic_size))
-                self._seal_partial_block(info)
+                info.seal()  # a partially written block's tail counts invalid
 
         # pass 2 — a torn atomic batch (fewer pages on flash than its
         # recorded size) never happened: drop all of its members
@@ -1014,5 +972,23 @@ class FlashSpaceEngine:
             info = self.books[ppa.die].blocks[ppa.block]
             assert info.is_valid(ppa.page), f"mapped page not valid in bookkeeping: {ppa}"
         assert seen == set(self._rmap), "rmap contains stale entries"
+        # the frontier rule: every slot holds an OPEN block of an owned die
+        # that is out of the free pool, and no block sits in two slots
+        slots = [*self._user_frontier.values(), *self._gc_frontier.values()]
+        for stripe, __ in self._groups.values():
+            slots.extend(stripe)
+        seen_blocks: set[tuple[int, int]] = set()
+        for held in slots:
+            if held is None:
+                continue
+            die, block = held.die, held.block
+            where = f"d{die}/b{block}"
+            assert die in self.dies, f"frontier slot on foreign die: {where}"
+            assert held.state is BlockState.OPEN, (
+                f"frontier slot holds a {held.state.value} block: {where}"
+            )
+            assert block not in self.books[die]._free, f"frontier block in the free pool: {where}"
+            assert (die, block) not in seen_blocks, f"block in two frontier slots: {where}"
+            seen_blocks.add((die, block))
         for books in self.books.values():
             books.check_invariants()

@@ -20,10 +20,13 @@ class ManagementStats:
         host_reads: 4 KB reads issued by the host (DBMS).
         host_writes: 4 KB writes issued by the host (DBMS).
         gc_copybacks: pages relocated by GC using on-die COPYBACK.
-        gc_reads: pages relocated by GC using read+program (cross-die path).
+        gc_reads: pages relocated by GC using read+program (cross-die, or
+            a COPYBACK the device refused).
         gc_programs: programs issued by GC on the read+program path.
         gc_erases: blocks erased by GC.
-        wl_moves: pages relocated by the wear leveler.
+        wl_moves: pages relocated by the wear leveler or a read-disturb
+            refresh, by COPYBACK or read+program alike (a moved page is
+            counted once: here or under ``gc_*``, never both).
         wl_erases: blocks erased by the wear leveler.
         trans_reads: translation-page reads (DFTL only).
         trans_writes: translation-page writes (DFTL only).

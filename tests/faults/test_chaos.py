@@ -8,6 +8,8 @@ checks.  ``run_chaos`` composes that with the no-plan bit-identity
 control and (in soak mode) the shard supervisor.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults import (
@@ -20,7 +22,9 @@ from repro.faults import (
     run_chaos_plan,
     run_control,
 )
+from repro.faults.chaos import _mapping_consistent
 from repro.faults.plan import MAX_READ_RETRIES
+from repro.mapping import BookkeepingError
 from repro.obs.export import dump_json, validate_metrics_doc
 
 
@@ -134,6 +138,15 @@ class TestChaosSession:
         assert verdict.fault_snapshot["injected.program_fail"] == 2.0
         assert verdict.fault_snapshot["retired.grown_bad_block"] == 2.0
         assert verdict.ok, verdict.checks
+
+    @pytest.mark.parametrize("error", [AssertionError, BookkeepingError])
+    def test_a_mapping_violation_is_a_failed_check_not_a_traceback(self, error):
+        class BrokenStore:
+            def check_consistency(self):
+                raise error("die 2: free blocks in candidate set")
+
+        result = SimpleNamespace(source=SimpleNamespace(store=BrokenStore()))
+        assert _mapping_consistent(result) is False
 
     def test_control_alone(self):
         assert run_control(ChaosConfig(num_transactions=40)) is True

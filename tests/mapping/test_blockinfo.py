@@ -75,6 +75,14 @@ class TestDieBookkeeping:
         with pytest.raises(BookkeepingError):
             die.take_free_block()
 
+    def test_take_free_block_refuses_a_pool_entry_that_is_not_free(self):
+        # a block programmed while it sat in the pool (a frontier slot that
+        # outlived its block) must surface, not be skipped over
+        die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=4)
+        die.blocks[0].state = BlockState.OPEN
+        with pytest.raises(BookkeepingError, match="block 0 is not free"):
+            die.take_free_block()
+
     def test_return_erased_block_recycles(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
         info = die.take_free_block()

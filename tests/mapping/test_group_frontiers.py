@@ -1,11 +1,12 @@
 """Unit tests for placement-group (object-aware) write frontiers."""
 
+import os
 import random
 
 import pytest
 
 from repro.flash import FlashDevice, FlashGeometry, PhysicalPageAddress, instant_timing
-from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
+from repro.mapping import BlockState, DieBookkeeping, FlashSpaceEngine, ManagementStats
 
 
 def make_engine(dies=4, blocks=16, pages=8):
@@ -113,7 +114,7 @@ class TestGroupSeparation:
         at = 0.0
         for k in range(10):
             at = engine.write(k, b"a", at, group=1)
-        stripe = engine._group_frontiers[1]
+        stripe, __ = engine._groups[1]
         victim = next(f.die for f in stripe if f is not None)
         engine.evacuate_die(victim, at)
         for k in range(10, 30):
@@ -121,3 +122,63 @@ class TestGroupSeparation:
         for k in range(30):
             assert engine.read(k, 0.0)[0] == b"a"
         engine.check_consistency()
+
+
+#: the fault-matrix CI job reruns this file under its three REPRO_FAULT_SEEDs
+BASE_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+
+
+class TestFrontierRule:
+    """A frontier slot holds a block only while that block is OPEN.
+
+    Skewed overwrites on a device this small make GC collect and erase a
+    block soon after it fills.  A slot still pointing at it would then see
+    an erased — seemingly writable — block that sits in the free pool.
+    The mixed shape also breaks a fix that only re-checks the slot's state
+    (a group write fills the user frontier's block through a stale slot).
+    """
+
+    @pytest.mark.parametrize("offset", range(5))
+    @pytest.mark.parametrize(
+        ("pages", "keys", "groups"),
+        [(4, 24, (1, 2)), (8, 60, (1, 2, None))],
+        ids=["groups-only", "mixed"],
+    )
+    def test_consistent_after_every_write(self, pages, keys, groups, offset):
+        engine = make_engine(dies=2, blocks=8, pages=pages)
+        rng = random.Random(BASE_SEED + offset)
+        latest = {}
+        at = 0.0
+        for i in range(1800):
+            key = int(rng.paretovariate(1.2)) % keys
+            latest[key] = bytes([i % 256])
+            at = engine.write(key, latest[key], at, group=groups[key % len(groups)])
+            engine.check_consistency()
+        assert engine.stats.gc_erases > 0
+        for key, payload in latest.items():
+            assert engine.read(key, at)[0] == payload
+
+    def test_checker_rejects_each_way_a_slot_can_break_the_rule(self):
+        engine = make_engine(dies=2, blocks=8, pages=4)
+        at = 0.0
+        for key in range(9):  # die 0: block 0 FULL, block 1 the OPEN user frontier
+            at = engine.write(key, b"x", at)
+        books = engine.books[0]
+        frontier = engine._user_frontier[0]
+        assert (frontier.block, frontier.state) == (1, BlockState.OPEN)
+        engine.check_consistency()
+
+        engine._gc_frontier[0] = frontier
+        with pytest.raises(AssertionError, match="two frontier slots"):
+            engine.check_consistency()
+        engine._gc_frontier[0] = books.blocks[0]
+        with pytest.raises(AssertionError, match="holds a full block"):
+            engine.check_consistency()
+        engine._gc_frontier[0] = None
+        books._free[frontier.block] = None
+        with pytest.raises(AssertionError, match="in the free pool"):
+            engine.check_consistency()
+        del books._free[frontier.block]
+        engine._groups[5] = ([make_engine().books[3].blocks[0]], [0, 0])
+        with pytest.raises(AssertionError, match="foreign die"):
+            engine.check_consistency()

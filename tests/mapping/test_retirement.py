@@ -1,16 +1,18 @@
 """Block retirement paths: GC, read-disturb refresh, WL and factory bad blocks.
 
 Coverage for the pre-existing ``_retire_or_recycle`` path under every
-erase site, plus the wear-levelling fallback's traffic accounting (the
-stats-drift fix): the copyback-constrained WL move must count its
-read+program pairs exactly like the GC fallback does.
+erase site, plus the accounting of background page moves: whoever pays
+(GC or WL) and whichever way the page travels (COPYBACK or the read+program
+fallback), a moved page is counted exactly once.
 """
 
 import random
 
+import pytest
+
 from repro.core import NoFTLStore, RegionConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.flash import FlashDevice, FlashGeometry, instant_timing
+from repro.flash import FlashDevice, FlashGeometry, PhysicalBlockAddress, instant_timing
 from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
 from repro.mapping.blockinfo import BlockState
 
@@ -63,7 +65,7 @@ def assert_frontiers_skip_bad(engine):
     for die, info in engine._gc_frontier.items():
         if info is not None:
             assert not engine.device.dies[die].blocks[info.block].is_bad
-    for stripe in engine._group_frontiers.values():
+    for stripe, __ in engine._groups.values():
         for info in stripe:
             if info is not None:
                 assert not engine.device.dies[info.die].blocks[info.block].is_bad
@@ -162,46 +164,73 @@ class TestFactoryBadBlocks:
         store.check_consistency()
 
 
-class TestWearLevelFallbackAccounting:
-    def test_cross_plane_wl_move_counts_reads_and_programs(self):
-        # strict-plane copyback forces the WL move into its read+program
-        # fallback; the fix pins that it counts gc_reads/gc_programs just
-        # like the GC fallback (previously it counted neither)
+def _collect(engine, t):
+    engine._collect_block(engine.books[0].blocks[0], t)
+
+
+def _scrub(engine, t):
+    plan = FaultPlan(specs=(FaultSpec(kind="read_transient", at_op=1, retries=1),))
+    engine.device.attach_fault_injector(FaultInjector(plan))
+    engine.read(0, at=t)  # fails once, the retry recovers it and scrubs block 0
+
+
+def _refresh(engine, t):
+    for __ in range(engine.read_disturb_threshold):
+        __, t = engine.read(0, at=t)
+
+
+def _wear_level(engine, t):
+    # age a free block of the other plane (plane = block % planes_per_die)
+    # until its spread over cold block 0 exceeds the threshold
+    for __ in range(5):
+        engine.device.erase_block(PhysicalBlockAddress(0, 9), at=t)
+    engine._wear_level_die(0, t)
+
+
+class TestMoveAccounting:
+    """One page moved = one count in ``relocated_pages``, whoever pays
+    (GC: ``gc_copybacks`` or ``gc_reads``+``gc_programs``; WL: ``wl_moves``)
+    and however it moved (strict plane copyback refuses the cross-plane
+    COPYBACK, so every move takes the read+program fallback)."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["copyback", "fallback"])
+    @pytest.mark.parametrize(
+        ("empty", "wl_pays"),
+        [(_collect, False), (_scrub, False), (_refresh, True), (_wear_level, True)],
+        ids=["gc", "scrub", "refresh", "wl"],
+    )
+    def test_moved_page_counts_once(self, empty, wl_pays, strict):
         engine = make_engine(
-            planes_per_die=2,
-            blocks_per_plane=8,
-            pages_per_block=4,
-            strict_plane_copyback=True,
-            wear_level_threshold=2,
+            planes_per_die=2, blocks_per_plane=8, pages_per_block=4,
+            strict_plane_copyback=strict,
+            wear_level_threshold=2, read_disturb_threshold=5,
         )
-        per_block = engine.geometry.pages_per_block
-        payloads = {}
+        moved = engine.geometry.pages_per_block
         t = 0.0
-        for key in range(per_block):  # block 0 (plane 0) becomes FULL
-            payloads[key] = bytes([key])
-            t = engine.write(key, payloads[key], at=t)
-        # age a free plane-1 block so it becomes the WL target and the
-        # spread over the cold block 0 exceeds the threshold
-        from repro.flash.address import PhysicalBlockAddress
+        for key in range(moved):  # block 0 (plane 0) becomes FULL, all valid
+            t = engine.write(key, bytes([key]), at=t)
 
-        # planes interleave (plane = block % planes_per_die): block 0 is
-        # plane 0, so any odd free block is a cross-plane WL target
-        target_block = 9
-        assert engine.geometry.plane_of_block(target_block) != engine.geometry.plane_of_block(0)
-        for __ in range(5):
-            engine.device.erase_block(PhysicalBlockAddress(0, target_block), at=t)
+        empty(engine, t)
 
-        assert engine.stats.gc_reads == 0
-        assert engine.stats.gc_programs == 0
-        t = engine._wear_level_die(0, t)
-
-        assert engine.stats.wl_moves == per_block
-        assert engine.stats.wl_erases == 1
-        assert engine.stats.gc_copybacks == 0  # every copyback was refused
-        assert engine.stats.gc_reads == per_block  # the drift fix
-        assert engine.stats.gc_programs == per_block
-        for key, payload in payloads.items():
-            assert engine.read(key, at=t)[0] == payload
+        stats = engine.stats
+        counts = {
+            "gc_copybacks": stats.gc_copybacks, "gc_reads": stats.gc_reads,
+            "gc_programs": stats.gc_programs, "wl_moves": stats.wl_moves,
+            "gc_erases": stats.gc_erases, "wl_erases": stats.wl_erases,
+        }
+        expected = dict.fromkeys(counts, 0)
+        if wl_pays:
+            expected.update(wl_moves=moved, wl_erases=1)
+        elif strict:
+            expected.update(gc_reads=moved, gc_programs=moved, gc_erases=1)
+        else:
+            expected.update(gc_copybacks=moved, gc_erases=1)
+        assert counts == expected
+        assert stats.relocated_pages == moved
+        assert engine.device.stats.copybacks == (0 if strict else moved)
+        assert min(stats.snapshot().values()) >= 0
+        for key in range(moved):
+            assert engine.read(key, at=t)[0] == bytes([key])
         engine.check_consistency()
 
 

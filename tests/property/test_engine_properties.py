@@ -5,6 +5,8 @@ writes, overwrites, invalidations and GC happens, every live logical page
 maps to exactly one valid physical page holding its latest data.*
 """
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -12,14 +14,14 @@ from repro.flash import FlashDevice, FlashGeometry, instant_timing
 from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
 
 
-def make_engine(dies=2):
+def make_engine(dies=2, blocks=8, pages=8):
     geometry = FlashGeometry(
-        channels=2,
+        channels=dies,
         chips_per_channel=1,
         dies_per_chip=1,
         planes_per_die=1,
-        blocks_per_plane=8,
-        pages_per_block=8,
+        blocks_per_plane=blocks,
+        pages_per_block=pages,
         page_size=64,
         oob_size=8,
         max_pe_cycles=100_000,
@@ -33,36 +35,41 @@ def make_engine(dies=2):
     return FlashSpaceEngine(device, die_list, books, ManagementStats())
 
 
-# an op is (kind, key, group) over a small key space so overwrites are common
-ops = st.lists(
-    st.tuples(
-        st.sampled_from(["write", "invalidate"]),
-        st.integers(min_value=0, max_value=15),
-        st.sampled_from([None, 1, 2]),
-    ),
-    max_size=120,
-)
-
-
+# Long skewed runs on small devices: GC erases a block soon after it fills,
+# which is where a frontier slot that outlived its block shows.  The ops
+# come from a drawn seed (hypothesis would spend the budget generating
+# 1,500-element lists); the seed, geometry and check cadence still shrink.
 @settings(max_examples=60, deadline=None)
-@given(ops)
-def test_latest_write_wins_and_mapping_consistent(operations):
-    engine = make_engine()
+@given(
+    dies=st.integers(min_value=2, max_value=4),
+    blocks=st.integers(min_value=8, max_value=12),
+    pages=st.integers(min_value=4, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=1500),
+    check_every=st.integers(min_value=1, max_value=40),
+)
+def test_latest_write_wins_and_mapping_consistent(dies, blocks, pages, seed, count, check_every):
+    engine = make_engine(dies, blocks, pages)
+    rng = random.Random(seed)
+    keys = engine.safe_capacity_pages()
     shadow: dict[int, bytes] = {}
     at = 0.0
-    for i, (kind, key, group) in enumerate(operations):
-        if kind == "write":
-            payload = bytes([i % 256, key])
-            at = engine.write(key, payload, at, group=group)
+    for i in range(count):
+        key = int(rng.paretovariate(1.2)) % keys
+        if rng.random() < 0.9:
+            payload = bytes([i % 256, key % 256])
+            at = engine.write(key, payload, at, group=rng.choice([None, 1, 2]))
             shadow[key] = payload
         else:
             engine.invalidate(key)
             shadow.pop(key, None)
+        if i % check_every == 0:
+            engine.check_consistency()
     engine.check_consistency()
     assert engine.live_pages() == len(shadow)
     for key, payload in shadow.items():
         assert engine.read(key, at)[0] == payload
-    for key in set(range(16)) - set(shadow):
+    for key in set(range(keys)) - set(shadow):
         assert not engine.contains(key)
 
 
