@@ -8,6 +8,22 @@ Whatever a page object carries beyond its image (a slotted page keeps the
 rows decoded from it) lives and dies with its frame, so the pool's
 capacity bounds that too.
 
+What a miss costs: the read is always issued, the decode only when the
+image changed.  A frame remembers the image its page object was last
+coded from (the bytes a miss decoded, or the bytes a write-back encoded),
+and eviction parks ``(image, page object)`` under the page's key, a
+slotted page without its decoded rows.  A miss calls
+``backend.read_page`` first, so simulated time, device counters, read
+disturb and fault hooks see the same traffic as ever; when the bytes it
+returns *are* the parked image (``is``, not ``==``: the flash device, GC
+copyback and the in-memory test backend hand back the object that was
+written), the parked object is reinstalled instead of decoded.  Any
+rewrite, copy or fault makes a new bytes object, which is decoded.  This
+is exact because every page codec round-trips (property-tested) and a
+page object changes only through callers that mark it dirty before the
+pool runs again.  :meth:`BufferPool.drop` forgets the parked entry; there
+is at most one per page of the database.
+
 :meth:`BufferPool.get` is the only door to a buffered page, and what one
 touch of it costs is fixed: it counts towards the next flush round,
 charges ``cpu_us_per_op`` of virtual time, counts as a hit or a miss, sets
@@ -41,6 +57,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.db.backend import StorageBackend
+from repro.db.slotted_page import SlottedPage
 
 
 class BufferError(Exception):
@@ -54,6 +71,9 @@ class _Frame:
     key: tuple[int, int]
     page: object
     encoder: Callable[[object], bytes]
+    #: what ``page`` was last decoded from or encoded to (``None`` for a
+    #: fresh page until its first write-back)
+    image: bytes | None = None
     dirty: bool = False
     pin_count: int = 0
     referenced: bool = True
@@ -123,6 +143,8 @@ class BufferPool:
         self.cpu_us_per_op = cpu_us_per_op
         self.stats = BufferStats()
         self._frames: dict[tuple[int, int], _Frame] = {}
+        #: evicted page -> (its frame's image, its page object)
+        self._parked: dict[tuple[int, int], tuple[bytes | None, object]] = {}
         self._clock_keys: list[tuple[int, int]] = []
         self._clock_hand = 0
         # touches left until the next flush round; an interval <= 0 starts
@@ -144,12 +166,14 @@ class BufferPool:
         """Fetch a page object, reading from the backend on a miss.
 
         Returns ``(page_object, completion_us)``.  With ``pin=True`` the
-        frame cannot be evicted until :meth:`unpin`.
+        frame cannot be evicted until :meth:`unpin`.  A miss decodes the
+        image read unless it is the very image the page was parked with.
         """
         self._until_flush = until_flush = self._until_flush - 1
         if not until_flush:
             self._flush_round(at)
-        frame = self._frames.get((space_id, page_no))
+        key = (space_id, page_no)
+        frame = self._frames.get(key)
         if frame is not None:
             self.stats.hits += 1
             frame.referenced = True
@@ -159,7 +183,12 @@ class BufferPool:
         self.stats.misses += 1
         at = self._make_room(at + self.cpu_us_per_op)
         data, at = self.backend.read_page(space_id, page_no, at)
-        frame = _Frame(key=(space_id, page_no), page=decoder(data), encoder=encoder)
+        parked = self._parked.pop(key, None)
+        if parked is not None and parked[0] is data:
+            page = parked[1]
+        else:
+            page = decoder(data)
+        frame = _Frame(key=key, page=page, encoder=encoder, image=data)
         self._install(frame)
         if pin:
             frame.pin_count += 1
@@ -204,7 +233,9 @@ class BufferPool:
         frame.pin_count -= 1
 
     def drop(self, space_id: int, page_no: int) -> None:
-        """Discard a buffered page without write-back (page was freed)."""
+        """Discard a page without write-back (page was freed), buffered or
+        parked."""
+        self._parked.pop((space_id, page_no), None)
         frame = self._frames.pop((space_id, page_no), None)
         if frame is not None:
             self._clock_keys.remove(frame.key)
@@ -216,9 +247,7 @@ class BufferPool:
         frame = self._frames.get((space_id, page_no))
         if frame is None or not frame.dirty:
             return at
-        at = self.backend.write_page(space_id, page_no, frame.encoder(frame.page), at)
-        frame.dirty = False
-        return at
+        return self._write_back(frame, at)
 
     def flush_all(self, at: float) -> float:
         """Checkpoint: write out every dirty page (deterministic order)."""
@@ -237,6 +266,15 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Replacement & flusher
     # ------------------------------------------------------------------
+    def _write_back(self, frame: _Frame, at: float) -> float:
+        """Encode a dirty frame's page and write it; returns completion time.
+        The frame is clean after, and its image is what was written."""
+        image = frame.encoder(frame.page)
+        at = self.backend.write_page(frame.key[0], frame.key[1], image, at)
+        frame.image = image
+        frame.dirty = False
+        return at
+
     def _install(self, frame: _Frame) -> None:
         self._frames[frame.key] = frame
         self._clock_keys.append(frame.key)
@@ -245,13 +283,15 @@ class BufferPool:
         if len(self._frames) < self.capacity:
             return at
         index, victim = self._pick_victim()
+        key, page = victim.key, victim.page
         if victim.dirty:
-            at = self.backend.write_page(
-                victim.key[0], victim.key[1], victim.encoder(victim.page), at
-            )
+            at = self._write_back(victim, at)
             self.stats.dirty_evictions += 1
         self.stats.evictions += 1
-        del self._frames[victim.key]
+        if isinstance(page, SlottedPage):
+            page.rows.clear()  # a parked page keeps no rows (see slotted_page)
+        self._parked[key] = (victim.image, page)
+        del self._frames[key]
         # the hand, one past ``index``, is NOT moved back: the eviction order
         # every simulated counter depends on (see the module docstring)
         del self._clock_keys[index]
@@ -292,7 +332,6 @@ class BufferPool:
             frame = self._frames[key]
             if frame.dirty and frame.pin_count == 0:
                 # asynchronous: reserves device time, caller's clock unmoved
-                self.backend.write_page(key[0], key[1], frame.encoder(frame.page), at)
-                frame.dirty = False
+                self._write_back(frame, at)
                 self.stats.flusher_writes += 1
                 written += 1

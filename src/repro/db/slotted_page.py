@@ -23,7 +23,9 @@ decoded once per buffer residency and record version, not once per read:
   the patched values as the decoder yields them — and that row is kept;
 * the rows live on the page object, not in the heap file: they are
   released with the buffer frame, so the buffer pool's capacity bounds
-  them, and a page decoded again after an eviction starts with none.
+  them, and a page decoded again after an eviction starts with none —
+  as does a page object the pool parked at eviction and reinstalls
+  (:mod:`repro.db.buffer`), whose rows the pool drops when it parks it.
 
 On-flash layout::
 

@@ -236,18 +236,20 @@ class TestFlush:
 class RemoveBasedPool(BufferPool):
     """Reference: eviction as it was before the victim was deleted by ring
     position — ``_pick_victim`` hands back the frame and ``_make_room``
-    finds it again by value.  The hand is left where the sweep stopped."""
+    finds it again by value.  The hand is left where the sweep stopped.
+    The victim is parked as the pool parks it: the edits below are never
+    marked dirty, so a page object reinstalled on one side and decoded on
+    the other would differ."""
 
     def _make_room(self, at):
         if len(self._frames) < self.capacity:
             return at
         victim = self._pick_victim()
         if victim.dirty:
-            at = self.backend.write_page(
-                victim.key[0], victim.key[1], victim.encoder(victim.page), at
-            )
+            at = self._write_back(victim, at)
             self.stats.dirty_evictions += 1
         self.stats.evictions += 1
+        self._parked[victim.key] = (victim.image, victim.page)
         del self._frames[victim.key]
         self._clock_keys.remove(victim.key)
         if self._clock_hand >= len(self._clock_keys):

@@ -89,6 +89,30 @@ def test_buffered_lookup(warm):
     assert entered.count("BufferPool.get") == 3
 
 
+def test_miss_on_an_unchanged_page_decodes_nothing():
+    # a small pool: the scan evicts the index and row 0's heap page, whose
+    # images stay what the pool last read or wrote, so the lookup misses on
+    # every level and reinstalls each parked page object
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    pool = BufferPool(backend, capacity=8, flusher_interval=0)
+    schema = Schema([int_col("w"), int_col("i"), char_col("dist", 24), varchar_col("data", 50)])
+    info = TableInfo("T", schema, "t", HeapFile(pool, backend.create_space("t"), schema))
+    tree = BTree(pool, backend.create_space("i"), schema.project(["w", "i"]), unique=True)
+    info.indexes.append(IndexInfo("T_IDX", "T", ("w", "i"), True, "i", tree))
+    table = Table(info)
+    at = 0.0
+    for i in range(2000):
+        __, at = table.insert((1, i, "d" * 24, "x" * 30), at)
+    assert tree.height == 2
+    at = pool.flush_all(at)
+    for __ in table.scan(at):
+        pass
+    misses = pool.stats.misses
+    entered = python_calls(table.lookup, "T_IDX", (1, 0), 0.0)
+    assert pool.stats.misses == misses + 3  # root, leaf, heap page
+    assert not {"SlottedPage.from_bytes", "BTree._decode_node"} & set(entered), entered
+
+
 def test_fixed_width_update_columns(warm):
     table, rid = warm
     changes = {"qty": 49, "ytd": 12.5, "cnt": 3}
