@@ -58,7 +58,7 @@ def main() -> None:
             extra={"atomic_id": atomic_id, "atomic_size": 4},
         )
         store.device.program_page(ppa, b"balance=999", meta, at=t)
-        frontier.note_write(frontier.written, t)
+        engine.books[die].note_write_packed(frontier.block, frontier.written, t)
     print("CRASH: a second atomic batch died after 2 of its 4 pages")
 
     recovered = build(device=store.device)

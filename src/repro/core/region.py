@@ -24,6 +24,10 @@ from repro.mapping.engine import FlashSpaceEngine
 from repro.mapping.stats import ManagementStats
 from repro.policies import GCPolicy, WLPolicy, policy_name
 
+#: Owner sentinel for dies lost to whole-die failures.  A failed die is
+#: neither free nor owned: it must never re-enter the allocation pool.
+FAILED_DIE = "<failed>"
+
 
 class RegionError(Exception):
     """Invalid region configuration or operation."""
@@ -127,8 +131,10 @@ class Region:
         self._allocated: set[int] = set()
         #: dies lost to whole-die failures (region runs degraded)
         self.failed_dies: list[int] = []
-        #: set by the RegionManager so the die pool learns about failures
-        self._on_die_failed = None
+        #: the RegionManager's die -> owner table, shared so a failure
+        #: quarantines the die in the pool; the table, not the manager, so
+        #: nothing in a region leads back to what owns it
+        self._die_owner: dict[int, str | None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -211,20 +217,21 @@ class Region:
         bus = self.device.events
         if bus is not None:
             bus.emit(issue, "host", "read", region=self.name, rpn=rpn)
-        last: DieFailedError | None = None
-        for __ in range(len(self.engine.dies) + 2):
+        tries = len(self.engine.dies) + 2
+        while True:
             try:
                 data, end = self.engine.read(rpn, at)
             except DieFailedError as exc:
                 # a read never needs the dead die, but the background work
                 # it triggers (scrub, refresh erase) might
-                last = exc
+                at = self._recover_die_failure(exc.die, at)
+                tries -= 1
+                if not tries:
+                    raise
             else:
                 self.stats.host_reads += 1
                 self.stats.host_read_latency.record(end - issue)
                 return data, end
-            at = self._recover_die_failure(last.die, at)
-        raise last
 
     def write(self, rpn: int, data: bytes, at: float, group: int | None = None) -> float:
         """Write logical page ``rpn`` out-of-place; returns completion time.
@@ -240,18 +247,19 @@ class Region:
         bus = self.device.events
         if bus is not None:
             bus.emit(issue, "host", "write", region=self.name, rpn=rpn, obj=group)
-        last: DieFailedError | None = None
-        for __ in range(len(self.engine.dies) + 2):
+        tries = len(self.engine.dies) + 2
+        while True:
             try:
                 end = self.engine.write(rpn, data, at, group=group)
             except DieFailedError as exc:
-                last = exc
+                at = self._recover_die_failure(exc.die, at)
+                tries -= 1
+                if not tries:
+                    raise
             else:
                 self.stats.host_writes += 1
                 self.stats.host_write_latency.record(end - issue)
                 return end
-            at = self._recover_die_failure(last.die, at)
-        raise last
 
     def write_atomic(
         self, entries: list[tuple[int, bytes]], at: float, group: int | None = None
@@ -272,20 +280,21 @@ class Region:
             bus.emit(at, "host", "write_atomic", region=self.name,
                      pages=len(entries), obj=group)
         issue = at
-        last: DieFailedError | None = None
-        for __ in range(len(self.engine.dies) + 2):
+        tries = len(self.engine.dies) + 2
+        while True:
             try:
                 # the engine disowns a half-programmed batch before raising,
                 # so retrying after the rebuild re-drives it from scratch
                 end = self.engine.write_atomic(entries, at, group=group)
             except DieFailedError as exc:
-                last = exc
+                at = self._recover_die_failure(exc.die, at)
+                tries -= 1
+                if not tries:
+                    raise
             else:
                 self.stats.host_writes += len(entries)
                 self.stats.host_write_latency.record(end - issue)
                 return end
-            at = self._recover_die_failure(last.die, at)
-        raise last
 
     def _check_allocated(self, rpn: int) -> None:
         if rpn not in self._allocated:
@@ -304,10 +313,11 @@ class Region:
 
         The engine pulls every live page off the dead die (reads still
         work) onto the survivors, then forgets the die; the region keeps
-        serving at reduced capacity.  The manager's callback quarantines
-        the die so it can never be handed to another region.  Concurrent
-        failure of a *second* die during the rebuild is not recovered
-        here — it propagates (documented single-failure model).
+        serving at reduced capacity.  The die is marked failed in the
+        manager's owner table so it can never be handed to another
+        region.  Concurrent failure of a *second* die during the rebuild
+        is not recovered here — it propagates (documented single-failure
+        model).
         """
         if die not in self.engine.dies:
             return at  # several queued ops can observe the same failure
@@ -316,8 +326,8 @@ class Region:
             bus.emit(at, "faults", "region_degraded", region=self.name, die=die)
         __, at = self.engine.fail_die(die, at)
         self.failed_dies.append(die)
-        if self._on_die_failed is not None:
-            self._on_die_failed(self, die)
+        if self._die_owner is not None:
+            self._die_owner[die] = FAILED_DIE
         return at
 
     def retire_failed_die(self, die: int, at: float) -> float:

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.core.region import Region, RegionConfig, RegionError
+from repro.core.region import FAILED_DIE, Region, RegionConfig, RegionError
 from repro.flash.address import PhysicalBlockAddress
 from repro.flash.device import FlashDevice
 from repro.mapping.blockinfo import BlockState, DieBookkeeping
-
-#: Owner sentinel for dies lost to whole-die failures.  A failed die is
-#: neither free nor owned: it must never re-enter the allocation pool.
-FAILED_DIE = "<failed>"
 
 
 class RegionManager:
@@ -108,16 +104,11 @@ class RegionManager:
             books={d: self._books[d] for d in dies},
         )
         self._next_region_id += 1
-        region._on_die_failed = self._note_die_failed
+        region._die_owner = self._die_owner
         for d in dies:
             self._die_owner[d] = config.name
         self.regions[config.name] = region
         return region
-
-    def _note_die_failed(self, region: Region, die: int) -> None:
-        """Quarantine a die a region just lost (never re-allocated)."""
-        self._die_owner[die] = FAILED_DIE
-        self._books.pop(die, None)
 
     def drop_region(self, name: str, force: bool = False) -> None:
         """Drop a region, returning its dies to the pool.
@@ -143,7 +134,7 @@ class RegionManager:
                 if info.written > 0:
                     self.device.erase_block(PhysicalBlockAddress(d, info.block))
                     if self.device.dies[d].blocks[info.block].is_bad:
-                        info.reset_after_erase()
+                        books.reset_after_erase(info.block)
                         books.mark_bad(info.block)
                     else:
                         books.return_erased_block(info.block)

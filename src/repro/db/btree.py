@@ -115,68 +115,36 @@ class _Node:
         self.next_leaf: int = -1  # leaves only
 
 
-class BTree:
-    """A B+-tree index stored in one tablespace.
+class NodeCodec:
+    """Page images of one index's nodes: header, then the entries.
 
-    Args:
-        buffer_pool: shared buffer manager.
-        space_id: tablespace for the index's pages.
-        key_schema: columns forming the key (order matters).
-        unique: reject duplicate keys when ``True``.
+    Owns everything coding needs — the key codec, the entry structs, the
+    page size and the capacities they imply — and nothing else: the tree
+    hands the pool this object's bound :meth:`decode` / :meth:`encode`, and
+    the pool's frames keep the encoder, so a codec must not lead back to
+    the tree or the pool (that would make every storage stack a reference
+    cycle, freed only by the cyclic collector).
     """
 
-    def __init__(
-        self,
-        buffer_pool: BufferPool,
-        space_id: int,
-        key_schema: Schema,
-        unique: bool = False,
-    ) -> None:
-        self.buffer_pool = buffer_pool
-        self.space_id = space_id
-        self.codec = KeyCodec(key_schema)
-        self.unique = unique
-        self.page_size = buffer_pool.backend.page_size
-        self._leaf_entry = self.codec.entry_structs(_RID_STRUCT)
-        self._inner_entry = self.codec.entry_structs(_CHILD_STRUCT)
-        leaf_entry = self.codec.max_size + _RID_STRUCT.size
-        inner_entry = self.codec.max_size + _CHILD_STRUCT.size
-        self.leaf_capacity = (self.page_size - _LEAF_HEADER.size) // leaf_entry
+    def __init__(self, keys: KeyCodec, page_size: int) -> None:
+        self.keys = keys
+        self.page_size = page_size
+        self._leaf_entry = keys.entry_structs(_RID_STRUCT)
+        self._inner_entry = keys.entry_structs(_CHILD_STRUCT)
+        leaf_entry = keys.max_size + _RID_STRUCT.size
+        inner_entry = keys.max_size + _CHILD_STRUCT.size
+        self.leaf_capacity = (page_size - _LEAF_HEADER.size) // leaf_entry
         self.inner_capacity = (
-            self.page_size - _INNER_HEADER.size - _CHILD_STRUCT.size
+            page_size - _INNER_HEADER.size - _CHILD_STRUCT.size
         ) // inner_entry
         if self.leaf_capacity < 4 or self.inner_capacity < 4:
             raise IndexError_(
-                f"key of max {self.codec.max_size} bytes leaves fanout < 4 on "
-                f"{self.page_size}-byte pages"
+                f"key of max {keys.max_size} bytes leaves fanout < 4 on "
+                f"{page_size}-byte pages"
             )
-        self._root_page: int = -1
-        self._height = 0
-        self._entry_count = 0
-        self._pins: list[int] = []
-        # bound once: a node touch is one positional call through the pool's
-        # only door, with no method object built on the way
-        self._get = buffer_pool.get
-        self._decode = self._decode_node
-        self._encode = self._encode_node
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def entry_count(self) -> int:
-        """Number of (key, rid) entries in the index."""
-        return self._entry_count
-
-    @property
-    def height(self) -> int:
-        """Tree height (0 = empty, 1 = root leaf)."""
-        return self._height
-
-    # ------------------------------------------------------------------
-    # Node I/O
-    # ------------------------------------------------------------------
-    def _encode_node(self, node: _Node) -> bytes:
+    def encode(self, node: _Node) -> bytes:
+        """A node's page image, zero-padded to the page size."""
         if node.is_leaf:
             header = _LEAF_HEADER.pack(_LEAF_TYPE, len(node.keys), node.next_leaf)
             entries = self._pack_entries(node.keys, node.values, self._leaf_entry, _RID_STRUCT)
@@ -199,7 +167,7 @@ class BTree:
     ) -> list[bytes]:
         """Images of a node's entries: each key followed by its tail fields."""
         if entry is None:
-            encode = self.codec.encode
+            encode = self.keys.encode
             return [encode(key) + tail.pack(*fields) for key, fields in zip(keys, tails)]
         try:
             # key + fields is one tuple concatenation per entry, in C, and
@@ -225,7 +193,7 @@ class BTree:
             return list(keys_only.iter_unpack(area)), list(tails_only.iter_unpack(area))
         keys: list[Key] = []
         tails: list[tuple[int, ...]] = []
-        decode = self.codec.decode
+        decode = self.keys.decode
         for __ in range(count):
             key, offset = decode(data, offset)
             keys.append(key)
@@ -233,7 +201,8 @@ class BTree:
             offset += tail.size
         return keys, tails
 
-    def _decode_node(self, data: bytes) -> _Node:
+    def decode(self, data: bytes) -> _Node:
+        """The node a page image holds; refuses a corrupt header."""
         node_type = data[0]
         if node_type == _LEAF_TYPE:
             __, count, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
@@ -267,6 +236,57 @@ class BTree:
                 f"corrupt index page (entry count {count} exceeds capacity {capacity})"
             )
 
+
+class BTree:
+    """A B+-tree index stored in one tablespace.
+
+    Args:
+        buffer_pool: shared buffer manager.
+        space_id: tablespace for the index's pages.
+        key_schema: columns forming the key (order matters).
+        unique: reject duplicate keys when ``True``.
+    """
+
+    def __init__(
+        self,
+        buffer_pool: BufferPool,
+        space_id: int,
+        key_schema: Schema,
+        unique: bool = False,
+    ) -> None:
+        self.buffer_pool = buffer_pool
+        self.space_id = space_id
+        self.unique = unique
+        self.page_size = buffer_pool.backend.page_size
+        self.codec = NodeCodec(KeyCodec(key_schema), self.page_size)
+        self.leaf_capacity = self.codec.leaf_capacity
+        self.inner_capacity = self.codec.inner_capacity
+        self._root_page: int = -1
+        self._height = 0
+        self._entry_count = 0
+        self._pins: list[int] = []
+        # bound once: a node touch is one positional call through the pool's
+        # only door, with no method object built on the way
+        self._get = buffer_pool.get
+        self._decode = self.codec.decode
+        self._encode = self.codec.encode
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def entry_count(self) -> int:
+        """Number of (key, rid) entries in the index."""
+        return self._entry_count
+
+    @property
+    def height(self) -> int:
+        """Tree height (0 = empty, 1 = root leaf)."""
+        return self._height
+
+    # ------------------------------------------------------------------
+    # Node I/O
+    # ------------------------------------------------------------------
     def _fetch(self, page_no: int, at: float, pin: bool = True) -> tuple[_Node, float]:
         fetched = self._get(self.space_id, page_no, at, self._decode, self._encode, pin)
         if pin:

@@ -160,12 +160,12 @@ def run_tpcc_crash_harness(
                 t = region.retire_failed_die(die, t)
     # a wear-out whose carrying erase was aborted by a simultaneous
     # crash/die failure would dangle injected-but-unretired — land it
-    injector.settle_pending_wearout(t)
+    injector.settle_pending_wearout(source.device, t)
     # likewise a grown-bad retirement whose salvage was interrupted: after
     # a power cut the recovered engine finishes it (salvage, mark bad,
     # count once); after a die failure the rebuild already moved the live
     # pages off the die, so the block only needs recording
-    for die, block in injector.unretired_program_faults():
+    for die, block in injector.unretired_program_faults(source.device):
         owner = next(
             (r for r in source.store.regions() if die in r.engine.dies), None
         )

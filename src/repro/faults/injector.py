@@ -5,7 +5,8 @@ A :class:`FaultInjector` is attached with
 the EventBus pattern exactly: ``device.faults`` is ``None`` by default and
 every native command pays a single ``is not None`` test, so the hot path
 is unaffected when no plan is loaded (the bit-identity acceptance tests
-pin this).
+pin this).  The reference runs one way: the device calls each hook with
+itself as the first argument, and the injector keeps no reference to it.
 
 The injector keeps a global operation counter over the injectable native
 commands (READ PAGE, PROGRAM PAGE, ERASE BLOCK, COPYBACK and the
@@ -105,13 +106,11 @@ class FaultInjector:
         stats: the ``faults.*`` counters (shared with the recovery paths,
             which report their outcomes here).
         dead_dies: dies currently write/erase-dead.
-        device: back-reference set by ``attach_fault_injector``.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
-        self.device: FlashDevice | None = None
         self.dead_dies: set[int] = set()
         self._rng = random.Random(plan.seed)
         self._specs = [_SpecState(spec) for spec in plan.specs]
@@ -154,9 +153,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Device hooks
     # ------------------------------------------------------------------
-    def on_command(self, op: str, die: int, block: int | None = None,
+    def on_command(self, device: FlashDevice, op: str, die: int, block: int | None = None,
                    page: int | None = None, at: float = 0.0) -> None:
-        """Called by the device before executing each injectable command."""
+        """Called by ``device`` before executing each injectable command."""
         self._op += 1
         if self.dead_dies and die in self.dead_dies and op in _WRITE_OPS:
             raise DieFailedError(die, op=op)
@@ -175,19 +174,14 @@ class FaultInjector:
         for state in self._specs:
             if state.should_fire(op, die, block, self._op, self._rng):
                 state.fired += 1
-                self._fire(state.spec, op, die, block, page, at)
+                self._fire(device, state.spec, op, die, block, page, at)
 
-    def after_erase(self, die: int, block: int, at: float = 0.0) -> None:
-        """Called by the device after an erase: apply a scheduled wear-out."""
-        if self._pending_wearout != (die, block):
-            return
-        self._pending_wearout = None
-        assert self.device is not None
-        self.device.dies[die].blocks[block].mark_bad()
-        self.stats.retired_wearout_blocks += 1
-        self._emit(at, "wearout_retired", die=die, block=block)
+    def after_erase(self, device: FlashDevice, die: int, block: int, at: float = 0.0) -> None:
+        """Called by ``device`` after an erase: apply a scheduled wear-out."""
+        if self._pending_wearout == (die, block):
+            self._retire_pending_wearout(device, at)
 
-    def settle_pending_wearout(self, at: float = 0.0) -> None:
+    def settle_pending_wearout(self, device: FlashDevice, at: float = 0.0) -> None:
         """Apply a wear-out whose carrying erase never completed.
 
         A wear-out fires on the erase command about to run and is applied
@@ -196,19 +190,21 @@ class FaultInjector:
         the same operation number), the scheduled wear-out would dangle
         injected-but-unretired forever — the workload is over and nothing
         erases that block again.  Recovery harnesses call this after the
-        run to land the retirement exactly as ``after_erase`` would have;
-        with nothing pending it is a no-op.
+        run to land the retirement exactly as ``after_erase`` does; with
+        nothing pending it is a no-op.
         """
-        if self._pending_wearout is None:
-            return
+        if self._pending_wearout is not None:
+            self._retire_pending_wearout(device, at)
+
+    def _retire_pending_wearout(self, device: FlashDevice, at: float) -> None:
+        assert self._pending_wearout is not None
         die, block = self._pending_wearout
         self._pending_wearout = None
-        assert self.device is not None
-        self.device.dies[die].blocks[block].mark_bad()
+        device.dies[die].blocks[block].mark_bad()
         self.stats.retired_wearout_blocks += 1
-        self._emit(at, "wearout_retired", die=die, block=block)
+        self._emit(device, at, "wearout_retired", die=die, block=block)
 
-    def unretired_program_faults(self) -> list[tuple[int, int]]:
+    def unretired_program_faults(self, device: FlashDevice) -> list[tuple[int, int]]:
         """``(die, block)`` of program failures whose retirement never landed.
 
         The engine answers a program failure by salvaging the block's live
@@ -217,8 +213,7 @@ class FaultInjector:
         the fault injected-but-unretired.  Recovery harnesses finish these
         retirements after the run; normally the list is empty.
         """
-        assert self.device is not None
-        dies = self.device.dies
+        dies = device.dies
         return [
             (die, block) for die, block in self._program_faulted
             if not dies[die].blocks[block].is_bad
@@ -227,43 +222,44 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
-    def _fire(self, spec: FaultSpec, op: str, die: int, block: int | None,
-              page: int | None, at: float) -> None:
+    def _fire(self, device: FlashDevice, spec: FaultSpec, op: str, die: int,
+              block: int | None, page: int | None, at: float) -> None:
         kind = spec.kind
         if kind == "read_transient":
             self.stats.injected_read_transient += 1
             self.stats.read_retry_attempts += 1
             if spec.retries > 1:
                 self._pending_reads[(die, block, page)] = spec.retries - 1
-            self._emit(at, "inject_read_transient", die=die, block=block, page=page,
+            self._emit(device, at, "inject_read_transient", die=die, block=block, page=page,
                        op=self._op, retries=spec.retries)
             raise TransientReadError(die, block, page)
         if kind == "program_fail":
             self.stats.injected_program_fail += 1
             assert block is not None
             self._program_faulted.append((die, block))
-            self._emit(at, "inject_program_fail", die=die, block=block, page=page,
+            self._emit(device, at, "inject_program_fail", die=die, block=block, page=page,
                        op=self._op)
             raise ProgramFaultError(die, block, page)
         if kind == "wearout":
             self.stats.injected_wearout += 1
             self._pending_wearout = (die, block)
-            self._emit(at, "inject_wearout", die=die, block=block, op=self._op)
+            self._emit(device, at, "inject_wearout", die=die, block=block, op=self._op)
             return
         if kind == "die_fail":
             target = spec.die if spec.die is not None else die
             self.stats.injected_die_fail += 1
             self.dead_dies.add(target)
-            self._emit(at, "inject_die_fail", die=target, op=self._op)
+            self._emit(device, at, "inject_die_fail", die=target, op=self._op)
             if die == target and op in _WRITE_OPS:
                 raise DieFailedError(target, op=op)
             return
         # power_cut
         self.stats.injected_power_cut += 1
-        self._emit(at, "inject_power_cut", op=self._op)
+        self._emit(device, at, "inject_power_cut", op=self._op)
         raise PowerCutError(self._op)
 
-    def _emit(self, at: float, kind: str, **attrs: object) -> None:
-        bus = None if self.device is None else self.device.events
+    @staticmethod
+    def _emit(device: FlashDevice, at: float, kind: str, **attrs: object) -> None:
+        bus = device.events
         if bus is not None:
             bus.emit(at, "faults", kind, **attrs)

@@ -198,7 +198,7 @@ class FlashDevice:
         if self.faults is not None:
             # before the block counts the read or a timeline is reserved:
             # a failed read leaves no trace but the injector's own
-            self.faults.on_command("read_page", die, block, page, at=at)
+            self.faults.on_command(self, "read_page", die, block, page, at=at)
         data = self._die_blocks[die][block].read_data(page)
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         __, end = self._die_channels[die].reserve(array_done, self._page_bus_us)
@@ -237,7 +237,7 @@ class FlashDevice:
         if self.faults is not None:
             # before any state mutates: a program fault leaves the page
             # unprogrammed and the timelines unreserved
-            self.faults.on_command("program_page", die, block, page, at=at)
+            self.faults.on_command(self, "program_page", die, block, page, at=at)
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
         self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id, extra)
@@ -272,7 +272,7 @@ class FlashDevice:
                     f" -> block {dst_block} (plane {dst_plane})"
                 )
         if self.faults is not None:
-            self.faults.on_command("copyback", die, src_block, src_page, at=at)
+            self.faults.on_command(self, "copyback", die, src_block, src_page, at=at)
         blocks = self._die_blocks[die]
         blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page, metadata)
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
@@ -288,10 +288,10 @@ class FlashDevice:
     def erase_block_packed(self, die: int, block: int, at: float) -> tuple[float, float]:
         """ERASE BLOCK: array-only operation, no channel occupancy."""
         if self.faults is not None:
-            self.faults.on_command("erase_block", die, block, at=at)
+            self.faults.on_command(self, "erase_block", die, block, at=at)
         self._die_blocks[die][block].erase()
         if self.faults is not None:
-            self.faults.after_erase(die, block, at=at)
+            self.faults.after_erase(self, die, block, at=at)
         start, end = self._die_timelines[die].reserve(at, self._erase_us)
         self.stats.record_erase(die)
         if self.events is not None:
@@ -388,7 +388,7 @@ class FlashDevice:
         issue = self.clock.now if at is None else at
         if self.faults is not None:
             self.faults.on_command(
-                "program_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
+                self, "program_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
             )
         die = self.dies[die_index]
         channel = self.channel_of_die(die_index)
@@ -437,7 +437,7 @@ class FlashDevice:
         issue = self.clock.now if at is None else at
         if self.faults is not None:
             self.faults.on_command(
-                "read_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
+                self, "read_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
             )
         die = self.dies[die_index]
         start, array_done = die.timeline.reserve(issue, self.timing.read_us)
@@ -476,8 +476,9 @@ class FlashDevice:
         """Wire a :class:`~repro.faults.injector.FaultInjector` into every
         injectable command (OOB metadata reads are exempt, so recovery
         scans never trip fresh faults).  Off by default; with no injector
-        attached each command pays one ``is not None`` test."""
-        injector.device = self
+        attached each command pays one ``is not None`` test.  The device
+        passes itself to every hook, so the injector holds no reference
+        back to it."""
         self.faults = injector
         return injector
 

@@ -135,3 +135,22 @@ class PowerCutError(FlashError):
     def __init__(self, op_number: int) -> None:
         super().__init__(f"power cut injected at device operation {op_number}")
         self.op_number = op_number
+
+
+class StaleReservationError(FlashError):
+    """A request was issued before a resource timeline's forgotten horizon.
+
+    A timeline forgets reservations that ended long before the latest
+    request (see :class:`~repro.flash.simclock.ResourceTimeline`).  A later
+    request issued earlier than that horizon could be granted a slot inside
+    a busy interval the timeline no longer remembers, so it is refused
+    instead of silently double-booking the resource.
+    """
+
+    def __init__(self, name: str, earliest: float, horizon: float) -> None:
+        super().__init__(
+            f"timeline {name!r}: request at {earliest:.1f}us is older than its "
+            f"forgotten horizon {horizon:.1f}us"
+        )
+        self.earliest = earliest
+        self.horizon = horizon

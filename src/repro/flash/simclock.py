@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.flash.errors import ConfigError
+from repro.flash.errors import ConfigError, StaleReservationError
 
 
 class SimClock:
@@ -56,7 +56,8 @@ class SimClock:
 
 
 #: reservations ending this far before a new request's issue time are
-#: forgotten (bounds memory; callers' clocks never drift further apart).
+#: forgotten (bounds memory; callers' clocks never drift further apart,
+#: and a request that does is refused, see :class:`StaleReservationError`).
 _PRUNE_HORIZON_US = 10_000_000.0
 
 
@@ -72,84 +73,101 @@ class ResourceTimeline:
     append-only timeline would let one caller's far-future reservation
     block everyone's earlier idle time, which no real device does.)
     Total busy time accumulates for utilization reporting.
+
+    Reservations live in two sorted float columns, ``_starts`` and
+    ``_ends``, with no object per reservation.  Granted slots are disjoint
+    and never empty, so ordering by start and by end agree and the ends
+    are strictly increasing: every search is a bisect on ``_ends``.  Slots
+    before the offset ``_lo`` are forgotten; the columns are compacted
+    once that prefix passes half their length.
     """
 
     name: str = ""
     busy_us: float = 0.0
-    #: sorted, disjoint reservation intervals
-    _intervals: list[tuple[float, float]] = field(default_factory=list, repr=False)
+    _starts: list[float] = field(default_factory=list, repr=False)
+    _ends: list[float] = field(default_factory=list, repr=False)
+    #: index of the first remembered slot
+    _lo: int = field(default=0, repr=False)
+    #: the cutoff of the last prune: busy time before it is forgotten, so a
+    #: request issued earlier is refused
+    _forgotten_before: float = field(default=float("-inf"), repr=False)
 
     @property
     def available_at(self) -> float:
-        """End of the last reservation (0.0 when never used)."""
-        return self._intervals[-1][1] if self._intervals else 0.0
+        """End of the last reservation (0.0 when none is remembered)."""
+        ends = self._ends
+        return ends[-1] if len(ends) > self._lo else 0.0
 
     def reserve(self, earliest: float, duration: float) -> tuple[float, float]:
         """Reserve ``duration`` us starting no earlier than ``earliest``.
 
         Returns ``(start, end)`` of the granted slot — the first gap that
-        fits."""
+        fits.  Raises :class:`StaleReservationError` for a request issued
+        before the forgotten horizon."""
         if duration < 0:
             raise ConfigError("duration must be >= 0")
-        intervals = self._intervals
-        if intervals and intervals[0][1] < earliest - _PRUNE_HORIZON_US:
+        if earliest < self._forgotten_before:
+            raise StaleReservationError(self.name, earliest, self._forgotten_before)
+        ends = self._ends
+        lo = self._lo
+        if lo < len(ends) and ends[lo] < earliest - _PRUNE_HORIZON_US:
             self._prune(earliest)
         # append fast path: a request issued at or after the last known
         # reservation cannot fill any gap, so it starts immediately — the
         # common case for a caller whose clock tracks the resource.  (The
         # gap-filling search below returns exactly `earliest` here.)
-        if duration > 0.0 and (not intervals or earliest >= intervals[-1][1]):
+        if duration > 0.0 and (not ends or earliest >= ends[-1]):
             end = earliest + duration
-            intervals.append((earliest, end))
+            self._starts.append(earliest)
+            ends.append(end)
             self.busy_us += duration
             return earliest, end
         start = self._find_gap(earliest, duration)
         end = start + duration
         if duration > 0:
-            self._insert(start, end)
+            # the new slot is disjoint from every other, so its place by end
+            # is its place by start
+            index = bisect.bisect_left(ends, end, self._lo)
+            self._starts.insert(index, start)
+            ends.insert(index, end)
         self.busy_us += duration
         return start, end
 
     def peek_start(self, earliest: float) -> float:
         """When a zero-length op issued at ``earliest`` would start."""
+        if earliest < self._forgotten_before:
+            raise StaleReservationError(self.name, earliest, self._forgotten_before)
         return self._find_gap(earliest, 0.0)
 
     def _find_gap(self, earliest: float, duration: float) -> float:
         t = earliest
-        # first interval that could overlap [t, ...): binary search on end
-        intervals = self._intervals
-        index = bisect.bisect_right(intervals, (t, float("inf")))
-        if index > 0 and intervals[index - 1][1] > t:
-            index -= 1
-        # walk by index: slicing the tail would copy O(n) per request
-        for i in range(index, len(intervals)):
-            s, e = intervals[i]
-            if e <= t:
-                continue
+        starts = self._starts
+        ends = self._ends
+        # the first slot that can hold back t is the first ending after it;
+        # each later slot ends after the one before, so none is skipped
+        for i in range(bisect.bisect_right(ends, t, self._lo), len(ends)):
+            s = starts[i]
             # a gap fits when it holds the duration; zero-length requests
             # need an instant not inside (or at the start of) a busy slot
             if s - t >= duration and (duration > 0 or s > t):
                 return t
-            t = e
+            t = ends[i]
         return t
 
-    def _insert(self, start: float, end: float) -> None:
-        index = bisect.bisect_left(self._intervals, (start, end))
-        self._intervals.insert(index, (start, end))
-
     def _prune(self, earliest: float) -> None:
-        # intervals are disjoint and start-sorted, so their ends are sorted
-        # too: everything to prune is a prefix, removable with one slice
-        # deletion (O(stale) amortised) instead of rebuilding the list.
-        intervals = self._intervals
-        if not intervals or intervals[0][1] >= earliest - _PRUNE_HORIZON_US:
-            return
+        # the ends are sorted, so the slots to forget are a prefix: move the
+        # offset past it, and delete it only once it is more than half the
+        # columns, so each slot is moved O(1) times over its life instead
+        # of once per prune (a prefix `del` moves the whole remaining tail)
         cutoff = earliest - _PRUNE_HORIZON_US
-        index = 1
-        n = len(intervals)
-        while index < n and intervals[index][1] < cutoff:
-            index += 1
-        del intervals[:index]
+        ends = self._ends
+        lo = bisect.bisect_left(ends, cutoff, self._lo)
+        self._forgotten_before = cutoff
+        if 2 * lo > len(ends):
+            del self._starts[:lo]
+            del ends[:lo]
+            lo = 0
+        self._lo = lo
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` this resource spent busy."""

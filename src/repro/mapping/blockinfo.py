@@ -23,10 +23,13 @@ is **incremental** and **columnar**:
   (:class:`_BlockColumns`): lifecycle codes in a ``bytearray``, valid
   bitmasks in a plain list (they are arbitrary-precision ints), valid/
   written counts in ``array('q')`` and last-write stamps in ``array('d')``.
-  A :class:`BlockInfo` is a *view* — (columns, index) — so the policy/test
-  API is unchanged while hot paths index the arrays directly via
-  :meth:`DieBookkeeping.note_write_packed` /
-  :meth:`DieBookkeeping.invalidate_packed`;
+  A :class:`BlockInfo` is a read-mostly *view* — (columns, index) — for
+  policies and tests; every state transition is a
+  :class:`DieBookkeeping` operation on a block index
+  (:meth:`~DieBookkeeping.note_write_packed`,
+  :meth:`~DieBookkeeping.invalidate_packed`, :meth:`~DieBookkeeping.seal`,
+  :meth:`~DieBookkeeping.reset_after_erase`), so a view holds no
+  reference back to its die and the books free by reference counting;
 * page validity is an int bitmask with a maintained valid count —
   no per-query popcount over a Python list;
 * the GC candidate set (FULL blocks with at least one invalid page) is
@@ -106,9 +109,11 @@ class BlockInfo:
 
     A (columns, row) view over its die's :class:`_BlockColumns`; field reads
     and writes go straight to the arrays, so views taken at different times
-    always agree.  Constructing one directly (``BlockInfo(die=..,
-    block=.., pages_per_block=..)``) makes a standalone block with private
-    single-row columns — the form unit tests and policy fixtures use.
+    always agree.  Transitions that keep the die's GC candidate set in step
+    belong to :class:`DieBookkeeping`, not to the view.  Constructing one
+    directly (``BlockInfo(die=.., block=.., pages_per_block=.., ...)``)
+    makes a standalone block with private single-row columns holding the
+    given fields — the form unit tests and policy fixtures use.
 
     Attributes (all backed by the columns):
         die: global die index.
@@ -123,7 +128,7 @@ class BlockInfo:
             block (used by cost-benefit GC as the block's "age").
     """
 
-    __slots__ = ("die", "block", "_cols", "_row", "_owner")
+    __slots__ = ("die", "block", "_cols", "_row")
 
     def __init__(
         self,
@@ -138,7 +143,6 @@ class BlockInfo:
     ) -> None:
         self.die = die
         self.block = block
-        self._owner: DieBookkeeping | None = None
         cols = _BlockColumns(1, pages_per_block)
         self._cols = cols
         self._row = 0
@@ -149,15 +153,11 @@ class BlockInfo:
         cols.last_write_us[0] = last_write_us
 
     @classmethod
-    def _view(
-        cls, die: int, block: int, owner: "DieBookkeeping",
-        cols: _BlockColumns, row: int,
-    ) -> "BlockInfo":
+    def _view(cls, die: int, block: int, cols: _BlockColumns, row: int) -> "BlockInfo":
         """Bind a view onto shared die columns (no private allocation)."""
         self = object.__new__(cls)
         self.die = die
         self.block = block
-        self._owner = owner
         self._cols = cols
         self._row = row
         return self
@@ -258,44 +258,6 @@ class BlockInfo:
         """Whether ``page`` currently holds live data."""
         return bool(self._cols.valid_mask[self._row] >> page & 1)
 
-    # ------------------------------------------------------------------
-    # Transitions
-    # ------------------------------------------------------------------
-    def note_write(self, page: int, now_us: float) -> None:
-        """Record that ``page`` was just programmed with live data."""
-        cols = self._cols
-        row = self._row
-        if page != cols.written[row]:
-            raise BookkeepingError(
-                f"block d{self.die}/b{self.block}: wrote page {page}, "
-                f"expected {cols.written[row]}"
-            )
-        if cols.valid_mask[row] >> page & 1:
-            raise BookkeepingError(f"page {page} already valid in d{self.die}/b{self.block}")
-        cols.valid_mask[row] |= 1 << page
-        cols.valid_count[row] += 1
-        written = cols.written[row] + 1
-        cols.written[row] = written
-        cols.last_write_us[row] = now_us
-        if written >= cols.pages_per_block:
-            cols.state[row] = _FULL
-            if self._owner is not None:
-                self._owner._on_block_full(self)
-
-    def invalidate(self, page: int) -> None:
-        """Record that the live data at ``page`` was superseded elsewhere."""
-        cols = self._cols
-        row = self._row
-        bit = 1 << page
-        if not cols.valid_mask[row] & bit:
-            raise BookkeepingError(
-                f"double invalidate of page {page} in d{self.die}/b{self.block}"
-            )
-        cols.valid_mask[row] ^= bit
-        cols.valid_count[row] -= 1
-        if cols.state[row] == _FULL and self._owner is not None:
-            self._owner._on_full_block_invalidate(self)
-
     def valid_pages(self) -> list[int]:
         """Indices of pages that still hold live data (ascending)."""
         mask = self._cols.valid_mask[self._row]
@@ -306,33 +268,6 @@ class BlockInfo:
             mask ^= low
         return pages
 
-    def seal(self) -> None:
-        """Close a partially-filled block: its unwritten tail counts invalid.
-
-        Used for relocation targets and recovery of partially-written
-        blocks; routing the state change through here (rather than poking
-        ``written``/``state`` directly) keeps the owner's candidate set
-        in sync — a sealed block with dead tail pages is reclaimable.
-        """
-        cols = self._cols
-        row = self._row
-        if cols.written[row] > 0 and cols.written[row] < cols.pages_per_block:
-            cols.written[row] = cols.pages_per_block
-            cols.state[row] = _FULL
-            if self._owner is not None:
-                self._owner._on_block_full(self)
-
-    def reset_after_erase(self) -> None:
-        """Return the block to the FREE state after an erase."""
-        cols = self._cols
-        row = self._row
-        cols.valid_mask[row] = 0
-        cols.valid_count[row] = 0
-        cols.written[row] = 0
-        cols.state[row] = _FREE
-        if self._owner is not None:
-            self._owner._drop_candidate(self.block)
-
 
 class DieBookkeeping:
     """All block bookkeeping for one die.
@@ -341,10 +276,11 @@ class DieBookkeeping:
     GC candidate set; ``blocks`` holds one persistent :class:`BlockInfo`
     view per block (row *b* == block *b*).  The management layer is
     responsible for calling :meth:`take_free_block` /
-    :meth:`return_erased_block` around its write frontiers and GC.  Hot
-    paths mutate through :meth:`note_write_packed` /
-    :meth:`invalidate_packed`, which index the columns directly without
-    touching a view.
+    :meth:`return_erased_block` around its write frontiers and GC.  Every
+    per-block transition — :meth:`note_write_packed`,
+    :meth:`invalidate_packed`, :meth:`seal`, :meth:`reset_after_erase` —
+    is a method here taking a block index; it indexes the columns
+    directly and keeps the candidate set in step.
 
     The candidate set is kept incrementally: a block enters when it
     transitions to FULL with at least one invalid page (or, already FULL,
@@ -368,7 +304,7 @@ class DieBookkeeping:
         self._written = cols.written
         self._last_write_us = cols.last_write_us
         self.blocks: list[BlockInfo] = [
-            BlockInfo._view(die, b, self, cols, b) for b in range(blocks_per_die)
+            BlockInfo._view(die, b, cols, b) for b in range(blocks_per_die)
         ]
         # insertion-ordered free pool: O(1) membership, removal, LIFO pop.
         # Seeded high-to-low so the first pops hand out blocks 0, 1, 2, …
@@ -388,10 +324,12 @@ class DieBookkeeping:
         return bool(self._candidate_bucket)
 
     # ------------------------------------------------------------------
-    # Packed hot-path transitions (column-indexed, no BlockInfo views)
+    # Per-block transitions (column-indexed, no BlockInfo views)
     # ------------------------------------------------------------------
     def note_write_packed(self, block: int, page: int, now_us: float) -> None:
-        """:meth:`BlockInfo.note_write` straight on the columns."""
+        """Record that ``page`` of ``block`` was just programmed with live
+        data; pages are written in order, and the last one makes the block
+        FULL."""
         written = self._written
         if page != written[block]:
             raise BookkeepingError(
@@ -415,7 +353,8 @@ class DieBookkeeping:
                 self._put_candidate(block, invalid)
 
     def invalidate_packed(self, block: int, page: int) -> None:
-        """:meth:`BlockInfo.invalidate` straight on the columns."""
+        """Record that the live data at ``page`` of ``block`` was superseded
+        elsewhere."""
         masks = self._valid_mask
         mask = masks[block]
         bit = 1 << page
@@ -429,19 +368,30 @@ class DieBookkeeping:
         if self._state[block] == _FULL:
             self._put_candidate(block, self._written[block] - count)
 
-    # ------------------------------------------------------------------
-    # Candidate-set maintenance (called by the owned BlockInfo records)
-    # ------------------------------------------------------------------
-    def _on_block_full(self, info: BlockInfo) -> None:
-        """A block just transitioned to FULL (write frontier or seal)."""
-        n = info.invalid_count
-        if n > 0:
-            self._put_candidate(info.block, n)
+    def seal(self, block: int) -> None:
+        """Close a partially-filled block: its unwritten tail counts invalid.
 
-    def _on_full_block_invalidate(self, info: BlockInfo) -> None:
-        """A page of a FULL block just died."""
-        self._put_candidate(info.block, info.invalid_count)
+        Used for relocation targets and recovery of partially-written
+        blocks; a sealed block with dead tail pages is reclaimable.
+        """
+        written = self._written
+        if 0 < written[block] < self.pages_per_block:
+            written[block] = self.pages_per_block
+            self._state[block] = _FULL
+            self._put_candidate(block, self.pages_per_block - self._valid_count[block])
 
+    def reset_after_erase(self, block: int) -> None:
+        """Return ``block`` to the FREE state after an erase (the free pool
+        is the caller's: see :meth:`return_erased_block`)."""
+        self._valid_mask[block] = 0
+        self._valid_count[block] = 0
+        self._written[block] = 0
+        self._state[block] = _FREE
+        self._drop_candidate(block)
+
+    # ------------------------------------------------------------------
+    # Candidate-set maintenance
+    # ------------------------------------------------------------------
     def _put_candidate(self, block: int, invalid_count: int) -> None:
         old = self._candidate_bucket.get(block)
         if old is not None:
@@ -516,9 +466,9 @@ class DieBookkeeping:
         self._buckets.clear()
         self._max_invalid = 0
         state = self._state
-        for info in self.blocks:
-            if state[info.block] != _BAD:
-                info.reset_after_erase()
+        for block in range(len(state)):
+            if state[block] != _BAD:
+                self.reset_after_erase(block)
         self._free = dict.fromkeys(
             b for b in range(len(self.blocks) - 1, -1, -1) if state[b] != _BAD
         )
@@ -540,7 +490,7 @@ class DieBookkeeping:
         """Put an erased block back into the free pool."""
         if self._state[block] == _BAD:
             return
-        self.blocks[block].reset_after_erase()
+        self.reset_after_erase(block)
         self._free[block] = None
 
     # ------------------------------------------------------------------

@@ -229,12 +229,14 @@ class FlashSpaceEngine:
         its live pages are relocated and the block erased — the same move
         as a read-disturb refresh, charged asynchronously.
         """
-        last: TransientReadError | None = None
-        for __ in range(self.max_read_retries):
+        retries = self.max_read_retries
+        while True:
             try:
                 result = self.device.read_page(ppa, at=at)
-            except TransientReadError as exc:
-                last = exc
+            except TransientReadError:
+                retries -= 1
+                if not retries:
+                    raise
                 continue
             faults = self.device.faults
             if faults is not None:
@@ -246,8 +248,6 @@ class FlashSpaceEngine:
             if scrub:
                 self._scrub_block(ppa.die, ppa.block, result.end_us)
             return result
-        assert last is not None
-        raise last
 
     def _scrub_block(self, die_index: int, block: int, at: float) -> None:
         """Relocate and erase a block that produced a transient read failure.
@@ -383,8 +383,8 @@ class FlashSpaceEngine:
         device = self.device
         ppb = self._pages_per_block
         obj = self.obj_id
-        last: ProgramFaultError | None = None
-        for __ in range(MAX_WRITE_REDRIVES):
+        redrives = 0
+        while True:
             # a fresh atomic id per attempt: an aborted attempt's pages stay
             # on flash as an incomplete batch, which recovery drops wholesale
             atomic_id = device.next_sequence()
@@ -411,12 +411,14 @@ class FlashSpaceEngine:
                     if books._written[block] >= ppb:
                         slots[slot] = None  # the frontier rule
                     staged.append((key, die_index, block, page))
-            except ProgramFaultError as exc:
+            except ProgramFaultError:
                 # abandon the attempt BEFORE retiring the block, so the
                 # salvage pass only relocates pages that are really mapped
-                last = exc
                 self._abandon_staged(staged)
                 at = self._on_program_fault(frontier, at)
+                redrives += 1
+                if redrives == MAX_WRITE_REDRIVES:
+                    raise
                 continue
             except DieFailedError:
                 # the region layer rebuilds around the die and retries the
@@ -430,8 +432,6 @@ class FlashSpaceEngine:
                 self._map[key] = packed
                 self._rmap[packed] = key
             return at
-        assert last is not None
-        raise last
 
     def _abandon_staged(self, staged: list[tuple[int, int, int, int]]) -> None:
         """Disown the pages of an aborted atomic attempt.
@@ -603,7 +603,7 @@ class FlashSpaceEngine:
         into it would fail."""
         books = self.books[die_index]
         if self.device.dies[die_index].blocks[block].is_bad:
-            books.blocks[block].reset_after_erase()
+            books.reset_after_erase(block)
             books.mark_bad(block)
         else:
             books.return_erased_block(block)
@@ -700,7 +700,7 @@ class FlashSpaceEngine:
         die_index = frontier.die
         block = frontier.block
         self._detach_slots(die_index, block)
-        frontier.seal()
+        self.books[die_index].seal(block)
         moved = frontier.valid_count
         for page in frontier.valid_pages():
             at = self._relocate(die_index, block, page, at)
@@ -776,7 +776,7 @@ class FlashSpaceEngine:
                      target_block=worn_free.block, spread=spread, obj=self.obj_id)
         target = books.take_block(worn_free.block)
         __, end = self._empty_block(cold, at, target, wear_level=True)
-        target.seal()  # a partly filled target's tail counts invalid
+        books.seal(target.block)  # a partly filled target's tail counts invalid
         return end
 
     # ------------------------------------------------------------------
@@ -801,13 +801,14 @@ class FlashSpaceEngine:
         self._gc_frontier.pop(die_index)
         self._detach_slots(die_index)
         moved = 0
-        for info in self.books[die_index].blocks:
+        books = self.books[die_index]
+        for info in books.blocks:
             for page in info.valid_pages():
                 src = PhysicalPageAddress(die_index, info.block, page)
                 key = self._rmap.pop(src.to_int(self.geometry))
                 read = self._read_for_relocation(src, at)
                 self.stats.gc_reads += 1
-                info.invalidate(page)
+                books.invalidate_packed(info.block, page)
                 del self._map[key]
                 assert read.data is not None  # READ PAGE always carries a payload
                 at = self.write(key, read.data, read.end_us)
@@ -910,26 +911,26 @@ class FlashSpaceEngine:
                     continue
                 if block.write_pointer == 0:
                     continue
-                info = books.take_block(block_index)
+                books.take_block(block_index)
                 for page in range(block.write_pointer):
                     ppa = PhysicalPageAddress(die_index, block_index, page)
                     result = self.device.read_metadata(ppa, at=at)
                     at = result.end_us
-                    info.note_write(page, at)
+                    books.note_write_packed(block_index, page, at)
                     meta = result.metadata
                     key = None if meta is None else meta.lpn
                     mine = meta is not None and (
                         self.obj_id is None or meta.obj_id == self.obj_id
                     )
                     if not mine or key is None:
-                        info.invalidate(page)
+                        books.invalidate_packed(block_index, page)
                         continue
                     atomic_id = meta.extra.get("atomic_id") if meta.extra else None
                     atomic_size = meta.extra.get("atomic_size", 0) if meta.extra else 0
                     if atomic_id is not None:
                         atomic_seen[atomic_id] = atomic_seen.get(atomic_id, 0) + 1
                     candidates.append((ppa, key, meta.seq, atomic_id, atomic_size))
-                info.seal()  # a partially written block's tail counts invalid
+                books.seal(block_index)  # a partially written block's tail counts invalid
 
         # pass 2 — a torn atomic batch (fewer pages on flash than its
         # recorded size) never happened: drop all of its members
@@ -950,7 +951,7 @@ class FlashSpaceEngine:
         winners = {ppa for ppa in locations.values()}
         for ppa, key, seq, atomic_id, atomic_size in candidates:
             if ppa not in winners:
-                self.books[ppa.die].blocks[ppa.block].invalidate(ppa.page)
+                self.books[ppa.die].invalidate_packed(ppa.block, ppa.page)
         for key, ppa in locations.items():
             packed = ppa.to_int(self.geometry)
             self._map[key] = packed

@@ -108,7 +108,7 @@ class TestCrashAtomicity:
                 extra={"atomic_id": atomic_id, "atomic_size": 3},
             )
             store.device.program_page(ppa, b"v2", meta, at=t)
-            frontier.note_write(frontier.written, t)
+            engine.books[die].note_write_packed(frontier.block, frontier.written, t)
 
         recovered = build_store(device=store.device)
         recovered.recover(at=t)

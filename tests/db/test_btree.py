@@ -241,7 +241,7 @@ class TestPersistence:
 
 
 class TestCorruptNodeImages:
-    """``_decode_node`` refuses an entry count no encoder writes."""
+    """``NodeCodec.decode`` refuses an entry count no encoder writes."""
 
     #: an all-INT key (whole-node passes) and a text key (per-entry path)
     COLUMNS = {"int": [int_col("a"), int_col("b")], "text": [int_col("a"), varchar_col("s", 6)]}
@@ -264,12 +264,12 @@ class TestCorruptNodeImages:
     @pytest.mark.parametrize("kind", ["int", "text"])
     def test_count_at_capacity_is_still_a_node(self, memory_backend, kind):
         tree, leaf, inner = self.images(memory_backend, kind)
-        assert len(tree._decode_node(self.with_count(leaf, 0)).keys) == 0
+        assert len(tree.codec.decode(self.with_count(leaf, 0)).keys) == 0
         if kind == "int":  # fixed width: capacity entries always lie inside the page
-            assert len(tree._decode_node(self.with_count(leaf, tree.leaf_capacity)).keys) == (
+            assert len(tree.codec.decode(self.with_count(leaf, tree.leaf_capacity)).keys) == (
                 tree.leaf_capacity
             )
-            node = tree._decode_node(self.with_count(inner, tree.inner_capacity))
+            node = tree.codec.decode(self.with_count(inner, tree.inner_capacity))
             assert len(node.children) == tree.inner_capacity + 1
 
     @pytest.mark.parametrize("kind", ["int", "text"])
@@ -279,9 +279,9 @@ class TestCorruptNodeImages:
         # room) or a raw struct.error (INT key: one entry more than fits)
         tree, leaf, inner = self.images(memory_backend, kind)
         with pytest.raises(IndexError_, match="corrupt index page"):
-            tree._decode_node(self.with_count(leaf, tree.leaf_capacity + 1))
+            tree.codec.decode(self.with_count(leaf, tree.leaf_capacity + 1))
         with pytest.raises(IndexError_, match="corrupt index page"):
-            tree._decode_node(self.with_count(inner, tree.inner_capacity + 1))
+            tree.codec.decode(self.with_count(inner, tree.inner_capacity + 1))
 
     @pytest.mark.parametrize("kind", ["int", "text"])
     def test_count_running_past_the_page_rejected(self, memory_backend, kind):
@@ -290,7 +290,7 @@ class TestCorruptNodeImages:
         tree, leaf, inner = self.images(memory_backend, kind)
         for image in (leaf, inner):
             with pytest.raises(IndexError_, match="corrupt index page"):
-                tree._decode_node(self.with_count(image, 0xFFFF))
+                tree.codec.decode(self.with_count(image, 0xFFFF))
 
 
 class TestRidRepresentation:
@@ -348,4 +348,4 @@ class TestRidRepresentation:
         ]
         assert len(images) > 3
         for image in images:
-            assert tree._encode_node(tree._decode_node(image)) == image
+            assert tree.codec.encode(tree.codec.decode(image)) == image

@@ -95,7 +95,7 @@ class Stack:
     def encoder(self, space_id):
         if space_id == self.heap_space:
             return SlottedPage.to_bytes
-        return self.trees[space_id]._encode_node
+        return self.trees[space_id].codec.encode
 
 
 def run(stack, seed, steps=500):

@@ -110,7 +110,7 @@ def test_miss_on_an_unchanged_page_decodes_nothing():
     misses = pool.stats.misses
     entered = python_calls(table.lookup, "T_IDX", (1, 0), 0.0)
     assert pool.stats.misses == misses + 3  # root, leaf, heap page
-    assert not {"SlottedPage.from_bytes", "BTree._decode_node"} & set(entered), entered
+    assert not {"SlottedPage.from_bytes", "NodeCodec.decode"} & set(entered), entered
 
 
 def test_fixed_width_update_columns(warm):

@@ -40,7 +40,7 @@ def device_state(device):
         ],
         "stats": device.stats.snapshot(),
         "timelines": [
-            (t.busy_us, list(t._intervals))
+            (t.busy_us, t._starts[t._lo :], t._ends[t._lo :])
             for t in [d.timeline for d in device.dies] + device.channels
         ],
         "clock": device.clock.now,
@@ -120,12 +120,11 @@ class RecordingInjector:
     device state it saw, then (optionally) fails the command."""
 
     def __init__(self, fail=None):
-        self.device = None
         self.fail = fail
         self.calls = []
 
-    def on_command(self, op, die, block=None, page=None, at=0.0):
-        self.calls.append(((op, die, block, page, at), device_state(self.device)))
+    def on_command(self, device, op, die, block=None, page=None, at=0.0):
+        self.calls.append(((op, die, block, page, at), device_state(device)))
         if self.fail is not None:
             raise self.fail
 

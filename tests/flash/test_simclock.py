@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash import ResourceTimeline, SimClock
+from repro.flash.errors import StaleReservationError
+from repro.flash.simclock import _PRUNE_HORIZON_US as HORIZON
 
 
 class TestSimClock:
@@ -76,6 +78,20 @@ class TestResourceTimeline:
         start, end = r.reserve(0.0, 100.0)
         assert (start, end) == (100.0, 200.0)
 
+    def test_request_behind_the_forgotten_horizon_is_refused(self):
+        r = ResourceTimeline(name="die0")
+        r.reserve(0.0, 100.0)
+        r.reserve(3 * HORIZON, 10.0)  # forgets the first slot
+        # issued before the prune's cutoff: [0, 100) is forgotten, so the
+        # timeline cannot tell whether the resource was busy
+        with pytest.raises(StaleReservationError, match="die0"):
+            r.reserve(50.0, 10.0)
+        with pytest.raises(StaleReservationError):
+            r.peek_start(2 * HORIZON - 1.0)
+        assert r.busy_us == 110.0  # a refused request reserves nothing
+        # at the cutoff itself nothing forgotten can overlap the request
+        assert r.reserve(2 * HORIZON, 10.0) == (2 * HORIZON, 2 * HORIZON + 10.0)
+
     def test_utilization(self):
         r = ResourceTimeline()
         r.reserve(0.0, 25.0)
@@ -120,3 +136,69 @@ def test_reserve_grants_the_first_fit_of_a_brute_force_scan(requests):
         if duration > 0:
             granted.append((expected, expected + duration))
     assert timeline.busy_us == sum(e - s for s, e in granted)
+
+
+def _first_fit_with_horizon(requests):
+    """Drive a timeline and the brute-force reference through ``requests``;
+    the reference forgets slots exactly as a prune does: every slot ending
+    more than the horizon before a request's issue time, and requests
+    issued before the last such cutoff are refused."""
+    timeline = ResourceTimeline()
+    granted = []
+    forgotten_before = float("-inf")
+    for earliest, duration in requests:
+        if earliest < forgotten_before:
+            with pytest.raises(StaleReservationError):
+                timeline.reserve(earliest, duration)
+            continue
+        cutoff = earliest - HORIZON
+        if any(e < cutoff for __, e in granted):
+            granted = [(s, e) for s, e in granted if e >= cutoff]
+            forgotten_before = cutoff
+        expected = _first_fit(granted, earliest, duration)
+        assert timeline.reserve(earliest, duration) == (expected, expected + duration)
+        if duration > 0:
+            granted.append((expected, expected + duration))
+        # the remembered columns are the reference's slots, and the
+        # forgotten prefix never outgrows what is remembered
+        lo = timeline._lo
+        assert list(zip(timeline._starts[lo:], timeline._ends[lo:])) == sorted(granted)
+        assert 2 * lo <= len(timeline._ends)
+        assert timeline.available_at == (max(e for __, e in granted) if granted else 0.0)
+    return timeline
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # a clock that advances in jumps of up to half a horizon, and
+            # requests issued up to 1.5 horizons behind it
+            st.sampled_from([0, 0, 1, 40, 1_000_000, 5_000_000]),
+            st.one_of(
+                st.integers(min_value=0, max_value=400),
+                st.integers(min_value=0, max_value=15_000_000),
+            ),
+            st.sampled_from([0.0, 0.0, 1.0, 3.0, 10.0, 25.0, 120.0, 2_000_000.0]),
+        ),
+        max_size=80,
+    )
+)
+def test_reserve_across_the_prune_horizon_matches_a_forgetting_reference(steps):
+    """Issue times spanning several prune horizons: slots are forgotten as
+    the reference forgets them, every grant is still its first fit, and a
+    request behind the forgotten horizon raises."""
+    clock = 0
+    requests = []
+    for step, behind, duration in steps:
+        clock += step
+        requests.append((float(max(0, clock - behind)), duration))
+    _first_fit_with_horizon(requests)
+
+
+def test_prune_compacts_the_columns_once_the_forgotten_prefix_dominates():
+    # one short slot per half horizon: every request forgets the slots a
+    # horizon behind it, so the columns stay a few slots long
+    requests = [(i * HORIZON / 2, 10.0) for i in range(200)]
+    timeline = _first_fit_with_horizon(requests)
+    assert len(timeline._ends) <= 8

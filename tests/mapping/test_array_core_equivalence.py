@@ -38,12 +38,12 @@ def test_fast_and_slow_paths_bit_identical(policy, seed):
 
 def test_blockinfo_views_share_die_columns():
     """BlockInfo objects are row views, not copies: a write through the
-    view must be visible in the die's columns and vice versa."""
+    books must be visible in the view and vice versa."""
     from repro.mapping import BlockState, DieBookkeeping
 
     books = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=8)
     info = books.take_free_block()
-    info.note_write(0, 123.0)
+    books.note_write_packed(info.block, 0, 123.0)
     assert books._valid_count[info.block] == 1
     assert books._last_write_us[info.block] == 123.0
     books._valid_mask[info.block] |= 1 << 3
@@ -51,27 +51,28 @@ def test_blockinfo_views_share_die_columns():
     assert info.is_valid(3)
     assert info.valid_count == 2
     assert info.state is BlockState.OPEN
+    info.last_write_us = 7.0
+    assert books._last_write_us[info.block] == 7.0
 
 
 def test_standalone_blockinfo_still_constructs():
-    """BlockInfo built outside any die (tests, policies) keeps working."""
+    """BlockInfo built outside any die (tests, policies) holds the fields
+    it was given in private columns; its derived state reads them."""
     from repro.mapping import BlockInfo, BlockState
 
-    info = BlockInfo(die=1, block=2, pages_per_block=8)
-    assert info.state is BlockState.FREE
-    info.note_write(0, 1.0)
-    info.note_write(1, 2.0)
-    info.invalidate(0)
-    assert info.valid_count == 1
-    assert info.invalid_count == 1
-    assert info.valid_pages() == [1]
-    assert info == BlockInfo(
+    assert BlockInfo(die=1, block=2, pages_per_block=8).state is BlockState.FREE
+    info = BlockInfo(
         die=1,
         block=2,
         pages_per_block=8,
-        state=BlockState.FREE,  # state transitions belong to the bookkeeping
+        state=BlockState.FULL,
         valid_mask=0b10,
         valid_count=1,
-        written=2,
+        written=8,
         last_write_us=2.0,
     )
+    assert info.invalid_count == 7
+    assert info.is_full and info.is_valid(1) and not info.is_valid(0)
+    assert info.valid_pages() == [1]
+    info.valid_count = 0
+    assert info.invalid_count == 8

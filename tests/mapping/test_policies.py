@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.mapping import BlockInfo
 from repro.policies import (
     resolve_gc_policy,
     select_victim_cost_benefit,
     select_victim_greedy,
 )
-
-
-def block(die, blk, pages=4, valid=0, written=None, last_write=0.0):
-    """Build a BlockInfo with `valid` live pages out of `written` written."""
-    written = pages if written is None else written
-    info = BlockInfo(die=die, block=blk, pages_per_block=pages)
-    for i in range(written):
-        info.note_write(i, last_write)
-    for i in range(written - valid):
-        info.invalidate(i)
-    return info
+from tests.policies.util import block
 
 
 class TestGreedy:

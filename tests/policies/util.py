@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import random
 
-from repro.mapping import BlockInfo
+from repro.mapping import BlockInfo, BlockState
 
 
 def block(die, blk, pages=4, valid=0, written=None, last_write=0.0):
-    """Build a BlockInfo with `valid` live pages out of `written` written."""
+    """A standalone BlockInfo with `valid` live pages out of `written`
+    written (the first ``written - valid`` pages are the dead ones); FULL
+    once every page is written."""
     written = pages if written is None else written
-    info = BlockInfo(die=die, block=blk, pages_per_block=pages)
-    for i in range(written):
-        info.note_write(i, last_write)
-    for i in range(written - valid):
-        info.invalidate(i)
-    return info
+    return BlockInfo(
+        die=die,
+        block=blk,
+        pages_per_block=pages,
+        state=BlockState.FULL if written >= pages else BlockState.FREE,
+        valid_mask=(1 << written) - (1 << (written - valid)),
+        valid_count=valid,
+        written=written,
+        last_write_us=last_write if written else 0.0,
+    )
 
 
 def candidate_pool(seed, count=12, pages=8):

@@ -46,17 +46,17 @@ def apply_op(die: DieBookkeeping, open_blocks: list, kind: str, arg: int) -> Non
     elif kind == "write" and open_blocks:
         info = open_blocks[arg % len(open_blocks)]
         if not info.is_full:
-            info.note_write(info.written, now_us=float(arg))
+            die.note_write_packed(info.block, info.written, now_us=float(arg))
         if info.is_full:
             open_blocks.remove(info)
     elif kind == "invalidate":
         targets = [b for b in die.blocks if b.valid_count > 0]
         if targets:
             info = targets[arg % len(targets)]
-            info.invalidate(info.valid_pages()[arg % info.valid_count])
+            die.invalidate_packed(info.block, info.valid_pages()[arg % info.valid_count])
     elif kind == "seal" and open_blocks:
         info = open_blocks[arg % len(open_blocks)]
-        info.seal()
+        die.seal(info.block)
         if info.is_full:
             open_blocks.remove(info)
     elif kind == "erase":

@@ -389,10 +389,10 @@ def test_node_images_equal_reference(case, data):
     inner.keys = sorted(keys)
     inner.children = [data.draw(page_nos) for __ in range(len(keys) + 1)]
     for node in (leaf, inner):
-        image = tree._encode_node(node)
+        image = tree.codec.encode(node)
         assert image == ref_encode_node(schema, node, tree.page_size)
-        decoded = tree._decode_node(image)
-        assert tree._encode_node(decoded) == image  # leaf values are plain pairs now
+        decoded = tree.codec.decode(image)
+        assert tree.codec.encode(decoded) == image  # leaf values are plain pairs now
         assert decoded.is_leaf == node.is_leaf
         assert decoded.keys == node.keys
         assert decoded.values == node.values
@@ -452,24 +452,24 @@ def test_int_key_node_passes_equal_per_entry_reference(case, data):
         tails = node.values
         entry, tail = struct.Struct("<" + "q" * arity + "iH"), struct.Struct("<iH")
         header = struct.pack("<BHi", 1, len(keys), node.next_leaf)
-        structs = tree._leaf_entry
+        structs = tree.codec._leaf_entry
     else:
         node.children = [data.draw(page_nos) for __ in range(len(keys) + 1)]
         tails = [(child,) for child in node.children[1:]]
         entry, tail = struct.Struct("<" + "q" * arity + "i"), struct.Struct("<i")
         header = struct.pack("<BHi", 2, len(keys), node.children[0])
-        structs = tree._inner_entry
+        structs = tree.codec._inner_entry
 
     expected = ref_pack_entries(entry, keys, tails)
-    assert tree._pack_entries(keys, tails, structs, tail) == expected
-    image = tree._encode_node(node)
+    assert tree.codec._pack_entries(keys, tails, structs, tail) == expected
+    image = tree.codec.encode(node)
     assert image == (header + b"".join(expected)).ljust(tree.page_size, b"\x00")
 
-    got_keys, got_tails = tree._unpack_entries(image, len(header), len(keys), structs, tail)
+    got_keys, got_tails = tree.codec._unpack_entries(image, len(header), len(keys), structs, tail)
     assert (got_keys, got_tails) == ref_unpack_entries(entry, arity, image, len(header), len(keys))
     assert is_list_of_int_tuples(got_keys) and is_list_of_int_tuples(got_tails)
 
-    decoded = tree._decode_node(image)
+    decoded = tree.codec.decode(image)
     assert decoded.is_leaf == is_leaf
     assert decoded.keys == keys and is_list_of_int_tuples(decoded.keys)
     if is_leaf:
@@ -480,7 +480,7 @@ def test_int_key_node_passes_equal_per_entry_reference(case, data):
         assert decoded.children == node.children
         assert all(type(child) is int for child in decoded.children)
         assert decoded.values == []
-    assert tree._encode_node(decoded) == image
+    assert tree.codec.encode(decoded) == image
 
 
 @pytest.mark.parametrize("is_leaf", [True, False], ids=["leaf", "inner"])
@@ -503,7 +503,7 @@ def test_int_key_node_encoder_still_refuses_foreign_keys(arity, is_leaf):
         else:
             node.children = [1, 2, 3, 4]
         with pytest.raises(SchemaError):
-            tree._encode_node(node)
+            tree.codec.encode(node)
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_btree_nodes_round_trip(case):
     nodes = [frame.page for frame in pool._frames.values()]
     assert (len(nodes) > 1) == (tree.height > 1)
     for node in nodes:
-        decoded = tree._decode_node(tree._encode_node(node))
+        decoded = tree.codec.decode(tree.codec.encode(node))
         assert decoded.is_leaf == node.is_leaf
         assert typed(decoded.keys) == typed(node.keys)
         # a leaf holds RIDs where it was written and plain pairs where it
