@@ -2,10 +2,10 @@
 
 Scope: the simulation packages (``flash``, ``mapping``, ``ftl``, ``core``,
 ``db``, ``faults``, ``policies``), the workload generator ``tpcc`` whose
-RNG feeds every simulated counter, and four ``bench/`` modules: the cell
+RNG feeds every simulated counter, and three ``bench/`` modules: the cell
 functions ``experiment.py`` / ``synthetic.py`` (they construct the
-workload RNGs from ``config.seed``) and the shard runner ``sharding.py``
-/ ``supervisor.py``, which promises bit-identical parallel runs.
+workload RNGs from ``config.seed``) and the shard runner ``sharding.py``,
+which promises bit-identical parallel runs.
 Wall-clock reads and ambient entropy are allowed in the rest of
 ``bench/`` (host-side throughput measurement) and the CLI — those never
 feed simulated counters.
@@ -36,14 +36,13 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.core import Rule, SourceModule, Violation
 
 #: modules whose code feeds simulated counters — the determinism scope
-#: (the rest of bench/ is host-side and exempt; the supervisor is in
-#: because retries must re-execute cells deterministically, so no ambient
-#: entropy or wall-clock reads may leak into its control flow; the chaos
-#: harness lives under faults/ and is scoped with its package)
+#: (the rest of bench/ is host-side and exempt; the shard runner is in
+#: because a sharded run must equal the sequential one, so no ambient
+#: entropy or wall-clock reads may leak into it; the chaos harness lives
+#: under faults/ and is scoped with its package)
 SIM_PACKAGES = (
     "flash/", "mapping/", "ftl/", "core/", "db/", "faults/", "policies/",
-    "tpcc/", "bench/experiment.py", "bench/synthetic.py",
-    "bench/sharding.py", "bench/supervisor.py",
+    "tpcc/", "bench/experiment.py", "bench/synthetic.py", "bench/sharding.py",
 )
 
 #: dotted call patterns that read the wall clock or ambient entropy

@@ -2,11 +2,13 @@
 
 The repo's error idiom is module-local typed classes that *subclass* the
 builtin they semantically refine — ``MergeError(ValueError)``,
-``ShardDegradedError(RuntimeError)``, the ``FlashError`` hierarchy — so
+``BenchConfigError(ValueError)``, the ``FlashError`` hierarchy — so
 callers can catch precisely while generic handlers keep working.  A bare
 ``raise ValueError(...)`` breaks that contract: it cannot be told apart
-from a genuine bug, carries no subsystem, and is exactly what PR 9's
-supervisor had to stop leaking across process boundaries.
+from a genuine bug and carries no subsystem.  A typed error also crosses
+a shard worker's process boundary intact (each rebuilds from its
+constructor arguments when unpickled), so a sharded run fails with the
+very exception the sequential run raises.
 
 ``errors.typed-discipline`` flags ``raise`` of the undifferentiated
 builtins (``ValueError``, ``RuntimeError``, ``Exception``) inside the

@@ -31,14 +31,6 @@ from repro.bench.sharding import (
     merge_metrics_docs,
     run_cells,
     run_fig3_supervised,
-    run_supervised,
-)
-from repro.bench.supervisor import (
-    CellOutcome,
-    ShardDegradedError,
-    ShardPolicy,
-    ShardRunReport,
-    run_cells_supervised,
 )
 from repro.bench.synthetic import (
     HOT_COLD_CLASSES,
@@ -52,15 +44,11 @@ from repro.bench.timeline import gc_interference_report, render_timeline
 
 __all__ = [
     "CATALOGUE",
-    "CellOutcome",
     "FIGURE3_ROWS",
     "HOT_COLD_CLASSES",
     "MergeError",
     "ObjectClass",
     "ShardCell",
-    "ShardDegradedError",
-    "ShardPolicy",
-    "ShardRunReport",
     "SyntheticConfig",
     "SyntheticResult",
     "TPCCExperimentConfig",
@@ -82,11 +70,9 @@ __all__ = [
     "render_single",
     "render_table",
     "run_cells",
-    "run_cells_supervised",
     "run_fig3_supervised",
     "run_ftl_synthetic",
     "run_noftl_synthetic",
-    "run_supervised",
     "run_tpcc_experiment",
     "save_report",
     "synthetic_experiment",

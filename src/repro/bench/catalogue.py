@@ -8,8 +8,8 @@ CLI, ``benchmarks/bench_*.py`` (``f"{experiment}.{bench_mode()}"``) and
 the examples read this table; outside ``tests/`` and the frozen
 ``benchmarks/e2e/`` nothing else constructs either config class.
 
-An entry says what is simulated.  How the process runs it (worker count,
-supervision) is an argument of :func:`repro.bench.sharding.run_supervised`.
+An entry says what is simulated.  How the process runs it (the worker
+count) is an argument of :func:`repro.bench.sharding.run_cells`.
 """
 
 from __future__ import annotations

@@ -10,37 +10,35 @@ partitioning by cell *is* partitioning by die set: no flash command ever
 crosses a shard boundary, the workload is partition-closed by
 construction, and the sharded run computes bit-identical per-cell results.
 
-The worker count and the supervision policy are arguments of the one
-runner, :func:`run_supervised`, not fields of the configs inside the
-cells.  With ``shards > 1`` it hands each cell to
-:mod:`repro.bench.supervisor`: its own *spawn* process with a heartbeat, a
-wall-clock timeout, and bounded deterministic retries — a SIGKILLed or
-hung worker is retried, and because cells are pure functions of their
-pickled specs the retried run's merged document is byte-identical to the
-sequential one.  When retries are exhausted the run salvages the
-survivors into a ``degraded`` document instead of discarding everything
-(see :class:`~repro.bench.supervisor.ShardRunReport`).  ``shards == 1``
-(the default) runs the cells sequentially in process; that path is what
-the benchmark scripts use and the reference the sharded-equality tests
-and the CI smoke job compare against.
+The worker count is an argument of the one runner, :func:`run_cells`,
+not a field of the configs inside the cells.  ``shards == 1`` (the
+default) runs the cells sequentially in process; that path is what the
+benchmark scripts use and the reference the sharded-equality tests and
+the CI smoke job compare against.  ``shards > 1`` submits every cell to a
+stdlib :class:`~concurrent.futures.ProcessPoolExecutor` of *spawn*
+workers.  A cell is a pure function of its pickled arguments, so there is
+nothing to retry: a cell that raises raises again, and its exception
+reaches the caller with its own type, exactly as on the sequential path.
+A worker that dies (SIGKILL, OOM kill) raises
+:class:`~concurrent.futures.process.BrokenProcessPool`.
 
 :func:`merge_metrics_docs` is the deterministic merge step: it reassembles
 per-cell ``repro.obs/v1`` documents into the single document the
-sequential path emits.  On a partition-closed workload the per-cell
-config names are disjoint, so the merge is a pure order-preserving union;
-colliding numeric sections (shards reporting slices of one logical
-config) are summed leaf-wise.  Any structural disagreement between shard
-documents — schema version, command, or section key sets — raises the
-typed :class:`MergeError` rather than producing a silently wrong union.
+sequential path emits.  Cells are partition-closed, so their config names
+are disjoint and the merge is an order-preserving union; a repeated
+config name, or a disagreement in schema version, command or top-level
+extras, raises the typed :class:`MergeError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.bench.errors import BenchConfigError
 from repro.bench.experiment import TPCCExperimentConfig, TPCCExperimentResult, run_tpcc_experiment
-from repro.bench.supervisor import ShardPolicy, ShardRunReport, run_cells_supervised
 from repro.bench.synthetic import SyntheticConfig, SyntheticResult, run_ftl_synthetic, run_noftl_synthetic
 from repro.obs.export import JsonDict
 
@@ -58,31 +56,28 @@ class ShardCell:
     args: tuple[Any, ...] = ()
 
 
-def run_supervised(
-    cells: Iterable[ShardCell], shards: int = 1, policy: ShardPolicy | None = None
-) -> tuple[list[Any], ShardRunReport]:
-    """Run every cell; return ``(results in cell order, supervision report)``.
+def run_cells(cells: Iterable[ShardCell], shards: int = 1) -> list[Any]:
+    """Run every cell; return the results in cell order.
 
     ``shards == 1`` (or a single cell) runs sequentially in this process —
-    the bit-identical baseline; ``shards > 1`` fans the cells out over
-    ``min(shards, len(cells))`` supervised spawn workers under ``policy``.
-    A cell that exhausts its retries raises
-    :class:`~repro.bench.supervisor.ShardDegradedError` unless
-    ``policy.allow_degraded`` is set; then it comes back as ``None`` and
-    the report carries the ``degraded`` stanza for the merged document.
+    the bit-identical baseline.  Otherwise the cells run in
+    ``min(shards, len(cells))`` spawn workers; the first failure, in cell
+    order, cancels the cells not yet started and is raised here — the
+    cell's own exception, or ``BrokenProcessPool`` if a worker died.
     """
-    report = run_cells_supervised(cells, shards, policy)
-    report.raise_if_blocked()
-    return report.results(), report
-
-
-def run_cells(
-    cells: Iterable[ShardCell], shards: int, policy: ShardPolicy | None = None
-) -> list[Any]:
-    """:func:`run_supervised` for callers that need every result: a lost
-    cell raises even under a policy that would allow degraded output."""
-    strict = replace(policy or ShardPolicy(), allow_degraded=False)
-    return run_supervised(cells, shards, strict)[0]
+    if shards < 1:
+        raise BenchConfigError("shards must be >= 1")
+    todo = list(cells)
+    if shards == 1 or len(todo) <= 1:
+        return [cell.fn(*cell.args) for cell in todo]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(shards, len(todo)), mp_context=spawn) as pool:
+        futures = [pool.submit(cell.fn, *cell.args) for cell in todo]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -100,13 +95,15 @@ def fig3_cells(
 
 
 def run_fig3_supervised(
-    traditional: TPCCExperimentConfig,
-    regions: TPCCExperimentConfig,
-    shards: int = 1,
-    policy: ShardPolicy | None = None,
-) -> tuple[list[TPCCExperimentResult | None], ShardRunReport]:
-    """:func:`run_supervised` over the two Figure 3 cells."""
-    return run_supervised(fig3_cells(traditional, regions), shards, policy)
+    traditional: TPCCExperimentConfig, regions: TPCCExperimentConfig, shards: int = 1
+) -> tuple[list[TPCCExperimentResult], None]:
+    """:func:`run_cells` over the two Figure 3 cells, as ``(results, None)``.
+
+    Kept only for its one caller, the frozen ``benchmarks/e2e/workloads.py``,
+    which unpacks a pair; the benchmark re-baseline (ROADMAP item 4) moves
+    that caller to :func:`run_cells` and deletes this function.
+    """
+    return run_cells(fig3_cells(traditional, regions), shards), None
 
 
 def hotcold_cells(config: SyntheticConfig) -> list[ShardCell]:
@@ -143,13 +140,12 @@ _ENVELOPE_KEYS = ("schema", "command", "configs")
 
 
 class MergeError(ValueError):
-    """Shard documents disagree structurally and cannot be merged.
+    """Shard documents disagree and cannot be merged.
 
     Raised on schema-version or command mismatch, conflicting top-level
-    extras, and — for colliding config names — section key sets that
-    differ between shards, list-length mismatches, or incompatible leaf
-    types.  A subclass of :class:`ValueError` so pre-existing callers
-    catching ``ValueError`` keep working.
+    extras, and a config name carried by two documents.  A subclass of
+    :class:`ValueError` so pre-existing callers catching ``ValueError``
+    keep working.
     """
 
 
@@ -158,15 +154,9 @@ def merge_metrics_docs(docs: Sequence[JsonDict]) -> JsonDict:
 
     All documents must share ``schema`` and ``command``; top-level extras
     (e.g. a ``policies`` stanza) must be equal wherever repeated.  Configs
-    are unioned preserving first-appearance order, so on a
-    partition-closed workload (disjoint config names — every CLI sharding
-    path) the result equals the document the sequential path builds.  If
-    two documents carry the *same* config name, their numeric section
-    trees are summed leaf-wise (counter semantics; shards reporting
-    slices of one logical config) — the trees must then agree key-for-key
-    at every level: a shard silently missing (or inventing) a counter is
-    a corrupted shard, and the merge fails loudly with :class:`MergeError`
-    instead of unioning a half-empty tree into a wrong total.
+    are unioned preserving first-appearance order, so the result equals
+    the document the sequential path builds.  Each cell owns its config
+    names: a name in two documents raises :class:`MergeError`.
     """
     if not docs:
         raise MergeError("nothing to merge: no metrics documents given")
@@ -193,51 +183,8 @@ def merge_metrics_docs(docs: Sequence[JsonDict]) -> JsonDict:
             extras.setdefault(key, value)
         for name, sections in doc.get("configs", {}).items():
             if name in configs:
-                configs[name] = _merge_tree(configs[name], sections, name)
-            else:
-                configs[name] = _copy_tree(sections)
+                raise MergeError(f"config {name!r} appears in more than one document")
+            configs[name] = sections
     merged: JsonDict = {"schema": schema, "command": command, "configs": configs}
     merged.update(extras)
     return merged
-
-
-def _copy_tree(tree: JsonDict) -> JsonDict:
-    """Deep-copy a numeric section tree (inputs stay untouched)."""
-    return {
-        key: _copy_tree(value) if isinstance(value, dict)
-        else list(value) if isinstance(value, list)
-        else value
-        for key, value in tree.items()
-    }
-
-
-def _merge_tree(a: JsonDict, b: JsonDict, path: str) -> JsonDict:
-    """Sum two numeric section trees leaf-wise; any shape mismatch raises.
-
-    Key sets must match exactly at every level: shards summing slices of
-    one logical config emit the same counters by construction, so a key
-    present on one side only means a corrupted or truncated shard
-    document — grounds for :class:`MergeError`, not a silent union.
-    """
-    only_a = [key for key in a if key not in b]
-    only_b = [key for key in b if key not in a]
-    if only_a or only_b:
-        raise MergeError(
-            f"cannot merge {path}: shard documents disagree on keys "
-            f"(one side only: {sorted(only_a + only_b)})"
-        )
-    out: JsonDict = {}
-    for key in a:
-        where = f"{path}.{key}"
-        value_a, value_b = a[key], b[key]
-        if isinstance(value_a, dict) and isinstance(value_b, dict):
-            out[key] = _merge_tree(value_a, value_b, where)
-        elif isinstance(value_a, list) and isinstance(value_b, list):
-            if len(value_a) != len(value_b):
-                raise MergeError(f"cannot merge {where}: list lengths differ")
-            out[key] = [x + y for x, y in zip(value_a, value_b)]
-        elif isinstance(value_a, (int, float)) and isinstance(value_b, (int, float)):
-            out[key] = value_a + value_b
-        else:
-            raise MergeError(f"cannot merge {where}: incompatible values")
-    return out

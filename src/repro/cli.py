@@ -19,23 +19,20 @@ Commands:
 and each flag overrides one field of it.
 
 Every command prints a paper-style table and exits 0 on success; invalid
-input is one ``error: ...`` line on stderr and exit 2; exit 3 means
-experiment cells were lost.  Every command also accepts ``--json``, which
-swaps the table for a validated ``repro.obs/v1`` metrics document on
-stdout (one shared serializer, see :mod:`repro.obs.export`).  The experiment commands (``fig3``,
+input is one ``error: ...`` line on stderr and exit 2, whether or not the
+run was sharded; exit 3 means a shard worker process died.  Every command
+also accepts ``--json``, which swaps the table for a validated
+``repro.obs/v1`` metrics document on stdout (one shared serializer, see
+:mod:`repro.obs.export`).  The experiment commands (``fig3``,
 ``hotcold``, ``ftl``) additionally take ``--metrics-out FILE.json`` to
 save that same document next to the printed table, plus the device
 robustness knobs ``--bad-block-rate`` / ``--device-seed`` (factory bad
 blocks) and ``--fault-plan FILE.json`` (seeded fault injection armed for
-the measured window; see :mod:`repro.faults`), and ``--shards N`` to run
-their independent experiment cells across worker processes (results are
-identical to the sequential run; see :mod:`repro.bench.sharding`).
-Sharded runs are supervised (:mod:`repro.bench.supervisor`):
-``--shard-timeout`` bounds each worker attempt, ``--shard-retries``
-re-executes failed cells deterministically, and ``--allow-degraded``
-salvages the surviving cells into a document carrying an explicit
-``degraded`` section instead of failing the whole run.  These four flags
-become the runner's ``shards`` and ``policy`` arguments, not config fields.
+the measured window; see :mod:`repro.faults`).  ``fig3``, ``hotcold``,
+``ftl`` and ``chaos`` take ``--shards N`` to run their independent
+experiment cells across worker processes (results are identical to the
+sequential run; see :mod:`repro.bench.sharding`); it becomes the runner's
+``shards`` argument, not a config field.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.bench.supervisor import ShardPolicy, ShardRunReport
     from repro.faults.plan import FaultPlan
 
 
@@ -92,17 +88,6 @@ def _load_fault_plan(args: argparse.Namespace) -> "FaultPlan | None":
     from repro.faults.plan import FaultPlan
 
     return FaultPlan.from_json(_read_file(path))
-
-
-def _shard_policy(args: argparse.Namespace) -> "ShardPolicy":
-    """The three supervision flags as the runner's policy argument."""
-    from repro.bench.supervisor import ShardPolicy
-
-    return ShardPolicy(
-        timeout_s=args.shard_timeout,
-        retries=args.shard_retries,
-        allow_degraded=args.allow_degraded,
-    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -168,25 +153,12 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return _emit(args, doc, text)
 
 
-def _emit_cells(
-    args: argparse.Namespace, doc: dict[str, object], text: str, report: "ShardRunReport"
-) -> int:
-    """:func:`_emit` for a run of supervised cells: lost cells degrade loudly."""
-    if report.degraded:
-        lost = ", ".join(outcome.name for outcome in report.lost)
-        doc["degraded"] = report.degraded_section()
-        text = (
-            f"{text}\nDEGRADED: cells lost after retries: {lost} "
-            "(named in the document's 'degraded' section)"
-        )
-    return _emit(args, doc, text)
-
-
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.bench import (
         derive_method_placement,
+        fig3_cells,
         figure3_table,
-        run_fig3_supervised,
+        run_cells,
         tpcc_experiment,
     )
     from repro.bench.errors import BenchConfigError
@@ -216,33 +188,24 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     placement = derive_method_placement(config, args.transactions)
     how = f"across {args.shards} shards" if args.shards > 1 else "sequentially"
     _progress(args, f"running traditional and multi-region placements {how} ...")
-    results, report = run_fig3_supervised(
-        replace(
-            config,
-            name="traditional",
-            placement=traditional_placement(config.geometry.dies, gc_policy=args.gc_policy),
+    results = run_cells(
+        fig3_cells(
+            replace(
+                config,
+                name="traditional",
+                placement=traditional_placement(config.geometry.dies, gc_policy=args.gc_policy),
+            ),
+            replace(config, name="regions", placement=placement),
         ),
-        replace(config, name="regions", placement=placement),
         args.shards,
-        _shard_policy(args),
     )
     _progress(args, "")
-    survivors = [result for result in results if result is not None]
-    if not survivors:
-        print("error: every experiment cell was lost; nothing to report",
-              file=sys.stderr)
-        return 3
-    if len(survivors) == len(results):
-        text = figure3_table(*survivors)
-    else:
-        names = ", ".join(result.config.name for result in survivors)
-        text = f"partial Figure 3 results (surviving cells: {names})"
     doc = metrics_doc(
         "fig3",
-        {result.config.name: result.metrics() for result in survivors},
+        {result.config.name: result.metrics() for result in results},
         policies={"gc": args.gc_policy},
     )
-    return _emit_cells(args, doc, text, report)
+    return _emit(args, doc, figure3_table(*results))
 
 
 def _cmd_synthetic(args: argparse.Namespace) -> int:
@@ -252,7 +215,7 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
         hotcold_cells,
         merge_metrics_docs,
         render_series,
-        run_supervised,
+        run_cells,
         synthetic_experiment,
     )
     from repro.obs.export import metrics_doc
@@ -271,16 +234,11 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
         device_seed=args.device_seed,
         fault_plan=_load_fault_plan(args),
     )
-    results, report = run_supervised(cells_of(config), args.shards, _shard_policy(args))
-    survivors = [result for result in results if result is not None]
-    if not survivors:
-        print("error: every experiment cell was lost; nothing to report",
-              file=sys.stderr)
-        return 3
+    results = run_cells(cells_of(config), args.shards)
     text = render_series(
         title,
         [first_column, "GC copybacks", "GC erases", "WA", "writes/s"],
-        [r.row() for r in survivors],
+        [r.row() for r in results],
     )
     doc = merge_metrics_docs([
         metrics_doc(
@@ -288,9 +246,9 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
             {result.name: result.metrics()},
             policies={"gc": args.gc_policy, "wl": args.wl_policy},
         )
-        for result in survivors
+        for result in results
     ])
-    return _emit_cells(args, doc, text, report)
+    return _emit(args, doc, text)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -349,7 +307,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"running {config.plans} generated plan(s), intensity "
         f"{config.intensity!r}, seed {config.seed}, {how} ...",
     )
-    report = run_chaos(config, args.shards, _shard_policy(args))
+    report = run_chaos(config, args.shards)
     lines = [
         render_series(
             f"Chaos session - seed {config.seed}, intensity {config.intensity}",
@@ -359,15 +317,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ),
         "control (no-plan bit-identity): "
         + ("ok" if report.control_ok else "FAIL"),
-    ]
-    if report.lost_plans:
-        lines.append(
-            "DEGRADED: plans lost after retries: " + ", ".join(report.lost_plans)
-        )
-    lines.append(
         "chaos session: "
-        + ("all recovery invariants held" if report.ok else "INVARIANT VIOLATIONS")
-    )
+        + ("all recovery invariants held" if report.ok else "INVARIANT VIOLATIONS"),
+    ]
     status = _emit(args, report.metrics_doc(), "\n".join(lines))
     return status if report.ok else 1
 
@@ -487,29 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the command's independent experiment cells across N worker "
         "processes (default 1 = sequential; results are identical either way)",
     )
-    shard_opts.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per worker attempt; a worker exceeding it is "
-        "killed and the cell retried (default: no timeout)",
-    )
-    shard_opts.add_argument(
-        "--shard-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="deterministic re-executions of a failed cell before it counts "
-        "as lost (default 1)",
-    )
-    shard_opts.add_argument(
-        "--allow-degraded",
-        action="store_true",
-        help="when retries are exhausted, salvage the surviving cells: the "
-        "emitted document gains a 'degraded' section naming the lost cells "
-        "instead of the run failing",
-    )
 
     info = sub.add_parser("info", parents=[common], help="package and simulator defaults")
     info.set_defaults(fn=_cmd_info)
@@ -617,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from concurrent.futures.process import BrokenProcessPool
+
     from repro.bench.errors import BenchConfigError
-    from repro.bench.supervisor import ShardDegradedError
     from repro.core.region import RegionError
     from repro.faults.chaos import ChaosConfigError
     from repro.faults.plan import FaultPlanError
@@ -627,8 +557,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ShardDegradedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenProcessPool as exc:
+        print(f"error: a shard worker died: {exc}", file=sys.stderr)
         return 3
     except (BenchConfigError, ChaosConfigError, FaultPlanError, ConfigError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

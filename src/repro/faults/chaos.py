@@ -50,24 +50,21 @@ close — the constraints mirror how the engine recovers:
 * ``die_fail`` victims are distinct and capped well below the die count;
   the harness settles unobserved die deaths so late kills still retire.
 
-Soak mode composes this with :mod:`repro.bench.supervisor`: each plan
-becomes a supervised shard cell, proving worker-level fault tolerance
-(heartbeats, retries, degraded salvage) and device-level fault injection
-survive each other.
+Soak mode runs the session's plans as cells of
+:func:`repro.bench.sharding.run_cells` in spawn workers: each plan is a
+pure function of the config and its index, so the sharded session emits
+the sequential session's document byte for byte.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import Any
 
 from repro.faults.harness import CrashHarnessResult, run_tpcc_crash_harness
 from repro.faults.plan import MAX_READ_RETRIES, FaultPlan, FaultSpec
 from repro.mapping import BookkeepingError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.bench.supervisor import ShardPolicy
 
 #: invariant names in report order
 CHAOS_CHECKS = ("accounting", "wal_replay", "capacity", "mapping")
@@ -445,18 +442,10 @@ class ChaosReport:
     config: ChaosConfig
     verdicts: list[PlanVerdict]
     control_ok: bool
-    #: plans whose supervised cell was lost in soak mode (never silently
-    #: dropped: they fail the session unless degraded output was allowed)
-    lost_plans: list[str] = field(default_factory=list)
-    degraded: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.control_ok
-            and not self.lost_plans
-            and all(verdict.ok for verdict in self.verdicts)
-        )
+        return self.control_ok and all(verdict.ok for verdict in self.verdicts)
 
     def metrics_doc(self) -> dict[str, Any]:
         """The ``repro.obs/v1`` document for this session."""
@@ -468,7 +457,7 @@ class ChaosReport:
         configs["control"] = {
             "summary": {"bit_identical": float(self.control_ok), "runs": 2.0}
         }
-        doc = metrics_doc(
+        return metrics_doc(
             "chaos",
             configs,
             chaos={
@@ -479,38 +468,24 @@ class ChaosReport:
                 "ok": self.ok,
             },
         )
-        if self.degraded is not None:
-            doc["degraded"] = self.degraded
-        return doc
 
     def rows(self) -> list[list[object]]:
         return [verdict.row() for verdict in self.verdicts]
 
 
-def run_chaos(
-    config: ChaosConfig, shards: int = 1, policy: ShardPolicy | None = None
-) -> ChaosReport:
+def run_chaos(config: ChaosConfig, shards: int = 1) -> ChaosReport:
     """Run the whole session: control first, then every generated plan.
 
-    Each plan is one cell of :func:`repro.bench.sharding.run_supervised`.
-    ``shards > 1`` is soak mode: the cells run in supervised workers under
-    ``policy`` (heartbeats, timeouts, bounded retries), composing the
-    device-level chaos with worker-level fault tolerance.  Lost cells
-    surface in ``lost_plans`` and the ``degraded`` stanza — with
-    ``policy.allow_degraded`` unset they raise instead.
+    Each plan is one cell of :func:`repro.bench.sharding.run_cells`;
+    ``shards > 1`` is soak mode, the plans running in spawn workers.
     """
-    from repro.bench.sharding import ShardCell, run_supervised
+    from repro.bench.sharding import ShardCell, run_cells
 
     control_ok = run_control(config)
     cells = [
         ShardCell(plan_label(index), run_chaos_plan, (config, index))
         for index in range(config.plans)
     ]
-    results, report = run_supervised(cells, shards, policy)
     return ChaosReport(
-        config=config,
-        verdicts=[verdict for verdict in results if verdict is not None],
-        control_ok=control_ok,
-        lost_plans=[outcome.name for outcome in report.lost],
-        degraded=report.degraded_section() if report.degraded else None,
+        config=config, verdicts=run_cells(cells, shards), control_ok=control_ok
     )

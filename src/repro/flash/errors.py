@@ -6,6 +6,10 @@ type.  The concrete subclasses mirror the failure modes of real NAND flash
 hardware: addressing outside the device geometry, violating the
 program/erase discipline, exceeding endurance, and touching blocks that were
 retired to the bad-block table.
+
+A class whose constructor takes more than the message defines
+``__reduce__`` from those arguments, so the error survives pickling — the
+way a failure in a shard worker reaches the parent process.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ class TransientReadError(ReadError):
         self.block = block
         self.page = page
 
+    def __reduce__(self) -> tuple[type[FlashError], tuple[int, int, int]]:
+        return type(self), (self.die, self.block, self.page)
+
 
 class ProgramFaultError(ProgramError):
     """A PROGRAM PAGE failed in the cell array (grown bad block).
@@ -106,6 +113,9 @@ class ProgramFaultError(ProgramError):
         self.die = die
         self.block = block
         self.page = page
+
+    def __reduce__(self) -> tuple[type[FlashError], tuple[int, int, int]]:
+        return type(self), (self.die, self.block, self.page)
 
 
 class DieFailedError(FlashError):
@@ -123,6 +133,9 @@ class DieFailedError(FlashError):
         self.die = die
         self.op = op
 
+    def __reduce__(self) -> tuple[type[FlashError], tuple[int, str]]:
+        return type(self), (self.die, self.op)
+
 
 class PowerCutError(FlashError):
     """The simulated power was cut at a scheduled device operation.
@@ -135,6 +148,9 @@ class PowerCutError(FlashError):
     def __init__(self, op_number: int) -> None:
         super().__init__(f"power cut injected at device operation {op_number}")
         self.op_number = op_number
+
+    def __reduce__(self) -> tuple[type[FlashError], tuple[int]]:
+        return type(self), (self.op_number,)
 
 
 class StaleReservationError(FlashError):
@@ -152,5 +168,9 @@ class StaleReservationError(FlashError):
             f"timeline {name!r}: request at {earliest:.1f}us is older than its "
             f"forgotten horizon {horizon:.1f}us"
         )
+        self.name = name
         self.earliest = earliest
         self.horizon = horizon
+
+    def __reduce__(self) -> tuple[type[FlashError], tuple[str, float, float]]:
+        return type(self), (self.name, self.earliest, self.horizon)

@@ -71,15 +71,14 @@ class TestScoping:
         assert result.exit_code == 0
 
     def test_shard_runner_modules_are_in_determinism_scope(self, tmp_path):
-        # bench/ is host-side and exempt — except the shard runner and its
-        # supervisor, which promise deterministic re-execution.
-        for name in ("sharding.py", "supervisor.py"):
-            mod = tmp_path / "repro" / "bench" / name
-            mod.parent.mkdir(parents=True, exist_ok=True)
-            mod.write_text("import time\n\ndef t() -> float:\n    return time.time()\n")
-            result = lint_paths([mod], rule_ids=["determinism.wallclock"])
-            assert result.exit_code == 1, name
-            assert {v.rule_id for v in result.violations} == {"determinism.wallclock"}
+        # bench/ is host-side and exempt — except the shard runner, which
+        # promises that a sharded run equals the sequential one.
+        mod = tmp_path / "repro" / "bench" / "sharding.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text("import time\n\ndef t() -> float:\n    return time.time()\n")
+        result = lint_paths([mod], rule_ids=["determinism.wallclock"])
+        assert result.exit_code == 1
+        assert {v.rule_id for v in result.violations} == {"determinism.wallclock"}
 
     def test_chaos_module_is_in_determinism_scope(self, tmp_path):
         mod = tmp_path / "repro" / "faults" / "chaos.py"

@@ -19,8 +19,9 @@ from repro.bench import (
     TPCCExperimentConfig,
     derive_method_placement,
     experiment,
+    fig3_cells,
     profile_objects,
-    run_fig3_supervised,
+    run_cells,
     run_tpcc_experiment,
 )
 from repro.core import figure2_placement, traditional_placement
@@ -76,7 +77,7 @@ class TestFig3TwoCallFlow:
         cell = experiment._parked
         assert cell.driver.metrics.transactions == PROFILED
         regions = replace(BASE, name="regions", placement=placement)
-        (traditional, derived), __ = run_fig3_supervised(TRADITIONAL, regions)
+        traditional, derived = run_cells(fig3_cells(TRADITIONAL, regions))
 
         assert experiment._parked is None  # taken by the traditional cell only
         assert cell.driver.metrics.transactions == BUDGET

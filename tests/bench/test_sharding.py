@@ -2,13 +2,21 @@
 
 The contract under test is the one the CLI relies on: ``--shards N``
 must produce the exact ``repro.obs/v1`` document the sequential path
-emits.  Cells are partition-closed by construction (each owns its whole
-device), so the merge is an order-preserving union — pinned here both at
-the unit level and end-to-end with real worker processes.
+emits, and must fail the way the sequential path fails.  Cells are
+partition-closed by construction (each owns its whole device), so the
+merge is an order-preserving union — pinned here both at the unit level
+and end-to-end with real worker processes.
+
+Worker functions live at module level so spawn workers can unpickle them
+by qualified name.
 """
 
 import math
 import operator
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -16,12 +24,22 @@ from repro.bench import (
     MergeError,
     ShardCell,
     SyntheticConfig,
+    ftl_cells,
     hotcold_cells,
     merge_metrics_docs,
     run_cells,
-    run_supervised,
+    synthetic_experiment,
 )
-from repro.obs.export import metrics_doc, validate_metrics_doc
+from repro.flash.errors import StaleReservationError
+from repro.obs.export import dump_json, metrics_doc, validate_metrics_doc
+
+
+def _stale_reservation() -> None:
+    raise StaleReservationError("die 3", 1.0, 20_000.0)
+
+
+def _sigkill_self() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestRunCells:
@@ -42,6 +60,17 @@ class TestRunCells:
         with pytest.raises(ValueError):
             run_cells([], shards=0)
 
+    def test_worker_exception_keeps_its_type_and_message(self):
+        cells = [ShardCell("ok", operator.neg, (1,)), ShardCell("bad", _stale_reservation)]
+        with pytest.raises(StaleReservationError) as exc:
+            run_cells(cells, shards=2)
+        assert str(exc.value) == str(StaleReservationError("die 3", 1.0, 20_000.0))
+
+    def test_dead_worker_breaks_the_pool(self):
+        cells = [ShardCell("dies", _sigkill_self), ShardCell("ok", operator.neg, (1,))]
+        with pytest.raises(BrokenProcessPool):
+            run_cells(cells, shards=2)
+
 
 class TestMergeMetricsDocs:
     def _doc(self, name, value, **extra):
@@ -61,16 +90,10 @@ class TestMergeMetricsDocs:
             policies={"gc": "greedy"},
         )
 
-    def test_colliding_configs_sum_counters(self):
-        merged = merge_metrics_docs([self._doc("a", 1.0), self._doc("a", 2.5)])
-        assert merged["configs"]["a"]["summary"]["x"] == 3.5
-
-    def test_colliding_lists_sum_elementwise(self):
-        docs = [
-            metrics_doc("demo", {"a": {"s": {"buckets": [1, 2]}}}),
-            metrics_doc("demo", {"a": {"s": {"buckets": [10, 20]}}}),
-        ]
-        assert merge_metrics_docs(docs)["configs"]["a"]["s"]["buckets"] == [11, 22]
+    def test_colliding_config_names_rejected(self):
+        # each cell owns its config names
+        with pytest.raises(MergeError, match="'a' appears in more than one document"):
+            merge_metrics_docs([self._doc("a", 1.0), self._doc("b", 2.0), self._doc("a", 2.5)])
 
     def test_command_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -94,10 +117,10 @@ class TestMergeMetricsDocs:
             ])
 
     def test_inputs_are_not_mutated(self):
-        left, right = self._doc("a", 1.0), self._doc("a", 2.0)
+        left, right = self._doc("a", 1.0), self._doc("b", 2.0)
         merge_metrics_docs([left, right])
-        assert left["configs"]["a"]["summary"]["x"] == 1.0
-        assert right["configs"]["a"]["summary"]["x"] == 2.0
+        assert left == self._doc("a", 1.0)
+        assert right == self._doc("b", 2.0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -116,31 +139,11 @@ class TestMergeMetricsDocs:
         with pytest.raises(MergeError, match="different schema versions"):
             merge_metrics_docs([doc, other])
 
-    def test_key_set_mismatch_names_the_stray_keys(self):
-        # a shard missing one counter (or inventing one) is a corrupted
-        # shard: the merge must fail, not union a half-empty tree
-        docs = [
-            metrics_doc("demo", {"a": {"s": {"x": 1.0, "y": 2.0}}}),
-            metrics_doc("demo", {"a": {"s": {"x": 1.0, "z": 3.0}}}),
-        ]
-        with pytest.raises(MergeError, match="disagree on keys") as exc:
-            merge_metrics_docs(docs)
-        assert "'y'" in str(exc.value) and "'z'" in str(exc.value)
 
-    def test_nested_key_set_mismatch_reports_the_path(self):
-        docs = [
-            metrics_doc("demo", {"a": {"s": {"inner": {"x": 1.0}}}}),
-            metrics_doc("demo", {"a": {"s": {"inner": {}}}}),
-        ]
-        with pytest.raises(MergeError, match=r"a\.s\.inner"):
-            merge_metrics_docs(docs)
-
-
-def _hotcold_doc(config, shards) -> dict:
-    (mixed, separated), _report = run_supervised(hotcold_cells(config), shards)
+def _merged_doc(command, cells, shards) -> dict:
     return merge_metrics_docs([
-        metrics_doc("hotcold", {result.name: result.metrics()})
-        for result in (mixed, separated)
+        metrics_doc(command, {result.name: result.metrics()})
+        for result in run_cells(cells, shards)
     ])
 
 
@@ -148,6 +151,16 @@ def test_two_shards_match_single_process_doc():
     """End-to-end gate: the merged 2-shard document equals the sequential
     one, field for field — real spawn workers, real simulation."""
     config = SyntheticConfig(writes=1200)
-    sequential = _hotcold_doc(config, shards=1)
-    sharded = _hotcold_doc(config, shards=2)
+    sequential = _merged_doc("hotcold", hotcold_cells(config), shards=1)
+    sharded = _merged_doc("hotcold", hotcold_cells(config), shards=2)
     assert sharded == sequential
+
+
+def test_reused_workers_match_single_process_doc():
+    """Five FTL cells over two workers: each worker runs cells after
+    another cell's stack, and the merged document is still the sequential
+    one byte for byte."""
+    config = replace(synthetic_experiment("ftl.quick"), writes=1000)
+    sequential = _merged_doc("ftl", ftl_cells(config), shards=1)
+    sharded = _merged_doc("ftl", ftl_cells(config), shards=2)
+    assert dump_json(sharded) == dump_json(sequential)

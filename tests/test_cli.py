@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -47,24 +48,6 @@ class TestParser:
         for cmd in ("fig3", "hotcold", "ftl", "chaos"):
             args = parser.parse_args([cmd, "--metrics-out", "out.json"])
             assert args.metrics_out == "out.json"
-
-    def test_supervision_flags_on_sharded_commands(self):
-        parser = build_parser()
-        for cmd in ("fig3", "hotcold", "ftl", "chaos"):
-            args = parser.parse_args([
-                cmd, "--shards", "2", "--shard-timeout", "30",
-                "--shard-retries", "2", "--allow-degraded",
-            ])
-            assert args.shards == 2
-            assert args.shard_timeout == 30.0
-            assert args.shard_retries == 2
-            assert args.allow_degraded is True
-
-    def test_supervision_defaults(self):
-        args = build_parser().parse_args(["hotcold"])
-        assert args.shard_timeout is None
-        assert args.shard_retries == 1
-        assert args.allow_degraded is False
 
 
 class TestCommands:
@@ -119,11 +102,13 @@ class TestCommands:
     "argv",
     [
         ["hotcold", "--shards", "0"],
-        ["hotcold", "--shard-timeout", "0"],
         ["hotcold", "--writes", "-5"],
         ["hotcold", "--fault-plan", "/nonexistent.json"],
         ["fig3", "--warehouses", "0"],
         ["ftl", "--bad-block-rate", "1.5"],
+        # raised inside a cell: a sharded run fails exactly like a sequential one
+        ["ftl", "--bad-block-rate", "1.5", "--shards", "2"],
+        ["hotcold", "--bad-block-rate", "1.5", "--shards", "2"],
         ["report", "/nonexistent.json"],
         ["chaos", "--plans", "0"],
         ["fig2", "--dies", "3"],
@@ -137,6 +122,18 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_dead_shard_worker_is_one_error_line_and_exit_3(capsys, monkeypatch):
+    def broken_pool(cells, shards):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr("repro.bench.run_cells", broken_pool)
+    assert main(["hotcold", "--shards", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestJsonOutput:
