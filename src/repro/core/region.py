@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.flash.device import FlashDevice
 from repro.flash.errors import DieFailedError
 from repro.flash.geometry import MIB
+from repro.flash.payload import Payload
 from repro.mapping.blockinfo import DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine
 from repro.mapping.stats import ManagementStats
@@ -210,7 +211,7 @@ class Region:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def read(self, rpn: int, at: float) -> tuple[bytes, float]:
+    def read(self, rpn: int, at: float) -> tuple[Payload, float]:
         """Read logical page ``rpn``; returns ``(data, completion_us)``."""
         self._check_allocated(rpn)
         issue = at
@@ -233,7 +234,7 @@ class Region:
                 self.stats.host_read_latency.record(end - issue)
                 return data, end
 
-    def write(self, rpn: int, data: bytes, at: float, group: int | None = None) -> float:
+    def write(self, rpn: int, data: Payload, at: float, group: int | None = None) -> float:
         """Write logical page ``rpn`` out-of-place; returns completion time.
 
         ``group`` identifies the owning database object (tablespace); it is
@@ -262,7 +263,7 @@ class Region:
                 return end
 
     def write_atomic(
-        self, entries: list[tuple[int, bytes]], at: float, group: int | None = None
+        self, entries: list[tuple[int, Payload]], at: float, group: int | None = None
     ) -> float:
         """Write several pages as one all-or-nothing unit.
 

@@ -17,6 +17,7 @@ from repro.core.region import Region, RegionConfig
 from repro.core.region_manager import RegionManager
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
+from repro.flash.payload import Payload
 from repro.flash.simclock import SimClock
 from repro.flash.timing import TimingModel
 
@@ -84,11 +85,11 @@ class NoFTLStore:
     # ------------------------------------------------------------------
     # Page I/O by (region, rpn)
     # ------------------------------------------------------------------
-    def read(self, region_name: str, rpn: int, at: float) -> tuple[bytes, float]:
+    def read(self, region_name: str, rpn: int, at: float) -> tuple[Payload, float]:
         """Read one logical page of a region."""
         return self.region(region_name).read(rpn, at)
 
-    def write(self, region_name: str, rpn: int, data: bytes, at: float) -> float:
+    def write(self, region_name: str, rpn: int, data: Payload, at: float) -> float:
         """Write one logical page of a region (out-of-place)."""
         return self.region(region_name).write(rpn, data, at)
 

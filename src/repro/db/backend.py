@@ -24,6 +24,7 @@ import struct
 from repro.core.placement import DBMS_METADATA
 from repro.core.region import Region
 from repro.core.store import NoFTLStore
+from repro.flash.payload import Payload
 from repro.ftl.blockdevice import BlockDevice
 
 
@@ -163,14 +164,17 @@ class StorageBackend(abc.ABC):
         return header + body
 
     # -- I/O ----------------------------------------------------------------
-    def read_page(self, space_id: int, page_no: int, at: float) -> tuple[bytes, float]:
-        """Read one page; returns ``(data, completion_us)``."""
+    def read_page(self, space_id: int, page_no: int, at: float) -> tuple[Payload, float]:
+        """Read one page; returns ``(data, completion_us)``, ``data`` being
+        the payload as it was written: ``bytes``, or the
+        :class:`~repro.flash.payload.DeferredImage` of a buffer-pool
+        write-back (``bytes(data)`` encodes it)."""
         space = self._space(space_id)
         self._check_page(space, page_no)
         self.space_reads[space_id] = self.space_reads.get(space_id, 0) + 1
         return self._read(space, page_no, at)
 
-    def write_page(self, space_id: int, page_no: int, data: bytes, at: float) -> float:
+    def write_page(self, space_id: int, page_no: int, data: Payload, at: float) -> float:
         """Write one page; returns completion time."""
         space = self._space(space_id)
         self._check_page(space, page_no)
@@ -189,11 +193,11 @@ class StorageBackend(abc.ABC):
         """Extend the page map by one extent of physical pages."""
 
     @abc.abstractmethod
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[bytes, float]:
+    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
         """Physical read."""
 
     @abc.abstractmethod
-    def _write(self, space: _Tablespace, page_no: int, data: bytes, at: float) -> float:
+    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
         """Physical write."""
 
     @abc.abstractmethod
@@ -246,11 +250,11 @@ class NoFTLBackend(StorageBackend):
         space.page_map.extend(rpns)
         return at
 
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[bytes, float]:
+    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
         region = self._regions_by_space[space.space_id]
         return region.read(space.page_map[page_no], at)
 
-    def _write(self, space: _Tablespace, page_no: int, data: bytes, at: float) -> float:
+    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
         region = self._regions_by_space[space.space_id]
         return region.write(space.page_map[page_no], data, at, group=space.space_id)
 
@@ -299,10 +303,10 @@ class BlockDeviceBackend(StorageBackend):
         space.page_map.extend(lbas)
         return at
 
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[bytes, float]:
+    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
         return self.device.read(space.page_map[page_no], at=at)
 
-    def _write(self, space: _Tablespace, page_no: int, data: bytes, at: float) -> float:
+    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
         return self.device.write(space.page_map[page_no], data, at=at)
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:

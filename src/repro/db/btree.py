@@ -16,19 +16,25 @@ do.  Design points:
 * deletes are *lazy* (no merge/rebalance on underflow) — the strategy of
   several production engines; emptied leaves are reclaimed only when the
   index is rebuilt;
-* leaves are chained for range scans.
+* leaves are chained for range scans;
+* a node is written back as :meth:`NodeCodec.image`, a snapshot of its
+  entries that is encoded only if someone reads the image as bytes, so
+  :meth:`BTree.insert` validates each key before the tree changes, and an
+  image refuses a node over capacity.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
+from collections.abc import Sequence
 from itertools import starmap
 from operator import add
 
 from repro.db.buffer import BufferPool
 from repro.db.heap import RID
 from repro.db.records import ColumnType, Key, RowCodec, Schema, SchemaError, varchar_col
+from repro.flash.payload import DeferredImage, Payload
 
 
 class IndexError_(Exception):
@@ -120,10 +126,12 @@ class NodeCodec:
 
     Owns everything coding needs — the key codec, the entry structs, the
     page size and the capacities they imply — and nothing else: the tree
-    hands the pool this object's bound :meth:`decode` / :meth:`encode`, and
-    the pool's frames keep the encoder, so a codec must not lead back to
-    the tree or the pool (that would make every storage stack a reference
-    cycle, freed only by the cyclic collector).
+    hands the pool this object's bound :meth:`decode` / :meth:`image`, the
+    pool's frames keep the latter and every image written keeps the codec,
+    so a codec must not lead back to the tree or the pool (that would make
+    every storage stack a reference cycle, freed only by the cyclic
+    collector).  :meth:`encode` is the one encoder: an image's bytes, when
+    anyone reads them, are what it returns for the snapshot.
     """
 
     def __init__(self, keys: KeyCodec, page_size: int) -> None:
@@ -146,13 +154,39 @@ class NodeCodec:
     def encode(self, node: _Node) -> bytes:
         """A node's page image, zero-padded to the page size."""
         if node.is_leaf:
-            header = _LEAF_HEADER.pack(_LEAF_TYPE, len(node.keys), node.next_leaf)
-            entries = self._pack_entries(node.keys, node.values, self._leaf_entry, _RID_STRUCT)
-        else:
-            header = _INNER_HEADER.pack(_INNER_TYPE, len(node.keys))
-            header += _CHILD_STRUCT.pack(node.children[0])
-            tails = [(child,) for child in node.children[1:]]
-            entries = self._pack_entries(node.keys, tails, self._inner_entry, _CHILD_STRUCT)
+            return self._encode_leaf(node.keys, node.values, node.next_leaf)
+        return self._encode_inner(node.keys, node.children)
+
+    def image(self, node: _Node) -> DeferredImage:
+        """:meth:`encode`, deferred: a snapshot of the node's entries (tuples
+        of its keys and values or children, and ``next_leaf``) that is
+        encoded only if the image is ever read as bytes.  Refuses a node
+        over capacity, which no decoder would accept back."""
+        count = len(node.keys)
+        if node.is_leaf:
+            if count > self.leaf_capacity:
+                raise IndexError_(f"leaf overflow: {count} > {self.leaf_capacity} entries")
+            state: tuple[object, ...] = (
+                self, tuple(node.keys), tuple(node.values), node.next_leaf
+            )
+            return DeferredImage(NodeCodec._encode_leaf, state, self.page_size)
+        if count > self.inner_capacity:
+            raise IndexError_(f"inner overflow: {count} > {self.inner_capacity} entries")
+        state = (self, tuple(node.keys), tuple(node.children))
+        return DeferredImage(NodeCodec._encode_inner, state, self.page_size)
+
+    def _encode_leaf(
+        self, keys: Sequence[Key], values: Sequence[tuple[int, ...]], next_leaf: int
+    ) -> bytes:
+        header = _LEAF_HEADER.pack(_LEAF_TYPE, len(keys), next_leaf)
+        return self._pad(header, self._pack_entries(keys, values, self._leaf_entry, _RID_STRUCT))
+
+    def _encode_inner(self, keys: Sequence[Key], children: Sequence[int]) -> bytes:
+        header = _INNER_HEADER.pack(_INNER_TYPE, len(keys)) + _CHILD_STRUCT.pack(children[0])
+        tails = [(child,) for child in children[1:]]
+        return self._pad(header, self._pack_entries(keys, tails, self._inner_entry, _CHILD_STRUCT))
+
+    def _pad(self, header: bytes, entries: list[bytes]) -> bytes:
         image = header + b"".join(entries)
         if len(image) > self.page_size:
             raise IndexError_(f"node overflow: {len(image)} > {self.page_size}")
@@ -160,8 +194,8 @@ class NodeCodec:
 
     def _pack_entries(
         self,
-        keys: list[Key],
-        tails: list[tuple[int, ...]],
+        keys: Sequence[Key],
+        tails: Sequence[tuple[int, ...]],
         entry: _EntryStructs | None,
         tail: struct.Struct,
     ) -> list[bytes]:
@@ -201,8 +235,9 @@ class NodeCodec:
             offset += tail.size
         return keys, tails
 
-    def decode(self, data: bytes) -> _Node:
+    def decode(self, data: Payload) -> _Node:
         """The node a page image holds; refuses a corrupt header."""
+        data = bytes(data)  # the image itself when it is bytes already
         node_type = data[0]
         if node_type == _LEAF_TYPE:
             __, count, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
@@ -269,7 +304,8 @@ class BTree:
         # only door, with no method object built on the way
         self._get = buffer_pool.get
         self._decode = self.codec.decode
-        self._encode = self.codec.encode
+        self._image = self.codec.image
+        self._check_key = self.codec.keys.encode
 
     # ------------------------------------------------------------------
     # Introspection
@@ -288,14 +324,14 @@ class BTree:
     # Node I/O
     # ------------------------------------------------------------------
     def _fetch(self, page_no: int, at: float, pin: bool = True) -> tuple[_Node, float]:
-        fetched = self._get(self.space_id, page_no, at, self._decode, self._encode, pin)
+        fetched = self._get(self.space_id, page_no, at, self._decode, self._image, pin)
         if pin:
             self._pins.append(page_no)
         return fetched
 
     def _new_node(self, node: _Node, at: float, pin: bool = True) -> tuple[int, float]:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
-        at = self.buffer_pool.put_new(self.space_id, page_no, node, self._encode, at, pin)
+        at = self.buffer_pool.put_new(self.space_id, page_no, node, self._image, at, pin)
         if pin:
             self._pins.append(page_no)
         return page_no, at
@@ -321,10 +357,10 @@ class BTree:
         keep the default pinning so their in-place changes cannot be lost
         to eviction mid-operation.
         """
-        get, space_id, decode, encode = self._get, self.space_id, self._decode, self._encode
+        get, space_id, decode, image = self._get, self.space_id, self._decode, self._image
         page_no = self._root_page
         while True:
-            node, at = get(space_id, page_no, at, decode, encode, pin)
+            node, at = get(space_id, page_no, at, decode, image, pin)
             if pin:
                 self._pins.append(page_no)
             if node.is_leaf:
@@ -393,8 +429,15 @@ class BTree:
     # Insert
     # ------------------------------------------------------------------
     def insert(self, key: Key, rid: RID, at: float) -> float:
-        """Insert ``(key, rid)``; raises on duplicates for unique indexes."""
+        """Insert ``(key, rid)``; raises on duplicates for unique indexes.
+
+        A key the index cannot store (wrong arity, a part of the wrong type,
+        text too long) raises :class:`SchemaError` before the tree changes:
+        a node's image is encoded only if it is read, so this is where a
+        bad key is caught.
+        """
         key = tuple(key)
+        self._check_key(key)
         try:
             if self._root_page < 0:
                 root = _Node(is_leaf=True)

@@ -1,28 +1,36 @@
 """Buffer manager: CLOCK replacement, dirty write-back, background flusher.
 
 The buffer pool caches *decoded page objects* (slotted pages, B+-tree
-nodes) keyed by ``(space_id, page_no)``.  Serialisation happens only at
-real I/O boundaries — a miss decodes the flash image, an eviction or flush
-encodes it back — so buffer hits are as cheap as they are on a real engine.
-Whatever a page object carries beyond its image (a slotted page keeps the
-rows decoded from it) lives and dies with its frame, so the pool's
-capacity bounds that too.
+nodes) keyed by ``(space_id, page_no)``, so buffer hits are as cheap as
+they are on a real engine.  A miss decodes the flash image; an eviction or
+flush writes the page back *without encoding it*: the frame's ``encoder``
+(:meth:`~repro.db.slotted_page.SlottedPage.image`,
+:meth:`~repro.db.btree.NodeCodec.image`) returns a
+:class:`~repro.flash.payload.DeferredImage`, a frozen snapshot of the page
+whose bytes are built only if something reads them, and the backend
+stores that object as the page's content.  Page images are encoded when
+read, not when written — and since a miss on an image the pool wrote
+itself reinstalls the page object (below), nothing on a benchmark path
+reads them.  Whatever a page object carries beyond its image (a slotted
+page keeps the rows decoded from it) lives and dies with its frame, so the
+pool's capacity bounds that too.
 
 What a miss costs: the read is always issued, the decode only when the
 image changed.  A frame remembers the image its page object was last
-coded from (the bytes a miss decoded, or the bytes a write-back encoded),
-and eviction parks ``(image, page object)`` under the page's key, a
-slotted page without its decoded rows.  A miss calls
-``backend.read_page`` first, so simulated time, device counters, read
-disturb and fault hooks see the same traffic as ever; when the bytes it
-returns *are* the parked image (``is``, not ``==``: the flash device, GC
-copyback and the in-memory test backend hand back the object that was
-written), the parked object is reinstalled instead of decoded.  Any
-rewrite, copy or fault makes a new bytes object, which is decoded.  This
-is exact because every page codec round-trips (property-tested) and a
-page object changes only through callers that mark it dirty before the
-pool runs again.  :meth:`BufferPool.drop` forgets the parked entry; there
-is at most one per page of the database.
+coded from (the payload a miss decoded, or the deferred image a
+write-back handed the backend), and eviction parks ``(image, page
+object)`` under the page's key, a slotted page without its decoded rows.
+A miss calls ``backend.read_page`` first, so simulated time, device
+counters, read disturb and fault hooks see the same traffic as ever; when
+the payload it returns *is* the parked image (``is``, not ``==``: the
+flash device, GC copyback and the in-memory test backend hand back the
+object that was written), the parked object is reinstalled instead of
+decoded.  Any rewrite, copy or fault makes a new object, which is decoded
+(from its bytes: a decoder starts with ``bytes(data)``).  This is exact
+because every page codec round-trips (property-tested), an image's
+snapshot is immutable, and a page object changes only through callers
+that mark it dirty before the pool runs again.  :meth:`BufferPool.drop`
+forgets the parked entry; there is at most one per page of the database.
 
 :meth:`BufferPool.get` is the only door to a buffered page, and what one
 touch of it costs is fixed: it counts towards the next flush round,
@@ -58,6 +66,7 @@ from dataclasses import dataclass
 
 from repro.db.backend import StorageBackend
 from repro.db.slotted_page import SlottedPage
+from repro.flash.payload import Payload
 
 
 class BufferError(Exception):
@@ -70,10 +79,11 @@ class _Frame:
 
     key: tuple[int, int]
     page: object
-    encoder: Callable[[object], bytes]
-    #: what ``page`` was last decoded from or encoded to (``None`` for a
-    #: fresh page until its first write-back)
-    image: bytes | None = None
+    #: the page's image as a write-back hands it to the backend
+    encoder: Callable[[object], Payload]
+    #: what ``page`` was last decoded from or written back as (``None`` for
+    #: a fresh page until its first write-back)
+    image: Payload | None = None
     dirty: bool = False
     pin_count: int = 0
     referenced: bool = True
@@ -144,7 +154,7 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: dict[tuple[int, int], _Frame] = {}
         #: evicted page -> (its frame's image, its page object)
-        self._parked: dict[tuple[int, int], tuple[bytes | None, object]] = {}
+        self._parked: dict[tuple[int, int], tuple[Payload | None, object]] = {}
         self._clock_keys: list[tuple[int, int]] = []
         self._clock_hand = 0
         # touches left until the next flush round; an interval <= 0 starts
@@ -159,8 +169,8 @@ class BufferPool:
         space_id: int,
         page_no: int,
         at: float,
-        decoder: Callable[[bytes], object],
-        encoder: Callable[[object], bytes],
+        decoder: Callable[[Payload], object],
+        encoder: Callable[[object], Payload],
         pin: bool = False,
     ) -> tuple[object, float]:
         """Fetch a page object, reading from the backend on a miss.
@@ -199,7 +209,7 @@ class BufferPool:
         space_id: int,
         page_no: int,
         page: object,
-        encoder: Callable[[object], bytes],
+        encoder: Callable[[object], Payload],
         at: float,
         pin: bool = False,
     ) -> float:
@@ -267,7 +277,8 @@ class BufferPool:
     # Replacement & flusher
     # ------------------------------------------------------------------
     def _write_back(self, frame: _Frame, at: float) -> float:
-        """Encode a dirty frame's page and write it; returns completion time.
+        """Write a dirty frame's page as its ``encoder`` images it (a
+        deferred image: nothing is encoded here); returns completion time.
         The frame is clean after, and its image is what was written."""
         image = frame.encoder(frame.page)
         at = self.backend.write_page(frame.key[0], frame.key[1], image, at)
@@ -325,8 +336,9 @@ class BufferPool:
         self._until_flush = self.flusher_interval
         written = 0
         # sweep in clock order so the flusher cleans what eviction would
-        # otherwise stall on
-        for key in list(self._clock_keys):
+        # otherwise stall on; a write-back never touches the ring, so the
+        # sweep walks it in place
+        for key in self._clock_keys:
             if written >= self.flusher_batch:
                 break
             frame = self._frames[key]

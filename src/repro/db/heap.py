@@ -18,9 +18,10 @@ from repro.db.slotted_page import PageFullError, SlottedPage
 
 
 #: the heap's page codec, looked up once (``from_bytes`` is a classmethod:
-#: every attribute access would build a bound method)
+#: every attribute access would build a bound method); a write-back hands
+#: the backend a page's deferred image, not its bytes
 _DECODE_PAGE = SlottedPage.from_bytes
-_ENCODE_PAGE = SlottedPage.to_bytes
+_IMAGE_PAGE = SlottedPage.image
 
 
 class HeapError(Exception):
@@ -102,12 +103,12 @@ class HeapFile:
         """Touch the page ``rid`` names, once it is known to be this heap's."""
         if rid.page_no not in self._page_set:
             raise HeapError(f"{rid} does not belong to this heap")
-        return self._get(self.space_id, rid.page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
+        return self._get(self.space_id, rid.page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
 
     def _new_page(self, at: float) -> tuple[int, SlottedPage, float]:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
         page = SlottedPage(self.page_size)
-        at = self.buffer_pool.put_new(self.space_id, page_no, page, _ENCODE_PAGE, at)
+        at = self.buffer_pool.put_new(self.space_id, page_no, page, _IMAGE_PAGE, at)
         self._pages.append(page_no)
         self._page_set.add(page_no)
         self._push_open(page_no)
@@ -134,7 +135,7 @@ class HeapFile:
         target = self.page_size * (1.0 - self.fill_hint)
         while self._open_pages:
             page_no = self._open_pages[-1]
-            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
+            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
             if page.fits(record) and page.free_space() - len(record) >= target:
                 slot = page.insert(record)
                 self.buffer_pool.mark_dirty(self.space_id, page_no)
@@ -156,7 +157,7 @@ class HeapFile:
         page_no, slot = rid
         if page_no not in self._page_set:  # _page_of, in this frame
             raise HeapError(f"{rid} does not belong to this heap")
-        page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
+        page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
         row = page.rows.get(slot)
         if row is None:
             row = page.read_row(slot, self._decode_row)
@@ -218,6 +219,6 @@ class HeapFile:
         reflects the I/O performed so far.
         """
         for page_no in list(self._pages):
-            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _ENCODE_PAGE)
+            page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
             for slot, record in page.slots():
                 yield RID(page_no, slot), self.codec.decode(record), at

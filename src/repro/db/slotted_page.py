@@ -4,8 +4,12 @@ The classic layout: a header, a slot directory growing from the front and
 record payloads growing from the back.  In-memory the page is a structured
 object (records as byte strings per slot); :meth:`SlottedPage.to_bytes` and
 :meth:`SlottedPage.from_bytes` produce/consume the on-flash image.  The
-buffer manager caches the object form, so (de)serialisation cost is paid
-only at real I/O boundaries — exactly when a real engine pays it.
+buffer manager caches the object form and writes a page back as
+:meth:`SlottedPage.image`, a :class:`~repro.flash.payload.DeferredImage`
+holding a tuple of the page's records: the bytes are encoded when someone
+reads them (a decoder, a test), not when the page is written, and the
+flash device keeps every version of a page until GC erases it, so the
+versions share their unchanged records instead of each holding a copy.
 
 The same holds one level down.  :meth:`SlottedPage.read_row` keeps the
 row it decoded from a slot's record beside that record, so a record is
@@ -40,14 +44,33 @@ On-flash layout::
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.db.records import Row
+from repro.flash.payload import DeferredImage, Payload
 
 _HEADER = struct.Struct("<HHH")
 _SLOT = struct.Struct("<HH")
 _MAGIC = 0x5350  # "SP"
 _EMPTY_SLOT = _SLOT.pack(0, 0)
+
+
+def _encode(page_size: int, records: Sequence[bytes | None]) -> bytes:
+    """The one encoder of a slotted page: the ``page_size`` image of a slot
+    directory holding ``records`` (``None`` = emptied slot)."""
+    free_end = page_size
+    directory: list[bytes] = []
+    heap: list[bytes] = []  # records in slot order; stored back to front
+    for record in records:
+        if record is None:
+            directory.append(_EMPTY_SLOT)
+        else:
+            free_end -= len(record)
+            directory.append(_SLOT.pack(free_end, len(record)))
+            heap.append(record)
+    heap.reverse()
+    front = _HEADER.pack(_MAGIC, len(records), free_end) + b"".join(directory)
+    return front.ljust(free_end, b"\x00") + b"".join(heap)
 
 
 class PageFullError(Exception):
@@ -208,22 +231,20 @@ class SlottedPage:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialise to the fixed ``page_size`` on-flash image."""
-        free_end = self.page_size
-        directory: list[bytes] = []
-        heap: list[bytes] = []  # records in slot order; stored back to front
-        for record in self._records:
-            if record is None:
-                directory.append(_EMPTY_SLOT)
-            else:
-                free_end -= len(record)
-                directory.append(_SLOT.pack(free_end, len(record)))
-                heap.append(record)
-        heap.reverse()
-        front = _HEADER.pack(_MAGIC, len(self._records), free_end) + b"".join(directory)
-        return front.ljust(free_end, b"\x00") + b"".join(heap)
+        return _encode(self.page_size, self._records)
+
+    def image(self) -> DeferredImage:
+        """The page's image as it is now, encoded only if it is ever read
+        as bytes: a snapshot of the records (a tuple of the very bytes
+        objects the page holds; later writes replace slots, never mutate a
+        record) and the length :meth:`to_bytes` would return."""
+        records = self._records
+        front = _HEADER.size + _SLOT.size * len(records)
+        length = max(self.page_size, front + self._payload)
+        return DeferredImage(_encode, (self.page_size, tuple(records)), length)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SlottedPage":
+    def from_bytes(cls, data: Payload) -> "SlottedPage":
         """Reconstruct a page from its on-flash image.
 
         Raises ``ValueError`` for an image :meth:`to_bytes` cannot have
@@ -233,6 +254,7 @@ class SlottedPage:
         tells a record from an emptied slot; overruns show up once per
         page, as a slice that came back shorter than its slot says.
         """
+        data = bytes(data)  # the image itself when it is bytes already
         size = len(data)
         page = cls(size)
         magic, slot_count, __ = _HEADER.unpack_from(data, 0)
@@ -248,7 +270,7 @@ class SlottedPage:
         empty = stored = declared = 0
         for offset, length in _SLOT.iter_unpack(data[_HEADER.size : heap_floor]):
             if offset >= heap_floor:
-                record = bytes(data[offset : offset + length])
+                record = data[offset : offset + length]
                 records.append(record)
                 stored += len(record)
                 declared += length

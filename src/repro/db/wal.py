@@ -199,9 +199,10 @@ class WriteAheadLog:
         last_lsn = 0
         for page_no in range(backend.allocated_pages(space_id)):
             try:
-                data, at = backend.read_page(space_id, page_no, at)
+                payload, at = backend.read_page(space_id, page_no, at)
             except Exception:  # noqa: BLE001 — unreadable == never durable
                 break
+            data = bytes(payload)  # a log page is written as bytes: no copy
             try:
                 (count,) = _PAGE_HEADER.unpack_from(data, 0)
                 offset = _PAGE_HEADER.size
@@ -230,7 +231,8 @@ class WriteAheadLog:
         defines.
         """
         for page_no in range(self._flushed_pages):
-            data, at = self.backend.read_page(self.space_id, page_no, at)
+            payload, at = self.backend.read_page(self.space_id, page_no, at)
+            data = bytes(payload)  # a log page is written as bytes: no copy
             (count,) = _PAGE_HEADER.unpack_from(data, 0)
             offset = _PAGE_HEADER.size
             for __ in range(count):

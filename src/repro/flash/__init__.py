@@ -23,6 +23,7 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.geometry import KIB, MIB, FlashGeometry, paper_geometry, small_geometry
+from repro.flash.payload import DeferredImage, Payload
 from repro.flash.simclock import ResourceTimeline, SimClock
 from repro.flash.stats import FlashStats, LatencyAccumulator
 from repro.flash.trace import FlashTracer, TraceEvent
@@ -36,6 +37,7 @@ __all__ = [
     "CopybackError",
     "DataError",
     "DEFAULT_TIMING",
+    "DeferredImage",
     "EraseError",
     "FlashDevice",
     "FlashError",
@@ -46,6 +48,7 @@ __all__ = [
     "LatencyAccumulator",
     "MIB",
     "PageMetadata",
+    "Payload",
     "PhysicalBlockAddress",
     "PhysicalPageAddress",
     "ProgramError",

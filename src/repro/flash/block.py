@@ -14,7 +14,9 @@ the on-device FTL in the baseline (:mod:`repro.ftl`) or the DBMS itself
 under NoFTL (:mod:`repro.core`).
 
 **Storage layout.**  Page state is kept in flat parallel columns rather
-than one Python object per page: payloads in a list, OOB metadata fields
+than one Python object per page: payloads in a list (each the very
+``bytes`` or :class:`~repro.flash.payload.DeferredImage` it was programmed
+with), OOB metadata fields
 (``lpn``, ``seq``, ``obj_id``) in integer arrays with ``-1`` as the "not
 set" sentinel (``seq = -1``: the page carries no OOB record at all), and
 free-form ``extra`` annotations in a sparse dict (only atomic-write
@@ -43,6 +45,7 @@ from repro.flash.errors import (
     ProgramError,
     ReadError,
 )
+from repro.flash.payload import Payload
 
 
 @dataclass
@@ -109,7 +112,7 @@ class Block:
         if pages_per_block <= 0:
             raise ConfigError("pages_per_block must be positive")
         #: page payloads; ``None`` for never/erased pages
-        self._data: list[bytes | None] = [None] * pages_per_block
+        self._data: list[Payload | None] = [None] * pages_per_block
         #: OOB columns, ``-1`` = field not set (``None`` in PageMetadata);
         #: ``seq = -1`` = no OOB record (programmed with ``metadata=None``,
         #: which must read back as ``None``, not an empty record)
@@ -174,7 +177,7 @@ class Block:
     # Commands (state transitions only; timing handled by the device)
     # ------------------------------------------------------------------
     def program_packed(
-        self, page: int, data: bytes, lpn: int, seq: int, obj_id: int,
+        self, page: int, data: Payload, lpn: int, seq: int, obj_id: int,
         extra: dict[str, Any] | None = None,
     ) -> None:
         """Program ``page``: the one implementation, OOB fields as raw ints.
@@ -202,7 +205,7 @@ class Block:
             self._extra.pop(page, None)
         self._write_pointer += 1
 
-    def program(self, page: int, data: bytes, metadata: PageMetadata | None) -> None:
+    def program(self, page: int, data: Payload, metadata: PageMetadata | None) -> None:
         """:meth:`program_packed` taking the OOB record as an object."""
         self.program_packed(page, data, *oob_columns(metadata))
 
@@ -221,7 +224,7 @@ class Block:
             extra={} if extra is None else extra,
         )
 
-    def read_data(self, page: int) -> bytes:
+    def read_data(self, page: int) -> Payload:
         """Payload of a programmed page: the one implementation of a read.
 
         Refuses a bad block and an unprogrammed page, and counts the read
@@ -238,7 +241,7 @@ class Block:
         assert data is not None
         return data
 
-    def read(self, page: int) -> tuple[bytes, PageMetadata | None]:
+    def read(self, page: int) -> tuple[Payload, PageMetadata | None]:
         """``(data, metadata)`` of a programmed page: :meth:`read_data`
         plus the materialised OOB record.  One read, counted once."""
         return self.read_data(page), self._metadata_at(page)

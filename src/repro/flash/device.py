@@ -17,6 +17,11 @@ resources:
 * the **channel** (shared by all chips on it, used only for host transfers —
   copyback and erase never move data over the channel, which is precisely
   why GC prefers copyback).
+
+Payloads follow one rule (:mod:`repro.flash.payload`): a program stores a
+``bytes`` or a :class:`~repro.flash.payload.DeferredImage` as given, READ
+PAGE and COPYBACK hand back that same object, and the statistics count its
+``len()``; only a ``bytearray`` or ``memoryview`` is copied.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.flash.errors import ConfigError, CopybackError, DataError
 from typing import TYPE_CHECKING, Any
 
 from repro.flash.geometry import FlashGeometry
+from repro.flash.payload import DeferredImage, Payload
 from repro.flash.simclock import ResourceTimeline, SimClock
 from repro.flash.stats import FlashStats
 from repro.flash.timing import DEFAULT_TIMING, TimingModel
@@ -54,7 +60,7 @@ class CommandResult:
 
     start_us: float
     end_us: float
-    data: bytes | None = None
+    data: Payload | None = None
     metadata: PageMetadata | None = None
 
     @property
@@ -188,7 +194,7 @@ class FlashDevice:
 
     def read_page_packed(
         self, die: int, block: int, page: int, at: float
-    ) -> tuple[bytes, float, float]:
+    ) -> tuple[Payload, float, float]:
         """READ PAGE: array read on the die, then transfer over the channel.
 
         Returns ``(data, start_us, end_us)``.  Coordinates are trusted; the
@@ -211,8 +217,26 @@ class FlashDevice:
             clock._now = end
         return data, start, end
 
+    def _payload(self, data: object) -> Payload:
+        """The one payload rule of every program path: ``bytes`` and a
+        :class:`~repro.flash.payload.DeferredImage` are stored as given (a
+        read hands back that object), ``bytearray`` / ``memoryview`` are
+        copied, anything else is refused, and so is a payload whose
+        ``len()`` exceeds the page size."""
+        if not isinstance(data, (bytes, DeferredImage)):
+            if not isinstance(data, (bytearray, memoryview)):
+                raise DataError(
+                    f"page payload must be bytes-like, got {type(data).__name__}"
+                )
+            data = bytes(data)
+        if len(data) > self._page_size:
+            raise DataError(
+                f"payload of {len(data)} bytes exceeds page size {self._page_size}"
+            )
+        return data
+
     def program_page_packed(
-        self, die: int, block: int, page: int, data: bytes,
+        self, die: int, block: int, page: int, data: Payload,
         lpn: int, seq: int, obj_id: int, at: float,
         extra: dict[str, Any] | None = None,
     ) -> tuple[float, float]:
@@ -223,17 +247,10 @@ class FlashDevice:
         page with no OOB record.  Coordinates are trusted, the payload is
         checked.
         """
-        if type(data) is not bytes:
-            if not isinstance(data, (bytearray, memoryview)):
-                raise DataError(
-                    f"page payload must be bytes-like, got {type(data).__name__}"
-                )
-            data = bytes(data)
-        nbytes = len(data)
-        if nbytes > self._page_size:
-            raise DataError(
-                f"payload of {nbytes} bytes exceeds page size {self._page_size}"
-            )
+        if type(data) is not bytes or len(data) > self._page_size:
+            # the one payload rule; plain bytes that fit are its identity
+            # case, so the per-write hot path skips the call for them
+            data = self._payload(data)
         if self.faults is not None:
             # before any state mutates: a program fault leaves the page
             # unprogrammed and the timelines unreserved
@@ -241,7 +258,7 @@ class FlashDevice:
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
         self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id, extra)
-        self.stats.record_program(die, nbytes, end - at)
+        self.stats.record_program(die, len(data), end - at)
         if self.events is not None:
             self.events.emit(at, "flash", "program_page", die=die,
                              block=block, page=page, start_us=start, end_us=end)
@@ -313,7 +330,7 @@ class FlashDevice:
     def program_page(
         self,
         ppa: PhysicalPageAddress,
-        data: bytes,
+        data: Payload,
         metadata: PageMetadata | None = None,
         at: float | None = None,
     ) -> CommandResult:
@@ -358,7 +375,7 @@ class FlashDevice:
     def program_multi_plane(
         self,
         ppas: list[PhysicalPageAddress],
-        payloads: list[bytes],
+        payloads: list[Payload],
         metadatas: list[PageMetadata | None] | None = None,
         at: float | None = None,
     ) -> CommandResult:
@@ -375,6 +392,7 @@ class FlashDevice:
         if len(ppas) != len(payloads):
             raise DataError("pages and payloads differ in length")
         metadatas = metadatas if metadatas is not None else [None] * len(ppas)
+        payloads = [self._payload(data) for data in payloads]
         die_index = ppas[0].die
         planes = set()
         for ppa in ppas:
@@ -401,11 +419,6 @@ class FlashDevice:
             start = s if start is None else start
         __, end = die.timeline.reserve(xfer_done, self.timing.program_us)
         for ppa, data, meta in zip(ppas, payloads, metadatas):
-            data = bytes(data)
-            if len(data) > self.geometry.page_size:
-                raise DataError(
-                    f"payload of {len(data)} bytes exceeds page size {self.geometry.page_size}"
-                )
             die.blocks[ppa.block].program(ppa.page, data, meta)
             self.stats.record_program(ppa.die, len(data), end - issue)
         if self.events is not None:

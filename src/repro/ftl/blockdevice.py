@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import abc
 
+from repro.flash.payload import Payload
+
 
 class DeviceFullError(Exception):
     """The device has no reclaimable space left for a write."""
@@ -30,11 +32,11 @@ class BlockDevice(abc.ABC):
         """Sector size in bytes (the flash page size here)."""
 
     @abc.abstractmethod
-    def read(self, lba: int, at: float | None = None) -> tuple[bytes, float]:
+    def read(self, lba: int, at: float | None = None) -> tuple[Payload, float]:
         """Read sector ``lba``; return ``(data, completion_time_us)``."""
 
     @abc.abstractmethod
-    def write(self, lba: int, data: bytes, at: float | None = None) -> float:
+    def write(self, lba: int, data: Payload, at: float | None = None) -> float:
         """Write sector ``lba``; return completion time in microseconds."""
 
     @abc.abstractmethod

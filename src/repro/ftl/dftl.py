@@ -27,6 +27,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.flash.device import FlashDevice
+from repro.flash.payload import Payload
 from repro.ftl.page_mapping import PageMappingFTL
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -85,7 +86,7 @@ class DFTL(PageMappingFTL):
     # ------------------------------------------------------------------
     # Host interface with translation charging
     # ------------------------------------------------------------------
-    def read(self, lba: int, at: float | None = None) -> tuple[bytes, float]:
+    def read(self, lba: int, at: float | None = None) -> tuple[Payload, float]:
         """Host read: translation lookup first, then the data read."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at
@@ -95,7 +96,7 @@ class DFTL(PageMappingFTL):
         self.stats.host_read_latency.record(end - issue)
         return data, end
 
-    def write(self, lba: int, data: bytes, at: float | None = None) -> float:
+    def write(self, lba: int, data: Payload, at: float | None = None) -> float:
         """Host write: translation lookup, data write, CMT entry dirtied."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.flash.device import FlashDevice
+from repro.flash.payload import Payload
 from repro.ftl.page_mapping import PageMappingFTL
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -117,7 +118,7 @@ class HotColdFTL(PageMappingFTL):
         """Whether the FTL currently believes ``lba`` is hot."""
         return self.sketch.estimate(lba) > self.hot_factor * max(0.25, self.sketch.mean())
 
-    def _write_internal(self, lpn: int, data: bytes, at: float) -> float:
+    def _write_internal(self, lpn: int, data: Payload, at: float) -> float:
         """Route by estimated heat: hot and cold fill separate blocks."""
         is_user = lpn < self.num_lbas
         if is_user:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.flash.device import FlashDevice
+from repro.flash.payload import Payload
 from repro.ftl.blockdevice import BlockDevice, DeviceFullError
 from repro.mapping.blockinfo import DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine, SpaceFullError
@@ -128,7 +129,7 @@ class PageMappingFTL(BlockDevice):
         """The underlying space engine (read-only introspection)."""
         return self._engine
 
-    def read(self, lba: int, at: float | None = None) -> tuple[bytes, float]:
+    def read(self, lba: int, at: float | None = None) -> tuple[Payload, float]:
         """Host read of one sector."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at
@@ -140,7 +141,7 @@ class PageMappingFTL(BlockDevice):
         self.stats.host_read_latency.record(end - issue)
         return data, end
 
-    def write(self, lba: int, data: bytes, at: float | None = None) -> float:
+    def write(self, lba: int, data: Payload, at: float | None = None) -> float:
         """Host write of one sector (out-of-place, may stall behind GC)."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at
@@ -171,10 +172,10 @@ class PageMappingFTL(BlockDevice):
         """Whether an internal logical page currently has a physical page."""
         return self._engine.contains(lpn)
 
-    def _read_internal(self, lpn: int, at: float) -> tuple[bytes, float]:
+    def _read_internal(self, lpn: int, at: float) -> tuple[Payload, float]:
         return self._engine.read(lpn, at)
 
-    def _write_internal(self, lpn: int, data: bytes, at: float) -> float:
+    def _write_internal(self, lpn: int, data: Payload, at: float) -> float:
         try:
             return self._engine.write(lpn, data, at)
         except SpaceFullError as exc:

@@ -32,6 +32,7 @@ from repro.flash.errors import (
     ProgramFaultError,
     TransientReadError,
 )
+from repro.flash.payload import Payload
 from repro.mapping.blockinfo import BlockInfo, BlockState, DieBookkeeping
 from repro.mapping.stats import ManagementStats
 from repro.policies import GCPolicy, WLPolicy, resolve_gc_policy, resolve_wl_policy
@@ -195,7 +196,7 @@ class FlashSpaceEngine:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def read(self, key: int, at: float) -> tuple[bytes, float]:
+    def read(self, key: int, at: float) -> tuple[Payload, float]:
         """Read logical page ``key``; returns ``(data, completion_us)``.
 
         Like :meth:`write`, the read runs on integer coordinates: the packed
@@ -284,7 +285,7 @@ class FlashSpaceEngine:
         if info.state is BlockState.FULL:  # open frontiers refresh when collected
             self._empty_block(info, at, wear_level=True)
 
-    def write(self, key: int, data: bytes, at: float, group: int | None = None) -> float:
+    def write(self, key: int, data: Payload, at: float, group: int | None = None) -> float:
         """Write logical page ``key`` out-of-place; returns completion time.
 
         ``group`` is the caller's placement hint — the paper's "physical
@@ -363,7 +364,7 @@ class FlashSpaceEngine:
             return end
 
     def write_atomic(
-        self, entries: list[tuple[int, bytes]], at: float, group: int | None = None
+        self, entries: list[tuple[int, Payload]], at: float, group: int | None = None
     ) -> float:
         """Write several logical pages as one all-or-nothing unit.
 

@@ -12,6 +12,9 @@ class MemoryBackend(StorageBackend):
 
     Pages are stored in a dict and every I/O costs ``io_cost`` virtual
     microseconds, so tests can assert time accounting without a device.
+    Like the flash device, it stores a payload as given and hands back that
+    same object (a ``bytes`` or a :class:`~repro.flash.DeferredImage`), so
+    a test that inspects a stored image reads it with ``bytes()``.
     """
 
     def __init__(self, page_size: int = 512, io_cost: float = 10.0) -> None:
@@ -40,11 +43,15 @@ class MemoryBackend(StorageBackend):
 
     def _write(self, space: _Tablespace, page_no: int, data: bytes, at: float) -> float:
         self.writes += 1
-        self.pages[(space.space_id, page_no)] = bytes(data)
+        self.pages[(space.space_id, page_no)] = data
         return at + self.io_cost
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
         self.pages.pop((space.space_id, page_no), None)
+
+    def images(self):
+        """Every stored page as bytes, deferred images encoded."""
+        return {key: bytes(data) for key, data in self.pages.items()}
 
     def io_stats(self):
         return {"reads": self.reads, "writes": self.writes}

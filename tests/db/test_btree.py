@@ -128,17 +128,28 @@ class TestKeyCodec:
             KeyCodec(Schema([int_col("a"), int_col("b")])).encode((1,))
 
     @pytest.mark.parametrize(
-        "columns, key",
+        "columns, good, key",
         [
-            ([int_col("a"), int_col("b")], (1, "x")),  # whole-entry struct path
-            ([int_col("a"), char_col("c", 4)], (1, "toolongvalue")),  # per-part path
+            ([int_col("a"), int_col("b")], (1, 2), (1, "x")),  # whole-entry struct path
+            ([int_col("a"), char_col("c", 4)], (1, "ab"), (1, "toolongvalue")),  # per-part path
         ],
     )
-    def test_bad_key_fails_node_encoding_with_schema_error(self, memory_backend, columns, key):
+    def test_bad_key_is_refused_at_insert_with_schema_error(
+        self, memory_backend, columns, good, key
+    ):
+        # a node is encoded only if its image is read, so insert checks the
+        # key, and the tree is left as it was: empty, then with one entry
         tree = make_tree(memory_backend, columns=columns)
-        tree.insert(key, RID(0, 0), 0.0)
         with pytest.raises(SchemaError):
-            tree.buffer_pool.flush_all(0.0)
+            tree.insert(key, RID(0, 0), 0.0)
+        assert (tree.height, tree.entry_count) == (0, 0)
+        tree.insert(good, RID(0, 1), 0.0)
+        with pytest.raises(SchemaError):
+            tree.insert(key, RID(0, 2), 0.0)
+        assert tree.range_scan(None, None, 0.0)[0] == [(good, RID(0, 1))]
+        tree.buffer_pool.flush_all(0.0)
+        assert tree.codec.decode(memory_backend.pages[(tree.space_id, 0)]).keys == [good]
+        tree.check_invariants()
 
 
 class TestDuplicatesAndUnique:
@@ -256,7 +267,7 @@ class TestCorruptNodeImages:
         for i in range(3 * tree.leaf_capacity):
             tree.insert((i, i) if kind == "int" else (i, f"s{i % 9}"), RID(i, 0), 0.0)
         tree.buffer_pool.flush_all(0.0)
-        images = [img for (sid, __), img in backend.pages.items() if sid == tree.space_id]
+        images = [img for (sid, __), img in backend.images().items() if sid == tree.space_id]
         leaf = next(img for img in images if img[0] == 1)
         inner = next(img for img in images if img[0] == 2)
         return tree, leaf, inner
@@ -291,6 +302,22 @@ class TestCorruptNodeImages:
         for image in (leaf, inner):
             with pytest.raises(IndexError_, match="corrupt index page"):
                 tree.codec.decode(self.with_count(image, 0xFFFF))
+
+    @pytest.mark.parametrize("kind", ["int", "text"])
+    def test_no_image_of_a_node_over_capacity(self, memory_backend, kind):
+        # what decode refuses, image() refuses to write; at capacity it is
+        # still an image, and it decodes to the node
+        tree, leaf, inner = self.images(memory_backend, kind)
+        for image, capacity in ((leaf, tree.leaf_capacity), (inner, tree.inner_capacity)):
+            node = tree.codec.decode(image)
+            tails = node.values if node.is_leaf else node.children
+            while len(node.keys) <= capacity:
+                if len(node.keys) == capacity:
+                    assert tree.codec.decode(tree.codec.image(node)).keys == node.keys
+                node.keys.append(node.keys[-1])
+                tails.append(tails[-1])
+            with pytest.raises(IndexError_, match="overflow"):
+                tree.codec.image(node)
 
 
 class TestRidRepresentation:
@@ -344,7 +371,7 @@ class TestRidRepresentation:
     def test_reencoding_a_decoded_leaf_is_byte_identical(self, memory_backend, kind):
         tree, __ = self.decoded_again(memory_backend, kind)
         images = [
-            image for (sid, __), image in memory_backend.pages.items() if sid == tree.space_id
+            image for (sid, __), image in memory_backend.images().items() if sid == tree.space_id
         ]
         assert len(images) > 3
         for image in images:

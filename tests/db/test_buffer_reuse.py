@@ -29,6 +29,7 @@ from repro.db import (
 )
 from repro.db import heap as heap_module
 from repro.db.table import Table
+from repro.flash import DeferredImage
 
 from tests.db.conftest import MemoryBackend
 
@@ -56,11 +57,12 @@ class CheckingBackend(MemoryBackend):
 
 
 class CopyingBackend(MemoryBackend):
-    """Hands back a fresh copy of every stored image: nothing is reused."""
+    """Hands back a fresh copy of every stored image, as bytes: nothing is
+    reused, and every miss decodes what a deferred image encodes to."""
 
     def _read(self, space, page_no, at):
         data, at = super()._read(space, page_no, at)
-        return bytes(bytearray(data)), at
+        return bytes(bytearray(bytes(data))), at
 
 
 class Stack:
@@ -157,7 +159,7 @@ def test_reuse_matches_an_always_decoding_pool(monkeypatch, offset):
         parked = reuse.pool._parked.get(key)
         if parked is not None and parked[0] is image:  # the miss will reinstall
             page = parked[1]
-            assert reuse.encoder(key[0])(page) == image
+            assert reuse.encoder(key[0])(page) == bytes(image)
             if isinstance(page, SlottedPage):
                 assert page.rows == {}
             reuses.append(key)
@@ -173,10 +175,46 @@ def test_reuse_matches_an_always_decoding_pool(monkeypatch, offset):
     assert reuse.pool.stats == decode.pool.stats
     assert (reused.reads, reused.writes) == (copied.reads, copied.writes)
     assert reuse.pool.flush_all(0.0) == decode.pool.flush_all(0.0)
-    assert reused.pages == copied.pages
+    assert reused.images() == copied.images()
     misses = decode.pool.stats.misses
     assert misses > 200 and decode.decodes == misses  # the oracle decodes every miss
     assert reuses and reuse.decodes == misses - len(reuses)
+
+
+def test_a_fresh_pool_decodes_another_pools_deferred_images(monkeypatch):
+    # no benchmark workload takes this path: a pool's misses on images that
+    # another pool wrote back, so nothing is parked and every one is decoded
+    backend = MemoryBackend()
+    writer = Stack(backend, monkeypatch, capacity=512)
+    run(writer, BASE_SEED * 10, steps=300)
+    writer.pool.flush_all(0.0)
+    assert writer.pool.stats.evictions == 0  # every page object is still buffered
+    codecs = {writer.heap_space: (SlottedPage.from_bytes, SlottedPage.image)}
+    for space_id, tree in writer.trees.items():
+        codecs[space_id] = (tree.codec.decode, tree.codec.image)
+    reader = BufferPool(backend, capacity=4, flusher_interval=0)
+    row_codec = writer.table.info.heap.codec
+    pages = nodes = 0
+    for key, data in backend.pages.items():
+        if key[0] not in codecs:
+            continue  # the metadata space's extent maps are plain bytes
+        assert isinstance(data, DeferredImage)
+        page, __ = reader.get(*key, 0.0, *codecs[key[0]])
+        original = writer.pool._frames[key].page
+        if key[0] == writer.heap_space:
+            assert page.slots() == original.slots()
+            assert [row_codec.decode(r) for __, r in page.slots()] == [
+                row_codec.decode(r) for __, r in original.slots()
+            ]
+            pages += 1
+        else:
+            assert (page.is_leaf, page.keys, page.next_leaf) == (
+                original.is_leaf, original.keys, original.next_leaf
+            )
+            assert (page.values, page.children) == (original.values, original.children)
+            nodes += 1
+    assert pages > 5 and nodes > 5
+    assert reader.stats.misses == pages + nodes
 
 
 def evicted_page(backend, capacity=4):

@@ -113,6 +113,48 @@ def test_miss_on_an_unchanged_page_decodes_nothing():
     assert not {"SlottedPage.from_bytes", "NodeCodec.decode"} & set(entered), entered
 
 
+#: every function that builds page bytes: the two page encoders and what
+#: a deferred image runs to encode
+ENCODERS = {
+    "SlottedPage.to_bytes",
+    "_encode",
+    "NodeCodec.encode",
+    "NodeCodec._encode_leaf",
+    "NodeCodec._encode_inner",
+    "NodeCodec._pack_entries",
+    "DeferredImage.__bytes__",
+}
+
+
+def test_write_back_encodes_nothing():
+    # inserts into a small pool evict dirty heap pages and index nodes, the
+    # flusher writes more back, a checkpoint flushes the rest, and a scan
+    # and a lookup miss on written-back pages: not one page is encoded
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    pool = BufferPool(backend, capacity=8, flusher_interval=64, flusher_batch=1)
+    schema = Schema([int_col("w"), int_col("i"), char_col("dist", 24), varchar_col("data", 50)])
+    info = TableInfo("T", schema, "t", HeapFile(pool, backend.create_space("t"), schema))
+    tree = BTree(pool, backend.create_space("i"), schema.project(["w", "i"]), unique=True)
+    info.indexes.append(IndexInfo("T_IDX", "T", ("w", "i"), True, "i", tree))
+    table = Table(info)
+
+    def workload():
+        at = 0.0
+        for i in range(2000):
+            __, at = table.insert((1, i, "d" * 24, "x" * 30), at)
+        at = pool.flush_all(at)
+        for __ in table.scan(at):
+            pass
+        table.lookup("T_IDX", (1, 0), at)
+
+    entered = set(python_calls(workload))
+    stats = pool.stats
+    assert stats.dirty_evictions and stats.flusher_writes and stats.misses
+    assert "BufferPool._write_back" in entered and "SlottedPage.image" in entered
+    assert "NodeCodec.image" in entered
+    assert not ENCODERS & entered, ENCODERS & entered
+
+
 def test_fixed_width_update_columns(warm):
     table, rid = warm
     changes = {"qty": 49, "ytd": 12.5, "cnt": 3}

@@ -104,7 +104,7 @@ def test_column_patch_is_indistinguishable_from_the_whole_row_update(operations)
         assert typed(row_a) == typed(row_b)
     assert db_a.checkpoint(at_a) == db_b.checkpoint(at_b)
     # heap pages, index nodes and log pages, image for image
-    assert db_a.backend.pages == db_b.backend.pages
+    assert db_a.backend.images() == db_b.backend.images()
     assert db_a.backend.io_stats() == db_b.backend.io_stats()
     for name in ("S_IDX", "S_QTY"):
         assert tree_entries(db_a, name) == tree_entries(db_b, name)

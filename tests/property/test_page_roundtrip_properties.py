@@ -11,12 +11,20 @@ inserts and deletes, for an all-INT key and for a text key of CHAR
 columns.  A CHAR *row* value reads back without its trailing spaces, but
 :class:`~repro.db.btree.KeyCodec` stores a key's text parts as VARCHARs,
 so a key keeps them; the properties draw such keys on purpose.
+
+A write-back hands the backend a page's *deferred* image
+(:meth:`SlottedPage.image`, :meth:`~repro.db.btree.NodeCodec.image`): a
+snapshot that is encoded only when read.  The same operation sequences
+check that such an image encodes to what the page encoded to when it was
+taken, that its ``len`` is exact, that later operations on the page (and
+node splits) leave it unchanged, and that it decodes back to the page.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.db import RID, BTree, BufferPool, PageFullError, Schema, SlottedPage, char_col, int_col
+from repro.flash import DeferredImage
 
 from tests.db.conftest import MemoryBackend
 
@@ -44,31 +52,58 @@ slot_ops = st.lists(
 def test_slotted_page_round_trips(page_size, operations):
     page = SlottedPage(page_size)
     for kind, pick, record in operations:
-        live = [slot for slot, __ in page.slots()]
-        if kind == "insert":
-            if page.fits(record):
-                page.insert(record)
+        if kind != "insert" and not page.slot_count:
             continue
-        if not live:
-            continue
-        slot = live[pick % len(live)]
-        if kind == "update":
-            try:
-                page.update(slot, record)
-            except PageFullError:
-                pass
-        elif kind == "replace":  # a same-length overwrite keeps the row it is handed
-            old = page.read(slot)
-            new = bytes(b ^ record[0] for b in old) if record else old[::-1]
-            page.replace(slot, new, ("row of", new))
-        elif kind == "delete":
-            page.delete(slot)
-        else:
-            page.read_row(slot, lambda data: ("row of", data))
+        apply_slot_op(page, kind, pick, record)
         decoded = SlottedPage.from_bytes(page.to_bytes())
         assert state(decoded) == state(page)
         assert decoded.rows == {}
         assert decoded.to_bytes() == page.to_bytes()
+
+
+def apply_slot_op(page, kind, pick, record):
+    """One drawn operation of ``slot_ops`` on ``page`` (skipped where it
+    does not apply)."""
+    if kind == "insert":
+        if page.fits(record):
+            page.insert(record)
+        return
+    live = [slot for slot, __ in page.slots()]
+    if not live:
+        return
+    slot = live[pick % len(live)]
+    if kind == "update":
+        try:
+            page.update(slot, record)
+        except PageFullError:
+            pass
+    elif kind == "replace":  # a same-length overwrite keeps the row it is handed
+        old = page.read(slot)
+        new = bytes(b ^ record[0] for b in old) if record else old[::-1]
+        page.replace(slot, new, ("row of", new))
+    elif kind == "delete":
+        page.delete(slot)
+    else:
+        page.read_row(slot, lambda data: ("row of", data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([64, 128, 256]), slot_ops)
+def test_slotted_page_images_are_frozen_snapshots(page_size, operations):
+    page = SlottedPage(page_size)
+    taken = []  # (deferred image, the page's bytes when it was taken)
+    for kind, pick, record in operations:
+        apply_slot_op(page, kind, pick, record)
+        image = page.image()
+        assert isinstance(image, DeferredImage)
+        encoded = page.to_bytes()
+        assert len(image) == len(encoded)
+        decoded = SlottedPage.from_bytes(image)
+        assert state(decoded) == state(page) and decoded.rows == {}
+        taken.append((image, encoded))
+    for image, encoded in taken:  # every later operation left it as it was
+        assert bytes(image) == encoded
+        assert len(image) == len(bytes(image))
 
 
 def typed(values):
@@ -133,3 +168,37 @@ def test_btree_nodes_round_trip(case):
         assert decoded.children == node.children
         assert decoded.next_leaf == node.next_leaf
     tree.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([INT_KEY, TEXT_KEY]).flatmap(
+        lambda shape: st.tuples(st.just(shape[0]), node_ops(shape[1]))
+    )
+)
+def test_btree_node_images_are_frozen_snapshots(case):
+    schema, operations = case
+    backend = MemoryBackend(page_size=256, io_cost=0.0)
+    pool = BufferPool(backend, capacity=256, flusher_interval=0)  # nothing is evicted
+    tree = BTree(pool, backend.create_space("idx"), schema)
+    codec = tree.codec
+    inserted, taken = [], []  # taken: (deferred image, node bytes when taken)
+    for kind, key, pick in operations:
+        if kind == "insert":
+            tree.insert(key, RID(pick, pick % 7), 0.0)
+            inserted.append(key)
+        elif inserted:
+            tree.delete(inserted[pick % len(inserted)] if pick % 3 else key, None, 0.0)
+        for frame in pool._frames.values():  # every node, split or not
+            node = frame.page
+            image, encoded = codec.image(node), codec.encode(node)
+            assert len(image) == len(encoded) == tree.page_size
+            decoded = codec.decode(image)
+            assert typed(decoded.keys) == typed(node.keys)
+            assert (decoded.values, decoded.children, decoded.next_leaf) == (
+                node.values, node.children, node.next_leaf
+            )
+            taken.append((image, encoded))
+    for image, encoded in taken:  # later inserts, deletes and splits left it as it was
+        assert bytes(image) == encoded
+        assert len(image) == len(bytes(image))
