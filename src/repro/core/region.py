@@ -367,15 +367,6 @@ class Region:
     # ------------------------------------------------------------------
     # Health / reporting
     # ------------------------------------------------------------------
-    def erase_count_spread(self) -> int:
-        """Max - min per-block erase count over the region's dies."""
-        counts = [
-            blk.erase_count
-            for d in self.engine.dies
-            for blk in self.device.dies[d].blocks
-        ]
-        return max(counts) - min(counts) if counts else 0
-
     def mean_die_erase_count(self) -> float:
         """Average total erase count per die (global-WL signal)."""
         if not self.engine.dies:

@@ -38,8 +38,6 @@ from repro.db.records import (
     int_col,
     varchar_col,
 )
-from repro.db.dml import DMLError, DMLResult, execute_dml, is_dml, parse_literal, parse_where
-from repro.db.query import Between, Eq, Plan, QueryError, explain, plan_query, select
 from repro.db.partition import (
     HashPartition,
     PartitionedRID,
@@ -64,7 +62,6 @@ __all__ = [
     "BTree",
     "BufferError",
     "BufferPool",
-    "Between",
     "BufferStats",
     "Catalog",
     "CatalogError",
@@ -72,10 +69,7 @@ __all__ = [
     "ColumnType",
     "Database",
     "DDLError",
-    "DMLError",
-    "DMLResult",
     "DEFAULT_EXTENT_PAGES",
-    "Eq",
     "HeapError",
     "HeapFile",
     "IndexError_",
@@ -91,8 +85,6 @@ __all__ = [
     "PartitionScheme",
     "PartitionedRID",
     "PartitionedTable",
-    "Plan",
-    "QueryError",
     "RangePartition",
     "RID",
     "RowCodec",
@@ -111,18 +103,11 @@ __all__ = [
     "float_col",
     "int_col",
     "parse_column",
-    "parse_literal",
-    "parse_where",
     "parse_create_index",
     "parse_create_table",
     "parse_create_tablespace",
     "parse_drop_table",
     "statement_kind",
-    "execute_dml",
-    "explain",
-    "is_dml",
-    "plan_query",
     "replay_log",
-    "select",
     "varchar_col",
 ]

@@ -44,7 +44,6 @@ from repro.db.table import Table
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.db.dml import DMLResult
     from repro.db.partition import PartitionedTable, PartitionScheme
     from repro.db.wal import WriteAheadLog
     from repro.obs.events import EventBus
@@ -285,20 +284,14 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
     def execute(self, sql: str, at: float = 0.0) -> float:
-        """Execute one DDL or DML statement; returns the completion time.
-
-        For SELECTs, use :meth:`query` to get the rows back.
-        """
-        from repro.db.dml import execute_dml, is_dml
-
-        if is_dml(sql):
-            return execute_dml(self, sql, at).end_us
+        """Execute one DDL statement; returns the completion time."""
         kind = statement_kind(sql)
         if kind == "region":
             stmt = parse_create_region(sql)
             if self.store is None:
                 raise DDLError("CREATE REGION requires a native-flash database")
-            self.store.create_region(stmt.config, stmt.num_dies or 1)
+            num_dies = 1 if stmt.num_dies is None else stmt.num_dies
+            self.store.create_region(stmt.config, num_dies)
             return at
         if kind == "drop_region":
             stmt = parse_drop_region(sql)
@@ -308,11 +301,15 @@ class Database:
             return at
         if kind == "tablespace":
             ts = parse_create_tablespace(sql)
-            extent_pages = (
-                max(1, ts.extent_size_bytes // self.backend.page_size)
-                if ts.extent_size_bytes
-                else self.default_extent_pages
-            )
+            extent_pages = self.default_extent_pages
+            if ts.extent_size_bytes is not None:
+                page_size = self.backend.page_size
+                if ts.extent_size_bytes == 0 or ts.extent_size_bytes % page_size:
+                    raise DDLError(
+                        f"EXTENT SIZE of {ts.extent_size_bytes} bytes is not a "
+                        f"positive multiple of the {page_size}-byte page"
+                    )
+                extent_pages = ts.extent_size_bytes // page_size
             self.create_tablespace(ts.name, region=ts.region, extent_pages=extent_pages)
             return at
         if kind == "table":
@@ -334,16 +331,6 @@ class Database:
             self.drop_table(stmt.name)
             return at
         raise DDLError(f"unhandled statement kind {kind!r}")
-
-    def query(self, sql: str, at: float = 0.0) -> DMLResult:
-        """Run one DML statement and return its :class:`~repro.db.dml.DMLResult`.
-
-        ``result.rows`` carries SELECT output; ``result.affected`` counts
-        modified rows for INSERT/UPDATE/DELETE.
-        """
-        from repro.db.dml import execute_dml
-
-        return execute_dml(self, sql, at)
 
     def execute_script(self, sql: str, at: float = 0.0) -> float:
         """Execute a ``;``-separated sequence of DDL statements."""

@@ -40,7 +40,6 @@ from repro.obs.export import (
     SchemaError,
     dump_json,
     metrics_doc,
-    render_comparison,
     render_snapshot,
     validate_metrics_doc,
     validate_snapshot,
@@ -70,7 +69,6 @@ __all__ = [
     "registry_for_blockdevice",
     "registry_for_database",
     "registry_for_store",
-    "render_comparison",
     "render_snapshot",
     "validate_metrics_doc",
     "validate_snapshot",

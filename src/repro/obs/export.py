@@ -130,18 +130,3 @@ def render_snapshot(title: str, snapshot: dict[str, float]) -> str:
     for key in sorted(snapshot):
         lines.append(f"{key:<{width}}  {_format_value(snapshot[key])}")
     return "\n".join(lines)
-
-
-def render_comparison(
-    title: str, rows: list[tuple[str, float, float]], col_a: str, col_b: str
-) -> str:
-    """Two-config comparison with a ratio column (Figure 3 shape)."""
-    header = f"{'metric':<24} {col_a:>18} {col_b:>18} {'B/A':>8}"
-    lines = [title, "=" * len(header), header, "-" * len(header)]
-    for label, a, b in rows:
-        ratio = b / a if a else float("inf") if b else 1.0
-        lines.append(
-            f"{label:<24} {_format_value(a):>18} {_format_value(b):>18} {ratio:>7.2f}x"
-        )
-    lines.append("=" * len(header))
-    return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import figure2_placement, traditional_placement
+from repro.core import RegionError, figure2_placement, traditional_placement
 from repro.db import Database, DDLError, Schema, char_col, int_col
 from repro.flash import FlashGeometry, instant_timing
 
@@ -57,17 +57,57 @@ class TestPaperDDLExample:
         assert row == (1, "one")
 
 
-class TestDDLErrors:
-    def test_unsupported_statement(self):
-        db = make_db()
-        with pytest.raises(DDLError):
-            db.execute("GRANT ALL ON t TO alice")
+def catalog_state(db):
+    """Every name the catalog and the region manager know, for before/after checks."""
+    return (
+        sorted(t.name for t in db.catalog.tables()),
+        sorted(ts.name for ts in db.catalog.tablespaces()),
+        sorted(i.name for i in db.catalog.indexes()),
+        [r.name for r in db.store.regions()],
+    )
 
-    def test_dml_supported_via_execute(self):
+
+class TestDDLErrors:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "GRANT ALL ON t TO alice",
+            "INSERT INTO t VALUES (7)",
+            "SELECT * FROM t",
+            "UPDATE t SET a = 8 WHERE a = 7",
+            "DELETE FROM t WHERE a = 7",
+        ],
+        ids=["grant", "insert", "select", "update", "delete"],
+    )
+    def test_unsupported_statement(self, sql):
         db = make_db()
         db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (7)")
-        assert db.query("SELECT * FROM t").rows == [(7,)]
+        before = catalog_state(db)
+        with pytest.raises(DDLError, match="unsupported statement"):
+            db.execute(sql)
+        assert catalog_state(db) == before
+        assert db.table("t").row_count == 0
+
+    @pytest.mark.parametrize("dies", ["0", "-1"])
+    def test_region_needs_a_die(self, dies):
+        db = make_db()
+        before = catalog_state(db)
+        with pytest.raises(RegionError, match="at least one die"):
+            db.execute(f"CREATE REGION rg (DIES={dies})")
+        assert catalog_state(db) == before
+
+    @pytest.mark.parametrize("extent", ["0K", "100"])
+    def test_extent_size_must_be_whole_pages(self, extent):
+        db = make_db()
+        before = catalog_state(db)
+        with pytest.raises(DDLError, match="EXTENT SIZE"):
+            db.execute(f"CREATE TABLESPACE ts (EXTENT SIZE {extent})")
+        assert catalog_state(db) == before
+
+    def test_extent_size_in_whole_pages_accepted(self):
+        db = make_db()
+        db.execute("CREATE TABLESPACE ts (EXTENT SIZE 8K)")
+        assert db.catalog.tablespace("ts").extent_pages == 8 * 1024 // 512
 
     def test_region_ddl_requires_native_flash(self):
         db = Database.on_block_device(
@@ -110,8 +150,6 @@ class TestPlacementIntegration:
         assert ts.region == "rgMeta"  # first spec of figure2
 
     def test_placement_must_fit_device(self):
-        from repro.core import RegionError
-
         with pytest.raises(RegionError):
             Database.on_native_flash(
                 geometry=tiny_geometry(),
