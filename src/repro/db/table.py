@@ -106,9 +106,19 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: Row, at: float) -> tuple[RID, float]:
         """Insert a row, updating every index (and the WAL, if attached)."""
-        heap = self.info.heap
-        record = heap.codec.encode(row)
-        rid, at = heap.insert_record(record, at)
+        return self._insert(self.info.heap.codec.encode(row), row, at)
+
+    def insert_record(self, record: bytes, at: float) -> tuple[RID, float]:
+        """:meth:`insert` for a row already encoded with the heap's codec.
+
+        The page keeps ``record`` itself (an exact ``bytes`` is stored as
+        is); it is decoded only for the index keys.
+        """
+        return self._insert(record, self.info.heap.codec.decode(record), at)
+
+    def _insert(self, record: bytes, row: Row, at: float) -> tuple[RID, float]:
+        """The body of both inserts: ``row`` is what ``record`` decodes to."""
+        rid, at = self.info.heap.insert_record(record, at)
         for index, key_of in self._indexes():
             at = index.btree.insert(key_of(row), rid, at)
         if self.wal is not None:
@@ -125,9 +135,17 @@ class Table:
         Index entries are rewritten only when their key changed or the
         record moved.
         """
+        return self._update(rid, self.info.heap.codec.encode(row), row, at)
+
+    def update_record(self, rid: RID, record: bytes, at: float) -> tuple[RID, float]:
+        """:meth:`update` for a row already encoded with the heap's codec,
+        kept by the page as :meth:`insert_record` keeps it."""
+        return self._update(rid, record, self.info.heap.codec.decode(record), at)
+
+    def _update(self, rid: RID, record: bytes, row: Row, at: float) -> tuple[RID, float]:
+        """The body of both updates: ``row`` is what ``record`` decodes to."""
         heap = self.info.heap
         old_row, at = heap.read(rid, at)
-        record = heap.codec.encode(row)
         if self.wal is not None:
             __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
         new_rid, at = heap.update_record(rid, record, at)

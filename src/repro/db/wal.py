@@ -243,11 +243,9 @@ class WriteAheadLog:
 def _apply_record(db: Database, record: LogRecord, at: float) -> float:
     table = db.table(record.table)
     if record.type is LogRecordType.INSERT:
-        row = table.info.heap.codec.decode(record.row_bytes)
-        __, at = table.insert(row, at)
+        __, at = table.insert_record(record.row_bytes, at)
     elif record.type is LogRecordType.UPDATE:
-        row = table.info.heap.codec.decode(record.row_bytes)
-        __, at = table.update(record.rid, row, at)
+        __, at = table.update_record(record.rid, record.row_bytes, at)
     elif record.type is LogRecordType.DELETE:
         at = table.delete(record.rid, at)
     return at

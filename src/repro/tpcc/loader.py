@@ -6,13 +6,18 @@ ORDER / ORDERLINE / NEW_ORDER rows (the last ~30% of orders are open,
 i.e. have NEW_ORDER entries and undelivered lines).
 
 It is a pure function of ``(scale, seed)``, so it is generated once:
-:func:`initial_population` keeps the last population it built, as an
-immutable ``(table, row)`` stream in insertion order, and
-:func:`load_database` only inserts that stream and finishes with a
+:func:`initial_records` keeps the last population it built as the
+``(table, record)`` pairs the heap stores, in insertion order -- every row
+encoded once with its table's :class:`~repro.db.records.RowCodec` -- and
+:func:`load_database` hands each record to
+:meth:`~repro.db.table.Table.insert_record` and finishes with a
 checkpoint, so the load is entirely on flash before measurement starts.
-Every experiment loads one population several times (``fig3`` three
-times, a chaos run twice per fault plan); the memo holds one entry,
-about 12.6 MiB at the benchmark's scale, for the life of the process.
+The heap pages keep the memo's ``bytes`` objects themselves, so a loaded
+database shares them instead of holding a second copy.  Every experiment
+loads one population several times (``fig3`` twice, a chaos run twice per
+fault plan); the memo holds one entry for the life of the process, about
+6.9 MiB at the benchmark's scale (4.6 MiB of it the records).  The rows
+exist only while the memo is built.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import functools
 from collections.abc import Iterator
 
 from repro.db.database import Database
-from repro.db.records import Row
+from repro.db.records import Row, RowCodec, SchemaError
 from repro.tpcc.random_gen import TPCCRandom
-from repro.tpcc.schema import ScaleConfig, create_schema
+from repro.tpcc.schema import TABLE_SCHEMAS, ScaleConfig, create_schema
 
 
 def load_database(
@@ -31,23 +36,35 @@ def load_database(
 ) -> float:
     """Create the schema (optionally) and load the initial population.
 
-    Returns the virtual completion time of the load + checkpoint.
+    With ``create=False`` every TPC-C table must already exist with the
+    columns of :data:`~repro.tpcc.schema.TABLE_SCHEMAS`; a table that
+    differs raises :class:`~repro.db.records.SchemaError` before anything
+    is inserted.  Returns the virtual completion time of the load +
+    checkpoint.
     """
     if create:
         at = create_schema(db, at)
-    for table, row in initial_population(scale, seed):
-        __, at = db.table(table).insert(row, at)
+    for name, schema in TABLE_SCHEMAS.items():
+        if db.table(name).schema.columns != schema.columns:
+            raise SchemaError(f"table {name!r}: columns differ from the TPC-C schema")
+    for table, record in initial_records(scale, seed):
+        __, at = db.table(table).insert_record(record, at)
     return db.checkpoint(at)
 
 
 @functools.lru_cache(maxsize=1)
-def initial_population(scale: ScaleConfig, seed: int) -> tuple[tuple[str, Row], ...]:
+def initial_records(scale: ScaleConfig, seed: int) -> tuple[tuple[str, bytes], ...]:
+    """Every ``(table, record)`` of the initial population, in load order."""
+    encoders = {name: RowCodec(schema).encode for name, schema in TABLE_SCHEMAS.items()}
+    return tuple((table, encoders[table](row)) for table, row in _rows(scale, seed))
+
+
+def _rows(scale: ScaleConfig, seed: int) -> Iterator[tuple[str, Row]]:
     """Every ``(table, row)`` of the initial population, in load order."""
     rng = TPCCRandom(seed)
-    rows = list(_items(scale, rng))
+    yield from _items(scale, rng)
     for w_id in range(1, scale.warehouses + 1):
-        rows.extend(_warehouse(scale, rng, w_id))
-    return tuple(rows)
+        yield from _warehouse(scale, rng, w_id)
 
 
 def _items(scale: ScaleConfig, rng: TPCCRandom) -> Iterator[tuple[str, Row]]:

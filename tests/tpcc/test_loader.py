@@ -2,11 +2,13 @@
 
 import hashlib
 
+import pytest
+
 from repro.tpcc import INDEX_DEFS, TABLE_SCHEMAS, ScaleConfig, load_database, tiny_scale
-from repro.tpcc.loader import initial_population
+from repro.tpcc.loader import initial_records
 
 from repro.core import traditional_placement
-from repro.db import Database
+from repro.db import Column, ColumnType, Database, RowCodec, Schema, SchemaError
 
 from tests.tpcc.conftest import tpcc_geometry
 
@@ -93,8 +95,6 @@ class TestPopulation:
         assert stats["host_writes"] > 0
 
     def test_scale_validation(self):
-        import pytest
-
         with pytest.raises(ValueError):
             ScaleConfig(warehouses=0)
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestPopulation:
 
 
 class _RecordingDb:
-    """Stands in for a ``Database``: keeps the ``(table, row)`` stream."""
+    """Stands in for a ``Database``: keeps the ``(table, record)`` stream."""
 
     def __init__(self):
         self.stream = []
@@ -122,23 +122,39 @@ class _RecordingDb:
 class _RecordingTable:
     def __init__(self, name, stream):
         self.name, self.stream = name, stream
+        self.schema = TABLE_SCHEMAS[name]
 
-    def insert(self, row, at):
-        self.stream.append((self.name, row))
+    def insert_record(self, record, at):
+        self.stream.append((self.name, record))
         return None, at + 1.0
 
 
 def _digest(stream):
+    """sha256 over ``repr`` of every ``(table, row)``, the rows decoded."""
+    codecs = {name: RowCodec(schema) for name, schema in TABLE_SCHEMAS.items()}
     sha = hashlib.sha256()
-    for entry in stream:
-        sha.update(repr(entry).encode())
+    for table, record in stream:
+        sha.update(repr((table, codecs[table].decode(record))).encode())
     return sha.hexdigest()
+
+
+def _database():
+    geometry = tpcc_geometry()  # default flash timing: the end time is real
+    return Database.on_native_flash(
+        geometry=geometry, placement=traditional_placement(geometry.dies), buffer_pages=64
+    )
+
+
+def _load():
+    db = _database()
+    return db, load_database(db, tiny_scale(), seed=0)
 
 
 class TestInitialPopulation:
     #: sha256 over ``repr`` of every ``(table, row)`` the loader handed a
     #: ``_RecordingDb`` for ``(tiny_scale(), seed 0)`` *before* the
-    #: population became a memoised stream (commit 9d5771a): 286 rows
+    #: population became a memoised stream (commit 9d5771a): 286 rows.
+    #: The loader now hands it records; their rows must hash the same.
     STREAM_SHA256 = "1e074a52adceeb92e6be4f30ab9cf7ffdd7721cfe928243eda4687b40bc98610"
 
     def test_stream_fed_to_the_database_is_pinned(self):
@@ -146,37 +162,53 @@ class TestInitialPopulation:
         end = load_database(db, tiny_scale(), seed=0, at=10.0, create=False)
         assert len(db.stream) == 286 and end == 296.0  # time threaded through every insert
         assert _digest(db.stream) == self.STREAM_SHA256
-        assert tuple(db.stream) == initial_population(tiny_scale(), 0)
+        memo = initial_records(tiny_scale(), 0)
+        assert all(fed is kept for (__, fed), (___, kept) in zip(db.stream, memo, strict=True))
 
     def test_generated_once_per_scale_and_seed(self):
-        first = initial_population(tiny_scale(), 0)
-        assert initial_population(tiny_scale(), 0) is first
-        other = initial_population(tiny_scale(), 1)
+        first = initial_records(tiny_scale(), 0)
+        assert initial_records(tiny_scale(), 0) is first
+        other = initial_records(tiny_scale(), 1)
         assert _digest(other) != self.STREAM_SHA256
         # one entry: the other seed pushed the first population out
-        again = initial_population(tiny_scale(), 0)
+        again = initial_records(tiny_scale(), 0)
         assert again is not first and again == first
+        assert initial_records(tiny_scale(), 0) is again
 
     def test_shared_value_is_immutable(self):
-        population = initial_population(tiny_scale(), 0)
+        population = initial_records(tiny_scale(), 0)
         assert type(population) is tuple
         for entry in population:
             assert type(entry) is tuple
-            table, row = entry
-            assert table in TABLE_SCHEMAS and type(row) is tuple
-            assert all(type(value) in (int, float, str) for value in row)
+            table, record = entry
+            assert table in TABLE_SCHEMAS and type(record) is bytes  # no row tuples
+
+    def test_heap_pages_hold_the_memo_records(self):
+        memo = initial_records(tiny_scale(), 0)
+        for db, end in (_load(), _load()):  # the second load shares them too
+            for name in TABLE_SCHEMAS:
+                kept = [record for table, record in memo if table == name]
+                heap = db.table(name).info.heap
+                stored = [heap.read_record(rid, end)[0] for rid, __, ___ in heap.scan(end)]
+                assert len(stored) == len(kept) > 0
+                assert all(a is b for a, b in zip(stored, kept))
 
     def test_two_loads_of_one_population_are_identical(self):
-        def load():
-            geometry = tpcc_geometry()  # default flash timing: the end time is real
-            db = Database.on_native_flash(
-                geometry=geometry, placement=traditional_placement(geometry.dies), buffer_pages=64
-            )
-            return db, load_database(db, tiny_scale(), seed=0)
-
-        (first, first_end), (second, second_end) = load(), load()
+        (first, first_end), (second, second_end) = _load(), _load()
         assert first_end == second_end > 0.0
         for name in TABLE_SCHEMAS:
             rows = list(first.table(name).scan(first_end))
             assert rows == list(second.table(name).scan(second_end))
             assert len(rows) == first.table(name).row_count > 0
+
+    @pytest.mark.parametrize("changed", ["ITEM", "NEW_ORDER"])
+    def test_a_table_with_other_columns_is_refused_before_any_insert(self, changed):
+        db = _database()
+        for name, schema in TABLE_SCHEMAS.items():
+            columns = list(schema.columns)
+            if name == changed:
+                columns.append(Column("extra", ColumnType.INT))
+            db.create_table(name, Schema(columns))
+        with pytest.raises(SchemaError, match=f"table '{changed}'"):
+            load_database(db, tiny_scale(), seed=0, create=False)
+        assert all(db.table(name).row_count == 0 for name in TABLE_SCHEMAS)

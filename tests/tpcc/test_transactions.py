@@ -1,5 +1,10 @@
 """Tests for the five TPC-C transactions."""
 
+import pytest
+
+from repro.core import traditional_placement
+from repro.db import Database
+from repro.flash import instant_timing
 from repro.tpcc import (
     DELIVERY,
     NEW_ORDER,
@@ -8,7 +13,11 @@ from repro.tpcc import (
     STOCK_LEVEL,
     TPCCRandom,
     TransactionExecutor,
+    create_schema,
+    tiny_scale,
 )
+
+from tests.tpcc.conftest import tpcc_geometry
 
 
 def executor(tpcc_db):
@@ -174,3 +183,42 @@ class TestConsistencyAfterMixedLoad:
         # every ORDER row must be reachable through O_IDX
         o_idx = db.catalog.index("O_IDX").btree
         assert o_idx.entry_count == db.table("ORDER").row_count
+
+
+class TestCustomerByName:
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            3,
+            pytest.param(
+                2,
+                marks=pytest.mark.xfail(strict=True, reason="picks n//2 for even n: ROADMAP 1(d)"),
+            ),
+            pytest.param(
+                4,
+                marks=pytest.mark.xfail(strict=True, reason="picks n//2 for even n: ROADMAP 1(d)"),
+            ),
+        ],
+    )
+    def test_takes_the_customer_at_position_ceil_half_n(self, n):
+        """Spec 2.5.2.2 / 2.6.2.2: of the ``n`` customers with the last name,
+        sorted by first name, the one at 1-based position ceil(n/2), i.e.
+        index ``(n - 1) // 2``."""
+        geometry = tpcc_geometry()
+        db = Database.on_native_flash(
+            geometry=geometry,
+            placement=traditional_placement(geometry.dies),
+            timing=instant_timing(),
+            buffer_pages=64,
+        )
+        at = create_schema(db)
+        firsts = [f"FIRST{i}" for i in range(n)]
+        for c_id, first in enumerate(reversed(firsts), start=1):  # not in name order
+            row = (c_id, 1, 1, first, "OE", "SAMENAME", "s", "c", "ST", "123411111", "0" * 16,
+                   0, "GC", 50_000.0, 0.1, -10.0, 10.0, 1, 0, "data")
+            __, at = db.table("CUSTOMER").insert(row, at)
+        ex = TransactionExecutor(db, tiny_scale(), TPCCRandom(seed=0))
+        __, row, ___ = ex._customer_by_name(1, 1, "SAMENAME", at)
+        first = db.table("CUSTOMER").schema.position("c_first")
+        assert row[first] == firsts[(n - 1) // 2]
