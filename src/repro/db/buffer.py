@@ -40,7 +40,13 @@ else — one dict probe between those — so heap files and B-trees bind
 ``pool.get`` once, when they are built, and call it positionally with the
 page codec they also bound once.  (At construction, not at import:
 whatever wraps the method on the class before a storage stack is built —
-the end-to-end benchmark's tracer does — is what gets bound.)
+the end-to-end benchmark's tracer does — is what gets bound.)  Since a
+touch is the unit of both CPU charge and flush cadence, the callers
+make one per row operation (:mod:`repro.db.heap`): fewer touches per
+transaction mean less simulated CPU time and rarer flush rounds, so more
+dirty pages leave by eviction instead.  The touches a row write no
+longer makes were all hits, so :attr:`BufferStats.hit_ratio` is lower for
+the same misses — a smaller denominator of hits, not a worse cache.
 
 Replacement is CLOCK over a ring of keys in installation order.  The
 sweep hands :meth:`BufferPool._make_room` the ring position of its victim

@@ -5,12 +5,22 @@ through the buffer pool.  Records are addressed by :class:`RID`
 (page number + slot).  Updates are in place when the new image fits;
 otherwise the record moves and the caller receives the new RID (secondary
 indexes must then be fixed by the table layer).
+
+One fix per row operation, as Shore-MT fixes a heap page once per row
+write: a read, an update (:meth:`HeapFile.rewrite`, whatever builds the
+new image) and a delete each touch the row's page through
+:meth:`BufferPool.get` exactly once, and a write hands back the old row
+from that same touch, so the caller needs no read before it writes (a
+moving record also touches the page it moves to).  Every touch charges
+``cpu_us_per_op`` of simulated time and is one step of the countdown to
+the next flush round, so the touch count of a row write sets both its
+CPU cost and how often the flusher runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from typing import NamedTuple
+from collections.abc import Callable, Iterator
+from typing import NamedTuple, TypeAlias
 
 from repro.db.buffer import BufferPool
 from repro.db.records import Row, RowCodec, Schema
@@ -22,6 +32,11 @@ from repro.db.slotted_page import PageFullError, SlottedPage
 #: the backend a page's deferred image, not its bytes
 _DECODE_PAGE = SlottedPage.from_bytes
 _IMAGE_PAGE = SlottedPage.image
+
+
+#: How :meth:`HeapFile.rewrite` changes a row: ``(row, record) -> (new
+#: record, new row, kept)``, see there.
+Change: TypeAlias = Callable[[Row, bytes], tuple[bytes, Row, bool]]
 
 
 class HeapError(Exception):
@@ -168,49 +183,62 @@ class HeapFile:
         page, at = self._page_of(rid, at)
         return page.read(rid.slot), at
 
-    def replace(self, rid: RID, record: bytes, row: Row, at: float) -> float:
-        """Overwrite the row at ``rid`` with an image of the same length.
+    def rewrite(self, rid: RID, change: Change, at: float) -> tuple[Row, bytes, Row, RID, float]:
+        """Write the row at ``rid`` with one touch of its page.
 
-        ``row`` must be what ``record`` decodes to (it is retained as if a
-        read had decoded it); a same-length image always fits, so the RID
-        stands.  The in-place half of a column patch, see
-        :meth:`repro.db.records.RowCodec.patcher`.
+        ``change(row, record)`` gets the row as it is now (decoded once,
+        as :meth:`read` does) and its stored record, and returns
+        ``(new record, new row, kept)``.  ``kept`` says the new record has
+        the old one's length and ``new row`` is what the decoder returns
+        for it — a column patch (:meth:`repro.db.records.RowCodec.patcher`):
+        the slot is overwritten in place and keeps the row.  Otherwise the
+        record is updated in place if it fits the page and moves if it
+        does not.  Nothing is written if ``change`` raises.
+
+        Returns ``(old row, new record, new row, rid, completion_us)`` —
+        a *new* RID if the record moved (its insert touches the page it
+        moves to).
         """
+        page_no, slot = rid
         page, at = self._page_of(rid, at)
-        page.replace(rid.slot, record, row)
-        self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
-        return at
+        old_row = page.read_row(slot, self._decode_row)
+        record, row, kept = change(old_row, page.read(slot))
+        if kept:
+            page.replace(slot, record, row)
+        else:
+            try:
+                page.update(slot, record)
+            except PageFullError:
+                page.delete(slot)
+                self._push_open(page_no)
+                self._row_count -= 1
+                self.buffer_pool.mark_dirty(self.space_id, page_no)
+                rid, at = self.insert_record(record, at)
+                return old_row, record, row, rid, at
+        self.buffer_pool.mark_dirty(self.space_id, page_no)
+        return old_row, record, row, rid, at
 
     def update(self, rid: RID, row: Row, at: float) -> tuple[RID, float]:
-        """Update the row at ``rid``.
+        """Replace the row at ``rid`` (:meth:`rewrite` with a whole row).
 
         Returns ``(rid, completion_us)`` — a *new* RID if the record had to
         move because it outgrew its page.
         """
-        return self.update_record(rid, self.codec.encode(row), at)
+        record = self.codec.encode(row)
+        *__, rid, at = self.rewrite(rid, lambda old, stored: (record, row, False), at)
+        return rid, at
 
-    def update_record(self, rid: RID, record: bytes, at: float) -> tuple[RID, float]:
-        """:meth:`update` for a row the caller has encoded with :attr:`codec`."""
+    def delete(self, rid: RID, at: float) -> tuple[Row, float]:
+        """Delete the row at ``rid``; returns ``(old row, completion_us)``,
+        the row as :meth:`read` would have, from the same touch."""
+        page_no, slot = rid
         page, at = self._page_of(rid, at)
-        try:
-            page.update(rid.slot, record)
-            self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
-            return rid, at
-        except PageFullError:
-            page.delete(rid.slot)
-            self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
-            self._push_open(rid.page_no)
-            self._row_count -= 1
-            return self.insert_record(record, at)
-
-    def delete(self, rid: RID, at: float) -> float:
-        """Delete the row at ``rid``."""
-        page, at = self._page_of(rid, at)
-        page.delete(rid.slot)
-        self.buffer_pool.mark_dirty(self.space_id, rid.page_no)
-        self._push_open(rid.page_no)
+        row = page.read_row(slot, self._decode_row)
+        page.delete(slot)
+        self.buffer_pool.mark_dirty(self.space_id, page_no)
+        self._push_open(page_no)
         self._row_count -= 1
-        return at
+        return row, at
 
     def scan(self, at: float) -> Iterator[tuple[RID, Row, float]]:
         """Iterate ``(rid, row, completion_us)`` over all live rows.

@@ -160,7 +160,13 @@ class PartitionedTable:
     def update_columns(
         self, prid: PartitionedRID, changes: dict[str, object], at: float
     ) -> tuple[PartitionedRID, float]:
-        """Read-modify-write of named columns (partition-move aware)."""
+        """Read-modify-write of named columns: one touch of the row's page
+        (:meth:`Table.update_columns`), unless a new partition-column value
+        routes the row elsewhere — then it is read, deleted and inserted."""
+        column = self.scheme.column
+        if column not in changes or self.scheme.route_value(changes[column]) == prid.partition:
+            rid, at = self.parts[prid.partition].update_columns(prid.rid, changes, at)
+            return PartitionedRID(prid.partition, rid), at
         row, at = self.read(prid, at)
         values = list(row)
         for name, value in changes.items():

@@ -4,6 +4,15 @@
 secondary indexes consistent — inserts add entries, deletes remove them,
 and updates fix exactly the indexes whose key columns changed (or all of
 them when the record had to move to a new RID).
+
+A mutation touches the row's heap page once (see :mod:`repro.db.heap`):
+an update or delete learns the old row, which its index maintenance
+needs, from its own write, not from a read before it.  A transaction
+that reads a row and then updates it — TPC-C's STOCK, WAREHOUSE,
+DISTRICT, CUSTOMER, ORDER and ORDERLINE — pays two touches, as
+Shore-Kits' ``probe_forupdate`` + ``update_tuple`` does.  The redo record
+carries the new image, so it is appended after the touch, as an engine
+logs under the page latch.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from operator import itemgetter
 from typing import TypeAlias
 
 from repro.db.catalog import IndexInfo, TableInfo
-from repro.db.heap import RID
+from repro.db.heap import RID, Change
 from repro.db.records import Key, Patcher, Row, Schema
 from repro.db.wal import LogRecordType, WriteAheadLog
 
@@ -144,12 +153,19 @@ class Table:
 
     def _update(self, rid: RID, record: bytes, row: Row, at: float) -> tuple[RID, float]:
         """The body of both updates: ``row`` is what ``record`` decodes to."""
-        heap = self.info.heap
-        old_row, at = heap.read(rid, at)
+        return self._rewrite(rid, lambda old, stored: (record, row, False), self._indexes(), at)
+
+    def _rewrite(
+        self, rid: RID, change: Change, indexes: list[_KeyedIndex], at: float
+    ) -> tuple[RID, float]:
+        """Every update: one touch of the row's page, where ``change``
+        builds the new image; then its log record (the new image, so it
+        follows the touch, as an engine logs under the page latch); then
+        those of ``indexes`` whose key changed or whose row moved."""
+        old_row, record, row, new_rid, at = self.info.heap.rewrite(rid, change, at)
         if self.wal is not None:
             __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
-        new_rid, at = heap.update_record(rid, record, at)
-        for index, key_of in self._indexes():
+        for index, key_of in indexes:
             old_key = key_of(old_row)
             new_key = key_of(row)
             if old_key == new_key and new_rid == rid:
@@ -159,51 +175,49 @@ class Table:
         return new_rid, at
 
     def update_columns(self, rid: RID, changes: dict[str, object], at: float) -> tuple[RID, float]:
-        """Read-modify-write of named columns.
+        """Read-modify-write of named columns, with one touch of the row's
+        page (:meth:`repro.db.heap.HeapFile.rewrite`).
 
         A change set of INT/FLOAT columns at fixed offsets is patched into
         the stored image (:meth:`repro.db.records.RowCodec.patcher`): same
-        page touches and log record as :meth:`update` with the whole row,
-        but only the changed bytes, the changed values of the retained row
-        and the indexes over a changed column are processed.  The RID of a
-        patched row never changes.
+        page touch and log record as the whole-row update that rebuilds
+        the row, but only the changed bytes, the changed values of the
+        retained row and the indexes over a changed column are processed.
+        The RID of a patched row never changes.
         """
-        heap = self.info.heap
-        row, at = heap.read(rid, at)
         if len(self._keyed) != len(self.info.indexes):  # _indexes(), in this frame
             self._compile()
         names = tuple(changes)
         positions, patch, affected = self._column_plans.get(names) or self._column_plan(names)
-        values = list(row)
+        values = list(changes.values())
         if patch is None:
-            for position, value in zip(positions, changes.values()):
-                values[position] = value
-            return self.update(rid, tuple(values), at)
-        # from here on, update() step by step: its read of the old row, ...
-        record, at = heap.read_record(rid, at)
-        record, decoded = patch(record, list(changes.values()))
-        for position, value in zip(positions, decoded):
-            values[position] = value
-        new_row = tuple(values)
-        # ... its log record, its write, its index maintenance
-        if self.wal is not None:
-            __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
-        at = heap.replace(rid, record, new_row, at)
-        for index, key_of in affected:
-            old_key = key_of(row)
-            new_key = key_of(new_row)
-            if old_key != new_key:
-                __, at = index.btree.delete(old_key, rid, at)
-                at = index.btree.insert(new_key, rid, at)
-        return rid, at
+            encode = self.info.heap.codec.encode
+
+            def change(old: Row, stored: bytes) -> tuple[bytes, Row, bool]:
+                row = list(old)
+                for position, value in zip(positions, values):
+                    row[position] = value
+                new_row = tuple(row)
+                return encode(new_row), new_row, False
+
+            affected = self._keyed
+        else:
+
+            def change(old: Row, stored: bytes) -> tuple[bytes, Row, bool]:
+                record, decoded = patch(stored, values)
+                row = list(old)
+                for position, value in zip(positions, decoded):
+                    row[position] = value
+                return record, tuple(row), True
+
+        return self._rewrite(rid, change, affected, at)
 
     def delete(self, rid: RID, at: float) -> float:
-        """Delete the row at ``rid``, removing its index entries."""
+        """Delete the row at ``rid`` (one touch of its page), then log it
+        and remove its index entries."""
+        row, at = self.info.heap.delete(rid, at)
         if self.wal is not None:
             __, at = self.wal.append(LogRecordType.DELETE, self.name, rid, b"", at)
-        heap = self.info.heap
-        row, at = heap.read(rid, at)
-        at = heap.delete(rid, at)
         for index, key_of in self._indexes():
             __, at = index.btree.delete(key_of(row), rid, at)
         return at

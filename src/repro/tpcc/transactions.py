@@ -89,15 +89,15 @@ class TransactionExecutor:
     def _customer_by_name(
         self, w_id: int, d_id: int, last: str, at: float
     ) -> tuple[RID | None, Row | None, float]:
-        """Spec 2.5.2.2: all matches sorted by first name, take ceil(n/2)."""
+        """Spec 2.5.2.2 / 2.6.2.2: of all matches sorted by first name, the
+        one at 1-based position ceil(n/2), i.e. index ``(n - 1) // 2``."""
         index = self.customer.index("C_NAME_IDX")
         entries, at = index.btree.range_scan(
             (w_id, d_id, last, ""), (w_id, d_id, last, "\x7f" * 16), at
         )
         if not entries:
             return None, None, at
-        middle = (len(entries) - 1) // 2 if len(entries) % 2 else len(entries) // 2
-        rid = entries[middle][1]
+        rid = entries[(len(entries) - 1) // 2][1]
         row, at = self.customer.read(rid, at)
         return rid, row, at
 

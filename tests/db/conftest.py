@@ -1,5 +1,7 @@
 """Shared fixtures for DBMS-layer tests."""
 
+import sys
+
 import pytest
 
 from repro.core import NoFTLStore, RegionConfig
@@ -78,3 +80,21 @@ def noftl_backend():
     store = NoFTLStore.create(geometry, timing=instant_timing())
     store.create_region(RegionConfig(name="rgDefault"), num_dies=8)
     return NoFTLBackend(store, default_region="rgDefault")
+
+
+def page_touches(operation, *args):
+    """The ``(space_id, page_no)`` of every ``BufferPool.get`` that
+    ``operation(*args)`` makes, in call order."""
+    touched = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname == "BufferPool.get":
+            touched.append((frame.f_locals["space_id"], frame.f_locals["page_no"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        operation(*args)
+    finally:
+        sys.setprofile(previous)
+    return touched

@@ -8,6 +8,11 @@ counts the ``call`` events ``sys.setprofile`` reports (C functions report
 ``c_call`` and are not counted) for one operation on a warm buffer and
 compares it with the frames the operation is designed to need.  Budgets
 are upper bounds: an interpreter that inlines comprehensions needs fewer.
+
+Simulated time has a budget of its own: every ``BufferPool.get`` charges
+``cpu_us_per_op`` and counts towards the next flush round, and a row
+write — update, column update, delete, and their WAL replay — touches
+its heap page exactly once, as the tests at the end pin.
 """
 
 import sys
@@ -17,6 +22,7 @@ import pytest
 from repro.db import (
     BTree,
     BufferPool,
+    Database,
     HeapFile,
     IndexInfo,
     Schema,
@@ -27,8 +33,9 @@ from repro.db import (
     varchar_col,
 )
 from repro.db.table import Table
+from repro.db.wal import LogRecord, LogRecordType, _apply_record
 
-from tests.db.conftest import MemoryBackend
+from tests.db.conftest import MemoryBackend, page_touches
 
 
 def python_calls(operation, *args):
@@ -160,9 +167,53 @@ def test_fixed_width_update_columns(warm):
     changes = {"qty": 49, "ytd": 12.5, "cnt": 3}
     table.update_columns(rid, changes, 0.0)  # compiles the plan for these columns
     entered = python_calls(table.update_columns, rid, changes, 0.0)
-    # three touches (read; record re-read; write fetch = heap method, RID
-    # check + get, page method, slot check), the patch and its value list,
-    # the dirty mark: no row codec, no key extraction, no Table.update
-    assert len(entered) <= 16, entered
-    assert entered.count("BufferPool.get") == 3
+    # one touch (heap rewrite, RID check + get, the kept row, the record
+    # and its slot check), the change with the patch and its value list,
+    # the overwrite and its slot check, the dirty mark: no row codec, no
+    # key extraction, no update
+    assert len(entered) <= 14, entered
+    assert entered.count("BufferPool.get") == 1
     assert not {"Table.update", "RowCodec.encode", "RowCodec.decode"} & set(entered)
+
+
+def heap_page(table, rid):
+    return (table.info.heap.space_id, rid.page_no)
+
+
+#: one row write of each kind on row 1000: each touches its heap page once
+#: and no index page (no key column changes, the record does not move)
+ROW_WRITES = {
+    "update": lambda table, rid: table.update(rid, (1, 1000, 48, "e" * 24, 1.0, 1, "y" * 30), 0.0),
+    "update_columns-patched": lambda table, rid: table.update_columns(rid, {"cnt": 4}, 0.0),
+    "update_columns-whole-row": lambda table, rid: table.update_columns(
+        rid, {"data": "z" * 30, "cnt": 5}, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("write", list(ROW_WRITES))
+def test_row_write_touches_its_heap_page_once(warm, write):
+    table, rid = warm
+    assert page_touches(ROW_WRITES[write], table, rid) == [heap_page(table, rid)]
+    table.read(rid, 0.0)  # decoded again, as the fixture promises
+
+
+def test_delete_touches_its_heap_page_once():
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    db = Database(backend, buffer_pages=64)
+    table = db.create_table("T", Schema([int_col("k"), varchar_col("v", 20)]))
+    at = db.create_index("T_IDX", "T", ["k"], unique=True)
+    rid, at = table.insert((1, "one"), at)
+    touched = page_touches(table.delete, rid, at)
+    heap = [touch for touch in touched if touch[0] == table.info.heap.space_id]
+    assert heap == [heap_page(table, rid)]
+    assert len(touched) == 2  # and the one-level index's root, for its entry
+
+
+@pytest.mark.parametrize("kind", [LogRecordType.UPDATE, LogRecordType.DELETE], ids=["UPDATE", "DELETE"])
+def test_replayed_row_write_touches_its_heap_page_once(kind):
+    db = Database(MemoryBackend(page_size=4096, io_cost=0.0), buffer_pages=64)
+    table = db.create_table("T", Schema([int_col("k"), varchar_col("v", 20)]))
+    rid, at = table.insert((1, "one"), 0.0)
+    record = LogRecord(1, kind, "T", rid, table.info.heap.codec.encode((1, "uno")))
+    assert page_touches(_apply_record, db, record, at) == [heap_page(table, rid)]

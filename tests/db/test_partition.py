@@ -12,6 +12,8 @@ from repro.db.partition import (
 )
 from repro.flash import FlashGeometry, instant_timing
 
+from tests.db.conftest import page_touches
+
 
 def make_db():
     geometry = FlashGeometry(
@@ -132,6 +134,18 @@ class TestPartitionedTable:
         prid, t = table.insert((50, "x", 0), 0.0)
         prid2, t = table.update_columns(prid, {"age": 9}, t)
         assert prid2.partition == prid.partition
+
+    def test_update_within_a_partition_touches_the_row_page_once(self):
+        db = make_db()
+        table = self.build(db)
+        prid, t = table.insert((50, "x", 0), 0.0)
+        part = table.parts[prid.partition]
+        for changes in ({"age": 9}, {"id": 60, "label": "y"}):  # the second stays in p0
+            touched = page_touches(table.update_columns, prid, changes, t)
+            # the partition's indexes share its tablespace: count the row's page
+            assert touched.count((part.info.heap.space_id, prid.rid.page_no)) == 1
+        assert table.read(prid, t)[0] == (60, "y", 9)
+        assert table.lookup("pk", (60,), t)[0] == (60, "y", 9)
 
     def test_delete(self):
         db = make_db()

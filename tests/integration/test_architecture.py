@@ -77,11 +77,18 @@ class TestNoFTLStack:
             rid, t = table.insert((i, "x"), t)
             rids.append(rid)
         # update a working set far larger than the buffer: every update
-        # forces a miss plus a dirty write-back, filling the region's dies
-        for round_no in range(40):
+        # forces a miss plus a dirty write-back, filling the region's dies.
+        # GC starts when a die is down to 2 free blocks, so the write-backs
+        # must outgrow the region's 2 dies (2 x 48 blocks x 32 pages =
+        # 3,072 pages): keep updating until they have written it 1.5 times
+        g = geometry()
+        region_pages = 2 * g.blocks_per_plane * g.pages_per_block
+        region = db.store.region("rg")
+        round_no = 0
+        while region.stats.host_writes < 1.5 * region_pages:
             for i, rid in enumerate(rids):
                 rids[i], t = table.update(rid, (round_no, "x"), t)
-        region = db.store.region("rg")
+            round_no += 1
         assert region.stats.gc_erases > 0
         assert db.device.total_erase_count() > 0
         db.store.check_consistency()

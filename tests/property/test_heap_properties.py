@@ -64,7 +64,7 @@ def test_heap_matches_dict(operations):
             live[new_rid] = row
         elif kind == "delete" and order:
             rid = order[key % len(order)]
-            at = heap.delete(rid, at)
+            __, at = heap.delete(rid, at)
             del live[rid]
             order.remove(rid)
     assert heap.row_count == len(live)
@@ -151,7 +151,7 @@ def test_read_always_equals_a_fresh_decode_of_the_record(operations):
             moved(rid, new_rid)
         elif kind == "delete" and live:
             rid = live.pop(a % len(live))
-            at = heap.delete(rid, at)
+            __, at = heap.delete(rid, at)
             dead.add(rid)
         elif kind == "columns" and live:
             rid = live[a % len(live)]

@@ -17,6 +17,7 @@ from repro.tpcc import (
     tiny_scale,
 )
 
+from tests.db.conftest import page_touches
 from tests.tpcc.conftest import tpcc_geometry
 
 
@@ -50,6 +51,21 @@ class TestNewOrder:
                 committed += 1
         assert db.table("ORDER").row_count == orders_before + committed
         assert db.table("ORDERLINE").row_count >= lines_before + committed * scale.min_order_lines
+
+    def test_an_order_line_touches_its_stock_page_twice(self, tpcc_db):
+        """Read the STOCK row, then write it (Shore-Kits' ``probe_forupdate``
+        + ``update_tuple``): two touches of its heap page per order line."""
+        db, __, ex = executor(tpcc_db)
+        stock = db.table("STOCK").info.heap.space_id
+        orderlines = db.table("ORDERLINE")
+        results = []
+        while not results or not results[-1].committed:
+            before = orderlines.row_count
+            touched = page_touches(lambda: results.append(ex.new_order_txn(1, 0.0)))
+        lines = orderlines.row_count - before
+        pages = [key for key in touched if key[0] == stock]
+        assert lines > 0 and len(pages) == 2 * lines
+        assert pages[0::2] == pages[1::2]  # each line: its read, then its write
 
     def test_one_percent_rollback_happens(self, tpcc_db):
         __, ___, ex = executor(tpcc_db)
@@ -188,18 +204,7 @@ class TestConsistencyAfterMixedLoad:
 class TestCustomerByName:
     @pytest.mark.parametrize(
         "n",
-        [
-            1,
-            3,
-            pytest.param(
-                2,
-                marks=pytest.mark.xfail(strict=True, reason="picks n//2 for even n: ROADMAP 1(d)"),
-            ),
-            pytest.param(
-                4,
-                marks=pytest.mark.xfail(strict=True, reason="picks n//2 for even n: ROADMAP 1(d)"),
-            ),
-        ],
+        [1, 2, 3, 4],
     )
     def test_takes_the_customer_at_position_ceil_half_n(self, n):
         """Spec 2.5.2.2 / 2.6.2.2: of the ``n`` customers with the last name,
