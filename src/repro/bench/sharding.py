@@ -16,9 +16,11 @@ default) runs the cells sequentially in process; that path is what the
 benchmark scripts use and the reference the sharded-equality tests and
 the CI smoke job compare against.  ``shards > 1`` submits every cell to a
 stdlib :class:`~concurrent.futures.ProcessPoolExecutor` of *spawn*
-workers.  A cell is a pure function of its pickled arguments, so there is
-nothing to retry: a cell that raises raises again, and its exception
-reaches the caller with its own type, exactly as on the sequential path.
+workers; ``multiprocessing`` and ``concurrent.futures`` are imported on
+the first sharded call, so a process that never shards never loads them.
+A cell is a pure function of its pickled arguments, so there is nothing
+to retry: a cell that raises raises again, and its exception reaches the
+caller with its own type, exactly as on the sequential path.
 A worker that dies (SIGKILL, OOM kill) raises
 :class:`~concurrent.futures.process.BrokenProcessPool`.
 
@@ -32,8 +34,6 @@ extras, raises the typed :class:`MergeError`.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -70,6 +70,11 @@ def run_cells(cells: Iterable[ShardCell], shards: int = 1) -> list[Any]:
     todo = list(cells)
     if shards == 1 or len(todo) <= 1:
         return [cell.fn(*cell.args) for cell in todo]
+    # imported here, not at module level: the pool machinery (~2 MiB of
+    # modules) is paid for by sharded runs only
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(min(shards, len(todo)), mp_context=spawn) as pool:
         futures = [pool.submit(cell.fn, *cell.args) for cell in todo]

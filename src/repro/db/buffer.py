@@ -57,9 +57,12 @@ further on.  Every simulated result depends on that eviction order.
 Flushers (Figure 1 shows them as a first-class component) are modelled as
 a budgeted background write-back: every ``flusher_interval`` page
 operations (``get`` and ``put_new``, refused ones included), up to
-``flusher_batch`` dirty unpinned pages are written out.  The round runs
-inside the ``flusher_interval``-th operation since the last one, before
-that operation is served; the pool counts down to it in one attribute.
+``flusher_batch`` dirty unpinned pages are written out: the first ones
+in ring order from position 0, not from the CLOCK hand, so a round
+cleans the longest-resident dirty frames rather than the ones eviction
+reaches next.  The round runs inside the ``flusher_interval``-th
+operation since the last one, before that operation is served; the pool
+counts down to it in one attribute.
 Those writes reserve device time (they contend with foreground I/O on the
 die/channel timelines) but do not advance the caller's clock — they are
 asynchronous, exactly like a checkpointer racing user transactions.
@@ -341,9 +344,10 @@ class BufferPool:
         ``flusher_interval`` page operations."""
         self._until_flush = self.flusher_interval
         written = 0
-        # sweep in clock order so the flusher cleans what eviction would
-        # otherwise stall on; a write-back never touches the ring, so the
-        # sweep walks it in place
+        # walk the ring from position 0, not from the CLOCK hand: the first
+        # dirty frames in installation order, the longest-resident ones, are
+        # cleaned, not those eviction reaches next; a write-back never
+        # touches the ring, so the walk is in place
         for key in self._clock_keys:
             if written >= self.flusher_batch:
                 break

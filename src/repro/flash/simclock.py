@@ -15,6 +15,7 @@ staying simple and fast.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 
 from repro.flash.errors import ConfigError, StaleReservationError
@@ -74,8 +75,10 @@ class ResourceTimeline:
     block everyone's earlier idle time, which no real device does.)
     Total busy time accumulates for utilization reporting.
 
-    Reservations live in two sorted float columns, ``_starts`` and
-    ``_ends``, with no object per reservation.  Granted slots are disjoint
+    Reservations live in two sorted columns of C doubles, ``_starts`` and
+    ``_ends`` (``array('d')``): 16 bytes per slot and no Python object per
+    reservation, and a float round-trips exactly through a double, so the
+    grants are those of float lists.  Granted slots are disjoint
     and never empty, so ordering by start and by end agree and the ends
     are strictly increasing: every search is a bisect on ``_ends``.  Slots
     before the offset ``_lo`` are forgotten; the columns are compacted
@@ -84,8 +87,12 @@ class ResourceTimeline:
 
     name: str = ""
     busy_us: float = 0.0
-    _starts: list[float] = field(default_factory=list, repr=False)
-    _ends: list[float] = field(default_factory=list, repr=False)
+    _starts: array[float] = field(default_factory=lambda: array("d"), repr=False)
+    _ends: array[float] = field(default_factory=lambda: array("d"), repr=False)
+    #: the latest end granted, as a Python float (-inf before the first
+    #: slot; ``_ends[-1]`` while any slot is stored): the append fast path
+    #: compares with it instead of boxing a double
+    _last_end: float = field(default=float("-inf"), repr=False)
     #: index of the first remembered slot
     _lo: int = field(default=0, repr=False)
     #: the cutoff of the last prune: busy time before it is forgotten, so a
@@ -116,10 +123,11 @@ class ResourceTimeline:
         # reservation cannot fill any gap, so it starts immediately — the
         # common case for a caller whose clock tracks the resource.  (The
         # gap-filling search below returns exactly `earliest` here.)
-        if duration > 0.0 and (not ends or earliest >= ends[-1]):
+        if duration > 0.0 and earliest >= self._last_end:
             end = earliest + duration
             self._starts.append(earliest)
             ends.append(end)
+            self._last_end = end
             self.busy_us += duration
             return earliest, end
         start = self._find_gap(earliest, duration)
@@ -130,6 +138,7 @@ class ResourceTimeline:
             index = bisect.bisect_left(ends, end, self._lo)
             self._starts.insert(index, start)
             ends.insert(index, end)
+            self._last_end = ends[-1]
         self.busy_us += duration
         return start, end
 

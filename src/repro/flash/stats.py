@@ -45,10 +45,6 @@ class LatencyAccumulator:
             self.max_us = latency_us
         self.buckets[bisect_right(_BUCKET_BOUNDS, latency_us)] += 1
 
-    @staticmethod
-    def _bucket(latency_us: float) -> int:
-        return bisect_right(_BUCKET_BOUNDS, latency_us)
-
     @property
     def mean_us(self) -> float:
         """Mean latency, or 0.0 if no samples."""

@@ -194,6 +194,26 @@ class TestFlusher:
         assert fired == expected
         assert len(fired) == (700 // interval if interval > 0 else 0)
 
+    @pytest.mark.parametrize("evictions", [0, 1, 2])
+    def test_round_walks_the_ring_from_position_zero_wherever_the_hand_is(
+        self, memory_backend, evictions
+    ):
+        # a round cleans the first dirty frames in ring (installation)
+        # order, not the ones the CLOCK hand will reach next; ROADMAP item 1
+        # records what starting at the hand would change
+        sid = memory_backend.create_space("t")
+        seed_pages(memory_backend, sid, 4 + evictions)
+        pool = make_pool(memory_backend, capacity=4, flusher_batch=2)
+        for page_no in range(4 + evictions):
+            pool.get(sid, page_no, 0.0, **identity_codec())
+        ring = list(pool._clock_keys)
+        assert pool._clock_hand == evictions  # the hand is where eviction left it
+        for key in ring:
+            pool.mark_dirty(*key)
+        pool._flush_round(0.0)
+        assert [key for key in ring if not pool._frames[key].dirty] == ring[:2]
+        assert pool.stats.flusher_writes == 2
+
 
 class TestFlush:
     def test_flush_all_clears_dirty(self, memory_backend):
