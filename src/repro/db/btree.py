@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import starmap
 from operator import add
 
@@ -56,16 +56,22 @@ class KeyCodec:
     """Serialises composite keys of INT/CHAR/VARCHAR columns.
 
     A key is stored like a row whose text parts are all VARCHARs
-    (length-prefixed, unpadded), so the work is a :class:`RowCodec`'s:
-    an all-INT key is one precompiled ``struct.Struct``.
+    (length-prefixed, unpadded), so :attr:`encode` and :attr:`decode` are
+    the compiled functions of a :class:`RowCodec` over that storage schema,
+    called with no frame of this class in between.
     """
+
+    #: ``encode(key) -> bytes``; validates arity, types and text lengths
+    encode: Callable[[Key], bytes]
+    #: ``decode(data, offset) -> (key, end)``: one key starting at ``offset``
+    decode: Callable[[bytes, int], tuple[Key, int]]
 
     def __init__(self, schema: Schema) -> None:
         for column in schema:
             if column.type is ColumnType.FLOAT:
                 raise SchemaError(f"FLOAT column {column.name!r} cannot be a key")
         self.schema = schema
-        self._stored = RowCodec(
+        stored = RowCodec(
             Schema(
                 [
                     c if c.type is ColumnType.INT else varchar_col(c.name, c.length)
@@ -73,19 +79,9 @@ class KeyCodec:
                 ]
             )
         )
-
-    @property
-    def max_size(self) -> int:
-        """Largest serialized key size in bytes."""
-        return self._stored.schema.max_row_size
-
-    def encode(self, key: Key) -> bytes:
-        """Serialise a key tuple; validates arity, types and text lengths."""
-        return self._stored.encode(key)
-
-    def decode(self, data: bytes, offset: int) -> tuple[Key, int]:
-        """Deserialise one key starting at ``offset``; returns (key, end)."""
-        return self._stored.decode_from(data, offset)
+        #: largest serialized key size in bytes
+        self.max_size = stored.schema.max_row_size
+        self.encode, self.decode = stored.encode, stored.decode_from
 
     def entry_structs(self, tail: struct.Struct) -> _EntryStructs | None:
         """Structs for a node entry — the key, then ``tail``'s fields — when

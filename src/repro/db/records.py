@@ -10,12 +10,14 @@ Supported column types mirror what TPC-C needs:
 * ``VARCHAR(n)`` — variable-length text with a 2-byte length prefix.
 
 Rows with only fixed-width columns serialise to a fixed size, which the
-heap layer exploits for capacity estimates.
+heap layer exploits for capacity estimates.  Each schema's codec is
+generated once, as Python source built from its column list.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -157,21 +159,15 @@ _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 _VARCHAR_LENGTH = struct.Struct("<H")
 
 
-def _encode_text(column: Column, value: object) -> bytes:
-    """UTF-8 bytes of a text value, checked against the column's length."""
-    if not isinstance(value, str):
-        raise _type_error(column, "str", value)
-    raw = value.encode()
-    if len(raw) > column.length:
-        raise SchemaError(
-            f"column {column.name!r}: value of {len(raw)} bytes exceeds "
-            f"{column.type.value.upper()}({column.length})"
-        )
-    return raw
-
-
 def _type_error(column: Column, expected: str, value: object) -> SchemaError:
     return SchemaError(f"column {column.name!r} expects {expected}, got {type(value).__name__}")
+
+
+def _length_error(column: Column, raw: bytes) -> SchemaError:
+    return SchemaError(
+        f"column {column.name!r}: value of {len(raw)} bytes exceeds "
+        f"{column.type.value.upper()}({column.length})"
+    )
 
 
 def _pack_error(int_values: Iterable[tuple[Column, int]]) -> SchemaError:
@@ -186,130 +182,172 @@ def _pack_error(int_values: Iterable[tuple[Column, int]]) -> SchemaError:
 
 #: ``patch(record, values) -> (patched record, values as they decode)``
 Patcher: TypeAlias = Callable[[bytes, Sequence[Any]], tuple[bytes, list[Any]]]
+#: encode's type check of the INT / FLOAT value ``v{i}`` of column ``c[{p}]``
+_NUMERIC_CHECKS = {
+    ColumnType.INT: "if not isinstance(v{i}, int): raise _type_error(c[{p}], 'int', v{i})",
+    ColumnType.FLOAT: "if not isinstance(v{i}, _NUMBER): raise _type_error(c[{p}], 'number', v{i})",
+}
+_NUMBER = (int, float)
+_TRUNCATED = "raise SchemaError(f'record of {len(data)} bytes is truncated')"
+
+
+def _generate(env: dict[str, Any], *functions: tuple[str, list[str]]) -> list[Any]:
+    """Each ``(signature, body)`` compiled as ``def signature: body``, the
+    way :mod:`dataclasses` builds ``__init__``, with this module's globals and
+    ``env`` (the columns ``c``, structs) as its globals.  The functions are
+    popped from that namespace, so they and it form no reference cycle."""
+    namespace = {**globals(), **env}
+    for signature, body in functions:
+        source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, f"<RowCodec.{signature}>", "exec"), namespace)
+    return [namespace.pop(signature.partition("(")[0]) for signature, __ in functions]
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(columns: tuple[Column, ...]) -> list[Any]:
+    """``[encode, decode, decode_from]`` for rows of ``columns``: column ``i``
+    is the local ``v{i}``, a fixed-width run between VARCHARs one ``pack`` /
+    ``unpack_from``.  Cached: once per schema where many databases are
+    built, and bounded where tests draw thousands of schemas."""
+    n = len(columns)
+    by_type = {kind: [i for i, c in enumerate(columns) if c.type is kind] for kind in ColumnType}
+    env: dict[str, Any] = {"c": columns}
+    runs: list[tuple[int, int, int, int]] = []  # (k, size, start, stop): VARCHAR at stop
+    start = 0
+    for k, stop in enumerate(by_type[ColumnType.VARCHAR] + [n]):
+        formats = (_FIXED_FORMATS[c.type].format(c.length) for c in columns[start:stop])
+        run = struct.Struct("<" + "".join(formats))
+        env[f"pack{k}"], env[f"unpack{k}"] = run.pack, run.unpack_from
+        runs.append((k, run.size, start, stop))
+        start = stop + 1
+
+    arity = f"raise SchemaError(f'row has {{len(row)}} values, schema has {n} columns')"
+    encode = [f"if len(row) != {n}: {arity}", "".join(f"v{i}, " for i in range(n)) + "= row"]
+    # INTs, FLOATs, CHARs, VARCHARs, each in schema order
+    for i in by_type[ColumnType.INT] + by_type[ColumnType.FLOAT]:
+        encode.append(_NUMERIC_CHECKS[columns[i].type].format(i=i, p=i))
+    for i in by_type[ColumnType.CHAR] + by_type[ColumnType.VARCHAR]:
+        encode += [
+            f"if not isinstance(v{i}, str): raise _type_error(c[{i}], 'str', v{i})",
+            f"v{i} = v{i}.encode()",
+            f"if len(v{i}) > {columns[i].length}: raise _length_error(c[{i}], v{i})",
+        ]
+        if columns[i].type is ColumnType.VARCHAR:
+            encode.append(f"h{i} = _VARCHAR_LENGTH.pack(len(v{i}))")
+    parts: list[str] = []
+    for k, size, start, stop in runs:
+        if size:  # struct's "s" pads with NULs, CHAR with spaces
+            args = (
+                f"v{i}.ljust({c.length})" if c.type is ColumnType.CHAR else f"v{i}"
+                for i, c in enumerate(columns[start:stop], start)
+            )
+            parts.append(f"pack{k}({', '.join(args)})")
+        if stop < n:
+            parts += [f"h{stop}", f"v{stop}"]
+    ints = "".join(f"(c[{i}], v{i}), " for i in by_type[ColumnType.INT])
+    encode += [
+        f"try: return {' + '.join(parts)}",
+        f"except (struct.error, OverflowError): raise _pack_error(({ints})) from None",
+    ]
+
+    def unpack(base: str) -> tuple[list[str], str]:
+        """Lines unpacking the image at ``base`` into the locals, and its end."""
+        lines, at = ["try:"], 0
+        for k, size, start, stop in runs:
+            if size:
+                names = "".join(f"v{i}, " for i in range(start, stop))
+                lines.append(f"    {names}= unpack{k}(data, {base} + {at})")
+                at += size
+            if stop < n:
+                lines += [
+                    f"    length, = _VARCHAR_LENGTH.unpack_from(data, {base} + {at})",
+                    f"    offset = {base} + {at + 2} + length",
+                    f"    v{stop} = data[offset - length:offset].decode()",
+                ]
+                base, at = "offset", 0
+        if columns[-1].type is ColumnType.VARCHAR:  # no unpack after it to see a cut
+            lines.append(f"    if offset > len(data): {_TRUNCATED}")
+        return lines + [f"except struct.error: {_TRUNCATED} from None"], f"{base} + {at}"
+
+    row = "".join(
+        f"v{i}.decode().rstrip(' '), " if c.type is ColumnType.CHAR else f"v{i}, "
+        for i, c in enumerate(columns)
+    )
+    decode, end = unpack("0")
+    trailing = "raise SchemaError(f'trailing {len(data) - end} bytes after decoding row')"
+    decode += [f"row, end = ({row}), {end}", f"if end != len(data): {trailing}", "return row"]
+    decode_from, end = unpack("offset")
+    decode_from.append(f"return ({row}), {end}")
+    signatures = ("encode(row)", "decode(data)", "decode_from(data, offset)")
+    return _generate(env, *zip(signatures, (encode, decode, decode_from)))
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_patcher(columns: tuple[Column, ...], positions: tuple[int, ...]) -> Patcher | None:
+    """:meth:`RowCodec.patcher` for rows of ``columns``."""
+    kinds = [c.type for c in columns]
+    fixed = kinds.index(ColumnType.VARCHAR) if ColumnType.VARCHAR in kinds else len(kinds)
+    if not positions or not all(0 <= p < fixed for p in positions):
+        return None
+    kinds = [kinds[p] for p in positions]
+    if not all(kind in _NUMERIC_CHECKS for kind in kinds):
+        return None
+    # (column position, index into values), in the order encode checks them
+    ints = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.INT)
+    floats = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.FLOAT)
+    body = ["".join(f"v{i}, " for i in range(len(positions))) + "= values"]
+    body += [_NUMERIC_CHECKS[kinds[i]].format(i=i, p=p) for p, i in ints + floats]
+    body += ["image = bytearray(record)", "try:"]
+    env: dict[str, Any] = {"c": columns}
+    for i, (p, kind) in enumerate(zip(positions, kinds)):
+        env[f"pack{i}"] = struct.Struct("<" + _FIXED_FORMATS[kind]).pack_into
+        body.append(f"    pack{i}(image, {sum(c.max_size for c in columns[:p])}, v{i})")
+    pairs = "".join(f"(c[{p}], v{i}), " for p, i in ints)
+    decoded = ", ".join(
+        f"int(v{i})" if kind is ColumnType.INT else f"float(v{i})" for i, kind in enumerate(kinds)
+    )
+    body += [
+        f"except (struct.error, OverflowError): raise _pack_error(({pairs})) from None",
+        f"return bytes(image), [{decoded}]",
+    ]
+    patch: Patcher
+    (patch,) = _generate(env, ("patch(record, values)", body))
+    return patch
 
 
 class RowCodec:
     """Serialises rows (tuples, schema order) to bytes and back.
 
-    The codec is compiled once from the schema.  A row image is a sequence
-    of fixed-width runs (INT/FLOAT/CHAR columns), each packed through one
-    precompiled :class:`struct.Struct`, separated by length-prefixed
-    VARCHAR values; validation walks precomputed column positions per
-    type.  No value is dispatched on its column type at run time.
+    :attr:`encode`, :attr:`decode`, :attr:`decode_from` and each
+    :meth:`patcher` are straight-line functions generated per schema and
+    cached by ``tuple(schema.columns)``: a fixed-width run of columns is
+    one ``pack`` / ``unpack_from``, a check one ``if``, and per row no
+    loop runs, no list is built and no value is dispatched on its type.
     """
+
+    #: ``encode(row) -> record``; validates arity, types and text lengths
+    encode: Callable[[Row], bytes]
+    #: ``decode(record) -> row``, the inverse of :attr:`encode`
+    decode: Callable[[bytes], Row]
+    #: ``decode_from(data, offset) -> (row, end)``: one row image at ``offset``
+    decode_from: Callable[[bytes, int], tuple[Row, int]]
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        columns = schema.columns
-        positions = {
-            kind: [i for i, c in enumerate(columns) if c.type is kind] for kind in ColumnType
-        }
-        self._int_positions = positions[ColumnType.INT]
-        self._float_positions = positions[ColumnType.FLOAT]
-        self._char_positions = positions[ColumnType.CHAR]
-        self._varchar_positions = positions[ColumnType.VARCHAR]
-        #: ``(struct of columns [start, stop), start, stop)``; the column at
-        #: ``stop``, if there is one, is the VARCHAR that follows the run
-        self._runs: list[tuple[struct.Struct, int, int]] = []
-        start = 0
-        for stop in self._varchar_positions + [len(columns)]:
-            formats = (_FIXED_FORMATS[c.type].format(c.length) for c in columns[start:stop])
-            self._runs.append((struct.Struct("<" + "".join(formats)), start, stop))
-            start = stop + 1
-
-    def encode(self, row: Row) -> bytes:
-        """Serialise ``row``; validates arity, types and text lengths."""
-        columns = self.schema.columns
-        if len(row) != len(columns):
-            raise SchemaError(f"row has {len(row)} values, schema has {len(columns)} columns")
-        values = list(row)
-        for i in self._int_positions:
-            if not isinstance(values[i], int):
-                raise _type_error(columns[i], "int", values[i])
-        for i in self._float_positions:
-            if not isinstance(values[i], (int, float)):
-                raise _type_error(columns[i], "number", values[i])
-        for i in self._char_positions:
-            # struct's "s" pads with NULs; CHAR pads with spaces
-            values[i] = _encode_text(columns[i], values[i]).ljust(columns[i].length)
-        for i in self._varchar_positions:
-            raw = _encode_text(columns[i], values[i])
-            values[i] = _VARCHAR_LENGTH.pack(len(raw)) + raw
-        parts: list[bytes] = []
-        try:
-            for run, start, stop in self._runs:
-                parts.append(run.pack(*values[start:stop]))
-                parts += values[stop : stop + 1]
-        except (struct.error, OverflowError):
-            raise _pack_error((columns[i], values[i]) for i in self._int_positions) from None
-        return b"".join(parts)
+        self.encode, self.decode, self.decode_from = _compile(tuple(schema.columns))
 
     def patcher(self, positions: Sequence[int]) -> Patcher | None:
-        """Compile an update of the columns at ``positions`` done in the
-        row image, or ``None`` where the image cannot be patched.
+        """The update of the columns at ``positions`` done in the row
+        image, or ``None`` where the image cannot be patched.
 
         Patchable are INT and FLOAT columns in front of the first VARCHAR:
         their bytes sit at an offset the schema fixes, so writing them
         changes neither the record's length nor any other column.
         ``patch(record, values)`` takes one value per position and returns
-        the image :meth:`encode` would produce for the row so updated,
-        with the values as :meth:`decode` would return them (an ``int``
+        the image :attr:`encode` would produce for the row so updated,
+        with the values as :attr:`decode` would return them (an ``int``
         for INT, a ``float`` for FLOAT).  It makes the checks ``encode``
         makes on those columns, in its order and with its messages, before
         anything is written; ``record`` itself is never modified.
         """
-        columns = self.schema.columns
-        fixed = self._varchar_positions[0] if self._varchar_positions else len(columns)
-        if not positions or not all(0 <= p < fixed for p in positions):
-            return None
-        kinds = [columns[p].type for p in positions]
-        if not all(kind in (ColumnType.INT, ColumnType.FLOAT) for kind in kinds):
-            return None
-        # (column position, index into values), in the order encode checks them
-        ints = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.INT)
-        floats = sorted((p, i) for i, p in enumerate(positions) if kinds[i] is ColumnType.FLOAT)
-        packers = [struct.Struct("<" + _FIXED_FORMATS[kind]).pack_into for kind in kinds]
-        offsets = [sum(c.max_size for c in columns[:p]) for p in positions]
-        decoded_as = [int if kind is ColumnType.INT else float for kind in kinds]
-
-        def patch(record: bytes, values: Sequence[Any]) -> tuple[bytes, list[Any]]:
-            for p, i in ints:
-                if not isinstance(values[i], int):
-                    raise _type_error(columns[p], "int", values[i])
-            for p, i in floats:
-                if not isinstance(values[i], (int, float)):
-                    raise _type_error(columns[p], "number", values[i])
-            image = bytearray(record)
-            try:
-                for pack_into, offset, value in zip(packers, offsets, values, strict=True):
-                    pack_into(image, offset, value)
-            except (struct.error, OverflowError):
-                raise _pack_error((columns[p], values[i]) for p, i in ints) from None
-            return bytes(image), [convert(v) for convert, v in zip(decoded_as, values)]
-
-        return patch
-
-    def decode(self, data: bytes) -> Row:
-        """Inverse of :meth:`encode`."""
-        row, end = self.decode_from(data, 0)
-        if end != len(data):
-            raise SchemaError(f"trailing {len(data) - end} bytes after decoding row")
-        return row
-
-    def decode_from(self, data: bytes, offset: int) -> tuple[Row, int]:
-        """Decode one row image starting at ``offset``; returns (row, end)."""
-        values: list[Any] = []
-        arity = len(self.schema.columns)
-        try:
-            for run, __, stop in self._runs:
-                values += run.unpack_from(data, offset)
-                offset += run.size
-                if stop < arity:
-                    (length,) = _VARCHAR_LENGTH.unpack_from(data, offset)
-                    offset += 2 + length
-                    values.append(data[offset - length : offset].decode())
-        except struct.error:
-            raise SchemaError(f"record of {len(data)} bytes is truncated") from None
-        for i in self._char_positions:
-            values[i] = values[i].decode().rstrip(" ")
-        return tuple(values), offset
+        return _compile_patcher(tuple(self.schema.columns), tuple(positions))

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from repro.db import (
+    RID,
     BTree,
     BufferPool,
     Database,
@@ -85,6 +86,33 @@ def test_buffered_read(warm):
     table, rid = warm
     # Table.read -> HeapFile.read (RID check, touch, kept row) -> BufferPool.get
     assert python_calls(table.read, rid, 0.0) == ["Table.read", "HeapFile.read", "BufferPool.get"]
+
+
+def test_buffered_undecoded_read():
+    # the row's page is buffered but a whole-row update dropped the row it
+    # kept: the read decodes the record in one frame of the schema's codec
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    pool = BufferPool(backend, capacity=8, flusher_interval=0)
+    schema = Schema([int_col("w"), char_col("dist", 24), float_col("ytd"), varchar_col("data", 50)])
+    heap = HeapFile(pool, backend.create_space("t"), schema)
+    table = Table(TableInfo("T", schema, "t", heap))
+    rid, at = table.insert((1, "d" * 24, 0.0, "x" * 30), 0.0)
+    table.update(rid, (1, "e" * 24, 1.0, "y" * 3), at)
+    assert python_calls(table.read, rid, 0.0) == [
+        "Table.read", "HeapFile.read", "BufferPool.get",
+        "SlottedPage.read_row", "SlottedPage.read", "SlottedPage._slot",
+        "decode",
+    ]
+
+
+def test_index_insert_checks_its_key_in_one_frame():
+    backend = MemoryBackend(page_size=4096, io_cost=0.0)
+    pool = BufferPool(backend, capacity=8, flusher_interval=0)
+    tree = BTree(pool, backend.create_space("i"), Schema([int_col("w"), char_col("name", 16)]))
+    at = tree.insert((1, "a"), RID(1, 1), 0.0)
+    entered = python_calls(tree.insert, (1, "b"), RID(1, 2), at)
+    # KeyCodec.encode is the compiled encoder itself, not a wrapper of it
+    assert entered[:3] == ["BTree.insert", "encode", "BTree._insert_into"], entered
 
 
 def test_buffered_lookup(warm):
@@ -173,7 +201,10 @@ def test_fixed_width_update_columns(warm):
     # key extraction, no update
     assert len(entered) <= 14, entered
     assert entered.count("BufferPool.get") == 1
-    assert not {"Table.update", "RowCodec.encode", "RowCodec.decode"} & set(entered)
+    assert not {"Table.update", "encode", "decode"} & set(entered)
+    # one frame of the compiled patch, which calls no Python function
+    assert entered.count("patch") == 1
+    assert entered[entered.index("patch") + 1] == "SlottedPage.replace", entered
 
 
 def heap_page(table, rid):

@@ -4,7 +4,23 @@ import struct
 
 import pytest
 
-from repro.db import Column, ColumnType, RowCodec, Schema, SchemaError, char_col, float_col, int_col, varchar_col
+from repro.db import (
+    Column,
+    ColumnType,
+    Database,
+    RowCodec,
+    Schema,
+    SchemaError,
+    char_col,
+    float_col,
+    int_col,
+    varchar_col,
+)
+from repro.db.btree import KeyCodec
+from repro.db.records import _compile, _compile_patcher
+from repro.tpcc.schema import TABLE_SCHEMAS, create_schema
+
+from tests.db.conftest import MemoryBackend
 
 
 def sample_schema():
@@ -156,3 +172,83 @@ class TestRowCodec:
     def test_bool_counts_as_int(self):
         codec = RowCodec(Schema([int_col("i"), float_col("f")]))
         assert codec.decode(codec.encode((True, False))) == (1, 0.0)
+
+
+def valid_row(schema, text="hello world"):
+    """A row of ``schema``: 1 for INT, 1.5 for FLOAT, ``text`` cut to fit."""
+    values = {ColumnType.INT: 1, ColumnType.FLOAT: 1.5}
+    return tuple(values.get(c.type, text[: c.length]) for c in schema)
+
+
+#: schemas whose last column is a VARCHAR: a cut in it leaves no field
+#: after the text whose unpack could run past the end
+ENDS_IN_VARCHAR = {
+    "int-varchar": Schema([int_col("i"), varchar_col("v", 16)]),
+    "varchar-varchar": Schema([varchar_col("u", 16), varchar_col("v", 16)]),
+    **{name: TABLE_SCHEMAS[name] for name in ("CUSTOMER", "ITEM", "STOCK")},
+}
+
+
+class TestTruncatedLastVarchar:
+    @pytest.fixture(params=list(ENDS_IN_VARCHAR))
+    def codec_and_image(self, request):
+        codec = RowCodec(ENDS_IN_VARCHAR[request.param])
+        return codec, codec.encode(valid_row(codec.schema))
+
+    @pytest.mark.parametrize("cut", [1, 4, 11])
+    def test_decode_refuses_a_cut_in_the_last_varchar(self, codec_and_image, cut):
+        codec, image = codec_and_image
+        data = image[:-cut]
+        with pytest.raises(SchemaError, match=f"^record of {len(data)} bytes is truncated$"):
+            codec.decode(data)
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    @pytest.mark.parametrize("cut", [1, 4, 11])
+    def test_decode_from_refuses_a_cut_in_the_last_varchar(self, codec_and_image, cut, offset):
+        codec, image = codec_and_image
+        data = b"\xff" * offset + image[:-cut]
+        with pytest.raises(SchemaError, match=f"^record of {len(data)} bytes is truncated$"):
+            codec.decode_from(data, offset)
+        assert codec.decode_from(b"\xff" * offset + image, offset) == (
+            codec.decode(image), offset + len(image)
+        )
+
+    @pytest.mark.parametrize("columns", [[int_col("a"), varchar_col("b", 12)],
+                                         [int_col("a"), char_col("b", 12)]])
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_key_codec_refuses_a_cut_in_its_text_part(self, columns, offset):
+        codec = KeyCodec(Schema(columns))
+        data = b"\xff" * offset + codec.encode((1, "hello world"))[:-4]
+        with pytest.raises(SchemaError, match=f"^record of {len(data)} bytes is truncated$"):
+            codec.decode(data, offset)
+
+    def test_the_cut_is_found_by_a_bound_check_not_by_a_failed_unpack(self, codec_and_image):
+        # the compiled decoder compares the end with the data's length
+        # itself; no struct.error is raised under the SchemaError
+        codec, image = codec_and_image
+        with pytest.raises(SchemaError) as refused:
+            codec.decode_from(image[:-4], 0)
+        assert refused.value.__context__ is None
+
+
+def test_three_tpcc_databases_compile_each_distinct_schema_once():
+    # 34 databases of ~20 codecs each in the chaos workload: compiling the
+    # source per codec instead of per schema costs seconds of host time
+    _compile.cache_clear()
+    _compile_patcher.cache_clear()
+    for __ in range(3):
+        db = Database(MemoryBackend(page_size=4096, io_cost=0.0), buffer_pages=64)
+        create_schema(db)
+        db.table("STOCK").info.heap.codec.patcher([2, 13])  # s_quantity, s_ytd
+    stored_keys = {  # a key stores its text parts as VARCHARs
+        tuple(
+            c if c.type is ColumnType.INT else varchar_col(c.name, c.length)
+            for c in index.btree.codec.keys.schema
+        )
+        for index in db.catalog.indexes()
+    }
+    distinct = {tuple(info.schema.columns) for info in db.catalog.tables()} | stored_keys
+    codecs = len(db.catalog.tables()) + len(db.catalog.indexes())
+    assert _compile.cache_info().misses == len(distinct)
+    assert _compile.cache_info().hits == 3 * codecs - len(distinct)
+    assert _compile_patcher.cache_info()[:2] == (2, 1)  # hits, misses

@@ -121,13 +121,18 @@ def ref_encode_row(schema, row):
     return b"".join(ref_encode_value(c, v) for c, v in zip(schema, row))
 
 
-def ref_decode_row(schema, data):
-    values, offset = [], 0
+def ref_decode_from(schema, data, offset):
+    values = []
     for column in schema:
         value, offset = ref_decode_value(column, data, offset)
         values.append(value)
-    assert offset == len(data)
-    return tuple(values)
+    return tuple(values), offset
+
+
+def ref_decode_row(schema, data):
+    row, end = ref_decode_from(schema, data, 0)
+    assert end == len(data)
+    return row
 
 
 def ref_encode_key(schema, key):
@@ -571,3 +576,179 @@ def test_slotted_page_counters_and_image_match_recount(ops):
         image = page.to_bytes()
         assert len(image) == 256
         assert image == ref_page_image(model, 256)
+
+
+# ----------------------------------------------------------------------
+# Drawn schemas: 1-12 columns of any type mix, VARCHARs first, last or
+# adjacent; every codec function against the reference
+# ----------------------------------------------------------------------
+@st.composite
+def any_schema(draw):
+    kinds = draw(st.lists(st.sampled_from(list(ColumnType)), max_size=8))
+    if draw(st.booleans()):
+        kinds.insert(0, ColumnType.VARCHAR)
+    if draw(st.booleans()):
+        kinds.append(ColumnType.VARCHAR)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(kinds)))
+        kinds[at:at] = [ColumnType.VARCHAR, ColumnType.VARCHAR]
+    kinds = kinds or [draw(st.sampled_from(list(ColumnType)))]
+    return Schema(
+        [
+            Column(f"c{i}", kind, draw(st.integers(1, 12)) if kind in TEXT else 0)
+            for i, kind in enumerate(kinds)
+        ]
+    )
+
+
+@st.composite
+def any_schema_and_row(draw):
+    schema = draw(any_schema())
+    return schema, draw(st.tuples(*(value_for(c) for c in schema)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_schema_and_row(), st.binary(max_size=5), st.binary(max_size=5))
+def test_drawn_schema_codec_equals_reference(case, before, after):
+    schema, row = case
+    codec = RowCodec(schema)
+    image = codec.encode(row)
+    assert image == ref_encode_row(schema, row)
+    assert exact(codec.decode(image)) == exact(ref_decode_row(schema, image))
+    got, end = codec.decode_from(before + image + after, len(before))
+    want, want_end = ref_decode_from(schema, before + image + after, len(before))
+    assert (exact(got), end) == (exact(want), want_end) and end == len(before) + len(image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_schema_and_row(), st.data())
+def test_drawn_patcher_equals_reference(case, data):
+    schema, row = case
+    patchable = patchable_positions(schema)
+    positions = data.draw(
+        st.lists(st.sampled_from(patchable), min_size=1, unique=True) if patchable else st.nothing()
+    )
+    values = [data.draw(GOOD[schema.columns[p].type]) for p in positions]
+    codec = RowCodec(schema)
+    image, decoded = codec.patcher(positions)(codec.encode(row), values)
+    new_row = updated(row, positions, values)
+    assert image == ref_encode_row(schema, new_row)
+    assert exact(decoded) == exact(ref_decode_row(schema, image)[p] for p in positions)
+
+
+#: every SchemaError text encode raises, pinned as the row codec has always
+#: worded them (and the patcher words its share)
+REFUSALS = {
+    "arity": "row has {got} values, schema has {want} columns",
+    "type": "column {name!r} expects {expected}, got {type}",
+    "length": "column {name!r}: value of {size} bytes exceeds {kind}({length})",
+    "int range": "column {name!r}: {value} is out of range for INT",
+    "float range": "number too large for a FLOAT column",
+}
+
+
+def ref_refusal(schema, row):
+    """What encode refuses ``row`` with, or ``None``.  The order: arity; the
+    INT types, then the FLOAT types; each CHAR's type and length, then each
+    VARCHAR's; the INT ranges; a number too large for a double."""
+    columns = schema.columns
+    if len(row) != len(columns):
+        return REFUSALS["arity"].format(got=len(row), want=len(columns))
+
+    def of(kind):
+        return [(c, v) for c, v in zip(columns, row) if c.type is kind]
+
+    def wrong(column, expected, value):
+        return REFUSALS["type"].format(name=column.name, expected=expected, type=type(value).__name__)
+
+    for column, value in of(ColumnType.INT):
+        if not isinstance(value, int):
+            return wrong(column, "int", value)
+    for column, value in of(ColumnType.FLOAT):
+        if not isinstance(value, (int, float)):
+            return wrong(column, "number", value)
+    for column, value in of(ColumnType.CHAR) + of(ColumnType.VARCHAR):
+        if not isinstance(value, str):
+            return wrong(column, "str", value)
+        if len(value.encode()) > column.length:
+            return REFUSALS["length"].format(
+                name=column.name, size=len(value.encode()), kind=column.type.value.upper(),
+                length=column.length,
+            )
+    for column, value in of(ColumnType.INT):
+        if not -(2**63) <= value < 2**63:
+            return REFUSALS["int range"].format(name=column.name, value=value)
+    for column, value in of(ColumnType.FLOAT):
+        try:
+            float(value)
+        except OverflowError:
+            return REFUSALS["float range"]
+    return None
+
+
+class Text(str):
+    """A ``str`` subclass: text columns accept it."""
+
+
+def foreign_value(column):
+    """Values encode refuses in ``column`` (wrong type, too long, out of
+    range), or accepts though they are not of the column's own type."""
+    if column.type is ColumnType.INT:
+        return st.sampled_from(["7", 1.5, None, b"7", 2**63, -(2**63) - 1, True, False])
+    if column.type is ColumnType.FLOAT:
+        return st.sampled_from(["7.0", None, b"7", 10**400, -(10**400), True, 2**70])
+    return st.one_of(
+        st.sampled_from([b"ab", 5, None, 1.0, "x" * (column.length + 1), "é" * column.length]),
+        text_for(column.length).map(Text),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_schema_and_row(), st.data())
+def test_drawn_invalid_rows_are_refused_as_the_reference_says(case, data):
+    schema, row = case
+    values = list(row)
+    for position in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=3)):
+        values[position] = data.draw(foreign_value(schema.columns[position]))
+    values = values[: data.draw(st.sampled_from([len(values), len(values), len(values) - 1]))]
+    values += data.draw(st.lists(st.integers(), max_size=1))
+    codec = RowCodec(schema)
+    refusal = ref_refusal(schema, tuple(values))
+    if refusal is None:
+        assert codec.encode(tuple(values)) == ref_encode_row(schema, values)
+    else:
+        with pytest.raises(SchemaError) as refused:
+            codec.encode(tuple(values))
+        assert str(refused.value) == refusal
+
+
+PINNED_SCHEMA = Schema([int_col("i"), float_col("f"), char_col("c", 4), varchar_col("v", 4)])
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ((1, 1.0, "a"), "row has 3 values, schema has 4 columns"),
+        (("1", 1.0, "a", "b"), "column 'i' expects int, got str"),
+        ((1, "1", "a", "b"), "column 'f' expects number, got str"),
+        ((1, 1.0, b"a", "b"), "column 'c' expects str, got bytes"),
+        ((1, 1.0, "a", 5), "column 'v' expects str, got int"),
+        ((1, 1.0, "abcde", "b"), "column 'c': value of 5 bytes exceeds CHAR(4)"),
+        ((1, 1.0, "a", "ééé"), "column 'v': value of 6 bytes exceeds VARCHAR(4)"),
+        ((2**63, 1.0, "a", "b"), "column 'i': 9223372036854775808 is out of range for INT"),
+        ((1, 10**400, "a", "b"), "number too large for a FLOAT column"),
+        ((2**63, 10**400, "abcde", 5), "column 'c': value of 5 bytes exceeds CHAR(4)"),
+    ],
+)
+def test_refusal_messages_are_pinned(row, message):
+    with pytest.raises(SchemaError) as refused:
+        RowCodec(PINNED_SCHEMA).encode(row)
+    assert str(refused.value) == message
+    assert ref_refusal(PINNED_SCHEMA, row) == message
+
+
+def test_str_subclass_and_bool_are_accepted():
+    codec = RowCodec(PINNED_SCHEMA)
+    image = codec.encode((True, False, Text("ab"), Text("é")))
+    assert image == ref_encode_row(PINNED_SCHEMA, (1, 0.0, "ab", "é"))
+    assert codec.decode(image) == (1, 0.0, "ab", "é")
