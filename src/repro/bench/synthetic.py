@@ -15,7 +15,9 @@ FTL-vs-NoFTL motivation benchmark is built.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.bench.errors import BenchConfigError
 from repro.core.region import Region, RegionConfig
@@ -202,6 +204,12 @@ def _die_shares(
     return raw
 
 
+def _cumulative_shares(classes: tuple[ObjectClass, ...]) -> list[float]:
+    """Running traffic shares: a write goes to ``bisect_left(sums, draw)``,
+    the first class whose sum is at or above the draw."""
+    return list(accumulate((cls.traffic_share for cls in classes), initial=0.0))[1:]
+
+
 def _attach_fault_plan(device: FlashDevice, config: SyntheticConfig) -> None:
     """Arm the injector for the measured phase, if the config carries a plan."""
     if config.fault_plan is not None:
@@ -256,24 +264,23 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
     _attach_fault_plan(store.device, config)
 
     rng = random.Random(config.seed)
-    cumulative = []
-    acc = 0.0
-    for cls in config.classes:
-        acc += cls.traffic_share
-        cumulative.append(acc)
+    cumulative = _cumulative_shares(config.classes)
+    total = cumulative[-1]
+    draw, choice = rng.random, rng.choice
+    appends = [cls.kind == "append" for cls in config.classes]
+    writes = [region.write for region in regions]
     start_t = t
     base_cb = sum(r.stats.gc_copybacks for r in store.regions())
     base_er = sum(r.stats.gc_erases for r in store.regions())
     for __ in range(config.writes):
-        draw = rng.random() * cumulative[-1]
-        index = next(i for i, bound in enumerate(cumulative) if draw <= bound)
-        region, pages, cls = regions[index], page_sets[index], config.classes[index]
-        if cls.kind == "append" and region.free_pages() > 0:
-            [p] = region.allocate(1)
+        index = bisect_left(cumulative, draw() * total)
+        pages = page_sets[index]
+        if appends[index] and regions[index].free_pages() > 0:
+            [p] = regions[index].allocate(1)
             pages.append(p)
-            t = region.write(p, payload, t)
+            t = writes[index](p, payload, t)
         else:
-            t = region.write(rng.choice(pages), payload, t)
+            t = writes[index](choice(pages), payload, t)
     name = "separated" if separated else "mixed"
     return SyntheticResult(
         name=name,
@@ -346,18 +353,14 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
     _attach_fault_plan(device, config)
 
     rng = random.Random(config.seed)
-    cumulative = []
-    acc = 0.0
-    for cls in config.classes:
-        acc += cls.traffic_share
-        cumulative.append(acc)
+    cumulative = _cumulative_shares(config.classes)
+    total = cumulative[-1]
+    draw, choice, write = rng.random, rng.choice, dev.write
     start_t = t
     base_cb = dev.stats.gc_copybacks
     base_er = dev.stats.gc_erases
     for __ in range(config.writes):
-        draw = rng.random() * cumulative[-1]
-        index = next(i for i, bound in enumerate(cumulative) if draw <= bound)
-        t = dev.write(rng.choice(lba_sets[index]), payload, at=t)
+        t = write(choice(lba_sets[bisect_left(cumulative, draw() * total)]), payload, at=t)
     return SyntheticResult(
         name=f"ftl-{ftl}",
         copybacks=dev.stats.gc_copybacks - base_cb,

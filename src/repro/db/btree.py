@@ -7,10 +7,10 @@ do.  Design points:
 * composite keys — tuples of INT/CHAR/VARCHAR column values, compared
   lexicographically; a :class:`KeyCodec` serialises them;
 * values are heap :class:`~repro.db.heap.RID`\\ s; inside a leaf they are
-  whatever ``(page_no, slot)`` tuple arrived — an ``RID`` from
-  :meth:`BTree.insert`, the plain pair a page image unpacks to — and only
-  what :meth:`BTree.search` / :meth:`BTree.range_scan` hand out is made an
-  ``RID``, so decoding a leaf builds no object per entry it will not return;
+  the ``RID`` :meth:`BTree.insert` stored or the plain pair a page image
+  unpacks to, so decoding a leaf builds no object per entry; lookups hand
+  out a held ``RID`` itself and make one (:data:`~repro.db.heap.as_rid`)
+  only of a decoded pair;
 * duplicates allowed unless ``unique=True`` (non-unique lookups return
   every match);
 * deletes are *lazy* (no merge/rebalance on underflow) — the strategy of
@@ -32,7 +32,7 @@ from itertools import starmap
 from operator import add
 
 from repro.db.buffer import BufferPool
-from repro.db.heap import RID
+from repro.db.heap import RID, as_rid
 from repro.db.records import ColumnType, Key, RowCodec, Schema, SchemaError, varchar_col
 from repro.flash.payload import DeferredImage, Payload
 
@@ -374,7 +374,8 @@ class BTree:
             index = bisect.bisect_left(leaf.keys, key)
             if index < len(leaf.keys):
                 if leaf.keys[index] == key:
-                    return RID(*leaf.values[index]), at
+                    rid = leaf.values[index]
+                    return (rid if type(rid) is RID else as_rid(rid)), at
                 return None, at
             if leaf.next_leaf < 0:
                 return None, at
@@ -406,7 +407,8 @@ class BTree:
                 key = leaf.keys[index]
                 if hi is not None and key > hi:
                     return results, at
-                results.append((key, RID(*leaf.values[index])))
+                rid = leaf.values[index]
+                results.append((key, rid if type(rid) is RID else as_rid(rid)))
                 if limit is not None and len(results) >= limit:
                     return results, at
                 index += 1

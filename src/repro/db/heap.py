@@ -20,7 +20,8 @@ CPU cost and how often the flusher runs.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from typing import NamedTuple, TypeAlias
+from functools import partial
+from typing import NamedTuple, TypeAlias, cast
 
 from repro.db.buffer import BufferPool
 from repro.db.records import Row, RowCodec, Schema
@@ -46,9 +47,9 @@ class HeapError(Exception):
 class RID(NamedTuple):
     """Record identifier: page number within the heap + slot on the page.
 
-    A tuple, so that a B+-tree leaf can keep its entries as the plain
-    ``(page_no, slot)`` pairs its page image unpacks to; an ``RID`` equals,
-    hashes and orders like that pair.
+    A tuple, so a B+-tree leaf can keep the ``(page_no, slot)`` pairs its
+    image unpacks to (an ``RID`` equals, hashes and orders like them) beside
+    the ``RID`` objects inserts stored; :data:`as_rid` makes one in C.
     """
 
     page_no: int
@@ -56,6 +57,11 @@ class RID(NamedTuple):
 
     def __str__(self) -> str:
         return f"rid({self.page_no}:{self.slot})"
+
+
+#: ``RID(*pair)`` in one C call, not the named tuple's Python ``__new__``; it
+#: skips that arity check, so only for a ``(page_no, slot)`` pair code made
+as_rid = cast(Callable[[tuple[int, ...]], RID], partial(tuple.__new__, RID))
 
 
 class HeapFile:
@@ -151,17 +157,18 @@ class HeapFile:
         while self._open_pages:
             page_no = self._open_pages[-1]
             page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
-            if page.fits(record) and page.free_space() - len(record) >= target:
+            # target >= 0: room for the record past the target implies fits()
+            if page.free_space() - len(record) >= target:
                 slot = page.insert(record)
                 self.buffer_pool.mark_dirty(self.space_id, page_no)
                 self._row_count += 1
-                return RID(page_no, slot), at
+                return as_rid((page_no, slot)), at
             self._pop_open()
         page_no, page, at = self._new_page(at)
         slot = page.insert(record)
         self.buffer_pool.mark_dirty(self.space_id, page_no)
         self._row_count += 1
-        return RID(page_no, slot), at
+        return as_rid((page_no, slot)), at
 
     def read(self, rid: RID, at: float) -> tuple[Row, float]:
         """Read the row at ``rid``; returns ``(row, completion_us)``.
@@ -249,4 +256,4 @@ class HeapFile:
         for page_no in list(self._pages):
             page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
             for slot, record in page.slots():
-                yield RID(page_no, slot), self.codec.decode(record), at
+                yield as_rid((page_no, slot)), self.codec.decode(record), at

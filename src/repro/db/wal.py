@@ -19,7 +19,9 @@ Log record wire format (little endian)::
     u64 lsn | u8 type | u16 table_len | table utf-8 |
     i32 page_no | u16 slot | u32 row_len | row bytes
 
-Records never span pages; a page starts with ``u16 count``.
+Records never span pages; a page starts with ``u16 count``.  A
+:class:`LogRecord` is a named tuple: ``append`` encodes straight from its
+arguments and builds none, and ``decode`` builds one with a single C call.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from __future__ import annotations
 import enum
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.db.backend import StorageBackend
-from repro.db.heap import RID
+from repro.db.heap import RID, as_rid
 
 from typing import TYPE_CHECKING
 
@@ -59,8 +61,26 @@ class LogRecordType(enum.IntEnum):
     COMMIT = 5  #: transaction boundary (enables transactional replay)
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class _TypeByte(dict[int, LogRecordType]):
+    """Type by type byte; an unknown byte is a ``ValueError``, a torn tail."""
+
+    def __missing__(self, byte: int) -> LogRecordType:
+        raise ValueError(f"unknown log record type {byte}")
+
+
+_TYPE_OF_BYTE = _TypeByte((int(rtype), rtype) for rtype in LogRecordType)
+
+_NO_RID = RID(0, 0)
+
+
+def _encode_record(lsn: int, rtype: LogRecordType, table: str, rid: RID, row_bytes: bytes) -> bytes:
+    """One record in the wire format above."""
+    name = table.encode("utf-8")
+    header = _RECORD_HEADER.pack(lsn, rtype, len(name))
+    return header + name + _RECORD_BODY.pack(*rid, len(row_bytes)) + row_bytes
+
+
+class LogRecord(NamedTuple):
     """One redo record: the operation, its target, and the after-image."""
 
     lsn: int
@@ -71,16 +91,10 @@ class LogRecord:
 
     def encode(self) -> bytes:
         """Serialise to the wire format."""
-        name = self.table.encode("utf-8")
-        return (
-            _RECORD_HEADER.pack(self.lsn, int(self.type), len(name))
-            + name
-            + _RECORD_BODY.pack(self.rid.page_no, self.rid.slot, len(self.row_bytes))
-            + self.row_bytes
-        )
+        return _encode_record(*self)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["LogRecord", int]:
+    def decode(cls, data: bytes, offset: int) -> tuple[LogRecord, int]:
         """Deserialise one record starting at ``offset``; returns (record, end)."""
         lsn, rtype, name_len = _RECORD_HEADER.unpack_from(data, offset)
         offset += _RECORD_HEADER.size
@@ -90,7 +104,8 @@ class LogRecord:
         offset += _RECORD_BODY.size
         row = bytes(data[offset : offset + row_len])
         offset += row_len
-        return cls(lsn, LogRecordType(rtype), table, RID(page_no, slot), row), offset
+        fields = (lsn, _TYPE_OF_BYTE[rtype], table, as_rid((page_no, slot)), row)
+        return tuple.__new__(cls, fields), offset
 
 
 class WriteAheadLog:
@@ -137,7 +152,7 @@ class WriteAheadLog:
         are free in device time.
         """
         lsn = self._next_lsn
-        encoded = LogRecord(lsn, rtype, table, rid, row_bytes).encode()
+        encoded = _encode_record(lsn, rtype, table, rid, row_bytes)
         size = len(encoded)
         if _PAGE_HEADER.size + size > self.page_size:
             raise WALError(f"record of {size} bytes exceeds log page size {self.page_size}")
@@ -165,7 +180,7 @@ class WriteAheadLog:
 
     def checkpoint(self, at: float = 0.0) -> float:
         """Append a CHECKPOINT marker and force everything out."""
-        __, at = self.append(LogRecordType.CHECKPOINT, "", RID(0, 0), b"", at)
+        __, at = self.append(LogRecordType.CHECKPOINT, "", _NO_RID, b"", at)
         return self.flush(at)
 
     def commit(self, at: float = 0.0) -> tuple[int, float]:
@@ -175,7 +190,7 @@ class WriteAheadLog:
         carries it.  A transaction whose COMMIT never persisted is, by
         definition, not durable — transactional replay discards it.
         """
-        return self.append(LogRecordType.COMMIT, "", RID(0, 0), b"", at)
+        return self.append(LogRecordType.COMMIT, "", _NO_RID, b"", at)
 
     # ------------------------------------------------------------------
     # Crash recovery

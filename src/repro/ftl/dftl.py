@@ -23,7 +23,7 @@ amplifies GC and wear like it does on a real device.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING
 
 from repro.flash.device import FlashDevice
@@ -82,6 +82,8 @@ class DFTL(PageMappingFTL):
         self.entries_per_tpage = entries_per_tpage
         self.cmt_entries = cmt_entries
         self._cmt: OrderedDict[int, bool] = OrderedDict()  # lpn -> dirty
+        #: translation page index -> its dirty cached LPNs (no CMT scan)
+        self._dirty_lpns: defaultdict[int, set[int]] = defaultdict(set)
 
     # ------------------------------------------------------------------
     # Host interface with translation charging
@@ -123,6 +125,7 @@ class DFTL(PageMappingFTL):
             self._cmt.move_to_end(lba)
             if dirty:
                 self._cmt[lba] = True
+                self._dirty_lpns[lba // self.entries_per_tpage].add(lba)
             return at
         # miss: fetch the translation page (if it was ever persisted)
         tpage = self._tpage_lpn(lba)
@@ -138,6 +141,8 @@ class DFTL(PageMappingFTL):
     def _cmt_insert(self, lba: int, dirty: bool, at: float) -> float:
         self._cmt[lba] = dirty
         self._cmt.move_to_end(lba)
+        if dirty:
+            self._dirty_lpns[lba // self.entries_per_tpage].add(lba)
         while len(self._cmt) > self.cmt_entries:
             at = self._evict_lru(at)
         return at
@@ -151,15 +156,13 @@ class DFTL(PageMappingFTL):
         # dirty sibling entry that lives in the same page (DFTL batching)
         tpage_index = victim // self.entries_per_tpage
         tpage = self.internal_lpn(tpage_index)
-        lo = tpage_index * self.entries_per_tpage
-        hi = lo + self.entries_per_tpage
         payload = b"T" * min(64, self.geometry.page_size)  # synthetic body
         bus = self.device.events
         if bus is not None:
             bus.emit(at, "mapping", "trans_write", lba=victim, tpage=tpage)
         at = self._write_internal(tpage, payload, at)
         self.stats.trans_writes += 1
-        for lpn in [k for k, d in self._cmt.items() if d and lo <= k < hi]:
+        for lpn in self._dirty_lpns.pop(tpage_index):
             self._cmt[lpn] = False
         del self._cmt[victim]
         return at

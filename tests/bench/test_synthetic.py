@@ -1,5 +1,8 @@
 """Unit tests for the synthetic hot/cold workload harness."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.bench import (
@@ -10,7 +13,7 @@ from repro.bench import (
     run_noftl_synthetic,
 )
 from repro.bench.errors import BenchConfigError
-from repro.bench.synthetic import _die_shares
+from repro.bench.synthetic import _cumulative_shares, _die_shares
 from repro.flash import instant_timing
 
 
@@ -54,6 +57,46 @@ class TestDieShares:
     def test_single_class(self):
         shares = _die_shares((ObjectClass("only", 1.0, 1.0),), 4, utilization=0.5)
         assert shares == [4]
+
+
+class TestClassDraw:
+    """Both write loops pick a class with ``bisect_left`` over the running
+    traffic shares.  That is the pick of the generator scan it replaced,
+    and it consumes a seeded ``Random`` exactly as that loop did."""
+
+    CLASSES = (
+        ObjectClass("hot", 0.1, 0.6),
+        ObjectClass("idle", 0.2, 0.0),
+        ObjectClass("warm", 0.3, 0.3),
+        ObjectClass("cold", 0.3, 0.1),
+        ObjectClass("frozen", 0.1, 0.0),
+    )
+
+    def test_bisect_pick_is_the_scan_pick(self):
+        targets = [list(range(100 * i, 100 * i + 3 + i)) for i in range(len(self.CLASSES))]
+        # the loop before: a running sum by hand, then a scan per write
+        bounds, acc = [], 0.0
+        for cls in self.CLASSES:
+            acc += cls.traffic_share
+            bounds.append(acc)
+        old = random.Random(5)
+        old_picks = []
+        for __ in range(10_000):
+            draw = old.random() * bounds[-1]
+            index = next(i for i, bound in enumerate(bounds) if draw <= bound)
+            old_picks.append((index, old.choice(targets[index])))
+
+        cumulative = _cumulative_shares(self.CLASSES)
+        assert cumulative == bounds
+        new = random.Random(5)
+        draw, choice, total = new.random, new.choice, cumulative[-1]
+        new_picks = []
+        for __ in range(10_000):
+            index = bisect_left(cumulative, draw() * total)
+            new_picks.append((index, choice(targets[index])))
+        assert new_picks == old_picks
+        assert new.getstate() == old.getstate()
+        assert {index for index, __ in new_picks} == {0, 2, 3}  # never a zero share
 
 
 class TestNoFTLSynthetic:

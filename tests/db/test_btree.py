@@ -359,6 +359,37 @@ class TestRidRepresentation:
         assert sorted(rid for __, rid in entries) == [RID(i, i % 5) for i in range(len(keys))]
 
     @pytest.mark.parametrize("kind", ["int", "name"])
+    def test_lookups_hand_out_the_rid_insert_stored(self, memory_backend, kind):
+        # a tree that never left the pool: every leaf entry is the RID that
+        # insert got, and a lookup hands out that very object
+        columns, key_of = self.KEYS[kind]
+        tree = make_tree(memory_backend, columns=columns)
+        keys = [key_of(i) for i in range(300)]
+        stored = [RID(i, i % 5) for i in range(len(keys))]
+        for key, rid in zip(keys, stored):
+            tree.insert(key, rid, 0.0)
+        assert tree.height >= 2
+        assert tree.search(keys[17], 0.0)[0] is stored[17]
+        assert tree.search_all(keys[40], 0.0)[0][0] is stored[40]
+        entries, __ = tree.range_scan(min(keys), max(keys), 0.0)
+        assert sorted(id(rid) for __, rid in entries) == sorted(map(id, stored))
+
+    @pytest.mark.parametrize("kind", ["int", "name"])
+    def test_a_decoded_entry_comes_back_as_an_rid(self, memory_backend, kind):
+        tree, keys = self.decoded_again(memory_backend, kind)
+        leaf = tree.codec.decode(memory_backend.images()[(tree.space_id, tree._root_page)])
+        while not leaf.is_leaf:
+            child = leaf.children[0]
+            leaf = tree.codec.decode(memory_backend.images()[(tree.space_id, child)])
+        assert type(leaf.values[0]) is tuple  # the leaf keeps the plain pair
+        found = [tree.search(keys[23], 0.0)[0], tree.range_scan(keys[23], keys[23], 0.0)[0][0][1]]
+        for rid in found:
+            assert type(rid) is RID
+            assert (rid.page_no, rid.slot) == (23, 3)
+            assert str(rid) == "rid(23:3)"
+            assert hash(rid) == hash((23, 3))
+
+    @pytest.mark.parametrize("kind", ["int", "name"])
     def test_delete_by_rid_matches_a_decoded_entry(self, memory_backend, kind):
         tree, keys = self.decoded_again(memory_backend, kind)
         tree.insert(keys[9], RID(9000, 1), 0.0)  # a duplicate: the rid picks the entry

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import figure2_placement
 from repro.db import RID, Database, Schema, int_col, varchar_col
+from repro.db import wal as wal_module
 from repro.db.wal import LogRecord, LogRecordType, WALError, WriteAheadLog, replay_log
 from repro.flash import FlashGeometry, instant_timing
 
@@ -44,6 +45,21 @@ class TestRecordCodec:
         record = LogRecord(1, LogRecordType.DELETE, "t", RID(0, 0))
         decoded, __ = LogRecord.decode(record.encode(), 0)
         assert decoded.row_bytes == b""
+
+    @pytest.mark.parametrize("rtype", list(LogRecordType))
+    def test_every_type_roundtrips_to_a_log_record(self, rtype):
+        record = LogRecord(2**40 + 3, rtype, "ORDER_LINE", RID(2**31 - 1, 2**16 - 1), b"\x00row")
+        prefix = b"\xff" * 5
+        decoded, end = LogRecord.decode(prefix + record.encode(), len(prefix))
+        assert decoded == record and end == len(prefix) + len(record.encode())
+        assert type(decoded) is LogRecord and decoded.type is rtype
+        assert type(decoded.rid) is RID and str(decoded.rid) == "rid(2147483647:65535)"
+
+    def test_unknown_type_byte_is_a_value_error(self):
+        image = bytearray(LogRecord(1, LogRecordType.INSERT, "t", RID(0, 0), b"x").encode())
+        image[8] = 0xEE
+        with pytest.raises(ValueError, match="238"):
+            LogRecord.decode(bytes(image), 0)
 
 
 class TestWriteAheadLog:
@@ -87,10 +103,16 @@ class TestWriteAheadLog:
         encodes every record again into a zeroed page, as the log did when
         it kept the records themselves."""
         encodes = []
-        encode = LogRecord.encode
+        encode_record = wal_module._encode_record
         monkeypatch.setattr(
-            LogRecord, "encode", lambda record: encodes.append(record.lsn) or encode(record)
+            wal_module,
+            "_encode_record",
+            lambda lsn, *fields: encodes.append(lsn) or encode_record(lsn, *fields),
         )
+
+        def encode(record):  # the reference: the encoder itself, uncounted
+            return encode_record(*record)
+
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
         rng = random.Random(11)
@@ -142,6 +164,51 @@ class TestWriteAheadLog:
         wal.checkpoint()
         kinds = [r.type for r, __ in wal.records()]
         assert kinds == [LogRecordType.INSERT, LogRecordType.CHECKPOINT]
+
+
+class TestTornTail:
+    """:meth:`WriteAheadLog.for_recovery` ends the log at the first page
+    that does not read back as a well-formed log page, keeps the pages
+    before it, and continues the LSNs past the highest survivor."""
+
+    TORN_PAGE = 3
+
+    @staticmethod
+    def unknown_type(image):
+        image = bytearray(image)
+        image[2 + 8] = 0xEE  # the first record's type byte
+        return bytes(image)
+
+    TEARS = {
+        "unknown type byte": unknown_type,
+        # cut inside the first record's body (header 11 + name 1 + 4 bytes)
+        "truncated record": lambda image: image[: 2 + 11 + 1 + 4],
+        "all-zero page": lambda image: bytes(len(image)),
+        "unreadable page": None,
+    }
+
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_scan_ends_at_the_torn_page(self, memory_backend, tear):
+        sid = memory_backend.create_space("wal")
+        wal = WriteAheadLog(memory_backend, sid)
+        for i in range(40):
+            wal.append(LogRecordType.INSERT, "t", RID(i, 0), b"x" * 60)
+        wal.commit()
+        wal.flush()
+        pages = [memory_backend.pages[(sid, n)] for n in range(wal.flushed_pages)]
+        assert len(pages) > self.TORN_PAGE + 1
+        kept = [r for r, __ in wal.records()][: 6 * self.TORN_PAGE]
+        assert all(len(page) == 512 and page[:2] == b"\x06\x00" for page in pages[:-1])
+        if self.TEARS[tear] is None:
+            del memory_backend.pages[(sid, self.TORN_PAGE)]
+        else:
+            memory_backend.pages[(sid, self.TORN_PAGE)] = self.TEARS[tear](pages[self.TORN_PAGE])
+
+        recovered = WriteAheadLog.for_recovery(memory_backend, sid)
+        assert recovered.flushed_pages == self.TORN_PAGE
+        assert [r for r, __ in recovered.records()] == kept
+        assert recovered.next_lsn == kept[-1].lsn + 1 == 6 * self.TORN_PAGE + 1
+        assert recovered.append(LogRecordType.COMMIT, "", RID(0, 0))[0] == recovered.next_lsn - 1
 
 
 class TestDatabaseIntegration:

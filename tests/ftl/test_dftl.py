@@ -121,3 +121,59 @@ class TestInteractionWithGC:
         assert dftl.stats.gc_erases > 0
         for lba, payload in payloads.items():
             assert dftl.read(lba)[0] == payload
+
+
+class ScanningDFTL(DFTL):
+    """The reference: a dirty eviction finds the victim's dirty siblings by
+    scanning the whole CMT, as DFTL did before it kept them per page."""
+
+    def _evict_lru(self, at):
+        victim, victim_dirty = next(iter(self._cmt.items()))
+        if not victim_dirty:
+            del self._cmt[victim]
+            return at
+        tpage_index = victim // self.entries_per_tpage
+        lo = tpage_index * self.entries_per_tpage
+        hi = lo + self.entries_per_tpage
+        at = self._write_internal(self.internal_lpn(tpage_index), b"T" * 64, at)
+        self.stats.trans_writes += 1
+        for lpn in [k for k, d in self._cmt.items() if d and lo <= k < hi]:
+            self._cmt[lpn] = False
+        del self._cmt[victim]
+        return at
+
+
+def device_counters(ftl):
+    stats = ftl.device.stats
+    return (
+        stats.reads, stats.programs, stats.erases, stats.copybacks,
+        stats.bytes_read, stats.bytes_written, stats.programs_per_die, stats.erases_per_die,
+    )
+
+
+class TestDirtySiblingIndex:
+    @pytest.mark.parametrize("cmt_entries", [1, 5, 40])
+    def test_matches_a_dftl_that_scans_the_cmt(self, cmt_entries):
+        import random
+
+        rng = random.Random(cmt_entries)
+        fast, slow = make_dftl(cmt_entries), make_dftl(cmt_entries)
+        slow.__class__ = ScanningDFTL
+        # LBAs over a few translation pages, so evictions batch siblings
+        span = min(fast.num_lbas, 3 * fast.entries_per_tpage)
+        t_fast = t_slow = 0.0
+        for step in range(span + 3000):
+            lba = step if step < span else rng.randrange(span)  # write each once first
+            if step < span or rng.random() < 0.6:
+                t_fast = fast.write(lba, b"w", at=t_fast)
+                t_slow = slow.write(lba, b"w", at=t_slow)
+            else:
+                __, t_fast = fast.read(lba, at=t_fast)
+                __, t_slow = slow.read(lba, at=t_slow)
+            assert list(fast._cmt.items()) == list(slow._cmt.items()), step
+            assert t_fast == t_slow
+            assert (fast.stats.trans_reads, fast.stats.trans_writes) == (
+                slow.stats.trans_reads, slow.stats.trans_writes
+            )
+            assert device_counters(fast) == device_counters(slow)
+        assert fast.stats.trans_writes > 50 and fast.stats.gc_erases > 0
