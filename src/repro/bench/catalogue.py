@@ -63,35 +63,10 @@ _ADVISOR = replace(
     buffer_pages=1024,
 )
 
-# TPC-C on the page-mapping FTL (placement=None), one cell per GC policy.
-# The engine keeps die_reserve_blocks() = 5 blocks per die in reserve.  On
-# fig3's 10 blocks/die that is half the device and PageMappingFTL takes
-# overprovision < 0.5 only, so nothing fits there; with one more block per
-# plane the device has 64 x 12 x 32 = 24,576 pages, the reserve is
-# 64 x 5 x 32 = 10,240, at most 14,336 (58.3 %) may be exported, and 0.42
-# is the smallest two-decimal overprovision that stays under it (14,254).
-_POLICY_MATRIX_TPCC = replace(
-    _FIG3,
-    name="tpcc",
-    geometry=paper_geometry(blocks_per_plane=6, pages_per_block=32),
-    scale=replace(
-        _FIG3.scale,
-        warehouses=1,
-        customers_per_district=60,
-        items=400,
-        initial_orders_per_district=60,
-    ),
-    num_transactions=300,
-    buffer_pages=256,
-    flusher_interval=64,
-    overprovision=0.42,
-)
-
 # Synthetic root: the hot/cold ablation at CI scale (HOT_COLD_CLASSES).
 _HOTCOLD = SyntheticConfig(dies=8, utilization=0.7, writes=12_000)
 _FTL = replace(_HOTCOLD, utilization=0.65, writes=10_000)
 _GC_POLICY = replace(_HOTCOLD, writes=10_000)
-_POLICY_MATRIX_SYNTHETIC = replace(_HOTCOLD, writes=8_000)
 
 CATALOGUE: dict[str, TPCCExperimentConfig | SyntheticConfig] = {
     "fig3.quick": _FIG3,
@@ -111,16 +86,12 @@ CATALOGUE: dict[str, TPCCExperimentConfig | SyntheticConfig] = {
         scale=replace(_ADVISOR.scale, customers_per_district=300, items=6000),
         num_transactions=2000,
     ),
-    "policy_matrix.tpcc.quick": _POLICY_MATRIX_TPCC,
-    "policy_matrix.tpcc.full": replace(_POLICY_MATRIX_TPCC, num_transactions=2000),
     "hotcold.quick": _HOTCOLD,
     "hotcold.full": replace(_HOTCOLD, writes=40_000),
     "ftl.quick": _FTL,
     "ftl.full": replace(_FTL, writes=30_000),
     "gc_policy.quick": _GC_POLICY,
     "gc_policy.full": replace(_GC_POLICY, writes=30_000),
-    "policy_matrix.synthetic.quick": _POLICY_MATRIX_SYNTHETIC,
-    "policy_matrix.synthetic.full": replace(_POLICY_MATRIX_SYNTHETIC, writes=40_000),
 }
 
 

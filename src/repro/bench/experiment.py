@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.advisor import ObjectStats
     from repro.mapping.stats import ManagementStats
     from repro.faults.plan import FaultPlan
-    from repro.policies import GCPolicy, WLPolicy
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ class TPCCExperimentConfig:
         timing: flash latency model.
         seed: workload RNG seed.
         overprovision: FTL-only export fraction.
-        gc_policy / wl_policy: policy name or object (:mod:`repro.policies`)
-            for the FTL path and for placements derived from this config;
+        gc_policy / wl_policy: policy names (:mod:`repro.policies`) for
+            the FTL path and for placements derived from this config;
             an explicit ``placement`` carries its own per-region policies.
         initial_bad_block_rate / device_seed: factory bad-block model of
             the underlying device.
@@ -78,8 +77,8 @@ class TPCCExperimentConfig:
     timing: TimingModel = field(default_factory=TimingModel)
     seed: int = 42
     overprovision: float = 0.1
-    gc_policy: "str | GCPolicy" = "greedy"
-    wl_policy: "str | WLPolicy" = "coldest_first"
+    gc_policy: str = "greedy"
+    wl_policy: str = "coldest_first"
     cpu_us_per_op: float = 5.0
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
@@ -380,9 +379,7 @@ def derive_method_placement(
         )
     )
     stats, sizes_at_load = _profile(cell)
-    # a policy object may carry state (d-choices' RNG) that a fresh cell
-    # would meet as the profile left it: only a named policy is the same run
-    _parked = cell if isinstance(config.gc_policy, str) else None
+    _parked = cell
     projected: list[ObjectStats] = []
     for s in stats:
         growth = max(0, s.size_pages - sizes_at_load.get(s.name, 0))

@@ -30,7 +30,6 @@ from repro.ftl.dftl import DFTL
 from repro.ftl.hotcold import HotColdFTL
 from repro.ftl.page_mapping import PageMappingFTL
 from repro.mapping.engine import die_reserve_blocks
-from repro.policies import GCPolicy, WLPolicy
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,9 @@ HOT_COLD_CLASSES = (
 class SyntheticConfig:
     """Parameters of a synthetic run.
 
-    ``gc_policy`` / ``wl_policy`` accept a registered policy name or a
-    ready policy object (see :mod:`repro.policies`) and apply to every
-    management layer the run builds — each region / FTL resolves its own
-    fresh instance when given a name.  ``initial_bad_block_rate`` /
+    ``gc_policy`` / ``wl_policy`` name the policies (see
+    :mod:`repro.policies`) of every management layer the run builds — each
+    region / FTL resolves its own fresh instance.  ``initial_bad_block_rate`` /
     ``device_seed`` configure the device's factory bad-block map;
     ``fault_plan`` optionally attaches a seeded fault injector for the
     measured write phase (preload is fault-free).
@@ -86,8 +84,8 @@ class SyntheticConfig:
     writes: int = 40_000
     seed: int = 1
     timing: TimingModel = field(default_factory=TimingModel)
-    gc_policy: str | GCPolicy = "greedy"
-    wl_policy: str | WLPolicy = "coldest_first"
+    gc_policy: str = "greedy"
+    wl_policy: str = "coldest_first"
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
     fault_plan: object | None = None  # repro.faults.plan.FaultPlan

@@ -19,13 +19,9 @@ close to the paper's hand-built Figure 2 — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.placement import PlacementConfig, RegionSpec
 from repro.core.region import RegionConfig, RegionError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.policies import GCPolicy
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def allocate_dies_for_groups(
     total_dies: int,
     safe_pages_per_die: int | None = None,
     headroom: float = 1.35,
-    gc_policy: "str | GCPolicy" = "greedy",
+    gc_policy: str = "greedy",
     name: str = "figure2-method",
 ) -> PlacementConfig:
     """Apply the paper's die-allocation rule to a *fixed* object grouping.
@@ -177,7 +173,7 @@ def suggest_placement(
     total_dies: int,
     max_regions: int = 6,
     name: str = "advised",
-    gc_policy: "str | GCPolicy" = "greedy",
+    gc_policy: str = "greedy",
     safe_pages_per_die: int | None = None,
     headroom: float = 1.35,
 ) -> PlacementConfig:

@@ -19,12 +19,8 @@ annotated per region below and record the reconstruction in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.region import RegionConfig, RegionError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.policies import GCPolicy
 
 #: Canonical TPC-C object names used throughout the reproduction.
 TPCC_TABLES = (
@@ -128,7 +124,7 @@ def _scale_dies(counts: list[int], total_dies: int) -> list[int]:
 
 
 def traditional_placement(
-    total_dies: int = 64, gc_policy: "str | GCPolicy" = "greedy", name: str = "traditional"
+    total_dies: int = 64, gc_policy: str = "greedy", name: str = "traditional"
 ) -> PlacementConfig:
     """Single-pool placement: all objects share one region over all dies.
 
@@ -164,7 +160,7 @@ FIGURE2_GROUPS: tuple[tuple[str, int, tuple[str, ...]], ...] = (
 
 
 def figure2_placement(
-    total_dies: int = 64, gc_policy: "str | GCPolicy" = "greedy", name: str = "figure2"
+    total_dies: int = 64, gc_policy: str = "greedy", name: str = "figure2"
 ) -> PlacementConfig:
     """The paper's 6-region TPC-C placement, scaled to ``total_dies``.
 

@@ -23,7 +23,6 @@ from repro.flash.payload import Payload
 from repro.mapping.blockinfo import DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine
 from repro.mapping.stats import ManagementStats
-from repro.policies import GCPolicy, WLPolicy, policy_name
 
 #: Owner sentinel for dies lost to whole-die failures.  A failed die is
 #: neither free nor owned: it must never re-enter the allocation pool.
@@ -48,11 +47,10 @@ class RegionConfig:
         max_channels: upper bound on distinct channels used, or ``None``.
         max_size_bytes: upper bound on the region's logical capacity, or
             ``None`` for "whatever the dies provide".
-        gc_policy: victim selection for this region's GC — a registered
-            policy name or a :class:`~repro.policies.base.GCPolicy`
-            instance (see :mod:`repro.policies`).
-        wl_policy: static-WL block ranking — a registered name or a
-            :class:`~repro.policies.base.WLPolicy` instance.
+        gc_policy: victim selection for this region's GC, by name
+            (``"greedy"`` or ``"cost_benefit"``; see :mod:`repro.policies`).
+        wl_policy: static-WL block ranking, by name (``"coldest_first"``
+            or ``"oldest_data"``).
         gc_trigger_free_blocks / gc_target_free_blocks: per-die watermarks.
         wear_level_threshold: per-die static-WL trigger, or ``None``.
         object_frontiers: when ``True`` (the paper's *intelligent data
@@ -67,8 +65,8 @@ class RegionConfig:
     max_chips: int | None = None
     max_channels: int | None = None
     max_size_bytes: int | None = None
-    gc_policy: str | GCPolicy = "greedy"
-    wl_policy: str | WLPolicy = "coldest_first"
+    gc_policy: str = "greedy"
+    wl_policy: str = "coldest_first"
     gc_trigger_free_blocks: int = 2
     gc_target_free_blocks: int = 3
     wear_level_threshold: int | None = None
@@ -387,8 +385,8 @@ class Region:
             "channels": sorted(self.channels_used()),
             "capacity_pages": self.capacity_pages(),
             "used_pages": self.used_pages(),
-            "gc_policy": policy_name(self.config.gc_policy),
-            "wl_policy": policy_name(self.config.wl_policy),
+            "gc_policy": self.config.gc_policy,
+            "wl_policy": self.config.wl_policy,
             "max_size": self.config.max_size_human,
             "degraded": self.degraded,
             "failed_dies": list(self.failed_dies),

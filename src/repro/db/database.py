@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.wal import WriteAheadLog
     from repro.obs.events import EventBus
     from repro.obs.registry import MetricRegistry
-    from repro.policies import GCPolicy, WLPolicy
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry, paper_geometry
 from repro.flash.timing import TimingModel
@@ -171,8 +170,8 @@ class Database:
         timing: TimingModel | None = None,
         ftl: str = "page",
         overprovision: float = 0.1,
-        gc_policy: "str | GCPolicy" = "greedy",
-        wl_policy: "str | WLPolicy" = "coldest_first",
+        gc_policy: str = "greedy",
+        wl_policy: str = "coldest_first",
         cmt_entries: int = 4096,
         initial_bad_block_rate: float = 0.0,
         device_seed: int = 0,

@@ -24,14 +24,10 @@ amplifies GC and wear like it does on a real device.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from typing import TYPE_CHECKING
 
 from repro.flash.device import FlashDevice
 from repro.flash.payload import Payload
 from repro.ftl.page_mapping import PageMappingFTL
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.policies import GCPolicy, WLPolicy
 
 
 #: Mapping entries per 4 KiB translation page (8 bytes per entry).
@@ -54,12 +50,12 @@ class DFTL(PageMappingFTL):
         device: FlashDevice,
         cmt_entries: int = 4096,
         overprovision: float = 0.1,
-        gc_policy: "str | GCPolicy" = "greedy",
+        gc_policy: str = "greedy",
         gc_trigger_free_blocks: int = 2,
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: "str | WLPolicy" = "coldest_first",
+        wl_policy: str = "coldest_first",
     ) -> None:
         if cmt_entries < 1:
             raise ValueError("cmt_entries must be >= 1")

@@ -19,14 +19,9 @@ NoFTL regions — exactly the paper's hierarchy of knowledge.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.flash.device import FlashDevice
 from repro.flash.payload import Payload
 from repro.ftl.page_mapping import PageMappingFTL
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.policies import GCPolicy, WLPolicy
 
 
 #: Placement-group ids used for the two on-device write frontiers.
@@ -90,12 +85,12 @@ class HotColdFTL(PageMappingFTL):
         hot_factor: float = 2.0,
         decay_interval: int = 8192,
         overprovision: float = 0.1,
-        gc_policy: "str | GCPolicy" = "greedy",
+        gc_policy: str = "greedy",
         gc_trigger_free_blocks: int = 2,
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: "str | WLPolicy" = "coldest_first",
+        wl_policy: str = "coldest_first",
     ) -> None:
         if hot_factor <= 0:
             raise ValueError("hot_factor must be positive")

@@ -35,7 +35,6 @@ from repro.mapping.stats import ManagementStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs.registry import MetricRegistry
-    from repro.policies import GCPolicy, WLPolicy
 
 
 class PageMappingFTL(BlockDevice):
@@ -45,16 +44,15 @@ class PageMappingFTL(BlockDevice):
         device: the underlying native flash device (fully owned by the FTL).
         overprovision: fraction of raw capacity hidden from the host; the
             slack is what makes GC possible.
-        gc_policy: victim selection — a registered policy name (e.g.
-            ``"greedy"``, ``"cost_benefit"``) or a
-            :class:`~repro.policies.base.GCPolicy` instance.
+        gc_policy: victim selection by name (``"greedy"`` or
+            ``"cost_benefit"``).
         gc_trigger_free_blocks: per-die free-block watermark that triggers GC.
         gc_target_free_blocks: GC runs until the die has this many free blocks.
         wear_level_threshold: max allowed spread of per-block erase counts
             within a die before static WL kicks in; ``None`` disables WL.
         wl_check_interval_erases: how often (in GC erases) WL is evaluated.
-        wl_policy: static-WL block ranking — a registered name or a
-            :class:`~repro.policies.base.WLPolicy` instance.
+        wl_policy: static-WL block ranking by name (``"coldest_first"``
+            or ``"oldest_data"``).
         internal_pages: extra logical pages reserved for subclass metadata
             (e.g. DFTL translation pages); they shrink the exported LBA space.
     """
@@ -63,12 +61,12 @@ class PageMappingFTL(BlockDevice):
         self,
         device: FlashDevice,
         overprovision: float = 0.1,
-        gc_policy: "str | GCPolicy" = "greedy",
+        gc_policy: str = "greedy",
         gc_trigger_free_blocks: int = 2,
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: "str | WLPolicy" = "coldest_first",
+        wl_policy: str = "coldest_first",
         internal_pages: int = 0,
     ) -> None:
         if not 0.0 <= overprovision < 0.5:

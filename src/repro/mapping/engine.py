@@ -75,18 +75,17 @@ class FlashSpaceEngine:
             (rather than creating them) lets dies migrate between engines
             with their wear history intact.
         stats: counter sink (one per management layer or per region).
-        gc_policy: GC victim selection — a registered policy name (e.g.
-            ``"greedy"``, ``"cost_benefit"``) or a ready
-            :class:`~repro.policies.base.GCPolicy` instance; resolved
-            through :func:`repro.policies.resolve_gc_policy` at
-            construction, so unknown names fail fast.
+        gc_policy: GC victim selection by name (``"greedy"`` or
+            ``"cost_benefit"``); resolved through
+            :func:`repro.policies.resolve_gc_policy` at construction, so
+            unknown names fail fast.
         gc_trigger_free_blocks / gc_target_free_blocks: per-die watermarks.
         wear_level_threshold: per-die erase-count spread triggering static
             WL, or ``None`` to disable.
         wl_check_interval_erases: WL evaluation cadence, in GC erases.
-        wl_policy: static-WL block ranking — a registered name (default
-            ``"coldest_first"``, the historical behaviour) or a
-            :class:`~repro.policies.base.WLPolicy` instance.
+        wl_policy: static-WL block ranking by name (default
+            ``"coldest_first"``, the historical behaviour, or
+            ``"oldest_data"``).
         obj_id: stamped into page metadata (regions use their region id).
         group_stripe_width: open blocks (on distinct dies) a placement
             group rotates its writes over; capped at the number of dies.
@@ -104,12 +103,12 @@ class FlashSpaceEngine:
         dies: list[int],
         books: dict[int, DieBookkeeping],
         stats: ManagementStats,
-        gc_policy: str | GCPolicy = "greedy",
+        gc_policy: str = "greedy",
         gc_trigger_free_blocks: int = 2,
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: str | WLPolicy = "coldest_first",
+        wl_policy: str = "coldest_first",
         obj_id: int | None = None,
         group_stripe_width: int = 8,
         read_disturb_threshold: int | None = None,
@@ -560,16 +559,6 @@ class FlashSpaceEngine:
         if bus is not None:
             bus.emit(at, "mapping", "gc_collect", die=die_index, block=victim.block,
                      valid_pages=victim.valid_count, obj=self.obj_id)
-        # the policy gets the same payload as the obs event, so adaptive
-        # policies learn from the realised copy cost of their own picks
-        self.gc_policy.observe({
-            "event": "gc_collect",
-            "die": die_index,
-            "block": victim.block,
-            "valid_pages": victim.valid_count,
-            "pages_per_block": self._pages_per_block,
-            "obj": self.obj_id,
-        })
         __, end = self._empty_block(victim, at)
         self._erases_since_wl_check += 1
         return end

@@ -1,77 +1,55 @@
-"""Pluggable GC / wear-levelling policy lab.
+"""GC victim selection and static wear-levelling block ranking.
 
 The paper's core claim — region-local GC sees homogeneous data and picks
-better victims — is only testable across a *space* of victim-selection
-policies.  This package turns the old hard-wired string dispatch into a
-first-class policy API shared by every management layer:
+better victims — is argued here with the classical pair of victim
+selectors, greedy and cost-benefit.  Every management layer selects
+through the same small interface:
 
 * :class:`~repro.policies.base.GCPolicy` — victim selection for garbage
-  collection: a deterministic, optionally seeded ``choose_victim`` over a
-  candidate set, plus an ``observe`` feedback hook fed with the same
-  ``gc_collect`` events the observability layer publishes;
+  collection: a deterministic ``choose_victim`` over a candidate set;
 * :class:`~repro.policies.base.WLPolicy` — the matching seam for static
   wear levelling (pick the worn free target and the cold victim block);
-* :mod:`~repro.policies.registry` — a name → factory registry.  The
-  historical strings (``"greedy"``, ``"cost_benefit"``) remain valid
-  aliases everywhere a policy is configured; ``resolve_gc_policy`` /
-  ``resolve_wl_policy`` accept either a name or a ready policy object.
+* :mod:`~repro.policies.registry` — a policy is configured by its name
+  (``"greedy"``, ``"cost_benefit"``; ``"coldest_first"``,
+  ``"oldest_data"``), and ``resolve_gc_policy`` / ``resolve_wl_policy``
+  build the engine's instance from it.
 
-Both management layers select victims exclusively through this interface:
-the NoFTL region engines (:mod:`repro.core` via
-:class:`~repro.mapping.engine.FlashSpaceEngine`) and the FTL baselines
-(:mod:`repro.ftl`).  What differs between the paper's configurations is
-only the *candidate set* the policy is applied to — whole device for the
-FTL, a single region's dies for NoFTL.
-
-The classical catalogue lives in :mod:`~repro.policies.classical`
-(greedy, cost-benefit, windowed greedy, d-choices, age-aware) and a
-dependency-free learned scorer in :mod:`~repro.policies.learned`.
+Both management layers use this interface: the NoFTL region engines
+(:mod:`repro.core` via :class:`~repro.mapping.engine.FlashSpaceEngine`)
+and the FTL baselines (:mod:`repro.ftl`).  What differs between the
+paper's configurations is only the *candidate set* the policy is applied
+to — whole device for the FTL, a single region's dies for NoFTL.
 
 This package has **no runtime dependency on the mapping layer** — block
 records are duck-typed (see :class:`~repro.policies.base.GCPolicy`), so
-``repro.policies`` can be imported, extended and tested standalone.
+``repro.policies`` can be imported and tested standalone.
 """
 
-from repro.policies.base import GCPolicy, PolicyEvent, WLPolicy
+from repro.policies.base import GCPolicy, WLPolicy
 from repro.policies.classical import (
-    AgeAwareGC,
     ColdestFirstWL,
     CostBenefitGC,
-    DChoicesGC,
     GreedyGC,
     OldestDataWL,
-    WindowedGreedyGC,
     select_victim_cost_benefit,
     select_victim_greedy,
 )
-from repro.policies.learned import LearnedGC
 from repro.policies.registry import (
     available_gc_policies,
     available_wl_policies,
-    policy_name,
-    register_gc_policy,
-    register_wl_policy,
     resolve_gc_policy,
     resolve_wl_policy,
 )
 
 __all__ = [
-    "AgeAwareGC",
     "ColdestFirstWL",
     "CostBenefitGC",
-    "DChoicesGC",
     "GCPolicy",
     "GreedyGC",
-    "LearnedGC",
     "OldestDataWL",
-    "PolicyEvent",
     "WLPolicy",
-    "WindowedGreedyGC",
     "available_gc_policies",
     "available_wl_policies",
-    "policy_name",
-    "register_gc_policy",
-    "register_wl_policy",
     "resolve_gc_policy",
     "resolve_wl_policy",
     "select_victim_cost_benefit",

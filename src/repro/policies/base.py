@@ -18,24 +18,17 @@ Determinism contract (enforced by property tests and the repo linter's
 
 * ``choose_victim`` must return a member of the candidate iterable, or
   ``None`` only when it is empty;
-* two instances constructed with the same seed must pick the same victims
-  given the same call sequence — randomness only through a seeded
-  ``random.Random(seed)``.
+* a pick depends only on the candidates and the virtual clock, never on
+  their iteration order or on wall time (ties break on ``(die, block)``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.mapping.blockinfo import BlockInfo, DieBookkeeping
-
-#: Feedback event passed to :meth:`GCPolicy.observe` — the same payload
-#: the observability layer publishes for the event (e.g. ``gc_collect``
-#: with ``die``, ``block``, ``valid_pages``) plus ``event`` (its name)
-#: and ``pages_per_block`` so learners can normalise the copy cost.
-PolicyEvent = Mapping[str, object]
 
 
 class GCPolicy:
@@ -48,7 +41,7 @@ class GCPolicy:
     must pick the same victim.
     """
 
-    #: registry name of the policy (``"greedy"``, ``"learned"``, ...)
+    #: configured name of the policy (``"greedy"``, ``"cost_benefit"``)
     name: str = "gc-policy"
 
     def choose_victim(
@@ -76,15 +69,6 @@ class GCPolicy:
         """
         return self.choose_victim(books.iter_candidates(), now_us)
 
-    def observe(self, event: PolicyEvent) -> None:
-        """Optional feedback hook; the default ignores the event.
-
-        The engine feeds every ``gc_collect`` it performs (mirroring the
-        event published on the observability bus) back to the policy that
-        picked the victim, so adaptive policies can learn online from the
-        realised copy cost.  Stateless policies inherit this no-op.
-        """
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -99,7 +83,7 @@ class WLPolicy:
     relocation machinery; the policy only ranks blocks.
     """
 
-    #: registry name of the policy (``"coldest_first"``, ...)
+    #: configured name of the policy (``"coldest_first"``, ``"oldest_data"``)
     name: str = "wl-policy"
 
     def choose_move(

@@ -1,7 +1,7 @@
-"""The classical GC victim-selection catalogue, plus WL block ranking.
+"""The classical GC victim selectors, plus WL block ranking.
 
-Two policies reproduce the repo's historical behaviour bit-for-bit
-(golden engine snapshots and the TPC-C determinism test pin them):
+Both GC policies are pinned bit-for-bit by the golden engine snapshots
+and the TPC-C determinism test:
 
 * **greedy** — pick the block with the most invalid pages.  Minimises the
   immediate copy cost; known to behave poorly when hot and cold data mix.
@@ -9,29 +9,16 @@ Two policies reproduce the repo's historical behaviour bit-for-bit
   score, which prefers old (cold) blocks even if they carry a few more
   valid pages.
 
-Three more come from the GC-techniques survey in PAPERS.md:
-
-* **windowed greedy** — greedy restricted to the *W oldest* candidates,
-  an age filter that keeps hot blocks (whose pages are still dying) out
-  of the victim pool;
-* **d-choices** — greedy over a random sample of ``d`` candidates: the
-  classic power-of-d-choices trade between victim quality and selection
-  cost, seeded for reproducibility;
-* **age-aware** — score ``invalid_count * (1 + age)``: a smooth blend of
-  greedy's copy-cost focus and cost-benefit's cold preference.
-
 All tie-breaks are on ``(die, block)``, so every pick is independent of
 candidate iteration order.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.policies.base import GCPolicy, WLPolicy
-from repro.policies.registry import register_gc_policy, register_wl_policy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.mapping.blockinfo import BlockInfo, DieBookkeeping
@@ -104,65 +91,6 @@ class CostBenefitGC(GCPolicy):
         return select_victim_cost_benefit(candidates, now_us)
 
 
-class WindowedGreedyGC(GCPolicy):
-    """Greedy over the ``window`` oldest candidates (by last write)."""
-
-    name = "windowed_greedy"
-
-    def __init__(self, window: int = 8) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def choose_victim(
-        self, candidates: Iterable[BlockInfo], now_us: float
-    ) -> BlockInfo | None:
-        pool = sorted(candidates, key=lambda b: (b.last_write_us, b.die, b.block))
-        return select_victim_greedy(pool[: self.window])
-
-
-class DChoicesGC(GCPolicy):
-    """Greedy over a seeded random sample of ``d`` candidates."""
-
-    name = "d_choices"
-
-    def __init__(self, seed: int = 0, d: int = 4) -> None:
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = d
-        self._rng = random.Random(seed)
-
-    def choose_victim(
-        self, candidates: Iterable[BlockInfo], now_us: float
-    ) -> BlockInfo | None:
-        # pin the pool order before sampling: candidate iteration order is
-        # an implementation detail, the sample must not depend on it
-        pool = sorted(candidates, key=lambda b: (b.die, b.block))
-        if not pool:
-            return None
-        if len(pool) > self.d:
-            pool = self._rng.sample(pool, self.d)
-        return select_victim_greedy(pool)
-
-
-class AgeAwareGC(GCPolicy):
-    """Score ``invalid_count * (1 + age)``: dirty *and* cold wins."""
-
-    name = "age_aware"
-
-    def choose_victim(
-        self, candidates: Iterable[BlockInfo], now_us: float
-    ) -> BlockInfo | None:
-        best: BlockInfo | None = None
-        best_key: tuple[float, int, int] | None = None
-        for info in candidates:
-            age = max(0.0, now_us - info.last_write_us)
-            key = (-(info.invalid_count * (1.0 + age)), info.die, info.block)
-            if best_key is None or key < best_key:
-                best, best_key = info, key
-        return best
-
-
 class ColdestFirstWL(WLPolicy):
     """Move the coldest (fewest-erases) full block onto the most worn free
     block — the historical behaviour, preserved bit-for-bit."""
@@ -197,12 +125,3 @@ class OldestDataWL(WLPolicy):
         target = max(frees, key=erase_count)
         cold = min(fulls, key=lambda b: (b.last_write_us, b.die, b.block))
         return target, cold
-
-
-register_gc_policy("greedy", lambda seed: GreedyGC())
-register_gc_policy("cost_benefit", lambda seed: CostBenefitGC())
-register_gc_policy("windowed_greedy", lambda seed: WindowedGreedyGC())
-register_gc_policy("d_choices", lambda seed: DChoicesGC(seed=seed))
-register_gc_policy("age_aware", lambda seed: AgeAwareGC())
-register_wl_policy("coldest_first", lambda seed: ColdestFirstWL())
-register_wl_policy("oldest_data", lambda seed: OldestDataWL())

@@ -1,88 +1,52 @@
-"""Name → factory registry for GC and WL policies.
+"""Policy name → class tables for GC and WL policies.
 
 Every place a policy is configured (``RegionConfig``, ``SyntheticConfig``,
 ``TPCCExperimentConfig``, the FTL constructors, region DDL, CLI flags)
-accepts **either** a registered name or a ready policy object; the engine
-resolves through here at construction time.  The historical strings
-(``"greedy"``, ``"cost_benefit"``) are ordinary registered names, so
-existing configs and JSON plans keep working unchanged.
-
-Factories take a seed so stochastic policies (d-choices sampling, the
-learned scorer's exploration) replay bit-identically; deterministic
-policies ignore it.  ``resolve_*`` returns a **fresh instance per call**
-when given a name — policies may carry state (RNGs, learned weights), and
-two engines must never share it by accident.  Passing an already-built
-policy object hands the engine exactly that instance.
+takes its name; the engine resolves it here at construction time, so an
+unknown name fails before anything runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.policies.base import GCPolicy, WLPolicy
+from repro.policies.classical import ColdestFirstWL, CostBenefitGC, GreedyGC, OldestDataWL
 
-_GC_FACTORIES: dict[str, Callable[[int], GCPolicy]] = {}
-_WL_FACTORIES: dict[str, Callable[[int], WLPolicy]] = {}
-
-
-def register_gc_policy(name: str, factory: Callable[[int], GCPolicy]) -> None:
-    """Register a GC policy factory under ``name`` (``factory(seed)``).
-
-    Re-registration replaces the factory — convenient for experiments
-    that want to pin a parameterisation under a well-known name.
-    """
-    _GC_FACTORIES[name] = factory
-
-
-def register_wl_policy(name: str, factory: Callable[[int], WLPolicy]) -> None:
-    """Register a WL policy factory under ``name`` (``factory(seed)``)."""
-    _WL_FACTORIES[name] = factory
+_GC_POLICIES: dict[str, type[GCPolicy]] = {
+    cls.name: cls for cls in (CostBenefitGC, GreedyGC)
+}
+_WL_POLICIES: dict[str, type[WLPolicy]] = {
+    cls.name: cls for cls in (ColdestFirstWL, OldestDataWL)
+}
 
 
 def available_gc_policies() -> list[str]:
-    """Registered GC policy names, sorted."""
-    return sorted(_GC_FACTORIES)
+    """GC policy names, sorted."""
+    return sorted(_GC_POLICIES)
 
 
 def available_wl_policies() -> list[str]:
-    """Registered WL policy names, sorted."""
-    return sorted(_WL_FACTORIES)
+    """WL policy names, sorted."""
+    return sorted(_WL_POLICIES)
 
 
-def resolve_gc_policy(spec: str | GCPolicy, seed: int = 0) -> GCPolicy:
-    """Resolve ``spec`` to a GC policy instance.
+def resolve_gc_policy(name: str) -> GCPolicy:
+    """A fresh instance of the GC policy called ``name``.
 
-    A :class:`~repro.policies.base.GCPolicy` passes through untouched; a
-    string builds a fresh instance from its registered factory, seeded
-    with ``seed``.  Unknown names raise ``ValueError`` (at configuration
-    time, not mid-run).
+    Unknown names raise ``ValueError`` (at configuration time, not mid-run).
     """
-    if isinstance(spec, GCPolicy):
-        return spec
-    factory = _GC_FACTORIES.get(spec)
-    if factory is None:
+    cls = _GC_POLICIES.get(name)
+    if cls is None:
         raise ValueError(
-            f"unknown GC policy {spec!r}; expected one of {available_gc_policies()}"
+            f"unknown GC policy {name!r}; expected one of {available_gc_policies()}"
         )
-    return factory(seed)
+    return cls()
 
 
-def resolve_wl_policy(spec: str | WLPolicy, seed: int = 0) -> WLPolicy:
-    """Resolve ``spec`` to a WL policy instance (see :func:`resolve_gc_policy`)."""
-    if isinstance(spec, WLPolicy):
-        return spec
-    factory = _WL_FACTORIES.get(spec)
-    if factory is None:
+def resolve_wl_policy(name: str) -> WLPolicy:
+    """A fresh instance of the WL policy called ``name`` (see :func:`resolve_gc_policy`)."""
+    cls = _WL_POLICIES.get(name)
+    if cls is None:
         raise ValueError(
-            f"unknown WL policy {spec!r}; expected one of {available_wl_policies()}"
+            f"unknown WL policy {name!r}; expected one of {available_wl_policies()}"
         )
-    return factory(seed)
-
-
-def policy_name(spec: str | GCPolicy | WLPolicy) -> str:
-    """The configured policy's name, whether given as string or object.
-
-    Used wherever a policy must be *reported* (region catalogs, metrics
-    documents) without resolving or instantiating anything.
-    """
-    return spec if isinstance(spec, str) else spec.name
+    return cls()

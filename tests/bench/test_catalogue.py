@@ -29,6 +29,7 @@ from repro.bench import (
 from repro.bench.errors import BenchConfigError
 from repro.cli import build_parser
 from repro.core import traditional_placement
+from repro.flash.geometry import paper_geometry
 from repro.tpcc import tiny_scale
 
 REPO = Path(__file__).resolve().parents[2]
@@ -68,9 +69,20 @@ class TestEntries:
 
     def test_ftl_entry_runs_through_the_harness(self):
         """The ``placement=None`` branch of ``run_tpcc_experiment``, end to end."""
-        entry = tpcc_experiment("policy_matrix.tpcc.quick")
-        assert entry.placement is None
-        result = run_tpcc_experiment(replace(entry, scale=tiny_scale(), num_transactions=30))
+        # The engine keeps die_reserve_blocks() = 5 blocks per die in reserve.
+        # On fig3's 10 blocks/die that is half the device and PageMappingFTL
+        # takes overprovision < 0.5 only, so nothing fits there; with one more
+        # block per plane the device has 64 x 12 x 32 = 24,576 pages, the
+        # reserve is 64 x 5 x 32 = 10,240, at most 14,336 (58.3 %) may be
+        # exported, and 0.42 is the smallest two-decimal overprovision that
+        # stays under it (14,254).
+        config = replace(
+            tpcc_experiment("fig3.quick"),
+            placement=None,
+            geometry=paper_geometry(blocks_per_plane=6, pages_per_block=32),
+            overprovision=0.42,
+        )
+        result = run_tpcc_experiment(replace(config, scale=tiny_scale(), num_transactions=30))
         assert result.row("transactions") == 30
         assert result.row("host_writes") > 0
         assert result.per_region == {}

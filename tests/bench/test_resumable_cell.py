@@ -26,7 +26,6 @@ from repro.bench import (
 )
 from repro.core import figure2_placement, traditional_placement
 from repro.faults import FaultPlan, FaultSpec
-from repro.policies import GreedyGC
 from repro.tpcc import tiny_scale
 from repro.tpcc.consistency import check_consistency
 
@@ -126,8 +125,8 @@ class TestEligibility:
             pytest.param(dict(buffer_pages=32), id="buffer_pages"),
             pytest.param(dict(placement=figure2_placement(16)), id="placement"),
             pytest.param(
-                dict(placement=traditional_placement(16, gc_policy=GreedyGC())),
-                id="gc_policy_object",
+                dict(placement=traditional_placement(16, gc_policy="cost_benefit")),
+                id="gc_policy",
             ),
             pytest.param(dict(placement=None, overprovision=0.2), id="ftl"),
             pytest.param(dict(device_seed=1), id="device_seed"),
@@ -149,12 +148,6 @@ class TestEligibility:
         assert experiment._parked.driver.metrics.transactions == PROFILED
         # ... so the fault-free cell of that experiment is still the same run
         assert run_tpcc_experiment(TRADITIONAL).workload["transactions"] == BUDGET
-        assert experiment._parked is None
-
-    def test_policy_object_is_not_parked(self):
-        # a policy instance is shared by every stack built from the config and
-        # may carry state; a fresh cell would not meet it as the profile did
-        derive(replace(BASE, gc_policy=GreedyGC()))
         assert experiment._parked is None
 
 

@@ -47,9 +47,12 @@ class TestCreateRegion:
         assert stmt.config.max_chips is None
 
     def test_dies_and_policy_extensions(self):
-        stmt = parse_create_region("CREATE REGION rg (DIES=8, GC_POLICY=COST_BENEFIT)")
+        stmt = parse_create_region(
+            "CREATE REGION rg (DIES=8, GC_POLICY=COST_BENEFIT, WL_POLICY=OLDEST_DATA)"
+        )
         assert stmt.num_dies == 8
         assert stmt.config.gc_policy == "cost_benefit"
+        assert stmt.config.wl_policy == "oldest_data"
 
     def test_maintenance_thresholds(self):
         stmt = parse_create_region(
@@ -73,6 +76,26 @@ class TestCreateRegion:
     def test_not_a_create_region(self):
         with pytest.raises(RegionError):
             parse_create_region("CREATE TABLE t (x INT)")
+
+    @pytest.mark.parametrize(
+        "key",
+        ["DIES", "MAX_CHIPS", "MAX_CHANNELS", "WEAR_LEVEL_THRESHOLD", "READ_DISTURB_THRESHOLD"],
+    )
+    def test_non_integer_value_names_the_parameter(self, key):
+        with pytest.raises(RegionError, match=f"{key} must be an integer, got 'abc'"):
+            parse_create_region(f"CREATE REGION rg ({key}=abc)")
+
+    def test_unknown_gc_policy_refused_with_the_allowed_names(self):
+        with pytest.raises(
+            RegionError, match=r"GC_POLICY='learnd'.*\['cost_benefit', 'greedy'\]"
+        ):
+            parse_create_region("CREATE REGION rg (DIES=2, GC_POLICY=learnd)")
+
+    def test_unknown_wl_policy_refused_with_the_allowed_names(self):
+        with pytest.raises(
+            RegionError, match=r"WL_POLICY='hottest'.*\['coldest_first', 'oldest_data'\]"
+        ):
+            parse_create_region("CREATE REGION rg (WL_POLICY=hottest)")
 
 
 class TestDropRegion:

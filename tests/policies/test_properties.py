@@ -1,13 +1,13 @@
-"""Contract properties every registered policy must satisfy.
+"""Contract properties every policy must satisfy.
 
-Two invariants back the whole policy lab:
+Two invariants back every policy:
 
 * *membership* — ``choose_victim`` returns an element of its candidate
   set, and ``None`` exactly when the set is empty; no policy may invent
   a block.
-* *determinism* — two instances resolved with the same seed replay the
-  same pick sequence over the same candidate stream (including any
-  ``observe()`` feedback), so simulation runs stay reproducible.
+* *determinism* — two instances resolved from the same name replay the
+  same pick sequence over the same candidate stream, whatever order the
+  candidates come in, so simulation runs stay reproducible.
 """
 
 import pytest
@@ -23,18 +23,18 @@ WL_NAMES = available_wl_policies()
 @pytest.mark.parametrize("name", GC_NAMES)
 class TestGCMembership:
     def test_choice_is_a_member_of_the_candidate_set(self, name):
-        policy = resolve_gc_policy(name, seed=7)
+        policy = resolve_gc_policy(name)
         for round_seed in range(20):
             pool = candidate_pool(round_seed)
             pick = policy.choose_victim(pool, now_us=100_000.0)
             assert any(pick is info for info in pool)
 
     def test_empty_candidates_return_none(self, name):
-        policy = resolve_gc_policy(name, seed=7)
+        policy = resolve_gc_policy(name)
         assert policy.choose_victim([], now_us=0.0) is None
 
     def test_single_candidate_is_always_chosen(self, name):
-        policy = resolve_gc_policy(name, seed=7)
+        policy = resolve_gc_policy(name)
         only = block(0, 0, valid=2)
         assert policy.choose_victim([only], now_us=50.0) is only
 
@@ -48,23 +48,15 @@ class TestGCDeterminism:
                 pool = candidate_pool(round_seed)
                 pick = policy.choose_victim(pool, now_us=1_000.0 * round_seed)
                 picks.append((pick.die, pick.block))
-                # feed the same GC outcome back, as the engine would
-                policy.observe(
-                    {
-                        "event": "gc_collect",
-                        "valid_pages": pick.valid_count,
-                        "pages_per_block": pick.pages_per_block,
-                    }
-                )
             return picks
 
-        a = run(resolve_gc_policy(name, seed=123))
-        b = run(resolve_gc_policy(name, seed=123))
+        a = run(resolve_gc_policy(name))
+        b = run(resolve_gc_policy(name))
         assert a == b
 
     def test_candidate_iteration_order_does_not_matter(self, name):
-        policy_fwd = resolve_gc_policy(name, seed=9)
-        policy_rev = resolve_gc_policy(name, seed=9)
+        policy_fwd = resolve_gc_policy(name)
+        policy_rev = resolve_gc_policy(name)
         for round_seed in range(20):
             pool = candidate_pool(round_seed)
             fwd = policy_fwd.choose_victim(list(pool), now_us=77_000.0)
@@ -72,64 +64,10 @@ class TestGCDeterminism:
             assert (fwd.die, fwd.block) == (rev.die, rev.block)
 
 
-class TestLearnedRNGUniformity:
-    """LearnedGC draws from its RNG uniformly: two draws per non-empty
-    selection, whatever the pool size.
-
-    The seed implementation only touched the RNG when ``len(pool) > 1``,
-    so a size-1 pool silently skipped the stream and every later pick
-    depended on the *sizes* of earlier pools, not just how many
-    selections had happened — a replay hazard this class pins shut.
-    """
-
-    def test_each_selection_draws_exactly_twice(self):
-        import random
-
-        from repro.policies.learned import LearnedGC
-
-        for pool in ([block(0, 0, valid=2)], candidate_pool(3)):
-            policy = LearnedGC(seed=5)
-            policy.choose_victim(pool, now_us=1.0)
-            expected = random.Random(5)
-            expected.random()
-            expected.random()
-            assert policy._rng.random() == expected.random()
-
-    def test_empty_pool_draws_nothing(self):
-        import random
-
-        from repro.policies.learned import LearnedGC
-
-        policy = LearnedGC(seed=5)
-        assert policy.choose_victim([], now_us=1.0) is None
-        assert policy._rng.random() == random.Random(5).random()
-
-    def test_size_one_pools_keep_same_seed_instances_in_lockstep(self):
-        from repro.policies.learned import LearnedGC
-
-        # epsilon=1 makes every pick pure RNG, so any stream skew caused
-        # by the size-1 pool would surface as a different shared-pool pick
-        a = LearnedGC(seed=11, epsilon=1.0)
-        b = LearnedGC(seed=11, epsilon=1.0)
-        a.choose_victim([block(9, 9, valid=2)], now_us=10.0)
-        b.choose_victim(candidate_pool(1), now_us=10.0)
-        shared = candidate_pool(0)
-        pick_a = a.choose_victim(list(shared), now_us=20.0)
-        pick_b = b.choose_victim(list(shared), now_us=20.0)
-        assert (pick_a.die, pick_a.block) == (pick_b.die, pick_b.block)
-
-    def test_exploring_a_single_candidate_returns_it(self):
-        from repro.policies.learned import LearnedGC
-
-        policy = LearnedGC(seed=2, epsilon=1.0)
-        only = block(0, 0, valid=1)
-        assert policy.choose_victim([only], now_us=5.0) is only
-
-
 @pytest.mark.parametrize("name", WL_NAMES)
 class TestWLContract:
     def test_move_members_and_empty_none(self, name):
-        policy = resolve_wl_policy(name, seed=3)
+        policy = resolve_wl_policy(name)
         frees = [block(0, i) for i in range(3)]
         fulls = [block(1, i, valid=4, last_write=float(i)) for i in range(3)]
         move = policy.choose_move(frees, fulls, lambda b: b.block)

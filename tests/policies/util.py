@@ -1,4 +1,4 @@
-"""Shared helpers for the policy-lab tests."""
+"""Shared helpers for the policy tests."""
 
 from __future__ import annotations
 
