@@ -16,9 +16,9 @@ The package is organised bottom-up:
   closed-loop driver, consistency checks).
 * :mod:`repro.bench` — experiment harness reproducing the paper's
   Figures 2 and 3 plus ablations.
-* :mod:`repro.obs` — unified observability: the metric registry, the
-  cross-layer event bus and the ``repro.obs/v1`` exporters behind every
-  ``--json`` / ``--metrics-out`` flag and ``repro report``.
+* :mod:`repro.obs` — unified observability: the metric registry and the
+  ``repro.obs/v1`` exporters behind every ``--json`` / ``--metrics-out``
+  flag and ``repro report``.
 
 Typical use mirrors the paper's DDL::
 

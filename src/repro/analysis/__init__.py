@@ -6,7 +6,7 @@ suite enforces only *dynamically*: bit-identical seeded simulation
 accounting (``faults.injected.total == recovered.total + retired.total``,
 the pinned ``repro.obs/v1`` namespace).  This package checks the code
 *shapes* behind those contracts statically, so a stray ``time.time()``
-or an unguarded ``self.events.emit(...)`` is caught at lint time rather
+or an unguarded ``self.faults.on_command(...)`` is caught at lint time rather
 than as a silently-perturbed benchmark.
 
 Pieces:

@@ -2,8 +2,8 @@
 
 Everything here is pure syntax — no type inference.  The helpers encode
 the handful of shapes the rules care about: dotted attribute chains
-(``self.device.events``), the repo's None-guard idioms, and function-local
-alias tracking (``bus = self.device.events``).
+(``self.device.faults``), the repo's None-guard idioms, and function-local
+alias tracking (``faults = self.device.faults``).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def is_none_guarded(
             if target in proven:
                 return True
         elif isinstance(ancestor, ast.BoolOp) and isinstance(ancestor.op, ast.And):
-            # `target is not None and target.emit(...)`: every operand left of
+            # `target is not None and target.call(...)`: every operand left of
             # the one containing `node` is known true.
             for operand in ancestor.values:
                 if operand is child or _contains(operand, child):
@@ -150,10 +150,10 @@ def local_aliases_of(
 ) -> dict[str, str]:
     """Function-local names bound to attribute chains ending in ``suffixes``.
 
-    Captures the stack's alias idiom (``bus = self.device.events``) so the
-    guard rule can follow ``bus.emit(...)`` just like a direct chain.  Only
-    simple single-target assignments are tracked; a name rebound to
-    anything else drops out of the map.
+    Captures the stack's alias idiom (``faults = self.device.faults``) so
+    the guard rule can follow ``faults.on_command(...)`` just like a direct
+    chain.  Only simple single-target assignments are tracked; a name
+    rebound to anything else drops out of the map.
     """
     aliases: dict[str, str] = {}
     for node in ast.walk(func):
@@ -166,7 +166,7 @@ def local_aliases_of(
         if source is not None and source.rsplit(".", 1)[-1] in suffixes:
             aliases[target.id] = source
         elif _is_guarded_alias(node.value, suffixes):
-            # `bus = None if ... else self.device.events` — still an alias.
+            # `faults = None if ... else self.device.faults` — still an alias.
             aliases[target.id] = "?"
         else:
             aliases.pop(target.id, None)

@@ -40,7 +40,6 @@ from repro.bench.synthetic import (
     run_ftl_synthetic,
     run_noftl_synthetic,
 )
-from repro.bench.timeline import gc_interference_report, render_timeline
 
 __all__ = [
     "CATALOGUE",
@@ -62,11 +61,9 @@ __all__ = [
     "figure3_metrics_doc",
     "figure3_table",
     "format_value",
-    "gc_interference_report",
     "profile_objects",
     "render_metrics_doc",
     "render_series",
-    "render_timeline",
     "render_single",
     "render_table",
     "run_cells",

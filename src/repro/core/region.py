@@ -213,9 +213,6 @@ class Region:
         """Read logical page ``rpn``; returns ``(data, completion_us)``."""
         self._check_allocated(rpn)
         issue = at
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(issue, "host", "read", region=self.name, rpn=rpn)
         tries = len(self.engine.dies) + 2
         while True:
             try:
@@ -243,9 +240,6 @@ class Region:
         issue = at
         if not self.config.object_frontiers:
             group = None
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(issue, "host", "write", region=self.name, rpn=rpn, obj=group)
         tries = len(self.engine.dies) + 2
         while True:
             try:
@@ -274,10 +268,6 @@ class Region:
             self._check_allocated(rpn)
         if not self.config.object_frontiers:
             group = None
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "host", "write_atomic", region=self.name,
-                     pages=len(entries), obj=group)
         issue = at
         tries = len(self.engine.dies) + 2
         while True:
@@ -320,9 +310,6 @@ class Region:
         """
         if die not in self.engine.dies:
             return at  # several queued ops can observe the same failure
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "faults", "region_degraded", region=self.name, die=die)
         __, at = self.engine.fail_die(die, at)
         self.failed_dies.append(die)
         if self._die_owner is not None:

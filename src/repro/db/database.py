@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.partition import PartitionedTable, PartitionScheme
     from repro.db.wal import WriteAheadLog
-    from repro.obs.events import EventBus
     from repro.obs.registry import MetricRegistry
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry, paper_geometry
@@ -269,10 +268,6 @@ class Database:
         from repro.obs.collect import registry_for_database
 
         return registry_for_database(self)
-
-    def attach_event_bus(self, capacity: int = 100_000) -> EventBus:
-        """Attach (or return) the device's shared cross-layer event bus."""
-        return self.device.attach_event_bus(capacity=capacity)
 
     @property
     def now(self) -> float:

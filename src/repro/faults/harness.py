@@ -160,7 +160,7 @@ def run_tpcc_crash_harness(
                 t = region.retire_failed_die(die, t)
     # a wear-out whose carrying erase was aborted by a simultaneous
     # crash/die failure would dangle injected-but-unretired — land it
-    injector.settle_pending_wearout(source.device, t)
+    injector.settle_pending_wearout(source.device)
     # likewise a grown-bad retirement whose salvage was interrupted: after
     # a power cut the recovered engine finishes it (salvage, mark bad,
     # count once); after a die failure the rebuild already moved the live
@@ -180,16 +180,12 @@ def run_tpcc_crash_harness(
     # ------------------------------------------------------------------
     target = build()
     load_database(target, scale, seed=seed)
-    applied, t = replay_log(target, wal, t, transactional=True)
+    applied, __ = replay_log(target, wal, t, transactional=True)
     report = check_consistency(target)
 
     injector.stats.replayed_records += applied
     if crashed:
         injector.stats.recovered_crash_replay += 1
-        bus = source.device.events
-        if bus is not None:
-            bus.emit(t, "faults", "crash_replay", records=applied,
-                     consistent=report.ok)
 
     failed = sorted(
         {d for region in source.store.regions() for d in region.failed_dies}

@@ -1,12 +1,12 @@
 """The fault injector: a seeded saboteur wired into the flash device.
 
 A :class:`FaultInjector` is attached with
-:meth:`~repro.flash.device.FlashDevice.attach_fault_injector` and follows
-the EventBus pattern exactly: ``device.faults`` is ``None`` by default and
-every native command pays a single ``is not None`` test, so the hot path
-is unaffected when no plan is loaded (the bit-identity acceptance tests
-pin this).  The reference runs one way: the device calls each hook with
-itself as the first argument, and the injector keeps no reference to it.
+:meth:`~repro.flash.device.FlashDevice.attach_fault_injector` as an
+optional hook: ``device.faults`` is ``None`` by default and every native
+command pays a single ``is not None`` test, so the hot path is unaffected
+when no plan is loaded (the bit-identity acceptance tests pin this).  The
+reference runs one way: the device calls each hook with itself as the
+first argument, and the injector keeps no reference to it.
 
 The injector keeps a global operation counter over the injectable native
 commands (READ PAGE, PROGRAM PAGE, ERASE BLOCK, COPYBACK and the
@@ -154,7 +154,7 @@ class FaultInjector:
     # Device hooks
     # ------------------------------------------------------------------
     def on_command(self, device: FlashDevice, op: str, die: int, block: int | None = None,
-                   page: int | None = None, at: float = 0.0) -> None:
+                   page: int | None = None) -> None:
         """Called by ``device`` before executing each injectable command."""
         self._op += 1
         if self.dead_dies and die in self.dead_dies and op in _WRITE_OPS:
@@ -174,14 +174,14 @@ class FaultInjector:
         for state in self._specs:
             if state.should_fire(op, die, block, self._op, self._rng):
                 state.fired += 1
-                self._fire(device, state.spec, op, die, block, page, at)
+                self._fire(state.spec, op, die, block, page)
 
-    def after_erase(self, device: FlashDevice, die: int, block: int, at: float = 0.0) -> None:
+    def after_erase(self, device: FlashDevice, die: int, block: int) -> None:
         """Called by ``device`` after an erase: apply a scheduled wear-out."""
         if self._pending_wearout == (die, block):
-            self._retire_pending_wearout(device, at)
+            self._retire_pending_wearout(device)
 
-    def settle_pending_wearout(self, device: FlashDevice, at: float = 0.0) -> None:
+    def settle_pending_wearout(self, device: FlashDevice) -> None:
         """Apply a wear-out whose carrying erase never completed.
 
         A wear-out fires on the erase command about to run and is applied
@@ -194,15 +194,14 @@ class FaultInjector:
         nothing pending it is a no-op.
         """
         if self._pending_wearout is not None:
-            self._retire_pending_wearout(device, at)
+            self._retire_pending_wearout(device)
 
-    def _retire_pending_wearout(self, device: FlashDevice, at: float) -> None:
+    def _retire_pending_wearout(self, device: FlashDevice) -> None:
         assert self._pending_wearout is not None
         die, block = self._pending_wearout
         self._pending_wearout = None
         device.dies[die].blocks[block].mark_bad()
         self.stats.retired_wearout_blocks += 1
-        self._emit(device, at, "wearout_retired", die=die, block=block)
 
     def unretired_program_faults(self, device: FlashDevice) -> list[tuple[int, int]]:
         """``(die, block)`` of program failures whose retirement never landed.
@@ -222,44 +221,31 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
-    def _fire(self, device: FlashDevice, spec: FaultSpec, op: str, die: int,
-              block: int | None, page: int | None, at: float) -> None:
+    def _fire(self, spec: FaultSpec, op: str, die: int,
+              block: int | None, page: int | None) -> None:
         kind = spec.kind
         if kind == "read_transient":
             self.stats.injected_read_transient += 1
             self.stats.read_retry_attempts += 1
             if spec.retries > 1:
                 self._pending_reads[(die, block, page)] = spec.retries - 1
-            self._emit(device, at, "inject_read_transient", die=die, block=block, page=page,
-                       op=self._op, retries=spec.retries)
             raise TransientReadError(die, block, page)
         if kind == "program_fail":
             self.stats.injected_program_fail += 1
             assert block is not None
             self._program_faulted.append((die, block))
-            self._emit(device, at, "inject_program_fail", die=die, block=block, page=page,
-                       op=self._op)
             raise ProgramFaultError(die, block, page)
         if kind == "wearout":
             self.stats.injected_wearout += 1
             self._pending_wearout = (die, block)
-            self._emit(device, at, "inject_wearout", die=die, block=block, op=self._op)
             return
         if kind == "die_fail":
             target = spec.die if spec.die is not None else die
             self.stats.injected_die_fail += 1
             self.dead_dies.add(target)
-            self._emit(device, at, "inject_die_fail", die=target, op=self._op)
             if die == target and op in _WRITE_OPS:
                 raise DieFailedError(target, op=op)
             return
         # power_cut
         self.stats.injected_power_cut += 1
-        self._emit(device, at, "inject_power_cut", op=self._op)
         raise PowerCutError(self._op)
-
-    @staticmethod
-    def _emit(device: FlashDevice, at: float, kind: str, **attrs: object) -> None:
-        bus = device.events
-        if bus is not None:
-            bus.emit(at, "faults", kind, **attrs)

@@ -26,7 +26,6 @@ from repro.flash.geometry import KIB, MIB, FlashGeometry, paper_geometry, small_
 from repro.flash.payload import DeferredImage, Payload
 from repro.flash.simclock import ResourceTimeline, SimClock
 from repro.flash.stats import FlashStats, LatencyAccumulator
-from repro.flash.trace import FlashTracer, TraceEvent
 from repro.flash.timing import DEFAULT_TIMING, TimingModel, instant_timing
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "FlashError",
     "FlashGeometry",
     "FlashStats",
-    "FlashTracer",
     "KIB",
     "LatencyAccumulator",
     "MIB",
@@ -56,7 +54,6 @@ __all__ = [
     "ResourceTimeline",
     "SimClock",
     "TimingModel",
-    "TraceEvent",
     "WearOutError",
     "instant_timing",
     "paper_geometry",

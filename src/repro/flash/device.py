@@ -9,8 +9,8 @@ Every command takes the caller's current virtual time ``at`` and returns a
 :class:`CommandResult` carrying the completion time.  READ, PROGRAM,
 COPYBACK and ERASE are each implemented once, on integer coordinates
 (``read_page_packed`` / ``program_page_packed`` / ``copyback_packed`` /
-``erase_block_packed``, fault and event hooks inline); the object-address
-commands validate, unpack and call that body.  Commands contend for two
+``erase_block_packed``, fault hooks inline); the object-address commands
+validate, unpack and call that body.  Commands contend for two
 resources:
 
 * the **die** (one array operation at a time), and
@@ -43,7 +43,6 @@ from repro.flash.timing import DEFAULT_TIMING, TimingModel
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-    from repro.obs.events import EventBus
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,6 @@ class FlashDevice:
         strict_plane_copyback: if ``True``, COPYBACK additionally requires
             source and destination to share a plane, as on strict hardware.
         seed: RNG seed for bad-block placement.
-        events: optional :class:`~repro.obs.events.EventBus`; when set,
-            every native command emits a ``layer="flash"`` event with die /
-            block / page attribution.  Management layers above share the
-            same bus, so one stream shows host I/O -> mapping decision ->
-            native command.  ``None`` (the default) costs one attribute
-            test per command.
     """
 
     def __init__(
@@ -97,7 +90,6 @@ class FlashDevice:
         initial_bad_block_rate: float = 0.0,
         strict_plane_copyback: bool = False,
         seed: int = 0,
-        events: EventBus | None = None,
     ) -> None:
         if not 0.0 <= initial_bad_block_rate < 1.0:
             raise ConfigError("initial_bad_block_rate must be in [0, 1)")
@@ -105,9 +97,8 @@ class FlashDevice:
         self.timing = timing if timing is not None else DEFAULT_TIMING
         self.clock = clock if clock is not None else SimClock()
         self.strict_plane_copyback = strict_plane_copyback
-        self.events = events
-        #: optional fault injector (:mod:`repro.faults`); same None-guard
-        #: pattern as ``events`` — one attribute test per command when off
+        #: optional fault injector (:mod:`repro.faults`); ``None`` (the
+        #: default) costs one attribute test per command
         self.faults: FaultInjector | None = None
         self.dies: list[Die] = [Die(i, geometry) for i in range(geometry.dies)]
         self.channels: list[ResourceTimeline] = [
@@ -175,16 +166,13 @@ class FlashDevice:
         bus = self.timing.bus_us(self.geometry.oob_size, self.geometry.page_size)
         __, end = channel.reserve(array_done, bus)
         self.stats.record_read(ppa.die, self.geometry.oob_size, end - issue)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "read_metadata", die=ppa.die,
-                             block=ppa.block, page=ppa.page, start_us=start, end_us=end)
         self.clock.advance_to(end)
         return CommandResult(start_us=start, end_us=end, data=None, metadata=metadata)
 
     # READ, PROGRAM, COPYBACK and ERASE each have ONE implementation, on raw
     # integer coordinates: it runs the fault hooks before any state changes
-    # or any time is reserved, the event hook after, and returns the granted
-    # ``(start_us, end_us)`` slot (READ: after the payload).  The mapping
+    # or any time is reserved, and returns the granted ``(start_us,
+    # end_us)`` slot (READ: after the payload).  The mapping
     # engine, which builds its addresses itself, calls these directly; the
     # object-address commands below them validate and unpack for everyone
     # else (``read_page`` also adds the OOB record, which a host read never
@@ -204,14 +192,11 @@ class FlashDevice:
         if self.faults is not None:
             # before the block counts the read or a timeline is reserved:
             # a failed read leaves no trace but the injector's own
-            self.faults.on_command(self, "read_page", die, block, page, at=at)
+            self.faults.on_command(self, "read_page", die, block, page)
         data = self._die_blocks[die][block].read_data(page)
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         __, end = self._die_channels[die].reserve(array_done, self._page_bus_us)
         self.stats.record_read(die, len(data), end - at)
-        if self.events is not None:
-            self.events.emit(at, "flash", "read_page", die=die,
-                             block=block, page=page, start_us=start, end_us=end)
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -254,14 +239,11 @@ class FlashDevice:
         if self.faults is not None:
             # before any state mutates: a program fault leaves the page
             # unprogrammed and the timelines unreserved
-            self.faults.on_command(self, "program_page", die, block, page, at=at)
+            self.faults.on_command(self, "program_page", die, block, page)
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
         self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id, extra)
         self.stats.record_program(die, len(data), end - at)
-        if self.events is not None:
-            self.events.emit(at, "flash", "program_page", die=die,
-                             block=block, page=page, start_us=start, end_us=end)
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -289,31 +271,23 @@ class FlashDevice:
                     f" -> block {dst_block} (plane {dst_plane})"
                 )
         if self.faults is not None:
-            self.faults.on_command(self, "copyback", die, src_block, src_page, at=at)
+            self.faults.on_command(self, "copyback", die, src_block, src_page)
         blocks = self._die_blocks[die]
         blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page, metadata)
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.record_copyback(die)
-        if self.events is not None:
-            self.events.emit(at, "flash", "copyback", die=die,
-                             block=src_block, page=src_page,
-                             dst_block=dst_block, dst_page=dst_page,
-                             start_us=start, end_us=end)
         self.clock.advance_to(end)
         return start, end
 
     def erase_block_packed(self, die: int, block: int, at: float) -> tuple[float, float]:
         """ERASE BLOCK: array-only operation, no channel occupancy."""
         if self.faults is not None:
-            self.faults.on_command(self, "erase_block", die, block, at=at)
+            self.faults.on_command(self, "erase_block", die, block)
         self._die_blocks[die][block].erase()
         if self.faults is not None:
-            self.faults.after_erase(self, die, block, at=at)
+            self.faults.after_erase(self, die, block)
         start, end = self._die_timelines[die].reserve(at, self._erase_us)
         self.stats.record_erase(die)
-        if self.events is not None:
-            self.events.emit(at, "flash", "erase_block", die=die,
-                             block=block, start_us=start, end_us=end)
         self.clock.advance_to(end)
         return start, end
 
@@ -406,7 +380,7 @@ class FlashDevice:
         issue = self.clock.now if at is None else at
         if self.faults is not None:
             self.faults.on_command(
-                self, "program_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
+                self, "program_multi_plane", die_index, ppas[0].block, ppas[0].page
             )
         die = self.dies[die_index]
         channel = self.channel_of_die(die_index)
@@ -421,9 +395,6 @@ class FlashDevice:
         for ppa, data, meta in zip(ppas, payloads, metadatas):
             die.blocks[ppa.block].program(ppa.page, data, meta)
             self.stats.record_program(ppa.die, len(data), end - issue)
-        if self.events is not None:
-            self.events.emit(issue, "flash", "program_multi_plane", die=die_index,
-                             pages=len(ppas), start_us=start, end_us=end)
         self.clock.advance_to(end)
         return CommandResult(start_us=start, end_us=end)
 
@@ -450,7 +421,7 @@ class FlashDevice:
         issue = self.clock.now if at is None else at
         if self.faults is not None:
             self.faults.on_command(
-                self, "read_multi_plane", die_index, ppas[0].block, ppas[0].page, at=issue
+                self, "read_multi_plane", die_index, ppas[0].block, ppas[0].page
             )
         die = self.dies[die_index]
         start, array_done = die.timeline.reserve(issue, self.timing.read_us)
@@ -465,22 +436,8 @@ class FlashDevice:
             results.append(
                 CommandResult(start_us=start, end_us=xfer_done, data=data, metadata=metadata)
             )
-        if self.events is not None:
-            self.events.emit(issue, "flash", "read_multi_plane", die=die_index,
-                             pages=len(ppas), start_us=start, end_us=xfer_done)
         self.clock.advance_to(xfer_done)
         return results
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def attach_event_bus(self, capacity: int = 100_000) -> EventBus:
-        """Create (or return) the device's shared cross-layer event bus."""
-        from repro.obs.events import EventBus
-
-        if self.events is None:
-            self.events = EventBus(capacity=capacity)
-        return self.events
 
     # ------------------------------------------------------------------
     # Fault injection

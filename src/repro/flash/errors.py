@@ -29,15 +29,6 @@ class ConfigError(FlashError, ValueError):
     """
 
 
-class TracerStateError(FlashError, RuntimeError):
-    """A tracer lifecycle operation ran in the wrong state.
-
-    Raised by :class:`repro.flash.trace.FlashTracer` for double-attach.
-    Subclasses ``RuntimeError`` for backward compatibility with generic
-    handlers.
-    """
-
-
 class AddressError(FlashError):
     """A physical address does not exist in the device geometry."""
 

@@ -126,9 +126,6 @@ class DFTL(PageMappingFTL):
         # miss: fetch the translation page (if it was ever persisted)
         tpage = self._tpage_lpn(lba)
         if self.is_mapped(tpage):
-            bus = self.device.events
-            if bus is not None:
-                bus.emit(at, "mapping", "trans_read", lba=lba, tpage=tpage)
             __, at = self._read_internal(tpage, at)
             self.stats.trans_reads += 1
         at = self._cmt_insert(lba, dirty, at)
@@ -153,9 +150,6 @@ class DFTL(PageMappingFTL):
         tpage_index = victim // self.entries_per_tpage
         tpage = self.internal_lpn(tpage_index)
         payload = b"T" * min(64, self.geometry.page_size)  # synthetic body
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "mapping", "trans_write", lba=victim, tpage=tpage)
         at = self._write_internal(tpage, payload, at)
         self.stats.trans_writes += 1
         for lpn in self._dirty_lpns.pop(tpage_index):

@@ -131,9 +131,6 @@ class PageMappingFTL(BlockDevice):
         """Host read of one sector."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(issue, "host", "read", lba=lba)
         data, end = self._read_internal(lba, issue)
         self.stats.host_reads += 1
         self.stats.host_read_latency.record(end - issue)
@@ -143,9 +140,6 @@ class PageMappingFTL(BlockDevice):
         """Host write of one sector (out-of-place, may stall behind GC)."""
         self.check_lba(lba)
         issue = self.device.clock.now if at is None else at
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(issue, "host", "write", lba=lba)
         end = self._write_internal(lba, data, issue)
         self.stats.host_writes += 1
         self.stats.host_write_latency.record(end - issue)

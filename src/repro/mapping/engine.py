@@ -241,10 +241,6 @@ class FlashSpaceEngine:
             faults = self.device.faults
             if faults is not None:
                 faults.stats.recovered_read_retry += 1
-            bus = self.device.events
-            if bus is not None:
-                bus.emit(result.end_us, "faults", "read_recovered",
-                         die=ppa.die, block=ppa.block, page=ppa.page)
             if scrub:
                 self._scrub_block(ppa.die, ppa.block, result.end_us)
             return result
@@ -266,9 +262,6 @@ class FlashSpaceEngine:
         if faults is not None:
             faults.stats.scrubs += 1
             faults.stats.scrub_relocations += moved
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(t, "faults", "scrub", die=die_index, block=block, moved=moved)
 
     def _maybe_refresh(self, die_index: int, block: int, at: float) -> None:
         """Refresh a block whose read count crossed the disturb threshold.
@@ -555,10 +548,6 @@ class FlashSpaceEngine:
     def _collect_block(self, victim: BlockInfo, at: float) -> float:
         die_index = victim.die
         self.stats.gc_victim_valid_pages += victim.valid_count
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "mapping", "gc_collect", die=die_index, block=victim.block,
-                     valid_pages=victim.valid_count, obj=self.obj_id)
         __, end = self._empty_block(victim, at)
         self._erases_since_wl_check += 1
         return end
@@ -701,10 +690,6 @@ class FlashSpaceEngine:
             faults.stats.retired_grown_bad_blocks += 1
             faults.stats.salvage_relocations += moved
             faults.stats.redrive_writes += 1
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "faults", "grown_bad_block", die=die_index, block=block,
-                     salvaged=moved, obj=self.obj_id)
         return at
 
     def retire_grown_bad_block(self, die_index: int, block: int, at: float) -> float:
@@ -760,10 +745,6 @@ class FlashSpaceEngine:
         spread = die.blocks[worn_free.block].erase_count - die.blocks[cold.block].erase_count
         if spread <= self.wear_level_threshold:
             return at
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "mapping", "wear_level", die=die_index, cold_block=cold.block,
-                     target_block=worn_free.block, spread=spread, obj=self.obj_id)
         target = books.take_block(worn_free.block)
         __, end = self._empty_block(cold, at, target, wear_level=True)
         books.seal(target.block)  # a partly filled target's tail counts invalid
@@ -818,9 +799,6 @@ class FlashSpaceEngine:
             raise ValueError(f"die {die_index} does not belong to this engine")
         if len(self.dies) == 1:
             raise ValueError("cannot evacuate the engine's last die")
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "mapping", "evacuate_die", die=die_index, obj=self.obj_id)
         at = self._drain_die(die_index, at)[1]
         books = self.books[die_index]
         # erase everything the engine had written on the die
@@ -850,18 +828,12 @@ class FlashSpaceEngine:
             raise SpaceFullError(
                 f"die {die_index} failed and the engine has no surviving dies"
             )
-        bus = self.device.events
-        if bus is not None:
-            bus.emit(at, "faults", "die_rebuild_start", die=die_index, obj=self.obj_id)
         moved, at = self._drain_die(die_index, at)
         del self.books[die_index]
         faults = self.device.faults
         if faults is not None:
             faults.stats.retired_dies += 1
             faults.stats.rebuild_relocations += moved
-        if bus is not None:
-            bus.emit(at, "faults", "die_rebuild_done", die=die_index,
-                     moved=moved, obj=self.obj_id)
         return moved, at
 
     # ------------------------------------------------------------------

@@ -7,9 +7,6 @@ package is the single surface that collects, namespaces and exports them:
 * :class:`MetricRegistry` — counters, gauges, latency histograms and
   mounted stats *sources* under dotted keys (``flash.erases``,
   ``mgmt.gc_copybacks``, ``region.rgHot.host_writes``, ``db.buffer.hits``).
-* :class:`EventBus` / :class:`ObsEvent` — structured cross-layer trace
-  events (host I/O → mapping decision → native command) with die, region
-  and database-object attribution; bounded ring buffer, JSONL export.
 * Exporters — :func:`dump_json` (the one ``--json`` serializer),
   :func:`metrics_doc` + :func:`validate_metrics_doc` (the ``repro.obs/v1``
   schema), and table renderers fed from the same data.
@@ -34,7 +31,6 @@ from repro.obs.collect import (
     registry_for_database,
     registry_for_store,
 )
-from repro.obs.events import LAYERS, EventBus, ObsEvent, write_jsonl
 from repro.obs.export import (
     SCHEMA_VERSION,
     SchemaError,
@@ -48,15 +44,12 @@ from repro.obs.registry import Counter, Gauge, MetricRegistry
 
 __all__ = [
     "Counter",
-    "EventBus",
     "FlashStats",
     "Gauge",
-    "LAYERS",
     "LatencyAccumulator",
     "ManagementStats",
     "MetricKeyError",
     "MetricRegistry",
-    "ObsEvent",
     "ROOT_NAMESPACES",
     "SCHEMA_VERSION",
     "SchemaError",
@@ -72,5 +65,4 @@ __all__ = [
     "render_snapshot",
     "validate_metrics_doc",
     "validate_snapshot",
-    "write_jsonl",
 ]

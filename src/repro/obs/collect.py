@@ -11,7 +11,6 @@ under its canonical namespace:
 ``mgmt.*``                management totals (FTL stats, or all regions summed)
 ``region.<name>.*``       per-region breakdowns — the paper's key axis
 ``db.buffer.*``           buffer-pool counters
-``trace.*``               event-bus counters (when a bus is attached)
 ``workload.*``            benchmark-driver metrics (mounted by the harness)
 ``faults.*``              fault injection & recovery (when an injector is attached)
 ========================  =====================================================
@@ -62,9 +61,6 @@ def _mount_device(registry: MetricRegistry, device: FlashDevice) -> None:
     registry.register_source("flash", device.stats)
     registry.gauge("flash.wear.total_erase_count", device.total_erase_count)
     registry.gauge("flash.wear.max_erase_count", device.max_erase_count)
-    bus = getattr(device, "events", None)
-    if bus is not None:
-        registry.register_source("trace", bus)
     injector = getattr(device, "faults", None)
     if injector is not None:
         registry.register_source("faults", injector.stats)

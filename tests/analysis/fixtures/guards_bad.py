@@ -3,16 +3,12 @@
 
 class Engine:
     def __init__(self) -> None:
-        self.events = None
         self.faults = None
         self.device = None
 
-    def emit_unguarded(self) -> None:
-        self.events.emit("gc_start", victim=3)
-
-    def alias_unguarded(self) -> None:
-        bus = self.device.events
-        bus.emit("gc_start", victim=3)
+    def alias_unguarded(self, op: int) -> None:
+        faults = self.device.faults
+        faults.on_command("program_page", op)
 
     def injector_unguarded(self, op: int) -> None:
         self.faults.on_command("program_page", op)

@@ -3,31 +3,17 @@
 
 class Engine:
     def __init__(self) -> None:
-        self.events = None
         self.faults = None
         self.device = None
 
-    def emit_guarded(self) -> None:
-        if self.events is not None:
-            self.events.emit("gc_start", victim=3)
+    def alias_guarded(self, op: int) -> None:
+        faults = self.device.faults
+        if faults is not None:
+            faults.on_command("program_page", op)
 
-    def alias_guarded(self) -> None:
-        bus = self.device.events
-        if bus is not None:
-            bus.emit("gc_start", victim=3)
-
-    def short_circuit(self) -> None:
-        self.events is not None and self.events.emit("tick")
+    def short_circuit(self, op: int) -> None:
+        self.faults is not None and self.faults.on_command("program_page", op)
 
     def injector_guarded(self, op: int) -> None:
         if self.faults is not None:
             self.faults.on_command("program_page", op)
-
-
-class RingBuffer:
-    def __init__(self) -> None:
-        self.events = []
-
-    def append(self, record: object) -> None:
-        # `.append` on `.events` is a plain deque/list, never the hook.
-        self.events.append(record)

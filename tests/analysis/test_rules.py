@@ -29,7 +29,7 @@ RULE_CASES = [
         "repro/flash/set_iteration_good.py",
         3,
     ),
-    ("guards.optional-hook", "guards_bad.py", "guards_good.py", 3),
+    ("guards.optional-hook", "guards_bad.py", "guards_good.py", 2),
     ("counters.int-drift", "counters_drift_bad.py", "counters_drift_good.py", 3),
     (
         "counters.doc-coverage",

@@ -123,19 +123,18 @@ class RecordingInjector:
         self.fail = fail
         self.calls = []
 
-    def on_command(self, device, op, die, block=None, page=None, at=0.0):
-        self.calls.append(((op, die, block, page, at), device_state(device)))
+    def on_command(self, device, op, die, block=None, page=None):
+        self.calls.append(((op, die, block, page), device_state(device)))
         if self.fail is not None:
             raise self.fail
 
 
 def read_pair(fail=None):
     """Two seeded devices with a busy die and channel (so a reservation
-    queues), an event bus and a recording injector each."""
+    queues) and a recording injector each."""
     devices = seeded_device(), seeded_device()
     for device in devices:
         device.program_page_packed(0, 1, 0, b"busy", -1, -1, -1, 4.0)
-        device.attach_event_bus()
         device.attach_fault_injector(RecordingInjector(fail))
     return devices
 
@@ -143,7 +142,7 @@ def read_pair(fail=None):
 def test_read_adapter_and_int_coordinate_command_agree():
     # Killed by: a read_page that reads the block itself as well as calling
     # the body (reads_since_erase 2 != 1, stats.reads 2 != 1), or one with
-    # its own reservation / record_read / event / clock code that drifts.
+    # its own reservation / record_read / clock code that drifts.
     via_adapter, via_body = read_pair()
     result = via_adapter.read_page(ppa(0), at=5.0)
     data, start, end = via_body.read_page_packed(0, 0, 0, 5.0)
@@ -153,11 +152,10 @@ def test_read_adapter_and_int_coordinate_command_agree():
     assert device_state(via_adapter) == device_state(via_body)
     assert via_body.dies[0].blocks[0].reads_since_erase == 1
     assert via_body.stats.reads == 1 and via_body.clock.now == end
-    events = [list(device.events.events) for device in (via_adapter, via_body)]
-    assert events[0] == events[1]
-    assert [(e.kind, e.ts_us, e.attrs) for e in events[1]][-1] == (
-        "read_page", 5.0, {"die": 0, "block": 0, "page": 0, "start_us": start, "end_us": end}
-    )
+    # the read's array slot is the die's last, its transfer the channel's last
+    die, channel = via_body.dies[0].timeline, via_body.channel_of_die(0)
+    assert (die._starts[-1], die._ends[-1]) == (start, start + via_body.timing.read_us)
+    assert channel._ends[-1] == end
 
 
 def test_read_shows_the_fault_hook_the_same_call_before_anything_is_reserved():
@@ -169,7 +167,7 @@ def test_read_shows_the_fault_hook_the_same_call_before_anything_is_reserved():
     via_adapter.read_page(ppa(0), at=5.0)
     via_body.read_page_packed(0, 0, 0, 5.0)
     assert via_adapter.faults.calls == via_body.faults.calls == [
-        (("read_page", 0, 0, 0, 5.0), before)
+        (("read_page", 0, 0, 0), before)
     ]
 
 
@@ -182,7 +180,6 @@ def test_failed_read_leaves_no_trace_on_either_entry_point():
     with pytest.raises(RuntimeError):
         via_body.read_page_packed(0, 0, 0, 5.0)
     assert device_state(via_adapter) == device_state(via_body) == before
-    assert not via_adapter.events.events and not via_body.events.events
 
 
 @pytest.mark.parametrize(

@@ -62,18 +62,9 @@ def build_engine(gc_policy: str, seed: int) -> FlashSpaceEngine:
     )
 
 
-def run_engine_workload(
-    gc_policy: str, seed: int, ops: int = 6000, observed: bool = False
-) -> dict:
-    """Skewed write/trim/atomic workload straight against one engine.
-
-    ``observed=True`` attaches an event bus to the device, so every
-    command also emits its event — letting golden tests prove that an
-    attached observer never changes what is simulated.
-    """
+def run_engine_workload(gc_policy: str, seed: int, ops: int = 6000) -> dict:
+    """Skewed write/trim/atomic workload straight against one engine."""
     engine = build_engine(gc_policy, seed)
-    if observed:
-        engine.device.attach_event_bus()
     rng = random.Random(seed)
     # keep the live set well inside safe capacity so GC has slack
     keys = max(64, int(engine.safe_capacity_pages() * 0.72))

@@ -1,39 +1,9 @@
-"""Array-core equivalence: an attached observer never changes a counter.
+"""Array-core bookkeeping: ``BlockInfo`` is a row view of its die's columns.
 
 The engine's write/GC/WL paths run against flat column storage
-(``array``/``bytearray`` valid masks and counters, integer-packed
-physical addresses) and issue the device's int-coordinate commands, which
-call the fault and event hooks inline.  The same seeded workload, with and
-without an event bus attached, must land on the *same* golden snapshots
-pinned in ``test_engine_equivalence.py`` — observing is never a behaviour
-change.
+(``array``/``bytearray`` valid masks and counters); the golden engine
+snapshots that pin those paths live in ``test_engine_equivalence.py``.
 """
-
-import pytest
-
-from tests.mapping.equivalence_workloads import run_engine_workload
-from tests.mapping.test_engine_equivalence import GOLDEN
-
-
-@pytest.mark.parametrize("policy,seed", sorted(GOLDEN))
-def test_slow_path_matches_goldens(policy, seed):
-    """With an event bus attached the goldens hold."""
-    snapshot = run_engine_workload(policy, seed, observed=True)
-    expected = GOLDEN[(policy, seed)]
-    diverged = {
-        key: (snapshot[key], want)
-        for key, want in expected.items()
-        if snapshot[key] != want
-    }
-    assert not diverged, f"observed run diverged from pinned behaviour: {diverged}"
-
-
-@pytest.mark.parametrize("policy,seed", [("greedy", 3), ("cost_benefit", 11)])
-def test_fast_and_slow_paths_bit_identical(policy, seed):
-    """Field-by-field identity of observer-free and observed runs, end to end."""
-    free = run_engine_workload(policy, seed, observed=False)
-    observed = run_engine_workload(policy, seed, observed=True)
-    assert free == observed
 
 
 def test_blockinfo_views_share_die_columns():

@@ -6,10 +6,9 @@ leave it — a transient read failure that a retry recovers (and scrubs),
 one the retries do not recover, and a read-disturb refresh — and each is
 pinned here against values recorded from the object-address
 implementation this one replaced: every counter of the three stats
-objects, the full event stream, the clock and the mapping.
+objects, every die's and channel's reservations, the clock and the
+mapping.
 """
-
-import hashlib
 
 import pytest
 
@@ -39,7 +38,6 @@ def make_engine(**engine_kwargs):
     t = 0.0
     for key in range(2 * PER_BLOCK):  # one FULL block per die, all valid
         t = engine.write(key, bytes([key]), at=t)
-    device.attach_event_bus()
     return engine, t
 
 
@@ -50,14 +48,15 @@ def nonzero(snapshot):
 def observed(engine, injector=None):
     """Everything a read may move, in a form that can be written down."""
     device = engine.device
-    events = list(device.events.events)
-    stream = "\n".join(event.to_json() for event in events)
     return {
         "mgmt": nonzero(engine.stats.snapshot()),
         "flash": nonzero(device.stats.snapshot()),
         "faults": nonzero(injector.stats.snapshot()) if injector is not None else {},
-        "kinds": [event.kind for event in events],
-        "events_sha256": hashlib.sha256(stream.encode()).hexdigest(),
+        # each die's, then the channel's, (busy_us, slot starts, slot ends)
+        "timelines": [
+            (t.busy_us, list(t._starts[t._lo:]), list(t._ends[t._lo:]))
+            for t in [die.timeline for die in device.dies] + device.channels
+        ],
         "clock": device.clock.now,
         "packed_by_key": [packed for __, packed in sorted(engine._map.items())],
         "reads_since_erase": nonzero({
@@ -104,8 +103,9 @@ def test_read_disturb_refresh_relocates_and_erases_the_block():
 
 
 # Recorded at 13895a3, where every read built a PhysicalPageAddress,
-# a PageMetadata and a CommandResult.
-COPYBACKS = ["copyback"] * PER_BLOCK
+# a PageMetadata and a CommandResult; the timelines were recorded at b8c6a5b.
+# The first 8 slots of each die (and the first 16 of the channel) are the
+# fill's programs.
 
 PINNED_RETRY_END_US = 8925.0
 PINNED_RETRY = {
@@ -121,9 +121,22 @@ PINNED_RETRY = {
         "work.read_retry_attempts": 2.0,  # the first failure + one failed retry
         "work.scrubs": 1.0, "work.scrub_relocations": 8.0,
     },
-    "kinds": ["inject_read_transient", "read_page", "read_recovered",
-              *COPYBACKS, "erase_block", "scrub"],
-    "events_sha256": "1fd0533bc03e4cd1cd2746997732c70aa223077ef1001f632c1aaa1174989165",
+    # die 0: the retried read, the 8 scrub copybacks, the erase
+    "timelines": [
+        (11215.0,
+         [50.0, 1150.0, 2250.0, 3350.0, 4450.0, 5550.0, 6650.0, 7750.0, 8800.0, 8925.0,
+          9505.0, 10085.0, 10665.0, 11245.0, 11825.0, 12405.0, 12985.0, 13565.0],
+         [550.0, 1650.0, 2750.0, 3850.0, 4950.0, 6050.0, 7150.0, 8250.0, 8875.0, 9505.0,
+          10085.0, 10665.0, 11245.0, 11825.0, 12405.0, 12985.0, 13565.0, 16065.0]),
+        (4000.0,
+         [600.0, 1700.0, 2800.0, 3900.0, 5000.0, 6100.0, 7200.0, 8300.0],
+         [1100.0, 2200.0, 3300.0, 4400.0, 5500.0, 6600.0, 7700.0, 8800.0]),
+        (850.0,
+         [0.0, 550.0, 1100.0, 1650.0, 2200.0, 2750.0, 3300.0, 3850.0, 4400.0, 4950.0,
+          5500.0, 6050.0, 6600.0, 7150.0, 7700.0, 8250.0, 8875.0],
+         [50.0, 600.0, 1150.0, 1700.0, 2250.0, 2800.0, 3350.0, 3900.0, 4450.0, 5000.0,
+          5550.0, 6100.0, 6650.0, 7200.0, 7750.0, 8300.0, 8925.0]),
+    ],
     "clock": 16065.0,
     # die 0's keys moved from block 0 to block 1; die 1 untouched
     "packed_by_key": [8, 96, 9, 97, 10, 98, 11, 99, 12, 100, 13, 101, 14, 102, 15, 103],
@@ -137,8 +150,20 @@ PINNED_EXHAUSTED = {
         "injected.read_transient": 1.0, "injected.total": 1.0,
         "work.read_retry_attempts": 4.0,  # the first failure + three failed retries
     },
-    "kinds": ["inject_read_transient"],
-    "events_sha256": "ddf00030bb81e82673e1f5cc0e9a4beabdb7f35eddbb1f10a80b53be307e164c",
+    # the fill's programs only: no failed read reserves a slot
+    "timelines": [
+        (4000.0,
+         [50.0, 1150.0, 2250.0, 3350.0, 4450.0, 5550.0, 6650.0, 7750.0],
+         [550.0, 1650.0, 2750.0, 3850.0, 4950.0, 6050.0, 7150.0, 8250.0]),
+        (4000.0,
+         [600.0, 1700.0, 2800.0, 3900.0, 5000.0, 6100.0, 7200.0, 8300.0],
+         [1100.0, 2200.0, 3300.0, 4400.0, 5500.0, 6600.0, 7700.0, 8800.0]),
+        (800.0,
+         [0.0, 550.0, 1100.0, 1650.0, 2200.0, 2750.0, 3300.0, 3850.0, 4400.0, 4950.0,
+          5500.0, 6050.0, 6600.0, 7150.0, 7700.0, 8250.0],
+         [50.0, 600.0, 1150.0, 1700.0, 2250.0, 2800.0, 3350.0, 3900.0, 4450.0, 5000.0,
+          5550.0, 6100.0, 6650.0, 7200.0, 7750.0, 8300.0]),
+    ],
     "clock": 8800.0,
     "packed_by_key": [0, 96, 1, 97, 2, 98, 3, 99, 4, 100, 5, 101, 6, 102, 7, 103],
     "reads_since_erase": {},  # a failed read never reaches the block
@@ -154,8 +179,26 @@ PINNED_REFRESH = {
         "read_latency_mean_us": 1315.0, "program_latency_mean_us": 550.0,
     },
     "faults": {},
-    "kinds": ["read_page"] * 5 + COPYBACKS + ["erase_block", "read_page"],
-    "events_sha256": "ac0705f919a3cfacaa4b0b752c9a97eeeecfb853ff63007351136d00ab6428e8",
+    # die 1: five reads, the 8 refresh copybacks, the erase, the sixth read
+    "timelines": [
+        (4000.0,
+         [50.0, 1150.0, 2250.0, 3350.0, 4450.0, 5550.0, 6650.0, 7750.0],
+         [550.0, 1650.0, 2750.0, 3850.0, 4950.0, 6050.0, 7150.0, 8250.0]),
+        (11590.0,
+         [600.0, 1700.0, 2800.0, 3900.0, 5000.0, 6100.0, 7200.0, 8300.0, 8800.0, 8925.0,
+          9050.0, 9175.0, 9300.0, 9425.0, 10005.0, 10585.0, 11165.0, 11745.0, 12325.0,
+          12905.0, 13485.0, 14065.0, 16565.0],
+         [1100.0, 2200.0, 3300.0, 4400.0, 5500.0, 6600.0, 7700.0, 8800.0, 8875.0, 9000.0,
+          9125.0, 9250.0, 9375.0, 10005.0, 10585.0, 11165.0, 11745.0, 12325.0, 12905.0,
+          13485.0, 14065.0, 16565.0, 16640.0]),
+        (1100.0,
+         [0.0, 550.0, 1100.0, 1650.0, 2200.0, 2750.0, 3300.0, 3850.0, 4400.0, 4950.0,
+          5500.0, 6050.0, 6600.0, 7150.0, 7700.0, 8250.0, 8875.0, 9000.0, 9125.0, 9250.0,
+          9375.0, 16640.0],
+         [50.0, 600.0, 1150.0, 1700.0, 2250.0, 2800.0, 3350.0, 3900.0, 4450.0, 5000.0,
+          5550.0, 6100.0, 6650.0, 7200.0, 7750.0, 8300.0, 8925.0, 9050.0, 9175.0, 9300.0,
+          9425.0, 16690.0]),
+    ],
     "clock": 16690.0,
     # die 1's keys moved from block 0 to block 1; die 0 untouched
     "packed_by_key": [0, 104, 1, 105, 2, 106, 3, 107, 4, 108, 5, 109, 6, 110, 7, 111],

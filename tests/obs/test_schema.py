@@ -27,7 +27,7 @@ def _native_db():
 class TestPinnedNamespaces:
     def test_root_namespaces_are_pinned(self):
         assert ROOT_NAMESPACES == (
-            "flash", "mgmt", "region", "db", "trace", "workload", "faults"
+            "flash", "mgmt", "region", "db", "workload", "faults"
         )
 
     def test_schema_version_is_pinned(self):
@@ -64,12 +64,11 @@ class TestPinnedNamespaces:
         for key in ("flash.erases", "mgmt.gc_copybacks", "mgmt.trans_reads", "db.buffer.hits"):
             assert key in snap
 
-    def test_trace_namespace_appears_once_bus_attached(self):
-        db = _native_db()
-        db.attach_event_bus()
-        snap = db.metrics_registry().snapshot()
-        assert "trace.events" in snap
-        validate_snapshot(snap)
+    def test_trace_root_is_not_pinned(self):
+        # no producer mounts ``trace.*``, so a key under it is refused
+        assert "trace" not in ROOT_NAMESPACES
+        with pytest.raises(SchemaError, match="outside pinned roots"):
+            validate_snapshot({"trace.events": 1.0})
 
 
 class TestValidateSnapshot:

@@ -121,7 +121,7 @@ def test_identity_closes_for_faults_during_gc_relocation(specs, wearout, plan_se
     for i in range(1000):
         at = engine.write(i % 8, b"hot", at)
     injector.quiesce()
-    injector.settle_pending_wearout(device, at)
+    injector.settle_pending_wearout(device)
 
     stats = injector.stats
     assert stats.injected_total == stats.recovered_total + stats.retired_total, (
