@@ -6,8 +6,9 @@ experiment is affordable.  The seed implementation rescanned every block of
 a die — re-deriving each block's valid count page by page — on **every**
 host write (die selection) and again per reclaimed block (victim
 selection): O(blocks × pages) per page op.  The incremental bookkeeping
-(maintained candidate buckets, integer popcounts, O(1) free pools) makes
-the same decisions in O(1).
+(one maintained candidate column read by C-level ``min``, integer
+popcounts, O(1) free pools) makes the same decisions without a Python
+loop over the blocks.
 
 This harness measures steady-state engine ops/sec on a skewed-write
 workload twice on the same device shape:

@@ -276,7 +276,9 @@ class FlashDevice:
         blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page, metadata)
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.record_copyback(die)
-        self.clock.advance_to(end)
+        clock = self.clock
+        if end > clock._now:
+            clock._now = end
         return start, end
 
     def erase_block_packed(self, die: int, block: int, at: float) -> tuple[float, float]:
@@ -288,7 +290,9 @@ class FlashDevice:
             self.faults.after_erase(self, die, block)
         start, end = self._die_timelines[die].reserve(at, self._erase_us)
         self.stats.record_erase(die)
-        self.clock.advance_to(end)
+        clock = self.clock
+        if end > clock._now:
+            clock._now = end
         return start, end
 
     def read_page(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:

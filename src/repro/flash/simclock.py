@@ -57,9 +57,14 @@ class SimClock:
 
 
 #: reservations ending this far before a new request's issue time are
-#: forgotten (bounds memory; callers' clocks never drift further apart,
-#: and a request that does is refused, see :class:`StaleReservationError`).
+#: forgotten by a prune (bounds memory; callers' clocks never drift further
+#: apart, and a request behind what was forgotten is refused, see
+#: :class:`StaleReservationError`).
 _PRUNE_HORIZON_US = 10_000_000.0
+#: a prune waits until the oldest remembered slot ended this far before a
+#: request, so it runs about once per eighth of a horizon, not on every
+#: request
+_PRUNE_LAG_US = _PRUNE_HORIZON_US * 9 / 8
 
 
 @dataclass(slots=True)
@@ -82,7 +87,7 @@ class ResourceTimeline:
     and never empty, so ordering by start and by end agree and the ends
     are strictly increasing: every search is a bisect on ``_ends``.  Slots
     before the offset ``_lo`` are forgotten; the columns are compacted
-    once that prefix passes half their length.
+    once that prefix passes a third of their length.
     """
 
     name: str = ""
@@ -117,7 +122,7 @@ class ResourceTimeline:
             raise StaleReservationError(self.name, earliest, self._forgotten_before)
         ends = self._ends
         lo = self._lo
-        if lo < len(ends) and ends[lo] < earliest - _PRUNE_HORIZON_US:
+        if lo < len(ends) and ends[lo] < earliest - _PRUNE_LAG_US:
             self._prune(earliest)
         # append fast path: a request issued at or after the last known
         # reservation cannot fill any gap, so it starts immediately — the
@@ -165,14 +170,16 @@ class ResourceTimeline:
 
     def _prune(self, earliest: float) -> None:
         # the ends are sorted, so the slots to forget are a prefix: move the
-        # offset past it, and delete it only once it is more than half the
-        # columns, so each slot is moved O(1) times over its life instead
-        # of once per prune (a prefix `del` moves the whole remaining tail)
+        # offset past it, and delete it only once it is more than a third
+        # of the columns, so each slot is moved O(1) times over its life
+        # instead of once per prune (a prefix `del` moves the whole
+        # remaining tail).  A third, not a half: the columns then peak at
+        # 1.5x the up to 9/8 horizon remembered, below 2x one horizon
         cutoff = earliest - _PRUNE_HORIZON_US
         ends = self._ends
         lo = bisect.bisect_left(ends, cutoff, self._lo)
         self._forgotten_before = cutoff
-        if 2 * lo > len(ends):
+        if 3 * lo > len(ends):
             del self._starts[:lo]
             del ends[:lo]
             lo = 0

@@ -33,9 +33,12 @@ is **incremental** and **columnar**:
 * page validity is an int bitmask with a maintained valid count —
   no per-query popcount over a Python list;
 * the GC candidate set (FULL blocks with at least one invalid page) is
-  maintained on state transitions, bucketed by invalid-page count, giving
-  an O(1) :attr:`DieBookkeeping.has_reclaimable` predicate and near-O(1)
-  greedy victim selection instead of an O(blocks × pages) scan per write;
+  one more ``array('q')`` column, set by each state transition: a FULL
+  block's valid count, ``pages_per_block`` for any other block.  A
+  candidate is an entry below ``pages_per_block``, so
+  :attr:`DieBookkeeping.has_reclaimable` and greedy victim selection are
+  a C-level ``min`` / ``index`` over one column instead of an
+  O(blocks × pages) scan per write;
 * the free pool is an insertion-ordered dict, so membership tests,
   targeted removal (wear leveller, bad-block retirement) and LIFO pops
   are all O(1).
@@ -51,6 +54,7 @@ from __future__ import annotations
 import enum
 from array import array
 from collections.abc import Iterator
+from itertools import compress
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -282,13 +286,12 @@ class DieBookkeeping:
     is a method here taking a block index; it indexes the columns
     directly and keeps the candidate set in step.
 
-    The candidate set is kept incrementally: a block enters when it
-    transitions to FULL with at least one invalid page (or, already FULL,
-    suffers its first invalidation), moves between invalid-count buckets as
-    further pages die, and leaves on erase or retirement.  ``_candidate_bucket``
-    maps candidate block index to its current invalid count; ``_buckets``
-    is the inverse, and ``_max_invalid`` a lazily-repaired upper bound used
-    by greedy victim selection.
+    The candidate set is the column ``_gc_valid``: a FULL block's valid
+    count, ``pages_per_block`` for every other block, so the entries below
+    ``pages_per_block`` are exactly the FULL blocks with an invalid page,
+    and the smallest entry is the block with the most.  Each transition
+    that changes a block's state or a FULL block's valid count stores one
+    entry.
     """
 
     def __init__(self, die: int, blocks_per_die: int, pages_per_block: int) -> None:
@@ -309,9 +312,8 @@ class DieBookkeeping:
         # insertion-ordered free pool: O(1) membership, removal, LIFO pop.
         # Seeded high-to-low so the first pops hand out blocks 0, 1, 2, …
         self._free: dict[int, None] = dict.fromkeys(range(blocks_per_die - 1, -1, -1))
-        self._candidate_bucket: dict[int, int] = {}  # block -> invalid_count
-        self._buckets: dict[int, set[int]] = {}  # invalid_count -> blocks
-        self._max_invalid = 0
+        #: per block: valid count if FULL, else pages_per_block
+        self._gc_valid = array("q", [pages_per_block]) * blocks_per_die
 
     @property
     def free_count(self) -> int:
@@ -320,8 +322,9 @@ class DieBookkeeping:
 
     @property
     def has_reclaimable(self) -> bool:
-        """O(1): does any FULL block carry at least one invalid page?"""
-        return bool(self._candidate_bucket)
+        """Does any FULL block carry at least one invalid page?  One C-level
+        ``min`` over the candidate column."""
+        return min(self._gc_valid) < self.pages_per_block
 
     # ------------------------------------------------------------------
     # Per-block transitions (column-indexed, no BlockInfo views)
@@ -348,9 +351,7 @@ class DieBookkeeping:
         self._last_write_us[block] = now_us
         if wrote >= self.pages_per_block:
             self._state[block] = _FULL
-            invalid = wrote - self._valid_count[block]
-            if invalid > 0:
-                self._put_candidate(block, invalid)
+            self._gc_valid[block] = self._valid_count[block]
 
     def invalidate_packed(self, block: int, page: int) -> None:
         """Record that the live data at ``page`` of ``block`` was superseded
@@ -366,7 +367,7 @@ class DieBookkeeping:
         count = self._valid_count[block] - 1
         self._valid_count[block] = count
         if self._state[block] == _FULL:
-            self._put_candidate(block, self._written[block] - count)
+            self._gc_valid[block] = count
 
     def seal(self, block: int) -> None:
         """Close a partially-filled block: its unwritten tail counts invalid.
@@ -378,7 +379,7 @@ class DieBookkeeping:
         if 0 < written[block] < self.pages_per_block:
             written[block] = self.pages_per_block
             self._state[block] = _FULL
-            self._put_candidate(block, self.pages_per_block - self._valid_count[block])
+            self._gc_valid[block] = self._valid_count[block]
 
     def reset_after_erase(self, block: int) -> None:
         """Return ``block`` to the FREE state after an erase (the free pool
@@ -387,45 +388,27 @@ class DieBookkeeping:
         self._valid_count[block] = 0
         self._written[block] = 0
         self._state[block] = _FREE
-        self._drop_candidate(block)
+        self._gc_valid[block] = self.pages_per_block
 
     # ------------------------------------------------------------------
-    # Candidate-set maintenance
+    # Candidate queries
     # ------------------------------------------------------------------
-    def _put_candidate(self, block: int, invalid_count: int) -> None:
-        old = self._candidate_bucket.get(block)
-        if old is not None:
-            self._buckets[old].discard(block)
-        self._candidate_bucket[block] = invalid_count
-        bucket = self._buckets.get(invalid_count)
-        if bucket is None:
-            bucket = self._buckets[invalid_count] = set()
-        bucket.add(block)
-        if invalid_count > self._max_invalid:
-            self._max_invalid = invalid_count
-
-    def _drop_candidate(self, block: int) -> None:
-        old = self._candidate_bucket.pop(block, None)
-        if old is not None:
-            self._buckets[old].discard(block)
-
     def greedy_victim(self) -> BlockInfo | None:
         """Candidate with the most invalid pages (lowest block breaks ties).
 
-        Bit-identical to a greedy scan over :meth:`gc_candidates_scan`:
-        the highest non-empty invalid-count bucket is found by repairing
-        ``_max_invalid`` downwards (amortised O(1) — it only rises one
-        invalidation at a time), then the lowest block index in it wins.
+        Bit-identical to a greedy scan over :meth:`gc_candidates_scan`: a
+        FULL block's invalid count is ``pages_per_block`` minus its entry,
+        so the victim is the first smallest entry, if that is a candidate.
         """
-        if not self._candidate_bucket:
+        col = self._gc_valid
+        least = min(col)
+        if least >= self.pages_per_block:
             return None
-        while self._max_invalid > 0 and not self._buckets.get(self._max_invalid):
-            self._max_invalid -= 1
-        return self.blocks[min(self._buckets[self._max_invalid])]
+        return self.blocks[col.index(least)]
 
     def iter_candidates(self) -> Iterator[BlockInfo]:
-        """The maintained candidate set as BlockInfo records (any order)."""
-        return map(self.blocks.__getitem__, self._candidate_bucket)
+        """The maintained candidate set as BlockInfo records (block order)."""
+        return compress(self.blocks, map(self.pages_per_block.__gt__, self._gc_valid))
 
     # ------------------------------------------------------------------
     # Free pool
@@ -434,7 +417,7 @@ class DieBookkeeping:
         """Retire a block; it leaves the free pool permanently."""
         self._state[block] = _BAD
         self._free.pop(block, None)
-        self._drop_candidate(block)
+        self._gc_valid[block] = self.pages_per_block
 
     def adopt_factory_bad_blocks(self, device_die: "Die") -> None:
         """Mirror a device die's factory bad-block marks into the books.
@@ -462,9 +445,6 @@ class DieBookkeeping:
         Used by crash recovery, which rebuilds validity from the flash
         itself; bad-block markings are preserved (they reflect hardware).
         """
-        self._candidate_bucket.clear()
-        self._buckets.clear()
-        self._max_invalid = 0
         state = self._state
         for block in range(len(state)):
             if state[block] != _BAD:
@@ -498,7 +478,7 @@ class DieBookkeeping:
     # ------------------------------------------------------------------
     def gc_candidates(self) -> list[BlockInfo]:
         """FULL blocks with at least one invalid page (erasable after GC)."""
-        return [self.blocks[b] for b in sorted(self._candidate_bucket)]
+        return list(self.iter_candidates())
 
     def gc_candidates_scan(self) -> list[BlockInfo]:
         """The candidate set recomputed from scratch (reference/testing)."""
@@ -523,39 +503,27 @@ class DieBookkeeping:
 
     def check_invariants(self) -> None:
         """Assert the incremental state matches a from-scratch recompute."""
+        ppb = self.pages_per_block
         for info in self.blocks:
             if info.valid_mask.bit_count() != info.valid_count:
                 raise BookkeepingError(
                     f"d{info.die}/b{info.block}: valid_count {info.valid_count} "
                     f"!= popcount {info.valid_mask.bit_count()}"
                 )
-            if info.valid_mask >> info.pages_per_block:
+            if info.valid_mask >> ppb:
                 raise BookkeepingError(
                     f"d{info.die}/b{info.block}: validity bits beyond the block"
                 )
+            entry = info.valid_count if info.state is BlockState.FULL else ppb
+            if self._gc_valid[info.block] != entry:
+                raise BookkeepingError(
+                    f"d{info.die}/b{info.block}: candidate entry "
+                    f"{self._gc_valid[info.block]} != recomputed {entry}"
+                )
         expected = {b.block for b in self.gc_candidates_scan()}
-        if set(self._candidate_bucket) != expected:
+        if {b.block for b in self.iter_candidates()} != expected:
             raise BookkeepingError(
-                f"die {self.die}: candidate set {sorted(self._candidate_bucket)} "
-                f"!= recomputed {sorted(expected)}"
+                f"die {self.die}: candidate set != recomputed {sorted(expected)}"
             )
-        for block, count in self._candidate_bucket.items():
-            if self.blocks[block].invalid_count != count:
-                raise BookkeepingError(
-                    f"die {self.die}: block {block} bucketed at {count}, "
-                    f"actual invalid_count {self.blocks[block].invalid_count}"
-                )
-            if block not in self._buckets.get(count, ()):
-                raise BookkeepingError(
-                    f"die {self.die}: block {block} missing from bucket {count}"
-                )
-        for count, blocks in self._buckets.items():
-            stray = {
-                b for b in blocks if self._candidate_bucket.get(b) != count
-            }
-            if stray:
-                raise BookkeepingError(
-                    f"die {self.die}: stale bucket {count} entries {sorted(stray)}"
-                )
         if self._free.keys() & expected:
             raise BookkeepingError(f"die {self.die}: free blocks in candidate set")

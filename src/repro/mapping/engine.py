@@ -290,7 +290,7 @@ class FlashSpaceEngine:
         """
         # The write runs on integer coordinates end-to-end (no
         # PhysicalPageAddress / PageMetadata / CommandResult objects).  Die
-        # pick and frontier refill are inlined from _pick_die / _frontier;
+        # pick is inlined from _pick_die, and the frontier refill too;
         # `has_reclaimable` stays a property access so alternative
         # bookkeeping cost models keep being exercised.
         device = self.device
@@ -389,7 +389,9 @@ class FlashSpaceEngine:
                         slots: _Slots = self._user_frontier
                         slot = die_index = self._pick_die()
                         at = self._collect_if_needed(die_index, at)
-                        frontier = self._frontier(self._user_frontier, die_index)
+                        frontier = slots[slot]
+                        if frontier is None:
+                            frontier = slots[slot] = self.books[die_index].take_free_block()
                     else:
                         frontier, slots, slot, at = self._group_frontier(group, at)
                         die_index = frontier.die
@@ -463,13 +465,6 @@ class FlashSpaceEngine:
         raise SpaceFullError(
             f"engine over dies {self.dies}: every die is full of valid data"
         )
-
-    def _frontier(self, frontiers: dict[int, BlockInfo | None], die_index: int) -> BlockInfo:
-        frontier = frontiers.get(die_index)
-        if frontier is None:
-            frontier = self.books[die_index].take_free_block()
-            frontiers[die_index] = frontier
-        return frontier
 
     def _group_frontier(
         self, group: int, at: float
@@ -607,12 +602,15 @@ class FlashSpaceEngine:
         key = self._rmap[src_packed]
         device = self.device
         books = self.books[die_index]
+        gc_frontier = self._gc_frontier
         redrives = 0
         stats = self.stats
         while True:
             frontier = target
             if frontier is None or frontier.state is not BlockState.OPEN:
-                frontier = self._frontier(self._gc_frontier, die_index)
+                frontier = gc_frontier[die_index]
+                if frontier is None:
+                    frontier = gc_frontier[die_index] = books.take_free_block()
             block = frontier.block
             page = books._written[block]
             try:
@@ -648,7 +646,7 @@ class FlashSpaceEngine:
             self._map[key] = packed
             self._rmap[packed] = key
             if frontier is not target and books._written[block] >= ppb:
-                self._gc_frontier[die_index] = None  # the frontier rule
+                gc_frontier[die_index] = None  # the frontier rule
             return end
 
     def _read_for_relocation(

@@ -37,8 +37,8 @@ class GCPolicy:
     Subclasses implement :meth:`choose_victim`; the engine calls
     :meth:`choose_victim_from_books`, which by default scores the die's
     maintained candidate set.  Policies with a cheaper structure-aware
-    path (greedy's invalid-count buckets) override the latter — the two
-    must pick the same victim.
+    path (greedy's ``min`` over the candidate column) override the
+    latter — the two must pick the same victim.
     """
 
     #: configured name of the policy (``"greedy"``, ``"cost_benefit"``)

@@ -75,7 +75,7 @@ class GreedyGC(GCPolicy):
     def choose_victim_from_books(
         self, books: DieBookkeeping, now_us: float
     ) -> BlockInfo | None:
-        # near-O(1) from the maintained invalid-count buckets; bit-identical
+        # a C-level min over the maintained candidate column; bit-identical
         # to select_victim_greedy over the candidate set by construction
         return books.greedy_victim()
 

@@ -97,7 +97,9 @@ class TestCrashAtomicity:
         atomic_id = store.device.next_sequence()
         for p in pages[:2]:
             die = engine._pick_die()
-            frontier = engine._frontier(engine._user_frontier, die)
+            frontier = engine._user_frontier[die]
+            if frontier is None:
+                frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
             from repro.flash import PhysicalPageAddress
 
             ppa = PhysicalPageAddress(die, frontier.block, frontier.written)

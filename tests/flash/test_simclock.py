@@ -168,9 +168,10 @@ def test_reserve_grants_the_first_fit_of_a_brute_force_scan(requests):
 
 def _first_fit_with_horizon(requests):
     """Drive a timeline and the brute-force reference through ``requests``;
-    the reference forgets slots exactly as a prune does: every slot ending
-    more than the horizon before a request's issue time, and requests
-    issued before the last such cutoff are refused."""
+    the reference forgets slots exactly as a prune does: once some slot
+    ends more than 9/8 of a horizon before a request's issue time, every
+    slot ending more than one horizon before it, and requests issued
+    before the last such cutoff are refused."""
     timeline = ResourceTimeline()
     granted = []
     forgotten_before = float("-inf")
@@ -180,7 +181,7 @@ def _first_fit_with_horizon(requests):
                 timeline.reserve(earliest, duration)
             continue
         cutoff = earliest - HORIZON
-        if any(e < cutoff for __, e in granted):
+        if any(e < earliest - HORIZON * 9 / 8 for __, e in granted):
             granted = [(s, e) for s, e in granted if e >= cutoff]
             forgotten_before = cutoff
         expected = _first_fit(granted, earliest, duration)
@@ -191,7 +192,7 @@ def _first_fit_with_horizon(requests):
         # forgotten prefix never outgrows what is remembered
         lo = timeline._lo
         assert list(zip(timeline._starts[lo:], timeline._ends[lo:])) == sorted(granted)
-        assert 2 * lo <= len(timeline._ends)
+        assert 3 * lo <= len(timeline._ends)
         _assert_double_columns(timeline)
         assert timeline.available_at == (max(e for __, e in granted) if granted else 0.0)
     return timeline
@@ -231,3 +232,22 @@ def test_prune_compacts_the_columns_once_the_forgotten_prefix_dominates():
     requests = [(i * HORIZON / 2, 10.0) for i in range(200)]
     timeline = _first_fit_with_horizon(requests)
     assert len(timeline._ends) <= 8
+
+
+def test_prune_runs_once_per_eighth_of_a_horizon(monkeypatch):
+    # one slot per 1/50 horizon: forgetting one slot per request would
+    # prune on almost every request after the first horizon
+    calls = []
+    prune = ResourceTimeline._prune
+
+    def counting_prune(self, earliest):
+        calls.append(earliest)
+        prune(self, earliest)
+
+    monkeypatch.setattr(ResourceTimeline, "_prune", counting_prune)
+    timeline = ResourceTimeline()
+    for i in range(1000):
+        timeline.reserve(i * HORIZON / 50, 10.0)
+    assert 0 < len(calls) <= 20 * 8 + 1
+    # what is remembered is still at most 9/8 of a horizon old
+    assert timeline._ends[timeline._lo] >= 999 * HORIZON / 50 - HORIZON * 9 / 8

@@ -248,7 +248,8 @@ class TestRelocationFallbackRedrive:
             FaultPlan(specs=(FaultSpec(kind="program_fail", at_op=1),), seed=0)
         )
         engine.device.attach_fault_injector(injector)
-        first_target = engine._frontier(engine._gc_frontier, 0).block
+        engine._gc_frontier[0] = engine.books[0].take_free_block()
+        first_target = engine._gc_frontier[0].block
         assert engine.geometry.plane_of_block(first_target) == 1
 
         t = engine._relocate(0, 0, 0, t)

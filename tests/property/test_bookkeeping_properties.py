@@ -1,12 +1,15 @@
 """Property tests: incremental bookkeeping always equals a fresh recompute.
 
-The bitmask/bucket bookkeeping in :mod:`repro.mapping.blockinfo` maintains
-three pieces of derived state incrementally — per-block ``valid_count``,
-the die's GC candidate set and its invalid-count buckets.  Whatever random
-sequence of frontier takes, writes, invalidations, seals, erases and
-retirements happens, each must agree with the from-scratch reference
-(popcount of the bitmask, full scan over the blocks), and greedy victim
-selection over the buckets must pick exactly the block a scan would.
+The bookkeeping in :mod:`repro.mapping.blockinfo` maintains two pieces of
+derived state incrementally — per-block ``valid_count`` (beside the
+validity bitmask) and the die's GC candidate column (a FULL block's valid
+count, ``pages_per_block`` for every other block).  Whatever random
+sequence of frontier takes, writes, invalidations, seals, erases,
+retirements and full resets happens, each must agree with the
+from-scratch reference (popcount of the bitmask, full scan over the
+blocks), and every question the engine asks of the column — greedy
+victim, ``has_reclaimable``, the candidate list, the cost-benefit victim —
+must get exactly the answer a scan would.
 """
 
 import hypothesis.strategies as st
@@ -19,18 +22,25 @@ from repro.mapping import (
     FlashSpaceEngine,
     ManagementStats,
 )
-from repro.policies import select_victim_greedy
+from repro.policies import (
+    CostBenefitGC,
+    select_victim_cost_benefit,
+    select_victim_greedy,
+)
 
 PAGES_PER_BLOCK = 4
 BLOCKS_PER_DIE = 6
 
 # one op drives the die through its bookkeeping API; arguments are drawn
-# modulo whatever is currently legal, so every sequence is executable
+# modulo whatever is currently legal, so every sequence is executable.  At
+# least 40 ops, so most sequences fill blocks and then retire, erase or
+# reset them (short ones rarely get past the first take and write)
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["take", "write", "invalidate", "seal", "erase", "bad"]),
+        st.sampled_from(["take", "write", "invalidate", "seal", "erase", "bad", "reset_all"]),
         st.integers(min_value=0, max_value=63),
     ),
+    min_size=40,
     max_size=160,
 )
 
@@ -72,6 +82,10 @@ def apply_op(die: DieBookkeeping, open_blocks: list, kind: str, arg: int) -> Non
         alive = sum(1 for b in die.blocks if b.state is not BlockState.BAD)
         if candidates and alive > BLOCKS_PER_DIE // 2:
             die.mark_bad(candidates[arg % len(candidates)].block)
+    elif kind == "reset_all":
+        # crash recovery forgets everything but the bad blocks
+        die.reset_all()
+        open_blocks.clear()
 
 
 @settings(max_examples=120, deadline=None)
@@ -94,16 +108,19 @@ def test_incremental_state_matches_recompute(operations):
 
 @settings(max_examples=120, deadline=None)
 @given(ops)
-def test_bucketed_greedy_equals_scanning_greedy(operations):
+def test_candidate_column_queries_equal_scanning_queries(operations):
     die = DieBookkeeping(die=0, blocks_per_die=BLOCKS_PER_DIE, pages_per_block=PAGES_PER_BLOCK)
     open_blocks: list = []
-    for kind, arg in operations:
+    for t, (kind, arg) in enumerate(operations):
         apply_op(die, open_blocks, kind, arg)
-        fast = die.greedy_victim()
-        slow = select_victim_greedy(die.gc_candidates_scan())
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.block == slow.block
+        scan = die.gc_candidates_scan()
+        assert die.greedy_victim() is select_victim_greedy(scan)
+        assert die.has_reclaimable == bool(scan)
+        assert [b.block for b in die.iter_candidates()] == [b.block for b in scan]
+        now = float(t)
+        assert CostBenefitGC().choose_victim_from_books(die, now) is (
+            select_victim_cost_benefit(scan, now)
+        )
 
 
 @settings(max_examples=40, deadline=None)
