@@ -49,7 +49,9 @@ def main() -> None:
     atomic_id = store.device.next_sequence()
     for p in pages[:2]:  # only 2 of the 4 pages reach flash
         die = engine._pick_die()
-        frontier = engine._frontier(engine._user_frontier, die)
+        frontier = engine._user_frontier[die]
+        if frontier is None:
+            frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
         ppa = PhysicalPageAddress(die, frontier.block, frontier.written)
         meta = PageMetadata(
             lpn=p,

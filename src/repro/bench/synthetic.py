@@ -264,7 +264,7 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
     rng = random.Random(config.seed)
     cumulative = _cumulative_shares(config.classes)
     total = cumulative[-1]
-    draw, getrandbits = rng.random, rng.getrandbits
+    draw, choice = rng.random, rng.choice
     appends = [cls.kind == "append" for cls in config.classes]
     writes = [region.write for region in regions]
     start_t = t
@@ -278,16 +278,7 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
             pages.append(p)
             t = writes[index](p, payload, t)
         else:
-            # rng.choice(pages), same stream: its _randbelow draws
-            # getrandbits(n.bit_length()) until the value is below n
-            n = len(pages)
-            if not n:
-                raise IndexError("Cannot choose from an empty sequence")
-            bits = n.bit_length()
-            pick = getrandbits(bits)
-            while pick >= n:
-                pick = getrandbits(bits)
-            t = writes[index](pages[pick], payload, t)
+            t = writes[index](choice(pages), payload, t)
     name = "separated" if separated else "mixed"
     return SyntheticResult(
         name=name,
@@ -362,21 +353,12 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
     rng = random.Random(config.seed)
     cumulative = _cumulative_shares(config.classes)
     total = cumulative[-1]
-    draw, getrandbits, write = rng.random, rng.getrandbits, dev.write
-    # rng.choice(lbas) written out as in run_noftl_synthetic; per class:
-    # the lbas, their count and the bits one draw takes
-    classes = [(lbas, len(lbas), len(lbas).bit_length()) for lbas in lba_sets]
+    draw, choice, write = rng.random, rng.choice, dev.write
     start_t = t
     base_cb = dev.stats.gc_copybacks
     base_er = dev.stats.gc_erases
     for __ in range(config.writes):
-        lbas, n, bits = classes[bisect_left(cumulative, draw() * total)]
-        if not n:
-            raise IndexError("Cannot choose from an empty sequence")
-        pick = getrandbits(bits)
-        while pick >= n:
-            pick = getrandbits(bits)
-        t = write(lbas[pick], payload, at=t)
+        t = write(choice(lba_sets[bisect_left(cumulative, draw() * total)]), payload, at=t)
     return SyntheticResult(
         name=f"ftl-{ftl}",
         copybacks=dev.stats.gc_copybacks - base_cb,

@@ -1,9 +1,7 @@
 """Unit tests for the synthetic hot/cold workload harness."""
 
 import random
-import sys
 from bisect import bisect_left
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +12,9 @@ from repro.bench import (
     run_ftl_synthetic,
     run_noftl_synthetic,
 )
-from repro.bench import synthetic
 from repro.bench.errors import BenchConfigError
 from repro.bench.synthetic import _cumulative_shares, _die_shares
-from repro.core.region import Region
 from repro.flash import instant_timing
-from repro.ftl.page_mapping import PageMappingFTL
 
 
 def quick_config(**kwargs):
@@ -102,102 +97,6 @@ class TestClassDraw:
         assert new_picks == old_picks
         assert new.getstate() == old.getstate()
         assert {index for index, __ in new_picks} == {0, 2, 3}  # never a zero share
-
-
-class TestPageDraw:
-    """Both measured loops draw a page with the rejection loop of
-    ``rng.choice`` (``Random._randbelow``) written out.  Replayed with
-    ``choice`` over the loop's own page sets, the class draws pick the
-    same pages and leave the generator in the same state."""
-
-    APPEND_CLASSES = (
-        ObjectClass("hot", space_share=0.2, traffic_share=0.7),
-        ObjectClass("log", space_share=0.3, traffic_share=0.3, kind="append"),
-    )
-
-    @staticmethod
-    def _record(monkeypatch, run, writer, sets_name):
-        """Run ``run()`` and return the page sets at the start of the
-        measured phase, the pages written in it and the loop's generator."""
-        rngs, sets, written = [], [], []
-
-        def make_rng(seed):
-            rngs.append(random.Random(seed))
-            return rngs[-1]
-
-        attach, write = synthetic._attach_fault_plan, writer.write
-
-        def start_measured_phase(device, config):
-            # called by both loops right after the prefill: the caller's
-            # page sets are what the measured draws pick from
-            sets.extend(list(s) for s in sys._getframe(1).f_locals[sets_name])
-            attach(device, config)
-
-        def recording_write(self, page, data, *args, **kwargs):
-            if sets:
-                written.append(page)
-            return write(self, page, data, *args, **kwargs)
-
-        monkeypatch.setattr(synthetic, "random", SimpleNamespace(Random=make_rng))
-        monkeypatch.setattr(synthetic, "_attach_fault_plan", start_measured_phase)
-        monkeypatch.setattr(writer, "write", recording_write)
-        run()
-        [rng] = rngs
-        return sets, written, rng
-
-    @staticmethod
-    def _replay(config, sets, written):
-        """The measured loop with ``rng.choice``: an append class writes a
-        fresh page (no page draw) while its region has room.  Returns the
-        pages, the generator and each class's number of page draws."""
-        rng = random.Random(config.seed)
-        cumulative = _cumulative_shares(config.classes)
-        expected, draws = [], [0] * len(sets)
-        for page in written:
-            index = bisect_left(cumulative, rng.random() * cumulative[-1])
-            pages = sets[index]
-            if config.classes[index].kind == "append" and page not in pages:
-                pages.append(page)
-                expected.append(page)
-            else:
-                expected.append(rng.choice(pages))
-                draws[index] += 1
-        return expected, rng, draws
-
-    @pytest.mark.parametrize(
-        "classes, run, writer, sets_name",
-        [
-            (HOT_COLD_CLASSES, lambda c: run_noftl_synthetic(c, False), Region, "page_sets"),
-            (HOT_COLD_CLASSES, lambda c: run_noftl_synthetic(c, True), Region, "page_sets"),
-            (APPEND_CLASSES, lambda c: run_noftl_synthetic(c, True), Region, "page_sets"),
-            (HOT_COLD_CLASSES, run_ftl_synthetic, PageMappingFTL, "lba_sets"),
-        ],
-        ids=["mixed", "separated", "append", "ftl"],
-    )
-    def test_loop_draws_as_choice(self, monkeypatch, classes, run, writer, sets_name):
-        config = quick_config(classes=classes, utilization=0.65, writes=4000, dies=4)
-        sets, written, rng = self._record(monkeypatch, lambda: run(config), writer, sets_name)
-        expected, reference, draws = self._replay(config, sets, written)
-        assert len(written) == config.writes
-        assert written == expected
-        assert rng.getstate() == reference.getstate()
-        assert all(draws)  # every class's page draw ran (the log's once full)
-
-    def test_empty_page_set_raises_index_error_like_choice(self, monkeypatch):
-        class NoZeroBitDraws(random.Random):
-            def getrandbits(self, k):
-                # getrandbits(0) is 0 forever: never below an empty set's size
-                assert k > 0, "a 0-bit draw never ends the rejection loop"
-                return super().getrandbits(k)
-
-        monkeypatch.setattr(synthetic, "random", SimpleNamespace(Random=NoZeroBitDraws))
-        # the first two classes take every logical page, the third none
-        classes = tuple(ObjectClass(name, 1.0, 0.3) for name in "abc")
-        config = quick_config(classes=classes, dies=2, writes=50)
-        with pytest.raises(IndexError, match="Cannot choose from an empty sequence"):
-            run_ftl_synthetic(config)
-        with pytest.raises(IndexError, match="Cannot choose from an empty sequence"):
-            random.Random(config.seed).choice([])
 
 
 class TestNoFTLSynthetic:

@@ -95,7 +95,7 @@ def test_incremental_state_matches_recompute(operations):
     open_blocks: list = []
     for kind, arg in operations:
         apply_op(die, open_blocks, kind, arg)
-        # after *every* op: counters, candidate set and buckets all agree
+        # after *every* op: counters, candidate column and candidate set all agree
         # with a from-scratch recomputation
         die.check_invariants()
         for info in die.blocks:
