@@ -14,7 +14,10 @@ host-side, region-locally, with full DBMS knowledge of the stored objects.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import TypeVar
 
 from repro.flash.device import FlashDevice
 from repro.flash.errors import DieFailedError
@@ -27,6 +30,8 @@ from repro.mapping.stats import ManagementStats
 #: Owner sentinel for dies lost to whole-die failures.  A failed die is
 #: neither free nor owned: it must never re-enter the allocation pool.
 FAILED_DIE = "<failed>"
+
+_T = TypeVar("_T")
 
 
 class RegionError(Exception):
@@ -211,23 +216,17 @@ class Region:
     # ------------------------------------------------------------------
     def read(self, rpn: int, at: float) -> tuple[Payload, float]:
         """Read logical page ``rpn``; returns ``(data, completion_us)``."""
-        self._check_allocated(rpn)
-        issue = at
-        tries = len(self.engine.dies) + 2
-        while True:
-            try:
-                data, end = self.engine.read(rpn, at)
-            except DieFailedError as exc:
-                # a read never needs the dead die, but the background work
-                # it triggers (scrub, refresh erase) might
-                at = self._recover_die_failure(exc.die, at)
-                tries -= 1
-                if not tries:
-                    raise
-            else:
-                self.stats.host_reads += 1
-                self.stats.host_read_latency.record(end - issue)
-                return data, end
+        if rpn not in self._allocated:
+            raise RegionError(f"region {self.name}: rpn {rpn} is not allocated")
+        try:
+            data, end = self.engine.read(rpn, at)
+        except DieFailedError as exc:
+            # a read never needs the dead die, but the background work
+            # it triggers (scrub, refresh erase) might
+            data, end = self._redrive(partial(self.engine.read, rpn), exc.die, at)
+        self.stats.host_reads += 1
+        self.stats.host_read_latency.record(end - at)
+        return data, end
 
     def write(self, rpn: int, data: Payload, at: float, group: int | None = None) -> float:
         """Write logical page ``rpn`` out-of-place; returns completion time.
@@ -236,23 +235,17 @@ class Region:
         honoured only when the region is configured with
         ``object_frontiers`` — see :class:`RegionConfig`.
         """
-        self._check_allocated(rpn)
-        issue = at
+        if rpn not in self._allocated:
+            raise RegionError(f"region {self.name}: rpn {rpn} is not allocated")
         if not self.config.object_frontiers:
             group = None
-        tries = len(self.engine.dies) + 2
-        while True:
-            try:
-                end = self.engine.write(rpn, data, at, group=group)
-            except DieFailedError as exc:
-                at = self._recover_die_failure(exc.die, at)
-                tries -= 1
-                if not tries:
-                    raise
-            else:
-                self.stats.host_writes += 1
-                self.stats.host_write_latency.record(end - issue)
-                return end
+        try:
+            end = self.engine.write(rpn, data, at, group=group)
+        except DieFailedError as exc:
+            end = self._redrive(partial(self.engine.write, rpn, data, group=group), exc.die, at)
+        self.stats.host_writes += 1
+        self.stats.host_write_latency.record(end - at)
+        return end
 
     def write_atomic(
         self, entries: list[tuple[int, Payload]], at: float, group: int | None = None
@@ -265,29 +258,36 @@ class Region:
         and the previous versions of every page reappear.
         """
         for rpn, __ in entries:
-            self._check_allocated(rpn)
+            if rpn not in self._allocated:
+                raise RegionError(f"region {self.name}: rpn {rpn} is not allocated")
         if not self.config.object_frontiers:
             group = None
-        issue = at
-        tries = len(self.engine.dies) + 2
+        try:
+            end = self.engine.write_atomic(entries, at, group=group)
+        except DieFailedError as exc:
+            # the engine disowns a half-programmed batch before raising,
+            # so retrying after the rebuild re-drives it from scratch
+            end = self._redrive(
+                partial(self.engine.write_atomic, entries, group=group), exc.die, at
+            )
+        self.stats.host_writes += len(entries)
+        self.stats.host_write_latency.record(end - at)
+        return end
+
+    def _redrive(self, attempt: Callable[[float], _T], die: int, at: float) -> _T:
+        """Rebuild around the dead ``die`` and re-run ``attempt(at)`` until it
+        succeeds; the ``len(dies) + 2``-th die failure in a row propagates
+        after its rebuild.  Only an operation that failed gets here."""
+        tries = len(self.engine.dies) + 1
+        at = self._recover_die_failure(die, at)
         while True:
             try:
-                # the engine disowns a half-programmed batch before raising,
-                # so retrying after the rebuild re-drives it from scratch
-                end = self.engine.write_atomic(entries, at, group=group)
+                return attempt(at)
             except DieFailedError as exc:
                 at = self._recover_die_failure(exc.die, at)
                 tries -= 1
                 if not tries:
                     raise
-            else:
-                self.stats.host_writes += len(entries)
-                self.stats.host_write_latency.record(end - issue)
-                return end
-
-    def _check_allocated(self, rpn: int) -> None:
-        if rpn not in self._allocated:
-            raise RegionError(f"region {self.name}: rpn {rpn} is not allocated")
 
     # ------------------------------------------------------------------
     # Die failure (degraded mode)

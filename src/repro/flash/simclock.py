@@ -94,66 +94,62 @@ class ResourceTimeline:
     busy_us: float = 0.0
     _starts: array[float] = field(default_factory=lambda: array("d"), repr=False)
     _ends: array[float] = field(default_factory=lambda: array("d"), repr=False)
-    #: the latest end granted, as a Python float (-inf before the first
-    #: slot; ``_ends[-1]`` while any slot is stored): the append fast path
-    #: compares with it instead of boxing a double
+    #: the latest end granted, as a float (-inf before the first slot)
     _last_end: float = field(default=float("-inf"), repr=False)
     #: index of the first remembered slot
     _lo: int = field(default=0, repr=False)
+    #: ``_ends[_lo]`` as a float (+inf while nothing is remembered)
+    _first_end: float = field(default=float("inf"), repr=False)
     #: the cutoff of the last prune: busy time before it is forgotten, so a
     #: request issued earlier is refused
     _forgotten_before: float = field(default=float("-inf"), repr=False)
-
-    @property
-    def available_at(self) -> float:
-        """End of the last reservation (0.0 when none is remembered)."""
-        ends = self._ends
-        return ends[-1] if len(ends) > self._lo else 0.0
+    #: max(``_last_end``, ``_forgotten_before``): a request from here on appends
+    _append_from: float = field(default=float("-inf"), repr=False)
 
     def reserve(self, earliest: float, duration: float) -> tuple[float, float]:
         """Reserve ``duration`` us starting no earlier than ``earliest``.
 
         Returns ``(start, end)`` of the granted slot — the first gap that
-        fits.  Raises :class:`StaleReservationError` for a request issued
-        before the forgotten horizon."""
+        fits.  A zero-length request reserves nothing and returns the
+        instant it would start.  Raises :class:`StaleReservationError` for
+        a request issued before the forgotten horizon."""
+        # append path, checked first: a request at or after the last known
+        # reservation (and the prune cutoff) fills no gap and starts at once,
+        # the common case for a caller whose clock tracks the resource
+        if earliest >= self._append_from and duration > 0.0:
+            if self._first_end < earliest - _PRUNE_LAG_US:
+                self._prune(earliest)
+            end = earliest + duration
+            self._starts.append(earliest)
+            self._ends.append(end)
+            if self._first_end > end:  # nothing was remembered before it
+                self._first_end = end
+            self._last_end = self._append_from = end
+            self.busy_us += duration
+            return earliest, end
         if duration < 0:
             raise ConfigError("duration must be >= 0")
         if earliest < self._forgotten_before:
             raise StaleReservationError(self.name, earliest, self._forgotten_before)
-        ends = self._ends
-        lo = self._lo
-        if lo < len(ends) and ends[lo] < earliest - _PRUNE_LAG_US:
+        if self._first_end < earliest - _PRUNE_LAG_US:
             self._prune(earliest)
-        # append fast path: a request issued at or after the last known
-        # reservation cannot fill any gap, so it starts immediately — the
-        # common case for a caller whose clock tracks the resource.  (The
-        # gap-filling search below returns exactly `earliest` here.)
-        if duration > 0.0 and earliest >= self._last_end:
-            end = earliest + duration
-            self._starts.append(earliest)
-            ends.append(end)
-            self._last_end = end
-            self.busy_us += duration
-            return earliest, end
-        start = self._find_gap(earliest, duration)
+        start, index = self._find_gap(earliest, duration)
         end = start + duration
         if duration > 0:
             # the new slot is disjoint from every other, so its place by end
             # is its place by start
-            index = bisect.bisect_left(ends, end, self._lo)
             self._starts.insert(index, start)
-            ends.insert(index, end)
-            self._last_end = ends[-1]
+            self._ends.insert(index, end)
+            if index == self._lo:
+                self._first_end = end
+            if end > self._last_end:
+                self._last_end = self._append_from = end
         self.busy_us += duration
         return start, end
 
-    def peek_start(self, earliest: float) -> float:
-        """When a zero-length op issued at ``earliest`` would start."""
-        if earliest < self._forgotten_before:
-            raise StaleReservationError(self.name, earliest, self._forgotten_before)
-        return self._find_gap(earliest, 0.0)
-
-    def _find_gap(self, earliest: float, duration: float) -> float:
+    def _find_gap(self, earliest: float, duration: float) -> tuple[float, int]:
+        """First fit at or after ``earliest``: its start, and where a slot of
+        ``duration > 0`` starting there goes (``bisect_left`` of its end)."""
         t = earliest
         starts = self._starts
         ends = self._ends
@@ -164,9 +160,9 @@ class ResourceTimeline:
             # a gap fits when it holds the duration; zero-length requests
             # need an instant not inside (or at the start of) a busy slot
             if s - t >= duration and (duration > 0 or s > t):
-                return t
+                return t, i
             t = ends[i]
-        return t
+        return t, len(ends)
 
     def _prune(self, earliest: float) -> None:
         # the ends are sorted, so the slots to forget are a prefix: move the
@@ -184,6 +180,8 @@ class ResourceTimeline:
             del ends[:lo]
             lo = 0
         self._lo = lo
+        self._first_end = ends[lo] if lo < len(ends) else float("inf")
+        self._append_from = max(self._last_end, cutoff)
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` this resource spent busy."""

@@ -119,8 +119,9 @@ class FlashStats:
 
     ``reads``/``programs``/``erases``/``copybacks`` count native commands;
     the per-die lists enable utilization and wear-balance reporting.
-    Latency accumulators measure *service* latency including queueing on
-    the die/channel timelines — i.e. what a host observes.
+    READ / PROGRAM latencies (service time, die/channel queueing included)
+    are running totals, 0.0 while their count is 0 and reported as means;
+    p99 comes from the region and FTL histograms (``ManagementStats``).
     """
 
     dies: int = 0
@@ -134,8 +135,8 @@ class FlashStats:
     programs_per_die: list[int] = field(default_factory=list)
     erases_per_die: list[int] = field(default_factory=list)
     copybacks_per_die: list[int] = field(default_factory=list)
-    read_latency: LatencyAccumulator = field(default_factory=LatencyAccumulator)
-    program_latency: LatencyAccumulator = field(default_factory=LatencyAccumulator)
+    read_latency_total_us: float = 0.0
+    program_latency_total_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dies and not self.reads_per_die:
@@ -152,14 +153,14 @@ class FlashStats:
         self.reads += 1
         self.bytes_read += nbytes
         self.reads_per_die[die] += 1
-        self.read_latency.record(latency_us)
+        self.read_latency_total_us += latency_us
 
     def record_program(self, die: int, nbytes: int, latency_us: float) -> None:
         """Record one PROGRAM PAGE command."""
         self.programs += 1
         self.bytes_written += nbytes
         self.programs_per_die[die] += 1
-        self.program_latency.record(latency_us)
+        self.program_latency_total_us += latency_us
 
     def record_erase(self, die: int) -> None:
         """Record one ERASE BLOCK command."""
@@ -187,8 +188,8 @@ class FlashStats:
             "copybacks": self.copybacks,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
-            "read_latency_mean_us": self.read_latency.mean_us,
-            "program_latency_mean_us": self.program_latency.mean_us,
+            "read_latency_mean_us": self.read_latency_total_us / max(self.reads, 1),
+            "program_latency_mean_us": self.program_latency_total_us / max(self.programs, 1),
         }
 
     _COUNTER_KEYS = ("reads", "programs", "erases", "copybacks", "bytes_read", "bytes_written")

@@ -541,7 +541,6 @@ class FlashSpaceEngine:
         return t if blocking else at
 
     def _collect_block(self, victim: BlockInfo, at: float) -> float:
-        die_index = victim.die
         self.stats.gc_victim_valid_pages += victim.valid_count
         __, end = self._empty_block(victim, at)
         self._erases_since_wl_check += 1
@@ -557,16 +556,13 @@ class FlashSpaceEngine:
         and decide the erase counter too.  Returns ``(erase issued, erase
         done)``: the relocations end at the first, the block is free at the
         second."""
-        die_index = info.die
-        block = info.block
-        for page in info.valid_pages():
-            at = self._relocate(die_index, block, page, at, target, wear_level)
-        __, end = self.device.erase_block_packed(die_index, block, at)
+        at = self._relocate(info.die, info.block, info.valid_pages(), at, target, wear_level)
+        __, end = self.device.erase_block_packed(info.die, info.block, at)
         if wear_level:
             self.stats.wl_erases += 1
         else:
             self.stats.gc_erases += 1
-        self._retire_or_recycle(die_index, block)
+        self._retire_or_recycle(info.die, info.block)
         return at, end
 
     def _retire_or_recycle(self, die_index: int, block: int) -> None:
@@ -583,71 +579,76 @@ class FlashSpaceEngine:
             books.return_erased_block(block)
 
     def _relocate(
-        self, die_index: int, src_block: int, src_page: int, at: float,
+        self, die_index: int, src_block: int, pages: list[int], at: float,
         target: BlockInfo | None = None, wear_level: bool = False,
     ) -> float:
-        """Move one live page within its die (copyback preferred): to
-        ``target`` (the wear leveller's worn block, held by no slot) while
-        that is OPEN, else to the die's GC frontier.  ``wear_level`` says who
-        pays, and a move counts once: ``wl_moves``, or for GC, scrub and
-        salvage ``gc_copybacks`` (fallback: ``gc_reads`` + ``gc_programs``).
+        """Move the live ``pages`` of ``src_block`` within their die, one
+        after another (copyback preferred); returns when the last move ends.
+        Each goes to ``target`` (the wear leveller's worn block, held by no
+        slot) while that is OPEN, else to the die's GC frontier.  ``wear_level``
+        says who pays, and a move counts once: ``wl_moves``, or for GC, scrub
+        and salvage ``gc_copybacks`` (fallback: ``gc_reads`` + ``gc_programs``).
 
         The OOB metadata travels unchanged — crucially including the write
         sequence number: relocation moves a *version*, it does not create
         one.  (A refreshed sequence number could outrank a later committed
         write at recovery time.)"""
-        ppd = self._pages_per_die
         ppb = self._pages_per_block
-        src_packed = die_index * ppd + src_block * ppb + src_page
-        key = self._rmap[src_packed]
-        device = self.device
+        die_base = die_index * self._pages_per_die
+        src_base = die_base + src_block * ppb
+        copyback = self.device.copyback_packed
         books = self.books[die_index]
+        written = books._written
         gc_frontier = self._gc_frontier
-        redrives = 0
+        mapping = self._map
+        rmap = self._rmap
         stats = self.stats
-        while True:
-            frontier = target
-            if frontier is None or frontier.state is not BlockState.OPEN:
-                frontier = gc_frontier[die_index]
-                if frontier is None:
-                    frontier = gc_frontier[die_index] = books.take_free_block()
-            block = frontier.block
-            page = books._written[block]
-            try:
-                __, end = device.copyback_packed(
-                    die_index, src_block, src_page, block, page, at
-                )
-                if not wear_level:
-                    stats.gc_copybacks += 1
-            except CopybackError:
-                read = self._read_for_relocation(
-                    PhysicalPageAddress(die_index, src_block, src_page), at
-                )
+        for src_page in pages:
+            src_packed = src_base + src_page
+            key = rmap[src_packed]
+            redrives = 0
+            while True:
+                frontier = target
+                if frontier is None or frontier.state is not BlockState.OPEN:
+                    frontier = gc_frontier[die_index]
+                    if frontier is None:
+                        frontier = gc_frontier[die_index] = books.take_free_block()
+                block = frontier.block
+                page = written[block]
                 try:
-                    end = device.program_page(
-                        PhysicalPageAddress(die_index, block, page),
-                        read.data, read.metadata, at=read.end_us,
-                    ).end_us
-                except ProgramFaultError:
-                    at = self._on_program_fault(frontier, at)
-                    redrives += 1
-                    if redrives == MAX_WRITE_REDRIVES:
-                        raise
-                    continue
-                if not wear_level:
-                    stats.gc_reads += 1
-                    stats.gc_programs += 1
+                    __, at = copyback(die_index, src_block, src_page, block, page, at)
+                    if not wear_level:
+                        stats.gc_copybacks += 1
+                except CopybackError:
+                    read = self._read_for_relocation(
+                        PhysicalPageAddress(die_index, src_block, src_page), at
+                    )
+                    try:
+                        at = self.device.program_page(
+                            PhysicalPageAddress(die_index, block, page),
+                            read.data, read.metadata, at=read.end_us,
+                        ).end_us
+                    except ProgramFaultError:
+                        at = self._on_program_fault(frontier, at)
+                        redrives += 1
+                        if redrives == MAX_WRITE_REDRIVES:
+                            raise
+                        continue
+                    if not wear_level:
+                        stats.gc_reads += 1
+                        stats.gc_programs += 1
+                break
             if wear_level:
                 stats.wl_moves += 1
             books.invalidate_packed(src_block, src_page)
-            del self._rmap[src_packed]
-            books.note_write_packed(block, page, end)
-            packed = die_index * ppd + block * ppb + page
-            self._map[key] = packed
-            self._rmap[packed] = key
-            if frontier is not target and books._written[block] >= ppb:
+            del rmap[src_packed]
+            books.note_write_packed(block, page, at)
+            packed = die_base + block * ppb + page
+            mapping[key] = packed
+            rmap[packed] = key
+            if frontier is not target and written[block] >= ppb:
                 gc_frontier[die_index] = None  # the frontier rule
-            return end
+        return at
 
     def _read_for_relocation(
         self, src: PhysicalPageAddress, at: float
@@ -679,8 +680,7 @@ class FlashSpaceEngine:
         self._detach_slots(die_index, block)
         self.books[die_index].seal(block)
         moved = frontier.valid_count
-        for page in frontier.valid_pages():
-            at = self._relocate(die_index, block, page, at)
+        at = self._relocate(die_index, block, frontier.valid_pages(), at)
         self.device.dies[die_index].blocks[block].mark_bad()
         self.books[die_index].mark_bad(block)
         faults = self.device.faults

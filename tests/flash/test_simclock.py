@@ -1,5 +1,6 @@
 """Unit tests for the virtual clock and resource timelines."""
 
+import bisect
 import tracemalloc
 from array import array
 
@@ -54,15 +55,17 @@ class TestResourceTimeline:
         with pytest.raises(ValueError):
             ResourceTimeline().reserve(0.0, -1.0)
 
-    def test_peek_start_does_not_reserve(self):
+    def test_zero_length_reservation_reserves_nothing(self):
         r = ResourceTimeline()
         r.reserve(0.0, 100.0)
         # instants inside the busy slot are pushed past it; later instants
-        # are free — and peeking never changes the timeline
-        assert r.peek_start(0.0) == 100.0
-        assert r.peek_start(50.0) == 100.0
-        assert r.peek_start(150.0) == 150.0
-        assert r.available_at == 100.0
+        # are free — and a zero-length request never changes the timeline
+        assert r.reserve(0.0, 0.0) == (100.0, 100.0)
+        assert r.reserve(50.0, 0.0) == (100.0, 100.0)
+        assert r.reserve(150.0, 0.0) == (150.0, 150.0)
+        assert list(r._ends) == [100.0]
+        assert r._last_end == 100.0
+        assert r.busy_us == 100.0
         start, __ = r.reserve(0.0, 10.0)
         assert start == 100.0  # a real duration must wait for the gap
 
@@ -90,10 +93,29 @@ class TestResourceTimeline:
         with pytest.raises(StaleReservationError, match="die0"):
             r.reserve(50.0, 10.0)
         with pytest.raises(StaleReservationError):
-            r.peek_start(2 * HORIZON - 1.0)
+            r.reserve(2 * HORIZON - 1.0, 0.0)
         assert r.busy_us == 110.0  # a refused request reserves nothing
         # at the cutoff itself nothing forgotten can overlap the request
         assert r.reserve(2 * HORIZON, 10.0) == (2 * HORIZON, 2 * HORIZON + 10.0)
+
+    def test_request_after_every_forgotten_slot_but_behind_the_horizon_is_refused(self):
+        r = ResourceTimeline(name="die0")
+        r.reserve(0.0, 100.0)
+        # a zero-length request prunes without adding a slot: everything is
+        # forgotten, and the cutoff lies after the last end ever granted
+        assert r.reserve(3 * HORIZON, 0.0) == (3 * HORIZON, 3 * HORIZON)
+        assert r._last_end == 100.0
+        assert r._forgotten_before == 2 * HORIZON
+        assert len(r._ends) == r._lo
+        # after the last slot, so it could only append — but before the
+        # cutoff, so the resource may have been busy then
+        with pytest.raises(StaleReservationError, match="die0"):
+            r.reserve(HORIZON, 10.0)
+        with pytest.raises(StaleReservationError):
+            r.reserve(HORIZON, 0.0)
+        assert r.busy_us == 100.0
+        assert r.reserve(2 * HORIZON, 10.0) == (2 * HORIZON, 2 * HORIZON + 10.0)
+        assert r._ends[r._lo] == r._first_end == 2 * HORIZON + 10.0
 
     def test_append_path_reservations_cost_two_doubles_each(self):
         # 50,000 slots in two float lists held ~3.3 MB (a boxed float and a
@@ -120,11 +142,16 @@ class TestResourceTimeline:
 
 def _assert_double_columns(timeline):
     """The columns stay typed arrays of C doubles through every path, and
-    the fast path's float copy of the last end agrees with them."""
+    the float copies the append and prune checks compare with agree with
+    them."""
     for column in (timeline._starts, timeline._ends):
         assert isinstance(column, array) and column.typecode == "d"
-    if timeline._ends:
-        assert timeline._last_end == timeline._ends[-1]
+    ends = timeline._ends
+    lo = timeline._lo
+    if ends:
+        assert timeline._last_end == ends[-1]
+    assert timeline._first_end == (ends[lo] if lo < len(ends) else float("inf"))
+    assert timeline._append_from == max(timeline._last_end, timeline._forgotten_before)
 
 
 def _first_fit(granted, earliest, duration):
@@ -153,15 +180,27 @@ def _first_fit(granted, earliest, duration):
 )
 def test_reserve_grants_the_first_fit_of_a_brute_force_scan(requests):
     """Random (earliest, duration) streams — out of order, exact fits and
-    zero-length requests included — get exactly the reference's slots."""
+    zero-length requests included — get exactly the reference's slots, the
+    gap search's insertion index is the bisect of the slot's end, and a
+    zero-length request at the issue time or at either edge of the newest
+    slot reserves nothing."""
     timeline = ResourceTimeline()
     granted = []
     for earliest, duration in requests:
         expected = _first_fit(granted, earliest, duration)
-        assert timeline.peek_start(earliest) == _first_fit(granted, earliest, 0.0)
+        start, index = timeline._find_gap(earliest, duration)
+        assert start == expected
+        if duration > 0:
+            assert index == bisect.bisect_left(timeline._ends, start + duration, timeline._lo)
         assert timeline.reserve(earliest, duration) == (expected, expected + duration)
         if duration > 0:
             granted.append((expected, expected + duration))
+        columns = (list(timeline._starts), list(timeline._ends), timeline.busy_us)
+        probes = [earliest, *granted[-1]] if granted else [earliest]
+        for instant in probes:
+            fit = _first_fit(granted, instant, 0.0)
+            assert timeline.reserve(instant, 0.0) == (fit, fit)
+        assert (list(timeline._starts), list(timeline._ends), timeline.busy_us) == columns
         _assert_double_columns(timeline)
     assert timeline.busy_us == sum(e - s for s, e in granted)
 
@@ -174,7 +213,7 @@ def _first_fit_with_horizon(requests):
     before the last such cutoff are refused."""
     timeline = ResourceTimeline()
     granted = []
-    forgotten_before = float("-inf")
+    forgotten_before = last_end = float("-inf")
     for earliest, duration in requests:
         if earliest < forgotten_before:
             with pytest.raises(StaleReservationError):
@@ -188,13 +227,15 @@ def _first_fit_with_horizon(requests):
         assert timeline.reserve(earliest, duration) == (expected, expected + duration)
         if duration > 0:
             granted.append((expected, expected + duration))
+            last_end = max(last_end, expected + duration)
         # the remembered columns are the reference's slots, and the
         # forgotten prefix never outgrows what is remembered
         lo = timeline._lo
         assert list(zip(timeline._starts[lo:], timeline._ends[lo:])) == sorted(granted)
         assert 3 * lo <= len(timeline._ends)
         _assert_double_columns(timeline)
-        assert timeline.available_at == (max(e for __, e in granted) if granted else 0.0)
+        # the latest end survives a prune that forgets every slot
+        assert timeline._last_end == last_end
     return timeline
 
 

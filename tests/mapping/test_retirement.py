@@ -252,7 +252,7 @@ class TestRelocationFallbackRedrive:
         first_target = engine._gc_frontier[0].block
         assert engine.geometry.plane_of_block(first_target) == 1
 
-        t = engine._relocate(0, 0, 0, t)
+        t = engine._relocate(0, 0, [0], t)
 
         assert injector.stats.injected_program_fail == 1
         assert injector.stats.retired_grown_bad_blocks == 1
