@@ -28,7 +28,7 @@ def test_fig2_configuration(benchmark):
     counts = [spec.num_dies for spec in placement.specs]
     assert counts == [2, 11, 10, 29, 6, 6]
     assert sum(counts) == 64
-    assert not store.manager.free_dies()
+    assert not store.free_dies()
 
     # regions own disjoint die sets
     owned = [d for r in store.regions() for d in r.dies]

@@ -6,7 +6,7 @@ longevity of the Flash devices".  Two measurements:
 1. intra-region static WL on/off under skewed writes: erase-count spread
    (max - min per block) narrows with WL at a small relocation cost;
 2. cross-region global WL: a scorching region and a cold region diverge in
-   die wear until the manager swaps dies between them.
+   die wear until the store swaps dies between them.
 """
 
 import random
@@ -76,8 +76,8 @@ def run_global_wl(threshold, writes, seed=5):
         t = hot.write(rng.choice(hot_pages), payload, t)
         if i % 2000 == 1999:
             t = store.global_wear_level(t)
-            swaps_over_time.append(store.manager.wl_swaps)
-    return store.manager.wl_swaps, store.manager.wear_imbalance()
+            swaps_over_time.append(store.wl_swaps)
+    return store.wl_swaps, store.wear_imbalance()
 
 
 def sweep():

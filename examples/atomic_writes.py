@@ -66,7 +66,7 @@ def main() -> None:
     recovered = build(device=store.device)
     end = recovered.recover(at=t)
     print(f"recovery scan finished ({(end - t) / 1000:.1f} ms simulated)")
-    values = {recovered.read("rg", p, end)[0] for p in pages}
+    values = {recovered.region("rg").read(p, end)[0] for p in pages}
     assert values == {b"balance=250"}, values
     print("every page shows balance=250: the committed batch survived,")
     print("the torn batch rolled back wholesale. No 999s, no mixed state.")

@@ -62,7 +62,7 @@ def main() -> None:
 
     checked = 0
     for (name, rpn), payload in payloads.items():
-        data, t = recovered.read(name, rpn, t)
+        data, t = recovered.region(name).read(rpn, t)
         assert data == payload, f"lost {name}:{rpn}"
         checked += 1
     recovered.check_consistency()

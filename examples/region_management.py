@@ -2,8 +2,8 @@
 
 Shows the administration surface the paper emphasises: regions are created
 with familiar DDL, can grow and shrink while live ("the number of dies in
-each region ... is dynamic and can change over time"), and the region
-manager rebalances wear across regions by swapping dies.
+each region ... is dynamic and can change over time"), and the NoFTL
+store rebalances wear across regions by swapping dies.
 
 Run:  python examples/region_management.py
 """
@@ -20,7 +20,7 @@ def show(store: NoFTLStore, title: str) -> None:
         print(
             f"  {row['name']:10} dies={row['dies']} used={row['used_pages']}/{row['capacity_pages']} pages"
         )
-    print(f"  free dies: {store.manager.free_dies()}")
+    print(f"  free dies: {store.free_dies()}")
 
 
 def main() -> None:
@@ -53,18 +53,18 @@ def main() -> None:
     for __ in range(30_000):
         t = working.write(rng.choice(hot), b"hot record", t)
     show(store, "after churn")
-    print(f"  wear imbalance: {store.manager.wear_imbalance():.1f} erases/die")
+    print(f"  wear imbalance: {store.wear_imbalance():.1f} erases/die")
 
     # grow the working region with a free die, then shrink the archive
-    store.manager.add_dies("rgWorking", 1)
-    t = store.manager.remove_die("rgArchive", archive.dies[0], at=t)
+    store.add_dies("rgWorking", 1)
+    t = store.remove_die("rgArchive", archive.dies[0], at=t)
     show(store, "after resize (grew rgWorking, evacuated one archive die)")
 
     # global wear levelling swaps a worn working die with a fresh archive die
-    swaps_before = store.manager.wl_swaps
+    swaps_before = store.wl_swaps
     t = store.global_wear_level(t)
-    print(f"\nglobal wear levelling performed {store.manager.wl_swaps - swaps_before} die swap(s)")
-    print(f"  wear imbalance now: {store.manager.wear_imbalance():.1f} erases/die")
+    print(f"\nglobal wear levelling performed {store.wl_swaps - swaps_before} die swap(s)")
+    print(f"  wear imbalance now: {store.wear_imbalance():.1f} erases/die")
 
     # data is intact through all of it
     sample = rng.sample(cold, 20)

@@ -37,7 +37,6 @@ from repro.core import (
     Region,
     RegionConfig,
     RegionError,
-    RegionManager,
     RegionSpec,
     figure2_placement,
     suggest_placement,
@@ -71,7 +70,6 @@ __all__ = [
     "Region",
     "RegionConfig",
     "RegionError",
-    "RegionManager",
     "RegionSpec",
     "ScaleConfig",
     "Schema",

@@ -22,6 +22,7 @@ from repro.bench.errors import BenchConfigError
 from repro.db.database import Database
 from repro.flash.geometry import FlashGeometry
 from repro.mapping.engine import die_reserve_blocks
+from repro.obs.collect import combined_management_stats
 from repro.obs.export import JsonDict
 from repro.flash.timing import TimingModel
 from repro.tpcc.driver import Driver
@@ -129,15 +130,7 @@ class TPCCExperimentResult:
 def _storage_counters(db: Database) -> dict[str, float]:
     """Management counters incl. latency totals (delta-able)."""
     if db.store is not None:
-        totals: dict[str, float] = {}
-        for region in db.store.regions():
-            for key, value in _management_counters(region.stats).items():
-                if isinstance(value, list):
-                    prior = totals.get(key) or [0] * len(value)
-                    totals[key] = [a + b for a, b in zip(prior, value)]
-                else:
-                    totals[key] = totals.get(key, 0.0) + value
-        return totals
+        return _management_counters(combined_management_stats(db.store.regions()))
     assert db.ftl is not None
     return _management_counters(db.ftl.stats)
 

@@ -28,7 +28,6 @@ from repro.core.placement import (
     traditional_placement,
 )
 from repro.core.region import Region, RegionConfig, RegionError, RegionFullError
-from repro.core.region_manager import RegionManager
 from repro.core.store import NoFTLStore
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "RegionConfig",
     "RegionError",
     "RegionFullError",
-    "RegionManager",
     "RegionSpec",
     "TPCC_INDEXES",
     "TPCC_TABLES",

@@ -27,10 +27,6 @@ from repro.mapping.blockinfo import DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine
 from repro.mapping.stats import ManagementStats
 
-#: Owner sentinel for dies lost to whole-die failures.  A failed die is
-#: neither free nor owned: it must never re-enter the allocation pool.
-FAILED_DIE = "<failed>"
-
 _T = TypeVar("_T")
 
 
@@ -101,8 +97,10 @@ class Region:
     number (rpn).  Tablespaces allocate extents of rpns; the engine decides
     where each rpn physically lives and keeps it alive across GC and WL.
 
-    Regions are created through :class:`~repro.core.region_manager.RegionManager`,
-    which hands them their dies.
+    Regions are created through :class:`~repro.core.store.NoFTLStore`,
+    which hands them their dies and reads die ownership back off the
+    engine's bookkeeping and :attr:`failed_dies`; a region holds nothing
+    of the store.
     """
 
     def __init__(
@@ -133,12 +131,9 @@ class Region:
         self._next_rpn = 0
         self._free_rpns: list[int] = []
         self._allocated: set[int] = set()
-        #: dies lost to whole-die failures (region runs degraded)
+        #: dies lost to whole-die failures (region runs degraded); the
+        #: store never hands them out again
         self.failed_dies: list[int] = []
-        #: the RegionManager's die -> owner table, shared so a failure
-        #: quarantines the die in the pool; the table, not the manager, so
-        #: nothing in a region leads back to what owns it
-        self._die_owner: dict[int, str | None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -302,18 +297,15 @@ class Region:
 
         The engine pulls every live page off the dead die (reads still
         work) onto the survivors, then forgets the die; the region keeps
-        serving at reduced capacity.  The die is marked failed in the
-        manager's owner table so it can never be handed to another
-        region.  Concurrent failure of a *second* die during the rebuild
-        is not recovered here — it propagates (documented single-failure
-        model).
+        serving at reduced capacity.  Listing the die in :attr:`failed_dies`
+        quarantines it: the store never hands it to another region.
+        Concurrent failure of a *second* die during the rebuild is not
+        recovered here — it propagates (documented single-failure model).
         """
         if die not in self.engine.dies:
             return at  # several queued ops can observe the same failure
         __, at = self.engine.fail_die(die, at)
         self.failed_dies.append(die)
-        if self._die_owner is not None:
-            self._die_owner[die] = FAILED_DIE
         return at
 
     def retire_failed_die(self, die: int, at: float) -> float:
@@ -358,11 +350,6 @@ class Region:
             return 0.0
         totals = [self.device.dies[d].total_erase_count for d in self.engine.dies]
         return sum(totals) / len(totals)
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat management counters (``Snapshottable``); mounted by the
-        registry under ``region.<name>``."""
-        return self.stats.snapshot()
 
     def describe(self) -> dict[str, object]:
         """Catalog row for the region."""

@@ -94,10 +94,6 @@ class StorageBackend(abc.ABC):
         except KeyError:
             raise BackendError(f"no tablespace named {name!r}") from None
 
-    def space_name(self, space_id: int) -> str:
-        """Name of tablespace ``space_id``."""
-        return self._space(space_id).name
-
     def spaces(self) -> list[str]:
         """All tablespace names (creation order)."""
         return [self._spaces[i].name for i in sorted(self._spaces)]
@@ -204,10 +200,6 @@ class StorageBackend(abc.ABC):
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
         """Tell physical storage the page's content is dead."""
 
-    @abc.abstractmethod
-    def io_stats(self) -> dict[str, float]:
-        """Headline physical-I/O counters for reporting."""
-
 
 class NoFTLBackend(StorageBackend):
     """Tablespaces on NoFTL regions (the paper's architecture).
@@ -262,11 +254,6 @@ class NoFTLBackend(StorageBackend):
         region = self._regions_by_space[space.space_id]
         region.engine.invalidate(space.page_map[page_no])
 
-    def io_stats(self) -> dict[str, float]:
-        stats = self.store.aggregate_stats()
-        stats["device_erases"] = float(self.store.device.stats.erases)
-        return stats
-
 
 class BlockDeviceBackend(StorageBackend):
     """Tablespaces carved from a flat LBA space on an FTL SSD.
@@ -311,7 +298,3 @@ class BlockDeviceBackend(StorageBackend):
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
         self.device.trim(space.page_map[page_no])
-
-    def io_stats(self) -> dict[str, float]:
-        stats = dict(self.device.stats.snapshot())
-        return stats

@@ -49,6 +49,9 @@ close — the constraints mirror how the engine recovers:
   measured run, so recovery traffic cannot fire a second cut.
 * ``die_fail`` victims are distinct and capped well below the die count;
   the harness settles unobserved die deaths so late kills still retire.
+  A second die dying while a region rebuilds around the first is outside
+  the single-failure model: its :class:`~repro.flash.errors.DieFailedError`
+  ends the plan as a failed verdict carrying the error text.
 
 Soak mode runs the session's plans as cells of
 :func:`repro.bench.sharding.run_cells` in spawn workers: each plan is a
@@ -64,6 +67,7 @@ from typing import Any
 
 from repro.faults.harness import CrashHarnessResult, run_tpcc_crash_harness
 from repro.faults.plan import MAX_READ_RETRIES, FaultPlan, FaultSpec
+from repro.flash.errors import DieFailedError
 from repro.mapping import BookkeepingError
 
 #: invariant names in report order
@@ -303,10 +307,12 @@ class PlanVerdict:
     failed_dies: tuple[int, ...]
     checks: dict[str, bool]
     fault_snapshot: dict[str, float]
+    #: why the plan stopped before its checks ran, or ``None``
+    error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return all(self.checks.values())
+        return self.error is None and all(self.checks.values())
 
     @property
     def injected_total(self) -> float:
@@ -329,8 +335,9 @@ class PlanVerdict:
 
     def row(self) -> list[object]:
         failed = ", ".join(str(d) for d in self.failed_dies) or "-"
+        verdict = "ok" if self.ok else "FAIL"
         checks = " ".join(
-            ("pass" if self.checks.get(name, False) else "FAIL")
+            "-" if name not in self.checks else "pass" if self.checks[name] else "FAIL"
             for name in CHAOS_CHECKS
         )
         return [
@@ -340,7 +347,7 @@ class PlanVerdict:
             "yes" if self.crashed else "no",
             failed,
             checks,
-            "ok" if self.ok else "FAIL",
+            verdict if self.error is None else f"{verdict}: {self.error}",
         ]
 
 
@@ -383,12 +390,24 @@ def _mapping_consistent(result: CrashHarnessResult) -> bool:
 def run_chaos_plan(config: ChaosConfig, index: int) -> PlanVerdict:
     """Generate plan ``index``, run it end to end, check every invariant."""
     plan = config.generator().plan(index)
-    result = run_tpcc_crash_harness(
-        plan,
-        num_transactions=config.num_transactions,
-        terminals=config.terminals,
-        seed=config.workload_seed,
-    )
+    try:
+        result = run_tpcc_crash_harness(
+            plan,
+            num_transactions=config.num_transactions,
+            terminals=config.terminals,
+            seed=config.workload_seed,
+        )
+    except DieFailedError as error:
+        return PlanVerdict(
+            index=index,
+            specs=len(plan.specs),
+            crashed=False,
+            transactions=0,
+            failed_dies=(),
+            checks={},
+            fault_snapshot={},
+            error=str(error),
+        )
     snap = result.fault_snapshot
     checks = {
         "accounting": snap["injected.total"]

@@ -187,13 +187,10 @@ def run_tpcc_crash_harness(
     if crashed:
         injector.stats.recovered_crash_replay += 1
 
-    failed = sorted(
-        {d for region in source.store.regions() for d in region.failed_dies}
-    )
     return CrashHarnessResult(
         crashed=crashed,
         transactions_executed=metrics.transactions,
-        failed_dies=failed,
+        failed_dies=source.store.failed_dies(),
         recovery_scan_us=recovery_scan_us,
         wal_records_replayed=applied,
         consistency=report,

@@ -9,11 +9,10 @@ reference runs one way: the device calls each hook with itself as the
 first argument, and the injector keeps no reference to it.
 
 The injector keeps a global operation counter over the injectable native
-commands (READ PAGE, PROGRAM PAGE, ERASE BLOCK, COPYBACK and the
-multi-plane variants — OOB metadata reads are exempt so recovery scans
-never trip new faults) and evaluates the plan's specs in order on every
-command.  All randomness comes from one RNG seeded by the plan, so a run
-is exactly reproducible.
+commands (READ PAGE, PROGRAM PAGE, ERASE BLOCK and COPYBACK — OOB
+metadata reads are exempt so recovery scans never trip new faults) and
+evaluates the plan's specs in order on every command.  All randomness
+comes from one RNG seeded by the plan, so a run is exactly reproducible.
 
 Failure semantics injected here, recovered elsewhere:
 
@@ -49,7 +48,7 @@ if TYPE_CHECKING:
     from repro.flash.device import FlashDevice
 
 #: Commands a write/erase-dead die rejects.
-_WRITE_OPS = frozenset({"program_page", "erase_block", "copyback", "program_multi_plane"})
+_WRITE_OPS = frozenset({"program_page", "erase_block", "copyback"})
 
 #: Which device commands each fault kind can fire on (``None`` = any).
 _KIND_OPS: dict[str, frozenset[str] | None] = {
@@ -127,11 +126,6 @@ class FaultInjector:
     def op_number(self) -> int:
         """Injectable device commands observed so far."""
         return self._op
-
-    @property
-    def quiesced(self) -> bool:
-        """Whether the plan's schedule has been stopped (see :meth:`quiesce`)."""
-        return self._quiesced
 
     def quiesce(self) -> None:
         """Stop firing new scheduled faults; injected state keeps its teeth.

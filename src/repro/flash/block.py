@@ -165,14 +165,6 @@ class Block:
         """Whether no page has been programmed since the last erase."""
         return self._write_pointer == 0
 
-    def is_programmed(self, page: int) -> bool:
-        """Whether ``page`` currently holds programmed content."""
-        if not 0 <= page < len(self._data):
-            raise IndexError(f"page {page} out of range")
-        # sequential programming + whole-block erase: programmed == below
-        # the write pointer; no per-page flag exists
-        return page < self._write_pointer
-
     # ------------------------------------------------------------------
     # Commands (state transitions only; timing handled by the device)
     # ------------------------------------------------------------------

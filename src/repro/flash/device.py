@@ -348,102 +348,6 @@ class FlashDevice:
         return CommandResult(start_us=start, end_us=end)
 
     # ------------------------------------------------------------------
-    # Multi-plane operations
-    # ------------------------------------------------------------------
-    def program_multi_plane(
-        self,
-        ppas: list[PhysicalPageAddress],
-        payloads: list[Payload],
-        metadatas: list[PageMetadata | None] | None = None,
-        at: float | None = None,
-    ) -> CommandResult:
-        """Multi-plane PROGRAM: one page per plane of one die, one array op.
-
-        Real NAND exposes this to multiply program bandwidth: the pages'
-        data is shifted in sequentially over the channel, then all planes
-        program **concurrently**, so the array phase is paid once instead
-        of once per page.  Constraints (as on hardware): all targets on the
-        same die, one page per distinct plane.
-        """
-        if not ppas:
-            raise DataError("multi-plane program needs at least one page")
-        if len(ppas) != len(payloads):
-            raise DataError("pages and payloads differ in length")
-        metadatas = metadatas if metadatas is not None else [None] * len(ppas)
-        payloads = [self._payload(data) for data in payloads]
-        die_index = ppas[0].die
-        planes = set()
-        for ppa in ppas:
-            ppa.validate(self.geometry)
-            if ppa.die != die_index:
-                raise CopybackError("multi-plane program must stay on one die")
-            plane = self.geometry.plane_of_block(ppa.block)
-            if plane in planes:
-                raise DataError(f"two pages target plane {plane}")
-            planes.add(plane)
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            self.faults.on_command(
-                self, "program_multi_plane", die_index, ppas[0].block, ppas[0].page
-            )
-        die = self.dies[die_index]
-        channel = self.channel_of_die(die_index)
-        bus = self.timing.bus_us(self.geometry.page_size, self.geometry.page_size)
-        # sequential transfers, then one shared program phase
-        start = None
-        xfer_done = issue
-        for __ in ppas:
-            s, xfer_done = channel.reserve(xfer_done, bus)
-            start = s if start is None else start
-        __, end = die.timeline.reserve(xfer_done, self.timing.program_us)
-        for ppa, data, meta in zip(ppas, payloads, metadatas):
-            die.blocks[ppa.block].program(ppa.page, data, meta)
-            self.stats.record_program(ppa.die, len(data), end - issue)
-        self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end)
-
-    def read_multi_plane(
-        self, ppas: list[PhysicalPageAddress], at: float | None = None
-    ) -> list[CommandResult]:
-        """Multi-plane READ: one page per plane of one die, one array op.
-
-        The array read is paid once; the transfers drain sequentially over
-        the channel.  Returns one result per requested page, in order.
-        """
-        if not ppas:
-            raise DataError("multi-plane read needs at least one page")
-        die_index = ppas[0].die
-        planes = set()
-        for ppa in ppas:
-            ppa.validate(self.geometry)
-            if ppa.die != die_index:
-                raise CopybackError("multi-plane read must stay on one die")
-            plane = self.geometry.plane_of_block(ppa.block)
-            if plane in planes:
-                raise DataError(f"two pages target plane {plane}")
-            planes.add(plane)
-        issue = self.clock.now if at is None else at
-        if self.faults is not None:
-            self.faults.on_command(
-                self, "read_multi_plane", die_index, ppas[0].block, ppas[0].page
-            )
-        die = self.dies[die_index]
-        start, array_done = die.timeline.reserve(issue, self.timing.read_us)
-        channel = self.channel_of_die(die_index)
-        bus = self.timing.bus_us(self.geometry.page_size, self.geometry.page_size)
-        results = []
-        xfer_done = array_done
-        for ppa in ppas:
-            data, metadata = die.blocks[ppa.block].read(ppa.page)
-            __, xfer_done = channel.reserve(xfer_done, bus)
-            self.stats.record_read(ppa.die, len(data), xfer_done - issue)
-            results.append(
-                CommandResult(start_us=start, end_us=xfer_done, data=data, metadata=metadata)
-            )
-        self.clock.advance_to(xfer_done)
-        return results
-
-    # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
     def attach_fault_injector(self, injector: FaultInjector) -> FaultInjector:

@@ -31,11 +31,6 @@ class Die:
         return self.blocks[block]
 
     @property
-    def good_blocks(self) -> int:
-        """Number of blocks not retired to the bad-block table."""
-        return sum(1 for b in self.blocks if not b.is_bad)
-
-    @property
     def total_erase_count(self) -> int:
         """Sum of P/E cycles over all blocks of this die."""
         return sum(b.erase_count for b in self.blocks)

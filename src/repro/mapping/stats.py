@@ -49,20 +49,6 @@ class ManagementStats:
     host_write_latency: LatencyAccumulator = field(default_factory=LatencyAccumulator)
 
     @property
-    def mean_victim_valid_pages(self) -> float:
-        """Average live pages GC had to relocate per victim block.
-
-        The direct measure of hot/cold mixing: object-pure hot blocks die
-        almost empty; mixed blocks strand cold pages in every victim.
-        """
-        return self.gc_victim_valid_pages / self.gc_erases if self.gc_erases else 0.0
-
-    @property
-    def total_erases(self) -> int:
-        """Erases from all causes (GC + wear leveling)."""
-        return self.gc_erases + self.wl_erases
-
-    @property
     def relocated_pages(self) -> int:
         """Pages moved by background work (GC + WL), any mechanism."""
         return self.gc_copybacks + self.gc_reads + self.wl_moves

@@ -84,7 +84,7 @@ class TestCrashAtomicity:
         recovered = build_store(device=store.device)
         recovered.recover(at=t)
         for p in pages:
-            assert recovered.read("rg", p, t)[0] == b"v2"
+            assert recovered.region("rg").read(p, t)[0] == b"v2"
 
     def test_torn_batch_rolls_back_wholesale(self):
         """Simulate a crash mid-batch: hand-program a partial batch with
@@ -115,7 +115,7 @@ class TestCrashAtomicity:
         recovered = build_store(device=store.device)
         recovered.recover(at=t)
         for p in pages:
-            assert recovered.read("rg", p, t)[0] == b"v1", (
+            assert recovered.region("rg").read(p, t)[0] == b"v1", (
                 "torn atomic batch must roll back completely"
             )
         recovered.check_consistency()
@@ -142,5 +142,5 @@ class TestCrashAtomicity:
             recovered = build_store(device=store.device)
             recovered.recover(at=t)
             for p, payload in expected.items():
-                assert recovered.read("rg", p, t)[0] == payload
+                assert recovered.region("rg").read(p, t)[0] == payload
         region.engine.check_consistency()

@@ -54,7 +54,7 @@ class TestRecovery:
         recovered = build_store(device=store.device)
         recovered.recover(at=t)
         for (name, rpn), payload in payloads.items():
-            assert recovered.read(name, rpn, t)[0] == payload
+            assert recovered.region(name).read(rpn, t)[0] == payload
         recovered.check_consistency()
 
     def test_rebuild_keeps_latest_version_only(self):
@@ -66,7 +66,7 @@ class TestRecovery:
             t = region.write(rpn, bytes([version]), t)
         recovered = build_store(device=store.device)
         recovered.recover(at=t)
-        assert recovered.read("rgA", rpn, t)[0] == bytes([24])
+        assert recovered.region("rgA").read(rpn, t)[0] == bytes([24])
 
     def test_rebuild_is_chargeable_io(self):
         store = NoFTLStore.create(geometry())  # real timing
@@ -111,7 +111,7 @@ class TestRecovery:
         # conservative: the freed-but-unwiped pages come back as live
         assert rec_region.used_pages() == 10
         for p in pages[:3]:
-            assert recovered.read("rgA", p, t)[0] == b"x"
+            assert recovered.region("rgA").read(p, t)[0] == b"x"
         # and allocation continues above the recovered key space
         fresh = rec_region.allocate(2)
         assert not set(fresh) & set(pages)
@@ -125,6 +125,6 @@ class TestRecovery:
         t = b.write(pb, b"B", t)
         recovered = build_store(device=store.device)
         recovered.recover(at=t)
-        assert recovered.read("rgA", pa, t)[0] == b"A"
-        assert recovered.read("rgB", pb, t)[0] == b"B"
+        assert recovered.region("rgA").read(pa, t)[0] == b"A"
+        assert recovered.region("rgB").read(pb, t)[0] == b"B"
         assert recovered.region("rgA").used_pages() == 1

@@ -1,4 +1,4 @@
-"""Unit tests for RegionManager: die allocation, limits, lifecycle, global WL."""
+"""Unit tests for the store's die pool: die allocation, limits, lifecycle, global WL."""
 
 import pytest
 
@@ -60,7 +60,7 @@ class TestDieAllocation:
         store = make_store()
         region = store.create_region(RegionConfig(name="rg"), num_dies=2, dies=[3, 7])
         assert region.dies == [3, 7]
-        assert store.manager.owner_of_die(3) == "rg"
+        assert 3 not in store.free_dies()
 
     def test_explicit_die_list_validates_ownership(self):
         store = make_store()
@@ -85,16 +85,16 @@ class TestDieAllocation:
         store = NoFTLStore.create(paper_geometry(blocks_per_plane=8), timing=instant_timing())
         for name, count in [("r0", 2), ("r1", 11), ("r2", 10), ("r3", 29), ("r4", 6), ("r5", 6)]:
             store.create_region(RegionConfig(name=name), num_dies=count)
-        assert not store.manager.free_dies()
+        assert not store.free_dies()
 
 
 class TestLifecycle:
     def test_drop_returns_dies_to_pool(self):
         store = make_store()
         store.create_region(RegionConfig(name="rg"), num_dies=4)
-        assert len(store.manager.free_dies()) == 12
+        assert len(store.free_dies()) == 12
         store.drop_region("rg")
-        assert len(store.manager.free_dies()) == 16
+        assert store.free_dies() == list(range(16))
 
     def test_drop_nonempty_region_requires_force(self):
         store = make_store()
@@ -103,7 +103,7 @@ class TestLifecycle:
         with pytest.raises(RegionError):
             store.drop_region("rg")
         store.drop_region("rg", force=True)
-        assert "rg" not in store.manager.regions
+        assert store.regions() == []
 
     def test_dropped_dies_are_reusable(self):
         store = make_store()
@@ -122,7 +122,7 @@ class TestLifecycle:
         store = make_store()
         region = store.create_region(RegionConfig(name="rg"), num_dies=2)
         before = region.capacity_pages()
-        store.manager.add_dies("rg", 2)
+        store.add_dies("rg", 2)
         assert region.capacity_pages() == 2 * before
 
     def test_remove_die_shrinks_region_and_keeps_data(self):
@@ -132,9 +132,9 @@ class TestLifecycle:
         for rpn in pages:
             region.write(rpn, bytes([rpn % 256]), at=0.0)
         victim_die = region.dies[0]
-        store.manager.remove_die("rg", victim_die)
+        store.remove_die("rg", victim_die)
         assert victim_die not in region.dies
-        assert store.manager.owner_of_die(victim_die) is None
+        assert victim_die in store.free_dies()
         for rpn in pages:
             assert region.read(rpn, at=0.0)[0] == bytes([rpn % 256])
 
@@ -151,7 +151,7 @@ class TestGlobalWearLeveling:
 
     def test_wear_imbalance_detected_and_fixed(self):
         store = make_store()
-        store.manager.global_wl_threshold = 10
+        store.global_wl_threshold = 10
         hot = store.create_region(RegionConfig(name="rgHot"), num_dies=4)
         cold = store.create_region(RegionConfig(name="rgCold"), num_dies=4)
         hot_pages = hot.allocate(8)
@@ -159,12 +159,12 @@ class TestGlobalWearLeveling:
         for rpn in cold_pages:
             cold.write(rpn, b"cold", at=0.0)
         self._wear_out_region(hot, hot_pages, 6000)
-        assert store.manager.wear_imbalance() > 10
-        before = store.manager.wear_imbalance()
+        assert store.wear_imbalance() > 10
+        before = store.wear_imbalance()
         store.global_wear_level(at=0.0)
-        assert store.manager.wl_swaps == 1
+        assert store.wl_swaps == 1
         # hot region adopted a fresher die; imbalance strictly reduced
-        assert store.manager.wear_imbalance() < before
+        assert store.wear_imbalance() < before
         # data survived the swap
         for rpn in cold_pages:
             assert cold.read(rpn, at=0.0)[0] == b"cold"
@@ -175,7 +175,7 @@ class TestGlobalWearLeveling:
         store.create_region(RegionConfig(name="rgA"), num_dies=2)
         store.create_region(RegionConfig(name="rgB"), num_dies=2)
         store.global_wear_level(at=0.0)
-        assert store.manager.wl_swaps == 0
+        assert store.wl_swaps == 0
 
 
 class TestReporting:
@@ -194,4 +194,4 @@ class TestReporting:
         [pb] = b.allocate(1)
         a.write(pa, b"x", at=0.0)
         b.write(pb, b"y", at=0.0)
-        assert store.aggregate_stats()["host_writes"] == 2
+        assert store.metrics_registry().snapshot()["mgmt.host_writes"] == 2

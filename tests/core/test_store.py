@@ -1,9 +1,10 @@
-"""Unit tests for the NoFTLStore facade."""
+"""Unit tests for the NoFTLStore storage manager."""
 
 import pytest
 
 from repro.core import NoFTLStore, RegionConfig, RegionError
 from repro.flash import FlashDevice, FlashGeometry, SimClock, instant_timing
+from repro.obs import combined_management_stats
 
 
 def geometry():
@@ -49,14 +50,14 @@ class TestFacadeIO:
         store = NoFTLStore.create(geometry(), timing=instant_timing())
         region = store.create_region(RegionConfig(name="rg"), num_dies=2)
         [rpn] = region.allocate(1)
-        t = store.write("rg", rpn, b"payload", 0.0)
-        data, __ = store.read("rg", rpn, t)
+        t = store.region("rg").write(rpn, b"payload", 0.0)
+        data, __ = store.region("rg").read(rpn, t)
         assert data == b"payload"
 
     def test_unknown_region_io_rejected(self):
         store = NoFTLStore.create(geometry(), timing=instant_timing())
         with pytest.raises(RegionError):
-            store.read("nope", 0, 0.0)
+            store.region("nope")
 
     def test_regions_sorted_by_name(self):
         store = NoFTLStore.create(geometry(), timing=instant_timing())
@@ -70,9 +71,9 @@ class TestReporting:
         store = NoFTLStore.create(geometry(), timing=instant_timing())
         region = store.create_region(RegionConfig(name="rg"), num_dies=2)
         [rpn] = region.allocate(1)
-        store.write("rg", rpn, b"x", 0.0)
-        stats = store.per_region_stats()
-        assert stats["rg"]["host_writes"] == 1
+        region.write(rpn, b"x", 0.0)
+        snap = store.metrics_registry().snapshot()
+        assert snap["region.rg.host_writes"] == 1
 
     def test_aggregate_sums(self):
         store = NoFTLStore.create(geometry(), timing=instant_timing())
@@ -83,9 +84,9 @@ class TestReporting:
         a.write(pa, b"x", 0.0)
         b.write(pb, b"y", 0.0)
         b.read(pb, 0.0)
-        agg = store.aggregate_stats()
-        assert agg["host_writes"] == 2
-        assert agg["host_reads"] == 1
+        total = combined_management_stats(store.regions())
+        assert (total.host_writes, total.host_reads) == (2, 1)
+        assert total.host_write_latency.count == 2
 
     def test_check_consistency_covers_all_regions(self):
         store = NoFTLStore.create(geometry(), timing=instant_timing())

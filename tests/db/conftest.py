@@ -55,9 +55,6 @@ class MemoryBackend(StorageBackend):
         """Every stored page as bytes, deferred images encoded."""
         return {key: bytes(data) for key, data in self.pages.items()}
 
-    def io_stats(self):
-        return {"reads": self.reads, "writes": self.writes}
-
 
 @pytest.fixture
 def memory_backend():

@@ -5,6 +5,7 @@ import pytest
 from repro.core import RegionError, figure2_placement, traditional_placement
 from repro.db import Database, DDLError, Schema, char_col, int_col
 from repro.flash import FlashGeometry, instant_timing
+from repro.obs import combined_management_stats
 
 
 def tiny_geometry():
@@ -236,9 +237,9 @@ class TestStatsAndMaintenance:
         for i in range(50):
             __, t = table.insert((i,), t)
         t = db.checkpoint(t)
-        writes = db.store.aggregate_stats()["host_writes"]
+        writes = combined_management_stats(db.store.regions()).host_writes
         t2 = db.checkpoint(t)
-        assert db.store.aggregate_stats()["host_writes"] == writes
+        assert combined_management_stats(db.store.regions()).host_writes == writes
 
     def test_block_device_database_end_to_end(self):
         db = Database.on_block_device(

@@ -147,6 +147,17 @@ class TestChaosSession:
         result = SimpleNamespace(source=SimpleNamespace(store=BrokenStore()))
         assert _mapping_consistent(result) is False
 
+    def test_a_second_die_failure_during_a_rebuild_is_a_failed_verdict(self):
+        """Heavy plan 7 at seed 7 kills die 2 while its region rebuilds
+        around die 5: outside the single-failure model, so the plan fails
+        with the error's text instead of escaping the session."""
+        verdict = run_chaos_plan(ChaosConfig(seed=7, intensity="heavy"), 7)
+        assert not verdict.ok
+        assert verdict.error == "die 2 has failed; writes and erases rejected (program_page)"
+        assert verdict.checks == {}
+        assert verdict.row()[-2:] == ["- - - -", f"FAIL: {verdict.error}"]
+        assert verdict.metrics()["summary"]["ok"] == 0.0
+
     def test_control_alone(self):
         assert run_control(ChaosConfig(num_transactions=40)) is True
 

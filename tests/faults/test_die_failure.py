@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core import NoFTLStore, RegionConfig
-from repro.core.region_manager import FAILED_DIE
+from repro.core import NoFTLStore, RegionConfig, RegionError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash import FlashGeometry, instant_timing
-from repro.flash.errors import DieFailedError
+from repro.flash.errors import DieFailedError, PowerCutError
 
 
 def small_store(dies=8, blocks_per_plane=16, pages_per_block=8):
@@ -92,17 +91,58 @@ class TestDieFailure:
             t = region.write(rpns[i % len(rpns)], b"x", t)
             i += 1
 
-        manager = store.manager
-        assert manager.failed_dies() == [victim]
-        assert manager._die_owner[victim] == FAILED_DIE
+        assert store.failed_dies() == [victim]
+        assert victim not in store.free_dies()
         # a new region gets only healthy free dies, never the dead one
         other = store.create_region(RegionConfig(name="rg2"), num_dies=4)
         assert victim not in other.dies
+        assert not store.free_dies()
         pages = other.allocate(8)
         for rpn in pages:
             t = other.write(rpn, b"fresh", t)
             assert other.read(rpn, t)[0] == b"fresh"
         store.check_consistency()
+
+    def test_a_dropped_region_keeps_its_dead_die_out_of_the_pool(self):
+        store = small_store()
+        region, payloads, t = self._populated_region(store, num_dies=4)
+        victim = region.dies[1]
+        arm_die_fail(store, victim)
+        rpns = list(payloads)
+        i = 0
+        while not region.degraded:
+            t = region.write(rpns[i % len(rpns)], b"x", t)
+            i += 1
+        store.drop_region("rg", force=True)
+
+        assert store.failed_dies() == [victim]
+        assert store.free_dies() == [d for d in range(8) if d != victim]
+        with pytest.raises(RegionError):
+            store.create_region(RegionConfig(name="rgAll"), num_dies=8)
+        with pytest.raises(RegionError):
+            store.create_region(RegionConfig(name="rgDead"), num_dies=1, dies=[victim])
+        survivors = store.create_region(RegionConfig(name="rg"), num_dies=7)
+        assert victim not in survivors.dies
+        assert store.failed_dies() == [victim] and not store.free_dies()
+
+    def test_a_rebuild_cut_by_a_power_loss_keeps_the_die_out_of_the_pool(self):
+        store = small_store()
+        region, __, t = self._populated_region(store, num_dies=4)
+        victim = region.dies[0]
+        # op 1 (the rebuild's first read) kills the die, op 3 (its second
+        # read, after one page moved) cuts the power
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="die_fail", at_op=1, die=victim),
+            FaultSpec(kind="power_cut", at_op=3),
+        ))
+        store.device.attach_fault_injector(FaultInjector(plan))
+        with pytest.raises(PowerCutError):
+            region.retire_failed_die(victim, t)
+        assert victim not in region.dies and not region.failed_dies
+        assert victim not in store.free_dies()
+        store.drop_region("rg", force=True)
+        assert store.failed_dies() == [victim]
+        assert store.free_dies() == [d for d in range(8) if d != victim]
 
     def test_atomic_writes_survive_die_failure(self):
         store = small_store()

@@ -9,7 +9,6 @@ from repro.flash import (
     DataError,
     DeferredImage,
     FlashDevice,
-    FlashGeometry,
     PhysicalPageAddress,
     small_geometry,
 )
@@ -59,32 +58,20 @@ def test_a_deferred_image_over_the_page_size_is_refused_by_its_len():
     assert calls == []
 
 
-def multi_plane_device():
-    geometry = FlashGeometry(
-        channels=1, chips_per_channel=1, dies_per_chip=1, planes_per_die=2,
-        blocks_per_plane=4, pages_per_block=8, page_size=512, oob_size=16,
-        max_pe_cycles=1000,
-    )
-    return FlashDevice(geometry)
-
-
-def test_multi_plane_program_follows_the_same_payload_rule():
-    device = multi_plane_device()
-    pages = [ppa(block=0), ppa(block=1)]
-    calls = []
-    image, mutable = deferred(b"a" * 10, calls), bytearray(b"b" * 5)
-    device.program_multi_plane(pages, [image, mutable])
+def test_program_copies_a_mutable_buffer():
+    device = FlashDevice(small_geometry())
+    mutable = bytearray(b"b" * 5)
+    device.program_page(ppa(), mutable)
     mutable[0] = 0
-    first, second = device.read_multi_plane(pages)
-    assert first.data is image and calls == []
-    assert second.data == b"b" * 5 and type(second.data) is bytes  # copied
-    assert device.stats.bytes_written == 15
+    data = device.read_page(ppa()).data
+    assert data == b"b" * 5 and type(data) is bytes  # copied
+    assert device.stats.bytes_written == 5
 
 
 @pytest.mark.parametrize("payload", ["text", 7, None])
-def test_multi_plane_program_refuses_a_non_payload_before_reserving_time(payload):
-    device = multi_plane_device()
+def test_program_refuses_a_non_payload_before_reserving_time(payload):
+    device = FlashDevice(small_geometry())
     with pytest.raises(DataError):
-        device.program_multi_plane([ppa(block=0), ppa(block=1)], [b"a", payload])
+        device.program_page(ppa(), payload)
     assert device.stats.programs == 0 and device.clock.now == 0.0
     assert device.dies[0].timeline.utilization(1.0) == 0.0

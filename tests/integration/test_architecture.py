@@ -166,7 +166,7 @@ class TestGlobalWearLevelling:
             for i, rid in enumerate(hot_rids):
                 hot_rids[i], t = hot_table.update(rid, (round_no, "h"), t)
         t = db.store.global_wear_level(t)
-        assert db.store.manager.wl_swaps >= 1
+        assert db.store.wl_swaps >= 1
         # all data still readable
         for __, row, t in cold_table.scan(t):
             assert row[1] == "c"

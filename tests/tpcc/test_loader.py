@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.obs import combined_management_stats
 from repro.tpcc import INDEX_DEFS, TABLE_SCHEMAS, ScaleConfig, load_database, tiny_scale
 from repro.tpcc.loader import initial_records
 
@@ -91,8 +92,7 @@ class TestPopulation:
 
     def test_load_lands_on_flash_after_checkpoint(self, tpcc_db):
         db, __ = tpcc_db
-        stats = db.store.aggregate_stats()
-        assert stats["host_writes"] > 0
+        assert combined_management_stats(db.store.regions()).host_writes > 0
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):

@@ -122,7 +122,6 @@ class TestPayment:
 class TestOrderStatus:
     def test_read_only(self, tpcc_db):
         db, scale, ex = executor(tpcc_db)
-        writes_before = db.store.aggregate_stats()["host_writes"]
         counts_before = (db.table("ORDER").row_count, db.table("CUSTOMER").row_count)
         result = ex.order_status_txn(1, 0.0)
         assert result.kind == ORDER_STATUS
