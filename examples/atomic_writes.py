@@ -12,7 +12,7 @@ Run:  python examples/atomic_writes.py
 """
 
 from repro.core import NoFTLStore, RegionConfig
-from repro.flash import FlashGeometry, PageMetadata, PhysicalPageAddress
+from repro.flash import FlashGeometry
 
 
 def build(device=None):
@@ -52,15 +52,14 @@ def main() -> None:
         frontier = engine._user_frontier[die]
         if frontier is None:
             frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
-        ppa = PhysicalPageAddress(die, frontier.block, frontier.written)
-        meta = PageMetadata(
-            lpn=p,
-            seq=store.device.next_sequence(),
-            obj_id=region.region_id,
-            extra={"atomic_id": atomic_id, "atomic_size": 4},
+        page = frontier.written
+        # OOB record: lpn, write sequence, owning region, batch annotation
+        store.device.program_page_packed(
+            die, frontier.block, page, b"balance=999",
+            p, store.device.next_sequence(), region.region_id, t,
+            {"atomic_id": atomic_id, "atomic_size": 4},
         )
-        store.device.program_page(ppa, b"balance=999", meta, at=t)
-        engine.books[die].note_write_packed(frontier.block, frontier.written, t)
+        engine.books[die].note_write(frontier.block, page, t)
     print("CRASH: a second atomic batch died after 2 of its 4 pages")
 
     recovered = build(device=store.device)

@@ -301,8 +301,10 @@ class Region:
         quarantines it: the store never hands it to another region.
         Concurrent failure of a *second* die during the rebuild is not
         recovered here — it propagates (documented single-failure model).
+        The region owns the die while the engine holds its bookkeeping, so
+        a rebuild a power cut interrupted is finished here after recovery.
         """
-        if die not in self.engine.dies:
+        if die not in self.engine.books:
             return at  # several queued ops can observe the same failure
         __, at = self.engine.fail_die(die, at)
         self.failed_dies.append(die)

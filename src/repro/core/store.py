@@ -21,7 +21,6 @@ from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from repro.core.region import Region, RegionConfig, RegionError
-from repro.flash.address import PhysicalBlockAddress
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.simclock import SimClock
@@ -172,7 +171,7 @@ class NoFTLStore:
                 if info.state is BlockState.BAD:
                     continue
                 if info.written > 0:
-                    self.device.erase_block(PhysicalBlockAddress(d, info.block))
+                    self.device.erase_block_packed(d, info.block, self.device.clock.now)
                     region.engine._retire_or_recycle(d, info.block)
                 elif info.state is BlockState.OPEN:
                     books.return_erased_block(info.block)

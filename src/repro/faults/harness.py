@@ -141,6 +141,12 @@ def run_tpcc_crash_harness(
         scan_end = source.store.recover(t)
         recovery_scan_us = scan_end - t
         t = scan_end
+        # a transient read failure whose retry the cut aborted: the read
+        # that would have succeeded, issued again by the recovered host
+        interrupted = injector.interrupted_read()
+        if interrupted is not None:
+            __, __, t = source.device.read_page_packed(*interrupted, t)
+            injector.stats.recovered_read_retry += 1
         ts = source.catalog.tablespace(f"ts_{WAL_SPACE}")
         wal = WriteAheadLog.for_recovery(source.backend, ts.space_id, at=t)
     else:
@@ -152,11 +158,11 @@ def run_tpcc_crash_harness(
     # after its region's last write stays injected-but-unretired, which
     # would leave the accounting identity open.  The rebuild is the same
     # one a write would have triggered; settling an already-rebuilt die
-    # is a no-op.
+    # is a no-op, and a rebuild the power cut interrupted resumes.
     # ------------------------------------------------------------------
     for die in sorted(injector.dead_dies):
         for region in source.store.regions():
-            if die in region.engine.dies:
+            if die in region.engine.books:
                 t = region.retire_failed_die(die, t)
     # a wear-out whose carrying erase was aborted by a simultaneous
     # crash/die failure would dangle injected-but-unretired — land it
@@ -167,7 +173,7 @@ def run_tpcc_crash_harness(
     # pages off the die, so the block only needs recording
     for die, block in injector.unretired_program_faults(source.device):
         owner = next(
-            (r for r in source.store.regions() if die in r.engine.dies), None
+            (r for r in source.store.regions() if die in r.engine.books), None
         )
         if owner is not None:
             t = owner.engine.retire_grown_bad_block(die, block, t)

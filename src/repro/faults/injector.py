@@ -117,6 +117,9 @@ class FaultInjector:
         self._quiesced = False
         # (die, block, page) -> remaining failures before a retry succeeds
         self._pending_reads: dict[tuple[int, int, int], int] = {}
+        # (die, block, page) of the transient read failure no read has got
+        # past this hook since (reads are synchronous: one retry chain at most)
+        self._open_read: tuple[int, int, int] | None = None
         # (die, block) scheduled to wear out at its in-flight erase
         self._pending_wearout: tuple[int, int] | None = None
         # (die, block) of every injected program failure, in firing order
@@ -163,12 +166,14 @@ class FaultInjector:
                     del self._pending_reads[key]
                 self.stats.read_retry_attempts += 1
                 raise TransientReadError(die, block, page)
-        if self._quiesced:
-            return
-        for state in self._specs:
-            if state.should_fire(op, die, block, self._op, self._rng):
-                state.fired += 1
-                self._fire(state.spec, op, die, block, page)
+        if not self._quiesced:
+            for state in self._specs:
+                if state.should_fire(op, die, block, self._op, self._rng):
+                    state.fired += 1
+                    self._fire(state.spec, op, die, block, page)
+        if self._open_read is not None and op == "read_page":
+            if self._open_read == (die, block, page):
+                self._open_read = None  # the retry gets through
 
     def after_erase(self, device: FlashDevice, die: int, block: int) -> None:
         """Called by ``device`` after an erase: apply a scheduled wear-out."""
@@ -212,6 +217,18 @@ class FaultInjector:
             if not dies[die].blocks[block].is_bad
         ]
 
+    def interrupted_read(self) -> tuple[int, int, int] | None:
+        """``(die, block, page)`` of a transient read failure whose retry
+        never got through, or ``None``.
+
+        A pending failure raises before any spec fires, so a power cut can
+        land on a retry chain only at the retry that would have succeeded.
+        The crash aborts the engine's retry loop, leaving the failure
+        injected-but-unrecovered; recovery harnesses read the page again
+        after the crash to complete the retry.
+        """
+        return self._open_read
+
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
@@ -221,6 +238,7 @@ class FaultInjector:
         if kind == "read_transient":
             self.stats.injected_read_transient += 1
             self.stats.read_retry_attempts += 1
+            self._open_read = (die, block, page)
             if spec.retries > 1:
                 self._pending_reads[(die, block, page)] = spec.retries - 1
             raise TransientReadError(die, block, page)

@@ -8,9 +8,8 @@ and per-channel contention on a virtual clock, NAND programming constraints
 and P/E-cycle wear accounting.
 """
 
-from repro.flash.address import PhysicalBlockAddress, PhysicalPageAddress
 from repro.flash.block import Block, PageMetadata
-from repro.flash.device import CommandResult, FlashDevice
+from repro.flash.device import FlashDevice
 from repro.flash.errors import (
     AddressError,
     BadBlockError,
@@ -32,7 +31,6 @@ __all__ = [
     "AddressError",
     "BadBlockError",
     "Block",
-    "CommandResult",
     "CopybackError",
     "DataError",
     "DEFAULT_TIMING",
@@ -47,8 +45,6 @@ __all__ = [
     "MIB",
     "PageMetadata",
     "Payload",
-    "PhysicalBlockAddress",
-    "PhysicalPageAddress",
     "ProgramError",
     "ReadError",
     "ResourceTimeline",

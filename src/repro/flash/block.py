@@ -24,10 +24,10 @@ batches use them).  Because NAND programs pages strictly in
 order and an erase wipes the whole block, "page ``p`` is programmed" is
 exactly ``p < write_pointer`` — no per-page flag is stored.  A
 :class:`PageMetadata` record is materialised only when a caller asks for
-one: :meth:`Block.read` builds it, :meth:`Block.read_data` (the one
-implementation of a page read, which a host read goes through) returns the
-payload alone, and :meth:`Block.program_packed`, the one implementation of
-page programming, takes the OOB fields as integers and never allocates one.
+one (:meth:`Block.metadata`, the OOB read); :meth:`Block.read_data` (the
+one implementation of a page read) returns the payload alone, and
+:meth:`Block.program`, the one implementation of page programming, takes
+the OOB fields as integers and never allocates one.
 At paper scale (64 dies × thousands of blocks × 32+ pages) this replaces
 millions of per-page objects with a handful of arrays per block.
 """
@@ -70,22 +70,6 @@ class PageMetadata:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
-def oob_columns(
-    metadata: PageMetadata | None,
-) -> tuple[int, int, int, dict[str, Any] | None]:
-    """``(lpn, seq, obj_id, extra)`` as the int-coordinate commands take them."""
-    if metadata is None:
-        return -1, -1, -1, None
-    if metadata.seq < 0:
-        raise ProgramError(f"OOB write sequence must be >= 0, got {metadata.seq}")
-    return (
-        -1 if metadata.lpn is None else metadata.lpn,
-        metadata.seq,
-        -1 if metadata.obj_id is None else metadata.obj_id,
-        metadata.extra or None,
-    )
-
-
 class Block:
     """One erase block of ``pages_per_block`` pages.
 
@@ -114,8 +98,8 @@ class Block:
         #: page payloads; ``None`` for never/erased pages
         self._data: list[Payload | None] = [None] * pages_per_block
         #: OOB columns, ``-1`` = field not set (``None`` in PageMetadata);
-        #: ``seq = -1`` = no OOB record (programmed with ``metadata=None``,
-        #: which must read back as ``None``, not an empty record)
+        #: ``seq = -1`` = no OOB record (its OOB read is ``None``, not an
+        #: empty record)
         self._lpn = array("q", bytes(8 * pages_per_block))
         self._seq = array("q", bytes(8 * pages_per_block))
         self._obj = array("q", bytes(8 * pages_per_block))
@@ -168,11 +152,11 @@ class Block:
     # ------------------------------------------------------------------
     # Commands (state transitions only; timing handled by the device)
     # ------------------------------------------------------------------
-    def program_packed(
+    def program(
         self, page: int, data: Payload, lpn: int, seq: int, obj_id: int,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        """Program ``page``: the one implementation, OOB fields as raw ints.
+        """Program ``page`` with its OOB fields as raw ints.
 
         ``-1`` encodes "not set" for ``lpn``/``obj_id``; ``seq = -1``
         programs the page with no OOB record at all.  Enforces
@@ -197,11 +181,12 @@ class Block:
             self._extra.pop(page, None)
         self._write_pointer += 1
 
-    def program(self, page: int, data: Payload, metadata: PageMetadata | None) -> None:
-        """:meth:`program_packed` taking the OOB record as an object."""
-        self.program_packed(page, data, *oob_columns(metadata))
+    def oob(self, page: int) -> tuple[int, int, int, dict[str, Any] | None]:
+        """``(lpn, seq, obj_id, extra)`` of a programmed page, as
+        :meth:`program` takes them; reads no payload and counts no read."""
+        return self._lpn[page], self._seq[page], self._obj[page], self._extra.get(page)
 
-    def _metadata_at(self, page: int) -> PageMetadata | None:
+    def metadata(self, page: int) -> PageMetadata | None:
         """Materialise the OOB record of a programmed page (or ``None``)."""
         seq = self._seq[page]
         if seq < 0:
@@ -233,30 +218,15 @@ class Block:
         assert data is not None
         return data
 
-    def read(self, page: int) -> tuple[Payload, PageMetadata | None]:
-        """``(data, metadata)`` of a programmed page: :meth:`read_data`
-        plus the materialised OOB record.  One read, counted once."""
-        return self.read_data(page), self._metadata_at(page)
-
-    def copy_page_to(
-        self, page: int, dst: "Block", dst_page: int,
-        metadata: PageMetadata | None = None,
-    ) -> None:
+    def copy_page_to(self, page: int, dst: "Block", dst_page: int) -> None:
         """On-die copyback transfer: program ``dst_page`` of ``dst`` from ``page``.
 
         The OOB record travels unchanged (column copy, no
-        :class:`PageMetadata` materialisation) unless ``metadata`` replaces
-        it.  Counts as one read on this block, mirroring :meth:`read`'s
-        read-disturb accounting — also when the destination program fails.
+        :class:`PageMetadata` materialisation).  Counts as one read on this
+        block, as :meth:`read_data` does — also when the destination
+        program fails.
         """
-        data = self.read_data(page)
-        if metadata is None:
-            dst.program_packed(
-                dst_page, data, self._lpn[page], self._seq[page], self._obj[page],
-                self._extra.get(page),
-            )
-        else:
-            dst.program_packed(dst_page, data, *oob_columns(metadata))
+        dst.program(dst_page, self.read_data(page), *self.oob(page))
 
     def erase(self) -> None:
         """Erase the whole block, incrementing the P/E cycle count.

@@ -5,13 +5,14 @@ Figure 1 — *Read/Program Page, Erase Block, Copyback, handle Page Metadata*
 — plus the geometry and per-die/per-channel occupancy timelines that make
 data placement matter.
 
-Every command takes the caller's current virtual time ``at`` and returns a
-:class:`CommandResult` carrying the completion time.  READ, PROGRAM,
-COPYBACK and ERASE are each implemented once, on integer coordinates
-(``read_page_packed`` / ``program_page_packed`` / ``copyback_packed`` /
-``erase_block_packed``, fault hooks inline); the object-address commands
-validate, unpack and call that body.  Commands contend for two
-resources:
+Each command has one form, on integer coordinates: a global die index, a
+die-local block and a block-local page, which every caller derives from
+its own bookkeeping.  It takes the caller's virtual time ``at``, runs the
+fault hook before any state changes or any time is reserved, and returns
+the granted ``(start_us, end_us)`` slot (READ PAGE and the OOB read put
+what they read in front).  The coordinates are trusted; the block still
+refuses what NAND refuses (a bad block, an unprogrammed page, an
+out-of-order or repeated program).  Commands contend for two resources:
 
 * the **die** (one array operation at a time), and
 * the **channel** (shared by all chips on it, used only for host transfers —
@@ -27,14 +28,11 @@ PAGE and COPYBACK hand back that same object, and the statistics count its
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-
-from repro.flash.address import PhysicalBlockAddress, PhysicalPageAddress
-from repro.flash.block import Block, PageMetadata, oob_columns
-from repro.flash.die import Die
-from repro.flash.errors import ConfigError, CopybackError, DataError
 from typing import TYPE_CHECKING, Any
 
+from repro.flash.block import Block, PageMetadata
+from repro.flash.die import Die
+from repro.flash.errors import ConfigError, CopybackError, DataError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.payload import DeferredImage, Payload
 from repro.flash.simclock import ResourceTimeline, SimClock
@@ -43,29 +41,6 @@ from repro.flash.timing import DEFAULT_TIMING, TimingModel
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    """Outcome of one native flash command.
-
-    Attributes:
-        start_us: when the command began executing (after queueing).
-        end_us: when the command completed; the caller's clock should
-            advance to this value for synchronous I/O.
-        data: page payload for READ PAGE, else ``None``.
-        metadata: OOB metadata for READ PAGE, else ``None``.
-    """
-
-    start_us: float
-    end_us: float
-    data: Payload | None = None
-    metadata: PageMetadata | None = None
-
-    @property
-    def service_us(self) -> float:
-        """Execution time excluding queueing (start to completion)."""
-        return self.end_us - self.start_us
 
 
 class FlashDevice:
@@ -127,22 +102,8 @@ class FlashDevice:
                         block.mark_bad()
 
     # ------------------------------------------------------------------
-    # Lookup helpers
+    # Write sequence numbers
     # ------------------------------------------------------------------
-    def die(self, index: int) -> Die:
-        """Return die ``index`` (validated)."""
-        self.geometry.check_die(index)
-        return self.dies[index]
-
-    def block(self, address: PhysicalBlockAddress) -> Block:
-        """Return the block at ``address`` (validated)."""
-        address.validate(self.geometry)
-        return self.dies[address.die].blocks[address.block]
-
-    def channel_of_die(self, die: int) -> ResourceTimeline:
-        """Return the channel timeline serving ``die``."""
-        return self.channels[self.geometry.channel_of_die(die)]
-
     def next_sequence(self) -> int:
         """Monotonic write sequence number for page metadata."""
         self._seq += 1
@@ -151,43 +112,34 @@ class FlashDevice:
     # ------------------------------------------------------------------
     # Native command set
     # ------------------------------------------------------------------
-    def read_metadata(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:
+    def read_metadata(
+        self, die: int, block: int, page: int, at: float
+    ) -> tuple[PageMetadata | None, float, float]:
         """Handle Page Metadata: read only the OOB area of a page.
 
-        Cheaper than a full page read (partial bus transfer); used by the
-        host to rebuild translation state at recovery time.
+        Returns ``(metadata, start_us, end_us)``.  Cheaper than a full page
+        read (partial bus transfer); used by the host to rebuild translation
+        state at recovery time.  No fault hook: a recovery scan never trips
+        a fresh fault.
         """
-        ppa.validate(self.geometry)
-        issue = self.clock.now if at is None else at
-        die = self.dies[ppa.die]
-        __, metadata = die.blocks[ppa.block].read(ppa.page)
-        start, array_done = die.timeline.reserve(issue, self.timing.read_us)
-        channel = self.channel_of_die(ppa.die)
-        bus = self.timing.bus_us(self.geometry.oob_size, self.geometry.page_size)
-        __, end = channel.reserve(array_done, bus)
-        self.stats.record_read(ppa.die, self.geometry.oob_size, end - issue)
+        flash_block = self._die_blocks[die][block]
+        flash_block.read_data(page)  # refuses a bad block or unprogrammed page
+        metadata = flash_block.metadata(page)
+        start, array_done = self._die_timelines[die].reserve(at, self._read_us)
+        bus = self.timing.bus_us(self.geometry.oob_size, self._page_size)
+        __, end = self._die_channels[die].reserve(array_done, bus)
+        self.stats.record_read(die, self.geometry.oob_size, end - at)
         self.clock.advance_to(end)
-        return CommandResult(start_us=start, end_us=end, data=None, metadata=metadata)
-
-    # READ, PROGRAM, COPYBACK and ERASE each have ONE implementation, on raw
-    # integer coordinates: it runs the fault hooks before any state changes
-    # or any time is reserved, and returns the granted ``(start_us,
-    # end_us)`` slot (READ: after the payload).  The mapping
-    # engine, which builds its addresses itself, calls these directly; the
-    # object-address commands below them validate and unpack for everyone
-    # else (``read_page`` also adds the OOB record, which a host read never
-    # looks at).  ``read_metadata`` above has no integer form: its one caller
-    # is the recovery scan — a few thousand calls per crash — which keeps
-    # both the address object it passes in and the record it gets back.
+        return metadata, start, end
 
     def read_page_packed(
         self, die: int, block: int, page: int, at: float
     ) -> tuple[Payload, float, float]:
         """READ PAGE: array read on the die, then transfer over the channel.
 
-        Returns ``(data, start_us, end_us)``.  Coordinates are trusted; the
-        block refuses an unprogrammed page and a bad block.  The page's OOB
-        record is not materialised.
+        Returns ``(data, start_us, end_us)``.  The block refuses an
+        unprogrammed page and a bad block.  The page's OOB record is not
+        materialised.
         """
         if self.faults is not None:
             # before the block counts the read or a timeline is reserved:
@@ -229,8 +181,7 @@ class FlashDevice:
 
         The OOB record is ``PageMetadata(lpn, seq, obj_id, extra)`` with
         ``-1`` for an unset ``lpn``/``obj_id``; ``seq = -1`` programs the
-        page with no OOB record.  Coordinates are trusted, the payload is
-        checked.
+        page with no OOB record.  The payload is checked.
         """
         if type(data) is not bytes or len(data) > self._page_size:
             # the one payload rule; plain bytes that fit are its identity
@@ -242,7 +193,7 @@ class FlashDevice:
             self.faults.on_command(self, "program_page", die, block, page)
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
-        self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id, extra)
+        self._die_blocks[die][block].program(page, data, lpn, seq, obj_id, extra)
         self.stats.record_program(die, len(data), end - at)
         clock = self.clock
         if end > clock._now:
@@ -252,15 +203,12 @@ class FlashDevice:
     def copyback_packed(
         self, die: int, src_block: int, src_page: int,
         dst_block: int, dst_page: int, at: float,
-        metadata: PageMetadata | None = None,
     ) -> tuple[float, float]:
         """COPYBACK: move a page within one die without a host transfer.
 
         The payload travels cell array -> page register -> cell array
-        entirely on-die, so only the die timeline is occupied.  If
-        ``metadata`` is given it replaces the OOB of the destination page
-        (hosts use this to refresh the write sequence number); otherwise
-        the source OOB record is carried over.
+        entirely on-die, so only the die timeline is occupied.  The source
+        OOB record travels unchanged, write sequence number included.
         """
         if self.strict_plane_copyback:
             src_plane = self.geometry.plane_of_block(src_block)
@@ -273,7 +221,7 @@ class FlashDevice:
         if self.faults is not None:
             self.faults.on_command(self, "copyback", die, src_block, src_page)
         blocks = self._die_blocks[die]
-        blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page, metadata)
+        blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page)
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.record_copyback(die)
         clock = self.clock
@@ -294,58 +242,6 @@ class FlashDevice:
         if end > clock._now:
             clock._now = end
         return start, end
-
-    def read_page(self, ppa: PhysicalPageAddress, at: float | None = None) -> CommandResult:
-        """:meth:`read_page_packed` on a validated address object, with the
-        page's OOB record added to the result."""
-        ppa.validate(self.geometry)
-        data, start, end = self.read_page_packed(
-            ppa.die, ppa.block, ppa.page, self.clock.now if at is None else at
-        )
-        metadata = self._die_blocks[ppa.die][ppa.block]._metadata_at(ppa.page)
-        return CommandResult(start_us=start, end_us=end, data=data, metadata=metadata)
-
-    def program_page(
-        self,
-        ppa: PhysicalPageAddress,
-        data: Payload,
-        metadata: PageMetadata | None = None,
-        at: float | None = None,
-    ) -> CommandResult:
-        """:meth:`program_page_packed` on a validated address object."""
-        ppa.validate(self.geometry)
-        lpn, seq, obj_id, extra = oob_columns(metadata)
-        start, end = self.program_page_packed(
-            ppa.die, ppa.block, ppa.page, data, lpn, seq, obj_id,
-            self.clock.now if at is None else at, extra,
-        )
-        return CommandResult(start_us=start, end_us=end)
-
-    def erase_block(self, pba: PhysicalBlockAddress, at: float | None = None) -> CommandResult:
-        """:meth:`erase_block_packed` on a validated address object."""
-        pba.validate(self.geometry)
-        start, end = self.erase_block_packed(
-            pba.die, pba.block, self.clock.now if at is None else at
-        )
-        return CommandResult(start_us=start, end_us=end)
-
-    def copyback(
-        self,
-        src: PhysicalPageAddress,
-        dst: PhysicalPageAddress,
-        metadata: PageMetadata | None = None,
-        at: float | None = None,
-    ) -> CommandResult:
-        """:meth:`copyback_packed` on validated address objects."""
-        src.validate(self.geometry)
-        dst.validate(self.geometry)
-        if src.die != dst.die:
-            raise CopybackError(f"copyback must stay on one die: {src} -> {dst}")
-        start, end = self.copyback_packed(
-            src.die, src.block, src.page, dst.block, dst.page,
-            self.clock.now if at is None else at, metadata,
-        )
-        return CommandResult(start_us=start, end_us=end)
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -18,17 +18,11 @@ class Die:
 
     def __init__(self, index: int, geometry: FlashGeometry) -> None:
         self.index = index
-        self.geometry = geometry
         self.blocks: list[Block] = [
             Block(geometry.pages_per_block, geometry.max_pe_cycles)
             for _ in range(geometry.blocks_per_die)
         ]
         self.timeline = ResourceTimeline(name=f"die{index}")
-
-    def block(self, block: int) -> Block:
-        """Return the die-local block ``block`` (validated)."""
-        self.geometry.check_block(block)
-        return self.blocks[block]
 
     @property
     def total_erase_count(self) -> int:

@@ -134,26 +134,6 @@ class FlashGeometry:
         self.check_die(die)
         return die // self.dies_per_chip
 
-    def die_coordinates(self, die: int) -> tuple[int, int, int]:
-        """Decompose a global die index into ``(channel, chip, die)``.
-
-        ``chip`` is channel-local and ``die`` chip-local.
-        """
-        self.check_die(die)
-        channel, rest = divmod(die, self.dies_per_channel)
-        chip, local_die = divmod(rest, self.dies_per_chip)
-        return channel, chip, local_die
-
-    def die_index(self, channel: int, chip: int, die: int) -> int:
-        """Compose a global die index from ``(channel, chip, die)``."""
-        if not 0 <= channel < self.channels:
-            raise AddressError(f"channel {channel} out of range [0, {self.channels})")
-        if not 0 <= chip < self.chips_per_channel:
-            raise AddressError(f"chip {chip} out of range [0, {self.chips_per_channel})")
-        if not 0 <= die < self.dies_per_chip:
-            raise AddressError(f"die {die} out of range [0, {self.dies_per_chip})")
-        return (channel * self.chips_per_channel + chip) * self.dies_per_chip + die
-
     def plane_of_block(self, block: int) -> int:
         """Return the plane a die-local block index belongs to.
 
@@ -175,11 +155,6 @@ class FlashGeometry:
         """Raise :class:`AddressError` unless ``block`` is a valid die-local block."""
         if not 0 <= block < self.blocks_per_die:
             raise AddressError(f"block {block} out of range [0, {self.blocks_per_die})")
-
-    def check_page(self, page: int) -> None:
-        """Raise :class:`AddressError` unless ``page`` is a valid block-local page."""
-        if not 0 <= page < self.pages_per_block:
-            raise AddressError(f"page {page} out of range [0, {self.pages_per_block})")
 
 
 def small_geometry() -> FlashGeometry:

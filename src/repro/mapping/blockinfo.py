@@ -26,8 +26,8 @@ is **incremental** and **columnar**:
   A :class:`BlockInfo` is a read-mostly *view* — (columns, index) — for
   policies and tests; every state transition is a
   :class:`DieBookkeeping` operation on a block index
-  (:meth:`~DieBookkeeping.note_write_packed`,
-  :meth:`~DieBookkeeping.invalidate_packed`, :meth:`~DieBookkeeping.seal`,
+  (:meth:`~DieBookkeeping.note_write`,
+  :meth:`~DieBookkeeping.invalidate`, :meth:`~DieBookkeeping.seal`,
   :meth:`~DieBookkeeping.reset_after_erase`), so a view holds no
   reference back to its die and the books free by reference counting;
 * page validity is an int bitmask with a maintained valid count —
@@ -281,8 +281,8 @@ class DieBookkeeping:
     view per block (row *b* == block *b*).  The management layer is
     responsible for calling :meth:`take_free_block` /
     :meth:`return_erased_block` around its write frontiers and GC.  Every
-    per-block transition — :meth:`note_write_packed`,
-    :meth:`invalidate_packed`, :meth:`seal`, :meth:`reset_after_erase` —
+    per-block transition — :meth:`note_write`,
+    :meth:`invalidate`, :meth:`seal`, :meth:`reset_after_erase` —
     is a method here taking a block index; it indexes the columns
     directly and keeps the candidate set in step.
 
@@ -329,7 +329,7 @@ class DieBookkeeping:
     # ------------------------------------------------------------------
     # Per-block transitions (column-indexed, no BlockInfo views)
     # ------------------------------------------------------------------
-    def note_write_packed(self, block: int, page: int, now_us: float) -> None:
+    def note_write(self, block: int, page: int, now_us: float) -> None:
         """Record that ``page`` of ``block`` was just programmed with live
         data; pages are written in order, and the last one makes the block
         FULL."""
@@ -353,7 +353,7 @@ class DieBookkeeping:
             self._state[block] = _FULL
             self._gc_valid[block] = self._valid_count[block]
 
-    def invalidate_packed(self, block: int, page: int) -> None:
+    def invalidate(self, block: int, page: int) -> None:
         """Record that the live data at ``page`` of ``block`` was superseded
         elsewhere."""
         masks = self._valid_mask

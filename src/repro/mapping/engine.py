@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.flash.address import PhysicalPageAddress
-from repro.flash.device import CommandResult, FlashDevice
+from repro.flash.device import FlashDevice
 from repro.flash.errors import (
     CopybackError,
     DieFailedError,
@@ -198,10 +197,8 @@ class FlashSpaceEngine:
     def read(self, key: int, at: float) -> tuple[Payload, float]:
         """Read logical page ``key``; returns ``(data, completion_us)``.
 
-        Like :meth:`write`, the read runs on integer coordinates: the packed
-        address the engine stored itself is split straight into the device's
-        READ PAGE body.  Only a transient read failure builds an address
-        object, for the retry loop it shares with the relocation reads.
+        The packed address the engine stored itself is split straight into
+        the device's READ PAGE coordinates.
         """
         packed = self._map.get(key)
         if packed is None:
@@ -211,17 +208,15 @@ class FlashSpaceEngine:
         try:
             data, __, end = self.device.read_page_packed(die, block, page, at)
         except TransientReadError:
-            result = self._retry_read(PhysicalPageAddress(die, block, page), at, scrub=True)
-            assert result.data is not None  # READ PAGE always carries a payload
-            data, end = result.data, result.end_us
+            data, end = self._retry_read(die, block, page, at, scrub=True)
         if self.read_disturb_threshold is not None:
             self._maybe_refresh(die, block, end)
         return data, end
 
     def _retry_read(
-        self, ppa: PhysicalPageAddress, at: float, scrub: bool
-    ) -> CommandResult:
-        """Bounded retry of a transient read failure; scrub on success.
+        self, die: int, block: int, page: int, at: float, scrub: bool
+    ) -> tuple[Payload, float]:
+        """Bounded retry of a transient read failure, ``(data, end_us)``; scrub on success.
 
         Real controllers re-read with stepped reference voltages; here each
         retry is another READ PAGE command.  A success means the data was
@@ -232,7 +227,7 @@ class FlashSpaceEngine:
         retries = self.max_read_retries
         while True:
             try:
-                result = self.device.read_page(ppa, at=at)
+                data, __, end = self.device.read_page_packed(die, block, page, at)
             except TransientReadError:
                 retries -= 1
                 if not retries:
@@ -242,8 +237,8 @@ class FlashSpaceEngine:
             if faults is not None:
                 faults.stats.recovered_read_retry += 1
             if scrub:
-                self._scrub_block(ppa.die, ppa.block, result.end_us)
-            return result
+                self._scrub_block(die, block, end)
+            return data, end
 
     def _scrub_block(self, die_index: int, block: int, at: float) -> None:
         """Relocate and erase a block that produced a transient read failure.
@@ -288,9 +283,7 @@ class FlashSpaceEngine:
         per-die frontiers — the knowledge-free placement an FTL performs
         and the paper's *traditional* baseline.
         """
-        # The write runs on integer coordinates end-to-end (no
-        # PhysicalPageAddress / PageMetadata / CommandResult objects).  Die
-        # pick is inlined from _pick_die, and the frontier refill too;
+        # Die pick is inlined from _pick_die, and the frontier refill too;
         # `has_reclaimable` stays a property access so alternative
         # bookkeeping cost models keep being exercised.
         device = self.device
@@ -345,9 +338,9 @@ class FlashSpaceEngine:
             if old is not None:
                 odie, rest = divmod(old, ppd)
                 oblock, opage = divmod(rest, ppb)
-                books_map[odie].invalidate_packed(oblock, opage)
+                books_map[odie].invalidate(oblock, opage)
                 del self._rmap[old]
-            books.note_write_packed(block, page, end)
+            books.note_write(block, page, end)
             packed = die_index * ppd + block * ppb + page
             self._map[key] = packed
             self._rmap[packed] = key
@@ -402,7 +395,7 @@ class FlashSpaceEngine:
                         die_index, block, page, data, key,
                         device.next_sequence(), -1 if obj is None else obj, at, extra,
                     )[1]
-                    books.note_write_packed(block, page, at)
+                    books.note_write(block, page, at)
                     if books._written[block] >= ppb:
                         slots[slot] = None  # the frontier rule
                     staged.append((key, die_index, block, page))
@@ -436,7 +429,7 @@ class FlashSpaceEngine:
         incomplete atomic batch, which :meth:`rebuild_from_flash` discards.
         """
         for __, die_index, block, page in staged:
-            self.books[die_index].invalidate_packed(block, page)
+            self.books[die_index].invalidate(block, page)
 
     def invalidate(self, key: int) -> None:
         """Drop the mapping for ``key`` (its physical page becomes garbage)."""
@@ -447,7 +440,7 @@ class FlashSpaceEngine:
         # ever stores addresses it packed itself, so no validation round-trip
         die, rest = divmod(packed, self._pages_per_die)
         block, page = divmod(rest, self._pages_per_block)
-        self.books[die].invalidate_packed(block, page)
+        self.books[die].invalidate(block, page)
         del self._rmap[packed]
 
     # ------------------------------------------------------------------
@@ -589,14 +582,15 @@ class FlashSpaceEngine:
         says who pays, and a move counts once: ``wl_moves``, or for GC, scrub
         and salvage ``gc_copybacks`` (fallback: ``gc_reads`` + ``gc_programs``).
 
-        The OOB metadata travels unchanged — crucially including the write
-        sequence number: relocation moves a *version*, it does not create
-        one.  (A refreshed sequence number could outrank a later committed
-        write at recovery time.)"""
+        The OOB fields travel unchanged, by copyback or read + program —
+        crucially including the write sequence number: relocation moves a
+        *version*, it does not create one.  (A refreshed sequence number
+        could outrank a later committed write at recovery time.)"""
         ppb = self._pages_per_block
         die_base = die_index * self._pages_per_die
         src_base = die_base + src_block * ppb
         copyback = self.device.copyback_packed
+        source = self.device.dies[die_index].blocks[src_block]
         books = self.books[die_index]
         written = books._written
         gc_frontier = self._gc_frontier
@@ -620,14 +614,12 @@ class FlashSpaceEngine:
                     if not wear_level:
                         stats.gc_copybacks += 1
                 except CopybackError:
-                    read = self._read_for_relocation(
-                        PhysicalPageAddress(die_index, src_block, src_page), at
-                    )
+                    data, at = self._read_for_relocation(die_index, src_block, src_page, at)
+                    lpn, seq, obj, extra = source.oob(src_page)
                     try:
-                        at = self.device.program_page(
-                            PhysicalPageAddress(die_index, block, page),
-                            read.data, read.metadata, at=read.end_us,
-                        ).end_us
+                        at = self.device.program_page_packed(
+                            die_index, block, page, data, lpn, seq, obj, at, extra
+                        )[1]
                     except ProgramFaultError:
                         at = self._on_program_fault(frontier, at)
                         redrives += 1
@@ -640,9 +632,9 @@ class FlashSpaceEngine:
                 break
             if wear_level:
                 stats.wl_moves += 1
-            books.invalidate_packed(src_block, src_page)
+            books.invalidate(src_block, src_page)
             del rmap[src_packed]
-            books.note_write_packed(block, page, at)
+            books.note_write(block, page, at)
             packed = die_base + block * ppb + page
             mapping[key] = packed
             rmap[packed] = key
@@ -651,18 +643,19 @@ class FlashSpaceEngine:
         return at
 
     def _read_for_relocation(
-        self, src: PhysicalPageAddress, at: float
-    ) -> CommandResult:
-        """Read a page for relocation, absorbing transient read failures.
+        self, die: int, block: int, page: int, at: float
+    ) -> tuple[Payload, float]:
+        """``(data, end_us)`` of a page to relocate, absorbing transient read failures.
 
         No scrub on success: relocation callers are already emptying (or
         retiring) the source block, so scheduling another scrub of it would
         relocate the same pages twice.
         """
         try:
-            return self.device.read_page(src, at=at)
+            data, __, end = self.device.read_page_packed(die, block, page, at)
         except TransientReadError:
-            return self._retry_read(src, at, scrub=False)
+            return self._retry_read(die, block, page, at, scrub=False)
+        return data, end
 
     def _on_program_fault(self, frontier: BlockInfo, at: float) -> float:
         """Retire a write frontier whose program failed (grown bad block).
@@ -764,23 +757,25 @@ class FlashSpaceEngine:
         """Take ``die_index`` out of ``dies`` and every frontier slot, then
         rewrite its live pages onto the other dies (cross-die, so a host
         read plus a normal :meth:`write` each); returns ``(moved, end_us)``.
-        The die's bookkeeping stays in ``books`` for the caller to dispose of."""
-        self.dies.remove(die_index)
-        self._user_frontier.pop(die_index)
-        self._gc_frontier.pop(die_index)
+        The die's bookkeeping stays in ``books`` for the caller to dispose of;
+        a drain a power cut interrupted resumes with the die out of ``dies``."""
+        if die_index in self.dies:
+            self.dies.remove(die_index)
+        self._user_frontier.pop(die_index, None)
+        self._gc_frontier.pop(die_index, None)
         self._detach_slots(die_index)
         moved = 0
         books = self.books[die_index]
+        ppb = self._pages_per_block
+        die_base = die_index * self._pages_per_die
         for info in books.blocks:
             for page in info.valid_pages():
-                src = PhysicalPageAddress(die_index, info.block, page)
-                key = self._rmap.pop(src.to_int(self.geometry))
-                read = self._read_for_relocation(src, at)
+                key = self._rmap.pop(die_base + info.block * ppb + page)
+                data, end = self._read_for_relocation(die_index, info.block, page, at)
                 self.stats.gc_reads += 1
-                books.invalidate_packed(info.block, page)
+                books.invalidate(info.block, page)
                 del self._map[key]
-                assert read.data is not None  # READ PAGE always carries a payload
-                at = self.write(key, read.data, read.end_us)
+                at = self.write(key, data, end)
                 self.stats.gc_programs += 1
                 moved += 1
         return moved, at
@@ -820,9 +815,9 @@ class FlashSpaceEngine:
         to another engine: the die leaves the system permanently and the
         engine's capacity shrinks accordingly.
         """
-        if die_index not in self._user_frontier:
+        if die_index not in self.books:
             raise ValueError(f"die {die_index} does not belong to this engine")
-        if len(self.dies) == 1:
+        if not set(self.dies) - {die_index}:
             raise SpaceFullError(
                 f"die {die_index} failed and the engine has no surviving dies"
             )
@@ -850,18 +845,22 @@ class FlashSpaceEngine:
         invalid.  Partially written blocks are sealed.
 
         The scan is charged as OOB reads on the device timelines, so
-        recovery time is measured rather than assumed.  Returns the
-        completion time.
+        recovery time is measured rather than assumed.  A die whose drain the
+        crash cut short is in ``books`` but not ``dies``: it is scanned last,
+        with no frontier, until the drain resumes.  Returns the completion time.
         """
         self._map.clear()
         self._rmap.clear()
         self._user_frontier = {d: None for d in self.dies}
         self._gc_frontier = {d: None for d in self.dies}
         self._groups.clear()
+        ppd = self._pages_per_die
+        ppb = self._pages_per_block
         # pass 1 — scan every programmed page's OOB, collecting candidates
-        candidates: list[tuple[PhysicalPageAddress, int, int, int | None, int]] = []
+        # (packed address, key, seq, atomic id, atomic size)
+        candidates: list[tuple[int, int, int, int | None, int]] = []
         atomic_seen: dict[int, int] = {}
-        for die_index in self.dies:
+        for die_index in [*self.dies, *(d for d in self.books if d not in self.dies)]:
             device_die = self.device.dies[die_index]
             books = self.books[die_index]
             books.reset_all()
@@ -872,24 +871,22 @@ class FlashSpaceEngine:
                 if block.write_pointer == 0:
                     continue
                 books.take_block(block_index)
+                block_base = die_index * ppd + block_index * ppb
                 for page in range(block.write_pointer):
-                    ppa = PhysicalPageAddress(die_index, block_index, page)
-                    result = self.device.read_metadata(ppa, at=at)
-                    at = result.end_us
-                    books.note_write_packed(block_index, page, at)
-                    meta = result.metadata
+                    meta, __, at = self.device.read_metadata(die_index, block_index, page, at)
+                    books.note_write(block_index, page, at)
                     key = None if meta is None else meta.lpn
                     mine = meta is not None and (
                         self.obj_id is None or meta.obj_id == self.obj_id
                     )
                     if not mine or key is None:
-                        books.invalidate_packed(block_index, page)
+                        books.invalidate(block_index, page)
                         continue
                     atomic_id = meta.extra.get("atomic_id") if meta.extra else None
                     atomic_size = meta.extra.get("atomic_size", 0) if meta.extra else 0
                     if atomic_id is not None:
                         atomic_seen[atomic_id] = atomic_seen.get(atomic_id, 0) + 1
-                    candidates.append((ppa, key, meta.seq, atomic_id, atomic_size))
+                    candidates.append((block_base + page, key, meta.seq, atomic_id, atomic_size))
                 books.seal(block_index)  # a partially written block's tail counts invalid
 
         # pass 2 — a torn atomic batch (fewer pages on flash than its
@@ -899,21 +896,22 @@ class FlashSpaceEngine:
 
         # pass 3 — highest surviving sequence number wins per key
         best_seq: dict[int, int] = {}
-        locations: dict[int, PhysicalPageAddress] = {}
-        for ppa, key, seq, atomic_id, atomic_size in candidates:
+        locations: dict[int, int] = {}
+        for packed, key, seq, atomic_id, atomic_size in candidates:
             if torn(atomic_id, atomic_size):
                 continue
             if key not in best_seq or seq > best_seq[key]:
                 best_seq[key] = seq
-                locations[key] = ppa
+                locations[key] = packed
 
         # pass 4 — every non-winner page becomes garbage
-        winners = {ppa for ppa in locations.values()}
-        for ppa, key, seq, atomic_id, atomic_size in candidates:
-            if ppa not in winners:
-                self.books[ppa.die].invalidate_packed(ppa.block, ppa.page)
-        for key, ppa in locations.items():
-            packed = ppa.to_int(self.geometry)
+        winners = set(locations.values())
+        for packed, key, seq, atomic_id, atomic_size in candidates:
+            if packed not in winners:
+                die, rest = divmod(packed, ppd)
+                block, page = divmod(rest, ppb)
+                self.books[die].invalidate(block, page)
+        for key, packed in locations.items():
             self._map[key] = packed
             self._rmap[packed] = key
         return at
@@ -928,10 +926,12 @@ class FlashSpaceEngine:
             assert packed not in seen, f"physical page shared by two keys: {packed}"
             seen.add(packed)
             assert self._rmap.get(packed) == key, f"rmap mismatch for key {key}"
-            ppa = PhysicalPageAddress.from_int(packed, self.geometry)
-            assert ppa.die in self.books, f"mapped page on foreign die: {ppa}"
-            info = self.books[ppa.die].blocks[ppa.block]
-            assert info.is_valid(ppa.page), f"mapped page not valid in bookkeeping: {ppa}"
+            die, rest = divmod(packed, self._pages_per_die)
+            block, page = divmod(rest, self._pages_per_block)
+            where = f"d{die}/b{block}/p{page}"
+            assert die in self.books, f"mapped page on foreign die: {where}"
+            info = self.books[die].blocks[block]
+            assert info.is_valid(page), f"mapped page not valid in bookkeeping: {where}"
         assert seen == set(self._rmap), "rmap contains stale entries"
         # the frontier rule: every slot holds an OPEN block of an owned die
         # that is out of the free pool, and no block sits in two slots

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NoFTLStore, RegionConfig
-from repro.flash import FlashGeometry, PageMetadata, instant_timing
+from repro.flash import FlashGeometry, instant_timing
 
 
 def geometry():
@@ -100,17 +100,13 @@ class TestCrashAtomicity:
             frontier = engine._user_frontier[die]
             if frontier is None:
                 frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
-            from repro.flash import PhysicalPageAddress
-
-            ppa = PhysicalPageAddress(die, frontier.block, frontier.written)
-            meta = PageMetadata(
-                lpn=p,
-                seq=store.device.next_sequence(),
-                obj_id=region.region_id,
-                extra={"atomic_id": atomic_id, "atomic_size": 3},
+            page = frontier.written
+            store.device.program_page_packed(
+                die, frontier.block, page, b"v2",
+                p, store.device.next_sequence(), region.region_id, t,
+                {"atomic_id": atomic_id, "atomic_size": 3},
             )
-            store.device.program_page(ppa, b"v2", meta, at=t)
-            engine.books[die].note_write_packed(frontier.block, frontier.written, t)
+            engine.books[die].note_write(frontier.block, page, t)
 
         recovered = build_store(device=store.device)
         recovered.recover(at=t)

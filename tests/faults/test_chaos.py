@@ -138,6 +138,18 @@ class TestChaosSession:
         assert verdict.fault_snapshot["retired.grown_bad_block"] == 2.0
         assert verdict.ok, verdict.checks
 
+    def test_power_cut_inside_a_die_rebuild_closes_accounting(self):
+        """Pinned regression, medium seed 2 plan 0: die 1 fails and its
+        region rebuilds around it; a transient read of the rebuild retries
+        until the power cut lands on the retry that would have succeeded.
+        Recovery maps die 1's live pages again, the settle finishes the
+        rebuild, and the aborted retry is read again."""
+        verdict = run_chaos_plan(ChaosConfig(seed=2, intensity="medium"), 0)
+        assert verdict.crashed and verdict.failed_dies == (1,)
+        assert verdict.fault_snapshot["retired.die"] == 1.0
+        assert verdict.fault_snapshot["recovered.read_retry"] == 1.0
+        assert verdict.ok, verdict.checks
+
     @pytest.mark.parametrize("error", [AssertionError, BookkeepingError])
     def test_a_mapping_violation_is_a_failed_check_not_a_traceback(self, error):
         class BrokenStore:

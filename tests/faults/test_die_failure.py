@@ -144,6 +144,31 @@ class TestDieFailure:
         assert store.failed_dies() == [victim]
         assert store.free_dies() == [d for d in range(8) if d != victim]
 
+    def test_a_rebuild_cut_by_a_power_loss_resumes_after_recovery(self):
+        # Killed by: a recovery scan that skips a die the engine's books
+        # hold but ``dies`` lacks (its live pages drop out of the mapping),
+        # or a settle that keys on ``dies`` (the rebuild never resumes).
+        store = small_store()
+        region, payloads, t = self._populated_region(store, num_dies=4)
+        victim = region.dies[0]
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="die_fail", at_op=1, die=victim),
+            FaultSpec(kind="power_cut", at_op=3),
+        ))
+        injector = FaultInjector(plan)
+        store.device.attach_fault_injector(injector)
+        with pytest.raises(PowerCutError):
+            region.retire_failed_die(victim, t)
+        injector.quiesce()
+        t = store.recover(t)
+        t = region.retire_failed_die(victim, t)
+
+        for rpn, payload in payloads.items():
+            assert region.read(rpn, t)[0] == payload
+        assert region.failed_dies == [victim] and store.failed_dies() == [victim]
+        assert injector.stats.retired_dies == 1
+        store.check_consistency()
+
     def test_atomic_writes_survive_die_failure(self):
         store = small_store()
         region, payloads, t = self._populated_region(store)

@@ -9,9 +9,11 @@ recovery outcome and the ``faults.*`` accounting identity:
 
 import os
 
+import pytest
+
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash import FlashDevice, FlashGeometry, instant_timing
-from repro.flash.errors import ProgramFaultError
+from repro.flash.errors import PowerCutError, ProgramFaultError
 from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
 from repro.mapping.blockinfo import BlockState
 
@@ -117,6 +119,22 @@ class TestReadRetry:
         assert injector.stats.recovered_read_retry == 1
         assert injector.stats.scrubs == 0
         engine.check_consistency()
+
+    def test_a_power_cut_on_the_retry_leaves_the_read_interrupted(self):
+        engine = make_engine()
+        __, t = fill(engine, 3)
+        injector = attach(
+            engine,
+            FaultSpec(kind="read_transient", at_op=1, retries=2),
+            FaultSpec(kind="power_cut", at_op=2),
+        )
+        with pytest.raises(PowerCutError):
+            engine.read(1, at=t)  # op 1 fails, op 2 fails as pending, op 3 is cut
+        assert injector.stats.read_retry_attempts == 2
+        assert injector.stats.recovered_read_retry == 0
+        assert injector.interrupted_read() == (0, 0, 1)
+        engine.device.read_page_packed(0, 0, 1, t)  # gets through the hook
+        assert injector.interrupted_read() is None
 
 
 class TestProgramFault:

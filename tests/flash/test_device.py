@@ -1,14 +1,20 @@
-"""Unit tests for the native flash device: commands, timing, contention."""
+"""Unit tests for the native flash device: commands, timing, contention.
+
+Every command has one form, on integer coordinates ``(die, block, page)``;
+``-1`` marks an unset OOB field and ``seq = -1`` programs no OOB record.
+"""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.flash import (
+    BadBlockError,
     CopybackError,
     DataError,
     FlashDevice,
     PageMetadata,
-    PhysicalBlockAddress,
-    PhysicalPageAddress,
+    ReadError,
     TimingModel,
     small_geometry,
 )
@@ -19,43 +25,67 @@ def device():
     return FlashDevice(small_geometry())
 
 
-def ppa(die=0, block=0, page=0):
-    return PhysicalPageAddress(die, block, page)
+def program(device, die=0, block=0, page=0, data=b"x", lpn=-1, seq=-1, obj_id=-1, at=0.0,
+            extra=None):
+    return device.program_page_packed(die, block, page, data, lpn, seq, obj_id, at, extra)
+
+
+def device_state(device):
+    """Everything a command may touch: block columns, stats, timelines, clock."""
+    return {
+        "blocks": [
+            (
+                list(b._data), list(b._lpn), list(b._seq), list(b._obj), dict(b._extra),
+                b.write_pointer, b.erase_count, b.reads_since_erase, b.is_bad,
+            )
+            for die in device.dies
+            for b in die.blocks
+        ],
+        "stats": device.stats.snapshot(),
+        "timelines": [
+            (t.busy_us, t._starts[t._lo :], t._ends[t._lo :])
+            for t in [d.timeline for d in device.dies] + device.channels
+        ],
+        "clock": device.clock.now,
+    }
 
 
 class TestBasicCommands:
     def test_program_then_read_roundtrip(self, device):
-        meta = PageMetadata(lpn=42, seq=1)
-        device.program_page(ppa(), b"hello", meta)
-        result = device.read_page(ppa())
-        assert result.data == b"hello"
-        assert result.metadata.lpn == 42
+        program(device, data=b"hello", lpn=42, seq=1)
+        data, __, __ = device.read_page_packed(0, 0, 0, 0.0)
+        assert data == b"hello"
+        metadata, __, __ = device.read_metadata(0, 0, 0, 0.0)
+        assert metadata.lpn == 42
 
     def test_read_metadata_returns_oob_only(self, device):
-        device.program_page(ppa(), b"hello", PageMetadata(lpn=7))
-        result = device.read_metadata(ppa())
-        assert result.data is None
-        assert result.metadata.lpn == 7
+        extra = {"atomic_id": 7, "atomic_size": 2}
+        program(device, data=b"hello", lpn=7, seq=0, obj_id=3, extra=extra)
+        program(device, page=1, data=b"bare")
+        metadata, __, __ = device.read_metadata(0, 0, 0, 0.0)
+        assert metadata == PageMetadata(lpn=7, seq=0, obj_id=3, extra=extra)
+        assert device.read_metadata(0, 0, 1, 0.0)[0] is None  # seq = -1: no record
+        assert device.stats.bytes_read == 2 * device.geometry.oob_size
 
     def test_oversized_payload_rejected(self, device):
         big = b"x" * (device.geometry.page_size + 1)
         with pytest.raises(DataError):
-            device.program_page(ppa(), big)
+            program(device, data=big)
 
     def test_non_bytes_payload_rejected(self, device):
         with pytest.raises(DataError):
-            device.program_page(ppa(), "not bytes")
+            program(device, data="not bytes")
 
     def test_erase_then_reprogram(self, device):
-        device.program_page(ppa(), b"one")
-        device.erase_block(PhysicalBlockAddress(0, 0))
-        device.program_page(ppa(), b"two")
-        assert device.read_page(ppa()).data == b"two"
+        program(device, data=b"one")
+        device.erase_block_packed(0, 0, 0.0)
+        program(device, data=b"two")
+        assert device.read_page_packed(0, 0, 0, 0.0)[0] == b"two"
 
     def test_stats_count_commands(self, device):
-        device.program_page(ppa(), b"x")
-        device.read_page(ppa())
-        device.erase_block(PhysicalBlockAddress(0, 0))
+        program(device)
+        device.read_page_packed(0, 0, 0, 0.0)
+        device.erase_block_packed(0, 0, 0.0)
         assert device.stats.programs == 1
         assert device.stats.reads == 1
         assert device.stats.erases == 1
@@ -63,90 +93,159 @@ class TestBasicCommands:
 
 class TestCopyback:
     def test_copyback_moves_data_on_die(self, device):
-        device.program_page(ppa(0, 0, 0), b"payload", PageMetadata(lpn=5))
-        device.copyback(ppa(0, 0, 0), ppa(0, 1, 0))
-        result = device.read_page(ppa(0, 1, 0))
-        assert result.data == b"payload"
-        assert result.metadata.lpn == 5
+        program(device, data=b"payload", lpn=5, seq=9)
+        device.copyback_packed(0, 0, 0, 1, 0, 0.0)
+        assert device.read_page_packed(0, 1, 0, 0.0)[0] == b"payload"
+        metadata, __, __ = device.read_metadata(0, 1, 0, 0.0)
+        assert (metadata.lpn, metadata.seq) == (5, 9)  # the version travels unchanged
         assert device.stats.copybacks == 1
 
-    def test_copyback_can_refresh_metadata(self, device):
-        device.program_page(ppa(0, 0, 0), b"p", PageMetadata(lpn=5, seq=1))
-        device.copyback(ppa(0, 0, 0), ppa(0, 1, 0), metadata=PageMetadata(lpn=5, seq=9))
-        assert device.read_page(ppa(0, 1, 0)).metadata.seq == 9
-
-    def test_cross_die_copyback_rejected(self, device):
-        device.program_page(ppa(0, 0, 0), b"p")
-        with pytest.raises(CopybackError):
-            device.copyback(ppa(0, 0, 0), ppa(1, 0, 0))
-
     def test_strict_plane_copyback(self):
-        geometry = small_geometry()
         # small geometry has 1 plane per die, so use a 2-plane variant
-        from dataclasses import replace
-
-        geometry = replace(geometry, planes_per_die=2)
+        geometry = replace(small_geometry(), planes_per_die=2)
         device = FlashDevice(geometry, strict_plane_copyback=True)
-        device.program_page(ppa(0, 0, 0), b"p")
+        program(device, data=b"p")
         with pytest.raises(CopybackError):
-            device.copyback(ppa(0, 0, 0), ppa(0, 1, 0))  # plane 0 -> plane 1
-        device.copyback(ppa(0, 0, 0), ppa(0, 2, 0))  # plane 0 -> plane 0
+            device.copyback_packed(0, 0, 0, 1, 0, 0.0)  # plane 0 -> plane 1
+        device.copyback_packed(0, 0, 0, 2, 0, 0.0)  # plane 0 -> plane 0
+
+    def test_strict_plane_refusal_leaves_no_trace(self):
+        # Killed by: a plane check that runs after the fault hook, the
+        # source read or a reservation.
+        geometry = replace(small_geometry(), planes_per_die=2)
+        device = FlashDevice(geometry, strict_plane_copyback=True)
+        program(device, data=b"src", lpn=11, seq=3, obj_id=2)
+        device.attach_fault_injector(RecordingInjector())
+        before = device_state(device)
+        with pytest.raises(CopybackError):
+            device.copyback_packed(0, 0, 0, 1, 0, 5.0)
+        assert device_state(device) == before
+        assert device.faults.calls == []
 
 
 class TestTimingAndContention:
     def test_read_latency_includes_array_and_bus(self):
         t = TimingModel(read_us=100, program_us=0, erase_us=0, bus_us_per_page=10)
         device = FlashDevice(small_geometry(), timing=t)
-        device.program_page(ppa(), b"x", at=0.0)
+        program(device)
         start = device.clock.now
-        result = device.read_page(ppa(), at=start)
-        assert result.end_us == pytest.approx(start + 110)
+        __, __, end = device.read_page_packed(0, 0, 0, start)
+        assert end == pytest.approx(start + 110)
 
     def test_same_die_ops_serialize(self):
         t = TimingModel(read_us=100, program_us=100, erase_us=0, bus_us_per_page=0)
         device = FlashDevice(small_geometry(), timing=t)
-        device.program_page(ppa(0, 0, 0), b"a", at=0.0)
-        device.program_page(ppa(0, 0, 1), b"b", at=0.0)
-        r1 = device.read_page(ppa(0, 0, 0), at=300.0)
-        r2 = device.read_page(ppa(0, 0, 1), at=300.0)  # queued behind r1
-        assert r2.end_us == pytest.approx(r1.end_us + 100)
+        program(device, data=b"a")
+        program(device, page=1, data=b"b")
+        __, __, end1 = device.read_page_packed(0, 0, 0, 300.0)
+        __, __, end2 = device.read_page_packed(0, 0, 1, 300.0)  # queued behind the first
+        assert end2 == pytest.approx(end1 + 100)
 
     def test_different_dies_run_in_parallel(self):
         t = TimingModel(read_us=100, program_us=100, erase_us=0, bus_us_per_page=0)
         device = FlashDevice(small_geometry(), timing=t)
-        device.program_page(ppa(0, 0, 0), b"a", at=0.0)
-        device.program_page(ppa(2, 0, 0), b"b", at=0.0)  # die 2 is on channel 1
-        r1 = device.read_page(ppa(0, 0, 0), at=500.0)
-        r2 = device.read_page(ppa(2, 0, 0), at=500.0)
-        assert r1.end_us == pytest.approx(600)
-        assert r2.end_us == pytest.approx(600)
+        program(device, data=b"a")
+        program(device, die=2, data=b"b")  # die 2 is on channel 1
+        assert device.read_page_packed(0, 0, 0, 500.0)[2] == pytest.approx(600)
+        assert device.read_page_packed(2, 0, 0, 500.0)[2] == pytest.approx(600)
 
     def test_channel_is_shared_between_dies(self):
         # dies 0 and 1 share channel 0 in small_geometry
         t = TimingModel(read_us=0, program_us=0, erase_us=0, bus_us_per_page=50)
         device = FlashDevice(small_geometry(), timing=t)
-        r1 = device.program_page(ppa(0, 0, 0), b"a", at=0.0)
-        r2 = device.program_page(ppa(1, 0, 0), b"b", at=0.0)
-        assert r1.end_us == pytest.approx(50)
-        assert r2.end_us == pytest.approx(100)
+        assert program(device, data=b"a")[1] == pytest.approx(50)
+        assert program(device, die=1, data=b"b")[1] == pytest.approx(100)
 
     def test_erase_does_not_use_channel(self):
         t = TimingModel(read_us=0, program_us=0, erase_us=100, bus_us_per_page=50)
         device = FlashDevice(small_geometry(), timing=t)
-        device.erase_block(PhysicalBlockAddress(0, 0), at=0.0)
+        device.erase_block_packed(0, 0, 0.0)
         assert device.channels[0].busy_us == 0.0
 
     def test_copyback_does_not_use_channel(self):
         t = TimingModel(read_us=10, program_us=10, erase_us=0, bus_us_per_page=50)
         device = FlashDevice(small_geometry(), timing=t)
-        device.program_page(ppa(0, 0, 0), b"a", at=0.0)
+        program(device, data=b"a")
         before = device.channels[0].busy_us
-        device.copyback(ppa(0, 0, 0), ppa(0, 1, 0))
+        device.copyback_packed(0, 0, 0, 1, 0, device.clock.now)
         assert device.channels[0].busy_us == before
 
     def test_clock_tracks_completion(self, device):
-        device.program_page(ppa(), b"x", at=0.0)
+        program(device)
         assert device.clock.now > 0
+
+    def test_read_reserves_the_die_then_the_channel(self):
+        # Killed by: a read that counts itself twice, or one whose
+        # reservations, record_read or clock update drift.
+        device = FlashDevice(small_geometry())
+        program(device, data=b"src")
+        program(device, block=1, data=b"busy", at=4.0)
+        data, start, end = device.read_page_packed(0, 0, 0, 5.0)
+        assert data == b"src" and start > 5.0  # queued behind the program
+        assert device.dies[0].blocks[0].reads_since_erase == 1
+        assert device.stats.reads == 1 and device.clock.now == end
+        # the read's array slot is the die's last, its transfer the channel's last
+        die, channel = device.dies[0].timeline, device.channels[0]
+        assert (die._starts[-1], die._ends[-1]) == (start, start + device.timing.read_us)
+        assert channel._ends[-1] == end
+
+
+class RecordingInjector:
+    """Stands in for a FaultInjector: notes each hook call together with the
+    device state it saw, then (optionally) fails the command."""
+
+    def __init__(self, fail=None):
+        self.fail = fail
+        self.calls = []
+
+    def on_command(self, device, op, die, block=None, page=None):
+        self.calls.append(((op, die, block, page), device_state(device)))
+        if self.fail is not None:
+            raise self.fail
+
+
+def busy_device(fail=None):
+    """A device with page 0 of block 0 programmed, a busy die and channel
+    (so a reservation queues) and a recording injector."""
+    device = FlashDevice(small_geometry())
+    program(device, data=b"src", lpn=11, seq=3, obj_id=2)
+    program(device, block=1, data=b"busy", at=4.0)
+    device.attach_fault_injector(RecordingInjector(fail))
+    return device
+
+
+class TestReadFaults:
+    def test_read_shows_the_fault_hook_before_anything_is_reserved(self):
+        # Killed by: a read that reserves (or counts the read) before the
+        # hook — the state the hook saw would differ from the state before
+        # the call — or one that calls the hook twice.
+        device = busy_device()
+        before = device_state(device)
+        device.read_page_packed(0, 0, 0, 5.0)
+        assert device.faults.calls == [(("read_page", 0, 0, 0), before)]
+
+    def test_failed_read_leaves_no_trace(self):
+        device = busy_device(fail=RuntimeError("injected"))
+        before = device_state(device)
+        with pytest.raises(RuntimeError):
+            device.read_page_packed(0, 0, 0, 5.0)
+        assert device_state(device) == before
+
+    @pytest.mark.parametrize(
+        "spoil,page,error",
+        [
+            pytest.param(lambda d: None, 1, ReadError, id="unprogrammed-page"),
+            pytest.param(lambda d: d.dies[0].blocks[0].mark_bad(), 0, BadBlockError,
+                         id="bad-block"),
+        ],
+    )
+    def test_read_refusal_leaves_no_trace(self, spoil, page, error):
+        device = busy_device()
+        spoil(device)
+        before = device_state(device)
+        with pytest.raises(error):
+            device.read_page_packed(0, 0, page, 5.0)
+        assert device_state(device) == before
 
 
 class TestWearAndBadBlocks:
@@ -160,9 +259,9 @@ class TestWearAndBadBlocks:
         assert any(bad1)
 
     def test_erase_counts_reporting(self, device):
-        device.erase_block(PhysicalBlockAddress(0, 0))
-        device.erase_block(PhysicalBlockAddress(0, 0))
-        device.erase_block(PhysicalBlockAddress(1, 2))
+        device.erase_block_packed(0, 0, 0.0)
+        device.erase_block_packed(0, 0, 0.0)
+        device.erase_block_packed(1, 2, 0.0)
         assert device.max_erase_count() == 2
         assert device.total_erase_count() == 3
         counts = device.erase_counts()
@@ -172,8 +271,8 @@ class TestWearAndBadBlocks:
     def test_utilization_reporting(self):
         t = TimingModel(read_us=100, program_us=0, erase_us=0, bus_us_per_page=0)
         device = FlashDevice(small_geometry(), timing=t)
-        device.program_page(ppa(), b"x", at=0.0)
-        device.read_page(ppa(), at=device.clock.now)
+        program(device)
+        device.read_page_packed(0, 0, 0, device.clock.now)
         utils = device.die_utilizations()
         assert utils[0] > 0
         assert utils[3] == 0

@@ -49,36 +49,21 @@ class TestValidation:
         with pytest.raises(AddressError):
             g.check_die(-1)
 
-    def test_check_block_and_page(self):
+    def test_check_block(self):
         g = small_geometry()
-        g.check_block(0)
-        g.check_page(g.pages_per_block - 1)
+        g.check_block(g.blocks_per_die - 1)
         with pytest.raises(AddressError):
             g.check_block(g.blocks_per_die)
-        with pytest.raises(AddressError):
-            g.check_page(g.pages_per_block)
 
 
 class TestIndexArithmetic:
-    def test_die_coordinates_roundtrip(self):
+    def test_channel_and_chip_of_die_are_channel_major(self):
         g = paper_geometry()
         for die in range(g.dies):
-            channel, chip, local = g.die_coordinates(die)
-            assert g.die_index(channel, chip, local) == die
-
-    def test_channel_of_die_matches_coordinates(self):
-        g = paper_geometry()
-        for die in range(g.dies):
-            assert g.channel_of_die(die) == g.die_coordinates(die)[0]
-
-    def test_die_index_rejects_bad_coordinates(self):
-        g = small_geometry()
+            assert g.channel_of_die(die) == die // g.dies_per_channel
+            assert g.chip_of_die(die) == die // g.dies_per_chip
         with pytest.raises(AddressError):
-            g.die_index(g.channels, 0, 0)
-        with pytest.raises(AddressError):
-            g.die_index(0, g.chips_per_channel, 0)
-        with pytest.raises(AddressError):
-            g.die_index(0, 0, g.dies_per_chip)
+            g.channel_of_die(g.dies)
 
     def test_plane_of_block_interleaves(self):
         g = paper_geometry()

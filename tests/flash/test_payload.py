@@ -5,13 +5,7 @@ or ``memoryview`` is copied."""
 
 import pytest
 
-from repro.flash import (
-    DataError,
-    DeferredImage,
-    FlashDevice,
-    PhysicalPageAddress,
-    small_geometry,
-)
+from repro.flash import DataError, DeferredImage, FlashDevice, small_geometry
 
 
 def deferred(payload, calls):
@@ -24,8 +18,12 @@ def deferred(payload, calls):
     return DeferredImage(encode, (payload,), len(payload))
 
 
-def ppa(die=0, block=0, page=0):
-    return PhysicalPageAddress(die, block, page)
+def program(device, data, block=0, page=0):
+    return device.program_page_packed(0, block, page, data, -1, -1, -1, 0.0)
+
+
+def read(device, block=0, page=0):
+    return device.read_page_packed(0, block, page, 0.0)[0]
 
 
 def test_deferred_image_encodes_on_every_bytes_call_and_never_for_len():
@@ -40,11 +38,11 @@ def test_program_read_and_copyback_keep_the_object_and_count_its_len():
     device = FlashDevice(small_geometry())
     calls = []
     image = deferred(b"x" * 100, calls)
-    device.program_page(ppa(), image)
-    assert device.read_page(ppa()).data is image
-    device.copyback(ppa(), ppa(block=1))
-    assert device.read_page(ppa(block=1)).data is image
-    device.program_page(ppa(page=1), b"y" * 7)
+    program(device, image)
+    assert read(device) is image
+    device.copyback_packed(0, 0, 0, 1, 0, 0.0)
+    assert read(device, block=1) is image
+    program(device, b"y" * 7, page=1)
     assert device.stats.bytes_written == 107
     assert device.stats.bytes_read == 200  # two reads of the image, len() each
     assert calls == []  # the device never looked inside
@@ -54,16 +52,16 @@ def test_a_deferred_image_over_the_page_size_is_refused_by_its_len():
     device = FlashDevice(small_geometry())
     calls = []
     with pytest.raises(DataError):
-        device.program_page(ppa(), deferred(b"z" * (device.geometry.page_size + 1), calls))
+        program(device, deferred(b"z" * (device.geometry.page_size + 1), calls))
     assert calls == []
 
 
 def test_program_copies_a_mutable_buffer():
     device = FlashDevice(small_geometry())
     mutable = bytearray(b"b" * 5)
-    device.program_page(ppa(), mutable)
+    program(device, mutable)
     mutable[0] = 0
-    data = device.read_page(ppa()).data
+    data = read(device)
     assert data == b"b" * 5 and type(data) is bytes  # copied
     assert device.stats.bytes_written == 5
 
@@ -72,6 +70,6 @@ def test_program_copies_a_mutable_buffer():
 def test_program_refuses_a_non_payload_before_reserving_time(payload):
     device = FlashDevice(small_geometry())
     with pytest.raises(DataError):
-        device.program_page(ppa(), payload)
+        program(device, payload)
     assert device.stats.programs == 0 and device.clock.now == 0.0
     assert device.dies[0].timeline.utilization(1.0) == 0.0

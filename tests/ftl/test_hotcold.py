@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.flash import FlashDevice, FlashGeometry, PhysicalPageAddress, instant_timing
+from repro.flash import FlashDevice, FlashGeometry, instant_timing
 from repro.ftl import HotColdFTL, PageMappingFTL, UpdateFrequencySketch
 
 
@@ -88,8 +88,8 @@ class TestHotColdFTL:
         geometry = ftl.geometry
 
         def block_of(lba):
-            ppa = PhysicalPageAddress.from_int(engine._map[lba], geometry)
-            return (ppa.die, ppa.block)
+            # the engine packs (die, block, page) as one page number
+            return divmod(engine._map[lba] // geometry.pages_per_block, geometry.blocks_per_die)
 
         hot_block = block_of(0)
         cold_blocks = {block_of(lba) for lba in cold_lbas}

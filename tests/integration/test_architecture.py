@@ -54,13 +54,11 @@ class TestNoFTLStack:
         other = sum(db.device.stats.programs_per_die[d] for d in range(db.device.geometry.dies) if d not in region.dies and d not in db.store.region("rgSystem").dies)
         assert other == 0
         # page metadata carries logical identity (native interface feature)
-        from repro.flash import PhysicalPageAddress
-
         die = region.dies[0]
         block = next(
             b for b, blk in enumerate(db.device.dies[die].blocks) if blk.write_pointer > 0
         )
-        meta = db.device.read_metadata(PhysicalPageAddress(die, block, 0), at=t).metadata
+        meta, __, __ = db.device.read_metadata(die, block, 0, t)
         assert meta is not None and meta.lpn is not None
 
     def test_out_of_place_updates_visible_in_erase_counts(self):

@@ -13,7 +13,7 @@ def test_blockinfo_views_share_die_columns():
 
     books = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=8)
     info = books.take_free_block()
-    books.note_write_packed(info.block, 0, 123.0)
+    books.note_write(info.block, 0, 123.0)
     assert books._valid_count[info.block] == 1
     assert books._last_write_us[info.block] == 123.0
     books._valid_mask[info.block] |= 1 << 3

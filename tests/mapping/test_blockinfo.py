@@ -20,8 +20,8 @@ def make_block(pages=4):
 class TestBlockInfo:
     def test_note_write_tracks_validity(self):
         books, info = make_block()
-        books.note_write_packed(0, 0, now_us=10.0)
-        books.note_write_packed(0, 1, now_us=20.0)
+        books.note_write(0, 0, now_us=10.0)
+        books.note_write(0, 1, now_us=20.0)
         assert info.valid_count == 2
         assert info.written == 2
         assert info.last_write_us == 20.0
@@ -29,40 +29,40 @@ class TestBlockInfo:
     def test_out_of_order_write_rejected(self):
         books, __ = make_block()
         with pytest.raises(BookkeepingError):
-            books.note_write_packed(0, 2, now_us=0.0)
+            books.note_write(0, 2, now_us=0.0)
 
     def test_full_block_transitions_state(self):
         books, info = make_block(pages=2)
-        books.note_write_packed(0, 0, 0.0)
+        books.note_write(0, 0, 0.0)
         assert info.state is BlockState.OPEN
-        books.note_write_packed(0, 1, 0.0)
+        books.note_write(0, 1, 0.0)
         assert info.state is BlockState.FULL
 
     def test_invalidate(self):
         books, info = make_block()
-        books.note_write_packed(0, 0, 0.0)
-        books.invalidate_packed(0, 0)
+        books.note_write(0, 0, 0.0)
+        books.invalidate(0, 0)
         assert info.valid_count == 0
         assert info.invalid_count == 1
 
     def test_double_invalidate_rejected(self):
         books, __ = make_block()
-        books.note_write_packed(0, 0, 0.0)
-        books.invalidate_packed(0, 0)
+        books.note_write(0, 0, 0.0)
+        books.invalidate(0, 0)
         with pytest.raises(BookkeepingError):
-            books.invalidate_packed(0, 0)
+            books.invalidate(0, 0)
 
     def test_valid_pages_listing(self):
         books, info = make_block()
         for i in range(3):
-            books.note_write_packed(0, i, 0.0)
-        books.invalidate_packed(0, 1)
+            books.note_write(0, i, 0.0)
+        books.invalidate(0, 1)
         assert info.valid_pages() == [0, 2]
 
     def test_reset_after_erase(self):
         books, info = make_block(pages=2)
-        books.note_write_packed(0, 0, 0.0)
-        books.note_write_packed(0, 1, 0.0)
+        books.note_write(0, 0, 0.0)
+        books.note_write(0, 1, 0.0)
         books.reset_after_erase(0)
         assert info.state is BlockState.FREE
         assert info.written == 0
@@ -100,8 +100,8 @@ class TestDieBookkeeping:
     def test_return_erased_block_recycles(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
         info = die.take_free_block()
-        die.note_write_packed(info.block, 0, 0.0)
-        die.note_write_packed(info.block, 1, 0.0)
+        die.note_write(info.block, 0, 0.0)
+        die.note_write(info.block, 1, 0.0)
         die.return_erased_block(info.block)
         assert die.free_count == 2
         assert info.state is BlockState.FREE
@@ -117,20 +117,20 @@ class TestDieBookkeeping:
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         fill_block(die)  # full, all valid -> not a candidate
         b = fill_block(die)
-        die.invalidate_packed(b.block, 0)  # full with one invalid -> candidate
+        die.invalidate(b.block, 0)  # full with one invalid -> candidate
         assert die.gc_candidates() == [b]
 
     def test_total_valid_pages(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
         info = die.take_free_block()
-        die.note_write_packed(info.block, 0, 0.0)
+        die.note_write(info.block, 0, 0.0)
         assert die.total_valid_pages() == 1
 
 
 def fill_block(die, pages=2, now=0.0):
     info = die.take_free_block()
     for p in range(pages):
-        die.note_write_packed(info.block, p, now)
+        die.note_write(info.block, p, now)
     return info
 
 
@@ -139,9 +139,9 @@ class TestIncrementalCandidates:
 
     def test_validity_is_a_bitmask(self):
         die, info = make_block()
-        die.note_write_packed(0, 0, 0.0)
-        die.note_write_packed(0, 1, 0.0)
-        die.invalidate_packed(0, 0)
+        die.note_write(0, 0, 0.0)
+        die.note_write(0, 1, 0.0)
+        die.invalidate(0, 0)
         assert info.valid_mask == 0b10
         assert info.valid_count == info.valid_mask.bit_count() == 1
         assert not info.is_valid(0)
@@ -152,7 +152,7 @@ class TestIncrementalCandidates:
         assert not die.has_reclaimable
         info = fill_block(die)
         assert not die.has_reclaimable  # full but all valid
-        die.invalidate_packed(info.block, 0)
+        die.invalidate(info.block, 0)
         assert die.has_reclaimable
         die.return_erased_block(info.block)
         assert not die.has_reclaimable
@@ -162,16 +162,16 @@ class TestIncrementalCandidates:
         # block must become a candidate the moment it fills
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         info = die.take_free_block()
-        die.note_write_packed(info.block, 0, 0.0)
-        die.invalidate_packed(info.block, 0)
+        die.note_write(info.block, 0, 0.0)
+        die.invalidate(info.block, 0)
         assert not die.has_reclaimable
-        die.note_write_packed(info.block, 1, 0.0)
+        die.note_write(info.block, 1, 0.0)
         assert die.gc_candidates() == [info]
 
     def test_seal_makes_partial_block_a_candidate(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=4)
         info = die.take_free_block()
-        die.note_write_packed(info.block, 0, 0.0)
+        die.note_write(info.block, 0, 0.0)
         die.seal(info.block)
         assert info.state is BlockState.FULL
         assert info.invalid_count == 3
@@ -182,13 +182,13 @@ class TestIncrementalCandidates:
         a = fill_block(die, pages=4)
         b = fill_block(die, pages=4)
         c = fill_block(die, pages=4)
-        die.invalidate_packed(a.block, 0)
+        die.invalidate(a.block, 0)
         for p in (0, 1):
-            die.invalidate_packed(b.block, p)
-            die.invalidate_packed(c.block, p)
+            die.invalidate(b.block, p)
+            die.invalidate(c.block, p)
         # b and c tie on invalid count; the lower block index wins
         assert die.greedy_victim() is b
-        die.invalidate_packed(b.block, 2)
+        die.invalidate(b.block, 2)
         assert die.greedy_victim() is b
         die.return_erased_block(b.block)
         assert die.greedy_victim() is c
@@ -196,7 +196,7 @@ class TestIncrementalCandidates:
     def test_mark_bad_removes_candidate(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         info = fill_block(die)
-        die.invalidate_packed(info.block, 0)
+        die.invalidate(info.block, 0)
         assert die.has_reclaimable
         die.mark_bad(info.block)
         assert not die.has_reclaimable
@@ -205,7 +205,7 @@ class TestIncrementalCandidates:
     def test_reset_all_clears_candidates(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         info = fill_block(die)
-        die.invalidate_packed(info.block, 0)
+        die.invalidate(info.block, 0)
         die.reset_all()
         assert not die.has_reclaimable
         assert die.free_count == 3
@@ -219,7 +219,7 @@ class TestFreePoolOrder:
         die = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=1)
         assert die.take_free_block().block == 0
         assert die.take_free_block().block == 1
-        die.note_write_packed(0, 0, 0.0)
+        die.note_write(0, 0, 0.0)
         die.return_erased_block(0)
         # the most recently returned block is handed out first
         assert die.take_free_block().block == 0

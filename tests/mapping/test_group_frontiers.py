@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.flash import FlashDevice, FlashGeometry, PhysicalPageAddress, instant_timing
+from repro.flash import FlashDevice, FlashGeometry, instant_timing
 from repro.mapping import BlockState, DieBookkeeping, FlashSpaceEngine, ManagementStats
 
 
@@ -29,11 +29,9 @@ def make_engine(dies=4, blocks=16, pages=8):
 
 def blocks_of(engine, keys):
     """Set of (die, block) pairs holding the given keys."""
-    result = set()
-    for key in keys:
-        ppa = PhysicalPageAddress.from_int(engine._map[key], engine.geometry)
-        result.add((ppa.die, ppa.block))
-    return result
+    # the engine packs (die, block, page) as one page number
+    g = engine.geometry
+    return {divmod(engine._map[key] // g.pages_per_block, g.blocks_per_die) for key in keys}
 
 
 class TestGroupSeparation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flash import FlashDevice, FlashGeometry, PhysicalPageAddress, instant_timing
+from repro.flash import FlashDevice, FlashGeometry, instant_timing
 from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
 
 
@@ -31,14 +31,12 @@ class TestBlockCounter:
         from repro.flash import small_geometry
 
         device = FlashDevice(small_geometry(), timing=instant_timing())
-        device.program_page(PhysicalPageAddress(0, 0, 0), b"x")
+        device.program_page_packed(0, 0, 0, b"x", -1, -1, -1, 0.0)
         block = device.dies[0].blocks[0]
         for __ in range(3):
-            device.read_page(PhysicalPageAddress(0, 0, 0))
+            device.read_page_packed(0, 0, 0, 0.0)
         assert block.reads_since_erase == 3
-        from repro.flash import PhysicalBlockAddress
-
-        device.erase_block(PhysicalBlockAddress(0, 0))
+        device.erase_block_packed(0, 0, 0.0)
         assert block.reads_since_erase == 0
 
 
@@ -60,7 +58,10 @@ class TestRefresh:
         engine = make_engine(threshold=50)
         info, at = self.fill_block(engine, list(range(40)))
         victim_keys = [
-            engine._rmap[PhysicalPageAddress(info.die, info.block, p).to_int(engine.geometry)]
+            engine._rmap[
+                info.die * engine.geometry.pages_per_die
+                + info.block * engine.geometry.pages_per_block + p
+            ]
             for p in info.valid_pages()
         ]
         # hammer one key in the full block past the threshold

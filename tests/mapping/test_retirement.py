@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import NoFTLStore, RegionConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.flash import FlashDevice, FlashGeometry, PhysicalBlockAddress, instant_timing
+from repro.flash import FlashDevice, FlashGeometry, instant_timing
 from repro.mapping import DieBookkeeping, FlashSpaceEngine, ManagementStats
 from repro.mapping.blockinfo import BlockState
 
@@ -183,7 +183,7 @@ def _wear_level(engine, t):
     # age a free block of the other plane (plane = block % planes_per_die)
     # until its spread over cold block 0 exceeds the threshold
     for __ in range(5):
-        engine.device.erase_block(PhysicalBlockAddress(0, 9), at=t)
+        engine.device.erase_block_packed(0, 9, t)
     engine._wear_level_die(0, t)
 
 

@@ -56,14 +56,14 @@ def apply_op(die: DieBookkeeping, open_blocks: list, kind: str, arg: int) -> Non
     elif kind == "write" and open_blocks:
         info = open_blocks[arg % len(open_blocks)]
         if not info.is_full:
-            die.note_write_packed(info.block, info.written, now_us=float(arg))
+            die.note_write(info.block, info.written, now_us=float(arg))
         if info.is_full:
             open_blocks.remove(info)
     elif kind == "invalidate":
         targets = [b for b in die.blocks if b.valid_count > 0]
         if targets:
             info = targets[arg % len(targets)]
-            die.invalidate_packed(info.block, info.valid_pages()[arg % info.valid_count])
+            die.invalidate(info.block, info.valid_pages()[arg % info.valid_count])
     elif kind == "seal" and open_blocks:
         info = open_blocks[arg % len(open_blocks)]
         die.seal(info.block)

@@ -26,7 +26,6 @@ from repro.db import (
     varchar_col,
 )
 from repro.db.btree import KeyCodec, _Node
-from repro.flash import PhysicalBlockAddress, PhysicalPageAddress, small_geometry
 
 from tests.db.conftest import MemoryBackend
 
@@ -73,19 +72,6 @@ def test_slotted_page_roundtrip(records):
     for slot, record in slots:
         assert restored.read(slot) == record
     assert restored.live_records() == len(slots)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_physical_address_packing_bijective(data):
-    g = small_geometry()
-    die = data.draw(st.integers(0, g.dies - 1))
-    block = data.draw(st.integers(0, g.blocks_per_die - 1))
-    page = data.draw(st.integers(0, g.pages_per_block - 1))
-    ppa = PhysicalPageAddress(die, block, page)
-    assert PhysicalPageAddress.from_int(ppa.to_int(g), g) == ppa
-    pba = PhysicalBlockAddress(die, block)
-    assert PhysicalBlockAddress.from_int(pba.to_int(g), g) == pba
 
 
 # ----------------------------------------------------------------------

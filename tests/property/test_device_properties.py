@@ -3,14 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.flash import (
-    FlashDevice,
-    FlashError,
-    PhysicalBlockAddress,
-    PhysicalPageAddress,
-    instant_timing,
-    small_geometry,
-)
+from repro.flash import FlashDevice, FlashError, instant_timing, small_geometry
 
 
 ops = st.lists(
@@ -38,7 +31,7 @@ def test_device_matches_reference_model(operations):
             payload = bytes([serial % 256])
             expected_ok = write_pointer.get((die, block), 0) == page
             try:
-                device.program_page(PhysicalPageAddress(die, block, page), payload)
+                device.program_page_packed(die, block, page, payload, -1, -1, -1, 0.0)
                 assert expected_ok, "device accepted an out-of-order program"
                 shadow[(die, block, page)] = payload
                 write_pointer[(die, block)] = page + 1
@@ -47,13 +40,13 @@ def test_device_matches_reference_model(operations):
         elif kind == "read":
             expected = shadow.get((die, block, page))
             try:
-                result = device.read_page(PhysicalPageAddress(die, block, page))
+                data, __, __ = device.read_page_packed(die, block, page, 0.0)
                 assert expected is not None, "device served an unprogrammed page"
-                assert result.data == expected
+                assert data == expected
             except FlashError:
                 assert expected is None, "device failed a legal read"
         else:  # erase
-            device.erase_block(PhysicalBlockAddress(die, block))
+            device.erase_block_packed(die, block, 0.0)
             write_pointer[(die, block)] = 0
             for key in [k for k in shadow if k[0] == die and k[1] == block]:
                 del shadow[key]
@@ -66,7 +59,7 @@ def test_device_matches_reference_model(operations):
             assert device_block.write_pointer == write_pointer.get((die, block), 0)
             for page in range(g.pages_per_block):
                 if (die, block, page) in shadow:
-                    assert device_block.read(page)[0] == shadow[(die, block, page)]
+                    assert device_block.read_data(page) == shadow[(die, block, page)]
 
 
 @settings(max_examples=40, deadline=None)
