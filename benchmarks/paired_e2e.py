@@ -1,0 +1,135 @@
+"""Paired end-to-end comparison of two revisions on one benchmark workload.
+
+    python3 benchmarks/paired_e2e.py REV_A REV_B --workload tpcc_smallbuf [--pairs 10] [--reps 1]
+
+Both revisions (anything ``git archive`` takes: a commit, a branch, a tree
+id) are extracted with ``git archive`` into one temporary directory, so
+both trees are built the same way (a ``cp -r`` copy of a checkout reads
+``peak_rss_mb`` differently from the tree it was copied from).  Then
+``benchmarks/e2e/run.py --workload W --trace 0 --reps R`` runs in each
+tree in turn, one at a time, ``REV_A`` first in every pair.  An
+uncommitted change is a tree id: ``GIT_INDEX_FILE=/tmp/i git add -A`` and
+``GIT_INDEX_FILE=/tmp/i git write-tree`` name it without touching the
+real index.
+
+For each end-to-end metric of ``BENCHMARK.json`` the report gives both
+revisions' medians with their quartiles, the median over the pairs of the
+ratio ``B / A`` and how many pairs got better in the metric's direction.
+It then says whether every run's ``sim_fingerprint`` was the same and how
+many operations failed.  Exit status 1 means some fingerprint differed
+(a run that failed has none), 0 that every run agreed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+from typing import Any
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def extract(rev: str, into: Path) -> Path:
+    """``git archive`` of ``rev`` unpacked under ``into``."""
+    into.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def run_once(tree: Path, workload: str, reps: int, out: Path) -> dict[str, Any]:
+    """One ``run.py`` invocation in ``tree``; its record for ``workload``,
+    or a stand-in with the failure when it wrote none."""
+    command = [sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
+               "--workload", workload, "--trace", "0", "--reps", str(reps), "--out", str(out)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if not out.exists():
+        return {"failures": [f"run.py exited with {done.returncode}: {done.stderr[-2000:]}"],
+                "attempted": 1, "failed": 1, "sim_fingerprint": ""}
+    return dict(json.loads(out.read_text())["workloads"][workload])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)``; a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarise(
+    pairs: list[tuple[dict[str, Any], dict[str, Any]]], metrics: list[dict[str, Any]]
+) -> tuple[list[str], bool]:
+    """Report lines for ``(A record, B record)`` pairs, and whether every
+    fingerprint agreed."""
+    lines = [f"{'metric':24s} {'A q1/median/q3':>32s} {'B q1/median/q3':>32s}"
+             f" {'B/A median':>11s} {'better':>7s}"]
+    usable = [(a, b) for a, b in pairs if "end_to_end" in a and "end_to_end" in b]
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        if not usable:
+            break
+        a_values = [a["end_to_end"][name]["median"] for a, __ in usable]
+        b_values = [b["end_to_end"][name]["median"] for __, b in usable]
+        ratios = [b / a if a else float("nan") for a, b in zip(a_values, b_values)]
+        better = sum((b < a) if lower else (b > a) for a, b in zip(a_values, b_values))
+        a_q, b_q = quartiles(a_values), quartiles(b_values)
+        lines.append(
+            f"{name:24s} {a_q[0]:10.4g} {a_q[1]:10.4g} {a_q[2]:10.4g}"
+            f" {b_q[0]:10.4g} {b_q[1]:10.4g} {b_q[2]:10.4g}"
+            f" {median(ratios) - 1:+10.2%} {better:>3d}/{len(usable):<3d}"
+        )
+    prints = {record.get("sim_fingerprint", "") for pair in pairs for record in pair}
+    same = len(prints) == 1 and "" not in prints
+    lines.append(f"sim_fingerprint: {'all equal' if same else 'DIFFERENT'} {sorted(prints)}")
+    for side, index in (("A", 0), ("B", 1)):
+        records = [pair[index] for pair in pairs]
+        failed = sum(record.get("failed", 0) for record in records)
+        attempted = sum(record.get("attempted", 0) for record in records)
+        lines.append(f"failed operations {side}: {failed} of {attempted}")
+        lines += [f"  {side}: {failure}" for record in records for failure in record["failures"]]
+    return lines, same
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev_a", metavar="REV_A", help="the baseline revision, run first")
+    parser.add_argument("rev_b", metavar="REV_B", help="the revision compared with it")
+    parser.add_argument("--workload", required=True, help="one workload of BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10, help="default %(default)s")
+    parser.add_argument("--reps", type=int, default=1,
+                        help="untraced repetitions per run.py call (default %(default)s)")
+    args = parser.parse_args()
+    definitions = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in definitions["workloads"]}:
+        parser.error(f"unknown workload {args.workload!r}")
+    if args.pairs < 1 or args.reps < 1:
+        parser.error("--pairs and --reps must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="paired-e2e-") as tmp:
+        base = Path(tmp)
+        trees = (extract(args.rev_a, base / "a"), extract(args.rev_b, base / "b"))
+        pairs = []
+        for index in range(args.pairs):
+            pair = tuple(
+                run_once(tree, args.workload, args.reps, base / f"{side}-{index}.json")
+                for side, tree in zip("ab", trees)
+            )
+            pairs.append(pair)
+            print(f"pair {index + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    print(f"{args.workload}: A = {args.rev_a}, B = {args.rev_b}, {args.pairs} pairs "
+          f"of {args.reps} repetition(s), A first")
+    lines, same = summarise(pairs, definitions["end_to_end"])
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

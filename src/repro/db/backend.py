@@ -14,12 +14,21 @@ Both backends route *extent-map updates* through a ``DBMS_METADATA`` space
 owning tablespace's map page.
 
 Page addressing above the backend is uniform: ``(space_id, page_no)``.
+
+A page read or write is one pass in :meth:`StorageBackend.read_page` /
+``write_page``, for every backend: one space probe, the range check, the
+per-space counter, then the physical I/O the tablespace was bound to at
+creation — the region's ``read`` and a ``partial`` of its ``write`` with
+the space id as group, or the FTL's.  Bound methods and partials, never a
+closure over the backend: nothing points back up.
 """
 
 from __future__ import annotations
 
 import abc
 import struct
+from collections.abc import Callable
+from functools import partial
 
 from repro.core.placement import DBMS_METADATA
 from repro.core.region import Region
@@ -40,7 +49,12 @@ DEFAULT_EXTENT_PAGES = 32
 
 
 class _Tablespace:
-    """Backend-internal tablespace state: name and the page map."""
+    """Backend-internal tablespace state: name, the page map, and the
+    physical ``read`` / ``write`` of ``page_map`` addresses that the
+    backend's ``_bind_space`` set."""
+
+    read: Callable[[int, float], tuple[Payload, float]]
+    write: Callable[[int, Payload, float], float]
 
     def __init__(self, space_id: int, name: str, extent_pages: int) -> None:
         if extent_pages <= 0:
@@ -165,36 +179,31 @@ class StorageBackend(abc.ABC):
         the payload as it was written: ``bytes``, or the
         :class:`~repro.flash.payload.DeferredImage` of a buffer-pool
         write-back (``bytes(data)`` encodes it)."""
-        space = self._space(space_id)
-        self._check_page(space, page_no)
+        space = self._spaces.get(space_id) or self._space(space_id)  # _space raises
+        if not 0 <= page_no < space.next_page_no:
+            self._check_page(space, page_no)  # raises
         self.space_reads[space_id] = self.space_reads.get(space_id, 0) + 1
-        return self._read(space, page_no, at)
+        return space.read(space.page_map[page_no], at)
 
     def write_page(self, space_id: int, page_no: int, data: Payload, at: float) -> float:
         """Write one page; returns completion time."""
-        space = self._space(space_id)
-        self._check_page(space, page_no)
+        space = self._spaces.get(space_id) or self._space(space_id)  # _space raises
+        if not 0 <= page_no < space.next_page_no:
+            self._check_page(space, page_no)  # raises
         if len(data) > self.page_size:
             raise BackendError(f"page image of {len(data)} bytes exceeds {self.page_size}")
         self.space_writes[space_id] = self.space_writes.get(space_id, 0) + 1
-        return self._write(space, page_no, data, at)
+        return space.write(space.page_map[page_no], data, at)
 
     # -- backend-specific ----------------------------------------------------
     @abc.abstractmethod
     def _bind_space(self, space: _Tablespace, region: str | None) -> None:
-        """Attach a new tablespace to physical storage."""
+        """Attach a new tablespace to physical storage: set its ``read``
+        and ``write``."""
 
     @abc.abstractmethod
     def _grow_extent(self, space: _Tablespace, at: float) -> float:
         """Extend the page map by one extent of physical pages."""
-
-    @abc.abstractmethod
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
-        """Physical read."""
-
-    @abc.abstractmethod
-    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
-        """Physical write."""
 
     @abc.abstractmethod
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
@@ -233,22 +242,16 @@ class NoFTLBackend(StorageBackend):
         return self._regions_by_space[space_id]
 
     def _bind_space(self, space: _Tablespace, region: str | None) -> None:
-        region_name = region or self.default_region
-        self._regions_by_space[space.space_id] = self.store.region(region_name)
+        bound = self.store.region(region or self.default_region)
+        self._regions_by_space[space.space_id] = bound
+        space.read = bound.read
+        space.write = partial(bound.write, group=space.space_id)
 
     def _grow_extent(self, space: _Tablespace, at: float) -> float:
         region = self._regions_by_space[space.space_id]
         rpns = region.allocate(space.extent_pages)
         space.page_map.extend(rpns)
         return at
-
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
-        region = self._regions_by_space[space.space_id]
-        return region.read(space.page_map[page_no], at)
-
-    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
-        region = self._regions_by_space[space.space_id]
-        return region.write(space.page_map[page_no], data, at, group=space.space_id)
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
         region = self._regions_by_space[space.space_id]
@@ -273,7 +276,8 @@ class BlockDeviceBackend(StorageBackend):
 
     def _bind_space(self, space: _Tablespace, region: str | None) -> None:
         # region hints are accepted but meaningless on a block device
-        return None
+        space.read = self.device.read
+        space.write = self.device.write
 
     def _grow_extent(self, space: _Tablespace, at: float) -> float:
         lbas: list[int] = []
@@ -289,12 +293,6 @@ class BlockDeviceBackend(StorageBackend):
         self._next_lba += fresh
         space.page_map.extend(lbas)
         return at
-
-    def _read(self, space: _Tablespace, page_no: int, at: float) -> tuple[Payload, float]:
-        return self.device.read(space.page_map[page_no], at=at)
-
-    def _write(self, space: _Tablespace, page_no: int, data: Payload, at: float) -> float:
-        return self.device.write(space.page_map[page_no], data, at=at)
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:
         self.device.trim(space.page_map[page_no])

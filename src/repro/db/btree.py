@@ -299,6 +299,8 @@ class BTree:
         # bound once: a node touch is one positional call through the pool's
         # only door, with no method object built on the way
         self._get = buffer_pool.get
+        # an operation's pins, released with one call when it ends
+        self._unpin_all = buffer_pool.unpin_all
         self._decode = self.codec.decode
         self._image = self.codec.image
         self._check_key = self.codec.keys.encode
@@ -334,10 +336,6 @@ class BTree:
 
     def _dirty(self, page_no: int) -> None:
         self.buffer_pool.mark_dirty(self.space_id, page_no)
-
-    def _release_pins(self) -> None:
-        while self._pins:
-            self.buffer_pool.unpin(self.space_id, self._pins.pop())
 
     # ------------------------------------------------------------------
     # Search
@@ -456,7 +454,7 @@ class BTree:
             self._entry_count += 1
             return at
         finally:
-            self._release_pins()
+            self._unpin_all(self.space_id, self._pins)
 
     def _insert_into(
         self, page_no: int, key: Key, rid: RID, at: float
@@ -543,7 +541,7 @@ class BTree:
                 leaf_page = leaf.next_leaf
                 leaf, at = self._fetch(leaf_page, at)
         finally:
-            self._release_pins()
+            self._unpin_all(self.space_id, self._pins)
 
     # ------------------------------------------------------------------
     # Validation (tests and property checks)
@@ -560,7 +558,7 @@ class BTree:
             )
             return at
         finally:
-            self._release_pins()
+            self._unpin_all(self.space_id, self._pins)
 
     def _check_node(
         self, page_no: int, lo: Key | None, hi: Key | None, at: float

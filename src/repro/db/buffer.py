@@ -18,19 +18,21 @@ pool's capacity bounds that too.
 What a miss costs: the read is always issued, the decode only when the
 image changed.  A frame remembers the image its page object was last
 coded from (the payload a miss decoded, or the deferred image a
-write-back handed the backend), and eviction parks ``(image, page
-object)`` under the page's key, a slotted page without its decoded rows.
-A miss calls ``backend.read_page`` first, so simulated time, device
-counters, read disturb and fault hooks see the same traffic as ever; when
-the payload it returns *is* the parked image (``is``, not ``==``: the
-flash device, GC copyback and the in-memory test backend hand back the
-object that was written), the parked object is reinstalled instead of
-decoded.  Any rewrite, copy or fault makes a new object, which is decoded
-(from its bytes: a decoder starts with ``bytes(data)``).  This is exact
-because every page codec round-trips (property-tested), an image's
-snapshot is immutable, and a page object changes only through callers
-that mark it dirty before the pool runs again.  :meth:`BufferPool.drop`
-forgets the parked entry; there is at most one per page of the database.
+write-back handed the backend), and eviction parks the frame itself under
+the page's key — clean and unpinned, as every victim is, and a slotted
+page without its decoded rows.  A miss calls ``backend.read_page`` first,
+so simulated time, device counters, read disturb and fault hooks see the
+same traffic as ever; when the payload it returns *is* the parked frame's
+image (``is``, not ``==``: the flash device, GC copyback and the in-memory
+test backend hand back the object that was written), that same frame is
+reinstalled — referenced, with the caller's encoder — instead of a new one
+built around a decoded page.  Any rewrite, copy or fault makes a new
+object, which is decoded (from its bytes: a decoder starts with
+``bytes(data)``).  This is exact because every page codec round-trips
+(property-tested), an image's snapshot is immutable, and a page object
+changes only through callers that mark it dirty before the pool runs
+again.  :meth:`BufferPool.drop` forgets the parked frame; there is at most
+one per page of the database.
 
 :meth:`BufferPool.get` is the only door to a buffered page, and what one
 touch of it costs is fixed: it counts towards the next flush round,
@@ -48,11 +50,11 @@ dirty pages leave by eviction instead.  The touches a row write no
 longer makes were all hits, so :attr:`BufferStats.hit_ratio` is lower for
 the same misses — a smaller denominator of hits, not a worse cache.
 
-Replacement is CLOCK over a ring of keys in installation order.  The
-sweep hands :meth:`BufferPool._make_room` the ring position of its victim
-and the entry is deleted there; the hand, already one past it, is not
-moved back when the ring closes up, so the next sweep starts one frame
-further on.  Every simulated result depends on that eviction order.
+Replacement is CLOCK over a ring of the frames themselves (no dict probe
+per sweep step), in installation order.  The victim is deleted from the
+ring where the sweep found it; the hand, already one past it, is not moved
+back when the ring closes up, so the next sweep starts one frame further
+on.  Every simulated result depends on that eviction order.
 
 Flushers (Figure 1 shows them as a first-class component) are modelled as
 a budgeted background write-back: every ``flusher_interval`` page
@@ -82,9 +84,9 @@ class BufferError(Exception):
     """Invalid buffer operation (bad unpin, pool of pinned pages, ...)."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Frame:
-    """One buffer frame."""
+    """One buffer frame (compared by identity)."""
 
     key: tuple[int, int]
     page: object
@@ -162,9 +164,10 @@ class BufferPool:
         self.cpu_us_per_op = cpu_us_per_op
         self.stats = BufferStats()
         self._frames: dict[tuple[int, int], _Frame] = {}
-        #: evicted page -> (its frame's image, its page object)
-        self._parked: dict[tuple[int, int], tuple[Payload | None, object]] = {}
-        self._clock_keys: list[tuple[int, int]] = []
+        #: evicted page -> its frame, as eviction left it
+        self._parked: dict[tuple[int, int], _Frame] = {}
+        #: the CLOCK ring: every buffered frame, in installation order
+        self._ring: list[_Frame] = []
         self._clock_hand = 0
         # touches left until the next flush round; an interval <= 0 starts
         # at or below zero and only moves away from it, so no round fires
@@ -202,13 +205,15 @@ class BufferPool:
         self.stats.misses += 1
         at = self._make_room(at + self.cpu_us_per_op)
         data, at = self.backend.read_page(space_id, page_no, at)
-        parked = self._parked.pop(key, None)
-        if parked is not None and parked[0] is data:
-            page = parked[1]
+        frame = self._parked.pop(key, None)
+        if frame is not None and frame.image is data:
+            # parked clean and unpinned: only the bit and the encoder change
+            frame.referenced = True
+            frame.encoder = encoder
         else:
-            page = decoder(data)
-        frame = _Frame(key=key, page=page, encoder=encoder, image=data)
-        self._install(frame)
+            frame = _Frame(key, decoder(data), encoder, data)
+        self._frames[key] = frame
+        self._ring.append(frame)
         if pin:
             frame.pin_count += 1
         return frame.page, at
@@ -231,8 +236,9 @@ class BufferPool:
         if key in self._frames:
             raise BufferError(f"page {key} already buffered")
         at = self._make_room(at)
-        frame = _Frame(key=key, page=page, encoder=encoder, dirty=True)
-        self._install(frame)
+        frame = _Frame(key, page, encoder, dirty=True)
+        self._frames[key] = frame
+        self._ring.append(frame)
         if pin:
             frame.pin_count += 1
         return at
@@ -246,10 +252,17 @@ class BufferPool:
 
     def unpin(self, space_id: int, page_no: int) -> None:
         """Release one pin on a page."""
-        frame = self._frames.get((space_id, page_no))
-        if frame is None or frame.pin_count == 0:
-            raise BufferError(f"page ({space_id}, {page_no}) is not pinned")
-        frame.pin_count -= 1
+        self.unpin_all(space_id, [page_no])
+
+    def unpin_all(self, space_id: int, page_nos: list[int]) -> None:
+        """:meth:`unpin` each of ``page_nos``, last first, emptying the list."""
+        frames = self._frames
+        while page_nos:
+            page_no = page_nos.pop()
+            frame = frames.get((space_id, page_no))
+            if frame is None or frame.pin_count == 0:
+                raise BufferError(f"page ({space_id}, {page_no}) is not pinned")
+            frame.pin_count -= 1
 
     def drop(self, space_id: int, page_no: int) -> None:
         """Discard a page without write-back (page was freed), buffered or
@@ -257,8 +270,8 @@ class BufferPool:
         self._parked.pop((space_id, page_no), None)
         frame = self._frames.pop((space_id, page_no), None)
         if frame is not None:
-            self._clock_keys.remove(frame.key)
-            if self._clock_hand >= len(self._clock_keys):
+            self._ring.remove(frame)  # by identity: frames have no __eq__
+            if self._clock_hand >= len(self._ring):
                 self._clock_hand = 0
 
     def flush_page(self, space_id: int, page_no: int, at: float) -> float:
@@ -295,49 +308,43 @@ class BufferPool:
         frame.dirty = False
         return at
 
-    def _install(self, frame: _Frame) -> None:
-        self._frames[frame.key] = frame
-        self._clock_keys.append(frame.key)
-
     def _make_room(self, at: float) -> float:
-        if len(self._frames) < self.capacity:
+        """If the pool is full, evict the first frame a CLOCK sweep (at most
+        ``2n + 1`` steps) finds unpinned and unreferenced."""
+        ring = self._ring
+        n = len(ring)
+        if n < self.capacity:
             return at
-        index, victim = self._pick_victim()
-        key, page = victim.key, victim.page
+        hand = self._clock_hand
+        for __ in range(2 * n + 1):
+            victim = ring[hand]
+            hand += 1
+            if hand == n:
+                hand = 0
+            if victim.pin_count:
+                continue
+            if victim.referenced:
+                victim.referenced = False
+                continue
+            break
+        else:
+            self._clock_hand = hand
+            raise BufferError("every buffer frame is pinned; cannot evict")
+        self._clock_hand = hand
         if victim.dirty:
             at = self._write_back(victim, at)
             self.stats.dirty_evictions += 1
         self.stats.evictions += 1
-        if isinstance(page, SlottedPage):
-            page.rows.clear()  # a parked page keeps no rows (see slotted_page)
-        self._parked[key] = (victim.image, page)
-        del self._frames[key]
-        # the hand, one past ``index``, is NOT moved back: the eviction order
-        # every simulated counter depends on (see the module docstring)
-        del self._clock_keys[index]
-        if self._clock_hand >= len(self._clock_keys):
+        if isinstance(victim.page, SlottedPage):
+            victim.page.rows.clear()  # a parked page keeps no rows (see slotted_page)
+        self._parked[victim.key] = victim
+        del self._frames[victim.key]
+        # the hand, one past the victim, is NOT moved back: the eviction
+        # order every simulated counter depends on (see the module docstring)
+        del ring[hand - 1 if hand else n - 1]
+        if hand >= n - 1:
             self._clock_hand = 0
         return at
-
-    def _pick_victim(self) -> tuple[int, _Frame]:
-        """CLOCK sweep: skip pinned frames, clear reference bits.
-
-        Returns the victim's position in the ring and its frame.
-        """
-        sweeps = 0
-        limit = 2 * len(self._clock_keys) + 1
-        while sweeps < limit:
-            index = self._clock_hand
-            self._clock_hand = (index + 1) % len(self._clock_keys)
-            frame = self._frames[self._clock_keys[index]]
-            sweeps += 1
-            if frame.pin_count > 0:
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                continue
-            return index, frame
-        raise BufferError("every buffer frame is pinned; cannot evict")
 
     def _flush_round(self, at: float) -> None:
         """One background flush round: ``get``/``put_new`` call it every
@@ -348,10 +355,9 @@ class BufferPool:
         # dirty frames in installation order, the longest-resident ones, are
         # cleaned, not those eviction reaches next; a write-back never
         # touches the ring, so the walk is in place
-        for key in self._clock_keys:
+        for frame in self._ring:
             if written >= self.flusher_batch:
                 break
-            frame = self._frames[key]
             if frame.dirty and frame.pin_count == 0:
                 # asynchronous: reserves device time, caller's clock unmoved
                 self._write_back(frame, at)

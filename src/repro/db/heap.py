@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import partial
-from typing import NamedTuple, TypeAlias, cast
+from typing import Any, NamedTuple, TypeAlias, cast
 
 from repro.db.buffer import BufferPool
 from repro.db.records import Row, RowCodec, Schema
@@ -35,9 +35,15 @@ _DECODE_PAGE = SlottedPage.from_bytes
 _IMAGE_PAGE = SlottedPage.image
 
 
-#: How :meth:`HeapFile.rewrite` changes a row: ``(row, record) -> (new
-#: record, new row, kept)``, see there.
-Change: TypeAlias = Callable[[Row, bytes], tuple[bytes, Row, bool]]
+#: How :meth:`HeapFile.rewrite` changes a row: ``(row, record, values) ->
+#: (new record, new row, kept)``, ``values`` being what the caller passed
+#: to the rewrite, see there.
+Change: TypeAlias = Callable[[Row, bytes, Any], tuple[bytes, Row, bool]]
+
+
+def replace_row(row: Row, record: bytes, values: tuple[bytes, Row]) -> tuple[bytes, Row, bool]:
+    """The whole-row :data:`Change`: ``values`` is the new ``(record, row)``."""
+    return values[0], values[1], False
 
 
 class HeapError(Exception):
@@ -190,11 +196,14 @@ class HeapFile:
         page, at = self._page_of(rid, at)
         return page.read(rid.slot), at
 
-    def rewrite(self, rid: RID, change: Change, at: float) -> tuple[Row, bytes, Row, RID, float]:
+    def rewrite(
+        self, rid: RID, change: Change, values: Any, at: float
+    ) -> tuple[Row, bytes, Row, RID, float]:
         """Write the row at ``rid`` with one touch of its page.
 
-        ``change(row, record)`` gets the row as it is now (decoded once,
-        as :meth:`read` does) and its stored record, and returns
+        ``change(row, record, values)`` gets the row as it is now (decoded
+        once, as :meth:`read` does), its stored record and ``values`` as
+        given (so a change built once serves every call), and returns
         ``(new record, new row, kept)``.  ``kept`` says the new record has
         the old one's length and ``new row`` is what the decoder returns
         for it — a column patch (:meth:`repro.db.records.RowCodec.patcher`):
@@ -209,7 +218,7 @@ class HeapFile:
         page_no, slot = rid
         page, at = self._page_of(rid, at)
         old_row = page.read_row(slot, self._decode_row)
-        record, row, kept = change(old_row, page.read(slot))
+        record, row, kept = change(old_row, page.read(slot), values)
         if kept:
             page.replace(slot, record, row)
         else:
@@ -231,8 +240,7 @@ class HeapFile:
         Returns ``(rid, completion_us)`` — a *new* RID if the record had to
         move because it outgrew its page.
         """
-        record = self.codec.encode(row)
-        *__, rid, at = self.rewrite(rid, lambda old, stored: (record, row, False), at)
+        *__, rid, at = self.rewrite(rid, replace_row, (self.codec.encode(row), row), at)
         return rid, at
 
     def delete(self, rid: RID, at: float) -> tuple[Row, float]:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from operator import itemgetter
-from typing import TypeAlias
+from typing import Any, TypeAlias
 
 from repro.db.catalog import IndexInfo, TableInfo
-from repro.db.heap import RID, Change
+from repro.db.heap import RID, Change, replace_row
 from repro.db.records import Key, Patcher, Row, Schema
 from repro.db.wal import LogRecordType, WriteAheadLog
 
@@ -35,9 +35,29 @@ class TableError(Exception):
 _KeyedIndex: TypeAlias = tuple[IndexInfo, Callable[[Row], Key]]
 
 #: How :meth:`Table.update_columns` applies one set of column names: the
-#: columns' positions, the codec's patcher for them (``None``: rebuild the
-#: row), and the indexes with a key column among them.
-_ColumnPlan: TypeAlias = tuple[list[int], Patcher | None, list[_KeyedIndex]]
+#: :data:`~repro.db.heap.Change` that takes the call's values, built once
+#: (:func:`_column_change`), and the indexes it may move an entry of.
+_ColumnPlan: TypeAlias = tuple[Change, list[_KeyedIndex]]
+
+
+def _column_change(
+    positions: list[int], patch: Patcher | None, encode: Callable[[Row], bytes]
+) -> Change:
+    """The change that sets the columns at ``positions`` to a call's
+    values: by ``patch`` when the codec has one, else by re-encoding."""
+
+    def change(old: Row, stored: bytes, values: list[Any]) -> tuple[bytes, Row, bool]:
+        if patch is not None:  # the record keeps its length: the row is kept
+            stored, values = patch(stored, values)
+        row = list(old)
+        for position, value in zip(positions, values):
+            row[position] = value
+        new_row = tuple(row)
+        if patch is None:
+            return encode(new_row), new_row, False
+        return stored, new_row, True
+
+    return change
 
 
 def _key_getter(positions: list[int]) -> Callable[[Row], Key]:
@@ -85,11 +105,12 @@ class Table:
     def _column_plan(self, names: tuple[str, ...]) -> _ColumnPlan:
         """Compile, and keep, how a change set of these columns is applied."""
         positions = [self.info.schema.position(name) for name in names]
-        plan = self._column_plans[names] = (
-            positions,
-            self.info.heap.codec.patcher(positions),
-            [keyed for keyed in self._indexes() if not set(names).isdisjoint(keyed[0].columns)],
-        )
+        codec = self.info.heap.codec
+        patch = codec.patcher(positions)
+        indexes = self._indexes()
+        if patch is not None:  # a patch keeps the RID: only a key column moves an entry
+            indexes = [keyed for keyed in indexes if not set(names).isdisjoint(keyed[0].columns)]
+        plan = self._column_plans[names] = (_column_change(positions, patch, codec.encode), indexes)
         return plan
 
     # ------------------------------------------------------------------
@@ -144,25 +165,24 @@ class Table:
         Index entries are rewritten only when their key changed or the
         record moved.
         """
-        return self._update(rid, self.info.heap.codec.encode(row), row, at)
+        values = (self.info.heap.codec.encode(row), row)
+        return self._rewrite(rid, replace_row, values, self._indexes(), at)
 
     def update_record(self, rid: RID, record: bytes, at: float) -> tuple[RID, float]:
         """:meth:`update` for a row already encoded with the heap's codec,
         kept by the page as :meth:`insert_record` keeps it."""
-        return self._update(rid, record, self.info.heap.codec.decode(record), at)
-
-    def _update(self, rid: RID, record: bytes, row: Row, at: float) -> tuple[RID, float]:
-        """The body of both updates: ``row`` is what ``record`` decodes to."""
-        return self._rewrite(rid, lambda old, stored: (record, row, False), self._indexes(), at)
+        values = (record, self.info.heap.codec.decode(record))
+        return self._rewrite(rid, replace_row, values, self._indexes(), at)
 
     def _rewrite(
-        self, rid: RID, change: Change, indexes: list[_KeyedIndex], at: float
+        self, rid: RID, change: Change, values: Any, indexes: list[_KeyedIndex], at: float
     ) -> tuple[RID, float]:
         """Every update: one touch of the row's page, where ``change``
-        builds the new image; then its log record (the new image, so it
-        follows the touch, as an engine logs under the page latch); then
-        those of ``indexes`` whose key changed or whose row moved."""
-        old_row, record, row, new_rid, at = self.info.heap.rewrite(rid, change, at)
+        builds the new image from ``values``; then its log record (the new
+        image, so it follows the touch, as an engine logs under the page
+        latch); then those of ``indexes`` whose key changed or whose row
+        moved."""
+        old_row, record, row, new_rid, at = self.info.heap.rewrite(rid, change, values, at)
         if self.wal is not None:
             __, at = self.wal.append(LogRecordType.UPDATE, self.name, rid, record, at)
         for index, key_of in indexes:
@@ -188,29 +208,8 @@ class Table:
         if len(self._keyed) != len(self.info.indexes):  # _indexes(), in this frame
             self._compile()
         names = tuple(changes)
-        positions, patch, affected = self._column_plans.get(names) or self._column_plan(names)
-        values = list(changes.values())
-        if patch is None:
-            encode = self.info.heap.codec.encode
-
-            def change(old: Row, stored: bytes) -> tuple[bytes, Row, bool]:
-                row = list(old)
-                for position, value in zip(positions, values):
-                    row[position] = value
-                new_row = tuple(row)
-                return encode(new_row), new_row, False
-
-            affected = self._keyed
-        else:
-
-            def change(old: Row, stored: bytes) -> tuple[bytes, Row, bool]:
-                record, decoded = patch(stored, values)
-                row = list(old)
-                for position, value in zip(positions, decoded):
-                    row[position] = value
-                return record, tuple(row), True
-
-        return self._rewrite(rid, change, affected, at)
+        change, affected = self._column_plans.get(names) or self._column_plan(names)
+        return self._rewrite(rid, change, list(changes.values()), affected, at)
 
     def delete(self, rid: RID, at: float) -> float:
         """Delete the row at ``rid`` (one touch of its page), then log it

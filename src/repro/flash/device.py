@@ -128,7 +128,11 @@ class FlashDevice:
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         bus = self.timing.bus_us(self.geometry.oob_size, self._page_size)
         __, end = self._die_channels[die].reserve(array_done, bus)
-        self.stats.record_read(die, self.geometry.oob_size, end - at)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += self.geometry.oob_size
+        stats.reads_per_die[die] += 1
+        stats.read_latency_total_us += end - at
         self.clock.advance_to(end)
         return metadata, start, end
 
@@ -148,7 +152,11 @@ class FlashDevice:
         data = self._die_blocks[die][block].read_data(page)
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         __, end = self._die_channels[die].reserve(array_done, self._page_bus_us)
-        self.stats.record_read(die, len(data), end - at)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += len(data)
+        stats.reads_per_die[die] += 1
+        stats.read_latency_total_us += end - at
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -194,7 +202,11 @@ class FlashDevice:
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
         self._die_blocks[die][block].program(page, data, lpn, seq, obj_id, extra)
-        self.stats.record_program(die, len(data), end - at)
+        stats = self.stats
+        stats.programs += 1
+        stats.bytes_written += len(data)
+        stats.programs_per_die[die] += 1
+        stats.program_latency_total_us += end - at
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -223,7 +235,8 @@ class FlashDevice:
         blocks = self._die_blocks[die]
         blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page)
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
-        self.stats.record_copyback(die)
+        self.stats.copybacks += 1
+        self.stats.copybacks_per_die[die] += 1
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -237,7 +250,8 @@ class FlashDevice:
         if self.faults is not None:
             self.faults.after_erase(self, die, block)
         start, end = self._die_timelines[die].reserve(at, self._erase_us)
-        self.stats.record_erase(die)
+        self.stats.erases += 1
+        self.stats.erases_per_die[die] += 1
         clock = self.clock
         if end > clock._now:
             clock._now = end

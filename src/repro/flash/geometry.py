@@ -97,11 +97,6 @@ class FlashGeometry:
         return self.blocks_per_die * self.pages_per_block
 
     @property
-    def total_blocks(self) -> int:
-        """Erase blocks in the whole device."""
-        return self.dies * self.blocks_per_die
-
-    @property
     def total_pages(self) -> int:
         """Flash pages in the whole device."""
         return self.dies * self.pages_per_die

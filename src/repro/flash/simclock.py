@@ -133,36 +133,35 @@ class ResourceTimeline:
             raise StaleReservationError(self.name, earliest, self._forgotten_before)
         if self._first_end < earliest - _PRUNE_LAG_US:
             self._prune(earliest)
-        start, index = self._find_gap(earliest, duration)
+        # first fit at or after ``earliest``: the first slot that can hold
+        # back ``start`` is the first ending after it, and each later slot
+        # ends after the one before, so none is skipped; ``index`` ends up
+        # where a slot of ``duration > 0`` starting there goes
+        # (``bisect_left`` of its end)
+        start = earliest
+        starts = self._starts
+        ends = self._ends
+        index = len(ends)
+        for i in range(bisect.bisect_right(ends, start, self._lo), index):
+            s = starts[i]
+            # a gap fits when it holds the duration; zero-length requests
+            # need an instant not inside (or at the start of) a busy slot
+            if s - start >= duration and (duration > 0 or s > start):
+                index = i
+                break
+            start = ends[i]
         end = start + duration
         if duration > 0:
             # the new slot is disjoint from every other, so its place by end
             # is its place by start
-            self._starts.insert(index, start)
-            self._ends.insert(index, end)
+            starts.insert(index, start)
+            ends.insert(index, end)
             if index == self._lo:
                 self._first_end = end
             if end > self._last_end:
                 self._last_end = self._append_from = end
         self.busy_us += duration
         return start, end
-
-    def _find_gap(self, earliest: float, duration: float) -> tuple[float, int]:
-        """First fit at or after ``earliest``: its start, and where a slot of
-        ``duration > 0`` starting there goes (``bisect_left`` of its end)."""
-        t = earliest
-        starts = self._starts
-        ends = self._ends
-        # the first slot that can hold back t is the first ending after it;
-        # each later slot ends after the one before, so none is skipped
-        for i in range(bisect.bisect_right(ends, t, self._lo), len(ends)):
-            s = starts[i]
-            # a gap fits when it holds the duration; zero-length requests
-            # need an instant not inside (or at the start of) a busy slot
-            if s - t >= duration and (duration > 0 or s > t):
-                return t, i
-            t = ends[i]
-        return t, len(ends)
 
     def _prune(self, earliest: float) -> None:
         # the ends are sorted, so the slots to forget are a prefix: move the

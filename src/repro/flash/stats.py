@@ -122,6 +122,8 @@ class FlashStats:
     READ / PROGRAM latencies (service time, die/channel queueing included)
     are running totals, 0.0 while their count is 0 and reported as means;
     p99 comes from the region and FTL histograms (``ManagementStats``).
+    Each device command bumps its own counters inline (``read_metadata``
+    counts as a read).
     """
 
     dies: int = 0
@@ -144,33 +146,6 @@ class FlashStats:
             self.programs_per_die = [0] * self.dies
             self.erases_per_die = [0] * self.dies
             self.copybacks_per_die = [0] * self.dies
-
-    # ------------------------------------------------------------------
-    # Recording (called by the device)
-    # ------------------------------------------------------------------
-    def record_read(self, die: int, nbytes: int, latency_us: float) -> None:
-        """Record one READ PAGE command."""
-        self.reads += 1
-        self.bytes_read += nbytes
-        self.reads_per_die[die] += 1
-        self.read_latency_total_us += latency_us
-
-    def record_program(self, die: int, nbytes: int, latency_us: float) -> None:
-        """Record one PROGRAM PAGE command."""
-        self.programs += 1
-        self.bytes_written += nbytes
-        self.programs_per_die[die] += 1
-        self.program_latency_total_us += latency_us
-
-    def record_erase(self, die: int) -> None:
-        """Record one ERASE BLOCK command."""
-        self.erases += 1
-        self.erases_per_die[die] += 1
-
-    def record_copyback(self, die: int) -> None:
-        """Record one COPYBACK command."""
-        self.copybacks += 1
-        self.copybacks_per_die[die] += 1
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -69,10 +69,16 @@ class TransactionExecutor:
         self.orderline = db.table("ORDERLINE")
         self.item = db.table("ITEM")
         self.stock = db.table("STOCK")
-        self._c = {
-            name: self.customer.schema.position(name)
-            for name in ("c_id", "c_balance", "c_ytd_payment", "c_payment_cnt", "c_credit", "c_data", "c_delivery_cnt", "c_discount", "c_last")
+        # every column position a transaction indexes, resolved once: TPC-C
+        # prefixes each table's column names, so one map serves them all
+        self._pos = {
+            column.name: position
+            for table in (self.warehouse, self.district, self.customer, self.order,
+                          self.orderline, self.item, self.stock)
+            for position, column in enumerate(table.schema)
         }
+        #: district id -> position of its ``s_dist_XX`` column (no district 0)
+        self._s_dist = [-1] + [self._pos[f"s_dist_{d:02d}"] for d in range(1, scale.districts + 1)]
 
     # ------------------------------------------------------------------
     # Customer selection helpers
@@ -138,13 +144,13 @@ class TransactionExecutor:
 
         # read phase ----------------------------------------------------
         w_row, at = self.warehouse.lookup("W_IDX", (w_id,), at)
-        w_tax = w_row[self.warehouse.schema.position("w_tax")]
+        w_tax = w_row[self._pos["w_tax"]]
         d_rid, at = self.district.lookup_rid("D_IDX", (w_id, d_id), at)
         d_row, at = self.district.read(d_rid, at)
-        d_tax = d_row[self.district.schema.position("d_tax")]
-        o_id = d_row[self.district.schema.position("d_next_o_id")]
+        d_tax = d_row[self._pos["d_tax"]]
+        o_id = d_row[self._pos["d_next_o_id"]]
         __, c_row, at = self._customer_by_id(w_id, d_id, c_id, at)
-        c_discount = c_row[self._c["c_discount"]]
+        c_discount = c_row[self._pos["c_discount"]]
 
         item_rows = []
         for __, i_id, ___, ____ in lines:
@@ -162,8 +168,9 @@ class TransactionExecutor:
         )
         __, at = self.new_order.insert((o_id, d_id, w_id), at)
 
-        price_pos = self.item.schema.position("i_price")
-        qty_pos = self.stock.schema.position("s_quantity")
+        price_pos = self._pos["i_price"]
+        qty_pos = self._pos["s_quantity"]
+        dist_pos = self._s_dist[d_id]
         for (number, i_id, supply_w, qty), item_row in zip(lines, item_rows):
             s_rid, at = self.stock.lookup_rid("S_IDX", (supply_w, i_id), at)
             s_row, at = self.stock.read(s_rid, at)
@@ -171,14 +178,14 @@ class TransactionExecutor:
             new_quantity = quantity - qty if quantity >= qty + 10 else quantity - qty + 91
             changes = {
                 "s_quantity": new_quantity,
-                "s_ytd": s_row[self.stock.schema.position("s_ytd")] + qty,
-                "s_order_cnt": s_row[self.stock.schema.position("s_order_cnt")] + 1,
+                "s_ytd": s_row[self._pos["s_ytd"]] + qty,
+                "s_order_cnt": s_row[self._pos["s_order_cnt"]] + 1,
             }
             if supply_w != w_id:
-                changes["s_remote_cnt"] = s_row[self.stock.schema.position("s_remote_cnt")] + 1
+                changes["s_remote_cnt"] = s_row[self._pos["s_remote_cnt"]] + 1
             s_rid, at = self.stock.update_columns(s_rid, changes, at)
             amount = round(qty * item_row[price_pos] * (1 + w_tax + d_tax) * (1 - c_discount), 2)
-            dist_info = s_row[self.stock.schema.position(f"s_dist_{d_id:02d}")]
+            dist_info = s_row[dist_pos]
             __, at = self.orderline.insert(
                 (o_id, d_id, w_id, number, i_id, supply_w, 0, qty, amount, dist_info), at
             )
@@ -202,28 +209,28 @@ class TransactionExecutor:
 
         w_rid, at = self.warehouse.lookup_rid("W_IDX", (w_id,), at)
         w_row, at = self.warehouse.read(w_rid, at)
-        w_ytd = w_row[self.warehouse.schema.position("w_ytd")]
+        w_ytd = w_row[self._pos["w_ytd"]]
         w_rid, at = self.warehouse.update_columns(w_rid, {"w_ytd": w_ytd + amount}, at)
 
         d_rid, at = self.district.lookup_rid("D_IDX", (w_id, d_id), at)
         d_row, at = self.district.read(d_rid, at)
-        d_ytd = d_row[self.district.schema.position("d_ytd")]
+        d_ytd = d_row[self._pos["d_ytd"]]
         d_rid, at = self.district.update_columns(d_rid, {"d_ytd": d_ytd + amount}, at)
 
         c_rid, c_row, at = self._pick_customer(c_w_id, c_d_id, at)
         changes = {
-            "c_balance": c_row[self._c["c_balance"]] - amount,
-            "c_ytd_payment": c_row[self._c["c_ytd_payment"]] + amount,
-            "c_payment_cnt": c_row[self._c["c_payment_cnt"]] + 1,
+            "c_balance": c_row[self._pos["c_balance"]] - amount,
+            "c_ytd_payment": c_row[self._pos["c_ytd_payment"]] + amount,
+            "c_payment_cnt": c_row[self._pos["c_payment_cnt"]] + 1,
         }
-        if c_row[self._c["c_credit"]] == "BC":
-            info = f"{c_row[self._c['c_id']]} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2f}|"
-            changes["c_data"] = (info + c_row[self._c["c_data"]])[:250]
+        if c_row[self._pos["c_credit"]] == "BC":
+            info = f"{c_row[self._pos['c_id']]} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2f}|"
+            changes["c_data"] = (info + c_row[self._pos["c_data"]])[:250]
         c_rid, at = self.customer.update_columns(c_rid, changes, at)
 
         __, at = self.history.insert(
             (
-                c_row[self._c["c_id"]],
+                c_row[self._pos["c_id"]],
                 c_d_id,
                 c_w_id,
                 d_id,
@@ -244,7 +251,7 @@ class TransactionExecutor:
         start = at
         d_id = self.rng.uniform(1, self.scale.districts)
         __, c_row, at = self._pick_customer(w_id, d_id, at)
-        c_id = c_row[self._c["c_id"]]
+        c_id = c_row[self._pos["c_id"]]
         index = self.order.index("O_CUST_IDX")
         entries, at = index.btree.range_scan(
             (w_id, d_id, c_id, 0), (w_id, d_id, c_id, KEY_MAX), at
@@ -252,7 +259,7 @@ class TransactionExecutor:
         if entries:
             __, rid = entries[-1]  # most recent order
             o_row, at = self.order.read(rid, at)
-            o_id = o_row[self.order.schema.position("o_id")]
+            o_id = o_row[self._pos["o_id"]]
             ol_index = self.orderline.index("OL_IDX")
             line_entries, at = ol_index.btree.range_scan(
                 (w_id, d_id, o_id, 0), (w_id, d_id, o_id, KEY_MAX), at
@@ -280,7 +287,7 @@ class TransactionExecutor:
 
             o_rid, at = self.order.lookup_rid("O_IDX", (w_id, d_id, o_id), at)
             o_row, at = self.order.read(o_rid, at)
-            c_id = o_row[self.order.schema.position("o_c_id")]
+            c_id = o_row[self._pos["o_c_id"]]
             o_rid, at = self.order.update_columns(o_rid, {"o_carrier_id": carrier}, at)
 
             ol_index = self.orderline.index("OL_IDX")
@@ -288,7 +295,7 @@ class TransactionExecutor:
                 (w_id, d_id, o_id, 0), (w_id, d_id, o_id, KEY_MAX), at
             )
             total = 0.0
-            amount_pos = self.orderline.schema.position("ol_amount")
+            amount_pos = self._pos["ol_amount"]
             for __, line_rid in line_entries:
                 line_row, at = self.orderline.read(line_rid, at)
                 total += line_row[amount_pos]
@@ -299,8 +306,8 @@ class TransactionExecutor:
             c_rid, at = self.customer.update_columns(
                 c_rid,
                 {
-                    "c_balance": c_row[self._c["c_balance"]] + total,
-                    "c_delivery_cnt": c_row[self._c["c_delivery_cnt"]] + 1,
+                    "c_balance": c_row[self._pos["c_balance"]] + total,
+                    "c_delivery_cnt": c_row[self._pos["c_delivery_cnt"]] + 1,
                 },
                 at,
             )
@@ -314,7 +321,7 @@ class TransactionExecutor:
         start = at
         threshold = self.rng.uniform(10, 20)
         d_row, at = self.district.lookup("D_IDX", (w_id, d_id), at)
-        next_o_id = d_row[self.district.schema.position("d_next_o_id")]
+        next_o_id = d_row[self._pos["d_next_o_id"]]
         window = min(20, self.scale.initial_orders_per_district)
         ol_index = self.orderline.index("OL_IDX")
         entries, at = ol_index.btree.range_scan(
@@ -323,12 +330,12 @@ class TransactionExecutor:
             at,
         )
         item_ids = set()
-        i_id_pos = self.orderline.schema.position("ol_i_id")
+        i_id_pos = self._pos["ol_i_id"]
         for __, line_rid in entries:
             line_row, at = self.orderline.read(line_rid, at)
             item_ids.add(line_row[i_id_pos])
         low = 0
-        qty_pos = self.stock.schema.position("s_quantity")
+        qty_pos = self._pos["s_quantity"]
         for i_id in sorted(item_ids):
             s_row, at = self.stock.lookup("S_IDX", (w_id, i_id), at)
             if s_row is not None and s_row[qty_pos] < threshold:

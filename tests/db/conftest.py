@@ -1,6 +1,7 @@
 """Shared fixtures for DBMS-layer tests."""
 
 import sys
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,9 @@ class MemoryBackend(StorageBackend):
     microseconds, so tests can assert time accounting without a device.
     Like the flash device, it stores a payload as given and hands back that
     same object (a ``bytes`` or a :class:`~repro.flash.DeferredImage`), so
-    a test that inspects a stored image reads it with ``bytes()``.
+    a test that inspects a stored image reads it with ``bytes()``.  Each
+    tablespace is bound to :meth:`read_stored` and :meth:`store` with its
+    space id, so a subclass observes the I/O by overriding those two.
     """
 
     def __init__(self, page_size: int = 512, io_cost: float = 10.0) -> None:
@@ -29,23 +32,26 @@ class MemoryBackend(StorageBackend):
         assert meta_id == 0
 
     def _bind_space(self, space: _Tablespace, region) -> None:
-        return None
+        space.read = partial(self.read_stored, space.space_id)
+        space.write = partial(self.store, space.space_id)
 
     def _grow_extent(self, space: _Tablespace, at: float) -> float:
         base = len(space.page_map)
         space.page_map.extend(range(base, base + space.extent_pages))
         return at
 
-    def _read(self, space: _Tablespace, page_no: int, at: float):
+    def read_stored(self, space_id: int, page_no: int, at: float):
+        """A tablespace's bound read (its page map is the identity)."""
         self.reads += 1
-        key = (space.space_id, page_no)
+        key = (space_id, page_no)
         if key not in self.pages:
             raise KeyError(f"page {key} never written")
         return self.pages[key], at + self.io_cost
 
-    def _write(self, space: _Tablespace, page_no: int, data: bytes, at: float) -> float:
+    def store(self, space_id: int, page_no: int, data: bytes, at: float) -> float:
+        """A tablespace's bound write."""
         self.writes += 1
-        self.pages[(space.space_id, page_no)] = data
+        self.pages[(space_id, page_no)] = data
         return at + self.io_cost
 
     def _discard_page(self, space: _Tablespace, page_no: int) -> None:

@@ -1,12 +1,14 @@
 """Unit tests for the buffer pool."""
 
 import random
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.db import BufferError, BufferPool
+from repro.db import BufferError, BufferPool, SlottedPage
+from repro.db.buffer import BufferStats
 
 from tests.db.conftest import MemoryBackend
 
@@ -206,7 +208,7 @@ class TestFlusher:
         pool = make_pool(memory_backend, capacity=4, flusher_batch=2)
         for page_no in range(4 + evictions):
             pool.get(sid, page_no, 0.0, **identity_codec())
-        ring = list(pool._clock_keys)
+        ring = [frame.key for frame in pool._ring]
         assert pool._clock_hand == evictions  # the hand is where eviction left it
         for key in ring:
             pool.mark_dirty(*key)
@@ -253,13 +255,117 @@ class TestFlush:
         assert memory_backend.pages[(sid, 0)][0] != 0xEE
 
 
-class RemoveBasedPool(BufferPool):
-    """Reference: eviction as it was before the victim was deleted by ring
-    position — ``_pick_victim`` hands back the frame and ``_make_room``
-    finds it again by value.  The hand is left where the sweep stopped.
-    The victim is parked as the pool parks it: the edits below are never
-    marked dirty, so a page object reinstalled on one side and decoded on
-    the other would differ."""
+@dataclass
+class RefFrame:
+    key: tuple
+    page: object
+    encoder: object
+    image: object = None
+    dirty: bool = False
+    pin_count: int = 0
+    referenced: bool = True
+
+
+class ReferencePool:
+    """Stand-alone reference for :class:`BufferPool`: the pool as it was
+    when its CLOCK ring held keys, not frames.  Every frame is found by a
+    dict probe of its key, the victim is picked by one method and deleted
+    from the ring by value (``list.remove``) by another, with the hand left
+    where the sweep stopped, and an evicted page is parked as an ``(image,
+    page object)`` tuple that a miss on that very image turns back into a
+    new frame.  The edits the property below makes are never marked dirty,
+    so a page object reinstalled on one side and decoded on the other would
+    differ."""
+
+    def __init__(self, backend, capacity, flusher_interval, flusher_batch, cpu_us_per_op=5.0):
+        self.backend = backend
+        self.capacity = capacity
+        self.flusher_interval = flusher_interval
+        self.flusher_batch = flusher_batch
+        self.cpu_us_per_op = cpu_us_per_op
+        self.stats = BufferStats()
+        self._frames = {}
+        self._parked = {}
+        self._clock_keys = []
+        self._clock_hand = 0
+        self._ops_since_flush = 0
+
+    def _touch(self, at):
+        self._ops_since_flush += 1
+        if self._ops_since_flush >= self.flusher_interval > 0:
+            self._ops_since_flush = 0
+            self._flush_round(at)
+
+    def get(self, space_id, page_no, at, decoder, encoder, pin=False):
+        self._touch(at)
+        key = (space_id, page_no)
+        frame = self._frames.get(key)
+        if frame is not None:
+            self.stats.hits += 1
+            frame.referenced = True
+            at += self.cpu_us_per_op
+        else:
+            self.stats.misses += 1
+            at = self._make_room(at + self.cpu_us_per_op)
+            data, at = self.backend.read_page(space_id, page_no, at)
+            parked = self._parked.pop(key, None)
+            page = parked[1] if parked is not None and parked[0] is data else decoder(data)
+            frame = self._frames[key] = RefFrame(key, page, encoder, data)
+            self._clock_keys.append(key)
+        if pin:
+            frame.pin_count += 1
+        return frame.page, at
+
+    def put_new(self, space_id, page_no, page, encoder, at, pin=False):
+        self._touch(at)
+        at += self.cpu_us_per_op
+        key = (space_id, page_no)
+        if key in self._frames:
+            raise BufferError(f"page {key} already buffered")
+        at = self._make_room(at)
+        frame = self._frames[key] = RefFrame(key, page, encoder, dirty=True)
+        self._clock_keys.append(key)
+        if pin:
+            frame.pin_count += 1
+        return at
+
+    def mark_dirty(self, space_id, page_no):
+        frame = self._frames.get((space_id, page_no))
+        if frame is None:
+            raise BufferError(f"page ({space_id}, {page_no}) is not buffered")
+        frame.dirty = True
+
+    def unpin(self, space_id, page_no):
+        frame = self._frames.get((space_id, page_no))
+        if frame is None or frame.pin_count == 0:
+            raise BufferError(f"page ({space_id}, {page_no}) is not pinned")
+        frame.pin_count -= 1
+
+    def drop(self, space_id, page_no):
+        self._parked.pop((space_id, page_no), None)
+        frame = self._frames.pop((space_id, page_no), None)
+        if frame is not None:
+            self._clock_keys.remove(frame.key)
+            if self._clock_hand >= len(self._clock_keys):
+                self._clock_hand = 0
+
+    def flush_page(self, space_id, page_no, at):
+        frame = self._frames.get((space_id, page_no))
+        if frame is None or not frame.dirty:
+            return at
+        return self._write_back(frame, at)
+
+    def flush_all(self, at):
+        for key in sorted(self._frames):
+            at = self.flush_page(key[0], key[1], at)
+        return at
+
+    def _write_back(self, frame, at):
+        image = frame.encoder(frame.page)
+        at = self.backend.write_page(frame.key[0], frame.key[1], image, at)
+        frame.image = image
+        frame.dirty = False
+        return at
 
     def _make_room(self, at):
         if len(self._frames) < self.capacity:
@@ -269,6 +375,8 @@ class RemoveBasedPool(BufferPool):
             at = self._write_back(victim, at)
             self.stats.dirty_evictions += 1
         self.stats.evictions += 1
+        if isinstance(victim.page, SlottedPage):
+            victim.page.rows.clear()
         self._parked[victim.key] = (victim.image, victim.page)
         del self._frames[victim.key]
         self._clock_keys.remove(victim.key)
@@ -292,15 +400,26 @@ class RemoveBasedPool(BufferPool):
             return frame
         raise BufferError("every buffer frame is pinned; cannot evict")
 
+    def _flush_round(self, at):
+        written = 0
+        for key in self._clock_keys:
+            if written >= self.flusher_batch:
+                break
+            frame = self._frames[key]
+            if frame.dirty and frame.pin_count == 0:
+                self._write_back(frame, at)
+                self.stats.flusher_writes += 1
+                written += 1
+
 
 class WriteLogBackend(MemoryBackend):
     def __init__(self):
         super().__init__()
         self.write_log = []
 
-    def _write(self, space, page_no, data, at):
-        self.write_log.append((space.space_id, page_no, bytes(data)))
-        return super()._write(space, page_no, data, at)
+    def store(self, space_id, page_no, data, at):
+        self.write_log.append((space_id, page_no, bytes(data)))
+        return super().store(space_id, page_no, data, at)
 
 
 PAGES = 10
@@ -310,6 +429,7 @@ pool_ops = st.lists(
         st.tuples(st.just("get"), page_nos, st.booleans()),
         st.tuples(st.just("put_new"), page_nos, st.booleans()),
         st.tuples(st.just("unpin"), page_nos, st.none()),
+        st.tuples(st.just("unpin_all"), st.none(), st.lists(page_nos, max_size=3)),
         st.tuples(st.just("mark_dirty"), page_nos, st.none()),
         st.tuples(st.just("drop"), page_nos, st.none()),
     ),
@@ -340,18 +460,28 @@ def test_evict_by_ring_position_equals_evict_by_value(operations, flusher_interv
                 return None, pool.put_new(
                     sid, page_no, bytearray([page_no, 0xAA]), bytes, at, pin=flag
                 )
+            if kind == "unpin_all":
+                pins = list(flag)
+                if isinstance(pool, ReferencePool):
+                    while pins:  # as a B-tree released its pins, one call each
+                        pool.unpin(sid, pins.pop())
+                else:
+                    pool.unpin_all(sid, pins)
+                return pins, at
             getattr(pool, kind)(sid, page_no)
             return None, at
         except BufferError as error:
             return str(error), at
 
-    (new, new_backend, sid), (old, old_backend, __) = build(BufferPool), build(RemoveBasedPool)
+    (new, new_backend, sid), (old, old_backend, __) = build(BufferPool), build(ReferencePool)
     new_at = old_at = 0.0
     for kind, page_no, flag in operations:
         new_out, new_at = apply(new, sid, kind, page_no, flag, new_at)
         old_out, old_at = apply(old, sid, kind, page_no, flag, old_at)
         assert (new_out, new_at) == (old_out, old_at)
-        assert new._clock_keys == old._clock_keys  # same victims, same ring order
+        # same victims, same ring order, same parked images
+        assert [frame.key for frame in new._ring] == old._clock_keys
+        assert {key: (f.image, f.page) for key, f in new._parked.items()} == old._parked
         assert new._clock_hand == old._clock_hand
         assert new.stats == old.stats
         assert new_backend.write_log == old_backend.write_log  # write-back order and images

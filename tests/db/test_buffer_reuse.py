@@ -1,8 +1,8 @@
 """A miss on a page the pool evicted reinstalls the parked page object.
 
-The pool parks ``(image, page object)`` at eviction; a later miss still
-reads the backend and reinstalls the parked object only when the bytes
-handed back are that image *itself*.  The oracle is a backend that hands
+The pool parks the evicted frame, with its image and page object; a
+later miss still reads the backend and reinstalls the parked frame only
+when the bytes handed back are that image *itself*.  The oracle is a backend that hands
 back a fresh copy of every stored image, so its pool decodes every miss,
 as the pool did before it parked anything: both runs must agree on every
 returned row, every completion time, the pool's counters and the
@@ -49,10 +49,10 @@ class CheckingBackend(MemoryBackend):
 
     on_read = None
 
-    def _read(self, space, page_no, at):
-        data, at = super()._read(space, page_no, at)
+    def read_stored(self, space_id, page_no, at):
+        data, at = super().read_stored(space_id, page_no, at)
         if self.on_read is not None:
-            self.on_read((space.space_id, page_no), data)
+            self.on_read((space_id, page_no), data)
         return data, at
 
 
@@ -60,8 +60,8 @@ class CopyingBackend(MemoryBackend):
     """Hands back a fresh copy of every stored image, as bytes: nothing is
     reused, and every miss decodes what a deferred image encodes to."""
 
-    def _read(self, space, page_no, at):
-        data, at = super()._read(space, page_no, at)
+    def read_stored(self, space_id, page_no, at):
+        data, at = super().read_stored(space_id, page_no, at)
         return bytes(bytearray(bytes(data))), at
 
 
@@ -157,8 +157,8 @@ def test_reuse_matches_an_always_decoding_pool(monkeypatch, offset):
 
     def check(key, image):
         parked = reuse.pool._parked.get(key)
-        if parked is not None and parked[0] is image:  # the miss will reinstall
-            page = parked[1]
+        if parked is not None and parked.image is image:  # the miss will reinstall
+            page = parked.page
             assert reuse.encoder(key[0])(page) == bytes(image)
             if isinstance(page, SlottedPage):
                 assert page.rows == {}
@@ -241,6 +241,20 @@ class TestWhenTheParkedObjectReturns:
         assert get(pool, sid) is page
         assert pool.stats.misses == 6  # still a miss, and still a read
         assert memory_backend.reads == 6
+
+    def test_as_the_same_frame_referenced_clean_unpinned_with_the_callers_encoder(
+        self, memory_backend
+    ):
+        pool, sid, page = evicted_page(memory_backend)
+        frame = pool._parked[(sid, 0)]
+        assert frame.page is page and not frame.referenced
+        encoder = SlottedPage.image  # not the encoder the page was evicted with
+        again, __ = pool.get(sid, 0, 0.0, SlottedPage.from_bytes, encoder)
+        assert again is page
+        assert pool._frames[(sid, 0)] is frame and pool._ring[-1] is frame
+        assert (sid, 0) not in pool._parked
+        assert frame.referenced and not frame.dirty and frame.pin_count == 0
+        assert frame.encoder is encoder
 
     def test_not_for_an_equal_copy(self, memory_backend):
         pool, sid, page = evicted_page(memory_backend)

@@ -1,4 +1,5 @@
-"""Call budgets of the buffered page-touch and row-update paths.
+"""Call budgets of the buffered page-touch and row-update paths, and of a
+buffer miss and a write-back down to the flash die.
 
 Host time in ``repro.db`` is mostly Python frames, and those paths run a
 million times per experiment, so a wrapper that creeps back in costs
@@ -27,14 +28,18 @@ from repro.db import (
     HeapFile,
     IndexInfo,
     Schema,
+    SlottedPage,
     TableInfo,
     char_col,
     float_col,
     int_col,
     varchar_col,
 )
+from repro.core import NoFTLStore, RegionConfig
+from repro.db.backend import NoFTLBackend
 from repro.db.table import Table
 from repro.db.wal import LogRecord, LogRecordType, _apply_record
+from repro.flash import FlashGeometry
 
 from tests.db.conftest import MemoryBackend, page_touches
 
@@ -207,6 +212,77 @@ def test_fixed_width_update_columns(warm):
     # one frame of the compiled patch, which calls no Python function
     assert entered.count("patch") == 1
     assert entered[entered.index("patch") + 1] == "SlottedPage.replace", entered
+
+
+def noftl_pool():
+    """A 4-frame pool over a NoFTL region at the default timing, and one
+    tablespace whose pages 0-4 were written and then read in order, so
+    page 0 was evicted clean and is parked; ``(pool, space id, page 0's
+    object, time)``."""
+    geometry = FlashGeometry(
+        channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=1,
+        blocks_per_plane=32, pages_per_block=16, page_size=512, oob_size=16,
+        max_pe_cycles=100_000,
+    )
+    store = NoFTLStore.create(geometry)
+    store.create_region(RegionConfig(name="rg"), num_dies=4)
+    backend = NoFTLBackend(store, default_region="rg")
+    sid = backend.create_space("t")
+    pool = BufferPool(backend, capacity=4, flusher_interval=0)
+    at = 0.0
+    for __ in range(5):
+        page_no, at = backend.allocate_page(sid, at)
+        at = backend.write_page(sid, page_no, SlottedPage.empty_image(backend.page_size), at)
+    first, at = pool.get(sid, 0, at, SlottedPage.from_bytes, SlottedPage.image)
+    for page_no in range(1, 5):
+        __, at = pool.get(sid, page_no, at, SlottedPage.from_bytes, SlottedPage.image)
+    assert not pool.is_buffered(sid, 0) and pool.stats.dirty_evictions == 0
+    return pool, sid, first, at
+
+
+#: one pass per layer from a buffer miss to the die: the read of a page the
+#: pool parked, its victim clean, and the bound read of its tablespace
+CLEAN_MISS = [
+    "BufferPool.get", "BufferPool._make_room",
+    "StorageBackend.read_page", "Region.read", "FlashSpaceEngine.read",
+    "FlashDevice.read_page_packed", "Block.read_data",
+    "ResourceTimeline.reserve", "ResourceTimeline.reserve",
+    "LatencyAccumulator.record",
+]
+
+
+def test_clean_miss_reinstalling_a_parked_page_on_noftl():
+    pool, sid, first, at = noftl_pool()
+    reads = pool.backend.store.device.stats.reads
+    entered = python_calls(pool.get, sid, 0, at, SlottedPage.from_bytes, SlottedPage.image)
+    # no victim search, space lookup or page check of their own, no counter
+    # helper, no new frame: the parked one is reinstalled
+    assert entered == CLEAN_MISS, entered
+    assert pool.get(sid, 0, at, SlottedPage.from_bytes, SlottedPage.image)[0] is first
+    assert pool.backend.store.device.stats.reads == reads + 1
+
+
+#: a dirty victim's write-back, from the pool to the cell array: the
+#: deferred image, the bound write of the tablespace (carrying its space id
+#: as the placement group) and one PROGRAM PAGE
+DIRTY_WRITE_BACK = [
+    "BufferPool._write_back", "SlottedPage.image", "DeferredImage.__init__",
+    "StorageBackend.write_page", "DeferredImage.__len__",
+    "Region.write", "FlashSpaceEngine.write", "FlashSpaceEngine._group_frontier",
+    "FlashDevice.program_page_packed", "FlashDevice._payload", "DeferredImage.__len__",
+    "ResourceTimeline.reserve", "ResourceTimeline.reserve", "Block.program",
+]
+
+
+def test_dirty_eviction_write_back_on_noftl():
+    pool, sid, __, at = noftl_pool()
+    for page_no in range(1, 5):
+        pool.mark_dirty(sid, page_no)
+    entered = python_calls(pool.get, sid, 0, at, SlottedPage.from_bytes, SlottedPage.image)
+    assert pool.stats.dirty_evictions == 1
+    assert entered[:2] == ["BufferPool.get", "BufferPool._make_room"], entered
+    start = entered.index("BufferPool._write_back")
+    assert entered[start:entered.index("Block.program") + 1] == DIRTY_WRITE_BACK, entered
 
 
 def heap_page(table, rid):

@@ -176,7 +176,7 @@ class TestTimingAndContention:
 
     def test_read_reserves_the_die_then_the_channel(self):
         # Killed by: a read that counts itself twice, or one whose
-        # reservations, record_read or clock update drift.
+        # reservations, read counters or clock update drift.
         device = FlashDevice(small_geometry())
         program(device, data=b"src")
         program(device, block=1, data=b"busy", at=4.0)

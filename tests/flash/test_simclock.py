@@ -1,6 +1,5 @@
 """Unit tests for the virtual clock and resource timelines."""
 
-import bisect
 import tracemalloc
 from array import array
 
@@ -181,21 +180,18 @@ def _first_fit(granted, earliest, duration):
 def test_reserve_grants_the_first_fit_of_a_brute_force_scan(requests):
     """Random (earliest, duration) streams — out of order, exact fits and
     zero-length requests included — get exactly the reference's slots, the
-    gap search's insertion index is the bisect of the slot's end, and a
-    zero-length request at the issue time or at either edge of the newest
-    slot reserves nothing."""
+    columns hold every granted slot in order (so each went in at the bisect
+    of its end), and a zero-length request at its request time or at either
+    edge of the newest slot reserves nothing."""
     timeline = ResourceTimeline()
     granted = []
     for earliest, duration in requests:
         expected = _first_fit(granted, earliest, duration)
-        start, index = timeline._find_gap(earliest, duration)
-        assert start == expected
-        if duration > 0:
-            assert index == bisect.bisect_left(timeline._ends, start + duration, timeline._lo)
         assert timeline.reserve(earliest, duration) == (expected, expected + duration)
         if duration > 0:
             granted.append((expected, expected + duration))
         columns = (list(timeline._starts), list(timeline._ends), timeline.busy_us)
+        assert columns[:2] == ([s for s, __ in sorted(granted)], [e for __, e in sorted(granted)])
         probes = [earliest, *granted[-1]] if granted else [earliest]
         for instant in probes:
             fit = _first_fit(granted, instant, 0.0)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.flash import FlashStats, LatencyAccumulator
+from repro.flash import FlashDevice, LatencyAccumulator, small_geometry
 
 
 class TestLatencyAccumulator:
@@ -65,24 +65,40 @@ class TestLatencyAccumulator:
             LatencyAccumulator().percentile_us(1.5)
 
 
+def drive(device, die):
+    """One of each native command on ``die``: PROGRAM PAGE of 100 bytes
+    twice, READ PAGE, the OOB read, COPYBACK and ERASE BLOCK."""
+    device.program_page_packed(die, 0, 0, b"p" * 100, 7, 1, -1, 0.0)
+    device.program_page_packed(die, 0, 1, b"q" * 100, 8, 2, -1, 0.0)
+    device.read_page_packed(die, 0, 0, 0.0)
+    device.read_metadata(die, 0, 1, 0.0)
+    device.copyback_packed(die, 0, 0, 1, 0, 0.0)
+    device.erase_block_packed(die, 0, 0.0)
+
+
 class TestFlashStats:
     def test_per_die_counters(self):
-        stats = FlashStats(dies=4)
-        stats.record_read(2, 4096, 100.0)
-        stats.record_program(1, 4096, 500.0)
-        stats.record_erase(1)
-        stats.record_copyback(3)
-        assert stats.reads_per_die == [0, 0, 1, 0]
-        assert stats.programs_per_die == [0, 1, 0, 0]
-        assert stats.erases_per_die == [0, 1, 0, 0]
-        assert stats.copybacks_per_die == [0, 0, 0, 1]
+        # the device bumps its counters inline, one command at a time
+        device = FlashDevice(small_geometry())
+        stats = device.stats
+        drive(device, 2)
+        assert (stats.reads, stats.programs, stats.erases, stats.copybacks) == (2, 2, 1, 1)
+        assert stats.bytes_written == 200
+        assert stats.bytes_read == 100 + device.geometry.oob_size
+        assert stats.reads_per_die[:4] == [0, 0, 2, 0]
+        assert stats.programs_per_die[:4] == [0, 0, 2, 0]
+        assert stats.erases_per_die[:4] == [0, 0, 1, 0]
+        assert stats.copybacks_per_die[:4] == [0, 0, 1, 0]
+        assert sum(stats.reads_per_die) == stats.reads
+        assert stats.read_latency_total_us > 0 and stats.program_latency_total_us > 0
 
     def test_snapshot_and_delta(self):
-        before = FlashStats(dies=2)
-        after = FlashStats(dies=2)
-        after.record_read(0, 4096, 100.0)
-        after.record_program(0, 4096, 500.0)
+        before = FlashDevice(small_geometry()).stats
+        device = FlashDevice(small_geometry())
+        drive(device, 0)
+        after = device.stats
         delta = after.delta(before)
-        assert delta["reads"] == 1
-        assert delta["programs"] == 1
-        assert delta["bytes_read"] == 4096
+        assert delta["reads"] == 2
+        assert delta["programs"] == 2
+        assert delta["erases"] == 1 and delta["copybacks"] == 1
+        assert delta["bytes_read"] == 100 + device.geometry.oob_size
