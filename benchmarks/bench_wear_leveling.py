@@ -47,9 +47,8 @@ def run_static_wl(threshold, writes, seed=4):
     for __ in range(writes):
         target = rng.choice(hot) if rng.random() < 0.95 else rng.choice(pages)
         t = region.write(target, payload, t)
-    counts = [
-        blk.erase_count for d in region.engine.dies for blk in store.device.dies[d].blocks
-    ]
+    erase_counts = store.device.erase_counts()
+    counts = [count for d in region.engine.dies for count in erase_counts[d]]
     return {
         "spread": max(counts) - min(counts),
         "max": max(counts),

@@ -178,7 +178,7 @@ def run_tpcc_crash_harness(
         if owner is not None:
             t = owner.engine.retire_grown_bad_block(die, block, t)
         else:
-            source.device.dies[die].blocks[block].mark_bad()
+            source.device.dies[die].mark_bad(block)
             injector.stats.retired_grown_bad_blocks += 1
 
     # ------------------------------------------------------------------

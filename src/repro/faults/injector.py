@@ -199,7 +199,7 @@ class FaultInjector:
         assert self._pending_wearout is not None
         die, block = self._pending_wearout
         self._pending_wearout = None
-        device.dies[die].blocks[block].mark_bad()
+        device.dies[die].mark_bad(block)
         self.stats.retired_wearout_blocks += 1
 
     def unretired_program_faults(self, device: FlashDevice) -> list[tuple[int, int]]:
@@ -214,7 +214,7 @@ class FaultInjector:
         dies = device.dies
         return [
             (die, block) for die, block in self._program_faulted
-            if not dies[die].blocks[block].is_bad
+            if not dies[die].is_bad(block)
         ]
 
     def interrupted_read(self) -> tuple[int, int, int] | None:

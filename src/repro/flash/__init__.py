@@ -8,7 +8,7 @@ and per-channel contention on a virtual clock, NAND programming constraints
 and P/E-cycle wear accounting.
 """
 
-from repro.flash.block import Block, PageMetadata
+from repro.flash.die import Die, PageMetadata
 from repro.flash.device import FlashDevice
 from repro.flash.errors import (
     AddressError,
@@ -30,11 +30,11 @@ from repro.flash.timing import DEFAULT_TIMING, TimingModel, instant_timing
 __all__ = [
     "AddressError",
     "BadBlockError",
-    "Block",
     "CopybackError",
     "DataError",
     "DEFAULT_TIMING",
     "DeferredImage",
+    "Die",
     "EraseError",
     "FlashDevice",
     "FlashError",

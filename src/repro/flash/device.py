@@ -10,9 +10,12 @@ die-local block and a block-local page, which every caller derives from
 its own bookkeeping.  It takes the caller's virtual time ``at``, runs the
 fault hook before any state changes or any time is reserved, and returns
 the granted ``(start_us, end_us)`` slot (READ PAGE and the OOB read put
-what they read in front).  The coordinates are trusted; the block still
+what they read in front).  The coordinates are trusted; each command still
 refuses what NAND refuses (a bad block, an unprogrammed page, an
-out-of-order or repeated program).  Commands contend for two resources:
+out-of-order, repeated or past-the-end program), before it reserves time
+or changes state, and then updates the die's columns
+(:mod:`repro.flash.die`) in its own frame.  Commands contend for two
+resources:
 
 * the **die** (one array operation at a time), and
 * the **channel** (shared by all chips on it, used only for host transfers —
@@ -22,7 +25,8 @@ out-of-order or repeated program).  Commands contend for two resources:
 Payloads follow one rule (:mod:`repro.flash.payload`): a program stores a
 ``bytes`` or a :class:`~repro.flash.payload.DeferredImage` as given, READ
 PAGE and COPYBACK hand back that same object, and the statistics count its
-``len()``; only a ``bytearray`` or ``memoryview`` is copied.
+length, measured once at PROGRAM and kept in the die's length column;
+only a ``bytearray`` or ``memoryview`` is copied.
 """
 
 from __future__ import annotations
@@ -30,9 +34,16 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any
 
-from repro.flash.block import Block, PageMetadata
-from repro.flash.die import Die
-from repro.flash.errors import ConfigError, CopybackError, DataError
+from repro.flash.die import Die, PageMetadata
+from repro.flash.errors import (
+    BadBlockError,
+    ConfigError,
+    CopybackError,
+    DataError,
+    EraseError,
+    ProgramError,
+    ReadError,
+)
 from repro.flash.geometry import FlashGeometry
 from repro.flash.payload import DeferredImage, Payload
 from repro.flash.simclock import ResourceTimeline, SimClock
@@ -86,8 +97,10 @@ class FlashDevice:
             self.channels[geometry.channel_of_die(d)] for d in range(geometry.dies)
         ]
         self._die_timelines: list[ResourceTimeline] = [d.timeline for d in self.dies]
-        self._die_blocks: list[list[Block]] = [d.blocks for d in self.dies]
         self._page_size = geometry.page_size
+        self._pages_per_block = geometry.pages_per_block
+        self._max_pe_cycles = geometry.max_pe_cycles
+        self._erased_block: list[None] = [None] * geometry.pages_per_block
         self._page_bus_us = self.timing.bus_us(geometry.page_size, geometry.page_size)
         self._read_us = self.timing.read_us
         self._program_us = self.timing.program_us
@@ -97,9 +110,9 @@ class FlashDevice:
         if initial_bad_block_rate > 0.0:
             rng = random.Random(seed)
             for die in self.dies:
-                for block in die.blocks:
+                for block in range(geometry.blocks_per_die):
                     if rng.random() < initial_bad_block_rate:
-                        block.mark_bad()
+                        die.mark_bad(block)
 
     # ------------------------------------------------------------------
     # Write sequence numbers
@@ -119,12 +132,17 @@ class FlashDevice:
 
         Returns ``(metadata, start_us, end_us)``.  Cheaper than a full page
         read (partial bus transfer); used by the host to rebuild translation
-        state at recovery time.  No fault hook: a recovery scan never trips
-        a fresh fault.
+        state at recovery time.  Refuses what READ PAGE refuses and counts
+        towards read disturb like it.  No fault hook: a recovery scan never
+        trips a fresh fault.
         """
-        flash_block = self._die_blocks[die][block]
-        flash_block.read_data(page)  # refuses a bad block or unprogrammed page
-        metadata = flash_block.metadata(page)
+        flash_die = self.dies[die]
+        if flash_die.block_bad[block]:
+            raise BadBlockError("cannot read a bad block")
+        if not 0 <= page < flash_die.block_wp[block]:
+            raise ReadError(f"page {page} has not been programmed")
+        flash_die.block_reads[block] += 1
+        metadata = flash_die.metadata(block, page)
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         bus = self.timing.bus_us(self.geometry.oob_size, self._page_size)
         __, end = self._die_channels[die].reserve(array_done, bus)
@@ -141,44 +159,33 @@ class FlashDevice:
     ) -> tuple[Payload, float, float]:
         """READ PAGE: array read on the die, then transfer over the channel.
 
-        Returns ``(data, start_us, end_us)``.  The block refuses an
-        unprogrammed page and a bad block.  The page's OOB record is not
-        materialised.
+        Returns ``(data, start_us, end_us)``.  Refuses an unprogrammed page
+        and a bad block; counts the read towards read disturb.  The page's
+        OOB record is not materialised, and the byte counter reads the
+        length stored at PROGRAM.
         """
         if self.faults is not None:
-            # before the block counts the read or a timeline is reserved:
-            # a failed read leaves no trace but the injector's own
+            # before the read is counted or a timeline is reserved: a
+            # failed read leaves no trace but the injector's own
             self.faults.on_command(self, "read_page", die, block, page)
-        data = self._die_blocks[die][block].read_data(page)
+        flash_die = self.dies[die]
+        if flash_die.block_bad[block]:
+            raise BadBlockError("cannot read a bad block")
+        if not 0 <= page < flash_die.block_wp[block]:
+            raise ReadError(f"page {page} has not been programmed")
+        flash_die.block_reads[block] += 1
+        index = block * self._pages_per_block + page
         start, array_done = self._die_timelines[die].reserve(at, self._read_us)
         __, end = self._die_channels[die].reserve(array_done, self._page_bus_us)
         stats = self.stats
         stats.reads += 1
-        stats.bytes_read += len(data)
+        stats.bytes_read += flash_die.page_length[index]
         stats.reads_per_die[die] += 1
         stats.read_latency_total_us += end - at
         clock = self.clock
         if end > clock._now:
             clock._now = end
-        return data, start, end
-
-    def _payload(self, data: object) -> Payload:
-        """The one payload rule of every program path: ``bytes`` and a
-        :class:`~repro.flash.payload.DeferredImage` are stored as given (a
-        read hands back that object), ``bytearray`` / ``memoryview`` are
-        copied, anything else is refused, and so is a payload whose
-        ``len()`` exceeds the page size."""
-        if not isinstance(data, (bytes, DeferredImage)):
-            if not isinstance(data, (bytearray, memoryview)):
-                raise DataError(
-                    f"page payload must be bytes-like, got {type(data).__name__}"
-                )
-            data = bytes(data)
-        if len(data) > self._page_size:
-            raise DataError(
-                f"payload of {len(data)} bytes exceeds page size {self._page_size}"
-            )
-        return data
+        return flash_die.page_data[index], start, end
 
     def program_page_packed(
         self, die: int, block: int, page: int, data: Payload,
@@ -189,22 +196,52 @@ class FlashDevice:
 
         The OOB record is ``PageMetadata(lpn, seq, obj_id, extra)`` with
         ``-1`` for an unset ``lpn``/``obj_id``; ``seq = -1`` programs the
-        page with no OOB record.  The payload is checked.
+        page with no OOB record.  The payload rule is checked and the
+        payload's length measured once, here: ``bytes`` and a
+        :class:`~repro.flash.payload.DeferredImage` are stored as given,
+        ``bytearray`` / ``memoryview`` are copied, anything else is
+        refused, and so is a payload longer than the page.  Then the NAND
+        rules: no bad block, pages in order, each once per erase.
         """
-        if type(data) is not bytes or len(data) > self._page_size:
-            # the one payload rule; plain bytes that fit are its identity
-            # case, so the per-write hot path skips the call for them
-            data = self._payload(data)
+        kind = type(data)
+        if kind is bytes:
+            size = len(data)
+        elif kind is DeferredImage:
+            size = data._length  # the image knows it; no __len__ frame
+        elif isinstance(data, (bytes, DeferredImage)):
+            size = len(data)
+        elif isinstance(data, (bytearray, memoryview)):
+            data = bytes(data)
+            size = len(data)
+        else:
+            raise DataError(f"page payload must be bytes-like, got {kind.__name__}")
+        if size > self._page_size:
+            raise DataError(f"payload of {size} bytes exceeds page size {self._page_size}")
         if self.faults is not None:
             # before any state mutates: a program fault leaves the page
             # unprogrammed and the timelines unreserved
             self.faults.on_command(self, "program_page", die, block, page)
+        flash_die = self.dies[die]
+        if flash_die.block_bad[block]:
+            raise BadBlockError("cannot program a bad block")
+        written = flash_die.block_wp
+        ppb = self._pages_per_block
+        if page != written[block] or page >= ppb:
+            raise _program_refusal(page, written[block], ppb)
         start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
-        self._die_blocks[die][block].program(page, data, lpn, seq, obj_id, extra)
+        index = block * ppb + page
+        flash_die.page_data[index] = data
+        flash_die.page_length[index] = size
+        flash_die.page_lpn[index] = lpn
+        flash_die.page_seq[index] = seq
+        flash_die.page_obj[index] = obj_id
+        if extra:
+            flash_die.page_extra[index] = extra
+        written[block] = page + 1
         stats = self.stats
         stats.programs += 1
-        stats.bytes_written += len(data)
+        stats.bytes_written += size
         stats.programs_per_die[die] += 1
         stats.program_latency_total_us += end - at
         clock = self.clock
@@ -220,7 +257,10 @@ class FlashDevice:
 
         The payload travels cell array -> page register -> cell array
         entirely on-die, so only the die timeline is occupied.  The source
-        OOB record travels unchanged, write sequence number included.
+        must be readable and the destination programmable, as for READ
+        PAGE and PROGRAM PAGE; a refusal leaves no trace.  The column
+        entries move unchanged — payload, length and the OOB record, write
+        sequence number included — and the source counts one read.
         """
         if self.strict_plane_copyback:
             src_plane = self.geometry.plane_of_block(src_block)
@@ -232,8 +272,35 @@ class FlashDevice:
                 )
         if self.faults is not None:
             self.faults.on_command(self, "copyback", die, src_block, src_page)
-        blocks = self._die_blocks[die]
-        blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page)
+        flash_die = self.dies[die]
+        bad = flash_die.block_bad
+        written = flash_die.block_wp
+        ppb = self._pages_per_block
+        if bad[src_block]:
+            raise BadBlockError("cannot read a bad block")
+        if not 0 <= src_page < written[src_block]:
+            raise ReadError(f"page {src_page} has not been programmed")
+        if bad[dst_block]:
+            raise BadBlockError("cannot program a bad block")
+        if dst_page != written[dst_block] or dst_page >= ppb:
+            raise _program_refusal(dst_page, written[dst_block], ppb)
+        flash_die.block_reads[src_block] += 1
+        src = src_block * ppb + src_page
+        dst = dst_block * ppb + dst_page
+        column = flash_die.page_data
+        column[dst] = column[src]
+        column = flash_die.page_length
+        column[dst] = column[src]
+        column = flash_die.page_lpn
+        column[dst] = column[src]
+        column = flash_die.page_seq
+        column[dst] = column[src]
+        column = flash_die.page_obj
+        column[dst] = column[src]
+        extras = flash_die.page_extra
+        if extras and src in extras:
+            extras[dst] = extras[src]
+        written[dst_block] = dst_page + 1
         start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.copybacks += 1
         self.stats.copybacks_per_die[die] += 1
@@ -243,10 +310,34 @@ class FlashDevice:
         return start, end
 
     def erase_block_packed(self, die: int, block: int, at: float) -> tuple[float, float]:
-        """ERASE BLOCK: array-only operation, no channel occupancy."""
+        """ERASE BLOCK: array-only operation, no channel occupancy.
+
+        Drops the block's payloads (one slice assignment), resets its write
+        pointer and read-disturb count and adds a P/E cycle.  An erase that
+        reaches the rated endurance still succeeds — real blocks fail
+        gradually after their rating — but retires the block: it is bad
+        from then on.
+        """
         if self.faults is not None:
             self.faults.on_command(self, "erase_block", die, block)
-        self._die_blocks[die][block].erase()
+        flash_die = self.dies[die]
+        if flash_die.block_bad[block]:
+            raise EraseError("cannot erase a bad block")
+        ppb = self._pages_per_block
+        base = block * ppb
+        # drop payload references (frees the page images); the length and
+        # OOB columns stay as garbage, unreachable through the write pointer
+        flash_die.page_data[base:base + ppb] = self._erased_block
+        extras = flash_die.page_extra
+        if extras:
+            for index in range(base, base + flash_die.block_wp[block]):
+                extras.pop(index, None)
+        flash_die.block_wp[block] = 0
+        flash_die.block_reads[block] = 0
+        cycles = flash_die.block_erases[block] + 1
+        flash_die.block_erases[block] = cycles
+        if cycles >= self._max_pe_cycles:
+            flash_die.block_bad[block] = 1
         if self.faults is not None:
             self.faults.after_erase(self, die, block)
         start, end = self._die_timelines[die].reserve(at, self._erase_us)
@@ -279,7 +370,7 @@ class FlashDevice:
 
     def max_erase_count(self) -> int:
         """Highest per-block erase count anywhere on the device."""
-        return max((b.erase_count for die in self.dies for b in die.blocks), default=0)
+        return max(max(die.block_erases) for die in self.dies)
 
     def total_erase_count(self) -> int:
         """Sum of erase counts over the whole device."""
@@ -294,3 +385,16 @@ class FlashDevice:
         """Busy fraction of each channel over ``[0, horizon]`` (default: now)."""
         h = self.clock.now if horizon is None else horizon
         return [ch.utilization(h) for ch in self.channels]
+
+
+def _program_refusal(page: int, write_pointer: int, pages_per_block: int) -> ProgramError:
+    """What NAND says to a program of ``page`` into a block whose next
+    programmable page is ``write_pointer``."""
+    if page < write_pointer:
+        return ProgramError(f"page {page} already programmed since last erase")
+    if page >= pages_per_block:
+        return ProgramError(f"page {page} is past the block's {pages_per_block} pages")
+    return ProgramError(
+        f"out-of-order program: page {page}, expected page {write_pointer} "
+        "(NAND requires sequential programming within a block)"
+    )

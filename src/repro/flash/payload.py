@@ -3,7 +3,8 @@
 The device is content-agnostic.  A payload is either ``bytes`` or a
 :class:`DeferredImage`, and every program path stores it as given: READ
 PAGE and COPYBACK return that very object, and the statistics count its
-``len()``.  Nothing in the simulator looks inside a page, so an image that
+length, which PROGRAM measures once (for an image, from the length it
+carries, without calling ``__len__``).  Nothing in the simulator looks inside a page, so an image that
 is never read back never needs its bytes.
 
 A :class:`DeferredImage` is how the buffer pool writes a page back: an

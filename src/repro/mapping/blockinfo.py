@@ -420,14 +420,15 @@ class DieBookkeeping:
         self._gc_valid[block] = self.pages_per_block
 
     def adopt_factory_bad_blocks(self, device_die: "Die") -> None:
-        """Mirror a device die's factory bad-block marks into the books.
+        """Mirror a device die's bad-block marks into the books.
 
-        Every management layer does this once at attach time; ``device_die``
-        only needs a ``blocks`` sequence whose entries expose ``is_bad``.
+        Every management layer does this once at attach time (the factory
+        marks), and crash recovery again after :meth:`reset_all` (grown bad
+        blocks too); ``device_die`` only needs a ``bad_blocks()`` that lists
+        the retired block indices.
         """
-        for b, blk in enumerate(device_die.blocks):
-            if blk.is_bad:
-                self.mark_bad(b)
+        for block in device_die.bad_blocks():
+            self.mark_bad(block)
 
     def take_free_block(self) -> BlockInfo:
         """Pop a free block and mark it OPEN (for a write frontier).

@@ -265,7 +265,7 @@ class FlashSpaceEngine:
         charged to the device timelines asynchronously, like GC.  Counts
         as wear-levelling work in the statistics.
         """
-        reads = self.device.dies[die_index].blocks[block].reads_since_erase
+        reads = self.device.dies[die_index].reads_since_erase(block)
         if reads < self.read_disturb_threshold:
             return
         info = self.books[die_index].blocks[block]
@@ -565,7 +565,7 @@ class FlashSpaceEngine:
         *device*; the management layer must mirror that or the next program
         into it would fail."""
         books = self.books[die_index]
-        if self.device.dies[die_index].blocks[block].is_bad:
+        if self.device.dies[die_index].is_bad(block):
             books.reset_after_erase(block)
             books.mark_bad(block)
         else:
@@ -590,7 +590,7 @@ class FlashSpaceEngine:
         die_base = die_index * self._pages_per_die
         src_base = die_base + src_block * ppb
         copyback = self.device.copyback_packed
-        source = self.device.dies[die_index].blocks[src_block]
+        source_die = self.device.dies[die_index]
         books = self.books[die_index]
         written = books._written
         gc_frontier = self._gc_frontier
@@ -615,7 +615,7 @@ class FlashSpaceEngine:
                         stats.gc_copybacks += 1
                 except CopybackError:
                     data, at = self._read_for_relocation(die_index, src_block, src_page, at)
-                    lpn, seq, obj, extra = source.oob(src_page)
+                    lpn, seq, obj, extra = source_die.oob(src_block, src_page)
                     try:
                         at = self.device.program_page_packed(
                             die_index, block, page, data, lpn, seq, obj, at, extra
@@ -674,7 +674,7 @@ class FlashSpaceEngine:
         self.books[die_index].seal(block)
         moved = frontier.valid_count
         at = self._relocate(die_index, block, frontier.valid_pages(), at)
-        self.device.dies[die_index].blocks[block].mark_bad()
+        self.device.dies[die_index].mark_bad(block)
         self.books[die_index].mark_bad(block)
         faults = self.device.faults
         if faults is not None:
@@ -728,12 +728,12 @@ class FlashSpaceEngine:
         if not fulls:
             return at
         move = self.wl_policy.choose_move(
-            frees, fulls, lambda b: die.blocks[b.block].erase_count
+            frees, fulls, lambda b: die.erase_count(b.block)
         )
         if move is None:
             return at
         worn_free, cold = move
-        spread = die.blocks[worn_free.block].erase_count - die.blocks[cold.block].erase_count
+        spread = die.erase_count(worn_free.block) - die.erase_count(cold.block)
         if spread <= self.wear_level_threshold:
             return at
         target = books.take_block(worn_free.block)
@@ -864,15 +864,14 @@ class FlashSpaceEngine:
             device_die = self.device.dies[die_index]
             books = self.books[die_index]
             books.reset_all()
-            for block_index, block in enumerate(device_die.blocks):
-                if block.is_bad:
-                    books.mark_bad(block_index)
-                    continue
-                if block.write_pointer == 0:
+            books.adopt_factory_bad_blocks(device_die)  # and the grown ones
+            for block_index in range(self.device.geometry.blocks_per_die):
+                written = device_die.write_pointer(block_index)
+                if written == 0 or device_die.is_bad(block_index):
                     continue
                 books.take_block(block_index)
                 block_base = die_index * ppd + block_index * ppb
-                for page in range(block.write_pointer):
+                for page in range(written):
                     meta, __, at = self.device.read_metadata(die_index, block_index, page, at)
                     books.note_write(block_index, page, at)
                     key = None if meta is None else meta.lpn

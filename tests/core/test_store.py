@@ -41,7 +41,7 @@ class TestConstruction:
         store = NoFTLStore.create(
             geometry(), timing=instant_timing(), initial_bad_block_rate=0.2, seed=3
         )
-        bad = sum(1 for d in store.device.dies for b in d.blocks if b.is_bad)
+        bad = sum(len(d.bad_blocks()) for d in store.device.dies)
         assert bad > 0
 
 

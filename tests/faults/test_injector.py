@@ -151,7 +151,7 @@ class TestProgramFault:
         assert stats.redrive_writes == 1
         assert stats.salvage_relocations == 4  # the open block's pages moved out
         # the failing block is bad on the device AND in the bookkeeping
-        assert engine.device.dies[die].blocks[block].is_bad
+        assert engine.device.dies[die].is_bad(block)
         assert engine.books[die].blocks[block].state is BlockState.BAD
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
@@ -228,7 +228,7 @@ class TestWearOutInjection:
         ]
         assert len(bad) == 1
         die, block = bad[0]
-        assert engine.device.dies[die].blocks[block].is_bad
+        assert engine.device.dies[die].is_bad(block)
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
         assert stats.accounting_closes()

@@ -4,6 +4,7 @@ Every command has one form, on integer coordinates ``(die, block, page)``;
 ``-1`` marks an unset OOB field and ``seq = -1`` programs no OOB record.
 """
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from repro.flash import (
     CopybackError,
     DataError,
     FlashDevice,
+    FlashGeometry,
     PageMetadata,
     ReadError,
     TimingModel,
@@ -31,15 +33,16 @@ def program(device, die=0, block=0, page=0, data=b"x", lpn=-1, seq=-1, obj_id=-1
 
 
 def device_state(device):
-    """Everything a command may touch: block columns, stats, timelines, clock."""
+    """Everything a command may touch: die columns, stats, timelines, clock."""
     return {
-        "blocks": [
+        "dies": [
             (
-                list(b._data), list(b._lpn), list(b._seq), list(b._obj), dict(b._extra),
-                b.write_pointer, b.erase_count, b.reads_since_erase, b.is_bad,
+                list(d.page_data), list(d.page_length), list(d.page_lpn), list(d.page_seq),
+                list(d.page_obj), dict(d.page_extra),
+                list(d.block_wp), list(d.block_erases), list(d.block_reads),
+                bytes(d.block_bad),
             )
-            for die in device.dies
-            for b in die.blocks
+            for d in device.dies
         ],
         "stats": device.stats.snapshot(),
         "timelines": [
@@ -182,7 +185,7 @@ class TestTimingAndContention:
         program(device, block=1, data=b"busy", at=4.0)
         data, start, end = device.read_page_packed(0, 0, 0, 5.0)
         assert data == b"src" and start > 5.0  # queued behind the program
-        assert device.dies[0].blocks[0].reads_since_erase == 1
+        assert device.dies[0].reads_since_erase(0) == 1
         assert device.stats.reads == 1 and device.clock.now == end
         # the read's array slot is the die's last, its transfer the channel's last
         die, channel = device.dies[0].timeline, device.channels[0]
@@ -235,7 +238,7 @@ class TestReadFaults:
         "spoil,page,error",
         [
             pytest.param(lambda d: None, 1, ReadError, id="unprogrammed-page"),
-            pytest.param(lambda d: d.dies[0].blocks[0].mark_bad(), 0, BadBlockError,
+            pytest.param(lambda d: d.dies[0].mark_bad(0), 0, BadBlockError,
                          id="bad-block"),
         ],
     )
@@ -253,8 +256,8 @@ class TestWearAndBadBlocks:
         g = small_geometry()
         d1 = FlashDevice(g, initial_bad_block_rate=0.25, seed=7)
         d2 = FlashDevice(g, initial_bad_block_rate=0.25, seed=7)
-        bad1 = [b.is_bad for die in d1.dies for b in die.blocks]
-        bad2 = [b.is_bad for die in d2.dies for b in die.blocks]
+        bad1 = [die.bad_blocks() for die in d1.dies]
+        bad2 = [die.bad_blocks() for die in d2.dies]
         assert bad1 == bad2
         assert any(bad1)
 
@@ -276,3 +279,21 @@ class TestWearAndBadBlocks:
         utils = device.die_utilizations()
         assert utils[0] > 0
         assert utils[3] == 0
+
+
+class TestConstructionCost:
+    def test_a_device_build_adds_objects_per_die_not_per_block(self):
+        # Killed by: any object per erase block (or per page) that the
+        # cyclic collector tracks — a block record, a per-block list.
+        geometry = FlashGeometry(
+            channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=1,
+            blocks_per_plane=256, pages_per_block=4,
+        )
+        blocks = geometry.dies * geometry.blocks_per_die
+        assert blocks > 10 * geometry.dies * 20
+        gc.collect()
+        before = len(gc.get_objects())
+        device = FlashDevice(geometry)
+        added = len(gc.get_objects()) - before
+        assert added <= 20 * geometry.dies, added
+        assert len(device.dies) == geometry.dies

@@ -149,7 +149,7 @@ class TestWearLeveling:
 
     def test_wear_leveling_narrows_erase_spread(self):
         def spread(ftl):
-            counts = [b.erase_count for die in ftl.device.dies for b in die.blocks]
+            counts = [c for counts in ftl.device.erase_counts() for c in counts]
             return max(counts) - min(counts)
 
         churn = lambda f: [f.write(16 + (i % 4), b"x") for i in range(f.geometry.total_pages * 12)]

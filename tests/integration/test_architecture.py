@@ -56,7 +56,8 @@ class TestNoFTLStack:
         # page metadata carries logical identity (native interface feature)
         die = region.dies[0]
         block = next(
-            b for b, blk in enumerate(db.device.dies[die].blocks) if blk.write_pointer > 0
+            b for b in range(db.device.geometry.blocks_per_die)
+            if db.device.dies[die].write_pointer(b) > 0
         )
         meta, __, __ = db.device.read_metadata(die, block, 0, t)
         assert meta is not None and meta.lpn is not None

@@ -100,12 +100,14 @@ class TestPhysicalPages:
 
         for die in engine.dies:  # factory marks, as every management layer adopts them
             engine.books[die].adopt_factory_bad_blocks(device.dies[die])
-        factory = sum(blk.is_bad for d in engine.dies for blk in device.dies[d].blocks)
+        factory = sum(len(device.dies[d].bad_blocks()) for d in engine.dies)
         assert factory > 0, "seed 5 produced no factory bad blocks on dies 1-2; adjust"
         assert engine.physical_pages() == scanned_physical_pages(engine)
         assert engine.physical_pages() == all_good - factory * per_block
 
-        good = next(b for b, blk in enumerate(device.dies[1].blocks) if not blk.is_bad)
+        good = next(
+            b for b in range(device.geometry.blocks_per_die) if not device.dies[1].is_bad(b)
+        )
         engine.books[1].mark_bad(good)
         engine.books[1].mark_bad(good)  # twice is still one block
         assert engine.physical_pages() == scanned_physical_pages(engine)

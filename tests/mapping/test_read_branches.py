@@ -60,9 +60,9 @@ def observed(engine, injector=None):
         "clock": device.clock.now,
         "packed_by_key": [packed for __, packed in sorted(engine._map.items())],
         "reads_since_erase": nonzero({
-            (die.index, b): block.reads_since_erase
+            (die.index, b): reads
             for die in device.dies
-            for b, block in enumerate(die.blocks)
+            for b, reads in enumerate(die.block_reads)
         }),
     }
 

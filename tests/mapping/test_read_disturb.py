@@ -32,12 +32,12 @@ class TestBlockCounter:
 
         device = FlashDevice(small_geometry(), timing=instant_timing())
         device.program_page_packed(0, 0, 0, b"x", -1, -1, -1, 0.0)
-        block = device.dies[0].blocks[0]
+        die = device.dies[0]
         for __ in range(3):
             device.read_page_packed(0, 0, 0, 0.0)
-        assert block.reads_since_erase == 3
+        assert die.reads_since_erase(0) == 3
         device.erase_block_packed(0, 0, 0.0)
-        assert block.reads_since_erase == 0
+        assert die.reads_since_erase(0) == 0
 
 
 class TestRefresh:

@@ -61,14 +61,14 @@ def assert_frontiers_skip_bad(engine):
     """No frontier — user, GC or group — may sit on a retired block."""
     for die, info in engine._user_frontier.items():
         if info is not None:
-            assert not engine.device.dies[die].blocks[info.block].is_bad
+            assert not engine.device.dies[die].is_bad(info.block)
     for die, info in engine._gc_frontier.items():
         if info is not None:
-            assert not engine.device.dies[die].blocks[info.block].is_bad
+            assert not engine.device.dies[die].is_bad(info.block)
     for stripe, __ in engine._groups.values():
         for info in stripe:
             if info is not None:
-                assert not engine.device.dies[info.die].blocks[info.block].is_bad
+                assert not engine.device.dies[info.die].is_bad(info.block)
 
 
 class TestRetireDuringGC:
@@ -95,7 +95,7 @@ class TestRetireDuringGC:
         retired = bad_blocks(engine)
         assert len(retired) == 2
         for die, block in retired:
-            assert engine.device.dies[die].blocks[block].is_bad
+            assert engine.device.dies[die].is_bad(block)
         assert_frontiers_skip_bad(engine)
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
@@ -147,7 +147,7 @@ class TestFactoryBadBlocks:
             geometry, timing=instant_timing(), initial_bad_block_rate=0.15, seed=11
         )
         factory_bad = sum(
-            1 for die in store.device.dies for blk in die.blocks if blk.is_bad
+            len(die.bad_blocks()) for die in store.device.dies
         )
         assert factory_bad > 0, "seed 11 produced no factory bad blocks; adjust"
         region = store.create_region(RegionConfig(name="rg"), num_dies=4)

@@ -85,9 +85,8 @@ class TestWearOut:
         for die_index in engine.dies:
             device_die = engine.device.dies[die_index]
             books = engine.books[die_index]
-            for b, blk in enumerate(device_die.blocks):
-                if blk.is_bad:
-                    assert books.blocks[b].state is BlockState.BAD
+            for b in device_die.bad_blocks():
+                assert books.blocks[b].state is BlockState.BAD
 
     def test_capacity_shrinks_as_blocks_retire(self):
         engine = make_engine(max_pe_cycles=6)
