@@ -77,14 +77,14 @@ def test_fig3_tpcc(benchmark):
             f"  {name:<14} host R/W {stats['host_reads']:>8.0f}/{stats['host_writes']:>8.0f}"
             f"  GC copybacks {stats['gc_copybacks']:>7.0f}  erases {stats['gc_erases']:>6.0f}"
         )
-    wa_t = 1 + traditional.row("gc_copybacks") / traditional.row("host_writes")
-    wa_r = 1 + regions.row("gc_copybacks") / regions.row("host_writes")
+    wa_t = traditional.row("mgmt.write_amplification")
+    wa_r = regions.row("mgmt.write_amplification")
     lines.append("")
     lines.append(f"write amplification: traditional {wa_t:.3f}, regions {wa_r:.3f}")
 
     def victim_quality(result):
         erases = result.row("gc_erases")
-        return result.row("gc_victim_valid_pages") / erases if erases else 0.0
+        return result.row("mgmt.gc_victim_valid_pages") / erases if erases else 0.0
 
     lines.append(
         "live pages per GC victim (hot/cold mixing measure): "

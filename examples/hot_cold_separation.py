@@ -47,17 +47,16 @@ def run(separated: bool, writes: int = 20_000) -> dict:
         t = cold_region.write(p, payload, t)
 
     rng = random.Random(7)
-    start = t
-    base_cb = sum(r.stats.gc_copybacks for r in store.regions())
-    base_er = sum(r.stats.gc_erases for r in store.regions())
+    start, window_start = t, store.metrics_registry().mark()
     for __ in range(writes):
         if rng.random() < 0.9:
             t = hot_region.write(rng.choice(hot_pages), payload, t)
         else:
             t = cold_region.write(rng.choice(cold_pages), payload, t)
+    window = store.metrics_registry().snapshot(since=window_start)
     return {
-        "copybacks": sum(r.stats.gc_copybacks for r in store.regions()) - base_cb,
-        "erases": sum(r.stats.gc_erases for r in store.regions()) - base_er,
+        "copybacks": window["mgmt.gc_copybacks"],
+        "erases": window["mgmt.gc_erases"],
         "writes_per_s": writes / ((t - start) / 1e6),
     }
 

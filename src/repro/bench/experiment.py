@@ -6,8 +6,8 @@ geometry, population scale, driver parameters and measurement budget.
 Device, population and buffer have no defaults: every experiment is a
 named entry of :mod:`repro.bench.catalogue`.
 :func:`run_tpcc_experiment` builds the stack, loads the database,
-checkpoints, snapshots every counter, runs the driver and returns the
-Figure 3 measurement set as deltas over the measured window only.  A cell
+marks the metric registry, runs the driver and returns the driver's
+summary with the registry snapshot of the measured window only.  A cell
 is resumable (:class:`_Cell`): the placement-profiling run is the first
 transactions of the traditional cell, which continues it.
 """
@@ -22,7 +22,6 @@ from repro.bench.errors import BenchConfigError
 from repro.db.database import Database
 from repro.flash.geometry import FlashGeometry
 from repro.mapping.engine import die_reserve_blocks
-from repro.obs.collect import combined_management_stats
 from repro.obs.export import JsonDict
 from repro.flash.timing import TimingModel
 from repro.tpcc.driver import Driver
@@ -31,7 +30,6 @@ from repro.tpcc.schema import ScaleConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.advisor import ObjectStats
-    from repro.mapping.stats import ManagementStats
     from repro.faults.plan import FaultPlan
 
 
@@ -86,113 +84,79 @@ class TPCCExperimentConfig:
     fault_plan: "FaultPlan | None" = None
 
 
+#: (label, document key, source, higher_is_better) — the exact Figure 3
+#: row set.  ``source`` is the window key a row reads (``mgmt.*``), or the
+#: key of the driver's summary (:meth:`TPCCExperimentResult.row`).
+FIGURE3_ROWS: tuple[tuple[str, str, str, bool], ...] = (
+    ("TPS", "tps", "tps", True),
+    ("READ 4KB (us)", "read_latency_us", "mgmt.host_read_latency_mean_us", False),
+    ("READ 4KB p99 (us)", "read_latency_p99_us", "mgmt.host_read_latency_p99_us", False),
+    ("WRITE 4KB (us)", "write_latency_us", "mgmt.host_write_latency_mean_us", False),
+    ("WRITE 4KB p99 (us)", "write_latency_p99_us", "mgmt.host_write_latency_p99_us", False),
+    ("NewOrder TRX (ms)", "NewOrder_ms", "NewOrder_ms", False),
+    ("Payment TRX (ms)", "Payment_ms", "Payment_ms", False),
+    ("StockLevel TRX (ms)", "StockLevel_ms", "StockLevel_ms", False),
+    ("Transactions", "transactions", "transactions", True),
+    ("Host READ I/Os", "host_reads", "mgmt.host_reads", True),
+    ("Host WRITE I/Os", "host_writes", "mgmt.host_writes", True),
+    ("GC COPYBACKs", "gc_copybacks", "mgmt.gc_copybacks", False),
+    ("GC ERASEs", "gc_erases", "mgmt.gc_erases", False),
+)
+
+_FIGURE3_SOURCES = {key: source for __, key, source, __ in FIGURE3_ROWS}
+
+
 @dataclass
 class TPCCExperimentResult:
-    """Measured window of one experiment (all values are run-only deltas)."""
+    """The measured window of one experiment cell.
+
+    ``workload`` is the driver's summary (TPS, transaction latencies);
+    ``window`` is the registry snapshot of the window alone
+    (:meth:`~repro.obs.registry.MetricRegistry.snapshot` since the mark
+    taken after load), so no key of it counts load I/O.
+    """
 
     config: TPCCExperimentConfig
     workload: dict[str, float]
-    storage: dict[str, float]
-    device: dict[str, float]
-    per_region: dict[str, dict[str, float]]
+    window: dict[str, float]
     load_time_us: float
-    registry: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def storage(self) -> dict[str, float]:
+        """The window's ``mgmt.*`` keys, unprefixed: a read-only view that
+        ``benchmarks/e2e/workloads.py`` reads (``storage["gc_copybacks"]``)."""
+        return {
+            key.removeprefix("mgmt."): value
+            for key, value in self.window.items()
+            if key.startswith("mgmt.")
+        }
+
+    @property
+    def per_region(self) -> dict[str, dict[str, float]]:
+        """The window's ``region.<name>.*`` keys, grouped by region."""
+        grouped: dict[str, dict[str, float]] = {}
+        for key, value in self.window.items():
+            if key.startswith("region."):
+                __, name, local = key.split(".", 2)
+                grouped.setdefault(name, {})[local] = value
+        return grouped
 
     def row(self, key: str) -> float:
-        """Convenience lookup across the three stat groups."""
-        for group in (self.workload, self.storage, self.device):
-            if key in group:
-                return group[key]
-        raise KeyError(key)
+        """A Figure 3 cell by its document key, else a window or workload
+        value by its own key."""
+        source = _FIGURE3_SOURCES.get(key, key)
+        return self.window[source] if source in self.window else self.workload[source]
 
     def metrics(self) -> dict[str, JsonDict]:
         """This run's sections of a ``repro.obs/v1`` metrics document.
 
         ``figure3`` holds exactly the printed Figure 3 rows (same values
-        as :meth:`row`), ``regions`` the per-region window deltas, and
-        ``registry`` the end-of-run namespaced registry snapshot (note:
-        cumulative over load + run, not a window delta).
+        as :meth:`row`) and ``registry`` is the window.
         """
-        from repro.bench.reporting import FIGURE3_ROWS
-
-        sections: dict[str, JsonDict] = {
-            "figure3": {key: float(self.row(key)) for __, key, __ in FIGURE3_ROWS},
+        return {
+            "figure3": {key: float(self.row(key)) for __, key, __, __ in FIGURE3_ROWS},
+            "registry": dict(self.window),
         }
-        if self.per_region:
-            sections["regions"] = {
-                name: dict(counters) for name, counters in self.per_region.items()
-            }
-        if self.registry:
-            sections["registry"] = dict(self.registry)
-        return sections
-
-
-def _storage_counters(db: Database) -> dict[str, float]:
-    """Management counters incl. latency totals (delta-able)."""
-    if db.store is not None:
-        return _management_counters(combined_management_stats(db.store.regions()))
-    assert db.ftl is not None
-    return _management_counters(db.ftl.stats)
-
-
-def _management_counters(stats: ManagementStats) -> dict[str, float]:
-    return {
-        "host_reads": stats.host_reads,
-        "host_writes": stats.host_writes,
-        "gc_copybacks": stats.gc_copybacks,
-        "gc_reads": stats.gc_reads,
-        "gc_programs": stats.gc_programs,
-        "gc_erases": stats.gc_erases,
-        "gc_victim_valid_pages": stats.gc_victim_valid_pages,
-        "wl_moves": stats.wl_moves,
-        "wl_erases": stats.wl_erases,
-        "trans_reads": stats.trans_reads,
-        "trans_writes": stats.trans_writes,
-        "read_latency_total_us": stats.host_read_latency.total_us,
-        "read_latency_count": stats.host_read_latency.count,
-        "write_latency_total_us": stats.host_write_latency.total_us,
-        "write_latency_count": stats.host_write_latency.count,
-        "read_latency_buckets": list(stats.host_read_latency.buckets),
-        "write_latency_buckets": list(stats.host_write_latency.buckets),
-    }
-
-
-def _device_counters(db: Database) -> dict[str, float]:
-    stats = db.device.stats
-    return {
-        "flash_reads": stats.reads,
-        "flash_programs": stats.programs,
-        "flash_erases": stats.erases,
-        "flash_copybacks": stats.copybacks,
-    }
-
-
-def _delta(after: dict[str, float], before: dict[str, float]) -> dict[str, float]:
-    result: dict[str, float] = {}
-    for key, value in after.items():
-        prior = before.get(key)
-        if isinstance(value, list):
-            prior = prior or [0] * len(value)
-            result[key] = [a - b for a, b in zip(value, prior)]
-        else:
-            result[key] = value - (prior or 0.0)
-    return result
-
-
-def _derive_latencies(storage: dict[str, float]) -> None:
-    """Turn latency total/count/bucket deltas into window means and p99 (µs)."""
-    from repro.flash.stats import percentile_from_buckets
-
-    reads = storage.pop("read_latency_count")
-    read_total = storage.pop("read_latency_total_us")
-    writes = storage.pop("write_latency_count")
-    write_total = storage.pop("write_latency_total_us")
-    read_buckets = storage.pop("read_latency_buckets")
-    write_buckets = storage.pop("write_latency_buckets")
-    storage["read_latency_us"] = read_total / reads if reads else 0.0
-    storage["write_latency_us"] = write_total / writes if writes else 0.0
-    storage["read_latency_p99_us"] = percentile_from_buckets(read_buckets, 0.99)
-    storage["write_latency_p99_us"] = percentile_from_buckets(write_buckets, 0.99)
 
 
 def build_database(config: TPCCExperimentConfig) -> Database:
@@ -229,7 +193,7 @@ class _Cell:
     """One TPC-C cell as a resumable run.
 
     Construction builds the stack, loads it, attaches the fault plan and
-    snapshots the counters the measured window is a delta over; the cell
+    marks the registry where the measured window starts; the cell
     owns the :class:`Driver`.  :meth:`advance` runs the stream to a budget
     (totals since the window opened) and :meth:`result` reads the window.
     A fresh cell is a cell paused at zero transactions.
@@ -246,13 +210,7 @@ class _Cell:
 
             # attached after load: plan op numbers count from the measured run
             db.device.attach_fault_injector(FaultInjector(config.fault_plan))
-        self._storage_before = _storage_counters(db)
-        self._device_before = _device_counters(db)
-        self._region_before = (
-            {r.name: _management_counters(r.stats) for r in db.store.regions()}
-            if db.store is not None
-            else {}
-        )
+        self._window_start = db.metrics_registry().mark()
         self.driver = Driver(db, config.scale, terminals=config.terminals, seed=config.seed)
 
     def advance(self) -> None:
@@ -268,23 +226,13 @@ class _Cell:
     def result(self) -> TPCCExperimentResult:
         """The Figure 3 stat set of the window so far."""
         db = self.db
-        storage = _delta(_storage_counters(db), self._storage_before)
-        _derive_latencies(storage)
-        per_region = {}
         if db.store is not None:
-            for region in db.store.regions():
-                delta = _delta(_management_counters(region.stats), self._region_before[region.name])
-                _derive_latencies(delta)
-                per_region[region.name] = delta
             db.store.check_consistency()
         return TPCCExperimentResult(
             config=self.config,
             workload=self.driver.metrics.summary(),
-            storage=storage,
-            device=_delta(_device_counters(db), self._device_before),
-            per_region=per_region,
+            window=db.metrics_registry().snapshot(since=self._window_start),
             load_time_us=self.load_end,
-            registry=db.metrics_registry().snapshot(),
         )
 
 

@@ -9,25 +9,8 @@ from __future__ import annotations
 
 import os
 
-from repro.bench.experiment import TPCCExperimentResult
+from repro.bench.experiment import FIGURE3_ROWS, TPCCExperimentResult
 from repro.obs.export import JsonDict
-
-#: (label, result key, higher_is_better) — the exact Figure 3 row set.
-FIGURE3_ROWS: tuple[tuple[str, str, bool], ...] = (
-    ("TPS", "tps", True),
-    ("READ 4KB (us)", "read_latency_us", False),
-    ("READ 4KB p99 (us)", "read_latency_p99_us", False),
-    ("WRITE 4KB (us)", "write_latency_us", False),
-    ("WRITE 4KB p99 (us)", "write_latency_p99_us", False),
-    ("NewOrder TRX (ms)", "NewOrder_ms", False),
-    ("Payment TRX (ms)", "Payment_ms", False),
-    ("StockLevel TRX (ms)", "StockLevel_ms", False),
-    ("Transactions", "transactions", True),
-    ("Host READ I/Os", "host_reads", True),
-    ("Host WRITE I/Os", "host_writes", True),
-    ("GC COPYBACKs", "gc_copybacks", False),
-    ("GC ERASEs", "gc_erases", False),
-)
 
 
 def format_value(value: float) -> str:
@@ -60,7 +43,7 @@ def figure3_table(
 ) -> str:
     """Render the full Figure 3 comparison from two experiment results."""
     rows = [
-        (label, traditional.row(key), regions.row(key)) for label, key, __ in FIGURE3_ROWS
+        (label, traditional.row(key), regions.row(key)) for label, key, __, __ in FIGURE3_ROWS
     ]
     return render_table(
         "Figure 3 - traditional vs multi-region data placement (simulated)",
@@ -76,8 +59,8 @@ def figure3_metrics_doc(
     """The ``repro.obs/v1`` document carrying the same numbers as the table.
 
     Every value in the ``figure3`` sections equals the corresponding
-    :func:`figure3_table` cell; ``regions`` sections carry the per-region
-    window deltas, ``registry`` the namespaced end-of-run snapshots.
+    :func:`figure3_table` cell; each ``registry`` section is that cell's
+    measured window (per-region keys under ``region.<name>.``).
     """
     from repro.obs.export import metrics_doc
 
@@ -118,7 +101,7 @@ def render_metrics_doc(doc: JsonDict) -> str:
         a, b = fig3_names
         rows = [
             (label, configs[a]["figure3"][key], configs[b]["figure3"][key])
-            for label, key, __ in FIGURE3_ROWS
+            for label, key, __, __ in FIGURE3_ROWS
             if key in configs[a]["figure3"] and key in configs[b]["figure3"]
         ]
         parts.append(

@@ -112,19 +112,33 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticResult:
-    """Outcome of one synthetic run."""
+    """Outcome of one synthetic run: its measured write phase.
+
+    ``window`` is the registry snapshot of that phase alone (preload
+    excluded, :meth:`~repro.obs.registry.MetricRegistry.snapshot` since
+    the mark taken after it); the GC counts below are read from it.
+    """
 
     name: str
-    copybacks: int
-    erases: int
     duration_s: float
     writes: int
-    registry: dict[str, float] = field(default_factory=dict)
+    window: dict[str, float]
+
+    @property
+    def copybacks(self) -> int:
+        """Pages GC relocated by COPYBACK in the window."""
+        return int(self.window["mgmt.gc_copybacks"])
+
+    @property
+    def erases(self) -> int:
+        """Blocks GC erased in the window."""
+        return int(self.window["mgmt.gc_erases"])
 
     @property
     def write_amplification(self) -> float:
-        """1 + relocated pages per host write."""
-        return 1.0 + self.copybacks / self.writes if self.writes else 0.0
+        """The window's ``mgmt.write_amplification``: pages written (host,
+        GC and WL moves, translation pages) per host write."""
+        return self.window["mgmt.write_amplification"]
 
     @property
     def writes_per_second(self) -> float:
@@ -144,11 +158,10 @@ class SyntheticResult:
     def metrics(self) -> dict[str, JsonDict]:
         """This run's sections of a ``repro.obs/v1`` metrics document.
 
-        ``summary`` mirrors :meth:`row` (window deltas, unrounded);
-        ``registry`` is the end-of-run namespaced snapshot (cumulative,
-        preload included).
+        ``summary`` mirrors :meth:`row` (unrounded) and ``registry`` is
+        the window.
         """
-        sections: dict[str, JsonDict] = {
+        return {
             "summary": {
                 "copybacks": float(self.copybacks),
                 "erases": float(self.erases),
@@ -156,11 +169,9 @@ class SyntheticResult:
                 "writes_per_second": self.writes_per_second,
                 "writes": float(self.writes),
                 "duration_s": self.duration_s,
-            }
+            },
+            "registry": dict(self.window),
         }
-        if self.registry:
-            sections["registry"] = dict(self.registry)
-        return sections
 
 
 def _die_shares(
@@ -267,9 +278,7 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
     draw, choice = rng.random, rng.choice
     appends = [cls.kind == "append" for cls in config.classes]
     writes = [region.write for region in regions]
-    start_t = t
-    base_cb = sum(r.stats.gc_copybacks for r in store.regions())
-    base_er = sum(r.stats.gc_erases for r in store.regions())
+    start_t, window_start = t, store.metrics_registry().mark()
     for __ in range(config.writes):
         index = bisect_left(cumulative, draw() * total)
         pages = page_sets[index]
@@ -279,14 +288,11 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
             t = writes[index](p, payload, t)
         else:
             t = writes[index](choice(pages), payload, t)
-    name = "separated" if separated else "mixed"
     return SyntheticResult(
-        name=name,
-        copybacks=sum(r.stats.gc_copybacks for r in store.regions()) - base_cb,
-        erases=sum(r.stats.gc_erases for r in store.regions()) - base_er,
+        name="separated" if separated else "mixed",
         duration_s=(t - start_t) / 1e6,
         writes=config.writes,
-        registry=store.metrics_registry().snapshot(),
+        window=store.metrics_registry().snapshot(since=window_start),
     )
 
 
@@ -354,16 +360,12 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
     cumulative = _cumulative_shares(config.classes)
     total = cumulative[-1]
     draw, choice, write = rng.random, rng.choice, dev.write
-    start_t = t
-    base_cb = dev.stats.gc_copybacks
-    base_er = dev.stats.gc_erases
+    start_t, window_start = t, dev.metrics_registry().mark()
     for __ in range(config.writes):
         t = write(choice(lba_sets[bisect_left(cumulative, draw() * total)]), payload, at=t)
     return SyntheticResult(
         name=f"ftl-{ftl}",
-        copybacks=dev.stats.gc_copybacks - base_cb,
-        erases=dev.stats.gc_erases - base_er,
         duration_s=(t - start_t) / 1e6,
         writes=config.writes,
-        registry=dev.metrics_registry().snapshot(),
+        window=dev.metrics_registry().snapshot(since=window_start),
     )

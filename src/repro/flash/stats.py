@@ -18,6 +18,11 @@ from repro.flash.errors import ConfigError
 #: spanning sub-µs CPU blips to multi-second stalls.
 _BUCKET_BOUNDS: tuple[float, ...] = tuple(10 ** (exp / 10.0) for exp in range(0, 71))
 
+#: ``field`` metadata of a stats value that is not a count (a size, an
+#: extreme): a measurement window keeps its end value where it subtracts
+#: every other field (see :meth:`repro.obs.registry.MetricRegistry.snapshot`).
+END_VALUE = {"window": "end"}
+
 
 @dataclass(slots=True)
 class LatencyAccumulator:
@@ -31,8 +36,9 @@ class LatencyAccumulator:
 
     count: int = 0
     total_us: float = 0.0
-    min_us: float = float("inf")
-    max_us: float = 0.0
+    #: extremes of every sample so far; a window keeps them, as bounds on its own
+    min_us: float = field(default=float("inf"), metadata=END_VALUE)
+    max_us: float = field(default=0.0, metadata=END_VALUE)
     buckets: list[int] = field(default_factory=lambda: [0] * (len(_BUCKET_BOUNDS) + 1))
 
     def record(self, latency_us: float) -> None:
@@ -79,17 +85,6 @@ class LatencyAccumulator:
         for index, bucket_count in enumerate(other.buckets):
             self.buckets[index] += bucket_count
 
-    def snapshot(self) -> dict[str, float]:
-        """Flat numeric view (``Snapshottable``): count, mean, range, tails."""
-        return {
-            "count": float(self.count),
-            "mean_us": self.mean_us,
-            "min_us": self.min_us if self.count else 0.0,
-            "max_us": self.max_us,
-            "p50_us": self.percentile_us(0.50),
-            "p99_us": self.percentile_us(0.99),
-        }
-
 
 def percentile_from_buckets(buckets: list[int], fraction: float) -> float:
     """Percentile over a raw bucket-count list (see :class:`LatencyAccumulator`).
@@ -126,7 +121,7 @@ class FlashStats:
     counts as a read).
     """
 
-    dies: int = 0
+    dies: int = field(default=0, metadata=END_VALUE)
     reads: int = 0
     programs: int = 0
     erases: int = 0
@@ -166,15 +161,3 @@ class FlashStats:
             "read_latency_mean_us": self.read_latency_total_us / max(self.reads, 1),
             "program_latency_mean_us": self.program_latency_total_us / max(self.programs, 1),
         }
-
-    _COUNTER_KEYS = ("reads", "programs", "erases", "copybacks", "bytes_read", "bytes_written")
-
-    def delta(self, earlier: "FlashStats") -> dict[str, float]:
-        """Counter difference ``self - earlier`` for windowed measurement.
-
-        Only pure counters are differenced; latency means are not additive
-        and are excluded.
-        """
-        now = self.snapshot()
-        before = earlier.snapshot()
-        return {key: now[key] - before[key] for key in self._COUNTER_KEYS}

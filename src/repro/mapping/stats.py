@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.flash.stats import LatencyAccumulator
+from repro.flash.stats import LatencyAccumulator, percentile_from_buckets
 
 
 @dataclass
@@ -70,7 +70,10 @@ class ManagementStats:
 
         Local keys; the :class:`~repro.obs.registry.MetricRegistry`
         namespaces them (``mgmt.*`` for layer totals,
-        ``region.<name>.*`` for per-region breakdowns).
+        ``region.<name>.*`` for per-region breakdowns).  Every value is
+        a counter or derived from counters only (p99 from the bucket
+        counts, not the observed maximum), so the same code reads a
+        measurement window.
         """
         return {
             "host_reads": self.host_reads,
@@ -87,4 +90,10 @@ class ManagementStats:
             "write_amplification": self.write_amplification,
             "host_read_latency_mean_us": self.host_read_latency.mean_us,
             "host_write_latency_mean_us": self.host_write_latency.mean_us,
+            "host_read_latency_p99_us": percentile_from_buckets(
+                self.host_read_latency.buckets, 0.99
+            ),
+            "host_write_latency_p99_us": percentile_from_buckets(
+                self.host_write_latency.buckets, 0.99
+            ),
         }

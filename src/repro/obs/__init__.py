@@ -4,9 +4,10 @@ The paper's whole argument is told through counters (Figure 3: host
 READ/WRITE I/Os, GC COPYBACKs, GC ERASEs, latency distributions).  This
 package is the single surface that collects, namespaces and exports them:
 
-* :class:`MetricRegistry` — counters, gauges, latency histograms and
-  mounted stats *sources* under dotted keys (``flash.erases``,
-  ``mgmt.gc_copybacks``, ``region.rgHot.host_writes``, ``db.buffer.hits``).
+* :class:`MetricRegistry` — mounted stats *sources* and gauges under
+  dotted keys (``flash.erases``, ``mgmt.gc_copybacks``,
+  ``region.rgHot.host_writes``, ``db.buffer.hits``); its snapshot is
+  cumulative, or a measured window (``snapshot(since=registry.mark())``).
 * Exporters — :func:`dump_json` (the one ``--json`` serializer),
   :func:`metrics_doc` + :func:`validate_metrics_doc` (the ``repro.obs/v1``
   schema), and table renderers fed from the same data.
@@ -40,10 +41,9 @@ from repro.obs.export import (
     validate_metrics_doc,
     validate_snapshot,
 )
-from repro.obs.registry import Counter, Gauge, MetricRegistry
+from repro.obs.registry import Gauge, MetricRegistry
 
 __all__ = [
-    "Counter",
     "FlashStats",
     "Gauge",
     "LatencyAccumulator",

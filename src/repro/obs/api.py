@@ -59,13 +59,11 @@ def prefixed(prefix: str, values: dict[str, float]) -> dict[str, float]:
     return {f"{prefix}.{check_key(key)}": value for key, value in values.items()}
 
 
-#: A metrics source: either a ``Snapshottable`` or a zero-arg callable
-#: returning the same flat dict shape.
-SourceLike = Snapshottable | Callable[[], dict[str, float]]
+#: A metrics source: a ``Snapshottable`` stats object, or a zero-arg
+#: callable returning one (built fresh at each read, like a sum of regions).
+SourceLike = Snapshottable | Callable[[], Snapshottable]
 
 
-def read_source(source: SourceLike) -> dict[str, float]:
-    """Pull one snapshot out of a source (object or callable)."""
-    if callable(source) and not hasattr(source, "snapshot"):
-        return source()
-    return source.snapshot()
+def read_source(source: SourceLike) -> Snapshottable:
+    """The stats object behind a source (object or callable)."""
+    return source() if callable(source) else source

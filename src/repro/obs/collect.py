@@ -11,18 +11,23 @@ under its canonical namespace:
 ``mgmt.*``                management totals (FTL stats, or all regions summed)
 ``region.<name>.*``       per-region breakdowns — the paper's key axis
 ``db.buffer.*``           buffer-pool counters
-``workload.*``            benchmark-driver metrics (mounted by the harness)
 ``faults.*``              fault injection & recovery (when an injector is attached)
 ========================  =====================================================
 
 Everything is mounted as a *source*, read live at ``snapshot()`` time:
-building a registry never copies or perturbs the underlying counters.
+building a registry never perturbs the underlying counters (only a
+window's :meth:`~repro.obs.registry.MetricRegistry.mark` copies them).
+The benchmark driver's numbers (TPS, transaction latencies) are not
+mounted: they are the ``workload`` of an experiment result
+(:meth:`repro.tpcc.metrics.WorkloadMetrics.summary`).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
+from repro.flash.stats import LatencyAccumulator
 from repro.mapping.stats import ManagementStats
 from repro.obs.registry import MetricRegistry
 
@@ -40,20 +45,12 @@ def combined_management_stats(regions: Iterable[Region]) -> ManagementStats:
     """Sum per-region :class:`ManagementStats` into one (latencies merged)."""
     total = ManagementStats()
     for region in regions:
-        stats = region.stats
-        total.host_reads += stats.host_reads
-        total.host_writes += stats.host_writes
-        total.gc_copybacks += stats.gc_copybacks
-        total.gc_reads += stats.gc_reads
-        total.gc_programs += stats.gc_programs
-        total.gc_erases += stats.gc_erases
-        total.gc_victim_valid_pages += stats.gc_victim_valid_pages
-        total.wl_moves += stats.wl_moves
-        total.wl_erases += stats.wl_erases
-        total.trans_reads += stats.trans_reads
-        total.trans_writes += stats.trans_writes
-        total.host_read_latency.merge(stats.host_read_latency)
-        total.host_write_latency.merge(stats.host_write_latency)
+        for f in fields(ManagementStats):
+            mine, theirs = getattr(total, f.name), getattr(region.stats, f.name)
+            if isinstance(mine, LatencyAccumulator):
+                mine.merge(theirs)
+            else:
+                setattr(total, f.name, mine + theirs)
     return total
 
 
@@ -70,9 +67,7 @@ def registry_for_store(store: NoFTLStore) -> MetricRegistry:
     """Registry over a :class:`~repro.core.store.NoFTLStore` stack."""
     registry = MetricRegistry()
     _mount_device(registry, store.device)
-    registry.register_source(
-        "mgmt", lambda: combined_management_stats(store.regions()).snapshot()
-    )
+    registry.register_source("mgmt", lambda: combined_management_stats(store.regions()))
     for region in store.regions():
         registry.register_source(f"region.{region.name}", region.stats)
     return registry

@@ -13,12 +13,15 @@ regardless of which experiment produced the numbers:
       "configs": {
         "<config name>": {
           "figure3":  {"host_reads": 123, ...},
-          "regions":  {"<region>": {"host_writes": 45, ...}},
-          "registry": {"flash.erases": 6, ...}
+          "registry": {"flash.erases": 6, "region.rgStock.host_writes": 45, ...}
         }
       }
     }
 
+An experiment's ``registry`` section is its measured window: the
+registry snapshot since the mark taken after load or preload
+(:meth:`~repro.obs.registry.MetricRegistry.snapshot`), so it counts the
+same I/O as the ``figure3`` / ``summary`` section beside it.
 ``validate_metrics_doc`` enforces the envelope and the key grammar; the
 CI smoke step runs it against live ``fig3 --json`` output.
 """

@@ -1,10 +1,9 @@
 """The central metric registry: one namespaced key space over all layers.
 
-A :class:`MetricRegistry` holds three kinds of *owned* instruments —
-:class:`Counter`, :class:`Gauge` and latency histograms
-(:class:`~repro.flash.stats.LatencyAccumulator`) — plus *sources*: existing
-stats objects (anything :class:`~repro.obs.api.Snapshottable`) mounted
-under a namespace prefix.  ``snapshot()`` merges everything into one flat,
+A :class:`MetricRegistry` holds *sources* — the stats objects of each
+layer (anything :class:`~repro.obs.api.Snapshottable`) mounted under a
+namespace prefix — and :class:`Gauge` s, point-in-time values read from a
+callable.  ``snapshot()`` merges everything into one flat,
 deterministically ordered ``{dotted_key: number}`` dict, which is the
 single payload behind ``--json``, ``--metrics-out`` and ``repro report``.
 
@@ -12,34 +11,34 @@ Sources are read live: registering ``region.stats`` under
 ``region.rgHot`` costs nothing per write — the counters stay plain
 dataclass attribute increments on the hot path, and the registry only
 walks them when a snapshot is requested.
+
+A measured window is two readings of the same sources.  :meth:`mark`, at
+window start, copies every source's stats object; ``snapshot(since=mark)``,
+at window end, reports each source as ``end - start``: counts, µs totals
+and latency bucket counts subtracted field by field (a field marked
+:data:`~repro.flash.stats.END_VALUE` keeps its end value), then read
+through the source's own ``snapshot()``.  Derived keys — means, write
+amplification, hit ratio, p99 — are therefore recomputed from the
+window's counters by the same code as in a live snapshot; no two ratios
+are ever subtracted.  Gauges report their end value, and a source with no
+start reading counts from zero.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from copy import deepcopy
+from dataclasses import fields, is_dataclass, replace
+from typing import Any, Callable
 
-from repro.flash.stats import LatencyAccumulator
+from repro.flash.stats import END_VALUE
 from repro.obs.api import MetricKeyError, SourceLike, check_key, prefixed, read_source
 
-
-class Counter:
-    """A monotonically increasing owned metric."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str) -> None:
-        self.key = check_key(key)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.key} cannot decrease (got {amount})")
-        self.value += amount
+#: Every source's stats object at the start of a window, by prefix.
+Mark = dict[str, Any]
 
 
 class Gauge:
-    """A point-in-time owned metric, read from a callable at snapshot time."""
+    """A point-in-time metric, read from a callable at snapshot time."""
 
     __slots__ = ("key", "read")
 
@@ -49,45 +48,22 @@ class Gauge:
 
 
 class MetricRegistry:
-    """Counters, gauges, histograms and mounted sources under dotted keys."""
+    """Mounted sources and gauges under dotted keys."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LatencyAccumulator] = {}
-        self._sources: dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # Owned instruments
-    # ------------------------------------------------------------------
-    def counter(self, key: str) -> Counter:
-        """Get or create the counter registered under ``key``."""
-        existing = self._counters.get(key)
-        if existing is None:
-            self._reserve(key)
-            existing = self._counters[key] = Counter(key)
-        return existing
+        self._sources: dict[str, SourceLike] = {}
 
     def gauge(self, key: str, read: Callable[[], float]) -> Gauge:
         """Register a gauge read from ``read()`` at snapshot time."""
-        self._reserve(key)
+        if check_key(key) in self._gauges:
+            raise MetricKeyError(f"metric key {key!r} already registered")
         gauge = self._gauges[key] = Gauge(key, read)
         return gauge
 
-    def histogram(self, key: str) -> LatencyAccumulator:
-        """Get or create a latency histogram; snapshots expand to
-        ``<key>.count/mean_us/min_us/max_us/p50_us/p99_us``."""
-        existing = self._histograms.get(key)
-        if existing is None:
-            self._reserve(key)
-            existing = self._histograms[key] = LatencyAccumulator()
-        return existing
-
-    # ------------------------------------------------------------------
-    # Sources
-    # ------------------------------------------------------------------
     def register_source(self, prefix: str, source: SourceLike) -> None:
-        """Mount a :class:`Snapshottable` (or zero-arg callable) under ``prefix``.
+        """Mount a :class:`Snapshottable` (or a zero-arg callable returning
+        one) under ``prefix``.
 
         The source's local keys appear in :meth:`snapshot` as
         ``<prefix>.<local_key>``.
@@ -97,19 +73,13 @@ class MetricRegistry:
             raise MetricKeyError(f"source prefix {prefix!r} already registered")
         self._sources[prefix] = source
 
-    def unregister(self, prefix: str) -> None:
-        """Unmount the source at ``prefix`` (no-op if absent)."""
-        self._sources.pop(prefix, None)
+    def mark(self) -> Mark:
+        """Copies of every source's stats object now: the start of a window."""
+        return {prefix: deepcopy(read_source(source)) for prefix, source in self._sources.items()}
 
-    def source_prefixes(self) -> list[str]:
-        """Sorted list of mounted source prefixes."""
-        return sorted(self._sources)
-
-    # ------------------------------------------------------------------
-    # Snapshot
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, float]:
-        """One flat, sorted ``{dotted_key: number}`` view of everything."""
+    def snapshot(self, since: Mark | None = None) -> dict[str, float]:
+        """One flat, sorted ``{dotted_key: number}`` view of everything —
+        cumulative, or with ``since`` the window that :meth:`mark` opened."""
         merged: dict[str, float] = {}
 
         def put(key: str, value: float) -> None:
@@ -117,23 +87,27 @@ class MetricRegistry:
                 raise MetricKeyError(f"metric key collision on {key!r}")
             merged[key] = float(value)
 
-        for key, counter in self._counters.items():
-            put(key, counter.value)
         for key, gauge in self._gauges.items():
             put(key, gauge.read())
-        for key, histogram in self._histograms.items():
-            for suffix, value in histogram.snapshot().items():
-                put(f"{key}.{suffix}", value)
         for prefix, source in self._sources.items():
-            for key, value in prefixed(prefix, read_source(source)).items():
+            stats = read_source(source)
+            start = None if since is None else since.get(prefix)
+            if start is not None:
+                stats = _minus(stats, start)
+            for key, value in prefixed(prefix, stats.snapshot()).items():
                 put(key, value)
         return dict(sorted(merged.items()))
 
-    def namespaces(self) -> list[str]:
-        """Sorted root segments present in the current snapshot."""
-        return sorted({key.split(".", 1)[0] for key in self.snapshot()})
 
-    def _reserve(self, key: str) -> None:
-        check_key(key)
-        if key in self._counters or key in self._gauges or key in self._histograms:
-            raise MetricKeyError(f"metric key {key!r} already registered")
+def _minus(end: Any, start: Any) -> Any:
+    """``end - start`` of one stats value: numbers subtract, bucket lists
+    element by element, dataclasses field by field."""
+    if is_dataclass(end):
+        return replace(end, **{
+            f.name: _minus(getattr(end, f.name), getattr(start, f.name))
+            for f in fields(end)
+            if f.metadata != END_VALUE
+        })
+    if isinstance(end, list):
+        return [a - b for a, b in zip(end, start)]
+    return end - start

@@ -7,12 +7,7 @@ import pytest
 from repro.bench import experiment
 from repro.bench.catalogue import tpcc_experiment
 from repro.bench.errors import BenchConfigError
-from repro.bench.experiment import (
-    TPCCExperimentResult,
-    _delta,
-    _derive_latencies,
-    derive_method_placement,
-)
+from repro.bench.experiment import TPCCExperimentResult, derive_method_placement
 from repro.bench.reporting import (
     FIGURE3_ROWS,
     figure3_table,
@@ -68,30 +63,6 @@ class TestTables:
 
 
 class TestExperimentHelpers:
-    def test_delta_numbers_and_lists(self):
-        after = {"n": 10.0, "buckets": [3, 4]}
-        before = {"n": 4.0, "buckets": [1, 1]}
-        delta = _delta(after, before)
-        assert delta == {"n": 6.0, "buckets": [2, 3]}
-
-    def test_delta_missing_before_keys(self):
-        assert _delta({"n": 5.0}, {}) == {"n": 5.0}
-
-    def test_derive_latencies(self):
-        storage = {
-            "read_latency_total_us": 1000.0,
-            "read_latency_count": 10.0,
-            "write_latency_total_us": 0.0,
-            "write_latency_count": 0.0,
-            "read_latency_buckets": [0] * 72,
-            "write_latency_buckets": [0] * 72,
-        }
-        storage["read_latency_buckets"][30] = 10
-        _derive_latencies(storage)
-        assert storage["read_latency_us"] == 100.0
-        assert storage["write_latency_us"] == 0.0
-        assert storage["read_latency_p99_us"] > 0
-
     @pytest.mark.parametrize(
         "budget, profile", [(100, 0), (100, -5), (-1, 10)], ids=["zero", "negative", "budget"]
     )
@@ -111,18 +82,18 @@ class TestExperimentHelpers:
         result = TPCCExperimentResult(
             config=tpcc_experiment("fig3.quick"),
             workload={"tps": 5.0},
-            storage={"gc_erases": 2.0},
-            device={"flash_reads": 7.0},
-            per_region={},
+            window={"mgmt.gc_erases": 2.0, "mgmt.host_read_latency_mean_us": 9.0},
             load_time_us=0.0,
         )
         assert result.row("tps") == 5.0
         assert result.row("gc_erases") == 2.0
-        assert result.row("flash_reads") == 7.0
+        assert result.row("read_latency_us") == 9.0  # a Figure 3 key, read from the window
+        assert result.row("mgmt.gc_erases") == 2.0
+        assert result.storage == {"gc_erases": 2.0, "host_read_latency_mean_us": 9.0}
         with pytest.raises(KeyError):
             result.row("nope")
 
     def test_figure3_rows_cover_paper_metrics(self):
-        labels = [label for label, __, ___ in FIGURE3_ROWS]
+        labels = [label for label, *__ in FIGURE3_ROWS]
         for expected in ("TPS", "GC COPYBACKs", "GC ERASEs", "Host READ I/Os"):
             assert any(expected in label for label in labels)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.flash import FlashDevice, LatencyAccumulator, small_geometry
+from repro.obs import MetricRegistry
 
 
 class TestLatencyAccumulator:
@@ -93,12 +94,16 @@ class TestFlashStats:
         assert stats.read_latency_total_us > 0 and stats.program_latency_total_us > 0
 
     def test_snapshot_and_delta(self):
-        before = FlashDevice(small_geometry()).stats
+        # a window of the device counters is the registry's snapshot since a mark
         device = FlashDevice(small_geometry())
+        drive(device, 1)
+        registry = MetricRegistry()
+        registry.register_source("flash", device.stats)
+        start = registry.mark()
         drive(device, 0)
-        after = device.stats
-        delta = after.delta(before)
-        assert delta["reads"] == 2
-        assert delta["programs"] == 2
-        assert delta["erases"] == 1 and delta["copybacks"] == 1
-        assert delta["bytes_read"] == 100 + device.geometry.oob_size
+        window = registry.snapshot(since=start)
+        assert window["flash.reads"] == 2
+        assert window["flash.programs"] == 2
+        assert window["flash.erases"] == 1 and window["flash.copybacks"] == 1
+        assert window["flash.bytes_read"] == 100 + device.geometry.oob_size
+        assert registry.snapshot()["flash.reads"] == 4  # the live snapshot stays cumulative

@@ -26,21 +26,6 @@ class TestKeyGrammar:
 
 
 class TestOwnedInstruments:
-    def test_counter_increments(self):
-        registry = MetricRegistry()
-        counter = registry.counter("workload.commits")
-        counter.inc()
-        counter.inc(4)
-        assert registry.snapshot() == {"workload.commits": 5.0}
-
-    def test_counter_is_get_or_create(self):
-        registry = MetricRegistry()
-        assert registry.counter("workload.aborts") is registry.counter("workload.aborts")
-
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            MetricRegistry().counter("workload.x").inc(-1)
-
     def test_gauge_reads_live(self):
         registry = MetricRegistry()
         box = {"value": 1.0}
@@ -49,21 +34,11 @@ class TestOwnedInstruments:
         box["value"] = 7.0
         assert registry.snapshot()["db.buffer.buffered_pages"] == 7.0
 
-    def test_histogram_expands_to_suffixed_keys(self):
-        registry = MetricRegistry()
-        histogram = registry.histogram("workload.txn_latency")
-        histogram.record(100.0)
-        histogram.record(300.0)
-        snap = registry.snapshot()
-        assert snap["workload.txn_latency.count"] == 2.0
-        assert snap["workload.txn_latency.mean_us"] == 200.0
-        assert snap["workload.txn_latency.max_us"] == 300.0
-
     def test_duplicate_owned_key_rejected(self):
         registry = MetricRegistry()
         registry.gauge("flash.x", lambda: 0.0)
         with pytest.raises(MetricKeyError):
-            registry.counter("flash.x")
+            registry.gauge("flash.x", lambda: 1.0)
 
 
 class TestSources:
@@ -82,8 +57,8 @@ class TestSources:
 
     def test_callable_source(self):
         registry = MetricRegistry()
-        registry.register_source("mgmt", lambda: {"gc_erases": 2.0})
-        assert registry.snapshot() == {"mgmt.gc_erases": 2.0}
+        registry.register_source("mgmt", self.FakeStats)
+        assert registry.snapshot() == {"mgmt.hits": 3.0, "mgmt.misses": 1.0}
 
     def test_duplicate_prefix_rejected(self):
         registry = MetricRegistry()
@@ -91,17 +66,9 @@ class TestSources:
         with pytest.raises(MetricKeyError):
             registry.register_source("db.buffer", self.FakeStats())
 
-    def test_unregister_and_prefixes(self):
+    def test_collision_between_source_and_gauge(self):
         registry = MetricRegistry()
-        registry.register_source("db.buffer", self.FakeStats())
-        assert registry.source_prefixes() == ["db.buffer"]
-        registry.unregister("db.buffer")
-        assert registry.source_prefixes() == []
-        assert registry.snapshot() == {}
-
-    def test_collision_between_source_and_counter(self):
-        registry = MetricRegistry()
-        registry.counter("db.buffer.hits")
+        registry.gauge("db.buffer.hits", lambda: 0.0)
         registry.register_source("db.buffer", self.FakeStats())
         with pytest.raises(MetricKeyError):
             registry.snapshot()
@@ -110,13 +77,9 @@ class TestSources:
 class TestSnapshot:
     def test_sorted_deterministic_order(self):
         registry = MetricRegistry()
-        registry.counter("workload.z").inc()
-        registry.counter("flash.a").inc()
-        registry.register_source("mgmt", lambda: {"m": 1.0})
-        assert list(registry.snapshot()) == ["flash.a", "mgmt.m", "workload.z"]
-
-    def test_namespaces(self):
-        registry = MetricRegistry()
-        registry.counter("flash.erases")
-        registry.counter("mgmt.gc_erases")
-        assert registry.namespaces() == ["flash", "mgmt"]
+        registry.gauge("workload.z", lambda: 1.0)
+        registry.gauge("flash.a", lambda: 1.0)
+        registry.register_source("mgmt", TestSources.FakeStats())
+        assert list(registry.snapshot()) == [
+            "flash.a", "mgmt.hits", "mgmt.misses", "workload.z"
+        ]

@@ -2,8 +2,8 @@
 
 Runs a miniature version of ``repro fig3`` (two placements, tiny scale),
 serializes the ``repro.obs/v1`` document through JSON, and checks every
-Figure 3 cell and per-region counter against the in-memory results the
-table is rendered from.
+Figure 3 cell and per-region window counter against the in-memory
+results the table is rendered from.
 """
 
 import json
@@ -76,22 +76,27 @@ class TestRoundTrip:
     def test_figure3_section_matches_table_cells(self, results, doc):
         for result in results:
             section = doc["configs"][result.config.name]["figure3"]
-            for __, key, __ in FIGURE3_ROWS:
+            for __, key, __, __ in FIGURE3_ROWS:
                 assert section[key] == result.row(key), key
 
     def test_per_region_counters_match(self, results, doc):
-        for result in results:
-            section = doc["configs"][result.config.name].get("regions", {})
-            assert sorted(section) == sorted(result.per_region)
-            for name, counters in result.per_region.items():
-                assert section[name] == counters
-
-    def test_registry_totals_consistent_with_device(self, results, doc):
-        # end-of-run registry totals can never undercut the window deltas
+        # per-region counters live in the registry section, under region.<name>.
         for result in results:
             registry = doc["configs"][result.config.name]["registry"]
-            assert registry["flash.erases"] >= result.device["flash_erases"]
-            assert registry["mgmt.host_writes"] >= result.row("host_writes")
+            assert "regions" not in doc["configs"][result.config.name]
+            assert result.per_region
+            for name, counters in result.per_region.items():
+                for key, value in counters.items():
+                    assert registry[f"region.{name}.{key}"] == value
+
+    def test_registry_totals_consistent_with_device(self, results, doc):
+        # the registry section is the measured window: it counts exactly the
+        # I/O of the Figure 3 rows, and every erase of the window is GC's or WL's
+        for result in results:
+            registry = doc["configs"][result.config.name]["registry"]
+            figure3 = doc["configs"][result.config.name]["figure3"]
+            assert registry["mgmt.host_writes"] == figure3["host_writes"]
+            assert registry["flash.erases"] == figure3["gc_erases"] + registry["mgmt.wl_erases"]
 
     def test_report_rendering_equals_live_table(self, results, doc):
         live = figure3_table(*results)

@@ -71,6 +71,55 @@ class TestPinnedNamespaces:
             validate_snapshot({"trace.events": 1.0})
 
 
+class TestRegistrySectionIsTheWindow:
+    """An experiment document's ``registry`` section is its measured window
+    (load and preload I/O excluded), not the cumulative registry snapshot;
+    ``tests/obs/test_window.py`` checks the TPC-C cell."""
+
+    @pytest.mark.parametrize("stack", ["noftl", "dftl"])
+    def test_synthetic_registry_counts_the_measured_writes_only(self, stack):
+        from repro.bench import SyntheticConfig, run_ftl_synthetic, run_noftl_synthetic
+
+        config = SyntheticConfig(writes=300, utilization=0.65)
+        if stack == "noftl":
+            result = run_noftl_synthetic(config, separated=True)
+        else:
+            result = run_ftl_synthetic(config, "dftl", cmt_entries=64)
+        sections = result.metrics()
+        registry = validate_snapshot(sections["registry"])
+        assert registry["mgmt.host_writes"] == sections["summary"]["writes"] == 300
+        assert registry["mgmt.gc_copybacks"] == sections["summary"]["copybacks"]
+        assert registry["mgmt.write_amplification"] == sections["summary"]["write_amplification"]
+        for key in ("mgmt.host_writes", "mgmt.write_amplification", "flash.programs"):
+            assert key in registry
+
+    def test_tpcc_registry_counts_the_figure3_window_only(self):
+        from repro.bench import TPCCExperimentConfig, run_tpcc_experiment
+        from repro.core import traditional_placement
+        from repro.tpcc import tiny_scale
+
+        geometry = FlashGeometry(
+            channels=4, chips_per_channel=2, dies_per_chip=2, planes_per_die=1,
+            blocks_per_plane=48, pages_per_block=32, page_size=2048, oob_size=64,
+        )
+        result = run_tpcc_experiment(
+            TPCCExperimentConfig(
+                name="traditional",
+                placement=traditional_placement(geometry.dies),
+                geometry=geometry,
+                scale=tiny_scale(),
+                num_transactions=40,
+                buffer_pages=32,
+                flusher_interval=32,
+            )
+        )
+        sections = result.metrics()
+        registry = validate_snapshot(sections["registry"])
+        assert "regions" not in sections
+        for key in ("host_reads", "host_writes", "gc_copybacks", "gc_erases"):
+            assert registry[f"mgmt.{key}"] == sections["figure3"][key], key
+
+
 class TestValidateSnapshot:
     def test_rejects_unknown_root(self):
         with pytest.raises(SchemaError, match="outside pinned roots"):
