@@ -26,7 +26,7 @@ from repro.db.ddl import (
     parse_drop_table,
     statement_kind,
 )
-from repro.db.heap import RID, HeapError, HeapFile
+from repro.db.heap import RID, HeapError, HeapFile, make_rid, split_rid
 from repro.db.records import (
     Column,
     ColumnType,
@@ -102,6 +102,7 @@ __all__ = [
     "char_col",
     "float_col",
     "int_col",
+    "make_rid",
     "parse_column",
     "parse_create_index",
     "parse_create_table",
@@ -109,5 +110,6 @@ __all__ = [
     "parse_drop_table",
     "statement_kind",
     "replay_log",
+    "split_rid",
     "varchar_col",
 ]

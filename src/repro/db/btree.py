@@ -6,11 +6,10 @@ do.  Design points:
 
 * composite keys — tuples of INT/CHAR/VARCHAR column values, compared
   lexicographically; a :class:`KeyCodec` serialises them;
-* values are heap :class:`~repro.db.heap.RID`\\ s; inside a leaf they are
-  the ``RID`` :meth:`BTree.insert` stored or the plain pair a page image
-  unpacks to, so decoding a leaf builds no object per entry; lookups hand
-  out a held ``RID`` itself and make one (:data:`~repro.db.heap.as_rid`)
-  only of a decoded pair;
+* values are heap :data:`~repro.db.heap.RID`\\ s, ``page_no << 16 | slot``
+  ints; a leaf keeps them in one ``array('q')`` column (8 bytes an entry,
+  no object), its write-back snapshot takes that column as ``bytes``, and
+  its page image stores each as the ``<iH`` pair it packs;
 * duplicates allowed unless ``unique=True`` (non-unique lookups return
   every match);
 * deletes are *lazy* (no merge/rebalance on underflow) — the strategy of
@@ -27,12 +26,13 @@ from __future__ import annotations
 
 import bisect
 import struct
+from array import array
 from collections.abc import Callable, Sequence
 from itertools import starmap
 from operator import add
 
 from repro.db.buffer import BufferPool
-from repro.db.heap import RID, as_rid
+from repro.db.heap import RID, RID_MAX, RID_MIN, make_rid, split_rid
 from repro.db.records import ColumnType, Key, RowCodec, Schema, SchemaError, varchar_col
 from repro.flash.payload import DeferredImage, Payload
 
@@ -112,7 +112,7 @@ class _Node:
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.keys: list[Key] = []
-        self.values: list[tuple[int, ...]] = []  # leaves only: (page_no, slot)
+        self.values = array("q")  # leaves only: one RID per key
         self.children: list[int] = []  # inner only: len(keys) + 1 page_nos
         self.next_leaf: int = -1  # leaves only
 
@@ -154,28 +154,28 @@ class NodeCodec:
         return self._encode_inner(node.keys, node.children)
 
     def image(self, node: _Node) -> DeferredImage:
-        """:meth:`encode`, deferred: a snapshot of the node's entries (tuples
-        of its keys and values or children, and ``next_leaf``) that is
-        encoded only if the image is ever read as bytes.  Refuses a node
-        over capacity, which no decoder would accept back."""
+        """:meth:`encode`, deferred: a snapshot of the node's entries (a
+        tuple of its keys, its RID column as ``bytes`` or a tuple of its
+        children, and ``next_leaf``) that is encoded only if the image is
+        ever read as bytes.  Refuses a node over capacity, which no decoder
+        would accept back."""
         count = len(node.keys)
         if node.is_leaf:
             if count > self.leaf_capacity:
                 raise IndexError_(f"leaf overflow: {count} > {self.leaf_capacity} entries")
             state: tuple[object, ...] = (
-                self, tuple(node.keys), tuple(node.values), node.next_leaf
+                self, tuple(node.keys), node.values.tobytes(), node.next_leaf
             )
-            return DeferredImage(NodeCodec._encode_leaf, state, self.page_size)
+            return DeferredImage(_leaf_image, state, self.page_size)
         if count > self.inner_capacity:
             raise IndexError_(f"inner overflow: {count} > {self.inner_capacity} entries")
         state = (self, tuple(node.keys), tuple(node.children))
-        return DeferredImage(NodeCodec._encode_inner, state, self.page_size)
+        return DeferredImage(_inner_image, state, self.page_size)
 
-    def _encode_leaf(
-        self, keys: Sequence[Key], values: Sequence[tuple[int, ...]], next_leaf: int
-    ) -> bytes:
+    def _encode_leaf(self, keys: Sequence[Key], rids: Sequence[RID], next_leaf: int) -> bytes:
         header = _LEAF_HEADER.pack(_LEAF_TYPE, len(keys), next_leaf)
-        return self._pad(header, self._pack_entries(keys, values, self._leaf_entry, _RID_STRUCT))
+        pairs = list(map(split_rid, rids))
+        return self._pad(header, self._pack_entries(keys, pairs, self._leaf_entry, _RID_STRUCT))
 
     def _encode_inner(self, keys: Sequence[Key], children: Sequence[int]) -> bytes:
         header = _INNER_HEADER.pack(_INNER_TYPE, len(keys)) + _CHILD_STRUCT.pack(children[0])
@@ -240,9 +240,10 @@ class NodeCodec:
             self._check_count(count, self.leaf_capacity)
             node = _Node(is_leaf=True)
             node.next_leaf = next_leaf
-            node.keys, node.values = self._unpack_entries(
+            node.keys, pairs = self._unpack_entries(
                 data, _LEAF_HEADER.size, count, self._leaf_entry, _RID_STRUCT
             )
+            node.values = array("q", starmap(make_rid, pairs))
             return node
         if node_type == _INNER_TYPE:
             __, count = _INNER_HEADER.unpack_from(data, 0)
@@ -266,6 +267,18 @@ class NodeCodec:
             raise IndexError_(
                 f"corrupt index page (entry count {count} exceeds capacity {capacity})"
             )
+
+
+def _leaf_image(state: tuple[NodeCodec, Sequence[Key], bytes, int]) -> bytes:
+    """A leaf image's bytes from its snapshot (:meth:`NodeCodec.image`)."""
+    codec, keys, rids, next_leaf = state
+    return codec._encode_leaf(keys, memoryview(rids).cast("q"), next_leaf)
+
+
+def _inner_image(state: tuple[NodeCodec, Sequence[Key], Sequence[int]]) -> bytes:
+    """An inner node image's bytes from its snapshot."""
+    codec, keys, children = state
+    return codec._encode_inner(keys, children)
 
 
 class BTree:
@@ -372,8 +385,7 @@ class BTree:
             index = bisect.bisect_left(leaf.keys, key)
             if index < len(leaf.keys):
                 if leaf.keys[index] == key:
-                    rid = leaf.values[index]
-                    return (rid if type(rid) is RID else as_rid(rid)), at
+                    return leaf.values[index], at
                 return None, at
             if leaf.next_leaf < 0:
                 return None, at
@@ -405,8 +417,7 @@ class BTree:
                 key = leaf.keys[index]
                 if hi is not None and key > hi:
                     return results, at
-                rid = leaf.values[index]
-                results.append((key, rid if type(rid) is RID else as_rid(rid)))
+                results.append((key, leaf.values[index]))
                 if limit is not None and len(results) >= limit:
                     return results, at
                 index += 1
@@ -430,10 +441,13 @@ class BTree:
         A key the index cannot store (wrong arity, a part of the wrong type,
         text too long) raises :class:`SchemaError` before the tree changes:
         a node's image is encoded only if it is read, so this is where a
-        bad key is caught.
+        bad key is caught.  So is an address the leaf's ``<iH`` entry
+        cannot hold: it raises :class:`IndexError_`.
         """
         key = tuple(key)
         self._check_key(key)
+        if not RID_MIN <= rid <= RID_MAX:
+            raise IndexError_(f"row address {rid} does not fit a leaf entry")
         try:
             if self._root_page < 0:
                 root = _Node(is_leaf=True)
@@ -465,8 +479,8 @@ class BTree:
             index = bisect.bisect_left(node.keys, key)
             if self.unique and index < len(node.keys) and node.keys[index] == key:
                 raise IndexError_(f"duplicate key {key!r} on unique index")
+            node.values.insert(index, rid)  # first: the column refuses a non-int
             node.keys.insert(index, key)
-            node.values.insert(index, rid)
             self._dirty(page_no)
             if len(node.keys) <= self.leaf_capacity:
                 return None, at

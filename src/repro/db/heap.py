@@ -1,8 +1,11 @@
 """Heap files: slotted-page record storage with free-space tracking.
 
 A heap file owns one tablespace and stores encoded rows in slotted pages
-through the buffer pool.  Records are addressed by :class:`RID`
-(page number + slot).  Updates are in place when the new image fits;
+through the buffer pool.  A record's address, its :data:`RID`, is one
+``int``: ``page_no << 16 | slot``, the two fields a B+-tree leaf stores on
+flash (a slotted page's directory has 16-bit slots).  :func:`make_rid`
+builds one and :func:`split_rid` takes one apart; the heap's own paths
+shift and mask in place.  Updates are in place when the new image fits;
 otherwise the record moves and the caller receives the new RID (secondary
 indexes must then be fixed by the table layer).
 
@@ -20,8 +23,7 @@ CPU cost and how often the flusher runs.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import partial
-from typing import Any, NamedTuple, TypeAlias, cast
+from typing import Any, TypeAlias
 
 from repro.db.buffer import BufferPool
 from repro.db.records import Row, RowCodec, Schema
@@ -50,24 +52,27 @@ class HeapError(Exception):
     """Invalid heap operation (bad RID, oversized record, ...)."""
 
 
-class RID(NamedTuple):
-    """Record identifier: page number within the heap + slot on the page.
+#: A record address: ``page_no << 16 | slot``.  It equals, hashes and
+#: orders as the ``(page_no, slot)`` pair does, for any page number.
+RID: TypeAlias = int
 
-    A tuple, so a B+-tree leaf can keep the ``(page_no, slot)`` pairs its
-    image unpacks to (an ``RID`` equals, hashes and orders like them) beside
-    the ``RID`` objects inserts stored; :data:`as_rid` makes one in C.
-    """
-
-    page_no: int
-    slot: int
-
-    def __str__(self) -> str:
-        return f"rid({self.page_no}:{self.slot})"
+#: the range of :data:`RID` a leaf entry (``<iH``) and a redo record store:
+#: a signed 32-bit page number, a 16-bit slot
+RID_MIN = -(1 << 47)
+RID_MAX = (1 << 47) - 1
 
 
-#: ``RID(*pair)`` in one C call, not the named tuple's Python ``__new__``; it
-#: skips that arity check, so only for a ``(page_no, slot)`` pair code made
-as_rid = cast(Callable[[tuple[int, ...]], RID], partial(tuple.__new__, RID))
+def make_rid(page_no: int, slot: int) -> RID:
+    """The address of ``slot`` on page ``page_no``; refuses a pair the
+    on-flash form (``<iH``) cannot hold."""
+    if not (-(1 << 31) <= page_no < 1 << 31 and 0 <= slot <= 0xFFFF):
+        raise HeapError(f"no row address for page {page_no}, slot {slot}")
+    return page_no << 16 | slot
+
+
+def split_rid(rid: RID) -> tuple[int, int]:
+    """``(page_no, slot)`` of an address."""
+    return rid >> 16, rid & 0xFFFF
 
 
 class HeapFile:
@@ -126,11 +131,11 @@ class HeapFile:
     # ------------------------------------------------------------------
     # Page plumbing
     # ------------------------------------------------------------------
-    def _page_of(self, rid: RID, at: float) -> tuple[SlottedPage, float]:
-        """Touch the page ``rid`` names, once it is known to be this heap's."""
-        if rid.page_no not in self._page_set:
-            raise HeapError(f"{rid} does not belong to this heap")
-        return self._get(self.space_id, rid.page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
+    def _page_of(self, page_no: int, at: float) -> tuple[SlottedPage, float]:
+        """Touch page ``page_no``, once it is known to be this heap's."""
+        if page_no not in self._page_set:
+            raise HeapError(f"page {page_no} does not belong to this heap")
+        return self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
 
     def _new_page(self, at: float) -> tuple[int, SlottedPage, float]:
         page_no, at = self.buffer_pool.backend.allocate_page(self.space_id, at)
@@ -168,13 +173,13 @@ class HeapFile:
                 slot = page.insert(record)
                 self.buffer_pool.mark_dirty(self.space_id, page_no)
                 self._row_count += 1
-                return as_rid((page_no, slot)), at
+                return page_no << 16 | slot, at
             self._pop_open()
         page_no, page, at = self._new_page(at)
         slot = page.insert(record)
         self.buffer_pool.mark_dirty(self.space_id, page_no)
         self._row_count += 1
-        return as_rid((page_no, slot)), at
+        return page_no << 16 | slot, at
 
     def read(self, rid: RID, at: float) -> tuple[Row, float]:
         """Read the row at ``rid``; returns ``(row, completion_us)``.
@@ -182,10 +187,11 @@ class HeapFile:
         The page keeps the decoded row while it stays buffered and the
         record is not rewritten, so repeated reads decode once.
         """
-        page_no, slot = rid
+        page_no = rid >> 16
         if page_no not in self._page_set:  # _page_of, in this frame
-            raise HeapError(f"{rid} does not belong to this heap")
+            raise HeapError(f"page {page_no} does not belong to this heap")
         page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
+        slot = rid & 0xFFFF
         row = page.rows.get(slot)
         if row is None:
             row = page.read_row(slot, self._decode_row)
@@ -193,8 +199,8 @@ class HeapFile:
 
     def read_record(self, rid: RID, at: float) -> tuple[bytes, float]:
         """Read the stored image of the row at ``rid``, undecoded."""
-        page, at = self._page_of(rid, at)
-        return page.read(rid.slot), at
+        page, at = self._page_of(rid >> 16, at)
+        return page.read(rid & 0xFFFF), at
 
     def rewrite(
         self, rid: RID, change: Change, values: Any, at: float
@@ -215,8 +221,8 @@ class HeapFile:
         a *new* RID if the record moved (its insert touches the page it
         moves to).
         """
-        page_no, slot = rid
-        page, at = self._page_of(rid, at)
+        page_no, slot = rid >> 16, rid & 0xFFFF
+        page, at = self._page_of(page_no, at)
         old_row = page.read_row(slot, self._decode_row)
         record, row, kept = change(old_row, page.read(slot), values)
         if kept:
@@ -246,8 +252,8 @@ class HeapFile:
     def delete(self, rid: RID, at: float) -> tuple[Row, float]:
         """Delete the row at ``rid``; returns ``(old row, completion_us)``,
         the row as :meth:`read` would have, from the same touch."""
-        page_no, slot = rid
-        page, at = self._page_of(rid, at)
+        page_no, slot = rid >> 16, rid & 0xFFFF
+        page, at = self._page_of(page_no, at)
         row = page.read_row(slot, self._decode_row)
         page.delete(slot)
         self.buffer_pool.mark_dirty(self.space_id, page_no)
@@ -264,4 +270,4 @@ class HeapFile:
         for page_no in list(self._pages):
             page, at = self._get(self.space_id, page_no, at, _DECODE_PAGE, _IMAGE_PAGE)
             for slot, record in page.slots():
-                yield as_rid((page_no, slot)), self.codec.decode(record), at
+                yield page_no << 16 | slot, self.codec.decode(record), at

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any
 from collections.abc import Iterator
 
-from repro.db.heap import RID
+from repro.db.heap import RID, split_rid
 from repro.db.records import Key, Row, Schema
 from repro.db.table import Table
 
@@ -42,7 +42,8 @@ class PartitionedRID:
     rid: RID
 
     def __str__(self) -> str:
-        return f"p{self.partition}/{self.rid}"
+        page_no, slot = split_rid(self.rid)
+        return f"p{self.partition}/{page_no}:{slot}"
 
 
 class PartitionScheme(abc.ABC):

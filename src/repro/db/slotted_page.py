@@ -6,10 +6,12 @@ object (records as byte strings per slot); :meth:`SlottedPage.to_bytes` and
 :meth:`SlottedPage.from_bytes` produce/consume the on-flash image.  The
 buffer manager caches the object form and writes a page back as
 :meth:`SlottedPage.image`, a :class:`~repro.flash.payload.DeferredImage`
-holding a tuple of the page's records: the bytes are encoded when someone
-reads them (a decoder, a test), not when the page is written, and the
-flash device keeps every version of a page until GC erases it, so the
-versions share their unchanged records instead of each holding a copy.
+whose snapshot is the tuple of the page's records, one object (the page
+size is bound into the encoder, one per page size): the bytes are encoded
+when someone reads them (a decoder, a test), not when the page is
+written, and the flash device keeps every version of a page until GC
+erases it, so the versions share their unchanged records instead of each
+holding a copy.
 
 The same holds one level down.  :meth:`SlottedPage.read_row` keeps the
 row it decoded from a slot's record beside that record, so a record is
@@ -43,6 +45,7 @@ On-flash layout::
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Callable, Sequence
 
@@ -73,6 +76,14 @@ def _encode(page_size: int, records: Sequence[bytes | None]) -> bytes:
     return front.ljust(free_end, b"\x00") + b"".join(heap)
 
 
+@functools.cache
+def _encoder(page_size: int) -> Callable[[Sequence[bytes | None]], bytes]:
+    """:func:`_encode` with ``page_size`` bound: the encoder every image of
+    a page of that size shares (each page binds it when it is built), so
+    an image holds no argument tuple."""
+    return functools.partial(_encode, page_size)
+
+
 class PageFullError(Exception):
     """The record does not fit into the page's free space."""
 
@@ -93,6 +104,7 @@ class SlottedPage:
         if page_size < min_size + 1:
             raise ValueError(f"page_size {page_size} too small (min {min_size + 1})")
         self.page_size = page_size
+        self._encode_image = _encoder(page_size)
         self._records: list[bytes | None] = []
         #: slot -> row decoded from the record now in the slot.  Anyone may
         #: look a row up here; only :meth:`read_row` and :meth:`replace` add
@@ -235,13 +247,14 @@ class SlottedPage:
 
     def image(self) -> DeferredImage:
         """The page's image as it is now, encoded only if it is ever read
-        as bytes: a snapshot of the records (a tuple of the very bytes
+        as bytes: the snapshot is the records tuple alone (the very bytes
         objects the page holds; later writes replace slots, never mutate a
-        record) and the length :meth:`to_bytes` would return."""
+        record), the encoder is :func:`_encode` with this page size bound,
+        and the length is what :meth:`to_bytes` would return."""
         records = self._records
         front = _HEADER.size + _SLOT.size * len(records)
         length = max(self.page_size, front + self._payload)
-        return DeferredImage(_encode, (self.page_size, tuple(records)), length)
+        return DeferredImage(self._encode_image, tuple(records), length)
 
     @classmethod
     def from_bytes(cls, data: Payload) -> "SlottedPage":

@@ -19,6 +19,9 @@ Log record wire format (little endian)::
     u64 lsn | u8 type | u16 table_len | table utf-8 |
     i32 page_no | u16 slot | u32 row_len | row bytes
 
+(``page_no`` and ``slot`` are the two halves of the record's
+:data:`~repro.db.heap.RID`.)
+
 Records never span pages; a page starts with ``u16 count``.  A
 :class:`LogRecord` is a named tuple: ``append`` encodes straight from its
 arguments and builds none, and ``decode`` builds one with a single C call.
@@ -32,7 +35,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from repro.db.backend import StorageBackend
-from repro.db.heap import RID, as_rid
+from repro.db.heap import RID, make_rid, split_rid
 
 from typing import TYPE_CHECKING
 
@@ -70,14 +73,14 @@ class _TypeByte(dict[int, LogRecordType]):
 
 _TYPE_OF_BYTE = _TypeByte((int(rtype), rtype) for rtype in LogRecordType)
 
-_NO_RID = RID(0, 0)
+_NO_RID: RID = 0
 
 
 def _encode_record(lsn: int, rtype: LogRecordType, table: str, rid: RID, row_bytes: bytes) -> bytes:
     """One record in the wire format above."""
     name = table.encode("utf-8")
     header = _RECORD_HEADER.pack(lsn, rtype, len(name))
-    return header + name + _RECORD_BODY.pack(*rid, len(row_bytes)) + row_bytes
+    return header + name + _RECORD_BODY.pack(*split_rid(rid), len(row_bytes)) + row_bytes
 
 
 class LogRecord(NamedTuple):
@@ -104,7 +107,7 @@ class LogRecord(NamedTuple):
         offset += _RECORD_BODY.size
         row = bytes(data[offset : offset + row_len])
         offset += row_len
-        fields = (lsn, _TYPE_OF_BYTE[rtype], table, as_rid((page_no, slot)), row)
+        fields = (lsn, _TYPE_OF_BYTE[rtype], table, make_rid(page_no, slot), row)
         return tuple.__new__(cls, fields), offset
 
 

@@ -8,12 +8,13 @@ carries, without calling ``__len__``).  Nothing in the simulator looks inside a 
 is never read back never needs its bytes.
 
 A :class:`DeferredImage` is how the buffer pool writes a page back: an
-immutable snapshot of the page object (the records of a slotted page, the
-entries of a B+-tree node) together with the exact length of its encoding,
-and the function that encodes it.  ``bytes(image)`` runs that function,
-every time it is called; nothing is cached.  Successive versions of a page
-share most of their records, so a snapshot costs a tuple of references
-where a copy of the bytes would cost the page size.
+immutable snapshot of the page object (the records tuple of a slotted
+page, a B+-tree node's state tuple) together with the exact length of its
+encoding, and the function that encodes it.  ``bytes(image)`` calls that
+function on the snapshot, every time it is called; nothing is cached.
+Successive versions of a page share most of their records, so a snapshot
+costs a tuple of references where a copy of the bytes would cost the page
+size.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ class DeferredImage:
     """A page image encoded on demand from a frozen snapshot.
 
     Args:
-        encode: builds the image's bytes from ``state``.
-        state: arguments of ``encode``; immutable (tuples of immutable
+        encode: builds the image's bytes from ``state``, its one argument.
+        state: the snapshot; immutable (bytes, or tuples of immutable
             values), so later changes to the page do not reach the image.
-        length: ``len(encode(*state))``, known without encoding.
+        length: ``len(encode(state))``, known without encoding.
     """
 
     __slots__ = ("_encode", "_state", "_length")
 
-    def __init__(self, encode: Callable[..., bytes], state: tuple[Any, ...], length: int) -> None:
+    def __init__(self, encode: Callable[[Any], bytes], state: Any, length: int) -> None:
         self._encode = encode
         self._state = state
         self._length = length
@@ -43,7 +44,7 @@ class DeferredImage:
         return self._length
 
     def __bytes__(self) -> bytes:
-        return self._encode(*self._state)
+        return self._encode(self._state)
 
 
 #: what a flash page holds

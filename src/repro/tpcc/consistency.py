@@ -56,12 +56,17 @@ class ConsistencyReport:
             )
 
 
-def check_consistency(db: Database, at: float = 0.0) -> ConsistencyReport:
+def check_consistency(db: Database, at: float | None = None) -> ConsistencyReport:
     """Run the implemented TPC-C consistency conditions over ``db``.
 
     Uses full scans (reads through the buffer pool like any query), so it
-    also exercises the read path of every table it touches.
+    also exercises the read path of every table it touches.  The reads
+    are issued at ``at``, by default the database's clock (:attr:`Database.now`):
+    a device timeline refuses a request from further back than it
+    remembers (:class:`~repro.flash.errors.StaleReservationError`).
     """
+    if at is None:
+        at = db.now
     report = ConsistencyReport()
     _check_order_counters(db, at, report)
     _check_new_order_contiguity(db, at, report)

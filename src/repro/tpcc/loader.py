@@ -6,18 +6,20 @@ ORDER / ORDERLINE / NEW_ORDER rows (the last ~30% of orders are open,
 i.e. have NEW_ORDER entries and undelivered lines).
 
 It is a pure function of ``(scale, seed)``, so it is generated once:
-:func:`initial_records` keeps the last population it built as the
-``(table, record)`` pairs the heap stores, in insertion order -- every row
-encoded once with its table's :class:`~repro.db.records.RowCodec` -- and
-:func:`load_database` hands each record to
-:meth:`~repro.db.table.Table.insert_record` and finishes with a
-checkpoint, so the load is entirely on flash before measurement starts.
-The heap pages keep the memo's ``bytes`` objects themselves, so a loaded
-database shares them instead of holding a second copy.  Every experiment
-loads one population several times (``fig3`` twice, a chaos run twice per
-fault plan); the memo holds one entry for the life of the process, about
-6.9 MiB at the benchmark's scale (4.6 MiB of it the records).  The rows
-exist only while the memo is built.
+:func:`initial_records` keeps the last population it built as two
+columns in insertion order, one ``bytes`` of table codes (a table's
+position in :data:`~repro.tpcc.schema.TABLE_SCHEMAS`) and the tuple of
+records the heap stores -- every row encoded once with its table's
+:class:`~repro.db.records.RowCodec` -- and :func:`load_database` hands
+each record to its table's :meth:`~repro.db.table.Table.insert_record`,
+resolved once per table, and finishes with a checkpoint, so the load is
+entirely on flash before measurement starts.  The heap pages keep the
+memo's ``bytes`` objects themselves, so a loaded database shares them
+instead of holding a second copy.  Every experiment loads one population
+several times (``fig3`` twice, a chaos run twice per fault plan); the
+memo holds one entry for the life of the process: 4.9 MiB at the
+benchmark's scale (24,108 records, tracemalloc), 4.65 MiB of it the
+records themselves.  The rows exist only while the memo is built.
 """
 
 from __future__ import annotations
@@ -44,19 +46,32 @@ def load_database(
     """
     if create:
         at = create_schema(db, at)
+    inserts = []  # by table code
     for name, schema in TABLE_SCHEMAS.items():
-        if db.table(name).schema.columns != schema.columns:
+        table = db.table(name)
+        if table.schema.columns != schema.columns:
             raise SchemaError(f"table {name!r}: columns differ from the TPC-C schema")
-    for table, record in initial_records(scale, seed):
-        __, at = db.table(table).insert_record(record, at)
+        inserts.append(table.insert_record)
+    codes, records = initial_records(scale, seed)
+    for code, record in zip(codes, records):
+        __, at = inserts[code](record, at)
     return db.checkpoint(at)
 
 
 @functools.lru_cache(maxsize=1)
-def initial_records(scale: ScaleConfig, seed: int) -> tuple[tuple[str, bytes], ...]:
-    """Every ``(table, record)`` of the initial population, in load order."""
-    encoders = {name: RowCodec(schema).encode for name, schema in TABLE_SCHEMAS.items()}
-    return tuple((table, encoders[table](row)) for table, row in _rows(scale, seed))
+def initial_records(scale: ScaleConfig, seed: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """The initial population in load order, as ``(codes, records)``:
+    ``codes[i]`` is the position in :data:`TABLE_SCHEMAS` of the table
+    ``records[i]`` belongs to."""
+    position = {name: code for code, name in enumerate(TABLE_SCHEMAS)}
+    encoders = [RowCodec(schema).encode for schema in TABLE_SCHEMAS.values()]
+    codes = bytearray()
+    records = []
+    for table, row in _rows(scale, seed):
+        code = position[table]
+        codes.append(code)
+        records.append(encoders[code](row))
+    return bytes(codes), tuple(records)
 
 
 def _rows(scale: ScaleConfig, seed: int) -> Iterator[tuple[str, Row]]:

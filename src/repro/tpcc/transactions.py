@@ -16,15 +16,12 @@ count as executed, per spec 2.4.1.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.db.database import Database
+from repro.db.heap import RID
 from repro.db.records import Row
 from repro.tpcc.random_gen import TPCCRandom
 from repro.tpcc.schema import ScaleConfig
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.db.heap import RID
 
 #: Sentinel above any real key component (for open-ended range scans).
 KEY_MAX = 2**62

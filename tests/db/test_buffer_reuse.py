@@ -25,6 +25,7 @@ from repro.db import (
     char_col,
     float_col,
     int_col,
+    split_rid,
     varchar_col,
 )
 from repro.db import heap as heap_module
@@ -295,13 +296,14 @@ class TestWhenTheParkedObjectReturns:
         heap = HeapFile(pool, sid, Schema([int_col("k"), char_col("c", 4)]))
         rid, __ = heap.insert((1, "ab  "), 0.0)
         row, __ = heap.read(rid, 0.0)
-        page = get(pool, sid, rid.page_no)
-        assert page.rows == {rid.slot: row}
+        rid_page, slot = split_rid(rid)
+        page = get(pool, sid, rid_page)
+        assert page.rows == {slot: row}
         for __ in range(4):  # evict the heap page: every insert below opens a page
             page_no, __ = memory_backend.allocate_page(sid, 0.0)
             fresh = SlottedPage(memory_backend.page_size)
             pool.put_new(sid, page_no, fresh, SlottedPage.to_bytes, 0.0)
-        assert not pool.is_buffered(sid, rid.page_no)
+        assert not pool.is_buffered(sid, rid_page)
         assert page.rows == {}
-        assert get(pool, sid, rid.page_no) is page and page.rows == {}
+        assert get(pool, sid, rid_page) is page and page.rows == {}
         assert heap.read(rid, 0.0)[0] == (1, "ab")

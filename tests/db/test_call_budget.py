@@ -21,7 +21,6 @@ import sys
 import pytest
 
 from repro.db import (
-    RID,
     BTree,
     BufferPool,
     Database,
@@ -33,6 +32,8 @@ from repro.db import (
     char_col,
     float_col,
     int_col,
+    make_rid,
+    split_rid,
     varchar_col,
 )
 from repro.core import NoFTLStore, RegionConfig
@@ -114,8 +115,8 @@ def test_index_insert_checks_its_key_in_one_frame():
     backend = MemoryBackend(page_size=4096, io_cost=0.0)
     pool = BufferPool(backend, capacity=8, flusher_interval=0)
     tree = BTree(pool, backend.create_space("i"), Schema([int_col("w"), char_col("name", 16)]))
-    at = tree.insert((1, "a"), RID(1, 1), 0.0)
-    entered = python_calls(tree.insert, (1, "b"), RID(1, 2), at)
+    at = tree.insert((1, "a"), make_rid(1, 1), 0.0)
+    entered = python_calls(tree.insert, (1, "b"), make_rid(1, 2), at)
     # KeyCodec.encode is the compiled encoder itself, not a wrapper of it
     assert entered[:3] == ["BTree.insert", "encode", "BTree._insert_into"], entered
 
@@ -124,8 +125,8 @@ def test_buffered_lookup(warm):
     table, __ = warm
     entered = python_calls(table.lookup, "T_IDX", (1, 1000), 0.0)
     # lookup, index by name, search, one descent with a get per level, and
-    # a buffered read; the RID handed out is the one the leaf holds, so no
-    # named tuple's ``__new__`` (a lambda) runs
+    # a buffered read; the RID handed out is an int read from the leaf's
+    # column, so no Python function (a lambda) runs to build one
     assert len(entered) <= 4 + 2 + 3, entered
     assert entered.count("BufferPool.get") == 3
     assert "<lambda>" not in entered, entered
@@ -290,7 +291,7 @@ def test_dirty_eviction_write_back_on_noftl():
 
 
 def heap_page(table, rid):
-    return (table.info.heap.space_id, rid.page_no)
+    return (table.info.heap.space_id, split_rid(rid)[0])
 
 
 #: one row write of each kind on row 1000: each touches its heap page once

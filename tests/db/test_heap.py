@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.db import BufferPool, HeapError, HeapFile, RID, Schema, char_col, int_col, varchar_col
+from repro.db import (
+    BufferPool,
+    HeapError,
+    HeapFile,
+    Schema,
+    char_col,
+    int_col,
+    make_rid,
+    split_rid,
+    varchar_col,
+)
 
 
 def make_heap(backend, fill_hint=1.0, buffer_pages=16):
@@ -40,7 +50,7 @@ class TestInsertRead:
         heap = make_heap(memory_backend)
         heap.insert((1, "a"), 0.0)
         with pytest.raises(HeapError):
-            heap.read(RID(999, 0), 0.0)
+            heap.read(make_rid(999, 0), 0.0)
 
     def test_oversized_schema_rejected(self, memory_backend):
         sid = memory_backend.create_space("big")
@@ -129,26 +139,31 @@ class TestPersistence:
 
 
 class TestRid:
-    """``RID`` is a named tuple: what it promised as a frozen dataclass."""
+    """A row address is one int, ``page_no << 16 | slot``: it orders,
+    equals and hashes as its ``(page_no, slot)`` pair does."""
+
+    #: the on-flash form's limits (``<iH``) and a few pairs between them
+    PAIRS = [(2, 0), (1, 9), (1, 2), (-1, 5), (0, 2**16 - 1), (2**31 - 1, 2**16 - 1), (-(2**31), 0)]
 
     def test_orders_by_page_then_slot(self):
-        rids = [RID(2, 0), RID(1, 9), RID(1, 2), RID(-1, 5)]
-        assert sorted(rids) == [RID(-1, 5), RID(1, 2), RID(1, 9), RID(2, 0)]
-        assert RID(1, 2) < RID(1, 3) <= RID(1, 3) < RID(2, 0)
+        rids = [make_rid(page_no, slot) for page_no, slot in self.PAIRS]
+        assert sorted(rids) == [make_rid(*pair) for pair in sorted(self.PAIRS)]
+        assert make_rid(1, 2) < make_rid(1, 3) <= make_rid(1, 3) < make_rid(2, 0)
 
     def test_hashes_and_equals_like_its_pair(self):
-        assert hash(RID(7, 3)) == hash((7, 3))
-        assert RID(7, 3) == RID(7, 3) == (7, 3) and RID(7, 3) != RID(3, 7)
-        assert {RID(7, 3): "row"}[(7, 3)] == "row"
+        # equal (and so hashed alike) exactly when the pairs are equal
+        for a in self.PAIRS:
+            for b in self.PAIRS:
+                assert (make_rid(*a) == make_rid(*b)) == (a == b)
+        assert {make_rid(7, 3): "row"}[make_rid(7, 3)] == "row"
+        assert make_rid(7, 3) != make_rid(3, 7)
 
-    def test_str_and_fields(self):
-        rid = RID(page_no=12, slot=4)
-        assert str(rid) == "rid(12:4)"
-        assert (rid.page_no, rid.slot) == (12, 4) == tuple(rid)
+    def test_split_returns_page_and_slot(self):
+        for pair in self.PAIRS:
+            rid = make_rid(*pair)
+            assert type(rid) is int and split_rid(rid) == pair
 
-    def test_immutable(self):
-        rid = RID(1, 2)
-        with pytest.raises(AttributeError):
-            rid.slot = 3
-        with pytest.raises(AttributeError):
-            rid.other = 3
+    def test_make_refuses_a_pair_the_on_flash_form_cannot_hold(self):
+        for page_no, slot in ((0, 2**16), (0, -1), (2**31, 0), (-(2**31) - 1, 0)):
+            with pytest.raises(HeapError, match="no row address"):
+                make_rid(page_no, slot)

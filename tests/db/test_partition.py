@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RegionConfig
-from repro.db import Database, Schema, char_col, int_col
+from repro.db import Database, Schema, char_col, int_col, make_rid, split_rid
 from repro.db.partition import (
     HashPartition,
     PartitionError,
@@ -143,7 +143,8 @@ class TestPartitionedTable:
         for changes in ({"age": 9}, {"id": 60, "label": "y"}):  # the second stays in p0
             touched = page_touches(table.update_columns, prid, changes, t)
             # the partition's indexes share its tablespace: count the row's page
-            assert touched.count((part.info.heap.space_id, prid.rid.page_no)) == 1
+            page_no = split_rid(prid.rid)[0]
+            assert touched.count((part.info.heap.space_id, page_no)) == 1
         assert table.read(prid, t)[0] == (60, "y", 9)
         assert table.lookup("pk", (60,), t)[0] == (60, "y", 9)
 
@@ -188,6 +189,6 @@ class TestPartitionedTable:
             db.partitioned_table("missing")
 
     def test_partitioned_rid_ordering(self):
-        from repro.db import RID
-
-        assert PartitionedRID(0, RID(5, 1)) < PartitionedRID(1, RID(0, 0))
+        assert PartitionedRID(0, make_rid(5, 1)) < PartitionedRID(1, make_rid(0, 0))
+        assert PartitionedRID(1, make_rid(0, 7)) < PartitionedRID(1, make_rid(1, 0))
+        assert str(PartitionedRID(1, make_rid(5, 2))) == "p1/5:2"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import figure2_placement
-from repro.db import RID, Database, Schema, int_col, varchar_col
+from repro.db import Database, Schema, int_col, make_rid, split_rid, varchar_col
 from repro.db import wal as wal_module
 from repro.db.wal import LogRecord, LogRecordType, WALError, WriteAheadLog, replay_log
 from repro.flash import FlashGeometry, instant_timing
@@ -36,27 +36,28 @@ def make_db(**kwargs):
 
 class TestRecordCodec:
     def test_roundtrip(self):
-        record = LogRecord(42, LogRecordType.UPDATE, "CUSTOMER", RID(7, 3), b"rowdata")
+        record = LogRecord(42, LogRecordType.UPDATE, "CUSTOMER", make_rid(7, 3), b"rowdata")
         decoded, end = LogRecord.decode(record.encode(), 0)
         assert decoded == record
         assert end == len(record.encode())
 
     def test_empty_row(self):
-        record = LogRecord(1, LogRecordType.DELETE, "t", RID(0, 0))
+        record = LogRecord(1, LogRecordType.DELETE, "t", make_rid(0, 0))
         decoded, __ = LogRecord.decode(record.encode(), 0)
         assert decoded.row_bytes == b""
 
     @pytest.mark.parametrize("rtype", list(LogRecordType))
     def test_every_type_roundtrips_to_a_log_record(self, rtype):
-        record = LogRecord(2**40 + 3, rtype, "ORDER_LINE", RID(2**31 - 1, 2**16 - 1), b"\x00row")
+        rid = make_rid(2**31 - 1, 2**16 - 1)  # the wire format's limits
+        record = LogRecord(2**40 + 3, rtype, "ORDER_LINE", rid, b"\x00row")
         prefix = b"\xff" * 5
         decoded, end = LogRecord.decode(prefix + record.encode(), len(prefix))
         assert decoded == record and end == len(prefix) + len(record.encode())
         assert type(decoded) is LogRecord and decoded.type is rtype
-        assert type(decoded.rid) is RID and str(decoded.rid) == "rid(2147483647:65535)"
+        assert type(decoded.rid) is int and split_rid(decoded.rid) == (2**31 - 1, 2**16 - 1)
 
     def test_unknown_type_byte_is_a_value_error(self):
-        image = bytearray(LogRecord(1, LogRecordType.INSERT, "t", RID(0, 0), b"x").encode())
+        image = bytearray(LogRecord(1, LogRecordType.INSERT, "t", make_rid(0, 0), b"x").encode())
         image[8] = 0xEE
         with pytest.raises(ValueError, match="238"):
             LogRecord.decode(bytes(image), 0)
@@ -67,7 +68,7 @@ class TestWriteAheadLog:
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
         for i in range(3):
-            wal.append(LogRecordType.INSERT, "t", RID(i, 0), b"x" * 20)
+            wal.append(LogRecordType.INSERT, "t", make_rid(i, 0), b"x" * 20)
         assert wal.flushed_pages == 0  # still buffered
         wal.flush()
         assert wal.flushed_pages == 1
@@ -76,24 +77,24 @@ class TestWriteAheadLog:
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
         for i in range(100):
-            wal.append(LogRecordType.INSERT, "t", RID(i, 0), b"x" * 40)
+            wal.append(LogRecordType.INSERT, "t", make_rid(i, 0), b"x" * 40)
         assert wal.flushed_pages > 0
 
     def test_lsns_monotonic(self, memory_backend):
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
-        lsns = [wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"")[0] for __ in range(5)]
+        lsns = [wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"")[0] for __ in range(5)]
         assert lsns == [1, 2, 3, 4, 5]
 
     def test_oversized_record_rejected(self, memory_backend):
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
         with pytest.raises(WALError):
-            wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 4096)
+            wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"x" * 4096)
         # the largest record a page takes: header 2 + record 22 + row = 512
-        wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 488)
+        wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"x" * 488)
         with pytest.raises(WALError, match="record of 511 bytes exceeds log page size 512"):
-            wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x" * 489)
+            wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"x" * 489)
         assert wal.next_lsn == 2 and wal.records_written == 1  # a refused record is not counted
 
     def test_pages_are_the_images_a_record_by_record_copy_builds(
@@ -122,7 +123,7 @@ class TestWriteAheadLog:
                 lsn,
                 rng.choice(list(LogRecordType)),
                 rng.choice(["", "t", "ORDERLINE", "t\u00e9"]),
-                RID(rng.randrange(2**31), rng.randrange(2**16)),
+                make_rid(rng.randrange(2**31), rng.randrange(2**16)),
                 rng.randbytes(rng.choice([0, 1, 40, 200, 480])),
             )
             size = len(encode(record))
@@ -151,16 +152,16 @@ class TestWriteAheadLog:
     def test_records_returns_only_persisted(self, memory_backend):
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
-        wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"a" * 200)
-        wal.append(LogRecordType.INSERT, "t", RID(1, 0), b"b" * 200)
-        wal.append(LogRecordType.INSERT, "t", RID(2, 0), b"c" * 200)  # page 1 flushed
+        wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"a" * 200)
+        wal.append(LogRecordType.INSERT, "t", make_rid(1, 0), b"b" * 200)
+        wal.append(LogRecordType.INSERT, "t", make_rid(2, 0), b"c" * 200)  # page 1 flushed
         persisted = [r for r, __ in wal.records()]
         assert len(persisted) == 2  # the third is still buffered ("lost in crash")
 
     def test_checkpoint_forces_everything(self, memory_backend):
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
-        wal.append(LogRecordType.INSERT, "t", RID(0, 0), b"x")
+        wal.append(LogRecordType.INSERT, "t", make_rid(0, 0), b"x")
         wal.checkpoint()
         kinds = [r.type for r, __ in wal.records()]
         assert kinds == [LogRecordType.INSERT, LogRecordType.CHECKPOINT]
@@ -192,7 +193,7 @@ class TestTornTail:
         sid = memory_backend.create_space("wal")
         wal = WriteAheadLog(memory_backend, sid)
         for i in range(40):
-            wal.append(LogRecordType.INSERT, "t", RID(i, 0), b"x" * 60)
+            wal.append(LogRecordType.INSERT, "t", make_rid(i, 0), b"x" * 60)
         wal.commit()
         wal.flush()
         pages = [memory_backend.pages[(sid, n)] for n in range(wal.flushed_pages)]
@@ -208,7 +209,8 @@ class TestTornTail:
         assert recovered.flushed_pages == self.TORN_PAGE
         assert [r for r, __ in recovered.records()] == kept
         assert recovered.next_lsn == kept[-1].lsn + 1 == 6 * self.TORN_PAGE + 1
-        assert recovered.append(LogRecordType.COMMIT, "", RID(0, 0))[0] == recovered.next_lsn - 1
+        lsn, __ = recovered.append(LogRecordType.COMMIT, "", make_rid(0, 0))
+        assert lsn == recovered.next_lsn - 1
 
 
 class TestDatabaseIntegration:

@@ -15,7 +15,7 @@ def deferred(payload, calls):
         calls.append(value)
         return value
 
-    return DeferredImage(encode, (payload,), len(payload))
+    return DeferredImage(encode, payload, len(payload))
 
 
 def program(device, data, block=0, page=0):

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.db import BTree, BufferPool, RID, Schema, int_col
+from repro.db import BTree, BufferPool, Schema, int_col, make_rid
 
 from tests.db.conftest import MemoryBackend
 
@@ -24,7 +24,7 @@ def test_matches_sorted_reference(inserted):
     tree = make_tree()
     reference = []
     for i, key in enumerate(inserted):
-        rid = RID(i, 0)
+        rid = make_rid(i, 0)
         tree.insert((key,), rid, 0.0)
         reference.append(((key,), rid))
     entries, __ = tree.range_scan(None, None, 0.0)
@@ -43,7 +43,7 @@ def test_insert_delete_matches_multiset(operations):
     serial = 0
     for is_insert, key in operations:
         if is_insert:
-            tree.insert((key,), RID(key, serial % 1000), 0.0)
+            tree.insert((key,), make_rid(key, serial % 1000), 0.0)
             reference[key] += 1
             serial += 1
         else:
@@ -64,7 +64,7 @@ def test_range_scan_equals_filter(inserted, bounds):
     lo, hi = min(bounds), max(bounds)
     tree = make_tree()
     for i, key in enumerate(sorted(set(inserted))):
-        tree.insert((key,), RID(i, 0), 0.0)
+        tree.insert((key,), make_rid(i, 0), 0.0)
     entries, __ = tree.range_scan((lo,), (hi,), 0.0)
     expected = sorted(k for k in set(inserted) if lo <= k <= hi)
     assert [k[0] for k, __ in entries] == expected
@@ -75,7 +75,7 @@ def test_range_scan_equals_filter(inserted, bounds):
 def test_unique_index_search_exact(inserted):
     tree = make_tree(unique=True)
     for i, key in enumerate(inserted):
-        tree.insert((key,), RID(i, 1), 0.0)
+        tree.insert((key,), make_rid(i, 1), 0.0)
     for i, key in enumerate(inserted):
         rid, __ = tree.search((key,), 0.0)
-        assert rid == RID(i, 1)
+        assert rid == make_rid(i, 1)

@@ -3,13 +3,13 @@ codecs compiled per schema produce exactly the bytes and rows of the
 per-column reference implementation kept in this file."""
 
 import struct
+from array import array
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.db import (
-    RID,
     BTree,
     BufferPool,
     Column,
@@ -23,6 +23,8 @@ from repro.db import (
     char_col,
     float_col,
     int_col,
+    make_rid,
+    split_rid,
     varchar_col,
 )
 from repro.db.btree import KeyCodec, _Node
@@ -138,7 +140,7 @@ def ref_encode_node(schema, node, page_size):
     if node.is_leaf:
         buf += struct.pack("<BHi", 1, len(node.keys), node.next_leaf)
         for key, rid in zip(node.keys, node.values):
-            buf += ref_encode_key(schema, key) + struct.pack("<iH", rid.page_no, rid.slot)
+            buf += ref_encode_key(schema, key) + struct.pack("<iH", *split_rid(rid))
     else:
         buf += struct.pack("<BH", 2, len(node.keys)) + struct.pack("<i", node.children[0])
         for key, child in zip(node.keys, node.children[1:]):
@@ -357,7 +359,7 @@ def make_tree(schema):
     return BTree(pool, backend.create_space("idx"), schema)
 
 
-rids = st.builds(RID, st.integers(-(2**31), 2**31 - 1), st.integers(0, 2**16 - 1))
+rids = st.builds(make_rid, st.integers(-(2**31), 2**31 - 1), st.integers(0, 2**16 - 1))
 page_nos = st.integers(-(2**31), 2**31 - 1)
 
 
@@ -374,7 +376,7 @@ def test_node_images_equal_reference(case, data):
 
     leaf = _Node(is_leaf=True)
     leaf.keys = sorted(keys)
-    leaf.values = [data.draw(rids) for __ in keys]
+    leaf.values = array("q", [data.draw(rids) for __ in keys])
     leaf.next_leaf = data.draw(page_nos)
     inner = _Node(is_leaf=False)
     inner.keys = sorted(keys)
@@ -383,7 +385,7 @@ def test_node_images_equal_reference(case, data):
         image = tree.codec.encode(node)
         assert image == ref_encode_node(schema, node, tree.page_size)
         decoded = tree.codec.decode(image)
-        assert tree.codec.encode(decoded) == image  # leaf values are plain pairs now
+        assert tree.codec.encode(decoded) == image
         assert decoded.is_leaf == node.is_leaf
         assert decoded.keys == node.keys
         assert decoded.values == node.values
@@ -433,14 +435,11 @@ def test_int_key_node_passes_equal_per_entry_reference(case, data):
     node = _Node(is_leaf=is_leaf)
     node.keys = keys
     if is_leaf:
-        pairs = data.draw(st.lists(rids, min_size=len(keys), max_size=len(keys)))
-        # what a leaf really holds: RIDs from insert() beside plain pairs
-        # from a page image
-        node.values = [
-            rid if data.draw(st.booleans()) else (rid.page_no, rid.slot) for rid in pairs
-        ]
+        node.values = array(
+            "q", data.draw(st.lists(rids, min_size=len(keys), max_size=len(keys)))
+        )
         node.next_leaf = data.draw(page_nos)
-        tails = node.values
+        tails = [split_rid(rid) for rid in node.values]
         entry, tail = struct.Struct("<" + "q" * arity + "iH"), struct.Struct("<iH")
         header = struct.pack("<BHi", 1, len(keys), node.next_leaf)
         structs = tree.codec._leaf_entry
@@ -464,13 +463,12 @@ def test_int_key_node_passes_equal_per_entry_reference(case, data):
     assert decoded.is_leaf == is_leaf
     assert decoded.keys == keys and is_list_of_int_tuples(decoded.keys)
     if is_leaf:
-        assert decoded.values == [tuple(value) for value in node.values]
-        assert is_list_of_int_tuples(decoded.values)
+        assert decoded.values == node.values and type(decoded.values) is array
         assert decoded.next_leaf == node.next_leaf and decoded.children == []
     else:
         assert decoded.children == node.children
         assert all(type(child) is int for child in decoded.children)
-        assert decoded.values == []
+        assert len(decoded.values) == 0
     assert tree.codec.encode(decoded) == image
 
 
@@ -490,7 +488,7 @@ def test_int_key_node_encoder_still_refuses_foreign_keys(arity, is_leaf):
         node = _Node(is_leaf=is_leaf)
         node.keys = [good, bad, good]
         if is_leaf:
-            node.values = [RID(1, 2), (3, 4), RID(5, 6)]
+            node.values = array("q", [make_rid(1, 2), make_rid(3, 4), make_rid(5, 6)])
         else:
             node.children = [1, 2, 3, 4]
         with pytest.raises(SchemaError):

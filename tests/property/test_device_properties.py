@@ -85,7 +85,7 @@ KINDS = ["program"] * 3 + ["read", "metadata", "copyback", "copyback", "erase", 
 def payloads(draw, page_size):
     size = draw(st.integers(0, page_size + 1))  # one past the page: refused
     if draw(st.booleans()):
-        return DeferredImage(bytes, (b"d" * size,), size)
+        return DeferredImage(bytes, b"d" * size, size)
     return bytes([size % 256]) * size
 
 

@@ -23,7 +23,16 @@ node splits) leave it unchanged, and that it decodes back to the page.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.db import RID, BTree, BufferPool, PageFullError, Schema, SlottedPage, char_col, int_col
+from repro.db import (
+    BTree,
+    BufferPool,
+    PageFullError,
+    Schema,
+    SlottedPage,
+    char_col,
+    int_col,
+    make_rid,
+)
 from repro.flash import DeferredImage
 
 from tests.db.conftest import MemoryBackend
@@ -151,7 +160,7 @@ def test_btree_nodes_round_trip(case):
     inserted = []
     for kind, key, pick in operations:
         if kind == "insert":
-            tree.insert(key, RID(pick, pick % 7), 0.0)
+            tree.insert(key, make_rid(pick, pick % 7), 0.0)
             inserted.append(key)
         elif inserted:  # delete a key that is there, or one that may not be
             tree.delete(inserted[pick % len(inserted)] if pick % 3 else key, None, 0.0)
@@ -162,9 +171,7 @@ def test_btree_nodes_round_trip(case):
         decoded = tree.codec.decode(tree.codec.encode(node))
         assert decoded.is_leaf == node.is_leaf
         assert typed(decoded.keys) == typed(node.keys)
-        # a leaf holds RIDs where it was written and plain pairs where it
-        # was decoded: both are the same (page_no, slot) tuple
-        assert decoded.values == node.values
+        assert decoded.values == node.values  # the RID column, in order
         assert decoded.children == node.children
         assert decoded.next_leaf == node.next_leaf
     tree.check_invariants()
@@ -185,7 +192,7 @@ def test_btree_node_images_are_frozen_snapshots(case):
     inserted, taken = [], []  # taken: (deferred image, node bytes when taken)
     for kind, key, pick in operations:
         if kind == "insert":
-            tree.insert(key, RID(pick, pick % 7), 0.0)
+            tree.insert(key, make_rid(pick, pick % 7), 0.0)
             inserted.append(key)
         elif inserted:
             tree.delete(inserted[pick % len(inserted)] if pick % 3 else key, None, 0.0)

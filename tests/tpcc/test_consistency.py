@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.tpcc import Driver
+from repro.core import traditional_placement
+from repro.db import Database
+from repro.flash import TimingModel
+from repro.tpcc import Driver, load_database, tiny_scale
 from repro.tpcc.consistency import ConsistencyReport, check_consistency
+
+from tests.tpcc.conftest import tpcc_geometry
 
 
 class TestFreshLoad:
@@ -42,3 +47,27 @@ class TestAfterWorkload:
         report = check_consistency(db)
         assert not report.ok
         assert any("C1" in v for v in report.violations)
+
+
+class TestAfterALongRun:
+    def test_default_reads_at_the_database_clock(self):
+        # slow flash takes a tiny cell past the 10 s a device timeline
+        # remembers within 300 transactions; reads issued at time 0 (the
+        # old default) are refused there, reads at the clock are not
+        geometry = tpcc_geometry()
+        slow = TimingModel(
+            read_us=20_000.0, program_us=200_000.0, erase_us=500_000.0, bus_us_per_page=1_000.0
+        )
+        db = Database.on_native_flash(
+            geometry=geometry,
+            placement=traditional_placement(geometry.dies),
+            timing=slow,
+            buffer_pages=64,
+        )
+        scale = tiny_scale()
+        load_database(db, scale, seed=0)
+        Driver(db, scale, terminals=2, seed=3).run(num_transactions=300)
+        assert db.now > 20e6
+        report = check_consistency(db)
+        report.raise_if_violated()
+        assert report.checked > 0

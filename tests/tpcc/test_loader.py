@@ -129,6 +129,16 @@ class _RecordingTable:
         return None, at + 1.0
 
 
+#: table names by the code the memo stores for them
+TABLES = tuple(TABLE_SCHEMAS)
+
+
+def _pairs(population):
+    """The memo's two columns as ``(table, record)`` pairs."""
+    codes, records = population
+    return [(TABLES[code], record) for code, record in zip(codes, records, strict=True)]
+
+
 def _digest(stream):
     """sha256 over ``repr`` of every ``(table, row)``, the rows decoded."""
     codecs = {name: RowCodec(schema) for name, schema in TABLE_SCHEMAS.items()}
@@ -162,14 +172,15 @@ class TestInitialPopulation:
         end = load_database(db, tiny_scale(), seed=0, at=10.0, create=False)
         assert len(db.stream) == 286 and end == 296.0  # time threaded through every insert
         assert _digest(db.stream) == self.STREAM_SHA256
-        memo = initial_records(tiny_scale(), 0)
-        assert all(fed is kept for (__, fed), (___, kept) in zip(db.stream, memo, strict=True))
+        codes, records = initial_records(tiny_scale(), 0)
+        assert [name for name, __ in db.stream] == [TABLES[code] for code in codes]
+        assert all(fed is kept for (__, fed), kept in zip(db.stream, records, strict=True))
 
     def test_generated_once_per_scale_and_seed(self):
         first = initial_records(tiny_scale(), 0)
         assert initial_records(tiny_scale(), 0) is first
         other = initial_records(tiny_scale(), 1)
-        assert _digest(other) != self.STREAM_SHA256
+        assert _digest(_pairs(other)) != self.STREAM_SHA256
         # one entry: the other seed pushed the first population out
         again = initial_records(tiny_scale(), 0)
         assert again is not first and again == first
@@ -178,13 +189,14 @@ class TestInitialPopulation:
     def test_shared_value_is_immutable(self):
         population = initial_records(tiny_scale(), 0)
         assert type(population) is tuple
-        for entry in population:
-            assert type(entry) is tuple
-            table, record = entry
-            assert table in TABLE_SCHEMAS and type(record) is bytes  # no row tuples
+        codes, records = population  # two columns, no object per record
+        assert type(codes) is bytes and type(records) is tuple
+        assert len(codes) == len(records) == 286
+        assert set(codes) == set(range(len(TABLES)))
+        assert all(type(record) is bytes for record in records)  # no row tuples
 
     def test_heap_pages_hold_the_memo_records(self):
-        memo = initial_records(tiny_scale(), 0)
+        memo = _pairs(initial_records(tiny_scale(), 0))
         for db, end in (_load(), _load()):  # the second load shares them too
             for name in TABLE_SCHEMAS:
                 kept = [record for table, record in memo if table == name]
