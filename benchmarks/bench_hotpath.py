@@ -63,12 +63,13 @@ class SeedScanBookkeeping(DieBookkeeping):
 
     def _scan_candidates(self):
         out = []
-        for info in self.blocks:
-            if info.state is BlockState.FULL:
-                mask = info.valid_mask
-                valid = sum(mask >> p & 1 for p in range(info.pages_per_block))
-                if info.written - valid > 0:
-                    out.append(info)
+        pages = range(self.pages_per_block)
+        for block in range(self.blocks_per_die):
+            if self.state[block] == BlockState.FULL:
+                mask = self.valid_mask[block]
+                valid = sum(mask >> p & 1 for p in pages)
+                if self.written[block] - valid > 0:
+                    out.append(block)
         return out
 
     @property
@@ -76,7 +77,7 @@ class SeedScanBookkeeping(DieBookkeeping):
         return bool(self._scan_candidates())
 
     def greedy_victim(self):
-        return select_victim_greedy(self._scan_candidates())
+        return select_victim_greedy(self, self._scan_candidates())
 
     def iter_candidates(self):
         return iter(self._scan_candidates())

@@ -25,6 +25,20 @@ runs, not the revision, moved the metric.  It then says whether every
 run's ``sim_fingerprint`` was the same and how many operations failed.
 Exit status 1 means some fingerprint differed (a run that failed has
 none), 0 that every run agreed.
+
+A/A floor: ``REV REV`` runs one tree against itself.  Ten counterbalanced
+pairs of one repetition each, on a 2-vCPU VM shared with other
+tenants, read as follows.  Each cell is the largest |paired median − 1|
+and the "better in n/10" count farthest from 5/10.  A change that reads
+inside these bounds on these workloads is unresolved, not a gain or a
+loss:
+
+    workload   wall_s         setup_s         ops_per_host_s   peak_rss_mb
+    hotcold    1.7%  (4/10)   11.6% (2/10)    0.5%  (5/10)     0.01% (5/10)
+    ftl        5.8%  (7/10)   10.9% (8/10)    3.9%  (8/10)     0.07% (5/10)
+
+``sim_ops_per_s`` and ``sim_write_amplification`` are deterministic: every
+pair reads the same, 0.0%.
 """
 
 from __future__ import annotations

@@ -49,17 +49,17 @@ def main() -> None:
     atomic_id = store.device.next_sequence()
     for p in pages[:2]:  # only 2 of the 4 pages reach flash
         die = engine._pick_die()
-        frontier = engine._user_frontier[die]
-        if frontier is None:
-            frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
-        page = frontier.written
+        block = engine._user_frontier[die]
+        if block is None:
+            block = engine._user_frontier[die] = engine.books[die].take_free_block()
+        page = engine.books[die].written[block]
         # OOB record: lpn, write sequence, owning region, batch annotation
         store.device.program_page_packed(
-            die, frontier.block, page, b"balance=999",
+            die, block, page, b"balance=999",
             p, store.device.next_sequence(), region.region_id, t,
             {"atomic_id": atomic_id, "atomic_size": 4},
         )
-        engine.books[die].note_write(frontier.block, page, t)
+        engine.books[die].note_write(block, page, t)
     print("CRASH: a second atomic batch died after 2 of its 4 pages")
 
     recovered = build(device=store.device)

@@ -51,7 +51,7 @@ class TPCCExperimentConfig:
         timing: flash latency model.
         seed: workload RNG seed.
         overprovision: FTL-only export fraction.
-        gc_policy / wl_policy: policy names (:mod:`repro.policies`) for
+        gc_policy: GC policy name (:mod:`repro.policies`) for
             the FTL path and for placements derived from this config;
             an explicit ``placement`` carries its own per-region policies.
         initial_bad_block_rate / device_seed: factory bad-block model of
@@ -77,7 +77,6 @@ class TPCCExperimentConfig:
     seed: int = 42
     overprovision: float = 0.1
     gc_policy: str = "greedy"
-    wl_policy: str = "coldest_first"
     cpu_us_per_op: float = 5.0
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
@@ -182,7 +181,6 @@ def build_database(config: TPCCExperimentConfig) -> Database:
         ftl=config.ftl,
         overprovision=config.overprovision,
         gc_policy=config.gc_policy,
-        wl_policy=config.wl_policy,
         initial_bad_block_rate=config.initial_bad_block_rate,
         device_seed=config.device_seed,
         **common,

@@ -70,9 +70,9 @@ HOT_COLD_CLASSES = (
 class SyntheticConfig:
     """Parameters of a synthetic run.
 
-    ``gc_policy`` / ``wl_policy`` name the policies (see
-    :mod:`repro.policies`) of every management layer the run builds — each
-    region / FTL resolves its own fresh instance.  ``initial_bad_block_rate`` /
+    ``gc_policy`` names the GC policy (see :mod:`repro.policies`) of every
+    management layer the run builds — each region / FTL resolves its own
+    fresh instance.  ``initial_bad_block_rate`` /
     ``device_seed`` configure the device's factory bad-block map;
     ``fault_plan`` optionally attaches a seeded fault injector for the
     measured write phase (preload is fault-free).
@@ -85,7 +85,6 @@ class SyntheticConfig:
     seed: int = 1
     timing: TimingModel = field(default_factory=TimingModel)
     gc_policy: str = "greedy"
-    wl_policy: str = "coldest_first"
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
     fault_plan: object | None = None  # repro.faults.plan.FaultPlan
@@ -244,16 +243,13 @@ def run_noftl_synthetic(config: SyntheticConfig, separated: bool) -> SyntheticRe
                     RegionConfig(
                         name=f"rg_{cls.name}",
                         gc_policy=config.gc_policy,
-                        wl_policy=config.wl_policy,
                     ),
                     num_dies=dies,
                 )
             )
     else:
         shared = store.create_region(
-            RegionConfig(
-                name="rgAll", gc_policy=config.gc_policy, wl_policy=config.wl_policy
-            ),
+            RegionConfig(name="rgAll", gc_policy=config.gc_policy),
             num_dies=config.dies,
         )
         regions = [shared for __ in config.classes]
@@ -321,7 +317,6 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
             device,
             overprovision=overprovision,
             gc_policy=config.gc_policy,
-            wl_policy=config.wl_policy,
         )
     elif ftl == "dftl":
         dev = DFTL(
@@ -329,14 +324,12 @@ def run_ftl_synthetic(config: SyntheticConfig, ftl: str = "page", cmt_entries: i
             cmt_entries=cmt_entries,
             overprovision=overprovision,
             gc_policy=config.gc_policy,
-            wl_policy=config.wl_policy,
         )
     elif ftl == "hotcold":
         dev = HotColdFTL(
             device,
             overprovision=overprovision,
             gc_policy=config.gc_policy,
-            wl_policy=config.wl_policy,
         )
     else:
         raise BenchConfigError(f"unknown ftl kind {ftl!r}")

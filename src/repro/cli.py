@@ -229,7 +229,6 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
         synthetic_experiment(f"{args.command}.quick"),
         writes=args.writes,
         gc_policy=args.gc_policy,
-        wl_policy=args.wl_policy,
         initial_bad_block_rate=args.bad_block_rate,
         device_seed=args.device_seed,
         fault_plan=_load_fault_plan(args),
@@ -244,7 +243,7 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
         metrics_doc(
             args.command,
             {result.name: result.metrics()},
-            policies={"gc": args.gc_policy, "wl": args.wl_policy},
+            policies={"gc": args.gc_policy},
         )
         for result in results
     ])
@@ -371,7 +370,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     from repro.bench import synthetic_experiment, tpcc_experiment
-    from repro.policies import available_gc_policies, available_wl_policies
+    from repro.policies import available_gc_policies
 
     fig3_quick = tpcc_experiment("fig3.quick")
 
@@ -423,13 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="greedy",
         help="GC victim-selection policy from the repro.policies registry (default: greedy)",
     )
-    wl_opts = argparse.ArgumentParser(add_help=False)
-    wl_opts.add_argument(
-        "--wl-policy",
-        choices=available_wl_policies(),
-        default="coldest_first",
-        help="wear-leveling policy from the repro.policies registry (default: coldest_first)",
-    )
     shard_opts = argparse.ArgumentParser(add_help=False)
     shard_opts.add_argument(
         "--shards",
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         synthetic = sub.add_parser(
             command,
-            parents=[common, metrics_out, device_opts, gc_opts, wl_opts, shard_opts],
+            parents=[common, metrics_out, device_opts, gc_opts, shard_opts],
             help=summary,
         )
         synthetic.add_argument(

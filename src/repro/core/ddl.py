@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from repro.core.region import RegionConfig, RegionError
-from repro.policies import available_gc_policies, available_wl_policies
+from repro.policies import available_gc_policies
 
 _SIZE_SUFFIXES = {"K": 1024, "M": 1024**2, "G": 1024**3}
 
@@ -79,7 +79,6 @@ def parse_create_region(sql: str) -> CreateRegionStatement:
 
     Recognised parameters (all optional): ``MAX_CHIPS``, ``MAX_CHANNELS``,
     ``MAX_SIZE``, ``DIES``, ``GC_POLICY`` (``GREEDY`` or ``COST_BENEFIT``),
-    ``WL_POLICY`` (``COLDEST_FIRST`` or ``OLDEST_DATA``),
     ``WEAR_LEVEL_THRESHOLD``, ``READ_DISTURB_THRESHOLD``.  An unknown
     parameter, a non-integer count or threshold and an unknown policy name
     each raise :class:`RegionError` naming the parameter.
@@ -94,7 +93,6 @@ def parse_create_region(sql: str) -> CreateRegionStatement:
         "MAX_SIZE",
         "DIES",
         "GC_POLICY",
-        "WL_POLICY",
         "WEAR_LEVEL_THRESHOLD",
         "READ_DISTURB_THRESHOLD",
     }
@@ -112,22 +110,19 @@ def parse_create_region(sql: str) -> CreateRegionStatement:
                 f"region parameter {key} must be an integer, got {params[key]!r}"
             ) from None
 
-    def policy_param(key: str, default: str, allowed: list[str]) -> str:
-        name = params.get(key, default).lower()
-        if name not in allowed:
-            raise RegionError(
-                f"region parameter {key}={params[key]!r} names no policy; "
-                f"expected one of {allowed}"
-            )
-        return name
+    gc_policy = params.get("GC_POLICY", "greedy").lower()
+    if gc_policy not in available_gc_policies():
+        raise RegionError(
+            f"region parameter GC_POLICY={params['GC_POLICY']!r} names no policy; "
+            f"expected one of {available_gc_policies()}"
+        )
 
     config = RegionConfig(
         name=match.group("name"),
         max_chips=int_param("MAX_CHIPS"),
         max_channels=int_param("MAX_CHANNELS"),
         max_size_bytes=parse_size(params["MAX_SIZE"]) if "MAX_SIZE" in params else None,
-        gc_policy=policy_param("GC_POLICY", "greedy", available_gc_policies()),
-        wl_policy=policy_param("WL_POLICY", "coldest_first", available_wl_policies()),
+        gc_policy=gc_policy,
         wear_level_threshold=int_param("WEAR_LEVEL_THRESHOLD"),
         read_disturb_threshold=int_param("READ_DISTURB_THRESHOLD"),
     )

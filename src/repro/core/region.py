@@ -50,8 +50,6 @@ class RegionConfig:
             ``None`` for "whatever the dies provide".
         gc_policy: victim selection for this region's GC, by name
             (``"greedy"`` or ``"cost_benefit"``; see :mod:`repro.policies`).
-        wl_policy: static-WL block ranking, by name (``"coldest_first"``
-            or ``"oldest_data"``).
         gc_trigger_free_blocks / gc_target_free_blocks: per-die watermarks.
         wear_level_threshold: per-die static-WL trigger, or ``None``.
         object_frontiers: when ``True`` (the paper's *intelligent data
@@ -67,7 +65,6 @@ class RegionConfig:
     max_channels: int | None = None
     max_size_bytes: int | None = None
     gc_policy: str = "greedy"
-    wl_policy: str = "coldest_first"
     gc_trigger_free_blocks: int = 2
     gc_target_free_blocks: int = 3
     wear_level_threshold: int | None = None
@@ -121,7 +118,6 @@ class Region:
             books=books,
             stats=self.stats,
             gc_policy=config.gc_policy,
-            wl_policy=config.wl_policy,
             gc_trigger_free_blocks=config.gc_trigger_free_blocks,
             gc_target_free_blocks=config.gc_target_free_blocks,
             wear_level_threshold=config.wear_level_threshold,
@@ -362,7 +358,6 @@ class Region:
             "capacity_pages": self.capacity_pages(),
             "used_pages": self.used_pages(),
             "gc_policy": self.config.gc_policy,
-            "wl_policy": self.config.wl_policy,
             "max_size": self.config.max_size_human,
             "degraded": self.degraded,
             "failed_dies": list(self.failed_dies),

@@ -167,14 +167,14 @@ class NoFTLStore:
             )
         for d in region.dies:
             books = self._books[d]
-            for info in books.blocks:
-                if info.state is BlockState.BAD:
+            for block in range(books.blocks_per_die):
+                if books.state[block] == BlockState.BAD:
                     continue
-                if info.written > 0:
-                    self.device.erase_block_packed(d, info.block, self.device.clock.now)
-                    region.engine._retire_or_recycle(d, info.block)
-                elif info.state is BlockState.OPEN:
-                    books.return_erased_block(info.block)
+                if books.written[block] > 0:
+                    self.device.erase_block_packed(d, block, self.device.clock.now)
+                    region.engine._retire_or_recycle(d, block)
+                elif books.state[block] == BlockState.OPEN:
+                    books.return_erased_block(block)
         self._dropped_failed.extend(region.failed_dies)
         self._dropped_failed.extend(d for d in region.engine.books if d not in region.dies)
         del self._regions[name]

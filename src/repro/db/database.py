@@ -170,7 +170,6 @@ class Database:
         ftl: str = "page",
         overprovision: float = 0.1,
         gc_policy: str = "greedy",
-        wl_policy: str = "coldest_first",
         cmt_entries: int = 4096,
         initial_bad_block_rate: float = 0.0,
         device_seed: int = 0,
@@ -186,8 +185,7 @@ class Database:
         )
         if ftl == "page":
             ftl_device: PageMappingFTL = PageMappingFTL(
-                device, overprovision=overprovision, gc_policy=gc_policy,
-                wl_policy=wl_policy,
+                device, overprovision=overprovision, gc_policy=gc_policy
             )
         elif ftl == "dftl":
             ftl_device = DFTL(
@@ -195,7 +193,6 @@ class Database:
                 cmt_entries=cmt_entries,
                 overprovision=overprovision,
                 gc_policy=gc_policy,
-                wl_policy=wl_policy,
             )
         else:
             raise ValueError(f"unknown ftl kind {ftl!r}; expected 'page' or 'dftl'")

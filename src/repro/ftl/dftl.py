@@ -55,7 +55,6 @@ class DFTL(PageMappingFTL):
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: str = "coldest_first",
     ) -> None:
         if cmt_entries < 1:
             raise ValueError("cmt_entries must be >= 1")
@@ -72,7 +71,6 @@ class DFTL(PageMappingFTL):
             gc_target_free_blocks=gc_target_free_blocks,
             wear_level_threshold=wear_level_threshold,
             wl_check_interval_erases=wl_check_interval_erases,
-            wl_policy=wl_policy,
             internal_pages=trans_pages,
         )
         self.entries_per_tpage = entries_per_tpage

@@ -90,7 +90,6 @@ class HotColdFTL(PageMappingFTL):
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: str = "coldest_first",
     ) -> None:
         if hot_factor <= 0:
             raise ValueError("hot_factor must be positive")
@@ -102,7 +101,6 @@ class HotColdFTL(PageMappingFTL):
             gc_target_free_blocks=gc_target_free_blocks,
             wear_level_threshold=wear_level_threshold,
             wl_check_interval_erases=wl_check_interval_erases,
-            wl_policy=wl_policy,
         )
         self.sketch = UpdateFrequencySketch(slots=sketch_slots, decay_interval=decay_interval)
         self.hot_factor = hot_factor

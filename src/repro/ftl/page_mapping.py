@@ -51,8 +51,6 @@ class PageMappingFTL(BlockDevice):
         wear_level_threshold: max allowed spread of per-block erase counts
             within a die before static WL kicks in; ``None`` disables WL.
         wl_check_interval_erases: how often (in GC erases) WL is evaluated.
-        wl_policy: static-WL block ranking by name (``"coldest_first"``
-            or ``"oldest_data"``).
         internal_pages: extra logical pages reserved for subclass metadata
             (e.g. DFTL translation pages); they shrink the exported LBA space.
     """
@@ -66,7 +64,6 @@ class PageMappingFTL(BlockDevice):
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: str = "coldest_first",
         internal_pages: int = 0,
     ) -> None:
         if not 0.0 <= overprovision < 0.5:
@@ -92,7 +89,6 @@ class PageMappingFTL(BlockDevice):
             gc_target_free_blocks=gc_target_free_blocks,
             wear_level_threshold=wear_level_threshold,
             wl_check_interval_erases=wl_check_interval_erases,
-            wl_policy=wl_policy,
         )
 
         usable = int(self.geometry.total_pages * (1.0 - overprovision))

@@ -6,12 +6,11 @@ host-side NoFTL (:mod:`repro.core`) so the comparison between them isolates
 differences.
 """
 
-from repro.mapping.blockinfo import BlockInfo, BlockState, BookkeepingError, DieBookkeeping
+from repro.mapping.blockinfo import BlockState, BookkeepingError, DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine, SpaceFullError, die_reserve_blocks
 from repro.mapping.stats import ManagementStats
 
 __all__ = [
-    "BlockInfo",
     "BlockState",
     "BookkeepingError",
     "DieBookkeeping",

@@ -4,12 +4,9 @@ Real NAND does not know which of its programmed pages still hold live data —
 that knowledge belongs to whoever owns the address translation.  Both
 management layers in this reproduction (the on-device FTL of
 :mod:`repro.ftl` and the host-side NoFTL of :mod:`repro.core`) therefore
-share these primitives:
-
-* :class:`BlockInfo` — per-erase-block state: how many pages are written,
-  which of them are still valid, and the block's lifecycle state;
-* :class:`DieBookkeeping` — per-die collections of blocks by state plus the
-  free-block pool.
+share one primitive, :class:`DieBookkeeping`: per-block counters of one
+die plus its free-block pool.  A block is a plain ``int`` index into the
+die's columns; there is no per-block object.
 
 Keeping this in one place is not just code hygiene: it makes the FTL/NoFTL
 comparison honest, because both layers run the *same* bookkeeping and differ
@@ -19,17 +16,14 @@ over which dies).
 Everything here sits on the engine's per-write hot path, so the bookkeeping
 is **incremental** and **columnar**:
 
-* all per-block fields live in flat parallel arrays owned by the die
-  (:class:`_BlockColumns`): lifecycle codes in a ``bytearray``, valid
-  bitmasks in a plain list (they are arbitrary-precision ints), valid/
-  written counts in ``array('q')`` and last-write stamps in ``array('d')``.
-  A :class:`BlockInfo` is a read-mostly *view* — (columns, index) — for
-  policies and tests; every state transition is a
-  :class:`DieBookkeeping` operation on a block index
+* every per-block field is one flat column owned by the die: lifecycle
+  codes (:class:`BlockState`) in a ``bytearray``, valid bitmasks in a
+  plain list (they are arbitrary-precision ints), valid/written counts in
+  ``array('q')`` and last-write stamps in ``array('d')``.  Every state
+  transition is a :class:`DieBookkeeping` method on a block index
   (:meth:`~DieBookkeeping.note_write`,
   :meth:`~DieBookkeeping.invalidate`, :meth:`~DieBookkeeping.seal`,
-  :meth:`~DieBookkeeping.reset_after_erase`), so a view holds no
-  reference back to its die and the books free by reference counting;
+  :meth:`~DieBookkeeping.reset_after_erase`); readers index the columns;
 * page validity is an int bitmask with a maintained valid count —
   no per-query popcount over a Python list;
 * the GC candidate set (FULL blocks with at least one invalid page) is
@@ -61,230 +55,34 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.flash.die import Die
 
 
-class BlockState(enum.Enum):
-    """Lifecycle of an erase block as seen by a management layer."""
+class BlockState(enum.IntEnum):
+    """Lifecycle of an erase block as seen by a management layer; the values
+    are the codes of :attr:`DieBookkeeping.state`."""
 
-    FREE = "free"  #: erased, not yet allocated to a write frontier
-    OPEN = "open"  #: currently being filled by a write frontier
-    FULL = "full"  #: fully programmed; GC candidate once pages invalidate
-    BAD = "bad"  #: retired
+    FREE = 0  #: erased, not yet allocated to a write frontier
+    OPEN = 1  #: currently being filled by a write frontier
+    FULL = 2  #: fully programmed; GC candidate once pages invalidate
+    BAD = 3  #: retired
 
 
-#: integer codes of :class:`BlockState` as stored in the state column
+#: plain-int codes for the hot paths below
 _FREE, _OPEN, _FULL, _BAD = 0, 1, 2, 3
-_STATE_FROM_CODE: tuple[BlockState, BlockState, BlockState, BlockState] = (
-    BlockState.FREE,
-    BlockState.OPEN,
-    BlockState.FULL,
-    BlockState.BAD,
-)
-_CODE_FROM_STATE: dict[BlockState, int] = {
-    state: code for code, state in enumerate(_STATE_FROM_CODE)
-}
 
 
 class BookkeepingError(Exception):
     """Inconsistent valid-page bookkeeping (a management-layer bug)."""
 
 
-class _BlockColumns:
-    """Flat per-block storage for one die (struct-of-arrays).
-
-    One instance backs every :class:`BlockInfo` view of a die; a standalone
-    ``BlockInfo`` (unit tests, ad-hoc construction) owns a private
-    single-row instance.
-    """
-
-    __slots__ = ("pages_per_block", "state", "valid_mask", "valid_count",
-                 "written", "last_write_us")
-
-    def __init__(self, rows: int, pages_per_block: int) -> None:
-        self.pages_per_block = pages_per_block
-        self.state = bytearray(rows)  # zero-filled == all FREE
-        #: bitmasks are arbitrary-precision ints (blocks can exceed 64 pages)
-        self.valid_mask: list[int] = [0] * rows
-        self.valid_count = array("q", bytes(8 * rows))
-        self.written = array("q", bytes(8 * rows))
-        self.last_write_us = array("d", bytes(8 * rows))
-
-
-class BlockInfo:
-    """Management-layer view of one erase block.
-
-    A (columns, row) view over its die's :class:`_BlockColumns`; field reads
-    and writes go straight to the arrays, so views taken at different times
-    always agree.  Transitions that keep the die's GC candidate set in step
-    belong to :class:`DieBookkeeping`, not to the view.  Constructing one
-    directly (``BlockInfo(die=.., block=.., pages_per_block=.., ...)``)
-    makes a standalone block with private single-row columns holding the
-    given fields — the form unit tests and policy fixtures use.
-
-    Attributes (all backed by the columns):
-        die: global die index.
-        block: die-local block index.
-        state: lifecycle state.
-        valid_mask: per-page validity bitmask (bit ``p`` set = page ``p``
-            holds live data).
-        valid_count: number of set bits in ``valid_mask``, maintained
-            incrementally so reading it never popcounts.
-        written: number of pages programmed since the last erase.
-        last_write_us: virtual time of the most recent program into this
-            block (used by cost-benefit GC as the block's "age").
-    """
-
-    __slots__ = ("die", "block", "_cols", "_row")
-
-    def __init__(
-        self,
-        die: int,
-        block: int,
-        pages_per_block: int,
-        state: BlockState = BlockState.FREE,
-        valid_mask: int = 0,
-        valid_count: int = 0,
-        written: int = 0,
-        last_write_us: float = 0.0,
-    ) -> None:
-        self.die = die
-        self.block = block
-        cols = _BlockColumns(1, pages_per_block)
-        self._cols = cols
-        self._row = 0
-        cols.state[0] = _CODE_FROM_STATE[state]
-        cols.valid_mask[0] = valid_mask
-        cols.valid_count[0] = valid_count
-        cols.written[0] = written
-        cols.last_write_us[0] = last_write_us
-
-    @classmethod
-    def _view(cls, die: int, block: int, cols: _BlockColumns, row: int) -> "BlockInfo":
-        """Bind a view onto shared die columns (no private allocation)."""
-        self = object.__new__(cls)
-        self.die = die
-        self.block = block
-        self._cols = cols
-        self._row = row
-        return self
-
-    # ------------------------------------------------------------------
-    # Column-backed fields
-    # ------------------------------------------------------------------
-    @property
-    def pages_per_block(self) -> int:
-        """Number of pages in this block."""
-        return self._cols.pages_per_block
-
-    @property
-    def state(self) -> BlockState:
-        """Lifecycle state."""
-        return _STATE_FROM_CODE[self._cols.state[self._row]]
-
-    @state.setter
-    def state(self, value: BlockState) -> None:
-        self._cols.state[self._row] = _CODE_FROM_STATE[value]
-
-    @property
-    def valid_mask(self) -> int:
-        """Per-page validity bitmask."""
-        return self._cols.valid_mask[self._row]
-
-    @valid_mask.setter
-    def valid_mask(self, value: int) -> None:
-        self._cols.valid_mask[self._row] = value
-
-    @property
-    def valid_count(self) -> int:
-        """Number of set bits in ``valid_mask`` (maintained, not counted)."""
-        return self._cols.valid_count[self._row]
-
-    @valid_count.setter
-    def valid_count(self, value: int) -> None:
-        self._cols.valid_count[self._row] = value
-
-    @property
-    def written(self) -> int:
-        """Pages programmed since the last erase."""
-        return self._cols.written[self._row]
-
-    @written.setter
-    def written(self, value: int) -> None:
-        self._cols.written[self._row] = value
-
-    @property
-    def last_write_us(self) -> float:
-        """Virtual time of the most recent program into this block."""
-        return self._cols.last_write_us[self._row]
-
-    @last_write_us.setter
-    def last_write_us(self, value: float) -> None:
-        self._cols.last_write_us[self._row] = value
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockInfo(die={self.die}, block={self.block}, "
-            f"pages_per_block={self.pages_per_block}, state={self.state}, "
-            f"valid_mask={self.valid_mask}, valid_count={self.valid_count}, "
-            f"written={self.written}, last_write_us={self.last_write_us})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockInfo):
-            return NotImplemented
-        return (
-            self.die == other.die
-            and self.block == other.block
-            and self.pages_per_block == other.pages_per_block
-            and self.state is other.state
-            and self.valid_mask == other.valid_mask
-            and self.valid_count == other.valid_count
-            and self.written == other.written
-            and self.last_write_us == other.last_write_us
-        )
-
-    # value-equal like the former dataclass, therefore unhashable
-    __hash__ = None  # type: ignore[assignment]
-
-    # ------------------------------------------------------------------
-    # Derived state
-    # ------------------------------------------------------------------
-    @property
-    def invalid_count(self) -> int:
-        """Number of dead (written but superseded) pages."""
-        row = self._row
-        return self._cols.written[row] - self._cols.valid_count[row]
-
-    @property
-    def is_full(self) -> bool:
-        """Whether every page has been written."""
-        return self._cols.written[self._row] >= self._cols.pages_per_block
-
-    def is_valid(self, page: int) -> bool:
-        """Whether ``page`` currently holds live data."""
-        return bool(self._cols.valid_mask[self._row] >> page & 1)
-
-    def valid_pages(self) -> list[int]:
-        """Indices of pages that still hold live data (ascending)."""
-        mask = self._cols.valid_mask[self._row]
-        pages = []
-        while mask:
-            low = mask & -mask
-            pages.append(low.bit_length() - 1)
-            mask ^= low
-        return pages
-
-
 class DieBookkeeping:
     """All block bookkeeping for one die.
 
-    Owns the die's :class:`_BlockColumns` plus the free-block pool and the
-    GC candidate set; ``blocks`` holds one persistent :class:`BlockInfo`
-    view per block (row *b* == block *b*).  The management layer is
-    responsible for calling :meth:`take_free_block` /
-    :meth:`return_erased_block` around its write frontiers and GC.  Every
-    per-block transition — :meth:`note_write`,
-    :meth:`invalidate`, :meth:`seal`, :meth:`reset_after_erase` —
-    is a method here taking a block index; it indexes the columns
-    directly and keeps the candidate set in step.
+    Owns one column per block field — ``state``, ``valid_mask``,
+    ``valid_count``, ``written``, ``last_write_us``, each indexed by the
+    die-local block number — plus the free-block pool ``free`` and the GC
+    candidate set.  Callers read the columns directly; only the methods
+    here change them.  The management layer is responsible for calling
+    :meth:`take_free_block` / :meth:`return_erased_block` around its write
+    frontiers and GC.
 
     The candidate set is the column ``_gc_valid``: a FULL block's valid
     count, ``pages_per_block`` for every other block, so the entries below
@@ -296,29 +94,28 @@ class DieBookkeeping:
 
     def __init__(self, die: int, blocks_per_die: int, pages_per_block: int) -> None:
         self.die = die
+        self.blocks_per_die = blocks_per_die
         self.pages_per_block = pages_per_block
-        cols = _BlockColumns(blocks_per_die, pages_per_block)
-        self._cols = cols
-        # column aliases: hot paths (here and in the engine) index these
-        # directly instead of going through a BlockInfo view
-        self._state = cols.state
-        self._valid_mask = cols.valid_mask
-        self._valid_count = cols.valid_count
-        self._written = cols.written
-        self._last_write_us = cols.last_write_us
-        self.blocks: list[BlockInfo] = [
-            BlockInfo._view(die, b, cols, b) for b in range(blocks_per_die)
-        ]
+        #: lifecycle codes (:class:`BlockState` values); zero-filled == all FREE
+        self.state = bytearray(blocks_per_die)
+        #: per-page validity bitmask (bit ``p`` set = page ``p`` is live)
+        self.valid_mask: list[int] = [0] * blocks_per_die
+        #: set bits of ``valid_mask``, maintained so reading never popcounts
+        self.valid_count = array("q", bytes(8 * blocks_per_die))
+        #: pages programmed since the last erase
+        self.written = array("q", bytes(8 * blocks_per_die))
+        #: virtual time of the latest program (cost-benefit GC's "age")
+        self.last_write_us = array("d", bytes(8 * blocks_per_die))
         # insertion-ordered free pool: O(1) membership, removal, LIFO pop.
         # Seeded high-to-low so the first pops hand out blocks 0, 1, 2, …
-        self._free: dict[int, None] = dict.fromkeys(range(blocks_per_die - 1, -1, -1))
+        self.free: dict[int, None] = dict.fromkeys(range(blocks_per_die - 1, -1, -1))
         #: per block: valid count if FULL, else pages_per_block
         self._gc_valid = array("q", [pages_per_block]) * blocks_per_die
 
     @property
     def free_count(self) -> int:
         """Number of blocks in the free pool."""
-        return len(self._free)
+        return len(self.free)
 
     @property
     def has_reclaimable(self) -> bool:
@@ -327,36 +124,53 @@ class DieBookkeeping:
         return min(self._gc_valid) < self.pages_per_block
 
     # ------------------------------------------------------------------
-    # Per-block transitions (column-indexed, no BlockInfo views)
+    # Derived per-block facts
+    # ------------------------------------------------------------------
+    def invalid_count(self, block: int) -> int:
+        """Dead (written but superseded) pages of ``block``."""
+        return self.written[block] - self.valid_count[block]
+
+    def valid_pages(self, block: int) -> list[int]:
+        """Pages of ``block`` that still hold live data (ascending)."""
+        mask = self.valid_mask[block]
+        pages = []
+        while mask:
+            low = mask & -mask
+            pages.append(low.bit_length() - 1)
+            mask ^= low
+        return pages
+
+    # ------------------------------------------------------------------
+    # Per-block transitions
     # ------------------------------------------------------------------
     def note_write(self, block: int, page: int, now_us: float) -> None:
         """Record that ``page`` of ``block`` was just programmed with live
         data; pages are written in order, and the last one makes the block
         FULL."""
-        written = self._written
+        written = self.written
         if page != written[block]:
             raise BookkeepingError(
                 f"block d{self.die}/b{block}: wrote page {page}, "
                 f"expected {written[block]}"
             )
-        masks = self._valid_mask
+        masks = self.valid_mask
         mask = masks[block]
         bit = 1 << page
         if mask & bit:
             raise BookkeepingError(f"page {page} already valid in d{self.die}/b{block}")
         masks[block] = mask | bit
-        self._valid_count[block] += 1
+        self.valid_count[block] += 1
         wrote = written[block] + 1
         written[block] = wrote
-        self._last_write_us[block] = now_us
+        self.last_write_us[block] = now_us
         if wrote >= self.pages_per_block:
-            self._state[block] = _FULL
-            self._gc_valid[block] = self._valid_count[block]
+            self.state[block] = _FULL
+            self._gc_valid[block] = self.valid_count[block]
 
     def invalidate(self, block: int, page: int) -> None:
         """Record that the live data at ``page`` of ``block`` was superseded
         elsewhere."""
-        masks = self._valid_mask
+        masks = self.valid_mask
         mask = masks[block]
         bit = 1 << page
         if not mask & bit:
@@ -364,9 +178,9 @@ class DieBookkeeping:
                 f"double invalidate of page {page} in d{self.die}/b{block}"
             )
         masks[block] = mask ^ bit
-        count = self._valid_count[block] - 1
-        self._valid_count[block] = count
-        if self._state[block] == _FULL:
+        count = self.valid_count[block] - 1
+        self.valid_count[block] = count
+        if self.state[block] == _FULL:
             self._gc_valid[block] = count
 
     def seal(self, block: int) -> None:
@@ -375,25 +189,25 @@ class DieBookkeeping:
         Used for relocation targets and recovery of partially-written
         blocks; a sealed block with dead tail pages is reclaimable.
         """
-        written = self._written
+        written = self.written
         if 0 < written[block] < self.pages_per_block:
             written[block] = self.pages_per_block
-            self._state[block] = _FULL
-            self._gc_valid[block] = self._valid_count[block]
+            self.state[block] = _FULL
+            self._gc_valid[block] = self.valid_count[block]
 
     def reset_after_erase(self, block: int) -> None:
         """Return ``block`` to the FREE state after an erase (the free pool
         is the caller's: see :meth:`return_erased_block`)."""
-        self._valid_mask[block] = 0
-        self._valid_count[block] = 0
-        self._written[block] = 0
-        self._state[block] = _FREE
+        self.valid_mask[block] = 0
+        self.valid_count[block] = 0
+        self.written[block] = 0
+        self.state[block] = _FREE
         self._gc_valid[block] = self.pages_per_block
 
     # ------------------------------------------------------------------
     # Candidate queries
     # ------------------------------------------------------------------
-    def greedy_victim(self) -> BlockInfo | None:
+    def greedy_victim(self) -> int | None:
         """Candidate with the most invalid pages (lowest block breaks ties).
 
         Bit-identical to a greedy scan over :meth:`gc_candidates_scan`: a
@@ -404,19 +218,29 @@ class DieBookkeeping:
         least = min(col)
         if least >= self.pages_per_block:
             return None
-        return self.blocks[col.index(least)]
+        return col.index(least)
 
-    def iter_candidates(self) -> Iterator[BlockInfo]:
-        """The maintained candidate set as BlockInfo records (block order)."""
-        return compress(self.blocks, map(self.pages_per_block.__gt__, self._gc_valid))
+    def iter_candidates(self) -> Iterator[int]:
+        """The maintained candidate set, in block order."""
+        return compress(
+            range(self.blocks_per_die), map(self.pages_per_block.__gt__, self._gc_valid)
+        )
+
+    def gc_candidates_scan(self) -> list[int]:
+        """The candidate set recomputed from scratch (reference/testing)."""
+        state = self.state
+        return [
+            b for b in range(self.blocks_per_die)
+            if state[b] == _FULL and self.invalid_count(b) > 0
+        ]
 
     # ------------------------------------------------------------------
     # Free pool
     # ------------------------------------------------------------------
     def mark_bad(self, block: int) -> None:
         """Retire a block; it leaves the free pool permanently."""
-        self._state[block] = _BAD
-        self._free.pop(block, None)
+        self.state[block] = _BAD
+        self.free.pop(block, None)
         self._gc_valid[block] = self.pages_per_block
 
     def adopt_factory_bad_blocks(self, device_die: "Die") -> None:
@@ -430,15 +254,35 @@ class DieBookkeeping:
         for block in device_die.bad_blocks():
             self.mark_bad(block)
 
-    def take_free_block(self) -> BlockInfo:
+    def take_free_block(self) -> int:
         """Pop a free block and mark it OPEN (for a write frontier).
 
         A pool entry that is not FREE (a block programmed while it sat in
         the pool) raises like any other :meth:`take_block` of a busy block;
         it is never skipped over."""
-        if not self._free:
+        if not self.free:
             raise BookkeepingError(f"die {self.die}: out of free blocks")
-        return self.take_block(next(reversed(self._free)))
+        return self.take_block(next(reversed(self.free)))
+
+    def take_block(self, block: int) -> int:
+        """Pop a *specific* free block and mark it OPEN (the wear leveller's
+        pick; also the body of :meth:`take_free_block`)."""
+        if self.state[block] != _FREE or block not in self.free:
+            raise BookkeepingError(f"die {self.die}: block {block} is not free")
+        del self.free[block]
+        self.state[block] = _OPEN
+        return block
+
+    def free_blocks(self) -> list[int]:
+        """Blocks currently in the free pool, in pool order."""
+        return list(self.free)
+
+    def return_erased_block(self, block: int) -> None:
+        """Put an erased block back into the free pool."""
+        if self.state[block] == _BAD:
+            return
+        self.reset_after_erase(block)
+        self.free[block] = None
 
     def reset_all(self) -> None:
         """Forget all state: every good block returns to the free pool.
@@ -446,85 +290,48 @@ class DieBookkeeping:
         Used by crash recovery, which rebuilds validity from the flash
         itself; bad-block markings are preserved (they reflect hardware).
         """
-        state = self._state
-        for block in range(len(state)):
+        state = self.state
+        for block in range(self.blocks_per_die):
             if state[block] != _BAD:
                 self.reset_after_erase(block)
-        self._free = dict.fromkeys(
-            b for b in range(len(self.blocks) - 1, -1, -1) if state[b] != _BAD
+        self.free = dict.fromkeys(
+            b for b in range(self.blocks_per_die - 1, -1, -1) if state[b] != _BAD
         )
-
-    def take_block(self, block: int) -> BlockInfo:
-        """Pop a *specific* free block and mark it OPEN (the wear leveller's
-        pick; also the body of :meth:`take_free_block`)."""
-        if self._state[block] != _FREE or block not in self._free:
-            raise BookkeepingError(f"die {self.die}: block {block} is not free")
-        del self._free[block]
-        self._state[block] = _OPEN
-        return self.blocks[block]
-
-    def free_blocks(self) -> list[BlockInfo]:
-        """BlockInfo records currently in the free pool."""
-        return [self.blocks[b] for b in self._free]
-
-    def return_erased_block(self, block: int) -> None:
-        """Put an erased block back into the free pool."""
-        if self._state[block] == _BAD:
-            return
-        self.reset_after_erase(block)
-        self._free[block] = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def gc_candidates(self) -> list[BlockInfo]:
-        """FULL blocks with at least one invalid page (erasable after GC)."""
-        return list(self.iter_candidates())
-
-    def gc_candidates_scan(self) -> list[BlockInfo]:
-        """The candidate set recomputed from scratch (reference/testing)."""
-        state = self._state
-        written = self._written
-        count = self._valid_count
-        return [
-            self.blocks[b]
-            for b in range(len(self.blocks))
-            if state[b] == _FULL and written[b] - count[b] > 0
-        ]
-
     def good_block_count(self) -> int:
         """Blocks in any state but BAD: one C-level count over the state
         column (capacity accounting asks on every region allocation)."""
-        state = self._state
-        return len(state) - state.count(_BAD)
+        return self.blocks_per_die - self.state.count(_BAD)
 
     def total_valid_pages(self) -> int:
         """Live pages across the die (for utilization accounting)."""
-        return sum(self._valid_count)
+        return sum(self.valid_count)
 
     def check_invariants(self) -> None:
         """Assert the incremental state matches a from-scratch recompute."""
         ppb = self.pages_per_block
-        for info in self.blocks:
-            if info.valid_mask.bit_count() != info.valid_count:
+        for block in range(self.blocks_per_die):
+            where = f"d{self.die}/b{block}"
+            mask = self.valid_mask[block]
+            count = self.valid_count[block]
+            if mask.bit_count() != count:
                 raise BookkeepingError(
-                    f"d{info.die}/b{info.block}: valid_count {info.valid_count} "
-                    f"!= popcount {info.valid_mask.bit_count()}"
+                    f"{where}: valid_count {count} != popcount {mask.bit_count()}"
                 )
-            if info.valid_mask >> ppb:
+            if mask >> ppb:
+                raise BookkeepingError(f"{where}: validity bits beyond the block")
+            entry = count if self.state[block] == _FULL else ppb
+            if self._gc_valid[block] != entry:
                 raise BookkeepingError(
-                    f"d{info.die}/b{info.block}: validity bits beyond the block"
+                    f"{where}: candidate entry {self._gc_valid[block]} != recomputed {entry}"
                 )
-            entry = info.valid_count if info.state is BlockState.FULL else ppb
-            if self._gc_valid[info.block] != entry:
-                raise BookkeepingError(
-                    f"d{info.die}/b{info.block}: candidate entry "
-                    f"{self._gc_valid[info.block]} != recomputed {entry}"
-                )
-        expected = {b.block for b in self.gc_candidates_scan()}
-        if {b.block for b in self.iter_candidates()} != expected:
+        expected = self.gc_candidates_scan()
+        if list(self.iter_candidates()) != expected:
             raise BookkeepingError(
-                f"die {self.die}: candidate set != recomputed {sorted(expected)}"
+                f"die {self.die}: candidate set != recomputed {expected}"
             )
-        if self._free.keys() & expected:
+        if self.free.keys() & expected:
             raise BookkeepingError(f"die {self.die}: free blocks in candidate set")

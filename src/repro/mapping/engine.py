@@ -32,9 +32,9 @@ from repro.flash.errors import (
     TransientReadError,
 )
 from repro.flash.payload import Payload
-from repro.mapping.blockinfo import BlockInfo, BlockState, DieBookkeeping
+from repro.mapping.blockinfo import BlockState, DieBookkeeping
 from repro.mapping.stats import ManagementStats
-from repro.policies import GCPolicy, WLPolicy, resolve_gc_policy, resolve_wl_policy
+from repro.policies import GCPolicy, WLPolicy, resolve_gc_policy
 
 
 class SpaceFullError(Exception):
@@ -48,8 +48,9 @@ MAX_WRITE_REDRIVES = 8
 
 
 #: where frontier slots live: ``slots[die]`` in the per-die user and GC
-#: dicts, ``slots[position]`` in a placement group's stripe
-_Slots = dict[int, BlockInfo | None] | list[BlockInfo | None]
+#: dicts (a block index), ``slots[position]`` in a placement group's stripe
+#: (a ``(die, block)`` pair)
+_Slots = dict[int, int | None] | list[tuple[int, int] | None]
 
 
 def die_reserve_blocks(gc_target_free_blocks: int = 3) -> int:
@@ -82,9 +83,6 @@ class FlashSpaceEngine:
         wear_level_threshold: per-die erase-count spread triggering static
             WL, or ``None`` to disable.
         wl_check_interval_erases: WL evaluation cadence, in GC erases.
-        wl_policy: static-WL block ranking by name (default
-            ``"coldest_first"``, the historical behaviour, or
-            ``"oldest_data"``).
         obj_id: stamped into page metadata (regions use their region id).
         group_stripe_width: open blocks (on distinct dies) a placement
             group rotates its writes over; capped at the number of dies.
@@ -107,7 +105,6 @@ class FlashSpaceEngine:
         gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
-        wl_policy: str = "coldest_first",
         obj_id: int | None = None,
         group_stripe_width: int = 8,
         read_disturb_threshold: int | None = None,
@@ -133,7 +130,7 @@ class FlashSpaceEngine:
         self.books = books
         self.stats = stats
         self.gc_policy: GCPolicy = resolve_gc_policy(gc_policy)
-        self.wl_policy: WLPolicy = resolve_wl_policy(wl_policy)
+        self._wl_ranking = WLPolicy()
         self.gc_trigger_free_blocks = gc_trigger_free_blocks
         self.gc_target_free_blocks = gc_target_free_blocks
         self.wear_level_threshold = wear_level_threshold
@@ -145,13 +142,13 @@ class FlashSpaceEngine:
 
         self._map: dict[int, int] = {}  # logical key -> packed ppa
         self._rmap: dict[int, int] = {}  # packed ppa -> logical key
-        self._user_frontier: dict[int, BlockInfo | None] = {d: None for d in dies}
-        self._gc_frontier: dict[int, BlockInfo | None] = {d: None for d in dies}
+        self._user_frontier: dict[int, int | None] = {d: None for d in dies}
+        self._gc_frontier: dict[int, int | None] = {d: None for d in dies}
         # The frontier rule: a slot — user, GC or group — holds a block only
         # while that block is OPEN.  The write that fills a block empties its
         # slot; one retired or drained before that goes through _detach_slots.
-        #: group -> (stripe slots, [next die offset, next slot])
-        self._groups: dict[int, tuple[list[BlockInfo | None], list[int]]] = {}
+        #: group -> (stripe slots of (die, block), [next die offset, next slot])
+        self._groups: dict[int, tuple[list[tuple[int, int] | None], list[int]]] = {}
         self._rr_index = 0
         self._erases_since_wl_check = 0
 
@@ -248,11 +245,11 @@ class FlashSpaceEngine:
         :meth:`_retire_or_recycle`, so a scrub that pushes the block past
         rated endurance retires it.
         """
-        info = self.books[die_index].blocks[block]
-        if info.state is not BlockState.FULL:
+        books = self.books[die_index]
+        if books.state[block] != BlockState.FULL:
             return
-        moved = info.valid_count
-        t, __ = self._empty_block(info, at)
+        moved = books.valid_count[block]
+        self._empty_block(die_index, block, at)
         faults = self.device.faults
         if faults is not None:
             faults.stats.scrubs += 1
@@ -268,9 +265,9 @@ class FlashSpaceEngine:
         reads = self.device.dies[die_index].reads_since_erase(block)
         if reads < self.read_disturb_threshold:
             return
-        info = self.books[die_index].blocks[block]
-        if info.state is BlockState.FULL:  # open frontiers refresh when collected
-            self._empty_block(info, at, wear_level=True)
+        if self.books[die_index].state[block] == BlockState.FULL:
+            # open frontiers refresh when collected
+            self._empty_block(die_index, block, at, wear_level=True)
 
     def write(self, key: int, data: Payload, at: float, group: int | None = None) -> float:
         """Write logical page ``key`` out-of-place; returns completion time.
@@ -299,26 +296,24 @@ class FlashSpaceEngine:
                 for offset in range(n):
                     die_index = dies[(rr + offset) % n]
                     books = books_map[die_index]
-                    if len(books._free) > 1 or books.has_reclaimable:
+                    if len(books.free) > 1 or books.has_reclaimable:
                         self._rr_index = (rr + offset + 1) % n
                         break
                 else:
                     raise SpaceFullError(
                         f"engine over dies {self.dies}: every die is full of valid data"
                     )
-                if len(books._free) <= self.gc_trigger_free_blocks:
+                if len(books.free) <= self.gc_trigger_free_blocks:
                     at = self._collect_if_needed(die_index, at)
                 slots: _Slots = self._user_frontier
                 slot = die_index
-                frontier = slots[slot]
-                if frontier is None:
-                    frontier = slots[slot] = books.take_free_block()
+                block = slots[slot]
+                if block is None:
+                    block = slots[slot] = books.take_free_block()
             else:
-                frontier, slots, slot, at = self._group_frontier(group, at)
-                die_index = frontier.die
+                die_index, block, slots, slot, at = self._group_frontier(group, at)
                 books = books_map[die_index]
-            block = frontier.block
-            page = books._written[block]
+            page = books.written[block]
             obj = self.obj_id
             seq = device._seq + 1  # next_sequence(), sans the call
             device._seq = seq
@@ -328,7 +323,7 @@ class FlashSpaceEngine:
                     seq, -1 if obj is None else obj, at,
                 )
             except ProgramFaultError:
-                at = self._on_program_fault(frontier, at)
+                at = self._on_program_fault(die_index, block, at)
                 redrives += 1
                 if redrives == MAX_WRITE_REDRIVES:
                     raise
@@ -344,7 +339,7 @@ class FlashSpaceEngine:
             packed = die_index * ppd + block * ppb + page
             self._map[key] = packed
             self._rmap[packed] = key
-            if books._written[block] >= ppb:
+            if books.written[block] >= ppb:
                 slots[slot] = None  # the frontier rule
             return end
 
@@ -382,28 +377,26 @@ class FlashSpaceEngine:
                         slots: _Slots = self._user_frontier
                         slot = die_index = self._pick_die()
                         at = self._collect_if_needed(die_index, at)
-                        frontier = slots[slot]
-                        if frontier is None:
-                            frontier = slots[slot] = self.books[die_index].take_free_block()
+                        block = slots[slot]
+                        if block is None:
+                            block = slots[slot] = self.books[die_index].take_free_block()
                     else:
-                        frontier, slots, slot, at = self._group_frontier(group, at)
-                        die_index = frontier.die
-                    block = frontier.block
+                        die_index, block, slots, slot, at = self._group_frontier(group, at)
                     books = self.books[die_index]
-                    page = books._written[block]
+                    page = books.written[block]
                     at = device.program_page_packed(
                         die_index, block, page, data, key,
                         device.next_sequence(), -1 if obj is None else obj, at, extra,
                     )[1]
                     books.note_write(block, page, at)
-                    if books._written[block] >= ppb:
+                    if books.written[block] >= ppb:
                         slots[slot] = None  # the frontier rule
                     staged.append((key, die_index, block, page))
             except ProgramFaultError:
                 # abandon the attempt BEFORE retiring the block, so the
                 # salvage pass only relocates pages that are really mapped
                 self._abandon_staged(staged)
-                at = self._on_program_fault(frontier, at)
+                at = self._on_program_fault(die_index, block, at)
                 redrives += 1
                 if redrives == MAX_WRITE_REDRIVES:
                     raise
@@ -461,9 +454,10 @@ class FlashSpaceEngine:
 
     def _group_frontier(
         self, group: int, at: float
-    ) -> tuple[BlockInfo, list[BlockInfo | None], int, float]:
-        """Active erase block of a placement group, and the slot holding it
-        (``slots[slot]``, for the write that fills the block to empty).
+    ) -> tuple[int, int, list[tuple[int, int] | None], int, float]:
+        """``(die, block, slots, slot, at)``: the active erase block of a
+        placement group, and the slot holding it (``slots[slot]``, for the
+        write that fills the block to empty).
 
         Each group keeps up to ``group_stripe_width`` open blocks on
         distinct dies and rotates through them page by page, so even a
@@ -473,26 +467,30 @@ class FlashSpaceEngine:
         empty slot is refilled from the next die in round-robin order."""
         state = self._groups.get(group)
         if state is None:
-            slots: list[BlockInfo | None] = [None] * min(self.group_stripe_width, len(self.dies))
+            slots: list[tuple[int, int] | None] = [None] * min(
+                self.group_stripe_width, len(self.dies)
+            )
             state = self._groups[group] = (slots, [group % len(self.dies), 0])
         slots, nexts = state
         width = len(slots)
         for __ in range(width):
             slot = nexts[1]
             nexts[1] = (slot + 1) % width
-            frontier = slots[slot]
-            if frontier is None:
-                frontier, at = self._take_group_block(nexts, at)
-                if frontier is None:
+            held = slots[slot]
+            if held is None:
+                held, at = self._take_group_block(nexts, at)
+                if held is None:
                     continue
-                slots[slot] = frontier
-            return frontier, slots, slot, at
+                slots[slot] = held
+            return held[0], held[1], slots, slot, at
         raise SpaceFullError(
             f"engine over dies {self.dies}: every die is full of valid data"
         )
 
-    def _take_group_block(self, nexts: list[int], at: float) -> tuple[BlockInfo | None, float]:
-        """Allocate a fresh block for a group from the next viable die."""
+    def _take_group_block(
+        self, nexts: list[int], at: float
+    ) -> tuple[tuple[int, int] | None, float]:
+        """Allocate a fresh ``(die, block)`` for a group from the next viable die."""
         n = len(self.dies)
         start = nexts[0]
         for offset in range(n):
@@ -501,7 +499,7 @@ class FlashSpaceEngine:
             if books.free_count > 1 or books.has_reclaimable:
                 at = self._collect_if_needed(die_index, at)
                 nexts[0] = (start + offset + 1) % n
-                return books.take_free_block(), at
+                return (die_index, books.take_free_block()), at
         return None, at
 
     # ------------------------------------------------------------------
@@ -522,40 +520,41 @@ class FlashSpaceEngine:
         blocking = books.free_count <= 1
         t = at
         while books.free_count < self.gc_target_free_blocks:
-            victim = self.gc_policy.choose_victim_from_books(books, t)
+            victim = self.gc_policy.choose_victim(books, t)
             if victim is None:
                 if books.free_count == 0:
                     raise SpaceFullError(
                         f"die {die_index}: no free blocks and nothing to reclaim"
                     )
                 break
-            t = self._collect_block(victim, t)
+            t = self._collect_block(die_index, victim, t)
         t = self._maybe_wear_level(t)
         return t if blocking else at
 
-    def _collect_block(self, victim: BlockInfo, at: float) -> float:
-        self.stats.gc_victim_valid_pages += victim.valid_count
-        __, end = self._empty_block(victim, at)
+    def _collect_block(self, die_index: int, victim: int, at: float) -> float:
+        self.stats.gc_victim_valid_pages += self.books[die_index].valid_count[victim]
+        __, end = self._empty_block(die_index, victim, at)
         self._erases_since_wl_check += 1
         return end
 
     def _empty_block(
-        self, info: BlockInfo, at: float,
-        target: BlockInfo | None = None, wear_level: bool = False,
+        self, die_index: int, block: int, at: float,
+        target: int | None = None, wear_level: bool = False,
     ) -> tuple[float, float]:
-        """Relocate ``info``'s live pages, ERASE it, recycle or retire it —
+        """Relocate ``block``'s live pages, ERASE it, recycle or retire it —
         the one way a block is emptied (GC victim, scrub, refresh, WL move,
         evacuated die).  ``target`` and ``wear_level`` are :meth:`_relocate`'s
         and decide the erase counter too.  Returns ``(erase issued, erase
         done)``: the relocations end at the first, the block is free at the
         second."""
-        at = self._relocate(info.die, info.block, info.valid_pages(), at, target, wear_level)
-        __, end = self.device.erase_block_packed(info.die, info.block, at)
+        pages = self.books[die_index].valid_pages(block)
+        at = self._relocate(die_index, block, pages, at, target, wear_level)
+        __, end = self.device.erase_block_packed(die_index, block, at)
         if wear_level:
             self.stats.wl_erases += 1
         else:
             self.stats.gc_erases += 1
-        self._retire_or_recycle(info.die, info.block)
+        self._retire_or_recycle(die_index, block)
         return at, end
 
     def _retire_or_recycle(self, die_index: int, block: int) -> None:
@@ -573,7 +572,7 @@ class FlashSpaceEngine:
 
     def _relocate(
         self, die_index: int, src_block: int, pages: list[int], at: float,
-        target: BlockInfo | None = None, wear_level: bool = False,
+        target: int | None = None, wear_level: bool = False,
     ) -> float:
         """Move the live ``pages`` of ``src_block`` within their die, one
         after another (copyback preferred); returns when the last move ends.
@@ -592,7 +591,8 @@ class FlashSpaceEngine:
         copyback = self.device.copyback_packed
         source_die = self.device.dies[die_index]
         books = self.books[die_index]
-        written = books._written
+        state = books.state
+        written = books.written
         gc_frontier = self._gc_frontier
         mapping = self._map
         rmap = self._rmap
@@ -602,12 +602,11 @@ class FlashSpaceEngine:
             key = rmap[src_packed]
             redrives = 0
             while True:
-                frontier = target
-                if frontier is None or frontier.state is not BlockState.OPEN:
-                    frontier = gc_frontier[die_index]
-                    if frontier is None:
-                        frontier = gc_frontier[die_index] = books.take_free_block()
-                block = frontier.block
+                block = target
+                if block is None or state[block] != BlockState.OPEN:
+                    block = gc_frontier[die_index]
+                    if block is None:
+                        block = gc_frontier[die_index] = books.take_free_block()
                 page = written[block]
                 try:
                     __, at = copyback(die_index, src_block, src_page, block, page, at)
@@ -621,7 +620,7 @@ class FlashSpaceEngine:
                             die_index, block, page, data, lpn, seq, obj, at, extra
                         )[1]
                     except ProgramFaultError:
-                        at = self._on_program_fault(frontier, at)
+                        at = self._on_program_fault(die_index, block, at)
                         redrives += 1
                         if redrives == MAX_WRITE_REDRIVES:
                             raise
@@ -638,7 +637,7 @@ class FlashSpaceEngine:
             packed = die_base + block * ppb + page
             mapping[key] = packed
             rmap[packed] = key
-            if frontier is not target and written[block] >= ppb:
+            if block != target and written[block] >= ppb:
                 gc_frontier[die_index] = None  # the frontier rule
         return at
 
@@ -657,7 +656,7 @@ class FlashSpaceEngine:
             return self._retry_read(die, block, page, at, scrub=False)
         return data, end
 
-    def _on_program_fault(self, frontier: BlockInfo, at: float) -> float:
+    def _on_program_fault(self, die_index: int, block: int, at: float) -> float:
         """Retire a write frontier whose program failed (grown bad block).
 
         The failed page was never committed by the device, but the block
@@ -668,14 +667,13 @@ class FlashSpaceEngine:
         it is marked bad, recovery scans skip it, so the stale page copies
         on it are never resurrected.
         """
-        die_index = frontier.die
-        block = frontier.block
+        books = self.books[die_index]
         self._detach_slots(die_index, block)
-        self.books[die_index].seal(block)
-        moved = frontier.valid_count
-        at = self._relocate(die_index, block, frontier.valid_pages(), at)
+        books.seal(block)
+        moved = books.valid_count[block]
+        at = self._relocate(die_index, block, books.valid_pages(block), at)
         self.device.dies[die_index].mark_bad(block)
-        self.books[die_index].mark_bad(block)
+        books.mark_bad(block)
         faults = self.device.faults
         if faults is not None:
             faults.stats.retired_grown_bad_blocks += 1
@@ -690,7 +688,7 @@ class FlashSpaceEngine:
         knowledge that ``block`` took a program failure; recovery harnesses
         call this on the rebuilt engine to land the retirement.
         """
-        return self._on_program_fault(self.books[die_index].blocks[block], at)
+        return self._on_program_fault(die_index, block, at)
 
     def _detach_slots(self, die_index: int, block: int | None = None) -> None:
         """Empty every slot — user, GC, group — that holds a block of
@@ -698,11 +696,11 @@ class FlashSpaceEngine:
         OPEN some other way than by filling up."""
         for frontiers in (self._user_frontier, self._gc_frontier):
             held = frontiers.get(die_index)
-            if held is not None and block in (None, held.block):
+            if held is not None and block in (None, held):
                 frontiers[die_index] = None
         for slots, __ in self._groups.values():
-            for slot, held in enumerate(slots):
-                if held is not None and held.die == die_index and block in (None, held.block):
+            for slot, pair in enumerate(slots):
+                if pair is not None and pair[0] == die_index and block in (None, pair[1]):
                     slots[slot] = None
 
     # ------------------------------------------------------------------
@@ -720,25 +718,21 @@ class FlashSpaceEngine:
 
     def _wear_level_die(self, die_index: int, at: float) -> float:
         books = self.books[die_index]
-        die = self.device.dies[die_index]
-        frees = books.free_blocks()
-        if not frees:
-            return at
-        fulls = [b for b in books.blocks if b.state is BlockState.FULL and b.valid_count > 0]
-        if not fulls:
-            return at
-        move = self.wl_policy.choose_move(
-            frees, fulls, lambda b: die.erase_count(b.block)
-        )
+        state, valid = books.state, books.valid_count
+        fulls = [
+            b for b in range(books.blocks_per_die)
+            if state[b] == BlockState.FULL and valid[b] > 0
+        ]
+        erase_count = self.device.dies[die_index].erase_count
+        move = self._wl_ranking.choose_move(books.free_blocks(), fulls, erase_count)
         if move is None:
             return at
-        worn_free, cold = move
-        spread = die.erase_count(worn_free.block) - die.erase_count(cold.block)
-        if spread <= self.wear_level_threshold:
+        target, cold = move
+        if erase_count(target) - erase_count(cold) <= self.wear_level_threshold:
             return at
-        target = books.take_block(worn_free.block)
-        __, end = self._empty_block(cold, at, target, wear_level=True)
-        books.seal(target.block)  # a partly filled target's tail counts invalid
+        books.take_block(target)
+        __, end = self._empty_block(die_index, cold, at, target, wear_level=True)
+        books.seal(target)  # a partly filled target's tail counts invalid
         return end
 
     # ------------------------------------------------------------------
@@ -768,12 +762,12 @@ class FlashSpaceEngine:
         books = self.books[die_index]
         ppb = self._pages_per_block
         die_base = die_index * self._pages_per_die
-        for info in books.blocks:
-            for page in info.valid_pages():
-                key = self._rmap.pop(die_base + info.block * ppb + page)
-                data, end = self._read_for_relocation(die_index, info.block, page, at)
+        for block in range(books.blocks_per_die):
+            for page in books.valid_pages(block):
+                key = self._rmap.pop(die_base + block * ppb + page)
+                data, end = self._read_for_relocation(die_index, block, page, at)
                 self.stats.gc_reads += 1
-                books.invalidate(info.block, page)
+                books.invalidate(block, page)
                 del self._map[key]
                 at = self.write(key, data, end)
                 self.stats.gc_programs += 1
@@ -795,13 +789,13 @@ class FlashSpaceEngine:
         at = self._drain_die(die_index, at)[1]
         books = self.books[die_index]
         # erase everything the engine had written on the die
-        for info in books.blocks:
-            if info.state is BlockState.BAD:
+        for block in range(books.blocks_per_die):
+            if books.state[block] == BlockState.BAD:
                 continue
-            if info.written > 0:
-                at = self._empty_block(info, at)[1]
-            elif info.state is BlockState.OPEN:
-                books.return_erased_block(info.block)
+            if books.written[block] > 0:
+                at = self._empty_block(die_index, block, at)[1]
+            elif books.state[block] == BlockState.OPEN:
+                books.return_erased_block(block)
         del self.books[die_index]
         return books, at
 
@@ -929,25 +923,26 @@ class FlashSpaceEngine:
             block, page = divmod(rest, self._pages_per_block)
             where = f"d{die}/b{block}/p{page}"
             assert die in self.books, f"mapped page on foreign die: {where}"
-            info = self.books[die].blocks[block]
-            assert info.is_valid(page), f"mapped page not valid in bookkeeping: {where}"
+            valid = self.books[die].valid_mask[block] >> page & 1
+            assert valid, f"mapped page not valid in bookkeeping: {where}"
         assert seen == set(self._rmap), "rmap contains stale entries"
         # the frontier rule: every slot holds an OPEN block of an owned die
         # that is out of the free pool, and no block sits in two slots
-        slots = [*self._user_frontier.values(), *self._gc_frontier.values()]
+        slots = [*self._user_frontier.items(), *self._gc_frontier.items()]
         for stripe, __ in self._groups.values():
             slots.extend(stripe)
         seen_blocks: set[tuple[int, int]] = set()
         for held in slots:
-            if held is None:
+            if held is None or held[1] is None:
                 continue
-            die, block = held.die, held.block
+            die, block = held
             where = f"d{die}/b{block}"
             assert die in self.dies, f"frontier slot on foreign die: {where}"
-            assert held.state is BlockState.OPEN, (
-                f"frontier slot holds a {held.state.value} block: {where}"
+            state = BlockState(self.books[die].state[block])
+            assert state == BlockState.OPEN, (
+                f"frontier slot holds a {state.name.lower()} block: {where}"
             )
-            assert block not in self.books[die]._free, f"frontier block in the free pool: {where}"
+            assert block not in self.books[die].free, f"frontier block in the free pool: {where}"
             assert (die, block) not in seen_blocks, f"block in two frontier slots: {where}"
             seen_blocks.add((die, block))
         for books in self.books.values():

@@ -1,4 +1,4 @@
-"""The classical GC victim selectors, plus WL block ranking.
+"""The classical GC victim selectors.
 
 Both GC policies are pinned bit-for-bit by the golden engine snapshots
 and the TPC-C determinism test:
@@ -9,74 +9,68 @@ and the TPC-C determinism test:
   score, which prefers old (cold) blocks even if they carry a few more
   valid pages.
 
-All tie-breaks are on ``(die, block)``, so every pick is independent of
-candidate iteration order.
+Each policy reads the die's maintained candidate set and its
+``valid_count`` / ``last_write_us`` columns.  The two ``select_victim_*``
+functions are the same rankings as plain scans over any list of block
+indices — the reference the property tests and the hot-path benchmark
+hold the policies to.  Ties break toward the lowest block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-from repro.policies.base import GCPolicy, WLPolicy
+from repro.policies.base import GCPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.mapping.blockinfo import BlockInfo, DieBookkeeping
+    from repro.mapping.blockinfo import DieBookkeeping
 
 
-def select_victim_greedy(candidates: Iterable[BlockInfo]) -> BlockInfo | None:
-    """Return the candidate with the most invalid pages, or ``None``.
-
-    Ties break toward the lower (die, block) address for determinism.
-    """
-    best: BlockInfo | None = None
-    best_key: tuple[int, int, int] | None = None
-    for info in candidates:
-        key = (-info.invalid_count, info.die, info.block)
+def select_victim_greedy(books: DieBookkeeping, blocks: Iterable[int]) -> int | None:
+    """The block of ``blocks`` with the most invalid pages, or ``None``."""
+    best: int | None = None
+    best_key: tuple[int, int] | None = None
+    for block in blocks:
+        key = (-books.invalid_count(block), block)
         if best_key is None or key < best_key:
-            best, best_key = info, key
+            best, best_key = block, key
     return best
 
 
-def select_victim_cost_benefit(
-    candidates: Iterable[BlockInfo], now_us: float
-) -> BlockInfo | None:
-    """Return the candidate with the best cost-benefit score, or ``None``.
+def _cost_benefit(valid: int, pages_per_block: int, last_write_us: float, now_us: float) -> float:
+    """``age * (1 - u) / (2 * u)``, ``u`` the valid fraction; a fully
+    invalid block (``u == 0``) scores infinity."""
+    u = valid / pages_per_block
+    if u == 0.0:
+        return float("inf")
+    age = max(0.0, now_us - last_write_us)
+    return age * (1.0 - u) / (2.0 * u)
 
-    The score is ``age * (1 - u) / (2 * u)`` where ``u`` is the fraction of
-    valid pages and ``age`` the time since the block was last written.  A
-    fully-invalid block (``u == 0``) is always the best possible victim.
-    """
-    best: BlockInfo | None = None
-    best_key: tuple[float, int, int] | None = None
-    for info in candidates:
-        u = info.valid_count / info.pages_per_block
-        if u == 0.0:
-            score = float("inf")
-        else:
-            age = max(0.0, now_us - info.last_write_us)
-            score = age * (1.0 - u) / (2.0 * u)
-        key = (-score, info.die, info.block)
+
+def select_victim_cost_benefit(
+    books: DieBookkeeping, blocks: Iterable[int], now_us: float
+) -> int | None:
+    """The block of ``blocks`` with the best cost-benefit score, or ``None``."""
+    best: int | None = None
+    best_key: tuple[float, int] | None = None
+    for block in blocks:
+        score = _cost_benefit(
+            books.valid_count[block], books.pages_per_block, books.last_write_us[block], now_us
+        )
+        key = (-score, block)
         if best_key is None or key < best_key:
-            best, best_key = info, key
+            best, best_key = block, key
     return best
 
 
 class GreedyGC(GCPolicy):
-    """Most-invalid-pages-first (the historical default)."""
+    """Most-invalid-pages-first (the historical default): a C-level ``min``
+    over the die's candidate column."""
 
     name = "greedy"
 
-    def choose_victim(
-        self, candidates: Iterable[BlockInfo], now_us: float
-    ) -> BlockInfo | None:
-        return select_victim_greedy(candidates)
-
-    def choose_victim_from_books(
-        self, books: DieBookkeeping, now_us: float
-    ) -> BlockInfo | None:
-        # a C-level min over the maintained candidate column; bit-identical
-        # to select_victim_greedy over the candidate set by construction
+    def choose_victim(self, books: DieBookkeeping, now_us: float) -> int | None:
         return books.greedy_victim()
 
 
@@ -85,43 +79,16 @@ class CostBenefitGC(GCPolicy):
 
     name = "cost_benefit"
 
-    def choose_victim(
-        self, candidates: Iterable[BlockInfo], now_us: float
-    ) -> BlockInfo | None:
-        return select_victim_cost_benefit(candidates, now_us)
-
-
-class ColdestFirstWL(WLPolicy):
-    """Move the coldest (fewest-erases) full block onto the most worn free
-    block — the historical behaviour, preserved bit-for-bit."""
-
-    name = "coldest_first"
-
-    def choose_move(
-        self,
-        frees: Sequence[BlockInfo],
-        fulls: Sequence[BlockInfo],
-        erase_count: Callable[[BlockInfo], int],
-    ) -> tuple[BlockInfo, BlockInfo] | None:
-        if not frees or not fulls:
-            return None
-        return max(frees, key=erase_count), min(fulls, key=erase_count)
-
-
-class OldestDataWL(WLPolicy):
-    """Pick the cold victim by *data age* (oldest last write) instead of
-    erase count; the target stays the most worn free block."""
-
-    name = "oldest_data"
-
-    def choose_move(
-        self,
-        frees: Sequence[BlockInfo],
-        fulls: Sequence[BlockInfo],
-        erase_count: Callable[[BlockInfo], int],
-    ) -> tuple[BlockInfo, BlockInfo] | None:
-        if not frees or not fulls:
-            return None
-        target = max(frees, key=erase_count)
-        cold = min(fulls, key=lambda b: (b.last_write_us, b.die, b.block))
-        return target, cold
+    def choose_victim(self, books: DieBookkeeping, now_us: float) -> int | None:
+        # candidates come in block order, so the first strictly better
+        # score wins and ties keep the lowest block
+        ppb = books.pages_per_block
+        valid = books.valid_count
+        last = books.last_write_us
+        best: int | None = None
+        best_score = -1.0
+        for block in books.iter_candidates():
+            score = _cost_benefit(valid[block], ppb, last[block], now_us)
+            if score > best_score:
+                best, best_score = block, score
+        return best

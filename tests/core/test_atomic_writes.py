@@ -97,16 +97,16 @@ class TestCrashAtomicity:
         atomic_id = store.device.next_sequence()
         for p in pages[:2]:
             die = engine._pick_die()
-            frontier = engine._user_frontier[die]
-            if frontier is None:
-                frontier = engine._user_frontier[die] = engine.books[die].take_free_block()
-            page = frontier.written
+            block = engine._user_frontier[die]
+            if block is None:
+                block = engine._user_frontier[die] = engine.books[die].take_free_block()
+            page = engine.books[die].written[block]
             store.device.program_page_packed(
-                die, frontier.block, page, b"v2",
+                die, block, page, b"v2",
                 p, store.device.next_sequence(), region.region_id, t,
                 {"atomic_id": atomic_id, "atomic_size": 3},
             )
-            engine.books[die].note_write(frontier.block, page, t)
+            engine.books[die].note_write(block, page, t)
 
         recovered = build_store(device=store.device)
         recovered.recover(at=t)

@@ -48,11 +48,10 @@ class TestCreateRegion:
 
     def test_dies_and_policy_extensions(self):
         stmt = parse_create_region(
-            "CREATE REGION rg (DIES=8, GC_POLICY=COST_BENEFIT, WL_POLICY=OLDEST_DATA)"
+            "CREATE REGION rg (DIES=8, GC_POLICY=COST_BENEFIT)"
         )
         assert stmt.num_dies == 8
         assert stmt.config.gc_policy == "cost_benefit"
-        assert stmt.config.wl_policy == "oldest_data"
 
     def test_maintenance_thresholds(self):
         stmt = parse_create_region(
@@ -91,11 +90,10 @@ class TestCreateRegion:
         ):
             parse_create_region("CREATE REGION rg (DIES=2, GC_POLICY=learnd)")
 
-    def test_unknown_wl_policy_refused_with_the_allowed_names(self):
-        with pytest.raises(
-            RegionError, match=r"WL_POLICY='hottest'.*\['coldest_first', 'oldest_data'\]"
-        ):
-            parse_create_region("CREATE REGION rg (WL_POLICY=hottest)")
+    def test_wl_policy_is_an_unknown_parameter(self):
+        # static wear levelling has one ranking; there is nothing to choose
+        with pytest.raises(RegionError, match=r"unknown region parameters: \['WL_POLICY'\]"):
+            parse_create_region("CREATE REGION rg (WL_POLICY=COLDEST_FIRST)")
 
 
 class TestDropRegion:

@@ -102,7 +102,7 @@ class TestReadRetry:
         # the suspect FULL block was scrubbed: live pages relocated, block erased
         assert stats.scrubs == 1
         assert stats.scrub_relocations == per_block
-        assert engine.books[die].blocks[block].state is not BlockState.FULL
+        assert engine.books[die].state[block] != BlockState.FULL
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
         assert stats.accounting_closes()
@@ -152,7 +152,7 @@ class TestProgramFault:
         assert stats.salvage_relocations == 4  # the open block's pages moved out
         # the failing block is bad on the device AND in the bookkeeping
         assert engine.device.dies[die].is_bad(block)
-        assert engine.books[die].blocks[block].state is BlockState.BAD
+        assert engine.books[die].state[block] == BlockState.BAD
         for key, payload in payloads.items():
             assert engine.read(key, at=t)[0] == payload
         assert stats.accounting_closes()
@@ -221,10 +221,10 @@ class TestWearOutInjection:
         assert stats.injected_wearout == 1
         assert stats.retired_wearout_blocks == 1
         bad = [
-            (d, b.block)
+            (d, b)
             for d in engine.dies
-            for b in engine.books[d].blocks
-            if b.state is BlockState.BAD
+            for b in range(engine.books[d].blocks_per_die)
+            if engine.books[d].state[b] == BlockState.BAD
         ]
         assert len(bad) == 1
         die, block = bad[0]

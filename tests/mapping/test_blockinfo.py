@@ -1,10 +1,8 @@
 """Unit tests for shared block bookkeeping.
 
-Every per-block transition is a :class:`DieBookkeeping` operation on a
-block index; a :class:`BlockInfo` is only a view of the die's columns.
+A block is an ``int`` index into its die's columns; every per-block
+transition is a :class:`DieBookkeeping` method on that index.
 """
-
-import gc
 
 import pytest
 
@@ -18,13 +16,15 @@ def make_block(pages=4):
 
 
 class TestBlockInfo:
+    """The per-block columns through each transition."""
+
     def test_note_write_tracks_validity(self):
-        books, info = make_block()
+        books, block = make_block()
         books.note_write(0, 0, now_us=10.0)
         books.note_write(0, 1, now_us=20.0)
-        assert info.valid_count == 2
-        assert info.written == 2
-        assert info.last_write_us == 20.0
+        assert books.valid_count[block] == 2
+        assert books.written[block] == 2
+        assert books.last_write_us[block] == 20.0
 
     def test_out_of_order_write_rejected(self):
         books, __ = make_block()
@@ -32,18 +32,18 @@ class TestBlockInfo:
             books.note_write(0, 2, now_us=0.0)
 
     def test_full_block_transitions_state(self):
-        books, info = make_block(pages=2)
+        books, block = make_block(pages=2)
         books.note_write(0, 0, 0.0)
-        assert info.state is BlockState.OPEN
+        assert books.state[block] == BlockState.OPEN
         books.note_write(0, 1, 0.0)
-        assert info.state is BlockState.FULL
+        assert books.state[block] == BlockState.FULL
 
     def test_invalidate(self):
-        books, info = make_block()
+        books, block = make_block()
         books.note_write(0, 0, 0.0)
         books.invalidate(0, 0)
-        assert info.valid_count == 0
-        assert info.invalid_count == 1
+        assert books.valid_count[block] == 0
+        assert books.invalid_count(block) == 1
 
     def test_double_invalidate_rejected(self):
         books, __ = make_block()
@@ -53,33 +53,27 @@ class TestBlockInfo:
             books.invalidate(0, 0)
 
     def test_valid_pages_listing(self):
-        books, info = make_block()
+        books, block = make_block()
         for i in range(3):
             books.note_write(0, i, 0.0)
         books.invalidate(0, 1)
-        assert info.valid_pages() == [0, 2]
+        assert books.valid_pages(block) == [0, 2]
 
     def test_reset_after_erase(self):
-        books, info = make_block(pages=2)
+        books, block = make_block(pages=2)
         books.note_write(0, 0, 0.0)
         books.note_write(0, 1, 0.0)
         books.reset_after_erase(0)
-        assert info.state is BlockState.FREE
-        assert info.written == 0
-        assert info.valid_count == 0
-
-    def test_views_hold_no_reference_to_their_books(self):
-        # a view that reached back to its die would make every stack a
-        # reference cycle, freed only by the cyclic collector
-        books, info = make_block()
-        assert not any(ref is books for ref in gc.get_referents(info))
+        assert books.state[block] == BlockState.FREE
+        assert books.written[block] == 0
+        assert books.valid_count[block] == 0
 
 
 class TestDieBookkeeping:
     def test_take_free_block_marks_open(self):
         die = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=4)
-        info = die.take_free_block()
-        assert info.state is BlockState.OPEN
+        block = die.take_free_block()
+        assert die.state[block] == BlockState.OPEN
         assert die.free_count == 3
 
     def test_take_free_blocks_exhausts(self):
@@ -93,18 +87,18 @@ class TestDieBookkeeping:
         # a block programmed while it sat in the pool (a frontier slot that
         # outlived its block) must surface, not be skipped over
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=4)
-        die.blocks[0].state = BlockState.OPEN
+        die.state[0] = BlockState.OPEN
         with pytest.raises(BookkeepingError, match="block 0 is not free"):
             die.take_free_block()
 
     def test_return_erased_block_recycles(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
-        info = die.take_free_block()
-        die.note_write(info.block, 0, 0.0)
-        die.note_write(info.block, 1, 0.0)
-        die.return_erased_block(info.block)
+        block = die.take_free_block()
+        die.note_write(block, 0, 0.0)
+        die.note_write(block, 1, 0.0)
+        die.return_erased_block(block)
         assert die.free_count == 2
-        assert info.state is BlockState.FREE
+        assert die.state[block] == BlockState.FREE
 
     def test_bad_block_not_recycled(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
@@ -117,95 +111,94 @@ class TestDieBookkeeping:
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         fill_block(die)  # full, all valid -> not a candidate
         b = fill_block(die)
-        die.invalidate(b.block, 0)  # full with one invalid -> candidate
-        assert die.gc_candidates() == [b]
+        die.invalidate(b, 0)  # full with one invalid -> candidate
+        assert list(die.iter_candidates()) == die.gc_candidates_scan() == [b]
 
     def test_total_valid_pages(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=2)
-        info = die.take_free_block()
-        die.note_write(info.block, 0, 0.0)
+        block = die.take_free_block()
+        die.note_write(block, 0, 0.0)
         assert die.total_valid_pages() == 1
 
 
 def fill_block(die, pages=2, now=0.0):
-    info = die.take_free_block()
+    block = die.take_free_block()
     for p in range(pages):
-        die.note_write(info.block, p, now)
-    return info
+        die.note_write(block, p, now)
+    return block
 
 
 class TestIncrementalCandidates:
     """The maintained GC candidate set tracks state transitions exactly."""
 
     def test_validity_is_a_bitmask(self):
-        die, info = make_block()
+        die, block = make_block()
         die.note_write(0, 0, 0.0)
         die.note_write(0, 1, 0.0)
         die.invalidate(0, 0)
-        assert info.valid_mask == 0b10
-        assert info.valid_count == info.valid_mask.bit_count() == 1
-        assert not info.is_valid(0)
-        assert info.is_valid(1)
+        assert die.valid_mask[block] == 0b10
+        assert die.valid_count[block] == die.valid_mask[block].bit_count() == 1
+        assert die.valid_pages(block) == [1]
 
     def test_has_reclaimable_lifecycle(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
         assert not die.has_reclaimable
-        info = fill_block(die)
+        block = fill_block(die)
         assert not die.has_reclaimable  # full but all valid
-        die.invalidate(info.block, 0)
+        die.invalidate(block, 0)
         assert die.has_reclaimable
-        die.return_erased_block(info.block)
+        die.return_erased_block(block)
         assert not die.has_reclaimable
 
     def test_candidate_enters_on_fill_with_prior_invalid(self):
         # pages can die while the block is still an open frontier; the
         # block must become a candidate the moment it fills
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
-        info = die.take_free_block()
-        die.note_write(info.block, 0, 0.0)
-        die.invalidate(info.block, 0)
+        block = die.take_free_block()
+        die.note_write(block, 0, 0.0)
+        die.invalidate(block, 0)
         assert not die.has_reclaimable
-        die.note_write(info.block, 1, 0.0)
-        assert die.gc_candidates() == [info]
+        die.note_write(block, 1, 0.0)
+        assert list(die.iter_candidates()) == [block]
 
     def test_seal_makes_partial_block_a_candidate(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=4)
-        info = die.take_free_block()
-        die.note_write(info.block, 0, 0.0)
-        die.seal(info.block)
-        assert info.state is BlockState.FULL
-        assert info.invalid_count == 3
-        assert die.gc_candidates() == [info]
+        block = die.take_free_block()
+        die.note_write(block, 0, 0.0)
+        die.seal(block)
+        assert die.state[block] == BlockState.FULL
+        assert die.invalid_count(block) == 3
+        assert list(die.iter_candidates()) == [block]
 
     def test_greedy_victim_max_invalid_lowest_block(self):
         die = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=4)
         a = fill_block(die, pages=4)
         b = fill_block(die, pages=4)
         c = fill_block(die, pages=4)
-        die.invalidate(a.block, 0)
+        die.invalidate(a, 0)
         for p in (0, 1):
-            die.invalidate(b.block, p)
-            die.invalidate(c.block, p)
+            die.invalidate(b, p)
+            die.invalidate(c, p)
         # b and c tie on invalid count; the lower block index wins
-        assert die.greedy_victim() is b
-        die.invalidate(b.block, 2)
-        assert die.greedy_victim() is b
-        die.return_erased_block(b.block)
-        assert die.greedy_victim() is c
+        assert die.greedy_victim() == b
+        die.invalidate(b, 2)
+        assert die.greedy_victim() == b
+        die.return_erased_block(b)
+        assert die.greedy_victim() == c
 
     def test_mark_bad_removes_candidate(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
-        info = fill_block(die)
-        die.invalidate(info.block, 0)
+        block = fill_block(die)
+        die.invalidate(block, 0)
         assert die.has_reclaimable
-        die.mark_bad(info.block)
+        die.mark_bad(block)
         assert not die.has_reclaimable
         die.check_invariants()
 
     def test_reset_all_clears_candidates(self):
         die = DieBookkeeping(die=0, blocks_per_die=3, pages_per_block=2)
-        info = fill_block(die)
-        die.invalidate(info.block, 0)
+        block = fill_block(die)
+        die.invalidate(block, 0)
         die.reset_all()
         assert not die.has_reclaimable
         assert die.free_count == 3
@@ -217,18 +210,18 @@ class TestFreePoolOrder:
 
     def test_pops_ascend_then_lifo_recycle(self):
         die = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=1)
-        assert die.take_free_block().block == 0
-        assert die.take_free_block().block == 1
+        assert die.take_free_block() == 0
+        assert die.take_free_block() == 1
         die.note_write(0, 0, 0.0)
         die.return_erased_block(0)
         # the most recently returned block is handed out first
-        assert die.take_free_block().block == 0
+        assert die.take_free_block() == 0
 
     def test_take_specific_block_preserves_order(self):
         die = DieBookkeeping(die=0, blocks_per_die=4, pages_per_block=1)
         die.take_block(1)
-        assert [b.block for b in die.free_blocks()] == [3, 2, 0]
-        assert die.take_free_block().block == 0
+        assert die.free_blocks() == [3, 2, 0]
+        assert die.take_free_block() == 0
 
     def test_take_block_requires_free(self):
         die = DieBookkeeping(die=0, blocks_per_die=2, pages_per_block=1)

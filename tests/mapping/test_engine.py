@@ -73,11 +73,11 @@ class TestScoping:
 
 
 def scanned_physical_pages(engine):
-    """``physical_pages`` as it was computed before: every BlockInfo of
-    every die through its ``state`` property."""
+    """``physical_pages`` as it was computed before: every block of every
+    die, one state entry at a time."""
     per_block = engine.geometry.pages_per_block
     return sum(
-        sum(1 for b in engine.books[d].blocks if b.state is not BlockState.BAD) * per_block
+        sum(1 for s in engine.books[d].state if s != BlockState.BAD) * per_block
         for d in engine.dies
     )
 

@@ -57,25 +57,25 @@ def _two_victims(strict):
     for key in range(2 * PPB):  # two FULL blocks, every page live
         t = engine.write(key, _payload(key, 0), at=t)
         latest[key] = 0
-    first = books.blocks[_block_of(engine, 0)]
-    second = books.blocks[_block_of(engine, PPB)]
-    assert first.block != second.block
+    first = _block_of(engine, 0)
+    second = _block_of(engine, PPB)
+    assert first != second
 
     for key in rng.sample(range(PPB), 5):
         t = engine.write(key, _payload(key, 1), at=t)
         latest[key] = 1
-    survivors = [k for k in range(PPB) if _block_of(engine, k) == first.block]
-    assert first.valid_count == len(survivors) == 3
-    t = engine._collect_block(first, t)
+    survivors = [k for k in range(PPB) if _block_of(engine, k) == first]
+    assert books.valid_count[first] == len(survivors) == 3
+    t = engine._collect_block(0, first, t)
     spill = engine._gc_frontier[0]
-    assert spill is not None and books._written[spill.block] == 3
+    assert spill is not None and books.written[spill] == 3
 
     for key in rng.sample(range(PPB, 2 * PPB), 2):
         t = engine.write(key, _payload(key, 1), at=t)
         latest[key] = 1
-    moved = [k for k in range(PPB, 2 * PPB) if _block_of(engine, k) == second.block]
-    assert second.valid_count == len(moved) == 6
-    t = engine._collect_block(second, t)
+    moved = [k for k in range(PPB, 2 * PPB) if _block_of(engine, k) == second]
+    assert books.valid_count[second] == len(moved) == 6
+    t = engine._collect_block(0, second, t)
     targets = {_block_of(engine, key) for key in moved}
     return engine, latest, t, spill, targets
 
@@ -87,11 +87,11 @@ class TestGCRelocation:
         books = engine.books[0]
         # the first frontier block filled (and left its slot by the
         # frontier rule); the sixth page opened the next one
-        assert books._written[spill.block] == PPB
+        assert books.written[spill] == PPB
         fresh = engine._gc_frontier[0]
-        assert fresh is not None and fresh is not spill
-        assert books._written[fresh.block] == 1
-        assert targets == {spill.block, fresh.block}
+        assert fresh is not None and fresh != spill
+        assert books.written[fresh] == 1
+        assert targets == {spill, fresh}
         assert stats.gc_copybacks + stats.gc_reads == 3 + 6 == stats.gc_victim_valid_pages
         assert stats.gc_reads == stats.gc_programs == 0
         assert stats.gc_erases == 2
@@ -154,11 +154,11 @@ def _churn_with_faults_in_gc(seed, **engine_kwargs):
     victims = []
     collect = engine._collect_block
 
-    def collect_with_faults_armed(victim, at):
-        victims.append(victim.valid_count)
+    def collect_with_faults_armed(die, victim, at):
+        victims.append(engine.books[die].valid_count[victim])
         engine.device.attach_fault_injector(injector)
         try:
-            return collect(victim, at)
+            return collect(die, victim, at)
         finally:
             engine.device.faults = None
 

@@ -113,7 +113,7 @@ class TestGroupSeparation:
         for k in range(10):
             at = engine.write(k, b"a", at, group=1)
         stripe, __ = engine._groups[1]
-        victim = next(f.die for f in stripe if f is not None)
+        victim = next(held[0] for held in stripe if held is not None)
         engine.evacuate_die(victim, at)
         for k in range(10, 30):
             at = engine.write(k, b"a", at, group=1)
@@ -163,20 +163,20 @@ class TestFrontierRule:
             at = engine.write(key, b"x", at)
         books = engine.books[0]
         frontier = engine._user_frontier[0]
-        assert (frontier.block, frontier.state) == (1, BlockState.OPEN)
+        assert (frontier, books.state[frontier]) == (1, BlockState.OPEN)
         engine.check_consistency()
 
         engine._gc_frontier[0] = frontier
         with pytest.raises(AssertionError, match="two frontier slots"):
             engine.check_consistency()
-        engine._gc_frontier[0] = books.blocks[0]
+        engine._gc_frontier[0] = 0
         with pytest.raises(AssertionError, match="holds a full block"):
             engine.check_consistency()
         engine._gc_frontier[0] = None
-        books._free[frontier.block] = None
+        books.free[frontier] = None
         with pytest.raises(AssertionError, match="in the free pool"):
             engine.check_consistency()
-        del books._free[frontier.block]
-        engine._groups[5] = ([make_engine().books[3].blocks[0]], [0, 0])
+        del books.free[frontier]
+        engine._groups[5] = ([(3, 0)], [0, 0])
         with pytest.raises(AssertionError, match="foreign die"):
             engine.check_consistency()

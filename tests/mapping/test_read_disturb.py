@@ -49,20 +49,21 @@ class TestRefresh:
         from repro.mapping.blockinfo import BlockState
 
         for die in engine.dies:
-            for info in engine.books[die].blocks:
-                if info.state is BlockState.FULL and info.valid_count > 0:
-                    return info, at
+            books = engine.books[die]
+            for block in range(books.blocks_per_die):
+                if books.state[block] == BlockState.FULL and books.valid_count[block] > 0:
+                    return die, block, at
         raise AssertionError("no full block produced")
 
     def test_hammered_block_gets_refreshed(self):
         engine = make_engine(threshold=50)
-        info, at = self.fill_block(engine, list(range(40)))
+        die, block, at = self.fill_block(engine, list(range(40)))
         victim_keys = [
             engine._rmap[
-                info.die * engine.geometry.pages_per_die
-                + info.block * engine.geometry.pages_per_block + p
+                die * engine.geometry.pages_per_die
+                + block * engine.geometry.pages_per_block + p
             ]
-            for p in info.valid_pages()
+            for p in engine.books[die].valid_pages(block)
         ]
         # hammer one key in the full block past the threshold
         target = victim_keys[0]
@@ -77,7 +78,7 @@ class TestRefresh:
 
     def test_no_refresh_below_threshold(self):
         engine = make_engine(threshold=10_000)
-        info, at = self.fill_block(engine, list(range(40)))
+        __, __, at = self.fill_block(engine, list(range(40)))
         for key in range(40):
             for __ in range(5):
                 __, at = engine.read(key, at)
@@ -85,7 +86,7 @@ class TestRefresh:
 
     def test_disabled_by_default(self):
         engine = make_engine(threshold=None)
-        info, at = self.fill_block(engine, list(range(40)))
+        __, __, at = self.fill_block(engine, list(range(40)))
         target = next(iter(engine.keys()))
         for __ in range(200):
             __, at = engine.read(target, at)

@@ -50,25 +50,22 @@ def make_engine(
 
 def bad_blocks(engine):
     return [
-        (d, info.block)
+        (d, b)
         for d in engine.dies
-        for info in engine.books[d].blocks
-        if info.state is BlockState.BAD
+        for b in range(engine.books[d].blocks_per_die)
+        if engine.books[d].state[b] == BlockState.BAD
     ]
 
 
 def assert_frontiers_skip_bad(engine):
     """No frontier — user, GC or group — may sit on a retired block."""
-    for die, info in engine._user_frontier.items():
-        if info is not None:
-            assert not engine.device.dies[die].is_bad(info.block)
-    for die, info in engine._gc_frontier.items():
-        if info is not None:
-            assert not engine.device.dies[die].is_bad(info.block)
+    for die, block in [*engine._user_frontier.items(), *engine._gc_frontier.items()]:
+        if block is not None:
+            assert not engine.device.dies[die].is_bad(block)
     for stripe, __ in engine._groups.values():
-        for info in stripe:
-            if info is not None:
-                assert not engine.device.dies[info.die].is_bad(info.block)
+        for held in stripe:
+            if held is not None:
+                assert not engine.device.dies[held[0]].is_bad(held[1])
 
 
 class TestRetireDuringGC:
@@ -165,7 +162,7 @@ class TestFactoryBadBlocks:
 
 
 def _collect(engine, t):
-    engine._collect_block(engine.books[0].blocks[0], t)
+    engine._collect_block(0, 0, t)
 
 
 def _scrub(engine, t):
@@ -249,7 +246,7 @@ class TestRelocationFallbackRedrive:
         )
         engine.device.attach_fault_injector(injector)
         engine._gc_frontier[0] = engine.books[0].take_free_block()
-        first_target = engine._gc_frontier[0].block
+        first_target = engine._gc_frontier[0]
         assert engine.geometry.plane_of_block(first_target) == 1
 
         t = engine._relocate(0, 0, [0], t)

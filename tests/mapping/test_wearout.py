@@ -68,8 +68,8 @@ class TestWearOut:
         bad_blocks = sum(
             1
             for books in engine.books.values()
-            for info in books.blocks
-            if info.state is BlockState.BAD
+            for state in books.state
+            if state == BlockState.BAD
         )
         assert bad_blocks > 0, "no block wore out; raise churn"
         for key, payload in payloads.items():
@@ -86,7 +86,7 @@ class TestWearOut:
             device_die = engine.device.dies[die_index]
             books = engine.books[die_index]
             for b in device_die.bad_blocks():
-                assert books.blocks[b].state is BlockState.BAD
+                assert books.state[b] == BlockState.BAD
 
     def test_capacity_shrinks_as_blocks_retire(self):
         engine = make_engine(max_pe_cycles=6)

@@ -1,50 +1,96 @@
-"""Behavioural tests for the classical GC and WL policies."""
+"""Behavioural tests for the classical GC policies, their reference scans
+and the coldest-first WL ranking."""
 
 from repro.policies import (
-    ColdestFirstWL,
-    OldestDataWL,
+    CostBenefitGC,
+    GreedyGC,
+    WLPolicy,
+    resolve_gc_policy,
     select_victim_cost_benefit,
     select_victim_greedy,
 )
 
-from tests.policies.util import block
+from tests.policies.util import books_of
+
+
+def greedy_picks(books):
+    """The policy's pick and the reference scan's, over the die's candidates."""
+    return (
+        GreedyGC().choose_victim(books, now_us=0.0),
+        select_victim_greedy(books, books.gc_candidates_scan()),
+    )
+
+
+def cost_benefit_picks(books, now_us):
+    return (
+        CostBenefitGC().choose_victim(books, now_us),
+        select_victim_cost_benefit(books, books.gc_candidates_scan(), now_us),
+    )
 
 
 class TestSharedSelectors:
-    """The free functions back the policy objects — same loop bodies,
-    same answers."""
+    """The reference scans rank as the policy objects do."""
 
     def test_greedy_picks_most_invalid(self):
-        a = block(0, 0, valid=3)
-        b = block(0, 1, valid=1)
-        assert select_victim_greedy([a, b]) is b
+        books = books_of([(3, 0.0), (1, 0.0)])
+        assert greedy_picks(books) == (1, 1)
 
     def test_cost_benefit_prefers_old_cold(self):
-        young = block(0, 0, valid=2, last_write=90.0)
-        old = block(0, 1, valid=2, last_write=10.0)
-        assert select_victim_cost_benefit([young, old], now_us=100.0) is old
+        # same validity, different age: the older block wins
+        books = books_of([(2, 90.0), (2, 10.0)])
+        assert cost_benefit_picks(books, now_us=100.0) == (1, 1)
+
+
+class TestGreedy:
+    def test_empty_candidates(self):
+        # a fully valid block and a free one: nothing to reclaim
+        books = books_of([(4, 0.0), None])
+        assert greedy_picks(books) == (None, None)
+        assert select_victim_greedy(books, []) is None
+
+    def test_tie_breaks_by_address(self):
+        books = books_of([(3, 0.0), (1, 0.0), (1, 0.0)])
+        assert greedy_picks(books) == (1, 1)
+
+
+class TestCostBenefit:
+    def test_fully_invalid_block_always_wins(self):
+        books = books_of([(1, 0.0), (0, 100.0)])
+        assert cost_benefit_picks(books, now_us=200.0) == (1, 1)
+
+    def test_empty_candidates(self):
+        books = books_of([(4, 0.0), None])
+        assert cost_benefit_picks(books, now_us=0.0) == (None, None)
+        assert select_victim_cost_benefit(books, [], now_us=0.0) is None
+
+    def test_tie_breaks_by_address(self):
+        books = books_of([(4, 0.0), (2, 10.0), (2, 10.0)])
+        assert cost_benefit_picks(books, now_us=100.0) == (1, 1)
+        # all unaged: every score is 0, the lowest candidate still wins
+        assert cost_benefit_picks(books, now_us=0.0) == (1, 1)
 
 
 class TestWLPolicies:
     def test_coldest_first_pairs_worn_free_with_least_worn_full(self):
-        frees = [block(0, 0), block(0, 1)]
-        fulls = [block(0, 2), block(0, 3)]
         erases = {0: 10, 1: 50, 2: 7, 3: 1}
-        move = ColdestFirstWL().choose_move(frees, fulls, lambda b: erases[b.block])
-        assert move is not None
-        worn, cold = move
-        assert worn.block == 1 and cold.block == 3
+        assert WLPolicy().choose_move([0, 1], [2, 3], erases.__getitem__) == (1, 3)
 
-    def test_oldest_data_picks_stalest_full_block(self):
-        frees = [block(0, 0), block(0, 1)]
-        fulls = [block(0, 2, last_write=500.0), block(0, 3, last_write=20.0)]
-        erases = {0: 10, 1: 50, 2: 1, 3: 40}
-        move = OldestDataWL().choose_move(frees, fulls, lambda b: erases[b.block])
-        assert move is not None
-        worn, cold = move
-        assert worn.block == 1  # still the most-erased free block
-        assert cold.block == 3  # stalest data, even though heavily erased
+    def test_ties_go_to_the_earlier_entry(self):
+        # the free list in pool order, the full list in block order
+        assert WLPolicy().choose_move([3, 2, 0], [1, 4], lambda b: 5) == (3, 1)
 
     def test_empty_inputs_return_none(self):
-        assert ColdestFirstWL().choose_move([], [block(0, 1)], lambda b: 0) is None
-        assert OldestDataWL().choose_move([block(0, 0)], [], lambda b: 0) is None
+        assert WLPolicy().choose_move([], [1], lambda b: 0) is None
+        assert WLPolicy().choose_move([0], [], lambda b: 0) is None
+
+
+class TestDispatch:
+    """A policy resolved by name picks the die's one candidate."""
+
+    def test_dispatch_greedy(self):
+        books = books_of([(4, 0.0), (3, 0.0)])
+        assert resolve_gc_policy("greedy").choose_victim(books, now_us=0.0) == 1
+
+    def test_dispatch_cost_benefit(self):
+        books = books_of([(4, 0.0), (3, 0.0)])
+        assert resolve_gc_policy("cost_benefit").choose_victim(books, now_us=0.0) == 1

@@ -2,22 +2,34 @@
 
 Two invariants back every policy:
 
-* *membership* — ``choose_victim`` returns an element of its candidate
+* *membership* — ``choose_victim`` returns a block of the die's candidate
   set, and ``None`` exactly when the set is empty; no policy may invent
   a block.
 * *determinism* — two instances resolved from the same name replay the
-  same pick sequence over the same candidate stream, whatever order the
-  candidates come in, so simulation runs stay reproducible.
+  same pick sequence over the same dies, so simulation runs stay
+  reproducible; the reference scans the policies are held to answer the
+  same whatever order their blocks come in.
 """
 
 import pytest
 
-from repro.policies import available_gc_policies, available_wl_policies, resolve_gc_policy, resolve_wl_policy
+from repro.policies import (
+    WLPolicy,
+    available_gc_policies,
+    resolve_gc_policy,
+    select_victim_cost_benefit,
+    select_victim_greedy,
+)
 
-from tests.policies.util import block, candidate_pool
+from tests.policies.util import books_of, candidate_pool
 
 GC_NAMES = available_gc_policies()
-WL_NAMES = available_wl_policies()
+
+#: each policy's reference scan over an explicit list of blocks
+REFERENCE = {
+    "greedy": lambda books, blocks, now_us: select_victim_greedy(books, blocks),
+    "cost_benefit": select_victim_cost_benefit,
+}
 
 
 @pytest.mark.parametrize("name", GC_NAMES)
@@ -25,55 +37,49 @@ class TestGCMembership:
     def test_choice_is_a_member_of_the_candidate_set(self, name):
         policy = resolve_gc_policy(name)
         for round_seed in range(20):
-            pool = candidate_pool(round_seed)
-            pick = policy.choose_victim(pool, now_us=100_000.0)
-            assert any(pick is info for info in pool)
+            books = candidate_pool(round_seed)
+            pick = policy.choose_victim(books, now_us=100_000.0)
+            candidates = books.gc_candidates_scan()
+            assert pick in candidates if candidates else pick is None
 
     def test_empty_candidates_return_none(self, name):
         policy = resolve_gc_policy(name)
-        assert policy.choose_victim([], now_us=0.0) is None
+        assert policy.choose_victim(books_of([None, (4, 0.0)]), now_us=0.0) is None
 
     def test_single_candidate_is_always_chosen(self, name):
         policy = resolve_gc_policy(name)
-        only = block(0, 0, valid=2)
-        assert policy.choose_victim([only], now_us=50.0) is only
+        books = books_of([(4, 0.0), None, (2, 0.0)])
+        assert policy.choose_victim(books, now_us=50.0) == 2
 
 
 @pytest.mark.parametrize("name", GC_NAMES)
 class TestGCDeterminism:
     def test_same_seed_instances_replay_identically(self, name):
         def run(policy):
-            picks = []
-            for round_seed in range(40):
-                pool = candidate_pool(round_seed)
-                pick = policy.choose_victim(pool, now_us=1_000.0 * round_seed)
-                picks.append((pick.die, pick.block))
-            return picks
+            return [
+                policy.choose_victim(candidate_pool(round_seed), now_us=1_000.0 * round_seed)
+                for round_seed in range(40)
+            ]
 
-        a = run(resolve_gc_policy(name))
-        b = run(resolve_gc_policy(name))
-        assert a == b
+        assert run(resolve_gc_policy(name)) == run(resolve_gc_policy(name))
 
     def test_candidate_iteration_order_does_not_matter(self, name):
-        policy_fwd = resolve_gc_policy(name)
-        policy_rev = resolve_gc_policy(name)
+        # the reference scan ranks on (score, block), so it is an oracle for
+        # the policy whatever order it is fed; the policy matches it
+        scan = REFERENCE[name]
+        policy = resolve_gc_policy(name)
         for round_seed in range(20):
-            pool = candidate_pool(round_seed)
-            fwd = policy_fwd.choose_victim(list(pool), now_us=77_000.0)
-            rev = policy_rev.choose_victim(list(reversed(pool)), now_us=77_000.0)
-            assert (fwd.die, fwd.block) == (rev.die, rev.block)
+            books = candidate_pool(round_seed)
+            blocks = books.gc_candidates_scan()
+            fwd = scan(books, blocks, 77_000.0)
+            assert scan(books, reversed(blocks), 77_000.0) == fwd
+            assert policy.choose_victim(books, 77_000.0) == fwd
 
 
-@pytest.mark.parametrize("name", WL_NAMES)
 class TestWLContract:
-    def test_move_members_and_empty_none(self, name):
-        policy = resolve_wl_policy(name)
-        frees = [block(0, i) for i in range(3)]
-        fulls = [block(1, i, valid=4, last_write=float(i)) for i in range(3)]
-        move = policy.choose_move(frees, fulls, lambda b: b.block)
-        assert move is not None
-        worn, cold = move
-        assert any(worn is b for b in frees)
-        assert any(cold is b for b in fulls)
-        assert policy.choose_move([], fulls, lambda b: 0) is None
-        assert policy.choose_move(frees, [], lambda b: 0) is None
+    def test_move_members_and_empty_none(self):
+        frees, fulls = [0, 1, 2], [3, 4, 5]
+        move = WLPolicy().choose_move(frees, fulls, lambda b: b % 3)
+        assert move == (2, 3)
+        assert WLPolicy().choose_move([], fulls, lambda b: 0) is None
+        assert WLPolicy().choose_move(frees, [], lambda b: 0) is None

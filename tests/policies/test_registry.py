@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.policies import (
-    GCPolicy,
-    GreedyGC,
-    WLPolicy,
-    available_gc_policies,
-    available_wl_policies,
-    resolve_gc_policy,
-    resolve_wl_policy,
-)
+from repro.policies import GCPolicy, GreedyGC, available_gc_policies, resolve_gc_policy
 
 
 class TestCatalogue:
     def test_gc_catalogue_pinned(self):
         assert available_gc_policies() == ["cost_benefit", "greedy"]
-
-    def test_wl_catalogue_pinned(self):
-        assert available_wl_policies() == ["coldest_first", "oldest_data"]
 
 
 class TestResolve:
@@ -34,15 +23,6 @@ class TestResolve:
     def test_unknown_gc_name_raises_with_catalogue(self):
         with pytest.raises(ValueError, match=r"bogus.*\['cost_benefit', 'greedy'\]"):
             resolve_gc_policy("bogus")
-
-    def test_unknown_wl_name_raises(self):
-        with pytest.raises(ValueError, match="nope"):
-            resolve_wl_policy("nope")
-
-    def test_wl_resolution(self):
-        policy = resolve_wl_policy("coldest_first")
-        assert isinstance(policy, WLPolicy)
-        assert policy.name == "coldest_first"
 
     @pytest.mark.parametrize("name", ["cost_benefit", "greedy"])
     def test_every_registered_gc_name_resolves(self, name):

@@ -45,43 +45,40 @@ ops = st.lists(
 )
 
 
-def reference_valid_count(info) -> int:
-    return info.valid_mask.bit_count()
-
-
 def apply_op(die: DieBookkeeping, open_blocks: list, kind: str, arg: int) -> None:
+    blocks = range(die.blocks_per_die)
     if kind == "take":
         if die.free_count > 0:
             open_blocks.append(die.take_free_block())
     elif kind == "write" and open_blocks:
-        info = open_blocks[arg % len(open_blocks)]
-        if not info.is_full:
-            die.note_write(info.block, info.written, now_us=float(arg))
-        if info.is_full:
-            open_blocks.remove(info)
+        block = open_blocks[arg % len(open_blocks)]
+        if die.written[block] < PAGES_PER_BLOCK:
+            die.note_write(block, die.written[block], now_us=float(arg))
+        if die.written[block] >= PAGES_PER_BLOCK:
+            open_blocks.remove(block)
     elif kind == "invalidate":
-        targets = [b for b in die.blocks if b.valid_count > 0]
+        targets = [b for b in blocks if die.valid_count[b] > 0]
         if targets:
-            info = targets[arg % len(targets)]
-            die.invalidate(info.block, info.valid_pages()[arg % info.valid_count])
+            block = targets[arg % len(targets)]
+            die.invalidate(block, die.valid_pages(block)[arg % die.valid_count[block]])
     elif kind == "seal" and open_blocks:
-        info = open_blocks[arg % len(open_blocks)]
-        die.seal(info.block)
-        if info.is_full:
-            open_blocks.remove(info)
+        block = open_blocks[arg % len(open_blocks)]
+        die.seal(block)
+        if die.written[block] >= PAGES_PER_BLOCK:
+            open_blocks.remove(block)
     elif kind == "erase":
-        fulls = [b for b in die.blocks if b.state is BlockState.FULL]
+        fulls = [b for b in blocks if die.state[b] == BlockState.FULL]
         if fulls:
-            die.return_erased_block(fulls[arg % len(fulls)].block)
+            die.return_erased_block(fulls[arg % len(fulls)])
     elif kind == "bad":
         # retire FREE or FULL blocks (as the engine does after a failing
         # erase); keep at least half the die alive so sequences stay long
         candidates = [
-            b for b in die.blocks if b.state in (BlockState.FREE, BlockState.FULL)
+            b for b in blocks if die.state[b] in (BlockState.FREE, BlockState.FULL)
         ]
-        alive = sum(1 for b in die.blocks if b.state is not BlockState.BAD)
+        alive = sum(1 for b in blocks if die.state[b] != BlockState.BAD)
         if candidates and alive > BLOCKS_PER_DIE // 2:
-            die.mark_bad(candidates[arg % len(candidates)].block)
+            die.mark_bad(candidates[arg % len(candidates)])
     elif kind == "reset_all":
         # crash recovery forgets everything but the bad blocks
         die.reset_all()
@@ -98,12 +95,10 @@ def test_incremental_state_matches_recompute(operations):
         # after *every* op: counters, candidate column and candidate set all agree
         # with a from-scratch recomputation
         die.check_invariants()
-        for info in die.blocks:
-            assert info.valid_count == reference_valid_count(info)
+        for block in range(BLOCKS_PER_DIE):
+            assert die.valid_count[block] == die.valid_mask[block].bit_count()
         assert die.has_reclaimable == bool(die.gc_candidates_scan())
-        assert [b.block for b in die.gc_candidates()] == [
-            b.block for b in die.gc_candidates_scan()
-        ]
+        assert list(die.iter_candidates()) == die.gc_candidates_scan()
 
 
 @settings(max_examples=120, deadline=None)
@@ -114,12 +109,12 @@ def test_candidate_column_queries_equal_scanning_queries(operations):
     for t, (kind, arg) in enumerate(operations):
         apply_op(die, open_blocks, kind, arg)
         scan = die.gc_candidates_scan()
-        assert die.greedy_victim() is select_victim_greedy(scan)
+        assert die.greedy_victim() == select_victim_greedy(die, scan)
         assert die.has_reclaimable == bool(scan)
-        assert [b.block for b in die.iter_candidates()] == [b.block for b in scan]
+        assert list(die.iter_candidates()) == scan
         now = float(t)
-        assert CostBenefitGC().choose_victim_from_books(die, now) is (
-            select_victim_cost_benefit(scan, now)
+        assert CostBenefitGC().choose_victim(die, now) == (
+            select_victim_cost_benefit(die, scan, now)
         )
 
 

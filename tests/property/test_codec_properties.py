@@ -567,7 +567,9 @@ def test_slotted_page_counters_and_image_match_recount(ops):
 # adjacent; every codec function against the reference
 # ----------------------------------------------------------------------
 @st.composite
-def any_schema(draw):
+def any_schema(draw, patchable=False):
+    """A schema of up to 12 columns, VARCHARs often first, last or paired;
+    ``patchable`` adds an INT or FLOAT column ahead of the first VARCHAR."""
     kinds = draw(st.lists(st.sampled_from(list(ColumnType)), max_size=8))
     if draw(st.booleans()):
         kinds.insert(0, ColumnType.VARCHAR)
@@ -577,6 +579,9 @@ def any_schema(draw):
         at = draw(st.integers(0, len(kinds)))
         kinds[at:at] = [ColumnType.VARCHAR, ColumnType.VARCHAR]
     kinds = kinds or [draw(st.sampled_from(list(ColumnType)))]
+    if patchable:
+        ahead = kinds.index(ColumnType.VARCHAR) if ColumnType.VARCHAR in kinds else len(kinds)
+        kinds.insert(draw(st.integers(0, ahead)), draw(st.sampled_from(NUMERIC)))
     return Schema(
         [
             Column(f"c{i}", kind, draw(st.integers(1, 12)) if kind in TEXT else 0)
@@ -586,8 +591,8 @@ def any_schema(draw):
 
 
 @st.composite
-def any_schema_and_row(draw):
-    schema = draw(any_schema())
+def any_schema_and_row(draw, patchable=False):
+    schema = draw(any_schema(patchable))
     return schema, draw(st.tuples(*(value_for(c) for c in schema)))
 
 
@@ -605,12 +610,11 @@ def test_drawn_schema_codec_equals_reference(case, before, after):
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_schema_and_row(), st.data())
+@given(any_schema_and_row(patchable=True), st.data())
 def test_drawn_patcher_equals_reference(case, data):
     schema, row = case
-    patchable = patchable_positions(schema)
     positions = data.draw(
-        st.lists(st.sampled_from(patchable), min_size=1, unique=True) if patchable else st.nothing()
+        st.lists(st.sampled_from(patchable_positions(schema)), min_size=1, unique=True)
     )
     values = [data.draw(GOOD[schema.columns[p].type]) for p in positions]
     codec = RowCodec(schema)
