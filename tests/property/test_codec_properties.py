@@ -198,11 +198,14 @@ def value_for(column):
 
 
 @st.composite
-def schema_and_rows(draw, rows=3):
+def schema_and_rows(draw, rows=3, patchable=False):
     """Fixed-width prefix (INT/FLOAT/CHAR), 0-2 VARCHARs, and — beyond what
-    TPC-C uses — sometimes fixed-width columns after or between them."""
+    TPC-C uses — sometimes fixed-width columns after or between them;
+    ``patchable`` puts an INT or FLOAT column into the prefix."""
     fixed = st.sampled_from([ColumnType.INT, ColumnType.FLOAT, ColumnType.CHAR])
     kinds = draw(st.lists(fixed, max_size=6))
+    if patchable:
+        kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(NUMERIC)))
     for __ in range(draw(st.integers(0, 2))):
         kinds.append(ColumnType.VARCHAR)
         kinds += draw(st.lists(fixed, max_size=1))
@@ -278,11 +281,10 @@ def exact(values):
 def patch_case(draw, some_bad):
     """A schema, a stored row, and new values for a random non-empty choice
     (in random order) of its patchable columns: INT/FLOAT before any VARCHAR."""
-    schema, (row,) = draw(schema_and_rows(rows=1))
+    schema, (row,) = draw(schema_and_rows(rows=1, patchable=True))
     columns = schema.columns
-    patchable = patchable_positions(schema)
     positions = draw(
-        st.lists(st.sampled_from(patchable), min_size=1, unique=True) if patchable else st.nothing()
+        st.lists(st.sampled_from(patchable_positions(schema)), min_size=1, unique=True)
     )
     bad = set(draw(st.lists(st.sampled_from(positions), min_size=1))) if some_bad else set()
     values = [draw((BAD if p in bad else GOOD)[columns[p].type]) for p in positions]
