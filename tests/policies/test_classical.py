@@ -1,6 +1,8 @@
 """Behavioural tests for the classical GC policies, their reference scans
 and the coldest-first WL ranking."""
 
+import pytest
+
 from repro.policies import (
     CostBenefitGC,
     GreedyGC,
@@ -42,6 +44,11 @@ class TestSharedSelectors:
 
 
 class TestGreedy:
+    def test_picks_most_invalid(self):
+        # the emptiest block wins wherever it sits in the die
+        books = books_of([(1, 0.0), (3, 0.0), (2, 0.0)])
+        assert greedy_picks(books) == (0, 0)
+
     def test_empty_candidates(self):
         # a fully valid block and a free one: nothing to reclaim
         books = books_of([(4, 0.0), None])
@@ -57,6 +64,11 @@ class TestCostBenefit:
     def test_fully_invalid_block_always_wins(self):
         books = books_of([(1, 0.0), (0, 100.0)])
         assert cost_benefit_picks(books, now_us=200.0) == (1, 1)
+
+    def test_prefers_old_cold_blocks(self):
+        # same validity, different age: the older block wins ahead of a younger one
+        books = books_of([(2, 10.0), (2, 90.0)])
+        assert cost_benefit_picks(books, now_us=100.0) == (0, 0)
 
     def test_empty_candidates(self):
         books = books_of([(4, 0.0), None])
@@ -94,3 +106,7 @@ class TestDispatch:
     def test_dispatch_cost_benefit(self):
         books = books_of([(4, 0.0), (3, 0.0)])
         assert resolve_gc_policy("cost_benefit").choose_victim(books, now_us=0.0) == 1
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_gc_policy("lru")
