@@ -33,9 +33,15 @@ and the "better in n/10" count farthest from 5/10.  A change that reads
 inside these bounds on these workloads is unresolved, not a gain or a
 loss:
 
-    workload   wall_s         setup_s         ops_per_host_s   peak_rss_mb
-    hotcold    1.7%  (4/10)   11.6% (2/10)    0.5%  (5/10)     0.01% (5/10)
-    ftl        5.8%  (7/10)   10.9% (8/10)    3.9%  (8/10)     0.07% (5/10)
+    workload        wall_s         setup_s         ops_per_host_s   peak_rss_mb
+    fig3            3.4%  (3/10)   0.0%  (5/10)    3.1%  (3/10)     0.07% (7/10)
+    tpcc_smallbuf   1.9%  (4/10)   2.9%  (3/10)    0.2%  (5/10)     0.21% (4/10)
+    hotcold         1.7%  (4/10)   11.6% (2/10)    0.5%  (5/10)     0.01% (5/10)
+    ftl             5.8%  (7/10)   10.9% (8/10)    3.9%  (8/10)     0.07% (5/10)
+    chaos           4.9%  (4/10)   8.7%  (3/10)    0.8%  (3/10)     0.30% (3/10)
+
+Each row is one A/A run; a cell that one run happened to read small
+(``fig3`` ``setup_s``) is a lower bound on the floor, not the floor.
 
 ``sim_ops_per_s`` and ``sim_write_amplification`` are deterministic: every
 pair reads the same, 0.0%.

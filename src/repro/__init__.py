@@ -51,14 +51,13 @@ from repro.flash import (
     paper_geometry,
     small_geometry,
 )
-from repro.ftl import DFTL, DFTLDevice, PageMappingFTL
+from repro.ftl import DFTL, PageMappingFTL
 from repro.tpcc import Driver, ScaleConfig, check_consistency, load_database
 
 __version__ = "1.0.0"
 
 __all__ = [
     "DFTL",
-    "DFTLDevice",
     "Database",
     "Driver",
     "FlashDevice",

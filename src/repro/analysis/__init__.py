@@ -1,4 +1,4 @@
-"""Static analysis for the simulation stack: the ``repro lint`` engine.
+"""Static analysis for the simulation stack: the ``repro lint`` rules.
 
 The reproduction's headline numbers rest on two contracts that the test
 suite enforces only *dynamically*: bit-identical seeded simulation
@@ -11,13 +11,11 @@ than as a silently-perturbed benchmark.
 
 Pieces:
 
-* :mod:`repro.analysis.core` — the engine: parsed-module model, rule
-  registry, two-phase (collect → check) execution, pragma suppression.
-* :mod:`repro.analysis.pragmas` — ``# lint: ok(<rule-id>) -- why`` parsing.
-* :mod:`repro.analysis.rules` — the repo-specific rule catalogue
+* :mod:`repro.analysis.core` — :func:`lint`: parse each file once, run
+  every rule's ``collect`` over every module, then every ``check``, and
+  sort the violations; :func:`render_human` prints them.
+* :mod:`repro.analysis.rules` — the rule list, :func:`build_rules`
   (determinism, guard-pattern, counter-hygiene, typed errors, hygiene).
-* :mod:`repro.analysis.reporting` — human and JSON (``repro.lint/v1``)
-  reporters.
 
 Every rule is a per-module AST check over one tree that must be clean.
 What needs the whole program to see — state shared between shard cells,
@@ -28,8 +26,8 @@ independence test; see the invariant table in ``docs/ARCHITECTURE.md``).
 Run it as ``repro lint [paths ...]`` (see :mod:`repro.cli`) or
 programmatically::
 
-    from repro.analysis import lint_paths
-    result = lint_paths(["src/repro"])
+    from repro.analysis import lint
+    result = lint(["src/repro"])
     for v in result.violations:
         print(v.format())
 """
@@ -37,29 +35,21 @@ programmatically::
 from __future__ import annotations
 
 from repro.analysis.core import (
-    LintEngine,
     LintResult,
     Rule,
-    RuleRegistry,
     SourceModule,
     Violation,
-    default_registry,
-    lint_paths,
+    lint,
+    render_human,
 )
-from repro.analysis.pragmas import Pragma, parse_pragmas
-from repro.analysis.reporting import render_human, render_json
+from repro.analysis.rules import build_rules
 
 __all__ = [
-    "LintEngine",
     "LintResult",
-    "Pragma",
     "Rule",
-    "RuleRegistry",
     "SourceModule",
     "Violation",
-    "default_registry",
-    "lint_paths",
-    "parse_pragmas",
+    "build_rules",
+    "lint",
     "render_human",
-    "render_json",
 ]

@@ -1,8 +1,10 @@
-"""The repo-specific rule catalogue.
+"""The repo-specific rule list.
 
 ``build_rules()`` returns fresh instances of every shipped rule —
 fresh because the counter-hygiene rules accumulate project-wide state
-in ``collect``/``check`` and must not leak between engine runs.
+in ``collect``/``check`` and must not leak between lint runs.  A new rule
+is one more entry here, with a good/bad fixture pair under
+``tests/analysis/fixtures``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.analysis.rules.raises import TypedRaiseRule
 
 
 def build_rules() -> list[Rule]:
-    """Fresh instances of the full shipped catalogue."""
+    """Fresh instances of every shipped rule."""
     return [
         WallClockRule(),
         UnseededRandomRule(),

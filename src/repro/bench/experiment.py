@@ -45,8 +45,9 @@ class TPCCExperimentConfig:
             paper's 64 dies with a capacity scaled to the population).
         scale: TPC-C population (required).
         terminals: closed-loop concurrency.
-        buffer_pages / flusher_interval: buffer manager (required).
-        flusher_batch: pages written per flusher round.
+        buffer_pages / flusher_interval: buffer manager (required); the
+            flusher batch and the per-access CPU charge are the
+            :class:`~repro.db.Database` defaults.
         num_transactions / duration_us: measurement budget (at least one).
         timing: flash latency model.
         seed: workload RNG seed.
@@ -70,14 +71,12 @@ class TPCCExperimentConfig:
     terminals: int = 8
     buffer_pages: int = field(kw_only=True)
     flusher_interval: int = field(kw_only=True)
-    flusher_batch: int = 8
     num_transactions: int | None = None
     duration_us: float | None = None
     timing: TimingModel = field(default_factory=TimingModel)
     seed: int = 42
     overprovision: float = 0.1
     gc_policy: str = "greedy"
-    cpu_us_per_op: float = 5.0
     initial_bad_block_rate: float = 0.0
     device_seed: int = 0
     fault_plan: "FaultPlan | None" = None
@@ -163,8 +162,6 @@ def build_database(config: TPCCExperimentConfig) -> Database:
     common = dict(
         buffer_pages=config.buffer_pages,
         flusher_interval=config.flusher_interval,
-        flusher_batch=config.flusher_batch,
-        cpu_us_per_op=config.cpu_us_per_op,
     )
     if config.placement is not None:
         return Database.on_native_flash(

@@ -324,23 +324,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import LintEngine, default_registry, render_human, render_json
+    from repro.analysis import lint, render_human
 
-    registry = default_registry()
-    if args.list_rules:
-        for rule_id in registry.ids():
-            print(f"{rule_id:32} {registry.get(rule_id).summary}")
-        return 0
-    rule_ids = args.rules.split(",") if args.rules else None
-    try:
-        result = LintEngine(registry).run(args.paths, rule_ids)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_human(result, verbose=args.verbose))
+    result = lint(args.paths)
+    print(render_human(result))
     return result.exit_code
 
 
@@ -503,22 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format", choices=("human", "json"), default="human",
-        help="report format: clickable text or the repro.lint/v1 document",
-    )
-    lint.add_argument(
-        "--rules", default=None, metavar="ID[,ID...]",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--verbose", action="store_true",
-        help="also report pragmas that suppressed nothing",
     )
     lint.set_defaults(fn=_cmd_lint)
 

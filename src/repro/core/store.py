@@ -25,7 +25,7 @@ from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.simclock import SimClock
 from repro.flash.timing import TimingModel
-from repro.mapping.blockinfo import BlockState, DieBookkeeping
+from repro.mapping.blockinfo import DieBookkeeping
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs.registry import MetricRegistry
@@ -166,15 +166,7 @@ class NoFTLStore:
                 "use force=True to drop anyway"
             )
         for d in region.dies:
-            books = self._books[d]
-            for block in range(books.blocks_per_die):
-                if books.state[block] == BlockState.BAD:
-                    continue
-                if books.written[block] > 0:
-                    self.device.erase_block_packed(d, block, self.device.clock.now)
-                    region.engine._retire_or_recycle(d, block)
-                elif books.state[block] == BlockState.OPEN:
-                    books.return_erased_block(block)
+            region.engine.release_die(d)
         self._dropped_failed.extend(region.failed_dies)
         self._dropped_failed.extend(d for d in region.engine.books if d not in region.dies)
         del self._regions[name]

@@ -225,16 +225,13 @@ class NoFTLBackend(StorageBackend):
         store: NoFTLStore,
         default_region: str,
         metadata_region: str | None = None,
-        metadata_extent_pages: int = DEFAULT_EXTENT_PAGES,
     ) -> None:
         super().__init__(store.device.geometry.page_size)
         self.store = store
         self.default_region = default_region
         self._regions_by_space: dict[int, Region] = {}
         self._metadata_region = metadata_region or default_region
-        meta_id = self.create_space(
-            DBMS_METADATA, region=self._metadata_region, extent_pages=metadata_extent_pages
-        )
+        meta_id = self.create_space(DBMS_METADATA, region=self._metadata_region)
         assert meta_id == METADATA_SPACE_ID
 
     def region_of_space(self, space_id: int) -> Region:

@@ -62,7 +62,9 @@ class Database:
         buffer_pages: buffer pool capacity in pages.
         flusher_interval: page ops between background flush rounds.
         flusher_batch: dirty pages written per flush round.
-        default_extent_pages: extent size for auto-created tablespaces.
+
+    A tablespace created with no extent size gets
+    :data:`~repro.db.backend.DEFAULT_EXTENT_PAGES`.
     """
 
     def __init__(
@@ -72,7 +74,6 @@ class Database:
         flusher_interval: int = 64,
         flusher_batch: int = 8,
         cpu_us_per_op: float = 5.0,
-        default_extent_pages: int = DEFAULT_EXTENT_PAGES,
         wal: bool = False,
     ) -> None:
         self.backend = backend
@@ -84,7 +85,6 @@ class Database:
             cpu_us_per_op=cpu_us_per_op,
         )
         self.catalog = Catalog()
-        self.default_extent_pages = default_extent_pages
         self.placement: PlacementConfig | None = None
         self.store: NoFTLStore | None = None  # set on native flash
         self.ftl: PageMappingFTL | None = None  # set on block device
@@ -214,9 +214,7 @@ class Database:
         from repro.db.wal import WAL_SPACE, WriteAheadLog
 
         ts = self.create_tablespace(
-            f"ts_{WAL_SPACE}",
-            region=self._placement_region_for(WAL_SPACE),
-            extent_pages=self.default_extent_pages,
+            f"ts_{WAL_SPACE}", region=self._placement_region_for(WAL_SPACE)
         )
         self.wal = WriteAheadLog(self.backend, ts.space_id)
 
@@ -292,7 +290,7 @@ class Database:
             return at
         if kind == "tablespace":
             ts = parse_create_tablespace(sql)
-            extent_pages = self.default_extent_pages
+            extent_pages = DEFAULT_EXTENT_PAGES
             if ts.extent_size_bytes is not None:
                 page_size = self.backend.page_size
                 if ts.extent_size_bytes == 0 or ts.extent_size_bytes % page_size:
@@ -341,13 +339,13 @@ class Database:
     ) -> TablespaceInfo:
         """Create a tablespace, optionally coupled to a region."""
         space_id = self.backend.create_space(
-            name, region=region, extent_pages=extent_pages or self.default_extent_pages
+            name, region=region, extent_pages=extent_pages or DEFAULT_EXTENT_PAGES
         )
         info = TablespaceInfo(
             name=name,
             space_id=space_id,
             region=region,
-            extent_pages=extent_pages or self.default_extent_pages,
+            extent_pages=extent_pages or DEFAULT_EXTENT_PAGES,
         )
         self.catalog.add_tablespace(info)
         return info

@@ -144,9 +144,12 @@ class ResourceTimeline:
         index = len(ends)
         for i in range(bisect.bisect_right(ends, start, self._lo), index):
             s = starts[i]
-            # a gap fits when it holds the duration; zero-length requests
-            # need an instant not inside (or at the start of) a busy slot
-            if s - start >= duration and (duration > 0 or s > start):
+            # a gap fits when the end as granted (``start + duration``,
+            # rounded) reaches no further than the next slot's start —
+            # ``s - start >= duration`` can hold while that sum is one ulp
+            # past ``s``; zero-length requests need an instant not inside
+            # (or at the start of) a busy slot
+            if start + duration <= s and (duration > 0 or s > start):
                 index = i
                 break
             start = ends[i]

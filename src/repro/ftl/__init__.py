@@ -12,13 +12,9 @@ from repro.ftl.hotcold import HotColdFTL, UpdateFrequencySketch
 from repro.ftl.page_mapping import PageMappingFTL
 from repro.mapping.stats import ManagementStats
 
-#: Backwards-compatible alias used in the top-level API.
-DFTLDevice = DFTL
-
 __all__ = [
     "BlockDevice",
     "DFTL",
-    "DFTLDevice",
     "DeviceFullError",
     "HotColdFTL",
     "ManagementStats",

@@ -42,7 +42,8 @@ class DFTL(PageMappingFTL):
         cmt_entries: capacity of the cached mapping table, in entries.
             Real controllers cache a small fraction of the map; pick a
             value well below ``num_lbas`` to see translation overhead.
-        (remaining args as in :class:`PageMappingFTL`)
+        overprovision / gc_policy: as in :class:`PageMappingFTL`; static
+            wear levelling stays off.
     """
 
     def __init__(
@@ -51,10 +52,6 @@ class DFTL(PageMappingFTL):
         cmt_entries: int = 4096,
         overprovision: float = 0.1,
         gc_policy: str = "greedy",
-        gc_trigger_free_blocks: int = 2,
-        gc_target_free_blocks: int = 3,
-        wear_level_threshold: int | None = None,
-        wl_check_interval_erases: int = 64,
     ) -> None:
         if cmt_entries < 1:
             raise ValueError("cmt_entries must be >= 1")
@@ -67,10 +64,6 @@ class DFTL(PageMappingFTL):
             device,
             overprovision=overprovision,
             gc_policy=gc_policy,
-            gc_trigger_free_blocks=gc_trigger_free_blocks,
-            gc_target_free_blocks=gc_target_free_blocks,
-            wear_level_threshold=wear_level_threshold,
-            wl_check_interval_erases=wl_check_interval_erases,
             internal_pages=trans_pages,
         )
         self.entries_per_tpage = entries_per_tpage

@@ -75,7 +75,8 @@ class HotColdFTL(PageMappingFTL):
             RAM budget).
         hot_factor: an LBA is routed to the hot frontier when its estimated
             heat exceeds ``hot_factor`` times the sketch mean.
-        (remaining args as in :class:`PageMappingFTL`)
+        overprovision / gc_policy: as in :class:`PageMappingFTL`; static
+            wear levelling stays off.
     """
 
     def __init__(
@@ -86,10 +87,6 @@ class HotColdFTL(PageMappingFTL):
         decay_interval: int = 8192,
         overprovision: float = 0.1,
         gc_policy: str = "greedy",
-        gc_trigger_free_blocks: int = 2,
-        gc_target_free_blocks: int = 3,
-        wear_level_threshold: int | None = None,
-        wl_check_interval_erases: int = 64,
     ) -> None:
         if hot_factor <= 0:
             raise ValueError("hot_factor must be positive")
@@ -97,10 +94,6 @@ class HotColdFTL(PageMappingFTL):
             device,
             overprovision=overprovision,
             gc_policy=gc_policy,
-            gc_trigger_free_blocks=gc_trigger_free_blocks,
-            gc_target_free_blocks=gc_target_free_blocks,
-            wear_level_threshold=wear_level_threshold,
-            wl_check_interval_erases=wl_check_interval_erases,
         )
         self.sketch = UpdateFrequencySketch(slots=sketch_slots, decay_interval=decay_interval)
         self.hot_factor = hot_factor

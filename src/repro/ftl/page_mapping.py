@@ -45,9 +45,8 @@ class PageMappingFTL(BlockDevice):
         overprovision: fraction of raw capacity hidden from the host; the
             slack is what makes GC possible.
         gc_policy: victim selection by name (``"greedy"`` or
-            ``"cost_benefit"``).
-        gc_trigger_free_blocks: per-die free-block watermark that triggers GC.
-        gc_target_free_blocks: GC runs until the die has this many free blocks.
+            ``"cost_benefit"``); GC runs at the engine's default per-die
+            watermarks.
         wear_level_threshold: max allowed spread of per-block erase counts
             within a die before static WL kicks in; ``None`` disables WL.
         wl_check_interval_erases: how often (in GC erases) WL is evaluated.
@@ -60,8 +59,6 @@ class PageMappingFTL(BlockDevice):
         device: FlashDevice,
         overprovision: float = 0.1,
         gc_policy: str = "greedy",
-        gc_trigger_free_blocks: int = 2,
-        gc_target_free_blocks: int = 3,
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
         internal_pages: int = 0,
@@ -85,8 +82,6 @@ class PageMappingFTL(BlockDevice):
             books=books,
             stats=self.stats,
             gc_policy=gc_policy,
-            gc_trigger_free_blocks=gc_trigger_free_blocks,
-            gc_target_free_blocks=gc_target_free_blocks,
             wear_level_threshold=wear_level_threshold,
             wl_check_interval_erases=wl_check_interval_erases,
         )

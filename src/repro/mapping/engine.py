@@ -46,6 +46,10 @@ class SpaceFullError(Exception):
 #: fault plan) is beyond salvage; give up rather than loop.
 MAX_WRITE_REDRIVES = 8
 
+#: Open blocks (on distinct dies) a placement group rotates its writes
+#: over; capped at the engine's number of dies.
+GROUP_STRIPE_WIDTH = 8
+
 
 #: where frontier slots live: ``slots[die]`` in the per-die user and GC
 #: dicts (a block index), ``slots[position]`` in a placement group's stripe
@@ -84,8 +88,6 @@ class FlashSpaceEngine:
             WL, or ``None`` to disable.
         wl_check_interval_erases: WL evaluation cadence, in GC erases.
         obj_id: stamped into page metadata (regions use their region id).
-        group_stripe_width: open blocks (on distinct dies) a placement
-            group rotates its writes over; capped at the number of dies.
         read_disturb_threshold: reads a block may absorb between erases
             before its live pages are refreshed (relocated) — real NAND
             loses data to read disturb; ``None`` disables the patrol.
@@ -106,7 +108,6 @@ class FlashSpaceEngine:
         wear_level_threshold: int | None = None,
         wl_check_interval_erases: int = 64,
         obj_id: int | None = None,
-        group_stripe_width: int = 8,
         read_disturb_threshold: int | None = None,
         max_read_retries: int = 8,
     ) -> None:
@@ -136,7 +137,6 @@ class FlashSpaceEngine:
         self.wear_level_threshold = wear_level_threshold
         self.wl_check_interval_erases = wl_check_interval_erases
         self.obj_id = obj_id
-        self.group_stripe_width = max(1, group_stripe_width)
         self.read_disturb_threshold = read_disturb_threshold
         self.max_read_retries = max(1, max_read_retries)
 
@@ -459,7 +459,7 @@ class FlashSpaceEngine:
         placement group, and the slot holding it (``slots[slot]``, for the
         write that fills the block to empty).
 
-        Each group keeps up to ``group_stripe_width`` open blocks on
+        Each group keeps up to ``GROUP_STRIPE_WIDTH`` open blocks on
         distinct dies and rotates through them page by page, so even a
         burst of writes to one object spreads over several dies ("the
         distribution over available Flash data channels, dies or planes
@@ -468,7 +468,7 @@ class FlashSpaceEngine:
         state = self._groups.get(group)
         if state is None:
             slots: list[tuple[int, int] | None] = [None] * min(
-                self.group_stripe_width, len(self.dies)
+                GROUP_STRIPE_WIDTH, len(self.dies)
             )
             state = self._groups[group] = (slots, [group % len(self.dies), 0])
         slots, nexts = state
@@ -786,18 +786,29 @@ class FlashSpaceEngine:
             raise ValueError(f"die {die_index} does not belong to this engine")
         if len(self.dies) == 1:
             raise ValueError("cannot evacuate the engine's last die")
-        at = self._drain_die(die_index, at)[1]
+        at = self.release_die(die_index, self._drain_die(die_index, at)[1])
+        return self.books.pop(die_index), at
+
+    def release_die(self, die_index: int, at: float | None = None) -> float:
+        """Erase every block the engine wrote on ``die_index`` and give its
+        OPEN empty blocks back to the pool (BAD blocks stay); returns the
+        chain's end.  From ``at`` the erases chain and count as GC
+        erases (a drained die); without it each is issued at the device
+        clock, live pages and all, and counted nowhere (a dropped region)."""
         books = self.books[die_index]
-        # erase everything the engine had written on the die
+        state = books.state
         for block in range(books.blocks_per_die):
-            if books.state[block] == BlockState.BAD:
+            if state[block] == BlockState.BAD:
                 continue
             if books.written[block] > 0:
-                at = self._empty_block(die_index, block, at)[1]
-            elif books.state[block] == BlockState.OPEN:
+                if at is None:
+                    self.device.erase_block_packed(die_index, block, self.device.clock.now)
+                    self._retire_or_recycle(die_index, block)
+                else:
+                    at = self._empty_block(die_index, block, at)[1]
+            elif state[block] == BlockState.OPEN:
                 books.return_erased_block(block)
-        del self.books[die_index]
-        return books, at
+        return self.device.clock.now if at is None else at
 
     def fail_die(self, die_index: int, at: float) -> tuple[int, float]:
         """Rebuild around a write/erase-dead die; returns ``(moved, end_us)``.

@@ -10,7 +10,8 @@ package is the single surface that collects, namespaces and exports them:
   cumulative, or a measured window (``snapshot(since=registry.mark())``).
 * Exporters — :func:`dump_json` (the one ``--json`` serializer),
   :func:`metrics_doc` + :func:`validate_metrics_doc` (the ``repro.obs/v1``
-  schema), and table renderers fed from the same data.
+  schema); the tables over the same data are
+  :mod:`repro.bench.reporting`'s.
 * Collectors — :func:`registry_for_database` and friends mount a live
   stack's stats objects without touching their hot paths.
 
@@ -37,7 +38,6 @@ from repro.obs.export import (
     SchemaError,
     dump_json,
     metrics_doc,
-    render_snapshot,
     validate_metrics_doc,
     validate_snapshot,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "registry_for_blockdevice",
     "registry_for_database",
     "registry_for_store",
-    "render_snapshot",
     "validate_metrics_doc",
     "validate_snapshot",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: one JSON serializer, the metrics-document schema, tables.
+"""Exporters: one JSON serializer and the metrics-document schema.
 
 Everything the CLI emits — ``--json``, ``--metrics-out``, ``repro
 report`` — flows through :func:`dump_json` and the ``repro.obs/v1``
@@ -115,21 +115,3 @@ def validate_metrics_doc(doc: JsonDict) -> JsonDict:
         if registry is not None:
             validate_snapshot(registry)
     return doc
-
-
-# ----------------------------------------------------------------------
-# Table rendering (the paper-style view over the same data)
-# ----------------------------------------------------------------------
-def _format_value(value: float) -> str:
-    if value == int(value) and abs(value) >= 1:
-        return f"{int(value):,}"
-    return f"{value:,.2f}"
-
-
-def render_snapshot(title: str, snapshot: dict[str, float]) -> str:
-    """Key/value block over a flat snapshot (mirrors paper-table styling)."""
-    width = max((len(k) for k in snapshot), default=0)
-    lines = [title, "-" * max(len(title), width + 20)]
-    for key in sorted(snapshot):
-        lines.append(f"{key:<{width}}  {_format_value(snapshot[key])}")
-    return "\n".join(lines)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import build_rules, lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,16 +49,22 @@ RULE_CASES = [
 IDS = [case[0] for case in RULE_CASES]
 
 
+def lint_with(paths, rule_id):
+    """Lint ``paths`` with the one rule of ``build_rules()`` named ``rule_id``."""
+    [rule] = [rule for rule in build_rules() if rule.id == rule_id]
+    return lint(paths, [rule])
+
+
 @pytest.mark.parametrize("rule_id,bad,good,min_hits", RULE_CASES, ids=IDS)
 class TestRulePairs:
     def test_bad_fixture_trips_only_this_rule(self, rule_id, bad, good, min_hits):
-        result = lint_paths([FIXTURES / bad], rule_ids=[rule_id])
+        result = lint_with([FIXTURES / bad], rule_id)
         assert result.exit_code == 1
         assert len(result.violations) >= min_hits
         assert {v.rule_id for v in result.violations} == {rule_id}
 
     def test_good_fixture_is_clean(self, rule_id, bad, good, min_hits):
-        result = lint_paths([FIXTURES / good], rule_ids=[rule_id])
+        result = lint_with([FIXTURES / good], rule_id)
         assert result.exit_code == 0, [v.format() for v in result.violations]
 
 
@@ -67,7 +73,7 @@ class TestScoping:
         # Same wall-clock code outside a repro/<sim-package> path: out of scope.
         bench = tmp_path / "bench_host.py"
         bench.write_text("import time\n\ndef t() -> float:\n    return time.time()\n")
-        result = lint_paths([bench], rule_ids=["determinism.wallclock"])
+        result = lint_with([bench], "determinism.wallclock")
         assert result.exit_code == 0
 
     def test_shard_runner_modules_are_in_determinism_scope(self, tmp_path):
@@ -76,7 +82,7 @@ class TestScoping:
         mod = tmp_path / "repro" / "bench" / "sharding.py"
         mod.parent.mkdir(parents=True)
         mod.write_text("import time\n\ndef t() -> float:\n    return time.time()\n")
-        result = lint_paths([mod], rule_ids=["determinism.wallclock"])
+        result = lint_with([mod], "determinism.wallclock")
         assert result.exit_code == 1
         assert {v.rule_id for v in result.violations} == {"determinism.wallclock"}
 
@@ -84,14 +90,14 @@ class TestScoping:
         mod = tmp_path / "repro" / "faults" / "chaos.py"
         mod.parent.mkdir(parents=True)
         mod.write_text("import random\n\ndef r() -> float:\n    return random.random()\n")
-        result = lint_paths([mod], rule_ids=["determinism.unseeded-random"])
+        result = lint_with([mod], "determinism.unseeded-random")
         assert result.exit_code == 1
 
     def test_unused_import_rule_skips_init_files(self, tmp_path):
         init = tmp_path / "repro" / "pkg" / "__init__.py"
         init.parent.mkdir(parents=True)
         init.write_text("from json import dumps\n")
-        result = lint_paths([init], rule_ids=["hygiene.unused-import"])
+        result = lint_with([init], "hygiene.unused-import")
         assert result.exit_code == 0
 
 
@@ -113,7 +119,7 @@ class TestCrossModuleCounters:
             "    stats.rm_hits += 1\n"
             "    stats.rm_ghost += 1\n"
         )
-        result = lint_paths([tmp_path], rule_ids=["counters.doc-coverage"])
+        result = lint_with([tmp_path], "counters.doc-coverage")
         assert [v.rule_id for v in result.violations] == ["counters.doc-coverage"]
         assert "rm_ghost" in result.violations[0].message
         assert result.violations[0].path.endswith("engine.py")
@@ -134,5 +140,5 @@ class TestCrossModuleCounters:
             "def bump(stats) -> None:\n"
             "    stats.shared += 1\n"
         )
-        result = lint_paths([tmp_path], rule_ids=["counters.doc-coverage"])
+        result = lint_with([tmp_path], "counters.doc-coverage")
         assert result.exit_code == 0

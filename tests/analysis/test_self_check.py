@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintResult, lint_paths, parse_pragmas
+from repro.analysis import LintResult, lint
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 @pytest.fixture(scope="module")
 def result() -> LintResult:
     """One lint of the shipped tree, shared by the assertions below."""
-    return lint_paths([SRC])
+    return lint([SRC])
 
 
 class TestSelfCheck:
@@ -30,19 +30,3 @@ class TestSelfCheck:
     def test_src_covers_the_whole_package(self, result):
         assert result.files_checked == len(list(SRC.rglob("*.py")))
         assert result.files_checked > 70  # the package, not a subset
-
-    def test_no_unused_pragmas_in_src(self, result):
-        assert result.unused_pragmas == [], (
-            "stale pragmas (delete them): "
-            + ", ".join(f"{p}:{pr.line}" for p, pr in result.unused_pragmas)
-        )
-
-    def test_every_src_pragma_carries_a_justification(self):
-        offenders = []
-        for path in sorted(SRC.rglob("*.py")):
-            for pragma in parse_pragmas(path.read_text(encoding="utf-8")):
-                if not pragma.justification:
-                    offenders.append(f"{path}:{pragma.line}")
-        assert offenders == [], (
-            "pragmas without `-- why` justification: " + ", ".join(offenders)
-        )

@@ -83,6 +83,15 @@ class TestResourceTimeline:
         start, end = r.reserve(0.0, 100.0)
         assert (start, end) == (100.0, 200.0)
 
+    def test_gap_that_fits_only_before_rounding_is_skipped(self):
+        # the gap [146.0000000009349, 1020.1422729501536) is exactly as long
+        # as the request, but start + duration rounds to one ulp past the
+        # next slot's start: the request must go after that slot
+        r = ResourceTimeline()
+        __, first_end = r.reserve(1020.1422729501536, 10.0)
+        start, end = r.reserve(146.0000000009349, 874.1422729492188)
+        assert (start, end) == (first_end, first_end + 874.1422729492188)
+
     def test_request_behind_the_forgotten_horizon_is_refused(self):
         r = ResourceTimeline(name="die0")
         r.reserve(0.0, 100.0)

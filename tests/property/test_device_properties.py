@@ -3,7 +3,7 @@ as a flat reference model does."""
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.flash import (
     BadBlockError,
@@ -229,6 +229,7 @@ def test_device_matches_reference_model(geometry, strict, data):
         max_size=40,
     ),
 )
+@example(earliest_times=[0.0, 0.0, 1.2895141310309555e-07, 0.0], durations=[0.0, 0.0, 1.0, 511.0])
 def test_timeline_reservations_never_overlap(earliest_times, durations):
     """Gap-filling reservations are pairwise disjoint for positive durations."""
     from repro.flash import ResourceTimeline
@@ -238,7 +239,7 @@ def test_timeline_reservations_never_overlap(earliest_times, durations):
     for earliest, duration in zip(earliest_times, durations):
         start, end = timeline.reserve(earliest, duration)
         assert start >= earliest
-        assert end - start == duration
+        assert end == start + duration
         if duration > 0:
             granted.append((start, end))
     granted.sort()

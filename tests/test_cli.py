@@ -206,7 +206,3 @@ class TestLintCommand:
     def test_lint_clean_file_exits_zero(self, capsys):
         assert main(["lint", self.GOOD]) == 0
         assert "OK" in capsys.readouterr().out
-
-    def test_unknown_rule_exits_two(self, capsys):
-        assert main(["lint", self.GOOD, "--rules", "nope.rule"]) == 2
-        assert "error" in capsys.readouterr().err
